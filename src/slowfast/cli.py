@@ -17,9 +17,8 @@ import sys
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigurationRejectedError
 from .harness import (ResultTable, emit_results, pooled_fbar_estimate,
-                      pooled_invariant_rows, run_convergence_study,
-                      run_holder_stats, run_khasminskii_study, run_moment_audit,
-                      run_theta_stability, simulate_ensemble, write_csv)
+                      pooled_invariant_rows, run_audit, run_convergence_study,
+                      simulate_ensemble, write_csv, write_meta)
 
 EXIT_OK = 0
 EXIT_CONFIG_REJECTED = 2
@@ -67,7 +66,12 @@ def _load(args) -> ExperimentConfig:
     if args.workers is not None:
         updates["worker_count"] = int(args.workers)
     elif os.environ.get("MULTISCALE_WORKERS"):
-        updates["worker_count"] = int(os.environ["MULTISCALE_WORKERS"])
+        value = os.environ["MULTISCALE_WORKERS"]
+        try:
+            updates["worker_count"] = int(value)
+        except ValueError:
+            raise ConfigurationRejectedError(
+                f"MULTISCALE_WORKERS must be an integer, got {value!r}") from None
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
         # master_seed is part of the experiment definition; keep the sidecar
@@ -104,24 +108,11 @@ def _cmd_simulate(args) -> int:
     summary_rows = [tuple(row) + (None,) * (width - len(row))
                     for row in summary_rows]
     write_csv(os.path.join(out, "summary.csv"), header, summary_rows)
-    _write_meta(cfg, out, "summary")
+    write_meta(out, "summary", cfg)
     frac = censored / max(1, len(results))
     print(f"simulate: {len(results)} trajectories, censored {censored} "
           f"({100 * frac:.1f}%)")
     return EXIT_EXPLOSION if frac > CENSOR_LIMIT else EXIT_OK
-
-
-def _write_meta(cfg: ExperimentConfig, out_dir: str, name: str) -> None:
-    import json
-
-    from . import __version__
-    from .config import config_hash
-    meta = {"seed": cfg.master_seed, "version": __version__,
-            "config_sha256": config_hash(cfg)}
-    with open(os.path.join(out_dir, f"{name}.meta.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _cmd_invariant(args) -> int:
@@ -135,7 +126,7 @@ def _cmd_invariant(args) -> int:
                "n_replicas", "seed"],
               [(label, mean, se, inv.t_burn, inv.t_avg, inv.n_replicas,
                 cfg.master_seed) for label, mean, se in rows])
-    _write_meta(cfg, out, "invariant")
+    write_meta(out, "invariant", cfg)
     print(f"invariant: {len(rows)} observables -> {out}/invariant.csv")
     return EXIT_OK
 
@@ -152,7 +143,7 @@ def _cmd_average(args) -> int:
     write_csv(os.path.join(out, "average.csv"),
               ["mode_k", "Fbar_estimate", "std_error", "analytic_value_or_blank"],
               rows)
-    _write_meta(cfg, out, "average")
+    write_meta(out, "average", cfg)
     print(f"average: {mean.size} modes -> {out}/average.csv")
     return EXIT_OK
 
@@ -173,12 +164,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = _load(args)
-    table = ResultTable(rows=[])
-    table.rows.extend(run_moment_audit(cfg).rows)
-    table.rows.extend(run_holder_stats(cfg).rows)
-    table.rows.extend(run_theta_stability(cfg).rows)
-    table.rows.extend(run_khasminskii_study(cfg).rows)
-    return _emit_and_report(table, cfg, "audit")
+    return _emit_and_report(run_audit(cfg), cfg, "audit")
 
 
 _COMMANDS = {

@@ -18,16 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
+from .fast_dynamics import fast_substep
 from .model import ModelSpec
 from .noise import derive_stream, make_plan
-from .reactions import eval_V, eval_g, nemytskii_drift
-from .spectral import analyze, synthesize
+from .reactions import eval_V, nemytskii_drift
+from .spectral import analyze, kahan_add, synthesize
 
 __all__ = [
     "SlowFastState",
     "SlowFastTrajectory",
     "KhasminskiiPlan",
     "khasminskii_delta",
+    "snap_block",
     "compute_rho0",
     "step_coupled",
     "simulate_slowfast",
@@ -89,6 +91,12 @@ def khasminskii_delta(epsilon: float, lambda_exp: float, c_const: float) -> floa
     return (2.0 / c_const) * epsilon * abs(math.log(epsilon)) ** (lambda_exp / 2.0)
 
 
+def snap_block(delta: float, h: float) -> tuple[int, float]:
+    """Whole macro steps per block of length delta, and the snapped length."""
+    steps_per_block = max(1, int(round(delta / h)))
+    return steps_per_block, steps_per_block * h
+
+
 def compute_rho0(s: float, t: float, beta: float, gamma1_star: float) -> float:
     """Increment modulus (ln(t/s))^2 + (t-s)^beta + (t-s)^(2*gamma1_star)."""
     if s <= 0:
@@ -145,14 +153,10 @@ def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
     f1_phys = w_end * nemytskii_drift(model.reaction_slow, theta, state.t,
                                       u_phys, synthesize(v, grid), grid)
     for j in range(n_sub):
-        v_phys = synthesize(v, grid)
-        forcing = analyze(eval_g(model.reaction_fast, 0.0, grid.nodes,
-                                 drift_u_phys, v_phys), grid)
         xi = fast_stream.normals(n)
         if noise_record is not None:
             noise_record[j] = xi
-        v = plan_fast.decay * v + plan_fast.drift_weight * forcing \
-            + plan_fast.noise_std * xi
+        v = fast_substep(v, drift_u_phys, model.reaction_fast, grid, plan_fast, xi)
         weight = w_end if j == n_sub - 1 else w_mid
         f1_phys = f1_phys + weight * nemytskii_drift(
             model.reaction_slow, theta, state.t, u_phys,
@@ -164,7 +168,8 @@ def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
 
     norm_u = float(np.linalg.norm(u_next))
     norm_v = float(np.linalg.norm(v))
-    if norm_u + norm_v > model.explosion_bound:
+    # Written so that a NaN norm also trips the guard.
+    if not (norm_u + norm_v <= model.explosion_bound):
         raise StateExplosionError(state.t + h_macro, norm_u, norm_v,
                                   model.explosion_bound)
     return SlowFastState(u=u_next, v=v, t=state.t + h_macro), f1
@@ -197,13 +202,9 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
     v_int = 0.0
     comp = 0.0
     for i in range(n_steps):
-        value = h * eval_V(synthesize(state.u, model.grid),
-                           synthesize(state.v, model.grid),
-                           model.lyapunov, model.grid)
-        y = value - comp
-        tot = v_int + y
-        comp = (tot - v_int) - y
-        v_int = tot
+        v_int, comp = kahan_add(v_int, comp, h * eval_V(
+            synthesize(state.u, model.grid), synthesize(state.v, model.grid),
+            model.lyapunov, model.grid))
         state, f1 = step_coupled(
             state, model, h, slow_stream, fast_stream, plans=plans,
             noise_record=noise[i] if noise is not None else None)
@@ -240,8 +241,7 @@ def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
             "trajectory was recorded without fast noise; rerun with record_noise=True")
     n_steps = traj.times.size - 1
     h = float(traj.times[1] - traj.times[0])
-    steps_per_block = max(1, int(round(plan.delta / h)))
-    delta_snapped = steps_per_block * h
+    steps_per_block, delta_snapped = snap_block(plan.delta, h)
     n_sub, _, plan_fast = _plans(model, h)
     if n_sub != traj.n_sub:
         raise InvalidParameterError(
@@ -258,11 +258,8 @@ def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
         if i == block_start:
             v = traj.v[block_start].copy()
         for j in range(n_sub):
-            v_phys = synthesize(v, grid)
-            forcing = analyze(eval_g(model.reaction_fast, 0.0, grid.nodes,
-                                     u_frozen_phys, v_phys), grid)
-            v = plan_fast.decay * v + plan_fast.drift_weight * forcing \
-                + plan_fast.noise_std * traj.fast_noise[i, j]
+            v = fast_substep(v, u_frozen_phys, model.reaction_fast, grid,
+                             plan_fast, traj.fast_noise[i, j])
         u_aux[i + 1] = traj.u[block_start]
         v_aux[i + 1] = v
     # Node 0 of each block holds the snapshot value itself.

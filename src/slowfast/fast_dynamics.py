@@ -18,11 +18,13 @@ import numpy as np
 from .errors import InvalidParameterError
 from .noise import OUStepPlan, RngStream, derive_stream, make_plan
 from .reactions import ReactionSpec, eval_g, validate_dissipativity
-from .spectral import GridSpec, SpectralOperator, analyze, as_modal_field, synthesize
+from .spectral import (GridSpec, SpectralOperator, analyze, as_modal_field,
+                       kahan_add, synthesize)
 
 __all__ = [
     "FrozenFastConfig",
     "InvariantAverageEstimate",
+    "fast_substep",
     "step_frozen_fast",
     "estimate_invariant_average",
     "MomentCheckRow",
@@ -81,6 +83,16 @@ class InvariantAverageEstimate:
     n_replicas: int
 
 
+def fast_substep(v: np.ndarray, drive_phys: np.ndarray, reaction: ReactionSpec,
+                 grid: GridSpec, plan: OUStepPlan, xi: np.ndarray) -> np.ndarray:
+    """One exact-OU step of the fast field driven by the nodal slow field
+    drive_phys, with the reaction g(drive, v) frozen over the step and the
+    standard normals xi as its noise."""
+    forcing = analyze(eval_g(reaction, 0.0, grid.nodes, drive_phys,
+                             synthesize(v, grid)), grid)
+    return plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
+
+
 def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
                      plan: OUStepPlan | None = None,
                      x_phys: np.ndarray | None = None) -> np.ndarray:
@@ -90,11 +102,8 @@ def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
     if x_phys is None:
         x_phys = synthesize(cfg.x, cfg.grid)
     v = as_modal_field(v, cfg.grid.n_modes)
-    v_phys = synthesize(v, cfg.grid)
-    forcing = analyze(eval_g(cfg.reaction_fast, 0.0, cfg.grid.nodes, x_phys, v_phys),
-                      cfg.grid)
-    return (plan.decay * v + plan.drift_weight * forcing
-            + plan.noise_std * stream.normals(cfg.grid.n_modes))
+    return fast_substep(v, x_phys, cfg.reaction_fast, cfg.grid, plan,
+                        stream.normals(cfg.grid.n_modes))
 
 
 def _run_replica(cfg: FrozenFastConfig, observable, stream: RngStream,
@@ -109,24 +118,15 @@ def _run_replica(cfg: FrozenFastConfig, observable, stream: RngStream,
         v = step_frozen_fast(v, cfg, stream, plan, x_phys)
 
     batches = []
-    acc = None
-    comp = None
+    acc = comp = 0.0
     for i in range(n_avg):
         v = step_frozen_fast(v, cfg, stream, plan, x_phys)
-        value = observable(synthesize(v, cfg.grid))
-        value = np.asarray(value, dtype=float)
-        if acc is None:
-            acc = np.zeros_like(value)
-            comp = np.zeros_like(value)
+        value = np.asarray(observable(synthesize(v, cfg.grid)), dtype=float)
         # Kahan accumulation keeps batch sums independent of vectorization.
-        y = value - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
+        acc, comp = kahan_add(acc, comp, value)
         if (i + 1) % batch_len == 0:
             batches.append(acc / batch_len)
-            acc = np.zeros_like(acc)
-            comp = np.zeros_like(comp)
+            acc = comp = 0.0
     return batches
 
 
@@ -216,12 +216,8 @@ def _coupled_pair_run(cfg: FrozenFastConfig, v1, v2, x1, x2, t_max,
     dists = np.empty(n_steps)
     for i in range(n_steps):
         xi = stream.normals(cfg.grid.n_modes)
-        f1 = analyze(eval_g(cfg.reaction_fast, 0.0, cfg.grid.nodes, x1_phys,
-                            synthesize(v1, cfg.grid)), cfg.grid)
-        f2 = analyze(eval_g(cfg.reaction_fast, 0.0, cfg.grid.nodes, x2_phys,
-                            synthesize(v2, cfg.grid)), cfg.grid)
-        v1 = plan.decay * v1 + plan.drift_weight * f1 + plan.noise_std * xi
-        v2 = plan.decay * v2 + plan.drift_weight * f2 + plan.noise_std * xi
+        v1 = fast_substep(v1, x1_phys, cfg.reaction_fast, cfg.grid, plan, xi)
+        v2 = fast_substep(v2, x2_phys, cfg.reaction_fast, cfg.grid, plan, xi)
         times[i] = (i + 1) * cfg.h
         dists[i] = np.linalg.norm(v1 - v2)
     return times, dists

@@ -2,12 +2,14 @@
 
 Determinism contract: every statistic is a fixed-order reduction (compensated
 summation) over per-trajectory results whose streams depend only on
-(master_seed, trajectory_id, role).  Worker processes only evaluate
-trajectories; reductions happen in the parent in trajectory order, so any
-worker count produces bit-identical outputs.
+(master_seed, trajectory_id, role).  A worker simulates the coupled paths
+of one trajectory id and reduces each to its per-path statistics; the
+ensemble reductions happen in the parent in trajectory order, so any worker
+count produces bit-identical outputs.
 
 Censoring: trajectories that trip the explosion guard are excluded from the
-statistics and counted; every row reports n + censored_count.
+statistics and counted; every row reports n + censored_count, and an epsilon
+whose paths are all censored gives n = 0 rows with NaN values.
 """
 
 from __future__ import annotations
@@ -18,21 +20,23 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .averaging import (AveragedDriftParams, FbarEstimator, averaged_mean_rates,
-                        make_drift_fn, simulate_averaged)
+from .averaging import (FbarEstimator, averaged_mean_rates, make_drift_fn,
+                        simulate_averaged)
 from .config import ExperimentConfig, config_hash
 from .coupled import (KhasminskiiPlan, SlowFastTrajectory, build_auxiliary,
-                      compute_rho0, khasminskii_delta, simulate_slowfast)
+                      compute_rho0, khasminskii_delta, simulate_slowfast,
+                      snap_block)
 from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import FrozenFastConfig, _run_replica
 from .model import ModelSpec
 from .noise import derive_stream, make_plan
-from .reactions import nemytskii_drift
-from .spectral import analyze, lp_norm, synthesize
+from .reactions import eval_V, nemytskii_drift
+from .spectral import analyze, kahan_add, lp_norm, synthesize
 
 __all__ = [
     "ResultRow",
@@ -43,11 +47,13 @@ __all__ = [
     "run_holder_stats",
     "run_theta_stability",
     "run_khasminskii_study",
+    "run_audit",
     "pooled_invariant_rows",
     "pooled_fbar_estimate",
     "simulate_ensemble",
     "emit_results",
     "write_csv",
+    "write_meta",
 ]
 
 
@@ -109,10 +115,7 @@ def kahan_mean_vectors(arrays) -> np.ndarray:
     total = np.zeros_like(arrays[0])
     comp = np.zeros_like(arrays[0])
     for arr in arrays:
-        y = arr - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total, comp = kahan_add(total, comp, arr)
     return total / len(arrays)
 
 
@@ -130,76 +133,15 @@ def run_parallel(fn, tasks, worker_count: int):
 
 
 # ---------------------------------------------------------------------------
-# per-trajectory workers (module level: must be picklable)
+# coupled-path ensemble pass
+#
+# A per-path statistic is a module-level function stat(traj, model) -> dict
+# of reduced values; a functools.partial binds its parameters, so tasks
+# stay picklable.
 
 
-@dataclass(frozen=True)
-class _TrajTask:
-    model: ModelSpec
-    master_seed: int
-    trajectory_id: int
-    test_functions: tuple = ()
-    fbar_mode: str = "none"
-    averaging: AveragedDriftParams | None = None
-    dump_modes: int = 0
-    record_noise: bool = False
-    delta: float | None = None
-    thetas: tuple = ()
-
-
-def _fbar_callable(task: _TrajTask):
-    if task.fbar_mode == "none":
-        return None
-    fn = make_drift_fn(task.model, task.averaging, task.master_seed,
-                       mode=task.fbar_mode)
-    return lambda t, u: fn(t, u)[0]
-
-
-def _discrepancy_sups(traj: SlowFastTrajectory, model: ModelSpec,
-                      test_functions, fbar_fn) -> list[float]:
-    """sup_t |int_0^t <F1(s,u,v) - Fbar(s,u), xi(s)> ds| per test function.
-
-    Uses the recorded per-step slow-drift integrand (averaged along the fast
-    substep path) so the quadrature resolves the fast relaxation layer; the
-    averaged drift is evaluated at the macro nodes where u moves O(h)."""
-    h = float(traj.times[1] - traj.times[0])
-    n = model.n_modes
-    sums = [0.0] * len(test_functions)
-    comps = [0.0] * len(test_functions)
-    sups = [0.0] * len(test_functions)
-    xi_cache = [tf.values(0.0, n) for tf in test_functions]
-    for i in range(traj.times.size - 1):
-        t = float(traj.times[i])
-        delta_f = traj.slow_drift[i] - fbar_fn(t, traj.u[i])
-        for j, tf in enumerate(test_functions):
-            xi = tf.values(t, n) if tf.time_power else xi_cache[j]
-            y = h * float(np.dot(delta_f, xi)) - comps[j]
-            tot = sums[j] + y
-            comps[j] = (tot - sums[j]) - y
-            sums[j] = tot
-            sups[j] = max(sups[j], abs(sums[j]))
-    return sups
-
-
-def _converge_traj(task: _TrajTask) -> dict:
-    try:
-        traj = simulate_slowfast(task.model, task.master_seed,
-                                 task.trajectory_id,
-                                 record_drift=task.fbar_mode != "none")
-    except StateExplosionError:
-        return {"censored": True}
-    fbar_fn = _fbar_callable(task)
-    sups = (_discrepancy_sups(traj, task.model, task.test_functions, fbar_fn)
-            if fbar_fn is not None else [])
-    return {"censored": False, "terminal_u": traj.u[-1], "sups": sups}
-
-
-def _audit_traj(task: _TrajTask) -> dict:
-    model = task.model
-    try:
-        traj = simulate_slowfast(model, task.master_seed, task.trajectory_id)
-    except StateExplosionError:
-        return {"censored": True}
+def _moment_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
+    """Sup moments of both fields and the running proxy of the V bound."""
     grid = model.grid
     lyap = model.lyapunov
     h = float(traj.times[1] - traj.times[0])
@@ -215,17 +157,9 @@ def _audit_traj(task: _TrajTask) -> dict:
         sup_u = max(sup_u, u_term)
         sup_v = max(sup_v, lp_norm(v_phys, grid, q_bar) ** q_bar)
         if i < traj.times.size - 1:
-            y = h * lyap.c_V * (1.0 + u_term) - comp
-            t = vbar_proxy + y
-            comp = (t - vbar_proxy) - y
-            vbar_proxy = t
-    return {
-        "censored": False,
-        "v_integral": traj.v_integral,
-        "sup_u": sup_u,
-        "sup_v": sup_v,
-        "vbar_proxy": vbar_proxy,
-    }
+            vbar_proxy, comp = kahan_add(vbar_proxy, comp,
+                                         h * lyap.c_V * (1.0 + u_term))
+    return {"sup_u": sup_u, "sup_v": sup_v, "vbar_proxy": vbar_proxy}
 
 
 _HOLDER_LAG_DEPTHS = (1, 2, 3, 4, 5)
@@ -244,72 +178,144 @@ def _holder_pairs(T: float, h: float):
     return sorted(set(pairs))
 
 
-def _holder_traj(task: _TrajTask) -> dict:
-    model = task.model
-    try:
-        traj = simulate_slowfast(model, task.master_seed, task.trajectory_id)
-    except StateExplosionError:
-        return {"censored": True}
+def _holder_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
+    """Squared slow increments over the dyadic macro-grid pairs."""
     h = float(traj.times[1] - traj.times[0])
     pairs = _holder_pairs(model.horizon, h)
-    msq = np.array([float(np.sum((traj.u[b] - traj.u[a]) ** 2))
-                    for a, b in pairs])
-    return {"censored": False, "msq": msq}
+    return {"msq": np.array([float(np.sum((traj.u[b] - traj.u[a]) ** 2))
+                             for a, b in pairs])}
 
 
-def _theta_traj(task: _TrajTask) -> dict:
-    """Common-noise runs across the theta ladder for one trajectory id."""
-    thetas = task.thetas
-    paths = []
-    v_ints = []
-    for theta in thetas:
-        model = task.model.with_theta(theta)
-        try:
-            traj = simulate_slowfast(model, task.master_seed, task.trajectory_id)
-        except StateExplosionError:
-            return {"censored": True}
-        paths.append(traj.u)
-        v_ints.append(traj.v_integral)
-    dists = []
-    for a, b in zip(paths, paths[1:]):
-        dists.append(float(np.max(np.sqrt(np.sum((a - b) ** 2, axis=1)))))
-    return {"censored": False, "dists": dists, "v_integrals": v_ints}
-
-
-def _khasminskii_traj(task: _TrajTask) -> dict:
-    model = task.model
-    try:
-        traj = simulate_slowfast(model, task.master_seed, task.trajectory_id,
-                                 record_noise=True)
-    except StateExplosionError:
-        return {"censored": True}
-    plan = KhasminskiiPlan(delta=task.delta, blocks=max(
-        1, math.ceil(model.horizon / task.delta)))
+def _khasminskii_stat(traj: SlowFastTrajectory, model: ModelSpec,
+                      delta: float) -> dict:
+    """Slow and fast deviations of the block-frozen replay of the path."""
+    plan = KhasminskiiPlan(delta=delta, blocks=max(
+        1, math.ceil(model.horizon / delta)))
     aux = build_auxiliary(traj, plan, model)
     h = float(traj.times[1] - traj.times[0])
-    slow_sq = np.sum((traj.u - aux.u_aux) ** 2, axis=1)
-    fast_dev = h * float(np.sum((traj.v - aux.v_aux) ** 2))
-    return {"censored": False, "slow_sq": slow_sq, "fast_dev": fast_dev,
-            "delta_snapped": aux.delta_snapped}
+    return {"slow_sq": np.sum((traj.u - aux.u_aux) ** 2, axis=1),
+            "fast_dev": h * float(np.sum((traj.v - aux.v_aux) ** 2))}
 
 
-def _simulate_traj(task: _TrajTask) -> dict:
-    model = task.model
-    try:
-        traj = simulate_slowfast(model, task.master_seed, task.trajectory_id)
-    except StateExplosionError as exc:
-        return {"censored": True, "t_explosion": exc.t}
-    k = min(task.dump_modes, model.n_modes)
+def _discrepancy_stat(traj: SlowFastTrajectory, model: ModelSpec,
+                      test_functions, averaging, master_seed: int) -> dict:
+    """sup_t |int_0^t <F1(s,u,v) - Fbar(s,u), xi(s)> ds| per test function.
+
+    Uses the recorded per-step slow-drift integrand (averaged along the fast
+    substep path) so the quadrature resolves the fast relaxation layer; the
+    averaged drift is evaluated at the macro nodes where u moves O(h)."""
+    fbar = make_drift_fn(model, averaging, master_seed)
+    h = float(traj.times[1] - traj.times[0])
+    n = model.n_modes
+    sums = [0.0] * len(test_functions)
+    comps = [0.0] * len(test_functions)
+    sups = [0.0] * len(test_functions)
+    xi_cache = [tf.values(0.0, n) for tf in test_functions]
+    for i in range(traj.times.size - 1):
+        t = float(traj.times[i])
+        delta_f = traj.slow_drift[i] - fbar(t, traj.u[i])[0]
+        for j, tf in enumerate(test_functions):
+            xi = tf.values(t, n) if tf.time_power else xi_cache[j]
+            sums[j], comps[j] = kahan_add(sums[j], comps[j],
+                                          h * float(np.dot(delta_f, xi)))
+            sups[j] = max(sups[j], abs(sums[j]))
+    return {"sups": sups}
+
+
+def _dump_stat(traj: SlowFastTrajectory, model: ModelSpec,
+               dump_modes: int) -> dict:
+    """Leading modes of the path and its sup norms, for `simulate`."""
+    k = min(dump_modes, model.n_modes)
     return {
-        "censored": False,
         "times": traj.times,
         "u_dump": traj.u[:, :k].copy(),
         "v_dump": traj.v[:, :k].copy(),
-        "terminal_u": traj.u[-1],
-        "v_integral": traj.v_integral,
         "sup_norm_u": float(np.max(np.sqrt(np.sum(traj.u ** 2, axis=1)))),
         "sup_norm_v": float(np.max(np.sqrt(np.sum(traj.v ** 2, axis=1)))),
     }
+
+
+def _coupled_paths(master_seed: int, paths: tuple, ladder: tuple,
+                   trajectory_id: int) -> dict:
+    """Simulate each ((eps, theta), model, statistics) entry of paths once
+    for one trajectory id, recording fast noise only for the block-frozen
+    replay.  Returns {"paths": {key: record}, "ladder": distances}: a record
+    holds "censored" and "t_explosion", or the terminal slow state, the V
+    integral and the statistics' values; the distances are the sup-in-time
+    gaps between consecutive paths of the theta ladder (None if one exploded).
+    """
+    records = {}
+    ladder_u = {}
+    for key, model, stats in paths:
+        funcs = [getattr(stat, "func", stat) for stat in stats]
+        try:
+            traj = simulate_slowfast(model, master_seed, trajectory_id,
+                                     record_noise=_khasminskii_stat in funcs,
+                                     record_drift=_discrepancy_stat in funcs)
+        except StateExplosionError as exc:
+            records[key] = {"censored": True, "t_explosion": exc.t}
+            continue
+        record = {"censored": False, "terminal_u": traj.u[-1].copy(),
+                  "v_integral": traj.v_integral}
+        for stat in stats:
+            record.update(stat(traj, model))
+        records[key] = record
+        if key in ladder:
+            ladder_u[key] = traj.u
+    dists = None
+    if ladder and all(key in ladder_u for key in ladder):
+        us = [ladder_u[key] for key in ladder]
+        dists = [float(np.max(np.sqrt(np.sum((a - b) ** 2, axis=1))))
+                 for a, b in zip(us, us[1:])]
+    return {"paths": records, "ladder": dists}
+
+
+def _coupled_pass(cfg: ExperimentConfig, paths: dict, ladder=()) -> list:
+    """One run over the ensemble's trajectory ids; paths maps each
+    (eps, theta) key to the statistics to take on that path."""
+    model0 = cfg.model
+    specs = tuple((key, model0.with_epsilon(key[0]).with_theta(key[1]),
+                   tuple(stats)) for key, stats in paths.items())
+    worker = partial(_coupled_paths, cfg.master_seed, specs, ladder)
+    return run_parallel(worker, range(cfg.ensemble_size), cfg.worker_count)
+
+
+def _kept(results: list, key) -> tuple[list, int]:
+    """Uncensored records of one path in trajectory order, and the number
+    of censored ones."""
+    records = [r["paths"][key] for r in results]
+    kept = [r for r in records if not r["censored"]]
+    return kept, len(records) - len(kept)
+
+
+def _run_studies(cfg: ExperimentConfig, studies) -> ResultTable:
+    """Run studies on one shared pass, so each distinct (eps, theta) path is
+    simulated once per id.  A study is (paths, rows, ladder): the statistics
+    to take per path key, the row builder over the pass results, and the
+    keys of its theta ladder.  Rows come in study order."""
+    paths: dict = {}
+    for study_paths, _, _ in studies:
+        for key, stats in study_paths.items():
+            paths.setdefault(key, []).extend(stats)
+    ladder = tuple(key for _, _, study_ladder in studies for key in study_ladder)
+    results = _coupled_pass(cfg, paths, ladder)
+    return ResultTable([row for _, rows, _ in studies for row in rows(results)])
+
+
+def _maxmin(means) -> float:
+    """max/min ratio across the epsilon grid; NaN when an epsilon has no
+    uncensored path, inf when the smallest mean is not positive."""
+    if any(math.isnan(m) for m in means):
+        return math.nan
+    return max(means) / min(means) if min(means) > 0 else math.inf
+
+
+def _averaged_terminal(model: ModelSpec, averaging, master_seed: int,
+                       trajectory_id: int) -> np.ndarray:
+    stream = derive_stream(master_seed, trajectory_id, "auxiliary")
+    out = simulate_averaged(model, averaging, model.u0, model.horizon,
+                            model.h_macro, stream, master_seed=master_seed)
+    return out.path[-1]
 
 
 @dataclass(frozen=True)
@@ -344,75 +350,51 @@ def _invariant_replica(task: _InvariantReplicaTask):
     return _run_replica(cfg, observable, stream, plan, x_phys)
 
 
-def _averaged_ref_traj(task: _TrajTask) -> np.ndarray:
-    stream = derive_stream(task.master_seed, task.trajectory_id, "auxiliary")
-    out = simulate_averaged(task.model, task.averaging, task.model.u0,
-                            task.model.horizon, task.model.h_macro, stream,
-                            drift_mode=task.fbar_mode,
-                            master_seed=task.master_seed)
-    return out.path[-1]
-
-
 # ---------------------------------------------------------------------------
 # experiments
-
-
-def _resolve_fbar_mode(model: ModelSpec) -> str:
-    if model.is_linear_benchmark:
-        return "oracle"
-    if not model.reaction_slow.depends_on_fast:
-        return "slow_only"
-    return "estimator"
 
 
 def run_convergence_study(cfg: ExperimentConfig) -> ResultTable:
     """Weak errors against the averaged equation and the drift-discrepancy
     functional D(eps), per epsilon on the configured grid."""
     model0 = cfg.model
-    fbar_mode = _resolve_fbar_mode(model0)
-    rows: list[ResultRow] = []
+    theta = model0.theta
+    discrepancy = partial(_discrepancy_stat, test_functions=cfg.test_functions,
+                          averaging=cfg.averaging, master_seed=cfg.master_seed)
+    paths = {(eps, theta): [discrepancy] for eps in cfg.epsilon_grid}
+    ref_key = None
+    if not model0.is_linear_benchmark:
+        # Without a closed form, the coupled system at a much smaller
+        # epsilon stands in for the averaged equation.
+        ref_key = (cfg.epsilon_grid[-1] / cfg.reference_epsilon_divisor, theta)
+        paths.setdefault(ref_key, [])
+    results = _coupled_pass(cfg, paths)
 
     # Reference expectations for the terminal observables.
     ref: dict[str, tuple[float, float]] = {}
-    if model0.is_linear_benchmark:
+    if ref_key is None:
         rates = averaged_mean_rates(model0)
-        needs_mc = any(ob.kind != "mode" for ob in cfg.observables)
         ref_terminals = None
-        if needs_mc:
-            tasks = [_TrajTask(model=model0, master_seed=cfg.master_seed,
-                               trajectory_id=i, fbar_mode="oracle",
-                               averaging=cfg.averaging)
-                     for i in range(cfg.ensemble_size)]
-            ref_terminals = run_parallel(_averaged_ref_traj, tasks,
-                                         cfg.worker_count)
+        if any(ob.kind != "mode" for ob in cfg.observables):
+            ref_terminals = run_parallel(
+                partial(_averaged_terminal, model0, cfg.averaging,
+                        cfg.master_seed),
+                range(cfg.ensemble_size), cfg.worker_count)
         for ob in cfg.observables:
             if ob.kind == "mode":
                 value = float(np.exp(rates[ob.k - 1] * model0.horizon)
                               * model0.u0[ob.k - 1])
                 ref[ob.label] = (value, 0.0)
             else:
-                vals = [ob(u) for u in ref_terminals]
-                ref[ob.label] = _mean_se(vals)
+                ref[ob.label] = _mean_se([ob(u) for u in ref_terminals])
     else:
-        eps_ref = cfg.epsilon_grid[-1] / cfg.reference_epsilon_divisor
-        model_ref = model0.with_epsilon(eps_ref)
-        tasks = [_TrajTask(model=model_ref, master_seed=cfg.master_seed,
-                           trajectory_id=i)
-                 for i in range(cfg.ensemble_size)]
-        results = run_parallel(_converge_traj, tasks, cfg.worker_count)
-        kept = [r for r in results if not r["censored"]]
+        kept, _ = _kept(results, ref_key)
         for ob in cfg.observables:
             ref[ob.label] = _mean_se([ob(r["terminal_u"]) for r in kept])
 
+    rows: list[ResultRow] = []
     for eps in cfg.epsilon_grid:
-        model = model0.with_epsilon(eps)
-        tasks = [_TrajTask(model=model, master_seed=cfg.master_seed,
-                           trajectory_id=i, test_functions=cfg.test_functions,
-                           fbar_mode=fbar_mode, averaging=cfg.averaging)
-                 for i in range(cfg.ensemble_size)]
-        results = run_parallel(_converge_traj, tasks, cfg.worker_count)
-        kept = [r for r in results if not r["censored"]]
-        censored = len(results) - len(kept)
+        kept, censored = _kept(results, (eps, theta))
         for ob in cfg.observables:
             mean, se = _mean_se([ob(r["terminal_u"]) for r in kept])
             ref_mean, ref_se = ref[ob.label]
@@ -433,146 +415,164 @@ _AUDIT_STATS = ("v_integral_ratio", "sup_u_L4m1", "sup_v_Lqbar",
                 "vbar_proxy_integral")
 
 
+def _moment_study(cfg: ExperimentConfig) -> tuple:
+    model0 = cfg.model
+    grid = model0.grid
+    v0_ref = eval_V(synthesize(model0.u0, grid), synthesize(model0.v0, grid),
+                    model0.lyapunov, grid)
+    keys = [(eps, model0.theta) for eps in cfg.epsilon_grid]
+
+    def rows(results):
+        out = []
+        per_stat: dict[str, list[float]] = {s: [] for s in _AUDIT_STATS}
+        for key in keys:
+            kept, censored = _kept(results, key)
+            stats = {
+                "v_integral_ratio": [r["v_integral"] / v0_ref for r in kept],
+                "sup_u_L4m1": [r["sup_u"] for r in kept],
+                "sup_v_Lqbar": [r["sup_v"] for r in kept],
+                "vbar_proxy_integral": [r["vbar_proxy"] for r in kept],
+            }
+            for stat_id, vals in stats.items():
+                mean, se = _mean_se(vals)
+                per_stat[stat_id].append(mean)
+                out.append(ResultRow("audit_moment", key[0], stat_id, mean, se,
+                                     len(kept), censored))
+        for stat_id, means in per_stat.items():
+            out.append(ResultRow("audit_moment", None, f"maxmin[{stat_id}]",
+                                 _maxmin(means), 0.0, len(means), 0))
+        return out
+    return {key: [_moment_stat] for key in keys}, rows, ()
+
+
 def run_moment_audit(cfg: ExperimentConfig) -> ResultTable:
     """Uniform-in-epsilon moment statistics; the audit passes when each
     statistic's max/min ratio across the epsilon grid stays <= 3."""
+    return _run_studies(cfg, [_moment_study(cfg)])
+
+
+def _holder_study(cfg: ExperimentConfig) -> tuple:
     model0 = cfg.model
-    grid = model0.grid
-    v0_ref = eval_v0_reference(model0)
-    rows: list[ResultRow] = []
-    per_stat: dict[str, list[float]] = {s: [] for s in _AUDIT_STATS}
-    for eps in cfg.epsilon_grid:
-        model = model0.with_epsilon(eps)
-        tasks = [_TrajTask(model=model, master_seed=cfg.master_seed,
-                           trajectory_id=i)
-                 for i in range(cfg.ensemble_size)]
-        results = run_parallel(_audit_traj, tasks, cfg.worker_count)
-        kept = [r for r in results if not r["censored"]]
-        censored = len(results) - len(kept)
-        stats = {
-            "v_integral_ratio": [r["v_integral"] / v0_ref for r in kept],
-            "sup_u_L4m1": [r["sup_u"] for r in kept],
-            "sup_v_Lqbar": [r["sup_v"] for r in kept],
-            "vbar_proxy_integral": [r["vbar_proxy"] for r in kept],
-        }
-        for stat_id, vals in stats.items():
-            mean, se = _mean_se(vals)
-            per_stat[stat_id].append(mean)
-            rows.append(ResultRow("audit_moment", eps, stat_id, mean, se,
-                                  len(kept), censored))
-    for stat_id, means in per_stat.items():
-        ratio = max(means) / min(means) if min(means) > 0 else math.inf
-        rows.append(ResultRow("audit_moment", None, f"maxmin[{stat_id}]",
-                              ratio, 0.0, len(means), 0))
-    return ResultTable(rows)
+    h = model0.h_macro
+    pairs = _holder_pairs(model0.horizon, h)
+    rho = np.array([compute_rho0(a * h, b * h, model0.holder_beta,
+                                 model0.gamma1_star) for a, b in pairs])
+    keys = [(eps, model0.theta) for eps in cfg.epsilon_grid]
 
-
-def eval_v0_reference(model: ModelSpec) -> float:
-    from .reactions import eval_V
-    return eval_V(synthesize(model.u0, model.grid),
-                  synthesize(model.v0, model.grid),
-                  model.lyapunov, model.grid)
+    def rows(results):
+        out = []
+        calibration = None
+        for key in keys:
+            eps = key[0]
+            kept, censored = _kept(results, key)
+            msq = (kahan_mean_vectors([r["msq"] for r in kept]) if kept
+                   else np.full(len(pairs), math.nan))
+            for (a, b), value in zip(pairs, msq):
+                out.append(ResultRow(
+                    "audit_holder", eps,
+                    f"msq_increment[s={a * h:g},t={b * h:g}]",
+                    float(value), 0.0, len(kept), censored))
+            ratios = msq / rho
+            if calibration is None:
+                calibration = float(np.max(ratios))
+                out.append(ResultRow("audit_holder", eps, "calibration",
+                                     calibration, 0.0, len(kept), censored))
+            else:
+                headroom = float(np.max(ratios)) / calibration
+                out.append(ResultRow("audit_holder", eps, "headroom",
+                                     headroom, 0.0, len(kept), censored))
+        return out
+    return {key: [_holder_stat] for key in keys}, rows, ()
 
 
 def run_holder_stats(cfg: ExperimentConfig) -> ResultTable:
     """Slow-increment moduli against the reference shape rho0(s,t); the
     calibration constant is fitted on the largest epsilon and must bound the
     smaller-epsilon increments with bounded headroom."""
-    model0 = cfg.model
-    h = model0.h_macro
-    pairs = _holder_pairs(model0.horizon, h)
-    rho = np.array([compute_rho0(a * h, b * h, model0.holder_beta,
-                                 model0.gamma1_star) for a, b in pairs])
-    rows: list[ResultRow] = []
-    calibration = None
-    for eps in cfg.epsilon_grid:
-        model = model0.with_epsilon(eps)
-        tasks = [_TrajTask(model=model, master_seed=cfg.master_seed,
-                           trajectory_id=i)
-                 for i in range(cfg.ensemble_size)]
-        results = run_parallel(_holder_traj, tasks, cfg.worker_count)
-        kept = [r for r in results if not r["censored"]]
+    return _run_studies(cfg, [_holder_study(cfg)])
+
+
+def _theta_study(cfg: ExperimentConfig, thetas) -> tuple:
+    thetas = tuple(thetas)
+    if len(thetas) < 2:
+        raise InvalidParameterError("theta_sequence needs at least two levels")
+    eps = cfg.model.epsilon
+    keys = tuple((eps, theta) for theta in thetas)
+
+    def rows(results):
+        kept = [r for r in results if r["ladder"] is not None]
         censored = len(results) - len(kept)
-        msq = kahan_mean_vectors([r["msq"] for r in kept])
-        for (a, b), value in zip(pairs, msq):
-            rows.append(ResultRow(
-                "audit_holder", eps, f"msq_increment[s={a * h:g},t={b * h:g}]",
-                float(value), 0.0, len(kept), censored))
-        ratios = msq / rho
-        if calibration is None:
-            calibration = float(np.max(ratios))
-            rows.append(ResultRow("audit_holder", eps, "calibration",
-                                  calibration, 0.0, len(kept), censored))
-        else:
-            headroom = float(np.max(ratios)) / calibration
-            rows.append(ResultRow("audit_holder", eps, "headroom",
-                                  headroom, 0.0, len(kept), censored))
-    return ResultTable(rows)
+        out = []
+        for j in range(len(thetas) - 1):
+            mean, se = _mean_se([r["ladder"][j] for r in kept])
+            out.append(ResultRow(
+                "audit_theta", eps,
+                f"distance[theta={thetas[j]:g}->{thetas[j + 1]:g}]",
+                mean, se, len(kept), censored))
+        v_means = []
+        for theta, key in zip(thetas, keys):
+            mean, se = _mean_se([r["paths"][key]["v_integral"] for r in kept])
+            v_means.append(mean)
+            out.append(ResultRow("audit_theta", eps,
+                                 f"v_integral[theta={theta:g}]", mean, se,
+                                 len(kept), censored))
+        out.append(ResultRow("audit_theta", None, "maxmin[v_integral]",
+                             _maxmin(v_means), 0.0, len(v_means), 0))
+        return out
+    return {key: [] for key in keys}, rows, keys
 
 
 def run_theta_stability(cfg: ExperimentConfig,
                         theta_sequence=None) -> ResultTable:
     """Common-noise distances across the truncation ladder plus the
     uniformity of the audit-functional integral."""
-    thetas = tuple(theta_sequence if theta_sequence is not None
-                   else cfg.theta_sequence)
-    if len(thetas) < 2:
-        raise InvalidParameterError("theta_sequence needs at least two levels")
-    model = cfg.model
-    tasks = [_TrajTask(model=model, master_seed=cfg.master_seed,
-                       trajectory_id=i, thetas=thetas)
-             for i in range(cfg.ensemble_size)]
-    results = run_parallel(_theta_traj, tasks, cfg.worker_count)
-    kept = [r for r in results if not r["censored"]]
-    censored = len(results) - len(kept)
-    rows: list[ResultRow] = []
-    for j in range(len(thetas) - 1):
-        mean, se = _mean_se([r["dists"][j] for r in kept])
-        rows.append(ResultRow(
-            "audit_theta", model.epsilon,
-            f"distance[theta={thetas[j]:g}->{thetas[j + 1]:g}]",
-            mean, se, len(kept), censored))
-    v_means = []
-    for j, theta in enumerate(thetas):
-        mean, se = _mean_se([r["v_integrals"][j] for r in kept])
-        v_means.append(mean)
-        rows.append(ResultRow("audit_theta", model.epsilon,
-                              f"v_integral[theta={theta:g}]", mean, se,
-                              len(kept), censored))
-    ratio = max(v_means) / min(v_means) if min(v_means) > 0 else math.inf
-    rows.append(ResultRow("audit_theta", None, "maxmin[v_integral]",
-                          ratio, 0.0, len(v_means), 0))
-    return ResultTable(rows)
+    thetas = (theta_sequence if theta_sequence is not None
+              else cfg.theta_sequence)
+    return _run_studies(cfg, [_theta_study(cfg, thetas)])
+
+
+def _khasminskii_study(cfg: ExperimentConfig) -> tuple:
+    model0 = cfg.model
+    h = model0.h_macro
+    keys = [(eps, model0.theta) for eps in cfg.epsilon_grid]
+    deltas = [khasminskii_delta(eps, model0.lambda_exp, cfg.c_const)
+              for eps in cfg.epsilon_grid]
+
+    def rows(results):
+        out = []
+        for key, delta in zip(keys, deltas):
+            kept, censored = _kept(results, key)
+            if kept:
+                node_means = kahan_mean_vectors([r["slow_sq"] for r in kept])
+                sup_mean = float(np.max(node_means))
+                worst = int(np.argmax(node_means))
+                _, slow_se = _mean_se([float(r["slow_sq"][worst]) for r in kept])
+            else:
+                sup_mean = slow_se = math.nan
+            fast_mean, fast_se = _mean_se([r["fast_dev"] for r in kept])
+            for stat_id, value, se in (
+                    ("delta", delta, 0.0),
+                    ("delta_snapped", snap_block(delta, h)[1], 0.0),
+                    ("sup_slow_increment_msq", sup_mean, slow_se),
+                    ("fast_deviation_msq", fast_mean, fast_se)):
+                out.append(ResultRow("khasminskii", key[0], stat_id, value, se,
+                                     len(kept), censored))
+        return out
+    return ({key: [partial(_khasminskii_stat, delta=delta)]
+             for key, delta in zip(keys, deltas)}, rows, ())
 
 
 def run_khasminskii_study(cfg: ExperimentConfig) -> ResultTable:
     """Block-freezing errors under the schedule delta(eps), per epsilon."""
-    model0 = cfg.model
-    rows: list[ResultRow] = []
-    for eps in cfg.epsilon_grid:
-        model = model0.with_epsilon(eps)
-        delta = khasminskii_delta(eps, model0.lambda_exp, cfg.c_const)
-        tasks = [_TrajTask(model=model, master_seed=cfg.master_seed,
-                           trajectory_id=i, delta=delta, record_noise=True)
-                 for i in range(cfg.ensemble_size)]
-        results = run_parallel(_khasminskii_traj, tasks, cfg.worker_count)
-        kept = [r for r in results if not r["censored"]]
-        censored = len(results) - len(kept)
-        node_means = kahan_mean_vectors([r["slow_sq"] for r in kept])
-        sup_mean = float(np.max(node_means))
-        worst = int(np.argmax(node_means))
-        slow_vals = [float(r["slow_sq"][worst]) for r in kept]
-        _, slow_se = _mean_se(slow_vals)
-        fast_mean, fast_se = _mean_se([r["fast_dev"] for r in kept])
-        rows.append(ResultRow("khasminskii", eps, "delta", delta, 0.0,
-                              len(kept), censored))
-        rows.append(ResultRow("khasminskii", eps, "delta_snapped",
-                              kept[0]["delta_snapped"], 0.0, len(kept), censored))
-        rows.append(ResultRow("khasminskii", eps, "sup_slow_increment_msq",
-                              sup_mean, slow_se, len(kept), censored))
-        rows.append(ResultRow("khasminskii", eps, "fast_deviation_msq",
-                              fast_mean, fast_se, len(kept), censored))
-    return ResultTable(rows)
+    return _run_studies(cfg, [_khasminskii_study(cfg)])
+
+
+def run_audit(cfg: ExperimentConfig) -> ResultTable:
+    """The moment, increment-modulus, truncation-stability and
+    block-freezing audits on one shared pass over the coupled paths."""
+    return _run_studies(cfg, [_moment_study(cfg), _holder_study(cfg),
+                              _theta_study(cfg, cfg.theta_sequence),
+                              _khasminskii_study(cfg)])
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +630,11 @@ def pooled_fbar_estimate(cfg: ExperimentConfig):
 
 def simulate_ensemble(cfg: ExperimentConfig, epsilon: float | None = None):
     """Ensemble of coupled trajectories at one epsilon, with dump payloads."""
-    model = cfg.model if epsilon is None else cfg.model.with_epsilon(epsilon)
-    tasks = [_TrajTask(model=model, master_seed=cfg.master_seed,
-                       trajectory_id=i, dump_modes=cfg.dump_modes)
-             for i in range(cfg.ensemble_size)]
-    return run_parallel(_simulate_traj, tasks, cfg.worker_count)
+    model = cfg.model
+    key = (model.epsilon if epsilon is None else epsilon, model.theta)
+    results = _coupled_pass(
+        cfg, {key: [partial(_dump_stat, dump_modes=cfg.dump_modes)]})
+    return [r["paths"][key] for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -668,14 +668,17 @@ def emit_results(table: ResultTable, out_dir, name: str,
                "std_error", "n", "censored_count"],
               [(r.experiment_id, r.epsilon, r.statistic_id, r.value,
                 r.std_error, r.n, r.censored_count) for r in table.rows])
-    meta = {
-        "seed": cfg.master_seed,
-        "version": __version__,
-        "config_sha256": config_hash(cfg),
-        "max_censored_fraction": table.max_censored_fraction,
-    }
+    write_meta(out_dir, name, cfg,
+               max_censored_fraction=table.max_censored_fraction)
+    return csv_path
+
+
+def write_meta(out_dir, name: str, cfg: ExperimentConfig, **extra) -> None:
+    """Write the ``{name}.meta.json`` sidecar: seed, version, config hash and
+    any extra keys."""
+    meta = {"seed": cfg.master_seed, "version": __version__,
+            "config_sha256": config_hash(cfg), **extra}
     with open(os.path.join(out_dir, f"{name}.meta.json"), "w",
               encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return csv_path

@@ -28,6 +28,7 @@ __all__ = [
     "check_noise_regularity",
     "lp_norm",
     "as_modal_field",
+    "kahan_add",
 ]
 
 
@@ -216,3 +217,11 @@ def lp_norm(values: np.ndarray, grid: GridSpec, p: float) -> float:
         raise InvalidParameterError("p must be positive")
     v = np.asarray(values, dtype=float)
     return float((grid.quad_weight * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+
+
+def kahan_add(total, comp, value):
+    """One compensated (Kahan) summation step on floats or arrays; returns
+    the new running total and its compensation term."""
+    y = value - comp
+    t = total + y
+    return t, (t - total) - y

@@ -199,6 +199,38 @@ class TestCli:
         assert (out1 / "invariant.csv").read_bytes() == \
             (out2 / "invariant.csv").read_bytes()
 
+    def test_non_integer_workers_env_rejected(self, tmp_path, monkeypatch,
+                                              capsys):
+        path = write_config(tmp_path, BASE)
+        monkeypatch.setenv("MULTISCALE_WORKERS", "2.5")
+        code = main(["invariant", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "MULTISCALE_WORKERS" in capsys.readouterr().err
+
+    def test_audit_simulates_each_path_once(self, tmp_path, monkeypatch):
+        # 3 eps x 3 theta with (model.epsilon, model.theta) on both grids:
+        # 5 distinct coupled paths per trajectory id.
+        import slowfast.harness as harness
+        raw = copy.deepcopy(BASE)
+        raw["model"]["reactions"]["slow"] = {"kind": "cubic_rough",
+                                              "c_u": 0.5, "c_v": 0.5}
+        raw["model"].update(theta=0.01, horizon=0.1)
+        raw["experiment"].update(ensemble_size=2,
+                                 epsilon_grid=[0.1, 0.05, 0.02],
+                                 theta_sequence=[0.1, 0.01, 0.001])
+        path = write_config(tmp_path, raw)
+        calls = []
+        simulate = harness.simulate_slowfast
+
+        def counting(model, master_seed, trajectory_id, **kwargs):
+            calls.append((trajectory_id, model.epsilon, model.theta))
+            return simulate(model, master_seed, trajectory_id, **kwargs)
+        monkeypatch.setattr(harness, "simulate_slowfast", counting)
+        assert main(["audit", "--config", path, "--out", str(tmp_path / "a"),
+                     "--workers", "1"]) == 0
+        assert len(set(calls)) == 2 * 5
+        assert len(calls) == len(set(calls))
+
     def test_worker_counts_give_identical_bytes(self, tmp_path):
         path = write_config(tmp_path, BASE)
         outs = []
@@ -222,8 +254,15 @@ class TestCli:
         raw["model"]["u0"] = [3.0]
         raw["model"]["explosion_bound"] = 5.0
         path = write_config(tmp_path, raw)
-        code = main(["simulate", "--config", path, "--out", str(tmp_path / "x")])
-        assert code == 3
+        # Every path explodes: the studies write n = 0 rows, not a traceback.
+        for command in ("simulate", "converge", "audit"):
+            out = tmp_path / command
+            code = main([command, "--config", path, "--out", str(out)])
+            assert code == 3, command
+        rows = (out / "audit.csv").read_text().splitlines()
+        snapped = [r for r in rows if ",delta_snapped," in r]
+        assert len(snapped) == 2
+        assert all(r.endswith(",0,8") for r in snapped)
 
     def test_rfc4180_line_endings(self, tmp_path):
         path = write_config(tmp_path, BASE)

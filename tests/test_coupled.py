@@ -121,6 +121,20 @@ class TestCoupledStep:
         assert info.value.norm_u + info.value.norm_v > 5.0
         assert 0 < info.value.t <= 1.0
 
+    def test_non_finite_state_is_censored(self, monkeypatch):
+        # A NaN slow drift makes |u| NaN; the guard must trip on it rather
+        # than let the next transform reject the field.
+        import slowfast.coupled as coupled
+
+        def nan_drift(*args, **kwargs):
+            return np.full(args[4].shape, np.nan)
+        monkeypatch.setattr(coupled, "nemytskii_drift", nan_drift)
+        model = linear_model(horizon=0.05, h_macro=0.01)
+        with pytest.raises(StateExplosionError) as info:
+            simulate_slowfast(model, 0, 0)
+        assert info.value.t == pytest.approx(0.01)
+        assert math.isnan(info.value.norm_u)
+
     def test_cubic_rough_runs_without_explosion(self):
         model = cubic_model(eps=0.1, n_modes=16, n_quad=64, theta=0.01)
         traj = simulate_slowfast(model, 3, 0)
