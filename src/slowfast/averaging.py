@@ -99,6 +99,7 @@ class FbarEstimator:
         theta = self.params.theta if self.params.theta > 0 else None
 
         def drift_observable(v_phys):
+            # (R, M) nodal replicas -> (R, N) modal drifts.
             return analyze(
                 nemytskii_drift(model.reaction_slow, theta, t, x_phys, v_phys,
                                 model.grid),
@@ -245,6 +246,7 @@ def estimate_Vbar(x, model: ModelSpec, params: AveragedDriftParams,
     )
 
     def v_observable(v_phys):
+        # (R, M) nodal replicas -> (R,) values of V.
         return eval_V(x_phys, v_phys, model.lyapunov, model.grid)
 
     est = estimate_invariant_average(cfg, v_observable, master_seed)

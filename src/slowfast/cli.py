@@ -33,7 +33,8 @@ def _common_flags(sub):
                      help="override the config's master_seed")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes (overrides MULTISCALE_WORKERS)")
+                     help="worker processes for simulate/converge/audit "
+                          "(overrides MULTISCALE_WORKERS)")
 
 
 def build_parser() -> argparse.ArgumentParser:

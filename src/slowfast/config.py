@@ -66,10 +66,11 @@ class ObservableSpec:
     kind: str
     k: int = 1
 
-    def __call__(self, u: np.ndarray) -> float:
-        if self.kind == "mode":
-            return float(u[self.k - 1])
-        return float(np.dot(u, u))
+    def __call__(self, u: np.ndarray):
+        """Value at one modal field (a float) or at each row of a batch
+        along leading axes (an array)."""
+        value = u[..., self.k - 1] if self.kind == "mode" else np.vecdot(u, u)
+        return float(value) if np.ndim(value) == 0 else value
 
     @property
     def label(self) -> str:

@@ -22,7 +22,8 @@ from .fast_dynamics import fast_substep
 from .model import ModelSpec
 from .noise import derive_stream, make_plan
 from .reactions import eval_V, nemytskii_drift
-from .spectral import analyze, kahan_add, synthesize
+from .spectral import (analyze, kahan_add, kahan_mean_vectors, mean_se,
+                       synthesize)
 
 __all__ = [
     "SlowFastState",
@@ -36,6 +37,8 @@ __all__ = [
     "AuxiliaryResult",
     "build_auxiliary",
     "AuxiliaryErrorStats",
+    "freezing_deviations",
+    "block_freezing_errors",
     "auxiliary_error_stats",
 ]
 
@@ -152,15 +155,26 @@ def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
     w_mid = 1.0 / n_sub
     f1_phys = w_end * nemytskii_drift(model.reaction_slow, theta, state.t,
                                       u_phys, synthesize(v, grid), grid)
-    for j in range(n_sub):
-        xi = fast_stream.normals(n)
-        if noise_record is not None:
-            noise_record[j] = xi
-        v = fast_substep(v, drift_u_phys, model.reaction_fast, grid, plan_fast, xi)
-        weight = w_end if j == n_sub - 1 else w_mid
-        f1_phys = f1_phys + weight * nemytskii_drift(
-            model.reaction_slow, theta, state.t, u_phys,
-            synthesize(v, grid), grid)
+    try:
+        for j in range(n_sub):
+            xi = fast_stream.normals(n)
+            if noise_record is not None:
+                noise_record[j] = xi
+            v = fast_substep(v, drift_u_phys, model.reaction_fast, grid,
+                             plan_fast, xi)
+            weight = w_end if j == n_sub - 1 else w_mid
+            f1_phys = f1_phys + weight * nemytskii_drift(
+                model.reaction_slow, theta, state.t, u_phys,
+                synthesize(v, grid), grid)
+    except InvalidParameterError:
+        # A non-finite fast field (e.g. from g) is rejected by the next
+        # transform; censor it like any other explosion of this step.
+        if np.all(np.isfinite(v)):
+            raise
+        raise StateExplosionError(state.t + h_macro,
+                                  float(np.linalg.norm(state.u)),
+                                  float(np.linalg.norm(v)),
+                                  model.explosion_bound) from None
 
     f1 = analyze(f1_phys, grid)
     u_next = (plan_slow.decay * state.u + plan_slow.drift_weight * f1
@@ -280,29 +294,43 @@ class AuxiliaryErrorStats:
     n: int
 
 
+def freezing_deviations(traj: SlowFastTrajectory,
+                        aux: AuxiliaryResult) -> tuple[np.ndarray, float]:
+    """Squared slow deviation at each macro node, and the L2(0, T) squared
+    fast deviation, of one path from its block-frozen replay."""
+    if traj.times.shape != aux.times.shape:
+        raise InvalidParameterError("trajectory/auxiliary grids mismatch")
+    h = float(traj.times[1] - traj.times[0])
+    return (np.sum((traj.u - aux.u_aux) ** 2, axis=1),
+            h * float(np.sum((traj.v - aux.v_aux) ** 2)))
+
+
+def block_freezing_errors(slow_sq: list, fast_dev: list
+                          ) -> tuple[float, float, float, float]:
+    """Ensemble reduction of per-path freezing deviations, in path order:
+    the sup over macro nodes of the mean squared slow deviation with its
+    standard error at the worst node, then the mean and standard error of
+    the fast deviation.  NaN for an empty ensemble."""
+    if slow_sq:
+        node_means = kahan_mean_vectors(slow_sq)
+        worst = int(np.argmax(node_means))
+        sup_mean = float(node_means[worst])
+        _, slow_se = mean_se([float(s[worst]) for s in slow_sq])
+    else:
+        sup_mean = slow_se = math.nan
+    fast_mean, fast_se = mean_se(fast_dev)
+    return sup_mean, slow_se, fast_mean, fast_se
+
+
 def auxiliary_error_stats(trajs: list[SlowFastTrajectory],
                           auxes: list[AuxiliaryResult]) -> AuxiliaryErrorStats:
     """Ensemble statistics of the block-freezing errors."""
     if len(trajs) != len(auxes) or not trajs:
         raise InvalidParameterError("need matched, nonempty trajectory lists")
-    n_nodes = trajs[0].times.size
-    h = float(trajs[0].times[1] - trajs[0].times[0])
-    slow_sq = np.empty((len(trajs), n_nodes))
-    fast_dev = np.empty(len(trajs))
-    for m, (traj, aux) in enumerate(zip(trajs, auxes)):
-        if traj.times.shape != aux.times.shape:
-            raise InvalidParameterError("trajectory/auxiliary grids mismatch")
-        slow_sq[m] = np.sum((traj.u - aux.u_aux) ** 2, axis=1)
-        fast_dev[m] = h * float(np.sum((traj.v - aux.v_aux) ** 2))
-    node_means = slow_sq.mean(axis=0)
-    worst = int(np.argmax(node_means))
-    n = len(trajs)
-    slow_se = slow_sq[:, worst].std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-    fast_se = fast_dev.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    deviations = [freezing_deviations(t, a) for t, a in zip(trajs, auxes)]
+    sup_mean, sup_se, fast_mean, fast_se = block_freezing_errors(
+        [slow for slow, _ in deviations], [fast for _, fast in deviations])
     return AuxiliaryErrorStats(
-        sup_slow_increment_msq=float(node_means[worst]),
-        sup_slow_increment_se=float(slow_se),
-        fast_deviation_msq=float(fast_dev.mean()),
-        fast_deviation_se=float(fast_se),
-        n=n,
-    )
+        sup_slow_increment_msq=sup_mean, sup_slow_increment_se=sup_se,
+        fast_deviation_msq=fast_mean, fast_deviation_se=fast_se,
+        n=len(trajs))

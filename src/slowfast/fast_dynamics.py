@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 N_BATCHES = 20  # batch-means blocks per replica
+DRAW_CHUNK_STEPS = 256  # steps of noise drawn per replica stream at once
 
 
 @dataclass(frozen=True)
@@ -106,28 +107,51 @@ def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
                         stream.normals(cfg.grid.n_modes))
 
 
-def _run_replica(cfg: FrozenFastConfig, observable, stream: RngStream,
-                 plan: OUStepPlan, x_phys: np.ndarray):
-    """Burn in, then return the per-batch time averages of the observable."""
+def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
+                  plan: OUStepPlan, x_phys: np.ndarray) -> np.ndarray:
+    """Burn in, then return the per-batch time averages of the observable,
+    one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).
+
+    The R replicas advance together as an (R, N) block.  Replica r draws
+    only from streams[r], in chunks of DRAW_CHUNK_STEPS steps; the streams
+    are concatenation-consistent, so these are the draws of one step at a
+    time.  The observable maps the nodal (R, M) block to (R,) or (R, K)
+    values.
+    """
     n_burn = int(round(cfg.t_burn / cfg.h))
     n_avg = N_BATCHES * max(1, int(math.ceil(cfg.t_avg / (N_BATCHES * cfg.h))))
     batch_len = n_avg // N_BATCHES
+    n_modes = cfg.grid.n_modes
+    n_rep = len(streams)
 
-    v = np.zeros(cfg.grid.n_modes)
-    for _ in range(n_burn):
-        v = step_frozen_fast(v, cfg, stream, plan, x_phys)
-
+    v = np.zeros((n_rep, n_modes))
     batches = []
-    acc = comp = 0.0
-    for i in range(n_avg):
-        v = step_frozen_fast(v, cfg, stream, plan, x_phys)
-        value = np.asarray(observable(synthesize(v, cfg.grid)), dtype=float)
-        # Kahan accumulation keeps batch sums independent of vectorization.
-        acc, comp = kahan_add(acc, comp, value)
-        if (i + 1) % batch_len == 0:
-            batches.append(acc / batch_len)
-            acc = comp = 0.0
-    return batches
+    acc = comp = None
+    n_total = n_burn + n_avg
+    for start in range(0, n_total, DRAW_CHUNK_STEPS):
+        steps = min(DRAW_CHUNK_STEPS, n_total - start)
+        xi = np.stack([s.normals(steps * n_modes).reshape(steps, n_modes)
+                       for s in streams], axis=1)
+        for j in range(steps):
+            v = fast_substep(v, x_phys, cfg.reaction_fast, cfg.grid, plan, xi[j])
+            i = start + j - n_burn
+            if i < 0:
+                continue
+            value = np.asarray(observable(synthesize(v, cfg.grid)), dtype=float)
+            if acc is None:
+                if value.ndim not in (1, 2) or value.shape[0] != n_rep:
+                    raise InvalidParameterError(
+                        f"observable must map nodal fields of shape "
+                        f"({n_rep}, {cfg.grid.n_quad}) to shape ({n_rep},) or "
+                        f"({n_rep}, K), got {value.shape}")
+                acc = comp = np.zeros_like(value)
+            # Kahan accumulation in time order keeps batch sums independent
+            # of the replica count.
+            acc, comp = kahan_add(acc, comp, value)
+            if (i + 1) % batch_len == 0:
+                batches.append(acc / batch_len)
+                acc = comp = np.zeros_like(value)
+    return np.stack(batches, axis=1)
 
 
 def estimate_invariant_average(cfg: FrozenFastConfig, observable,
@@ -136,24 +160,24 @@ def estimate_invariant_average(cfg: FrozenFastConfig, observable,
                                ) -> InvariantAverageEstimate:
     """Time average of observable(v_phys) over [t_burn, t_burn + t_avg].
 
-    The observable may return a scalar or an array; replicas use independent
-    streams derived from (master_seed, replica, role).  The standard error
-    comes from the spread of the per-batch means and shrinks like
-    1/sqrt(n_replicas * t_avg).
+    The observable is called on the nodal values of all cfg.n_replicas
+    replicas at once, an (R, M) array, and must return one value per
+    replica, shape (R,), or one vector per replica, shape (R, K); any other
+    shape raises InvalidParameterError.  The mean is a float or a
+    (K,) array accordingly.  Replicas use independent streams derived from
+    (master_seed, replica, role).  The standard error comes from the spread
+    of the per-batch means and shrinks like 1/sqrt(n_replicas * t_avg).
     """
     plan = make_plan(cfg.op2, cfg.h, 1.0)
     x_phys = synthesize(cfg.x, cfg.grid)
-    all_batches = []
-    for replica in range(cfg.n_replicas):
-        stream = derive_stream(master_seed, replica, role)
-        all_batches.extend(_run_replica(cfg, observable, stream, plan, x_phys))
-    stacked = np.stack(all_batches)
+    streams = [derive_stream(master_seed, replica, role)
+               for replica in range(cfg.n_replicas)]
+    batches = _run_replicas(cfg, observable, streams, plan, x_phys)
+    # Replica-major rows: the pooled mean and std sum the batches in this order.
+    stacked = batches.reshape((-1,) + batches.shape[2:])
     n = stacked.shape[0]
     mean = stacked.mean(axis=0)
-    if n > 1:
-        std_error = stacked.std(axis=0, ddof=1) / math.sqrt(n)
-    else:
-        std_error = np.zeros_like(mean)
+    std_error = stacked.std(axis=0, ddof=1) / math.sqrt(n)
     if mean.ndim == 0:
         mean = float(mean)
         std_error = float(std_error)
@@ -191,7 +215,7 @@ def invariant_moment_check(cfg: FrozenFastConfig, p: int,
 
         def norm_p(v_phys):
             # |v|^p with the L2 norm; quadrature weight matches Parseval.
-            return (quad * float(np.sum(v_phys * v_phys))) ** (p / 2)
+            return (quad * np.sum(v_phys * v_phys, axis=-1)) ** (p / 2)
 
         est = estimate_invariant_average(cfg_x, norm_p, master_seed)
         x_norm = float(np.linalg.norm(np.asarray(x, dtype=float)))

@@ -25,18 +25,20 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .averaging import (FbarEstimator, averaged_mean_rates, make_drift_fn,
-                        simulate_averaged)
+from .averaging import (FbarEstimator, analytic_Fbar_linear,
+                        averaged_mean_rates, make_drift_fn, simulate_averaged)
 from .config import ExperimentConfig, config_hash
-from .coupled import (KhasminskiiPlan, SlowFastTrajectory, build_auxiliary,
-                      compute_rho0, khasminskii_delta, simulate_slowfast,
-                      snap_block)
+from .coupled import (KhasminskiiPlan, SlowFastTrajectory,
+                      block_freezing_errors, build_auxiliary, compute_rho0,
+                      freezing_deviations, khasminskii_delta,
+                      simulate_slowfast, snap_block)
 from .errors import InvalidParameterError, StateExplosionError
-from .fast_dynamics import FrozenFastConfig, _run_replica
+from .fast_dynamics import FrozenFastConfig, estimate_invariant_average
 from .model import ModelSpec
-from .noise import derive_stream, make_plan
-from .reactions import eval_V, nemytskii_drift
-from .spectral import analyze, kahan_add, lp_norm, synthesize
+from .noise import derive_stream
+from .reactions import eval_V
+from .spectral import (analyze, kahan_add, kahan_mean_vectors, lp_norm,
+                       mean_se, synthesize)
 
 __all__ = [
     "ResultRow",
@@ -96,27 +98,6 @@ class ResultTable:
             if total > 0:
                 worst = max(worst, r.censored_count / total)
         return worst
-
-
-def _mean_se(values) -> tuple[float, float]:
-    """Fixed-order compensated mean and standard error."""
-    vals = [float(v) for v in values]
-    n = len(vals)
-    if n == 0:
-        return math.nan, math.nan
-    mean = math.fsum(vals) / n
-    if n == 1:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
-    return mean, math.sqrt(var / n)
-
-
-def kahan_mean_vectors(arrays) -> np.ndarray:
-    total = np.zeros_like(arrays[0])
-    comp = np.zeros_like(arrays[0])
-    for arr in arrays:
-        total, comp = kahan_add(total, comp, arr)
-    return total / len(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +172,9 @@ def _khasminskii_stat(traj: SlowFastTrajectory, model: ModelSpec,
     """Slow and fast deviations of the block-frozen replay of the path."""
     plan = KhasminskiiPlan(delta=delta, blocks=max(
         1, math.ceil(model.horizon / delta)))
-    aux = build_auxiliary(traj, plan, model)
-    h = float(traj.times[1] - traj.times[0])
-    return {"slow_sq": np.sum((traj.u - aux.u_aux) ** 2, axis=1),
-            "fast_dev": h * float(np.sum((traj.v - aux.v_aux) ** 2))}
+    slow_sq, fast_dev = freezing_deviations(
+        traj, build_auxiliary(traj, plan, model))
+    return {"slow_sq": slow_sq, "fast_dev": fast_dev}
 
 
 def _discrepancy_stat(traj: SlowFastTrajectory, model: ModelSpec,
@@ -318,38 +298,6 @@ def _averaged_terminal(model: ModelSpec, averaging, master_seed: int,
     return out.path[-1]
 
 
-@dataclass(frozen=True)
-class _InvariantReplicaTask:
-    cfg: FrozenFastConfig
-    master_seed: int
-    replica: int
-    observables: tuple = ()       # ObservableSpec applied to the modal field
-    drift_model: ModelSpec | None = None
-    drift_theta: float = 0.0
-
-
-def _invariant_replica(task: _InvariantReplicaTask):
-    cfg = task.cfg
-    plan = make_plan(cfg.op2, cfg.h, 1.0)
-    x_phys = synthesize(cfg.x, cfg.grid)
-    if task.drift_model is not None:
-        model = task.drift_model
-        theta = task.drift_theta if task.drift_theta > 0 else None
-
-        def observable(v_phys):
-            return analyze(nemytskii_drift(model.reaction_slow, theta, 0.0,
-                                           x_phys, v_phys, model.grid),
-                           model.grid)
-    else:
-        specs = task.observables
-
-        def observable(v_phys):
-            v_modal = analyze(v_phys, cfg.grid)
-            return np.array([spec(v_modal) for spec in specs])
-    stream = derive_stream(task.master_seed, task.replica, "frozen_fast_noise")
-    return _run_replica(cfg, observable, stream, plan, x_phys)
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -386,17 +334,17 @@ def run_convergence_study(cfg: ExperimentConfig) -> ResultTable:
                               * model0.u0[ob.k - 1])
                 ref[ob.label] = (value, 0.0)
             else:
-                ref[ob.label] = _mean_se([ob(u) for u in ref_terminals])
+                ref[ob.label] = mean_se([ob(u) for u in ref_terminals])
     else:
         kept, _ = _kept(results, ref_key)
         for ob in cfg.observables:
-            ref[ob.label] = _mean_se([ob(r["terminal_u"]) for r in kept])
+            ref[ob.label] = mean_se([ob(r["terminal_u"]) for r in kept])
 
     rows: list[ResultRow] = []
     for eps in cfg.epsilon_grid:
         kept, censored = _kept(results, (eps, theta))
         for ob in cfg.observables:
-            mean, se = _mean_se([ob(r["terminal_u"]) for r in kept])
+            mean, se = mean_se([ob(r["terminal_u"]) for r in kept])
             ref_mean, ref_se = ref[ob.label]
             rows.append(ResultRow("converge", eps, f"mean[{ob.label}]",
                                   mean, se, len(kept), censored))
@@ -405,7 +353,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> ResultTable:
                 abs(mean - ref_mean), math.sqrt(se * se + ref_se * ref_se),
                 len(kept), censored))
         for j, tf in enumerate(cfg.test_functions):
-            mean, se = _mean_se([r["sups"][j] for r in kept])
+            mean, se = mean_se([r["sups"][j] for r in kept])
             rows.append(ResultRow("converge", eps, f"D[{tf.label}]",
                                   mean, se, len(kept), censored))
     return ResultTable(rows)
@@ -434,7 +382,7 @@ def _moment_study(cfg: ExperimentConfig) -> tuple:
                 "vbar_proxy_integral": [r["vbar_proxy"] for r in kept],
             }
             for stat_id, vals in stats.items():
-                mean, se = _mean_se(vals)
+                mean, se = mean_se(vals)
                 per_stat[stat_id].append(mean)
                 out.append(ResultRow("audit_moment", key[0], stat_id, mean, se,
                                      len(kept), censored))
@@ -504,14 +452,14 @@ def _theta_study(cfg: ExperimentConfig, thetas) -> tuple:
         censored = len(results) - len(kept)
         out = []
         for j in range(len(thetas) - 1):
-            mean, se = _mean_se([r["ladder"][j] for r in kept])
+            mean, se = mean_se([r["ladder"][j] for r in kept])
             out.append(ResultRow(
                 "audit_theta", eps,
                 f"distance[theta={thetas[j]:g}->{thetas[j + 1]:g}]",
                 mean, se, len(kept), censored))
         v_means = []
         for theta, key in zip(thetas, keys):
-            mean, se = _mean_se([r["paths"][key]["v_integral"] for r in kept])
+            mean, se = mean_se([r["paths"][key]["v_integral"] for r in kept])
             v_means.append(mean)
             out.append(ResultRow("audit_theta", eps,
                                  f"v_integral[theta={theta:g}]", mean, se,
@@ -542,14 +490,8 @@ def _khasminskii_study(cfg: ExperimentConfig) -> tuple:
         out = []
         for key, delta in zip(keys, deltas):
             kept, censored = _kept(results, key)
-            if kept:
-                node_means = kahan_mean_vectors([r["slow_sq"] for r in kept])
-                sup_mean = float(np.max(node_means))
-                worst = int(np.argmax(node_means))
-                _, slow_se = _mean_se([float(r["slow_sq"][worst]) for r in kept])
-            else:
-                sup_mean = slow_se = math.nan
-            fast_mean, fast_se = _mean_se([r["fast_dev"] for r in kept])
+            sup_mean, slow_se, fast_mean, fast_se = block_freezing_errors(
+                [r["slow_sq"] for r in kept], [r["fast_dev"] for r in kept])
             for stat_id, value, se in (
                     ("delta", delta, 0.0),
                     ("delta_snapped", snap_block(delta, h)[1], 0.0),
@@ -576,7 +518,7 @@ def run_audit(cfg: ExperimentConfig) -> ResultTable:
 
 
 # ---------------------------------------------------------------------------
-# invariant / averaged-drift entry points (replica-parallel)
+# invariant / averaged-drift entry points (replicas batched in one process)
 
 
 def pooled_invariant_rows(cfg: ExperimentConfig) -> list[tuple]:
@@ -589,42 +531,25 @@ def pooled_invariant_rows(cfg: ExperimentConfig) -> list[tuple]:
         grid=model.grid, h=inv.h, t_burn=inv.t_burn, t_avg=inv.t_avg,
         n_replicas=inv.n_replicas,
     )
-    tasks = [_InvariantReplicaTask(cfg=run, master_seed=cfg.master_seed,
-                                   replica=r, observables=cfg.observables)
-             for r in range(inv.n_replicas)]
-    per_replica = run_parallel(_invariant_replica, tasks, cfg.worker_count)
-    stacked = np.stack([batch for batches in per_replica for batch in batches])
-    mean = stacked.mean(axis=0)
-    se = stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
-    return [(ob.label, float(mean[i]), float(se[i]))
-            for i, ob in enumerate(cfg.observables)]
+    specs = cfg.observables
+
+    def observable(v_phys):
+        v_modal = analyze(v_phys, model.grid)
+        return np.stack([spec(v_modal) for spec in specs], axis=-1)
+
+    est = estimate_invariant_average(run, observable, cfg.master_seed)
+    return [(ob.label, float(est.mean[i]), float(est.std_error[i]))
+            for i, ob in enumerate(specs)]
 
 
 def pooled_fbar_estimate(cfg: ExperimentConfig):
     """Averaged-drift estimate at x = u0 with per-mode standard errors and
     the analytic oracle where available."""
     model = cfg.model
-    params = cfg.averaging
-    estimator = FbarEstimator(model, params, cfg.master_seed)
-    key = estimator._key(model.u0)
-    seed = cfg.master_seed + estimator._nested_seed_id(key)
-    x_quantized = np.array(key, dtype=float) * params.cache_quantum
-    run = FrozenFastConfig(
-        x=x_quantized, op2=model.op2, reaction_fast=model.reaction_fast,
-        grid=model.grid, h=params.h_fast, t_burn=params.t_burn,
-        t_avg=params.t_avg, n_replicas=params.n_replicas,
-    )
-    tasks = [_InvariantReplicaTask(cfg=run, master_seed=seed, replica=r,
-                                   drift_model=model, drift_theta=params.theta)
-             for r in range(params.n_replicas)]
-    per_replica = run_parallel(_invariant_replica, tasks, cfg.worker_count)
-    stacked = np.stack([batch for batches in per_replica for batch in batches])
-    mean = stacked.mean(axis=0)
-    se = stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
-    analytic = None
-    if model.is_linear_benchmark:
-        from .averaging import analytic_Fbar_linear
-        analytic = analytic_Fbar_linear(model, 0.0, model.u0)
+    mean, se = FbarEstimator(model, cfg.averaging,
+                             cfg.master_seed).estimate(0.0, model.u0)
+    analytic = (analytic_Fbar_linear(model, 0.0, model.u0)
+                if model.is_linear_benchmark else None)
     return mean, se, analytic
 
 
@@ -645,7 +570,8 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        return repr(x)
+        # repr of a numpy scalar reads "np.float64(...)" under numpy 2.
+        return repr(float(x))
     return str(x)
 
 

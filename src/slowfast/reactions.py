@@ -212,13 +212,16 @@ def truncate_b(spec: ReactionSpec, theta: float, t: float, xi, sigma, lam):
 def nemytskii_drift(spec: ReactionSpec, theta: float | None, t: float,
                     u_phys: np.ndarray, v_phys: np.ndarray,
                     grid: GridSpec) -> np.ndarray:
-    """Lift b (or b_theta) to nodal values: drift(xi_j) = b(t, xi_j, u_j, v_j)."""
+    """Lift b (or b_theta) to nodal values: drift(xi_j) = b(t, xi_j, u_j, v_j).
+
+    Fields hold n_quad nodal values on the last axis; leading axes of either
+    field broadcast, so a batch of fast fields may share one slow field."""
     u_phys = np.asarray(u_phys, dtype=float)
     v_phys = np.asarray(v_phys, dtype=float)
-    if u_phys.shape != (grid.n_quad,) or v_phys.shape != (grid.n_quad,):
+    if u_phys.shape[-1:] != (grid.n_quad,) or v_phys.shape[-1:] != (grid.n_quad,):
         raise InvalidParameterError(
-            f"fields must have {grid.n_quad} nodal values, got "
-            f"{u_phys.shape} and {v_phys.shape}"
+            f"fields must have {grid.n_quad} nodal values on the last axis, "
+            f"got {u_phys.shape} and {v_phys.shape}"
         )
     if theta is None or theta == 0.0:
         return np.asarray(eval_b(spec, t, grid.nodes, u_phys, v_phys), dtype=float)
@@ -253,15 +256,17 @@ class LyapunovSpec:
 
 
 def _norm_power(values: np.ndarray, grid: GridSpec, norm_order: float,
-                power: float) -> float:
-    # Degenerate exponents contribute nothing to V.
+                power: float):
+    # Degenerate exponents contribute nothing to V: one zero per field.
     if power <= 0 or norm_order <= 0:
-        return 0.0
+        return 0.0 if np.ndim(values) <= 1 else np.zeros(np.shape(values)[:-1])
     return lp_norm(values, grid, norm_order) ** power
 
 
 def eval_V(u_phys: np.ndarray, v_phys: np.ndarray, lyap: LyapunovSpec,
-           grid: GridSpec) -> float:
+           grid: GridSpec):
+    """V(u, v) from nodal fields: a float for one pair, an array over the
+    leading axes of a batch (the norms reduce over the last axis)."""
     u_term = _norm_power(u_phys, grid, 4.0 * lyap.m1, 2.0 * lyap.m1)
     v_term = _norm_power(v_phys, grid, 4.0 * lyap.m2, 2.0 * lyap.m2)
     v_term2 = _norm_power(v_phys, grid, 2.0 * lyap.kappa1 * lyap.m1,

@@ -10,6 +10,7 @@ round-trips are lossless up to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,6 +30,8 @@ __all__ = [
     "lp_norm",
     "as_modal_field",
     "kahan_add",
+    "kahan_mean_vectors",
+    "mean_se",
 ]
 
 
@@ -185,20 +188,34 @@ def semigroup_apply(op: SpectralOperator, t: float, coeffs: np.ndarray) -> np.nd
 
 
 def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Evaluate a modal field at the interior collocation nodes."""
-    f = as_modal_field(coeffs, grid.n_modes)
-    return _sine_matrix(grid.n_modes, grid.n_quad, grid.length) @ f
+    """Evaluate a modal field, or a batch of them along leading axes, at the
+    interior collocation nodes."""
+    f = np.asarray(coeffs, dtype=float)
+    if f.shape[-1:] != (grid.n_modes,):
+        raise InvalidParameterError(
+            f"expected {grid.n_modes} modal coefficients on the last axis, "
+            f"got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise InvalidParameterError("modal field contains non-finite coefficients")
+    mat = _sine_matrix(grid.n_modes, grid.n_quad, grid.length)
+    if f.ndim == 1:
+        return mat @ f
+    # Stacked matrix-vector products: each row is bit-equal to the 1-D call.
+    return np.matmul(mat, f[..., None])[..., 0]
 
 
 def analyze(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Exact discrete inverse of synthesize on the collocation node set."""
+    """Exact discrete inverse of synthesize on the collocation node set,
+    row by row for a batch along leading axes."""
     v = np.asarray(values, dtype=float)
-    if v.shape != (grid.n_quad,):
+    if v.shape[-1:] != (grid.n_quad,):
         raise InvalidParameterError(
-            f"expected {grid.n_quad} nodal values, got shape {v.shape}"
-        )
-    mat = _sine_matrix(grid.n_modes, grid.n_quad, grid.length)
-    return grid.quad_weight * (mat.T @ v)
+            f"expected {grid.n_quad} nodal values on the last axis, "
+            f"got shape {v.shape}")
+    mat_t = _sine_matrix(grid.n_modes, grid.n_quad, grid.length).T
+    if v.ndim == 1:
+        return grid.quad_weight * (mat_t @ v)
+    return grid.quad_weight * np.matmul(mat_t, v[..., None])[..., 0]
 
 
 def fractional_norm(coeffs: np.ndarray, op: SpectralOperator, gamma: float) -> float:
@@ -211,12 +228,19 @@ def fractional_norm(coeffs: np.ndarray, op: SpectralOperator, gamma: float) -> f
     return float(np.sqrt(np.sum(op.alphas ** (2.0 * gamma) * f * f)))
 
 
-def lp_norm(values: np.ndarray, grid: GridSpec, p: float) -> float:
-    """L^p norm by collocation quadrature with weight length/(M+1)."""
+def lp_norm(values: np.ndarray, grid: GridSpec, p: float):
+    """L^p norm by collocation quadrature with weight length/(M+1): a float
+    for one nodal field, an array over the leading axes of a batch."""
     if p <= 0:
         raise InvalidParameterError("p must be positive")
     v = np.asarray(values, dtype=float)
-    return float((grid.quad_weight * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+    if v.shape[-1:] != (grid.n_quad,):
+        raise InvalidParameterError(
+            f"expected {grid.n_quad} nodal values on the last axis, "
+            f"got shape {v.shape}")
+    # np.add.reduce is np.sum's arithmetic without its dispatch overhead.
+    norm = (grid.quad_weight * np.add.reduce(np.abs(v) ** p, axis=-1)) ** (1.0 / p)
+    return float(norm) if v.ndim == 1 else norm
 
 
 def kahan_add(total, comp, value):
@@ -225,3 +249,25 @@ def kahan_add(total, comp, value):
     y = value - comp
     t = total + y
     return t, (t - total) - y
+
+
+def kahan_mean_vectors(arrays) -> np.ndarray:
+    """Compensated mean of equal-shape arrays, summed in list order."""
+    total = np.zeros_like(arrays[0])
+    comp = np.zeros_like(arrays[0])
+    for arr in arrays:
+        total, comp = kahan_add(total, comp, arr)
+    return total / len(arrays)
+
+
+def mean_se(values) -> tuple[float, float]:
+    """Fixed-order compensated mean and standard error; NaN for no values."""
+    vals = [float(v) for v in values]
+    n = len(vals)
+    if n == 0:
+        return math.nan, math.nan
+    mean = math.fsum(vals) / n
+    if n == 1:
+        return mean, 0.0
+    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    return mean, math.sqrt(var / n)

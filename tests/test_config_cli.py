@@ -152,6 +152,21 @@ class TestCli:
         assert meta["seed"] == 11
         assert "config_sha256" in meta and "version" in meta
 
+    def test_trajectory_cells_are_plain_floats(self, tmp_path):
+        # Every cell must parse as a float; numpy 2 scalars used to be
+        # written as "np.float64(...)".
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        files = sorted(out.glob("trajectory_*.csv"))
+        assert files
+        for traj in files:
+            rows = traj.read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                for cell in row.split(","):
+                    float(cell)
+
     def test_invariant_csv_columns(self, tmp_path):
         path = write_config(tmp_path, BASE)
         out = tmp_path / "inv"

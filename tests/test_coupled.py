@@ -125,6 +125,7 @@ class TestCoupledStep:
         # A NaN slow drift makes |u| NaN; the guard must trip on it rather
         # than let the next transform reject the field.
         import slowfast.coupled as coupled
+        import slowfast.fast_dynamics as fast_dynamics
 
         def nan_drift(*args, **kwargs):
             return np.full(args[4].shape, np.nan)
@@ -134,6 +135,18 @@ class TestCoupledStep:
             simulate_slowfast(model, 0, 0)
         assert info.value.t == pytest.approx(0.01)
         assert math.isnan(info.value.norm_u)
+
+        # A NaN from the fast reaction g inside the substeps is censored at
+        # the macro step's time too, not left to the next transform.
+        monkeypatch.undo()
+
+        def nan_g(spec, t, xi, rho, sigma):
+            return np.full(np.shape(sigma), np.nan)
+        monkeypatch.setattr(fast_dynamics, "eval_g", nan_g)
+        with pytest.raises(StateExplosionError) as info:
+            simulate_slowfast(model, 0, 0)
+        assert info.value.t == pytest.approx(0.01)
+        assert math.isnan(info.value.norm_v)
 
     def test_cubic_rough_runs_without_explosion(self):
         model = cubic_model(eps=0.1, n_modes=16, n_quad=64, theta=0.01)

@@ -71,7 +71,8 @@ class TestStepFrozenFast:
 class TestInvariantAverage:
     def test_constant_observable(self):
         cfg = frozen_cfg(t_avg=1.0, n_replicas=2)
-        est = estimate_invariant_average(cfg, lambda v_phys: 1.0, master_seed=5)
+        est = estimate_invariant_average(
+            cfg, lambda v_phys: np.ones(v_phys.shape[0]), master_seed=5)
         assert est.mean == pytest.approx(1.0)
         assert est.std_error == 0.0
         assert est.n_effective == 2 * N_BATCHES
@@ -83,7 +84,7 @@ class TestInvariantAverage:
         quad = cfg.grid.quad_weight
 
         def norm_sq(v_phys):
-            return quad * float(np.sum(v_phys * v_phys))
+            return quad * np.sum(v_phys * v_phys, axis=-1)
 
         est = estimate_invariant_average(cfg, norm_sq, master_seed=17)
         exact = float(np.sum(cfg.op2.lambdas ** 2 / (2 * cfg.op2.alphas)))
@@ -105,7 +106,7 @@ class TestInvariantAverage:
         quad_w = frozen_cfg().grid.quad_weight
 
         def norm_sq(v_phys):
-            return quad_w * float(np.sum(v_phys * v_phys))
+            return quad_w * np.sum(v_phys * v_phys, axis=-1)
 
         small = estimate_invariant_average(
             frozen_cfg(t_avg=5.0, n_replicas=2), norm_sq, master_seed=3)
@@ -122,7 +123,7 @@ class TestInvariantAverage:
 
         def mode1(v_phys):
             from slowfast.spectral import analyze
-            return float(analyze(v_phys, cfg_time.grid)[0])
+            return analyze(v_phys, cfg_time.grid)[:, 0]
 
         time_avg = estimate_invariant_average(cfg_time, mode1, master_seed=31)
         ens_avg = estimate_invariant_average(cfg_ens, mode1, master_seed=77)
@@ -133,17 +134,99 @@ class TestInvariantAverage:
         # batch means of |v|^2 show no time trend at the 1% level
         cfg = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3, t_avg=40.0,
                          n_replicas=1)
-        from slowfast.fast_dynamics import _run_replica
+        from slowfast.fast_dynamics import _run_replicas
         from slowfast.spectral import synthesize
         plan = make_plan(cfg.op2, cfg.h, 1.0)
         x_phys = synthesize(cfg.x, cfg.grid)
         quad = cfg.grid.quad_weight
         stream = derive_stream(41, 0, "frozen_fast_noise")
-        batches = _run_replica(cfg, lambda v: quad * float(np.sum(v * v)),
-                               stream, plan, x_phys)
+        batches = _run_replicas(cfg, lambda v: quad * np.sum(v * v, axis=-1),
+                                [stream], plan, x_phys)[0]
         values = np.array([float(b) for b in batches])
         fit = linregress(np.arange(values.size), values)
         assert fit.pvalue > 0.01
+
+    def _kernel_inputs(self, c_s=0.2):
+        from slowfast.spectral import synthesize
+        cfg = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1, c_s=c_s)
+        return cfg, make_plan(cfg.op2, cfg.h, 1.0), synthesize(cfg.x, cfg.grid)
+
+    def test_matches_per_replica_loop(self):
+        # The batched kernel against the one-vector-at-a-time loop it
+        # replaced: identical arithmetic, so identical bits.
+        from slowfast.fast_dynamics import _run_replicas
+        from slowfast.spectral import analyze, kahan_add, synthesize
+        cfg, plan, x_phys = self._kernel_inputs()
+        n_burn = int(round(cfg.t_burn / cfg.h))
+        n_avg = N_BATCHES * max(1, math.ceil(cfg.t_avg / (N_BATCHES * cfg.h)))
+        batch_len = n_avg // N_BATCHES
+        for replica in range(3):
+            stream = derive_stream(8, replica, "frozen_fast_noise")
+            v = np.zeros(N)
+            for _ in range(n_burn):
+                v = step_frozen_fast(v, cfg, stream, plan, x_phys)
+            reference = []
+            acc = comp = 0.0
+            for i in range(n_avg):
+                v = step_frozen_fast(v, cfg, stream, plan, x_phys)
+                acc, comp = kahan_add(acc, comp,
+                                      analyze(synthesize(v, cfg.grid), cfg.grid))
+                if (i + 1) % batch_len == 0:
+                    reference.append(acc / batch_len)
+                    acc = comp = 0.0
+            streams = [derive_stream(8, r, "frozen_fast_noise") for r in range(3)]
+            batched = _run_replicas(cfg, lambda v_phys: analyze(v_phys, cfg.grid),
+                                    streams, plan, x_phys)
+            assert np.array_equal(batched[replica], np.stack(reference))
+
+    def test_replicas_are_independent_rows(self):
+        # R replicas in one block give the batch means of R one-replica runs.
+        from slowfast.fast_dynamics import _run_replicas
+        cfg, plan, x_phys = self._kernel_inputs()
+        quad = cfg.grid.quad_weight
+
+        def norm_sq(v_phys):
+            return quad * np.sum(v_phys * v_phys, axis=-1)
+
+        def streams(ids):
+            return [derive_stream(12, r, "frozen_fast_noise") for r in ids]
+
+        block = _run_replicas(cfg, norm_sq, streams(range(5)), plan, x_phys)
+        singles = [_run_replicas(cfg, norm_sq, streams([r]), plan, x_phys)[0]
+                   for r in range(5)]
+        assert block.shape == (5, N_BATCHES)
+        assert np.array_equal(block, np.stack(singles))
+        est = estimate_invariant_average(
+            FrozenFastConfig(x=cfg.x, op2=cfg.op2,
+                             reaction_fast=cfg.reaction_fast, grid=cfg.grid,
+                             h=cfg.h, t_burn=cfg.t_burn, t_avg=cfg.t_avg,
+                             n_replicas=5),
+            norm_sq, master_seed=12)
+        assert est.mean == np.concatenate(singles).mean()
+
+    def test_draw_chunking_does_not_change_batches(self, monkeypatch):
+        # Noise drawn a few steps at a time equals noise drawn in large chunks.
+        import slowfast.fast_dynamics as fast_dynamics
+        from slowfast.spectral import analyze
+        cfg, plan, x_phys = self._kernel_inputs()
+
+        def run():
+            streams = [derive_stream(3, r, "frozen_fast_noise") for r in range(2)]
+            return fast_dynamics._run_replicas(
+                cfg, lambda v_phys: analyze(v_phys, cfg.grid), streams, plan,
+                x_phys)
+
+        default = run()
+        monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_STEPS", 7)
+        assert np.array_equal(run(), default)
+
+    def test_per_vector_observable_rejected(self):
+        # An observable written for one nodal vector would silently pool
+        # all replicas into one number; the kernel refuses it.
+        cfg = frozen_cfg(t_avg=1.0, n_replicas=3)
+        with pytest.raises(InvalidParameterError, match="observable"):
+            estimate_invariant_average(
+                cfg, lambda v_phys: float(np.sum(v_phys * v_phys)))
 
 
 class TestMomentCheck:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from slowfast.config import parse_config_dict
-from slowfast.harness import (ResultRow, ResultTable, _holder_pairs, _mean_se,
+from slowfast.harness import (ResultRow, ResultTable, _holder_pairs,
                               kahan_mean_vectors, run_convergence_study,
                               run_holder_stats, run_khasminskii_study,
                               run_moment_audit, run_parallel,
                               run_theta_stability)
+from slowfast.spectral import mean_se
 
 from test_config_cli import BASE
 
@@ -23,13 +24,13 @@ def small_config(**model_overrides):
 class TestReductions:
     def test_mean_se_matches_numpy(self, rng):
         vals = rng.normal(size=100)
-        mean, se = _mean_se(vals)
+        mean, se = mean_se(vals)
         assert mean == pytest.approx(vals.mean(), rel=1e-12)
         assert se == pytest.approx(vals.std(ddof=1) / 10.0, rel=1e-12)
 
     def test_mean_se_degenerate_sizes(self):
-        assert _mean_se([3.0]) == (3.0, 0.0)
-        assert math.isnan(_mean_se([])[0])
+        assert mean_se([3.0]) == (3.0, 0.0)
+        assert math.isnan(mean_se([])[0])
 
     def test_kahan_mean_vectors(self, rng):
         arrays = [rng.normal(size=5) for _ in range(50)]

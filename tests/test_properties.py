@@ -1,0 +1,111 @@
+"""Property tests for the invariants the batched replica kernel rests on."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from slowfast import (GridSpec, analyze, make_slow_reaction, nemytskii_drift,
+                      synthesize)
+from slowfast.config import ObservableSpec
+from slowfast.noise import ROLES, RngStream
+from slowfast.spectral import lp_norm
+
+GRIDS = [GridSpec(n_modes=4, n_quad=16), GridSpec(n_modes=16, n_quad=64)]
+FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
+                   allow_infinity=False, width=64)
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def batches(draw, size_of):
+    """A grid and an (R, size) array of finite values on it."""
+    grid = draw(st.sampled_from(GRIDS))
+    rows = draw(st.integers(min_value=1, max_value=9))
+    values = draw(arrays(np.float64, (rows, size_of(grid)), elements=FINITE))
+    return grid, values
+
+
+@SETTINGS
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       trajectory_id=st.integers(min_value=0, max_value=10 ** 6),
+       role=st.sampled_from(ROLES),
+       chunks=st.lists(st.integers(min_value=0, max_value=40), max_size=12))
+def test_normals_are_concatenation_consistent(seed, trajectory_id, role, chunks):
+    chunked = RngStream(seed, trajectory_id, role)
+    pieces = [chunked.normals(n) for n in chunks]
+    whole = RngStream(seed, trajectory_id, role).normals(sum(chunks))
+    joined = np.concatenate(pieces) if pieces else np.empty(0)
+    assert np.array_equal(joined, whole)
+    assert chunked.counter == sum(chunks)
+
+
+@SETTINGS
+@given(batches(lambda grid: grid.n_modes))
+def test_analyze_inverts_synthesize(case):
+    grid, coeffs = case
+    for f in coeffs:
+        back = analyze(synthesize(f, grid), grid)
+        assert np.allclose(back, f, rtol=0.0,
+                           atol=1e-13 * max(1.0, float(np.max(np.abs(f)))))
+
+
+@SETTINGS
+@given(batches(lambda grid: grid.n_modes))
+def test_batched_synthesize_rows_equal_single_calls(case):
+    grid, coeffs = case
+    out = synthesize(coeffs, grid)
+    assert out.shape == (coeffs.shape[0], grid.n_quad)
+    for row, f in zip(out, coeffs):
+        assert np.array_equal(row, synthesize(f, grid))
+
+
+@SETTINGS
+@given(batches(lambda grid: grid.n_quad))
+def test_batched_analyze_rows_equal_single_calls(case):
+    grid, values = case
+    out = analyze(values, grid)
+    assert out.shape == (values.shape[0], grid.n_modes)
+    for row, v in zip(out, values):
+        assert np.array_equal(row, analyze(v, grid))
+
+
+@SETTINGS
+@given(case=batches(lambda grid: grid.n_quad),
+       theta=st.sampled_from([None, 0.01, 0.5]))
+def test_batched_nemytskii_drift_rows_equal_single_calls(case, theta):
+    grid, v_batch = case
+    spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
+    u_phys = v_batch[0][::-1].copy()
+    out = nemytskii_drift(spec, theta, 0.0, u_phys, v_batch, grid)
+    assert out.shape == v_batch.shape
+    for row, v in zip(out, v_batch):
+        assert np.array_equal(row, nemytskii_drift(spec, theta, 0.0, u_phys, v,
+                                                   grid))
+
+
+@SETTINGS
+@given(case=batches(lambda grid: grid.n_quad), p=st.sampled_from([2.0, 3.0, 12.0]))
+def test_batched_lp_norm_rows_match_single_calls(case, p):
+    # The final 1/p power runs as a vector power on a batch and as a scalar
+    # power on one field; each is within 1 ulp, so rows agree to 2 ulp.
+    grid, values = case
+    out = lp_norm(values, grid, p)
+    assert out.shape == (values.shape[0],)
+    for norm, v in zip(out, values):
+        assert np.isclose(norm, lp_norm(v, grid, p),
+                          rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+@SETTINGS
+@given(case=batches(lambda grid: grid.n_modes),
+       spec=st.sampled_from([ObservableSpec("mode", 2), ObservableSpec("norm_sq")]))
+def test_batched_observable_spec_rows_equal_single_calls(case, spec):
+    _, coeffs = case
+    out = spec(coeffs)
+    for value, u in zip(out, coeffs):
+        assert value == spec(u)
+    if spec.kind == "norm_sq":
+        # The 1-D value is the one terminal observables always reported.
+        for u in coeffs:
+            assert spec(u) == float(np.dot(u, u))
