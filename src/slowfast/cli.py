@@ -4,7 +4,8 @@ Subcommands: simulate, invariant, average, converge, audit.
 Common flags: --config PATH, --seed N, --out DIR, --workers K (the flag wins
 over the MULTISCALE_WORKERS environment variable, which wins over the config).
 Exit codes: 0 success, 2 config/hypothesis rejection, 3 explosion censoring
-above 20%.
+above 20% or an explosion outside any censored path (a non-finite
+frozen-fast replica).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 
 from .config import ExperimentConfig, parse_config
-from .errors import ConfigurationRejectedError
+from .errors import ConfigurationRejectedError, StateExplosionError
 from .harness import (ResultTable, emit_results, pooled_fbar_estimate,
                       pooled_invariant_rows, run_audit, run_convergence_study,
                       simulate_ensemble, write_csv, write_meta)
@@ -184,6 +185,11 @@ def main(argv=None) -> int:
     except ConfigurationRejectedError as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG_REJECTED
+    except StateExplosionError as exc:
+        # An explosion no path censoring covers, e.g. a non-finite
+        # frozen-fast replica of `average` or `invariant`.
+        print(f"explosion: {exc}", file=sys.stderr)
+        return EXIT_EXPLOSION
 
 
 if __name__ == "__main__":

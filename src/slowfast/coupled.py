@@ -22,8 +22,7 @@ from .fast_dynamics import fast_substep
 from .model import ModelSpec
 from .noise import derive_stream, make_plan
 from .reactions import eval_V, nemytskii_drift
-from .spectral import (analyze, kahan_add, kahan_mean_vectors, mean_se,
-                       synthesize)
+from .spectral import kahan_add, kahan_mean_vectors, mean_se, synthesize
 
 __all__ = [
     "SlowFastState",
@@ -48,6 +47,9 @@ class SlowFastState:
     u: np.ndarray
     v: np.ndarray
     t: float
+    # Nodal values of u and v, when already known; step_coupled fills them.
+    u_phys: np.ndarray | None = None
+    v_phys: np.ndarray | None = None
 
 
 @dataclass
@@ -110,75 +112,63 @@ def compute_rho0(s: float, t: float, beta: float, gamma1_star: float) -> float:
     return math.log(t / s) ** 2 + dt ** beta + dt ** (2.0 * gamma1_star)
 
 
+NOISE_CHUNK_STEPS = 16  # macro steps of noise drawn per stream at once
+
+
 def _plans(model: ModelSpec, h_macro: float):
+    """Substeps per macro step, the slow and fast OU plans, and the
+    trapezoid weights of the substep nodes j = 0..n_sub as an
+    (n_sub + 1, 1) column."""
     n_sub = max(1, math.ceil(h_macro / (model.substep_ratio * model.epsilon)))
     h_sub = h_macro / n_sub
     plan_slow = make_plan(model.op1, h_macro, 1.0)
     plan_fast = make_plan(model.op2, h_sub, model.epsilon)
-    return n_sub, plan_slow, plan_fast
+    weights = np.full((n_sub + 1, 1), 1.0 / n_sub)
+    weights[0] = weights[-1] = 0.5 / n_sub
+    return n_sub, plan_slow, plan_fast, weights
 
 
 def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
-                 slow_stream, fast_stream,
-                 plans=None, frozen_drift_u=None,
-                 noise_record: np.ndarray | None = None
-                 ) -> tuple[SlowFastState, np.ndarray]:
+                 xi_slow: np.ndarray, xi_fast: np.ndarray,
+                 plans=None) -> tuple[SlowFastState, np.ndarray]:
     """Advance the pair (u, v) by one macro step.
 
     The fast field takes n_sub exact-OU substeps with its drift g(u, v)/eps
-    frozen per substep and u held at the macro-step start (or at
-    frozen_drift_u for the block-frozen auxiliary process).  The slow drift
+    frozen per substep and u held at the macro-step start.  The slow drift
     b_theta(t, u, .) is averaged along the fast substep path (trapezoid over
     the substep nodes): the fast field crosses its relaxation layer inside a
     single macro step, and sampling it at the left endpoint alone would turn
     that O(eps) layer into an O(h_macro) bias of the slow motion.
 
-    Returns the new state and the averaged modal slow drift used for the
-    step (the integrand of the drift functionals).  noise_record exposes
-    the fast draws for pathwise replay.
+    xi_slow, shape (N,), and xi_fast, shape (n_sub, N), are the standard
+    normals of the step.  Returns the new state, with its nodal values, and
+    the averaged modal slow drift used for the step (the integrand of the
+    drift functionals).  Inside the step nothing is checked: the explosion
+    guard on the new state also catches a non-finite field.
     """
     if h_macro <= 0:
         raise InvalidParameterError("h_macro must be positive")
     if plans is None:
         plans = _plans(model, h_macro)
-    n_sub, plan_slow, plan_fast = plans
+    n_sub, plan_slow, plan_fast, weights = plans
     grid = model.grid
-    n = grid.n_modes
-
-    u_phys = synthesize(state.u, grid)
-    theta = model.theta if model.theta > 0 else None
-    drift_u_phys = u_phys if frozen_drift_u is None else frozen_drift_u
-
+    mat = grid.sine_matrix
+    u_phys = mat @ state.u if state.u_phys is None else state.u_phys
     v = state.v
-    # Trapezoid weights over substep nodes j = 0..n_sub.
-    w_end = 0.5 / n_sub
-    w_mid = 1.0 / n_sub
-    f1_phys = w_end * nemytskii_drift(model.reaction_slow, theta, state.t,
-                                      u_phys, synthesize(v, grid), grid)
-    try:
-        for j in range(n_sub):
-            xi = fast_stream.normals(n)
-            if noise_record is not None:
-                noise_record[j] = xi
-            v = fast_substep(v, drift_u_phys, model.reaction_fast, grid,
-                             plan_fast, xi)
-            weight = w_end if j == n_sub - 1 else w_mid
-            f1_phys = f1_phys + weight * nemytskii_drift(
-                model.reaction_slow, theta, state.t, u_phys,
-                synthesize(v, grid), grid)
-    except InvalidParameterError:
-        # A non-finite fast field (e.g. from g) is rejected by the next
-        # transform; censor it like any other explosion of this step.
-        if np.all(np.isfinite(v)):
-            raise
-        raise StateExplosionError(state.t + h_macro,
-                                  float(np.linalg.norm(state.u)),
-                                  float(np.linalg.norm(v)),
-                                  model.explosion_bound) from None
-
-    f1 = analyze(f1_phys, grid)
+    v_nodes = np.empty((n_sub + 1, grid.n_quad))
+    v_nodes[0] = mat @ v if state.v_phys is None else state.v_phys
+    for j in range(n_sub):
+        v, v_nodes[j + 1] = fast_substep(v, v_nodes[j], u_phys,
+                                         model.reaction_fast, grid, plan_fast,
+                                         xi_fast[j])
+    theta = model.theta if model.theta > 0 else None
+    drift = nemytskii_drift(model.reaction_slow, theta, state.t, u_phys,
+                            v_nodes, grid)
+    # Summed over the substep nodes in order, as a running sum would.
+    f1_phys = np.add.reduce(weights * drift, axis=0)
+    f1 = grid.quad_weight * (mat.T @ f1_phys)
     u_next = (plan_slow.decay * state.u + plan_slow.drift_weight * f1
-              + plan_slow.noise_std * slow_stream.normals(n))
+              + plan_slow.noise_std * xi_slow)
 
     norm_u = float(np.linalg.norm(u_next))
     norm_v = float(np.linalg.norm(v))
@@ -186,7 +176,8 @@ def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
     if not (norm_u + norm_v <= model.explosion_bound):
         raise StateExplosionError(state.t + h_macro, norm_u, norm_v,
                                   model.explosion_bound)
-    return SlowFastState(u=u_next, v=v, t=state.t + h_macro), f1
+    return SlowFastState(u=u_next, v=v, t=state.t + h_macro,
+                         u_phys=mat @ u_next, v_phys=v_nodes[-1]), f1
 
 
 def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
@@ -194,7 +185,11 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
                       record_drift: bool = False,
                       h_macro: float | None = None) -> SlowFastTrajectory:
     """Run one trajectory over [0, horizon], recording the path at macro nodes
-    and the running integral of the audit functional V."""
+    and the running integral of the audit functional V.
+
+    Each stream's normals are drawn NOISE_CHUNK_STEPS macro steps at a time;
+    the streams are concatenation-consistent, so these are the draws of one
+    substep at a time."""
     h = h_macro if h_macro is not None else model.h_macro
     # A horizon shorter than one macro step yields the initial state only.
     n_steps = int(round(model.horizon / h))
@@ -204,6 +199,7 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
     fast_stream = derive_stream(master_seed, trajectory_id, "fast_noise")
 
     n = model.n_modes
+    grid = model.grid
     times = np.arange(n_steps + 1) * h
     u_path = np.empty((n_steps + 1, n))
     v_path = np.empty((n_steps + 1, n))
@@ -212,20 +208,27 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
     noise = np.empty((n_steps, n_sub, n)) if record_noise else None
     drifts = np.empty((n_steps, n)) if record_drift else None
 
-    state = SlowFastState(u=model.u0.copy(), v=model.v0.copy(), t=0.0)
+    state = SlowFastState(u=model.u0.copy(), v=model.v0.copy(), t=0.0,
+                          u_phys=synthesize(model.u0, grid),
+                          v_phys=synthesize(model.v0, grid))
     v_int = 0.0
     comp = 0.0
-    for i in range(n_steps):
-        v_int, comp = kahan_add(v_int, comp, h * eval_V(
-            synthesize(state.u, model.grid), synthesize(state.v, model.grid),
-            model.lyapunov, model.grid))
-        state, f1 = step_coupled(
-            state, model, h, slow_stream, fast_stream, plans=plans,
-            noise_record=noise[i] if noise is not None else None)
-        if drifts is not None:
-            drifts[i] = f1
-        u_path[i + 1] = state.u
-        v_path[i + 1] = state.v
+    for start in range(0, n_steps, NOISE_CHUNK_STEPS):
+        steps = min(NOISE_CHUNK_STEPS, n_steps - start)
+        xi_fast = fast_stream.normals(steps * n_sub * n).reshape(steps, n_sub, n)
+        xi_slow = slow_stream.normals(steps * n).reshape(steps, n)
+        if noise is not None:
+            noise[start:start + steps] = xi_fast
+        for k in range(steps):
+            i = start + k
+            v_int, comp = kahan_add(v_int, comp, h * eval_V(
+                state.u_phys, state.v_phys, model.lyapunov, grid))
+            state, f1 = step_coupled(state, model, h, xi_slow[k], xi_fast[k],
+                                     plans=plans)
+            if drifts is not None:
+                drifts[i] = f1
+            u_path[i + 1] = state.u
+            v_path[i + 1] = state.v
     return SlowFastTrajectory(
         times=times, u=u_path, v=v_path, v_integral=v_int, n_sub=n_sub,
         master_seed=master_seed, trajectory_id=trajectory_id, fast_noise=noise,
@@ -248,7 +251,8 @@ def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
     last block boundary, driven by the identical fast noise increments.
 
     The block length is snapped to a whole number of macro steps; each block
-    restarts from the true fast state at its left endpoint.
+    restarts from the true fast state at its left endpoint.  A replay that
+    turns non-finite raises StateExplosionError at the first such node.
     """
     if traj.fast_noise is None:
         raise InvalidParameterError(
@@ -256,27 +260,37 @@ def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
     n_steps = traj.times.size - 1
     h = float(traj.times[1] - traj.times[0])
     steps_per_block, delta_snapped = snap_block(plan.delta, h)
-    n_sub, _, plan_fast = _plans(model, h)
+    n_sub, _, plan_fast, _ = _plans(model, h)
     if n_sub != traj.n_sub:
         raise InvalidParameterError(
             "substep layout mismatch: trajectory is not replayable under this model")
 
     grid = model.grid
+    mat = grid.sine_matrix
     u_aux = np.empty_like(traj.u)
     v_aux = np.empty_like(traj.v)
-    u_aux[0] = traj.u[0]
     v_aux[0] = traj.v[0]
     for i in range(n_steps):
-        block_start = (i // steps_per_block) * steps_per_block
-        u_frozen_phys = synthesize(traj.u[block_start], grid)
-        if i == block_start:
-            v = traj.v[block_start].copy()
+        if i % steps_per_block == 0:
+            # The path's states passed its explosion guard, so are finite.
+            u_frozen_phys = mat @ traj.u[i]
+            v = traj.v[i].copy()
+            v_phys = mat @ v
         for j in range(n_sub):
-            v = fast_substep(v, u_frozen_phys, model.reaction_fast, grid,
-                             plan_fast, traj.fast_noise[i, j])
-        u_aux[i + 1] = traj.u[block_start]
+            v, v_phys = fast_substep(v, v_phys, u_frozen_phys,
+                                     model.reaction_fast, grid, plan_fast,
+                                     traj.fast_noise[i, j])
         v_aux[i + 1] = v
-    # Node 0 of each block holds the snapshot value itself.
+    finite = np.isfinite(v_aux).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        block_start = ((first - 1) // steps_per_block) * steps_per_block
+        raise StateExplosionError(float(traj.times[first]),
+                                  float(np.linalg.norm(traj.u[block_start])),
+                                  float(np.linalg.norm(v_aux[first])),
+                                  model.explosion_bound,
+                                  where=" in the block-frozen replay")
+    # Node i holds the snapshot at the start of its block.
     for i in range(n_steps + 1):
         block_start = min((i // steps_per_block) * steps_per_block, n_steps)
         u_aux[i] = traj.u[block_start]

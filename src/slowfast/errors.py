@@ -16,12 +16,13 @@ class ConfigurationRejectedError(ValueError):
 class StateExplosionError(RuntimeError):
     """A trajectory breached the explosion guard ``|u| + |v| <= bound``."""
 
-    def __init__(self, t: float, norm_u: float, norm_v: float, bound: float):
+    def __init__(self, t: float, norm_u: float, norm_v: float, bound: float,
+                 where: str = ""):
         self.t = t
         self.norm_u = norm_u
         self.norm_v = norm_v
         self.bound = bound
         super().__init__(
-            f"state explosion at t={t:g}: |u|={norm_u:.3e}, |v|={norm_v:.3e} "
-            f"exceeds guard {bound:.3e}"
+            f"state explosion{where} at t={t:g}: |u|={norm_u:.3e}, "
+            f"|v|={norm_v:.3e} exceeds guard {bound:.3e}"
         )

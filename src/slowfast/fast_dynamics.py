@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, StateExplosionError
 from .noise import OUStepPlan, RngStream, derive_stream, make_plan
 from .reactions import ReactionSpec, eval_g, validate_dissipativity
-from .spectral import (GridSpec, SpectralOperator, analyze, as_modal_field,
+from .spectral import (GridSpec, SpectralOperator, as_modal_field,
                        kahan_add, synthesize)
 
 __all__ = [
@@ -84,14 +84,28 @@ class InvariantAverageEstimate:
     n_replicas: int
 
 
-def fast_substep(v: np.ndarray, drive_phys: np.ndarray, reaction: ReactionSpec,
-                 grid: GridSpec, plan: OUStepPlan, xi: np.ndarray) -> np.ndarray:
-    """One exact-OU step of the fast field driven by the nodal slow field
-    drive_phys, with the reaction g(drive, v) frozen over the step and the
-    standard normals xi as its noise."""
-    forcing = analyze(eval_g(reaction, 0.0, grid.nodes, drive_phys,
-                             synthesize(v, grid)), grid)
-    return plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
+def fast_substep(v: np.ndarray, v_phys: np.ndarray, drive_phys: np.ndarray,
+                 reaction: ReactionSpec, grid: GridSpec, plan: OUStepPlan,
+                 xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One exact-OU step of the fast field v, with nodal values v_phys,
+    driven by the nodal slow field drive_phys: the reaction g(drive, v) is
+    frozen over the step and the standard normals xi are its noise.
+    Returns the new modal field and its nodal values.
+
+    v may be one field or an (R, N) block.  The transforms are those of
+    analyze/synthesize without their checks, so a non-finite field passes
+    through; callers check at their step boundary.
+    """
+    mat = grid.sine_matrix
+    g = eval_g(reaction, 0.0, grid.nodes, drive_phys, v_phys)
+    if v.ndim == 1:
+        forcing = grid.quad_weight * (mat.T @ g)
+        v = plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
+        return v, mat @ v
+    # Stacked matrix-vector products: each row is bit-equal to the 1-D form.
+    forcing = grid.quad_weight * np.matmul(mat.T, g[..., None])[..., 0]
+    v = plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
+    return v, np.matmul(mat, v[..., None])[..., 0]
 
 
 def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
@@ -103,8 +117,8 @@ def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
     if x_phys is None:
         x_phys = synthesize(cfg.x, cfg.grid)
     v = as_modal_field(v, cfg.grid.n_modes)
-    return fast_substep(v, x_phys, cfg.reaction_fast, cfg.grid, plan,
-                        stream.normals(cfg.grid.n_modes))
+    return fast_substep(v, synthesize(v, cfg.grid), x_phys, cfg.reaction_fast,
+                        cfg.grid, plan, stream.normals(cfg.grid.n_modes))[0]
 
 
 def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
@@ -116,7 +130,8 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
     only from streams[r], in chunks of DRAW_CHUNK_STEPS steps; the streams
     are concatenation-consistent, so these are the draws of one step at a
     time.  The observable maps the nodal (R, M) block to (R,) or (R, K)
-    values.
+    values.  A replica whose field turns non-finite raises
+    StateExplosionError at the end of its draw chunk.
     """
     n_burn = int(round(cfg.t_burn / cfg.h))
     n_avg = N_BATCHES * max(1, int(math.ceil(cfg.t_avg / (N_BATCHES * cfg.h))))
@@ -125,6 +140,7 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
     n_rep = len(streams)
 
     v = np.zeros((n_rep, n_modes))
+    v_phys = np.zeros((n_rep, cfg.grid.n_quad))
     batches = []
     acc = comp = None
     n_total = n_burn + n_avg
@@ -133,11 +149,12 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
         xi = np.stack([s.normals(steps * n_modes).reshape(steps, n_modes)
                        for s in streams], axis=1)
         for j in range(steps):
-            v = fast_substep(v, x_phys, cfg.reaction_fast, cfg.grid, plan, xi[j])
+            v, v_phys = fast_substep(v, v_phys, x_phys, cfg.reaction_fast,
+                                     cfg.grid, plan, xi[j])
             i = start + j - n_burn
             if i < 0:
                 continue
-            value = np.asarray(observable(synthesize(v, cfg.grid)), dtype=float)
+            value = np.asarray(observable(v_phys), dtype=float)
             if acc is None:
                 if value.ndim not in (1, 2) or value.shape[0] != n_rep:
                     raise InvalidParameterError(
@@ -151,6 +168,14 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
             if (i + 1) % batch_len == 0:
                 batches.append(acc / batch_len)
                 acc = comp = np.zeros_like(value)
+        # A non-finite field stays non-finite, so one check per chunk finds
+        # it before any batch of it is returned.
+        if not np.isfinite(v).all():
+            bad = int(np.argmin(np.isfinite(v).all(axis=1)))
+            raise StateExplosionError(
+                (start + steps) * cfg.h, float(np.linalg.norm(cfg.x)),
+                float(np.linalg.norm(v[bad])), math.inf,
+                where=f" in frozen-fast replica {bad}")
     return np.stack(batches, axis=1)
 
 
@@ -236,14 +261,23 @@ def _coupled_pair_run(cfg: FrozenFastConfig, v1, v2, x1, x2, t_max,
     n_steps = max(2, int(round(t_max / cfg.h)))
     v1 = as_modal_field(v1, cfg.grid.n_modes).copy()
     v2 = as_modal_field(v2, cfg.grid.n_modes).copy()
+    v1_phys = synthesize(v1, cfg.grid)
+    v2_phys = synthesize(v2, cfg.grid)
     times = np.empty(n_steps)
     dists = np.empty(n_steps)
     for i in range(n_steps):
         xi = stream.normals(cfg.grid.n_modes)
-        v1 = fast_substep(v1, x1_phys, cfg.reaction_fast, cfg.grid, plan, xi)
-        v2 = fast_substep(v2, x2_phys, cfg.reaction_fast, cfg.grid, plan, xi)
+        v1, v1_phys = fast_substep(v1, v1_phys, x1_phys, cfg.reaction_fast,
+                                   cfg.grid, plan, xi)
+        v2, v2_phys = fast_substep(v2, v2_phys, x2_phys, cfg.reaction_fast,
+                                   cfg.grid, plan, xi)
         times[i] = (i + 1) * cfg.h
         dists[i] = np.linalg.norm(v1 - v2)
+    if not np.isfinite(dists).all():
+        first = int(np.argmin(np.isfinite(dists)))
+        raise StateExplosionError(times[first], float(np.linalg.norm(x1)),
+                                  float(dists[first]), math.inf,
+                                  where=" in a coupled frozen-fast pair")
     return times, dists
 
 

@@ -220,9 +220,10 @@ def _coupled_paths(master_seed: int, paths: tuple, ladder: tuple,
     """Simulate each ((eps, theta), model, statistics) entry of paths once
     for one trajectory id, recording fast noise only for the block-frozen
     replay.  Returns {"paths": {key: record}, "ladder": distances}: a record
-    holds "censored" and "t_explosion", or the terminal slow state, the V
-    integral and the statistics' values; the distances are the sup-in-time
-    gaps between consecutive paths of the theta ladder (None if one exploded).
+    holds "censored" and "t_explosion" when the path or any of its
+    statistics exploded, else the terminal slow state, the V integral and
+    the statistics' values; the distances are the sup-in-time gaps between
+    consecutive paths of the theta ladder (None if one was censored).
     """
     records = {}
     ladder_u = {}
@@ -232,13 +233,15 @@ def _coupled_paths(master_seed: int, paths: tuple, ladder: tuple,
             traj = simulate_slowfast(model, master_seed, trajectory_id,
                                      record_noise=_khasminskii_stat in funcs,
                                      record_drift=_discrepancy_stat in funcs)
+            record = {"censored": False, "terminal_u": traj.u[-1].copy(),
+                      "v_integral": traj.v_integral}
+            for stat in stats:
+                record.update(stat(traj, model))
         except StateExplosionError as exc:
+            # Censored whether the path or one of its statistics (the
+            # averaged drift, the block-frozen replay) exploded.
             records[key] = {"censored": True, "t_explosion": exc.t}
             continue
-        record = {"censored": False, "terminal_u": traj.u[-1].copy(),
-                  "v_integral": traj.v_integral}
-        for stat in stats:
-            record.update(stat(traj, model))
         records[key] = record
         if key in ladder:
             ladder_u[key] = traj.u

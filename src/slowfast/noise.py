@@ -58,9 +58,14 @@ class RngStream:
     def normals(self, n: int) -> np.ndarray:
         """Draw n standard normals via the fixed inverse-CDF construction."""
         raw = self._gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
-        u = (2.0 * raw.astype(float) + 1.0) * 2.0 ** -54
+        # (2 raw + 1) * 2^-54, in place so a large chunk of draws makes no
+        # further temporaries.
+        u = raw.astype(float)
+        u *= 2.0
+        u += 1.0
+        u *= 2.0 ** -54
         self.counter += n
-        return ndtri(u)
+        return ndtri(u, out=u)
 
     def fresh_copy(self) -> "RngStream":
         """Same identity restarted at draw 0; replays the identical sequence."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,13 +69,20 @@ class GridSpec:
                 f"n_quad >= 2*n_modes={2 * self.n_modes}"
             )
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
         return _grid_nodes(self.n_quad, self.length)
 
-    @property
+    @cached_property
     def quad_weight(self) -> float:
         return self.length / (self.n_quad + 1)
+
+    @cached_property
+    def sine_matrix(self) -> np.ndarray:
+        """(M, N) basis values at the nodes.  synthesize applies it, analyze
+        its transpose times quad_weight; hot loops apply it directly, with
+        the same operations and no checks."""
+        return _sine_matrix(self.n_modes, self.n_quad, self.length)
 
 
 @lru_cache(maxsize=32)
@@ -197,7 +204,7 @@ def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
             f"got shape {f.shape}")
     if not np.isfinite(f).all():
         raise InvalidParameterError("modal field contains non-finite coefficients")
-    mat = _sine_matrix(grid.n_modes, grid.n_quad, grid.length)
+    mat = grid.sine_matrix
     if f.ndim == 1:
         return mat @ f
     # Stacked matrix-vector products: each row is bit-equal to the 1-D call.
@@ -212,7 +219,7 @@ def analyze(values: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise InvalidParameterError(
             f"expected {grid.n_quad} nodal values on the last axis, "
             f"got shape {v.shape}")
-    mat_t = _sine_matrix(grid.n_modes, grid.n_quad, grid.length).T
+    mat_t = grid.sine_matrix.T
     if v.ndim == 1:
         return grid.quad_weight * (mat_t @ v)
     return grid.quad_weight * np.matmul(mat_t, v[..., None])[..., 0]

@@ -1,7 +1,9 @@
 import copy
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from slowfast import ConfigurationRejectedError
@@ -278,6 +280,38 @@ class TestCli:
         snapped = [r for r in rows if ",delta_snapped," in r]
         assert len(snapped) == 2
         assert all(r.endswith(",0,8") for r in snapped)
+
+    def test_fbar_explosion_is_censored(self, tmp_path):
+        # The averaged drift's own guard (x_norm_bound) trips at |u0| = 1:
+        # each path is censored by its statistic, not ended in a traceback.
+        with open(os.path.join("configs", "cubic_rough.json")) as fh:
+            raw = json.load(fh)
+        raw["model"]["horizon"] = 0.05
+        raw["experiment"]["ensemble_size"] = 2
+        raw["averaging"]["x_norm_bound"] = 0.5
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "c"
+        assert main(["converge", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 3
+        with open(out / "converge.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["epsilon"]]
+        assert len(rows) == 3 * 5  # 3 eps x (2 observables x 2 + 1 D row)
+        assert all((r["n"], r["censored_count"]) == ("0", "2") for r in rows)
+
+    @pytest.mark.parametrize("command", ["average", "invariant"])
+    def test_non_finite_replica_exit_code(self, tmp_path, monkeypatch, capsys,
+                                          command):
+        import slowfast.fast_dynamics as fast_dynamics
+
+        def nan_g(spec, t, xi, rho, sigma):
+            return np.full(np.shape(sigma), np.nan)
+        monkeypatch.setattr(fast_dynamics, "eval_g", nan_g)
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "frozen-fast replica" in err[0]
+        assert not (out / f"{command}.csv").exists()
 
     def test_rfc4180_line_endings(self, tmp_path):
         path = write_config(tmp_path, BASE)

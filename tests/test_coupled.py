@@ -7,9 +7,12 @@ from scipy.linalg import expm
 from scipy.stats import linregress
 
 from slowfast import (InvalidParameterError, KhasminskiiPlan,
-                      StateExplosionError, auxiliary_error_stats,
-                      build_auxiliary, compute_rho0, khasminskii_delta,
-                      make_fast_reaction, make_slow_reaction, simulate_slowfast)
+                      StateExplosionError, analyze, auxiliary_error_stats,
+                      build_auxiliary, compute_rho0, derive_stream, eval_g,
+                      eval_V, khasminskii_delta, make_fast_reaction, make_plan,
+                      make_slow_reaction, nemytskii_drift, simulate_slowfast,
+                      synthesize)
+from slowfast.spectral import kahan_add
 
 from conftest import cubic_model, linear_model, unit_field
 
@@ -179,6 +182,138 @@ class TestCoupledStep:
         u1 = simulate_slowfast(model.with_epsilon(1.0), 5, 0).u
         u2 = simulate_slowfast(model.with_epsilon(0.5), 5, 0).u
         assert not np.array_equal(u1, u2)
+
+
+def _reference_substep(v, u_phys, model, plan, xi):
+    grid = model.grid
+    forcing = analyze(eval_g(model.reaction_fast, 0.0, grid.nodes, u_phys,
+                             synthesize(v, grid)), grid)
+    return plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
+
+
+def _reference_path(model, seed, trajectory_id):
+    """The arithmetic the coupled kernel must reproduce bit for bit: checked
+    public transforms, one normals(N) call per substep and per slow step,
+    and the trapezoid slow drift as a running sum over the substeps."""
+    grid = model.grid
+    n = grid.n_modes
+    h = model.h_macro
+    n_steps = int(round(model.horizon / h))
+    n_sub = max(1, math.ceil(h / (model.substep_ratio * model.epsilon)))
+    plan_slow = make_plan(model.op1, h, 1.0)
+    plan_fast = make_plan(model.op2, h / n_sub, model.epsilon)
+    slow = derive_stream(seed, trajectory_id, "slow_noise")
+    fast = derive_stream(seed, trajectory_id, "fast_noise")
+    theta = model.theta if model.theta > 0 else None
+    u, v, t = model.u0.copy(), model.v0.copy(), 0.0
+    us, vs, drifts, noise = [u], [v], [], []
+    v_int = comp = 0.0
+    for _ in range(n_steps):
+        u_phys = synthesize(u, grid)
+        v_int, comp = kahan_add(v_int, comp, h * eval_V(
+            u_phys, synthesize(v, grid), model.lyapunov, grid))
+        f1_phys = (0.5 / n_sub) * nemytskii_drift(
+            model.reaction_slow, theta, t, u_phys, synthesize(v, grid), grid)
+        step_noise = []
+        for j in range(n_sub):
+            xi = fast.normals(n)
+            step_noise.append(xi)
+            v = _reference_substep(v, u_phys, model, plan_fast, xi)
+            weight = 0.5 / n_sub if j == n_sub - 1 else 1.0 / n_sub
+            f1_phys = f1_phys + weight * nemytskii_drift(
+                model.reaction_slow, theta, t, u_phys, synthesize(v, grid), grid)
+        f1 = analyze(f1_phys, grid)
+        u = (plan_slow.decay * u + plan_slow.drift_weight * f1
+             + plan_slow.noise_std * slow.normals(n))
+        t = t + h
+        us.append(u)
+        vs.append(v)
+        drifts.append(f1)
+        noise.append(np.stack(step_noise))
+    return (np.stack(us), np.stack(vs), np.stack(drifts), np.stack(noise),
+            v_int)
+
+
+def _reference_replay(traj, model, steps_per_block):
+    grid = model.grid
+    h = model.h_macro
+    plan_fast = make_plan(model.op2, h / traj.n_sub, model.epsilon)
+    v_aux = [traj.v[0]]
+    for i in range(traj.times.size - 1):
+        block_start = (i // steps_per_block) * steps_per_block
+        u_frozen = synthesize(traj.u[block_start], grid)
+        if i == block_start:
+            v = traj.v[block_start].copy()
+        for j in range(traj.n_sub):
+            v = _reference_substep(v, u_frozen, model, plan_fast,
+                                   traj.fast_noise[i, j])
+        v_aux.append(v)
+    return np.stack(v_aux)
+
+
+KERNEL_MODELS = {
+    "linear": lambda eps: linear_model(eps=eps, lam_slow=0.02, lam_fast=0.2,
+                                       horizon=0.7),
+    "cubic": lambda eps: cubic_model(eps=eps, theta=0.01, horizon=0.7),
+}
+
+
+class TestKernelBitIdentity:
+    # eps = 0.1, 0.02, 0.004 give n_sub = 1, 3, 13 at h_macro = 0.01; 70
+    # macro steps cross a noise-chunk boundary.
+    @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
+    @pytest.mark.parametrize("eps,n_sub", [(0.1, 1), (0.02, 3), (0.004, 13)])
+    def test_path_matches_reference(self, kind, eps, n_sub):
+        model = KERNEL_MODELS[kind](eps)
+        traj = simulate_slowfast(model, 41, 2, record_noise=True,
+                                 record_drift=True)
+        assert traj.n_sub == n_sub
+        u, v, drifts, noise, v_int = _reference_path(model, 41, 2)
+        assert np.array_equal(traj.u, u)
+        assert np.array_equal(traj.v, v)
+        assert np.array_equal(traj.slow_drift, drifts)
+        assert np.array_equal(traj.fast_noise, noise)
+        assert traj.v_integral == v_int
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
+    def test_replay_matches_reference(self, kind):
+        model = KERNEL_MODELS[kind](0.02)
+        traj = simulate_slowfast(model, 43, 1, record_noise=True)
+        aux = build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=14),
+                              model)
+        assert aux.steps_per_block == 5
+        assert np.array_equal(aux.v_aux, _reference_replay(traj, model, 5))
+
+    def test_noise_chunking_does_not_change_paths(self, monkeypatch):
+        import slowfast.coupled as coupled
+        model = KERNEL_MODELS["cubic"](0.02)
+
+        def run():
+            return simulate_slowfast(model, 47, 3, record_noise=True,
+                                     record_drift=True)
+        default = run()
+        for chunk in (1, 7):
+            monkeypatch.setattr(coupled, "NOISE_CHUNK_STEPS", chunk)
+            other = run()
+            for field in ("u", "v", "slow_drift", "fast_noise"):
+                assert np.array_equal(getattr(other, field),
+                                      getattr(default, field)), (chunk, field)
+            assert other.v_integral == default.v_integral
+
+    def test_non_finite_replay_raises(self, monkeypatch):
+        # The replay has no guard of its own inside the substeps; a field
+        # that turns non-finite is reported at its first node.
+        import slowfast.fast_dynamics as fast_dynamics
+        model = KERNEL_MODELS["linear"](0.1)
+        traj = simulate_slowfast(model, 5, 0, record_noise=True)
+
+        def nan_g(spec, t, xi, rho, sigma):
+            return np.full(np.shape(sigma), np.nan)
+        monkeypatch.setattr(fast_dynamics, "eval_g", nan_g)
+        with pytest.raises(StateExplosionError, match="replay") as info:
+            build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=14),
+                            model)
+        assert info.value.t == pytest.approx(0.01)
 
 
 class TestFastMoments:

@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import linregress
 
 from slowfast import (FrozenFastConfig, GridSpec, InvalidParameterError,
-                      SpectralOperator, contraction_diagnostic,
+                      SpectralOperator, StateExplosionError,
+                      contraction_diagnostic,
                       estimate_invariant_average, frozen_lipschitz_in_x,
                       invariant_moment_check, make_fast_reaction, make_plan,
                       step_frozen_fast)
@@ -220,6 +221,21 @@ class TestInvariantAverage:
         monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_STEPS", 7)
         assert np.array_equal(run(), default)
 
+    def test_non_finite_replica_raises(self, monkeypatch):
+        # A NaN from g must never be pooled: the kernel raises, naming the
+        # replica whose field went non-finite.
+        import slowfast.fast_dynamics as fast_dynamics
+        real_g = fast_dynamics.eval_g
+
+        def nan_in_replica_1(spec, t, xi, rho, sigma):
+            g = np.array(real_g(spec, t, xi, rho, sigma))
+            g[1] = np.nan
+            return g
+        monkeypatch.setattr(fast_dynamics, "eval_g", nan_in_replica_1)
+        with pytest.raises(StateExplosionError, match="frozen-fast replica 1"):
+            estimate_invariant_average(frozen_cfg(t_avg=0.2, n_replicas=3),
+                                       lambda v_phys: v_phys[:, 0])
+
     def test_per_vector_observable_rejected(self):
         # An observable written for one nodal vector would silently pool
         # all replicas into one number; the kernel refuses it.
@@ -279,6 +295,17 @@ class TestContraction:
         cfg = frozen_cfg()
         with pytest.raises(InvalidParameterError):
             contraction_diagnostic(cfg, unit_field(N), unit_field(N))
+
+    def test_non_finite_chain_raises(self, monkeypatch):
+        # NaN distances would silently drop out of the decay fit.
+        import slowfast.fast_dynamics as fast_dynamics
+
+        def nan_g(spec, t, xi, rho, sigma):
+            return np.full(np.shape(sigma), np.nan)
+        monkeypatch.setattr(fast_dynamics, "eval_g", nan_g)
+        with pytest.raises(StateExplosionError, match="frozen-fast pair"):
+            contraction_diagnostic(frozen_cfg(), unit_field(N), np.zeros(N),
+                                   t_max=0.1)
 
 
 class TestLipschitzInX:
