@@ -1,16 +1,15 @@
 """Averaged slow drift, the averaged slow equation, and its oracles.
 
 The averaged drift at slow state x is the stationary expectation of the
-slow Nemytskii drift against the law of the frozen fast field:
-Fbar(t, x) = E_mu^x [ analyze(b(t, x(.), y(.))) ].  It is estimated by
-nested frozen-fast simulation; for the linear benchmark (b = lam,
-g = a_c*rho - b_c*sigma) the stationary law is Gaussian with mean
+slow Nemytskii drift, truncated at model.theta, against the law of the
+frozen fast field: Fbar(t, x) = E_mu^x [ analyze(b_theta(t, x(.), y(.))) ].
+It is estimated by nested frozen-fast simulation; for the linear benchmark
+(b = lam, g = a_c*rho - b_c*sigma) the stationary law is Gaussian with mean
 a_c x_k / (alpha_{2,k} + b_c), which gives a closed-form oracle.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from .spectral import analyze, as_modal_field, synthesize
 __all__ = [
     "AveragedDriftParams",
     "AveragedState",
-    "FbarEstimator",
     "estimate_Fbar",
     "analytic_Fbar_linear",
     "averaged_mean_rates",
@@ -44,15 +42,11 @@ class AveragedDriftParams:
     t_burn: float
     t_avg: float
     n_replicas: int = 4
-    cache_quantum: float = 1e-3   # slow-state rounding for drift caching
-    theta: float = 0.0            # truncation applied to b inside the estimator
     x_norm_bound: float = 1e3
 
     def __post_init__(self):
         if self.h_fast <= 0 or self.t_avg <= 0:
             raise InvalidParameterError("h_fast and t_avg must be positive")
-        if self.cache_quantum <= 0:
-            raise InvalidParameterError("cache_quantum must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,69 +55,41 @@ class AveragedState:
     t: float
 
 
-class FbarEstimator:
-    """Nested Monte Carlo estimator of the averaged drift with caching.
-
-    Estimates are deterministic in the quantized slow state: the nested
-    stream is derived from (master_seed, hash of the quantized state), so a
-    cache hit and a recomputation return bit-identical values.
-    """
-
-    def __init__(self, model: ModelSpec, params: AveragedDriftParams,
-                 master_seed: int = 0):
-        self.model = model
-        self.params = params
-        self.master_seed = master_seed
-        self.cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _key(self, x: np.ndarray) -> tuple:
-        q = self.params.cache_quantum
-        return tuple(int(round(c / q)) for c in x)
-
-    def _nested_seed_id(self, key: tuple) -> int:
-        digest = hashlib.blake2b(repr(key).encode(), digest_size=4).digest()
-        return int.from_bytes(digest, "big")
-
-    def estimate(self, t: float, x) -> tuple[np.ndarray, np.ndarray]:
-        model = self.model
-        x = as_modal_field(x, model.n_modes)
-        x_norm = float(np.linalg.norm(x))
-        if x_norm > self.params.x_norm_bound:
-            raise StateExplosionError(t, x_norm, 0.0, self.params.x_norm_bound)
-        key = self._key(x)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        x_quantized = np.array(key, dtype=float) * self.params.cache_quantum
-        x_phys = synthesize(x_quantized, model.grid)
-        theta = self.params.theta if self.params.theta > 0 else None
-
-        def drift_observable(v_phys):
-            # (R, M) nodal replicas -> (R, N) modal drifts.
-            return analyze(
-                nemytskii_drift(model.reaction_slow, theta, t, x_phys, v_phys,
-                                model.grid),
-                model.grid)
-
-        cfg = FrozenFastConfig(
-            x=x_quantized, op2=model.op2, reaction_fast=model.reaction_fast,
-            grid=model.grid, h=self.params.h_fast, t_burn=self.params.t_burn,
-            t_avg=self.params.t_avg, n_replicas=self.params.n_replicas,
-        )
-        est = estimate_invariant_average(
-            cfg, drift_observable,
-            master_seed=self.master_seed + self._nested_seed_id(key),
-        )
-        result = (np.asarray(est.mean, dtype=float),
-                  np.asarray(est.std_error, dtype=float))
-        self.cache[key] = result
-        return result
-
-
 def estimate_Fbar(t: float, x, params: AveragedDriftParams, model: ModelSpec,
-                  master_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot averaged-drift estimate (mean field, std-error field)."""
-    return FbarEstimator(model, params, master_seed).estimate(t, x)
+                  master_seed: int = 0, trajectory_id: int = 0
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Nested Monte Carlo estimate of the averaged drift at (t, x): the
+    mean field and its std-error field.
+
+    The slow reaction is truncated at model.theta, as on the coupled path.
+    Replica r draws from the stream with spawn key (frozen_fast_noise, r,
+    trajectory_id, step), step = round(t / model.h_macro), so an estimate is
+    a function of (master_seed, trajectory_id, step, x) alone.
+    """
+    x = as_modal_field(x, model.n_modes)
+    x_norm = float(np.linalg.norm(x))
+    if x_norm > params.x_norm_bound:
+        raise StateExplosionError(t, x_norm, 0.0, params.x_norm_bound)
+    x_phys = synthesize(x, model.grid)
+    theta = model.theta if model.theta > 0 else None
+
+    def drift_observable(v_phys):
+        # (R, M) nodal replicas -> (R, N) modal drifts.
+        return analyze(
+            nemytskii_drift(model.reaction_slow, theta, t, x_phys, v_phys,
+                            model.grid),
+            model.grid)
+
+    cfg = FrozenFastConfig(
+        x=x, op2=model.op2, reaction_fast=model.reaction_fast,
+        grid=model.grid, h=params.h_fast, t_burn=params.t_burn,
+        t_avg=params.t_avg, n_replicas=params.n_replicas,
+    )
+    step = int(round(t / model.h_macro))
+    est = estimate_invariant_average(cfg, drift_observable, master_seed,
+                                     key=(trajectory_id, step))
+    return (np.asarray(est.mean, dtype=float),
+            np.asarray(est.std_error, dtype=float))
 
 
 def analytic_Fbar_linear(model: ModelSpec, t: float, x) -> np.ndarray:
@@ -174,10 +140,11 @@ def step_averaged(state: AveragedState, model: ModelSpec, drift_fn, h: float,
 
 
 def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
-                  master_seed: int = 0, mode: str = "auto"):
+                  master_seed: int = 0, mode: str = "auto",
+                  trajectory_id: int = 0):
     """Averaged-drift callable: analytic oracle for the linear benchmark,
     slow-only evaluation when b ignores the fast variable, nested estimator
-    otherwise."""
+    (estimate_Fbar, keyed by trajectory_id) otherwise."""
     if mode == "auto":
         if model.is_linear_benchmark:
             mode = "oracle"
@@ -206,8 +173,11 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
     if mode == "estimator":
         if params is None:
             raise InvalidParameterError("estimator drift mode requires params")
-        estimator = FbarEstimator(model, params, master_seed)
-        return estimator.estimate
+
+        def fn(t, u):
+            return estimate_Fbar(t, u, params, model, master_seed,
+                                 trajectory_id)
+        return fn
     raise InvalidParameterError(f"unknown drift mode {mode!r}")
 
 

@@ -231,14 +231,12 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     avg = dict(raw.get("averaging", {}))
     _require_keys(avg, "averaging",
                   (), ("h_fast", "t_burn", "t_avg", "n_replicas",
-                       "cache_quantum", "theta", "x_norm_bound"))
+                       "x_norm_bound"))
     averaging = AveragedDriftParams(
         h_fast=float(avg.get("h_fast", 0.01)),
         t_burn=float(avg.get("t_burn", 10.0 / omega)),
         t_avg=float(avg.get("t_avg", 50.0 / omega)),
         n_replicas=int(avg.get("n_replicas", 8)),
-        cache_quantum=float(avg.get("cache_quantum", 1e-3)),
-        theta=float(avg.get("theta", 0.0)),
         x_norm_bound=float(avg.get("x_norm_bound", 1e3)),
     )
 
@@ -321,8 +319,6 @@ def _canonical_dict(raw: dict, cfg: ExperimentConfig) -> dict:
             "t_burn": cfg.averaging.t_burn,
             "t_avg": cfg.averaging.t_avg,
             "n_replicas": cfg.averaging.n_replicas,
-            "cache_quantum": cfg.averaging.cache_quantum,
-            "theta": cfg.averaging.theta,
             "x_norm_bound": cfg.averaging.x_norm_bound,
         },
     }

@@ -181,8 +181,8 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
 
 def estimate_invariant_average(cfg: FrozenFastConfig, observable,
                                master_seed: int = 0,
-                               role: str = "frozen_fast_noise"
-                               ) -> InvariantAverageEstimate:
+                               role: str = "frozen_fast_noise",
+                               key: tuple = ()) -> InvariantAverageEstimate:
     """Time average of observable(v_phys) over [t_burn, t_burn + t_avg].
 
     The observable is called on the nodal values of all cfg.n_replicas
@@ -190,12 +190,13 @@ def estimate_invariant_average(cfg: FrozenFastConfig, observable,
     replica, shape (R,), or one vector per replica, shape (R, K); any other
     shape raises InvalidParameterError.  The mean is a float or a
     (K,) array accordingly.  Replicas use independent streams derived from
-    (master_seed, replica, role).  The standard error comes from the spread
-    of the per-batch means and shrinks like 1/sqrt(n_replicas * t_avg).
+    (master_seed, replica, role) and the trailing key.  The standard error
+    comes from the spread of the per-batch means and shrinks like
+    1/sqrt(n_replicas * t_avg).
     """
     plan = make_plan(cfg.op2, cfg.h, 1.0)
     x_phys = synthesize(cfg.x, cfg.grid)
-    streams = [derive_stream(master_seed, replica, role)
+    streams = [derive_stream(master_seed, replica, role, key)
                for replica in range(cfg.n_replicas)]
     batches = _run_replicas(cfg, observable, streams, plan, x_phys)
     # Replica-major rows: the pooled mean and std sum the batches in this order.

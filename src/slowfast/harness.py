@@ -25,8 +25,8 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .averaging import (FbarEstimator, analytic_Fbar_linear,
-                        averaged_mean_rates, make_drift_fn, simulate_averaged)
+from .averaging import (analytic_Fbar_linear, averaged_mean_rates,
+                        estimate_Fbar, make_drift_fn, simulate_averaged)
 from .config import ExperimentConfig, config_hash
 from .coupled import (KhasminskiiPlan, SlowFastTrajectory,
                       block_freezing_errors, build_auxiliary, compute_rho0,
@@ -131,12 +131,13 @@ def _moment_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
     vbar_proxy = 0.0
     comp = 0.0
     q_bar = lyap.q_bar
+    # (n_nodes, M) nodal blocks; each row is bit-equal to a 1-D synthesize.
+    u_phys = synthesize(traj.u, grid)
+    v_phys = synthesize(traj.v, grid)
     for i in range(traj.times.size):
-        u_phys = synthesize(traj.u[i], grid)
-        v_phys = synthesize(traj.v[i], grid)
-        u_term = lp_norm(u_phys, grid, 4.0 * lyap.m1) ** (4.0 * lyap.m1)
+        u_term = lp_norm(u_phys[i], grid, 4.0 * lyap.m1) ** (4.0 * lyap.m1)
         sup_u = max(sup_u, u_term)
-        sup_v = max(sup_v, lp_norm(v_phys, grid, q_bar) ** q_bar)
+        sup_v = max(sup_v, lp_norm(v_phys[i], grid, q_bar) ** q_bar)
         if i < traj.times.size - 1:
             vbar_proxy, comp = kahan_add(vbar_proxy, comp,
                                          h * lyap.c_V * (1.0 + u_term))
@@ -183,8 +184,10 @@ def _discrepancy_stat(traj: SlowFastTrajectory, model: ModelSpec,
 
     Uses the recorded per-step slow-drift integrand (averaged along the fast
     substep path) so the quadrature resolves the fast relaxation layer; the
-    averaged drift is evaluated at the macro nodes where u moves O(h)."""
-    fbar = make_drift_fn(model, averaging, master_seed)
+    averaged drift is evaluated at the macro nodes where u moves O(h), with
+    the path's trajectory id keying its nested streams."""
+    fbar = make_drift_fn(model, averaging, master_seed,
+                         trajectory_id=traj.trajectory_id)
     h = float(traj.times[1] - traj.times[0])
     n = model.n_modes
     sums = [0.0] * len(test_functions)
@@ -549,8 +552,8 @@ def pooled_fbar_estimate(cfg: ExperimentConfig):
     """Averaged-drift estimate at x = u0 with per-mode standard errors and
     the analytic oracle where available."""
     model = cfg.model
-    mean, se = FbarEstimator(model, cfg.averaging,
-                             cfg.master_seed).estimate(0.0, model.u0)
+    mean, se = estimate_Fbar(0.0, model.u0, cfg.averaging, model,
+                             cfg.master_seed)
     analytic = (analytic_Fbar_linear(model, 0.0, model.u0)
                 if model.is_linear_benchmark else None)
     return mean, se, analytic

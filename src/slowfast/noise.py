@@ -1,7 +1,8 @@
 """Q-Wiener increments and exact per-mode Ornstein-Uhlenbeck updates.
 
 Every random stream is a Philox counter-based generator keyed by
-(master_seed, trajectory_id, role), so identical identities reproduce
+(master_seed, trajectory_id, role) plus an optional trailing key of
+nonnegative integers, so identical identities reproduce
 identical draw sequences regardless of scheduling or worker count, and
 distinct trajectory ids or roles give statistically independent streams.
 
@@ -36,22 +37,32 @@ ROLES = ("slow_noise", "fast_noise", "frozen_fast_noise", "auxiliary")
 
 
 class RngStream:
-    """Counter-based Gaussian stream owned by one (trajectory, role) pair."""
+    """Counter-based Gaussian stream owned by one (trajectory, role) pair.
 
-    __slots__ = ("master_seed", "trajectory_id", "role", "counter", "_gen")
+    The SeedSequence spawn key is (role index, trajectory_id) followed by
+    key, so an empty key gives the two-part stream and distinct keys give
+    independent streams.
+    """
 
-    def __init__(self, master_seed: int, trajectory_id: int, role: str):
+    __slots__ = ("master_seed", "trajectory_id", "role", "key", "counter",
+                 "_gen")
+
+    def __init__(self, master_seed: int, trajectory_id: int, role: str,
+                 key: tuple = ()):
         if role not in ROLES:
             raise InvalidParameterError(f"unknown role {role!r}, expected one of {ROLES}")
-        if master_seed < 0 or trajectory_id < 0:
-            raise InvalidParameterError("master_seed and trajectory_id must be >= 0")
+        key = tuple(int(k) for k in key)
+        if master_seed < 0 or trajectory_id < 0 or any(k < 0 for k in key):
+            raise InvalidParameterError(
+                "master_seed, trajectory_id and key entries must be >= 0")
         self.master_seed = int(master_seed)
         self.trajectory_id = int(trajectory_id)
         self.role = role
+        self.key = key
         self.counter = 0
         seq = np.random.SeedSequence(
             entropy=self.master_seed,
-            spawn_key=(ROLES.index(role), self.trajectory_id),
+            spawn_key=(ROLES.index(role), self.trajectory_id) + key,
         )
         self._gen = np.random.Generator(np.random.Philox(seq))
 
@@ -69,12 +80,14 @@ class RngStream:
 
     def fresh_copy(self) -> "RngStream":
         """Same identity restarted at draw 0; replays the identical sequence."""
-        return RngStream(self.master_seed, self.trajectory_id, self.role)
+        return RngStream(self.master_seed, self.trajectory_id, self.role,
+                         self.key)
 
 
-def derive_stream(master_seed: int, trajectory_id: int, role: str) -> RngStream:
+def derive_stream(master_seed: int, trajectory_id: int, role: str,
+                  key: tuple = ()) -> RngStream:
     """Deterministic, collision-free stream derivation."""
-    return RngStream(master_seed, trajectory_id, role)
+    return RngStream(master_seed, trajectory_id, role, key)
 
 
 def wiener_increment(op: SpectralOperator, h: float, stream: RngStream) -> np.ndarray:

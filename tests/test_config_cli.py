@@ -133,6 +133,17 @@ class TestParsing:
 
 
 class TestCli:
+    @pytest.mark.parametrize("key", ["theta", "cache_quantum"])
+    def test_removed_averaging_keys_rejected(self, tmp_path, capsys, key):
+        # theta comes from model.theta alone, and nothing is cached
+        raw = copy.deepcopy(BASE)
+        raw["averaging"][key] = 0.01
+        path = write_config(tmp_path, raw)
+        code = main(["average", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "averaging" in err
+
     def test_rejection_exit_code(self, tmp_path, capsys):
         raw = copy.deepcopy(BASE)
         raw["model"]["reactions"]["fast"]["b_c"] = 12.0

@@ -44,6 +44,24 @@ class TestStreams:
         first = s.normals(64)
         assert np.array_equal(s.fresh_copy().normals(64), first)
 
+    def test_fresh_copy_replays_keyed_stream(self):
+        s = derive_stream(11, 2, "frozen_fast_noise", key=(3, 17))
+        first = s.normals(64)
+        assert np.array_equal(s.fresh_copy().normals(64), first)
+
+    def test_trailing_key_selects_stream(self):
+        a = derive_stream(11, 2, "frozen_fast_noise", key=(3, 17)).normals(64)
+        b = derive_stream(11, 2, "frozen_fast_noise", key=(3, 18)).normals(64)
+        c = derive_stream(11, 2, "frozen_fast_noise").normals(64)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert np.array_equal(
+            c, derive_stream(11, 2, "frozen_fast_noise", key=()).normals(64))
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            derive_stream(0, 0, "frozen_fast_noise", key=(-1,))
+
     def test_unknown_role_rejected(self):
         with pytest.raises(InvalidParameterError):
             derive_stream(0, 0, "not_a_role")

@@ -3,8 +3,9 @@
 `benchmark/run.py --trace 1` identifies coupled paths by calls to
 `coupled.simulate_slowfast` and counts fast substeps from calls to
 `coupled.step_coupled`; a refactor that stops calling either fails the
-traced run.  These tests apply the same checks (the tracer and the counts
-are read from `benchmark/`, which they leave untouched).
+traced run.  These tests apply the same checks, and the `average_cubic`
+output check (the tracer, the counts and the check are read from
+`benchmark/`, which they leave untouched).
 """
 
 import json
@@ -69,3 +70,15 @@ def test_audit_counts_paths(bench, tmp_path):
     simulate_calls = sum(s["calls"] for s in report["spans"]
                          if s["name"] == "coupled.simulate_slowfast")
     assert simulate_calls == report["identities"]
+
+
+def test_average_cubic_output_check(bench, tmp_path):
+    # The benchmark's even-mode symmetry check on average.csv, run on the
+    # theta-truncated averaged drift of cubic_rough.json.
+    def small(raw):
+        raw["averaging"]["n_replicas"] = 2
+    workload, raw, report = traced_run(bench, tmp_path, "average_cubic",
+                                       small)
+    _, workloads = bench
+    assert report["identities"] == 0
+    assert workloads.check_outputs(workload, raw, str(tmp_path / "out")) == 0
