@@ -63,9 +63,12 @@ def estimate_Fbar(t: float, x, params: AveragedDriftParams, model: ModelSpec,
 
     The slow reaction is truncated at model.theta, as on the coupled path.
     Replica r draws from the stream with spawn key (frozen_fast_noise, r,
-    trajectory_id, step), step = round(t / model.h_macro), so an estimate is
-    a function of (master_seed, trajectory_id, step, x) alone.
+    trajectory_id, step), step = round(t / model.h_macro): each path must
+    pass its own id, and a t off the h_macro grid is rejected.
     """
+    step = int(round(t / model.h_macro))
+    if abs(t / model.h_macro - step) > 1e-6:
+        raise InvalidParameterError(f"t={t!r} is off the h_macro grid")
     x = as_modal_field(x, model.n_modes)
     x_norm = float(np.linalg.norm(x))
     if x_norm > params.x_norm_bound:
@@ -85,7 +88,6 @@ def estimate_Fbar(t: float, x, params: AveragedDriftParams, model: ModelSpec,
         grid=model.grid, h=params.h_fast, t_burn=params.t_burn,
         t_avg=params.t_avg, n_replicas=params.n_replicas,
     )
-    step = int(round(t / model.h_macro))
     est = estimate_invariant_average(cfg, drift_observable, master_seed,
                                      key=(trajectory_id, step))
     return (np.asarray(est.mean, dtype=float),
@@ -144,7 +146,7 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
                   trajectory_id: int = 0):
     """Averaged-drift callable: analytic oracle for the linear benchmark,
     slow-only evaluation when b ignores the fast variable, nested estimator
-    (estimate_Fbar, keyed by trajectory_id) otherwise."""
+    (estimate_Fbar, keyed by trajectory_id, on the h_macro grid) otherwise."""
     if mode == "auto":
         if model.is_linear_benchmark:
             mode = "oracle"
@@ -183,8 +185,8 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
 
 def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
                       u0, T: float, h: float, stream: RngStream,
-                      drift_mode: str = "auto",
-                      master_seed: int = 0) -> AveragedTrajectory:
+                      drift_mode: str = "auto", master_seed: int = 0,
+                      trajectory_id: int = 0) -> AveragedTrajectory:
     """Sample the averaged slow equation on the macro grid."""
     if T < 0:
         raise InvalidParameterError("T must be nonnegative")
@@ -193,7 +195,8 @@ def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
     times = np.arange(n_steps + 1) * h
     path = np.empty((n_steps + 1, model.n_modes))
     path[0] = u0
-    drift_fn = make_drift_fn(model, params, master_seed, drift_mode)
+    drift_fn = make_drift_fn(model, params, master_seed, drift_mode,
+                             trajectory_id)
     plan = make_plan(model.op1, h, 1.0) if n_steps else None
     state = AveragedState(u=u0, t=0.0)
     budget = 0.0

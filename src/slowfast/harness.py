@@ -300,7 +300,8 @@ def _averaged_terminal(model: ModelSpec, averaging, master_seed: int,
                        trajectory_id: int) -> np.ndarray:
     stream = derive_stream(master_seed, trajectory_id, "auxiliary")
     out = simulate_averaged(model, averaging, model.u0, model.horizon,
-                            model.h_macro, stream, master_seed=master_seed)
+                            model.h_macro, stream, master_seed=master_seed,
+                            trajectory_id=trajectory_id)
     return out.path[-1]
 
 

@@ -37,12 +37,8 @@ ROLES = ("slow_noise", "fast_noise", "frozen_fast_noise", "auxiliary")
 
 
 class RngStream:
-    """Counter-based Gaussian stream owned by one (trajectory, role) pair.
-
-    The SeedSequence spawn key is (role index, trajectory_id) followed by
-    key, so an empty key gives the two-part stream and distinct keys give
-    independent streams.
-    """
+    """Counter-based Gaussian stream owned by one (trajectory, role) pair;
+    its spawn key is (role index, trajectory_id) + key."""
 
     __slots__ = ("master_seed", "trajectory_id", "role", "key", "counter",
                  "_gen")

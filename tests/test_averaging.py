@@ -120,6 +120,13 @@ class TestEstimateFbar:
         assert not np.array_equal(base, other_id)
         assert not np.array_equal(base, other_step)
 
+    def test_off_grid_time_rejected(self):
+        # an off-grid t would round onto a neighbouring node's streams
+        model = linear_model(n_modes=4, n_quad=16)
+        params = fast_params(model, t_avg_units=5.0, n_replicas=2)
+        with pytest.raises(InvalidParameterError, match="h_macro grid"):
+            estimate_Fbar(0.5 * model.h_macro, unit_field(4), params, model)
+
     def test_norm_bound_guard(self):
         from slowfast import StateExplosionError
         model = linear_model(n_modes=4, n_quad=16)
@@ -244,10 +251,13 @@ class TestOracleAgreementProperty:
         for trial in range(20):
             x = rng.normal(size=4)
             x *= rng.uniform(0.1, 2.0) / np.linalg.norm(x)
-            mean, se = estimate_Fbar(0.0, x, params, model, master_seed=71)
+            # trajectory_id = trial gives every trial its own nested streams
+            mean, se = estimate_Fbar(0.0, x, params, model, master_seed=71,
+                                     trajectory_id=trial)
             exact = analytic_Fbar_linear(model, 0.0, x)
-            # 80 three-sigma checks in all; a fixed absolute slack keeps
-            # one chance excursion of a small component from failing them
+            # 80 independent three-sigma checks in all; a fixed absolute
+            # slack keeps one chance excursion of a small component from
+            # failing them
             slack = 1e-3
             assert np.all(np.abs(mean - exact) <= 3.0 * se + slack), \
                 f"trial {trial}: diff={np.abs(mean - exact)}, se={se}"

@@ -10,7 +10,7 @@ from slowfast import (FrozenFastConfig, GridSpec, InvalidParameterError,
                       estimate_invariant_average, frozen_lipschitz_in_x,
                       invariant_moment_check, make_fast_reaction, make_plan,
                       step_frozen_fast)
-from slowfast.fast_dynamics import N_BATCHES
+from slowfast.fast_dynamics import N_BATCHES, batch_std_error
 from slowfast.noise import derive_stream
 
 from conftest import unit_field
@@ -115,6 +115,46 @@ class TestInvariantAverage:
             frozen_cfg(t_avg=20.0, n_replicas=8), norm_sq, master_seed=3)
         # 16x the budget: expect roughly 4x smaller error bars
         assert large.std_error < small.std_error
+
+    @staticmethod
+    def _ar1_batches(rho, n_rep, n_batches, seed):
+        # (R, B) stationary AR(1) sequences with unit marginal variance
+        rng = np.random.default_rng(seed)
+        out = np.empty((n_rep, n_batches))
+        out[:, 0] = rng.normal(size=n_rep)
+        for i in range(1, n_batches):
+            out[:, i] = (rho * out[:, i - 1]
+                         + math.sqrt(1 - rho ** 2) * rng.normal(size=n_rep))
+        return out
+
+    @staticmethod
+    def _ar1_exact_se(rho, n_rep, n_batches):
+        lags = np.arange(1, n_batches)
+        var = n_batches + 2 * np.sum((n_batches - lags) * rho ** lags)
+        return math.sqrt(var / (n_batches ** 2 * n_rep))
+
+    def test_batch_std_error_covers_correlated_batches(self):
+        # the plain batch spread understates the error of correlated
+        # batches (lag-1 correlation 0.3, as for the slowest fast mode of
+        # the linear benchmark at t_avg = 30/omega); the AR(1) correction
+        # recovers it
+        rho, n_rep = 0.3, 200
+        batches = self._ar1_batches(rho, n_rep, N_BATCHES, seed=5)
+        exact = self._ar1_exact_se(rho, n_rep, N_BATCHES)
+        plain = batches.std(ddof=1) / math.sqrt(batches.size)
+        assert plain < 0.85 * exact
+        assert batch_std_error(batches) == pytest.approx(exact, rel=0.1)
+
+    def test_batch_std_error_of_independent_batches(self):
+        batches = self._ar1_batches(0.0, 200, N_BATCHES, seed=6)
+        exact = self._ar1_exact_se(0.0, 200, N_BATCHES)
+        assert batch_std_error(batches) == pytest.approx(exact, rel=0.1)
+        # one standard error per observable component; constant -> 0
+        stacked = np.stack([batches, np.ones_like(batches)], axis=-1)
+        se = batch_std_error(stacked)
+        assert se.shape == (2,)
+        assert se[0] == pytest.approx(batch_std_error(batches), rel=1e-12)
+        assert se[1] == 0.0
 
     def test_ergodicity_time_vs_ensemble(self):
         # time average of <v, e1> against an ensemble of independent
