@@ -77,7 +77,7 @@ def estimate_Fbar(t: float, x, params: AveragedDriftParams, model: ModelSpec,
     theta = model.theta if model.theta > 0 else None
 
     def drift_observable(v_phys):
-        # (R, M) nodal replicas -> (R, N) modal drifts.
+        # (n, M) nodal rows -> (n, N) modal drifts, row by row.
         return analyze(
             nemytskii_drift(model.reaction_slow, theta, t, x_phys, v_phys,
                             model.grid),
@@ -219,7 +219,7 @@ def estimate_Vbar(x, model: ModelSpec, params: AveragedDriftParams,
     )
 
     def v_observable(v_phys):
-        # (R, M) nodal replicas -> (R,) values of V.
+        # (n, M) nodal rows -> (n,) values of V, row by row.
         return eval_V(x_phys, v_phys, model.lyapunov, model.grid)
 
     est = estimate_invariant_average(cfg, v_observable, master_seed)

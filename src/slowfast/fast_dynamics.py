@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 N_BATCHES = 20  # batch-means blocks per replica
-DRAW_CHUNK_STEPS = 256  # steps of noise drawn per replica stream at once
+DRAW_CHUNK_STEPS = 64  # steps drawn, and observed, per replica chunk
 
 
 @dataclass(frozen=True)
@@ -129,18 +129,25 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
     The R replicas advance together as an (R, N) block.  Replica r draws
     only from streams[r], in chunks of DRAW_CHUNK_STEPS steps; the streams
     are concatenation-consistent, so these are the draws of one step at a
-    time.  The observable maps the nodal (R, M) block to (R,) or (R, K)
-    values.  A replica whose field turns non-finite raises
-    StateExplosionError at the end of its draw chunk.
+    time.  The nodal blocks of a chunk's steps are kept, and after the
+    chunk the observable is called once on the rows of its post-burn-in
+    steps: an (n*R, M) array whose row s*R + r is replica r at the chunk's
+    s-th averaged step.  It must return one value per row, shape (n*R,),
+    or one vector per row, shape (n*R, K), and must not depend on a row's
+    position; the row count is checked on every call.  A replica whose
+    field turns non-finite raises StateExplosionError at the end of its
+    draw chunk, before the observable sees any row of that chunk.
     """
     n_burn = int(round(cfg.t_burn / cfg.h))
     n_avg = N_BATCHES * max(1, int(math.ceil(cfg.t_avg / (N_BATCHES * cfg.h))))
     batch_len = n_avg // N_BATCHES
     n_modes = cfg.grid.n_modes
+    n_quad = cfg.grid.n_quad
     n_rep = len(streams)
 
     v = np.zeros((n_rep, n_modes))
-    v_phys = np.zeros((n_rep, cfg.grid.n_quad))
+    v_phys = np.zeros((n_rep, n_quad))
+    nodes = np.empty((DRAW_CHUNK_STEPS, n_rep, n_quad))
     batches = []
     acc = comp = None
     n_total = n_burn + n_avg
@@ -151,31 +158,37 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
         for j in range(steps):
             v, v_phys = fast_substep(v, v_phys, x_phys, cfg.reaction_fast,
                                      cfg.grid, plan, xi[j])
-            i = start + j - n_burn
-            if i < 0:
-                continue
-            value = np.asarray(observable(v_phys), dtype=float)
-            if acc is None:
-                if value.ndim not in (1, 2) or value.shape[0] != n_rep:
-                    raise InvalidParameterError(
-                        f"observable must map nodal fields of shape "
-                        f"({n_rep}, {cfg.grid.n_quad}) to shape ({n_rep},) or "
-                        f"({n_rep}, K), got {value.shape}")
-                acc = comp = np.zeros_like(value)
-            # Kahan accumulation in time order keeps batch sums independent
-            # of the replica count.
-            acc, comp = kahan_add(acc, comp, value)
-            if (i + 1) % batch_len == 0:
-                batches.append(acc / batch_len)
-                acc = comp = np.zeros_like(value)
+            nodes[j] = v_phys
         # A non-finite field stays non-finite, so one check per chunk finds
-        # it before any batch of it is returned.
-        if not np.isfinite(v).all():
-            bad = int(np.argmin(np.isfinite(v).all(axis=1)))
+        # it before any of its values reach the observable.
+        finite = np.isfinite(nodes[:steps]).all(axis=(0, 2))
+        if not finite.all():
+            bad = int(np.argmin(finite))
             raise StateExplosionError(
                 (start + steps) * cfg.h, float(np.linalg.norm(cfg.x)),
                 float(np.linalg.norm(v[bad])), math.inf,
                 where=f" in frozen-fast replica {bad}")
+        first = max(0, n_burn - start)
+        if first >= steps:
+            continue
+        rows = (steps - first) * n_rep
+        values = np.asarray(
+            observable(nodes[first:steps].reshape(rows, n_quad)), dtype=float)
+        if (values.ndim not in (1, 2) or values.shape[0] != rows
+                or (acc is not None and values.shape[1:] != acc.shape[1:])):
+            raise InvalidParameterError(
+                f"observable must map nodal rows of shape ({rows}, {n_quad}) "
+                f"to shape ({rows},) or ({rows}, K), got {values.shape}")
+        values = values.reshape((steps - first, n_rep) + values.shape[1:])
+        if acc is None:
+            acc = comp = np.zeros(values.shape[1:])
+        # Kahan accumulation in time order keeps batch sums independent
+        # of the replica count and of the chunk size.
+        for i, value in enumerate(values, start=start + first - n_burn):
+            acc, comp = kahan_add(acc, comp, value)
+            if (i + 1) % batch_len == 0:
+                batches.append(acc / batch_len)
+                acc = comp = np.zeros_like(acc)
     return np.stack(batches, axis=1)
 
 
@@ -202,14 +215,16 @@ def estimate_invariant_average(cfg: FrozenFastConfig, observable,
                                key: tuple = ()) -> InvariantAverageEstimate:
     """Time average of observable(v_phys) over [t_burn, t_burn + t_avg].
 
-    The observable is called on the nodal values of all cfg.n_replicas
-    replicas at once, an (R, M) array, and must return one value per
-    replica, shape (R,), or one vector per replica, shape (R, K); any other
-    shape raises InvalidParameterError.  The mean is a float or a
-    (K,) array accordingly.  Replicas use independent streams derived from
-    (master_seed, replica, role) and the trailing key.  The standard error
-    comes from the correlated per-batch means (batch_std_error) and shrinks
-    like 1/sqrt(n_replicas * t_avg).
+    The observable maps rows to rows: it is called on an (n, M) array of
+    nodal fields, where a row is one (step, replica) pair, and must return
+    one value per row, shape (n,), or one vector per row, shape (n, K); any
+    other shape raises InvalidParameterError.  It is called once per draw
+    chunk on all of the chunk's averaged steps of all cfg.n_replicas
+    replicas, so it must not depend on a row's position or on n.  The mean
+    is a float or a (K,) array accordingly.  Replicas use independent
+    streams derived from (master_seed, replica, role) and the trailing key.
+    The standard error comes from the correlated per-batch means
+    (batch_std_error) and shrinks like 1/sqrt(n_replicas * t_avg).
     """
     plan = make_plan(cfg.op2, cfg.h, 1.0)
     x_phys = synthesize(cfg.x, cfg.grid)

@@ -31,7 +31,7 @@ from .config import ExperimentConfig, config_hash
 from .coupled import (KhasminskiiPlan, SlowFastTrajectory,
                       block_freezing_errors, build_auxiliary, compute_rho0,
                       freezing_deviations, khasminskii_delta,
-                      simulate_slowfast, snap_block)
+                      simulate_slowfast, snap_block, v_integral)
 from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import FrozenFastConfig, estimate_invariant_average
 from .model import ModelSpec
@@ -205,6 +205,11 @@ def _discrepancy_stat(traj: SlowFastTrajectory, model: ModelSpec,
     return {"sups": sups}
 
 
+def _v_integral_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
+    """Left-endpoint integral of the audit functional V along the path."""
+    return {"v_integral": v_integral(traj, model)}
+
+
 def _dump_stat(traj: SlowFastTrajectory, model: ModelSpec,
                dump_modes: int) -> dict:
     """Leading modes of the path and its sup norms, for `simulate`."""
@@ -224,9 +229,9 @@ def _coupled_paths(master_seed: int, paths: tuple, ladder: tuple,
     for one trajectory id, recording fast noise only for the block-frozen
     replay.  Returns {"paths": {key: record}, "ladder": distances}: a record
     holds "censored" and "t_explosion" when the path or any of its
-    statistics exploded, else the terminal slow state, the V integral and
-    the statistics' values; the distances are the sup-in-time gaps between
-    consecutive paths of the theta ladder (None if one was censored).
+    statistics exploded, else the terminal slow state and the statistics'
+    values; the distances are the sup-in-time gaps between consecutive
+    paths of the theta ladder (None if one was censored).
     """
     records = {}
     ladder_u = {}
@@ -236,8 +241,7 @@ def _coupled_paths(master_seed: int, paths: tuple, ladder: tuple,
             traj = simulate_slowfast(model, master_seed, trajectory_id,
                                      record_noise=_khasminskii_stat in funcs,
                                      record_drift=_discrepancy_stat in funcs)
-            record = {"censored": False, "terminal_u": traj.u[-1].copy(),
-                      "v_integral": traj.v_integral}
+            record = {"censored": False, "terminal_u": traj.u[-1].copy()}
             for stat in stats:
                 record.update(stat(traj, model))
         except StateExplosionError as exc:
@@ -282,7 +286,8 @@ def _run_studies(cfg: ExperimentConfig, studies) -> ResultTable:
     paths: dict = {}
     for study_paths, _, _ in studies:
         for key, stats in study_paths.items():
-            paths.setdefault(key, []).extend(stats)
+            known = paths.setdefault(key, [])
+            known.extend(stat for stat in stats if stat not in known)
     ladder = tuple(key for _, _, study_ladder in studies for key in study_ladder)
     results = _coupled_pass(cfg, paths, ladder)
     return ResultTable([row for _, rows, _ in studies for row in rows(results)])
@@ -397,7 +402,7 @@ def _moment_study(cfg: ExperimentConfig) -> tuple:
             out.append(ResultRow("audit_moment", None, f"maxmin[{stat_id}]",
                                  _maxmin(means), 0.0, len(means), 0))
         return out
-    return {key: [_moment_stat] for key in keys}, rows, ()
+    return {key: [_moment_stat, _v_integral_stat] for key in keys}, rows, ()
 
 
 def run_moment_audit(cfg: ExperimentConfig) -> ResultTable:
@@ -474,7 +479,7 @@ def _theta_study(cfg: ExperimentConfig, thetas) -> tuple:
         out.append(ResultRow("audit_theta", None, "maxmin[v_integral]",
                              _maxmin(v_means), 0.0, len(v_means), 0))
         return out
-    return {key: [] for key in keys}, rows, keys
+    return {key: [_v_integral_stat] for key in keys}, rows, keys
 
 
 def run_theta_stability(cfg: ExperimentConfig,
@@ -565,7 +570,8 @@ def simulate_ensemble(cfg: ExperimentConfig, epsilon: float | None = None):
     model = cfg.model
     key = (model.epsilon if epsilon is None else epsilon, model.theta)
     results = _coupled_pass(
-        cfg, {key: [partial(_dump_stat, dump_modes=cfg.dump_modes)]})
+        cfg, {key: [_v_integral_stat,
+                    partial(_dump_stat, dump_modes=cfg.dump_modes)]})
     return [r["paths"][key] for r in results]
 
 

@@ -206,7 +206,15 @@ def truncate_b(spec: ReactionSpec, theta: float, t: float, xi, sigma, lam):
     if theta > 1:
         raise InvalidParameterError(f"theta must be <= 1, got {theta}")
     b = eval_b(spec, t, xi, sigma, lam)
-    return b / (1.0 + theta * np.abs(b))
+    if np.ndim(b) == 0:
+        return b / (1.0 + theta * np.abs(b))
+    # In place, with one scratch array: the same operations in the same
+    # order, so the same bits.
+    scale = np.abs(b)
+    scale *= theta
+    scale += 1.0
+    b /= scale
+    return b
 
 
 def nemytskii_drift(spec: ReactionSpec, theta: float | None, t: float,

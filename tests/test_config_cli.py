@@ -259,6 +259,35 @@ class TestCli:
         assert len(set(calls)) == 2 * 5
         assert len(calls) == len(set(calls))
 
+    def test_v_integral_only_where_read(self, tmp_path, monkeypatch):
+        # audit reads the V integral of each of its 5 distinct paths per id
+        # (once, though the moment and theta studies share one); converge
+        # never reads it, so never computes it.
+        import slowfast.harness as harness
+        raw = copy.deepcopy(BASE)
+        raw["model"]["reactions"]["slow"] = {"kind": "cubic_rough",
+                                              "c_u": 0.5, "c_v": 0.5}
+        raw["model"].update(theta=0.01, horizon=0.1)
+        raw["experiment"].update(ensemble_size=2,
+                                 epsilon_grid=[0.1, 0.05, 0.02],
+                                 theta_sequence=[0.1, 0.01, 0.001])
+        path = write_config(tmp_path, raw)
+        calls = []
+        v_integral = harness.v_integral
+
+        def counting(traj, model):
+            calls.append((traj.trajectory_id, model.epsilon, model.theta))
+            return v_integral(traj, model)
+        monkeypatch.setattr(harness, "v_integral", counting)
+        assert main(["audit", "--config", path, "--out", str(tmp_path / "a"),
+                     "--workers", "1"]) == 0
+        assert len(calls) == len(set(calls)) == 2 * 5
+        calls.clear()
+        linear = write_config(tmp_path, BASE, name="linear.json")
+        assert main(["converge", "--config", linear,
+                     "--out", str(tmp_path / "c"), "--workers", "1"]) == 0
+        assert calls == []
+
     def test_worker_counts_give_identical_bytes(self, tmp_path):
         path = write_config(tmp_path, BASE)
         outs = []

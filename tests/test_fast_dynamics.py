@@ -1,7 +1,11 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import linregress
 
 from slowfast import (FrozenFastConfig, GridSpec, InvalidParameterError,
@@ -9,7 +13,7 @@ from slowfast import (FrozenFastConfig, GridSpec, InvalidParameterError,
                       contraction_diagnostic,
                       estimate_invariant_average, frozen_lipschitz_in_x,
                       invariant_moment_check, make_fast_reaction, make_plan,
-                      step_frozen_fast)
+                      make_slow_reaction, nemytskii_drift, step_frozen_fast)
 from slowfast.fast_dynamics import N_BATCHES, batch_std_error
 from slowfast.noise import derive_stream
 
@@ -283,6 +287,114 @@ class TestInvariantAverage:
         with pytest.raises(InvalidParameterError, match="observable"):
             estimate_invariant_average(
                 cfg, lambda v_phys: float(np.sum(v_phys * v_phys)))
+
+
+def _steps(cfg):
+    """Burn-in and averaging step counts of _run_replicas."""
+    n_burn = int(round(cfg.t_burn / cfg.h))
+    n_avg = N_BATCHES * max(1, math.ceil(cfg.t_avg / (N_BATCHES * cfg.h)))
+    return n_burn, n_avg
+
+
+def _cubic_drift(cfg):
+    """The nested F-bar observable on cubic_rough with theta-truncation."""
+    from slowfast.spectral import analyze, synthesize
+    spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
+    x_phys = synthesize(cfg.x, cfg.grid)
+    return lambda v_phys: analyze(
+        nemytskii_drift(spec, 0.01, 0.0, x_phys, v_phys, cfg.grid), cfg.grid)
+
+
+class TestChunkedObservable:
+    """The kernel evaluates the observable once per draw chunk, on the
+    (n*R, M) rows of the chunk's averaged steps."""
+
+    def test_one_call_per_chunk_with_averaged_steps(self):
+        import slowfast.fast_dynamics as fast_dynamics
+        cfg = frozen_cfg(t_burn=1.0, t_avg=2.0, n_replicas=3)
+        n_burn, n_avg = _steps(cfg)
+        chunk = fast_dynamics.DRAW_CHUNK_STEPS
+        assert n_burn % chunk and (n_burn + n_avg) % chunk
+        rows = []
+
+        def counting(v_phys):
+            rows.append(v_phys.shape[0])
+            return v_phys[:, 0]
+        estimate_invariant_average(cfg, counting)
+        n_chunks = math.ceil((n_burn + n_avg) / chunk)
+        assert len(rows) == n_chunks - n_burn // chunk
+        assert rows[0] == 3 * (chunk - n_burn % chunk)
+        assert sum(rows) == 3 * n_avg
+
+    def test_non_finite_rows_never_observed(self, monkeypatch):
+        # g turns replica 1 non-finite a few steps into an averaged chunk:
+        # the chunk's rows are withheld and the replica is named.
+        import slowfast.fast_dynamics as fast_dynamics
+        cfg = frozen_cfg(t_burn=1.0, t_avg=2.0, n_replicas=3)
+        n_burn, _ = _steps(cfg)
+        real_g = fast_dynamics.eval_g
+        calls = []
+
+        def nan_in_replica_1(spec, t, xi, rho, sigma):
+            g = np.array(real_g(spec, t, xi, rho, sigma))
+            calls.append(None)
+            if len(calls) > n_burn + 100:
+                g[1] = np.nan
+            return g
+        monkeypatch.setattr(fast_dynamics, "eval_g", nan_in_replica_1)
+        observed = []
+
+        def recording(v_phys):
+            observed.append(np.isfinite(v_phys).all())
+            return v_phys[:, 0]
+        with pytest.raises(StateExplosionError, match="frozen-fast replica 1"):
+            estimate_invariant_average(cfg, recording)
+        assert observed and all(observed)
+
+    @pytest.mark.parametrize("observable", [
+        lambda v_phys: np.ones(v_phys.shape[0] + 1),
+        lambda v_phys: v_phys[::2, 0],
+        lambda v_phys: np.ones((v_phys.shape[0], 2, 2)),
+    ], ids=["extra_row", "half_rows", "three_axes"])
+    def test_wrong_row_count_rejected(self, observable):
+        cfg = frozen_cfg(t_avg=1.0, n_replicas=3)
+        with pytest.raises(InvalidParameterError, match="observable"):
+            estimate_invariant_average(cfg, observable)
+
+    def test_changing_vector_length_rejected(self):
+        calls = []
+
+        def growing(v_phys):
+            calls.append(None)
+            return np.ones((v_phys.shape[0], len(calls)))
+        cfg = frozen_cfg(t_avg=1.0, n_replicas=2)
+        with pytest.raises(InvalidParameterError, match="observable"):
+            estimate_invariant_average(cfg, growing)
+
+    @settings(max_examples=40, deadline=None)
+    @given(chunk=st.integers(min_value=1, max_value=300),
+           n_burn=st.integers(min_value=0, max_value=150),
+           n_rep=st.integers(min_value=1, max_value=3))
+    @example(chunk=64, n_burn=100, n_rep=2)
+    @example(chunk=300, n_burn=37, n_rep=1)
+    def test_batches_independent_of_chunk_size(self, chunk, n_burn, n_rep):
+        import slowfast.fast_dynamics as fast_dynamics
+        from slowfast.spectral import synthesize
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # short burn-ins warn
+            cfg = frozen_cfg(t_burn=n_burn * 0.01, t_avg=0.4, c_s=0.2)
+        plan = make_plan(cfg.op2, cfg.h, 1.0)
+        x_phys = synthesize(cfg.x, cfg.grid)
+        observable = _cubic_drift(cfg)
+
+        def run():
+            streams = [derive_stream(9, r, "frozen_fast_noise")
+                       for r in range(n_rep)]
+            return fast_dynamics._run_replicas(cfg, observable, streams, plan,
+                                               x_phys)
+        default = run()
+        with mock.patch.object(fast_dynamics, "DRAW_CHUNK_STEPS", chunk):
+            assert np.array_equal(run(), default)
 
 
 class TestMomentCheck:

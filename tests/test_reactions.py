@@ -73,6 +73,19 @@ class TestTruncation:
         with pytest.raises(InvalidParameterError):
             truncate_b(make_slow_reaction("linear_benchmark"), 0.0, 0, 0, 0, 1.0)
 
+    def test_in_place_form_matches_formula(self, rng):
+        # Truncation runs in place on the array from eval_b; it must give
+        # the bits of b / (1 + theta |b|) for arrays, 0-d arrays and floats.
+        spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
+        sigma = rng.normal(scale=3.0, size=(7, 16))
+        lam = rng.normal(scale=3.0, size=(7, 16))
+        for s_in, l_in in ((sigma, lam), (np.asarray(1.7), np.asarray(-2.2)),
+                           (1.7, -2.2)):
+            b = eval_b(spec, 0.0, 0.0, s_in, l_in)
+            out = truncate_b(spec, 0.01, 0.0, 0.0, s_in, l_in)
+            assert np.shape(out) == np.shape(b)
+            assert np.array_equal(out, b / (1.0 + 0.01 * np.abs(b)))
+
     def test_pointwise_identities_random(self, rng):
         # |b_t| <= 1/theta, |b_t| <= |b|, sign preserved,
         # |b - b_t| (1 + theta |b|) = theta b^2
