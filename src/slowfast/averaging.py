@@ -97,13 +97,18 @@ def estimate_Fbar(t: float, x, params: AveragedDriftParams, model: ModelSpec,
 def analytic_Fbar_linear(model: ModelSpec, t: float, x) -> np.ndarray:
     """Closed-form averaged drift a_c x_k / (alpha_{2,k} + b_c) for the
     linear benchmark."""
+    a_c, rates = _linear_fbar_factors(model)
+    return a_c * as_modal_field(x, model.n_modes) / rates
+
+
+def _linear_fbar_factors(model: ModelSpec) -> tuple:
+    """a_c and the per-mode rates alpha_{2,k} + b_c of the closed-form
+    averaged drift a_c x_k / (alpha_{2,k} + b_c)."""
     if not model.is_linear_benchmark:
         raise InvalidParameterError(
             "analytic averaged drift requires linear_benchmark reactions")
-    x = as_modal_field(x, model.n_modes)
-    a_c = model.reaction_fast.param("a_c")
-    b_c = model.reaction_fast.param("b_c")
-    return a_c * x / (model.op2.alphas + b_c)
+    return (model.reaction_fast.param("a_c"),
+            model.op2.alphas + model.reaction_fast.param("b_c"))
 
 
 def averaged_mean_rates(model: ModelSpec) -> np.ndarray:
@@ -156,9 +161,11 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
             mode = "estimator"
     if mode == "oracle":
         zero = np.zeros(model.n_modes)
+        a_c, rates = _linear_fbar_factors(model)
 
         def fn(t, u):
-            return analytic_Fbar_linear(model, t, u), zero
+            # analytic_Fbar_linear's arithmetic, with its factors hoisted.
+            return a_c * u / rates, zero
         return fn
     if mode == "slow_only":
         zero = np.zeros(model.n_modes)

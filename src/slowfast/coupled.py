@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
-from .fast_dynamics import fast_substep
+from .fast_dynamics import FastStepper
 from .model import ModelSpec
 from .noise import derive_stream, make_plan
-from .reactions import eval_V, nemytskii_drift
+from .reactions import eval_b, eval_V, lyapunov_norms, truncate_b
 from .spectral import kahan_add, kahan_mean_vectors, mean_se, synthesize
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "compute_rho0",
     "step_coupled",
     "simulate_slowfast",
-    "v_integral",
+    "path_functionals",
     "AuxiliaryResult",
     "build_auxiliary",
     "AuxiliaryErrorStats",
@@ -116,16 +116,17 @@ NOISE_CHUNK_STEPS = 16  # macro steps of noise drawn per stream at once
 
 
 def _plans(model: ModelSpec, h_macro: float):
-    """Substeps per macro step, the slow and fast OU plans, and the
+    """Substeps per macro step, the slow OU plan, the fast stepper, and the
     trapezoid weights of the substep nodes j = 0..n_sub as an
     (n_sub + 1, 1) column."""
     n_sub = max(1, math.ceil(h_macro / (model.substep_ratio * model.epsilon)))
     h_sub = h_macro / n_sub
     plan_slow = make_plan(model.op1, h_macro, 1.0)
-    plan_fast = make_plan(model.op2, h_sub, model.epsilon)
+    stepper = FastStepper(model.reaction_fast, model.grid,
+                          make_plan(model.op2, h_sub, model.epsilon))
     weights = np.full((n_sub + 1, 1), 1.0 / n_sub)
     weights[0] = weights[-1] = 0.5 / n_sub
-    return n_sub, plan_slow, plan_fast, weights
+    return n_sub, plan_slow, stepper, weights
 
 
 def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
@@ -150,34 +151,39 @@ def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
         raise InvalidParameterError("h_macro must be positive")
     if plans is None:
         plans = _plans(model, h_macro)
-    n_sub, plan_slow, plan_fast, weights = plans
+    n_sub, plan_slow, stepper, weights = plans
     grid = model.grid
     mat = grid.sine_matrix
-    u_phys = mat @ state.u if state.u_phys is None else state.u_phys
+    u_phys = mat.dot(state.u) if state.u_phys is None else state.u_phys
+    # u is frozen over the substeps: the slow part of g once per macro step.
+    drive = stepper.drive(u_phys)
+    noise = stepper.noise(xi_fast)
     v = state.v
     v_nodes = np.empty((n_sub + 1, grid.n_quad))
-    v_nodes[0] = mat @ v if state.v_phys is None else state.v_phys
+    v_nodes[0] = mat.dot(v) if state.v_phys is None else state.v_phys
     for j in range(n_sub):
-        v, v_nodes[j + 1] = fast_substep(v, v_nodes[j], u_phys,
-                                         model.reaction_fast, grid, plan_fast,
-                                         xi_fast[j])
-    theta = model.theta if model.theta > 0 else None
-    drift = nemytskii_drift(model.reaction_slow, theta, state.t, u_phys,
-                            v_nodes, grid)
+        v, v_nodes[j + 1] = stepper.step(v, v_nodes[j], drive, noise[j])
+    if model.theta > 0:
+        drift = truncate_b(model.reaction_slow, model.theta, state.t,
+                           grid.nodes, u_phys, v_nodes)
+    else:
+        drift = eval_b(model.reaction_slow, state.t, grid.nodes, u_phys,
+                       v_nodes)
     # Summed over the substep nodes in order, as a running sum would.
     f1_phys = np.add.reduce(weights * drift, axis=0)
-    f1 = grid.quad_weight * (mat.T @ f1_phys)
+    f1 = grid.quad_weight * mat.T.dot(f1_phys)
     u_next = (plan_slow.decay * state.u + plan_slow.drift_weight * f1
               + plan_slow.noise_std * xi_slow)
 
-    norm_u = float(np.linalg.norm(u_next))
-    norm_v = float(np.linalg.norm(v))
+    # np.linalg.norm's own formula for a 1-D float array.
+    norm_u = math.sqrt(u_next.dot(u_next))
+    norm_v = math.sqrt(v.dot(v))
     # Written so that a NaN norm also trips the guard.
     if not (norm_u + norm_v <= model.explosion_bound):
         raise StateExplosionError(state.t + h_macro, norm_u, norm_v,
                                   model.explosion_bound)
     return SlowFastState(u=u_next, v=v, t=state.t + h_macro,
-                         u_phys=mat @ u_next, v_phys=v_nodes[-1]), f1
+                         u_phys=mat.dot(u_next), v_phys=v_nodes[-1]), f1
 
 
 def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
@@ -231,22 +237,44 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
     )
 
 
-def v_integral(traj: SlowFastTrajectory, model: ModelSpec) -> float:
-    """Left-endpoint integral of the audit functional V(u, v) dt along the
-    path: V at each macro node but the last, Kahan-summed in node order."""
-    n_steps = traj.times.size - 1
-    if n_steps == 0:
-        return 0.0
+def path_functionals(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
+    """The Lyapunov-type functionals of one path at its macro nodes, with
+    each L^p norm taken once per node:
+
+    - v_integral: left-endpoint integral of V(u, v) dt, V at each node but
+      the last, Kahan-summed in node order;
+    - sup_u: max over the nodes of |u|_{L^{4 m1}}^{4 m1};
+    - sup_v: max over the nodes of |v|_{L^{q_bar}}^{q_bar};
+    - vbar_proxy: left-endpoint integral of c_V (1 + |u|_{L^{4 m1}}^{4 m1}).
+    """
     grid = model.grid
-    h = float(traj.times[1] - traj.times[0])
-    # (n_steps, M) nodal blocks; each row is bit-equal to a 1-D synthesize.
-    u_phys = synthesize(traj.u[:-1], grid)
-    v_phys = synthesize(traj.v[:-1], grid)
-    total = comp = 0.0
-    for i in range(n_steps):
-        total, comp = kahan_add(total, comp, h * eval_V(
-            u_phys[i], v_phys[i], model.lyapunov, grid))
-    return total
+    lyap = model.lyapunov
+    p_u = 4.0 * lyap.m1
+    q_bar = lyap.q_bar
+    if p_u <= 0 or q_bar <= 0:
+        raise InvalidParameterError(
+            "the path functionals need m1 > 0 and q_bar > 0")
+    # q_bar is the larger of V's two v orders, 4 m2 and 2 kappa1 m1.
+    q_index = 1 if q_bar == 4.0 * lyap.m2 else 2
+    n_steps = traj.times.size - 1
+    h = float(traj.times[1] - traj.times[0]) if n_steps else 0.0
+    # (n_nodes, M) nodal blocks; each row is bit-equal to a 1-D synthesize.
+    u_phys = synthesize(traj.u, grid)
+    v_phys = synthesize(traj.v, grid)
+    sup_u = sup_v = 0.0
+    v_int = v_comp = proxy = proxy_comp = 0.0
+    for i in range(n_steps + 1):
+        norms = lyapunov_norms(u_phys[i], v_phys[i], lyap, grid)
+        u_term = norms[0] ** p_u
+        sup_u = max(sup_u, u_term)
+        sup_v = max(sup_v, norms[q_index] ** q_bar)
+        if i < n_steps:
+            v_int, v_comp = kahan_add(v_int, v_comp, h * eval_V(
+                u_phys[i], v_phys[i], lyap, grid, norms))
+            proxy, proxy_comp = kahan_add(proxy, proxy_comp,
+                                          h * lyap.c_V * (1.0 + u_term))
+    return {"v_integral": v_int, "sup_u": sup_u, "sup_v": sup_v,
+            "vbar_proxy": proxy}
 
 
 @dataclass
@@ -273,26 +301,24 @@ def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
     n_steps = traj.times.size - 1
     h = float(traj.times[1] - traj.times[0])
     steps_per_block, delta_snapped = snap_block(plan.delta, h)
-    n_sub, _, plan_fast, _ = _plans(model, h)
+    n_sub, _, stepper, _ = _plans(model, h)
     if n_sub != traj.n_sub:
         raise InvalidParameterError(
             "substep layout mismatch: trajectory is not replayable under this model")
 
-    grid = model.grid
-    mat = grid.sine_matrix
+    mat = model.grid.sine_matrix
+    noise = stepper.noise(traj.fast_noise)
     u_aux = np.empty_like(traj.u)
     v_aux = np.empty_like(traj.v)
     v_aux[0] = traj.v[0]
     for i in range(n_steps):
         if i % steps_per_block == 0:
             # The path's states passed its explosion guard, so are finite.
-            u_frozen_phys = mat @ traj.u[i]
+            drive = stepper.drive(mat.dot(traj.u[i]))
             v = traj.v[i].copy()
-            v_phys = mat @ v
+            v_phys = mat.dot(v)
         for j in range(n_sub):
-            v, v_phys = fast_substep(v, v_phys, u_frozen_phys,
-                                     model.reaction_fast, grid, plan_fast,
-                                     traj.fast_noise[i, j])
+            v, v_phys = stepper.step(v, v_phys, drive, noise[i, j])
         v_aux[i + 1] = v
     finite = np.isfinite(v_aux).all(axis=1)
     if not finite.all():

@@ -17,14 +17,15 @@ import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
 from .noise import OUStepPlan, RngStream, derive_stream, make_plan
-from .reactions import ReactionSpec, eval_g, validate_dissipativity
+from .reactions import (ReactionSpec, fast_coefficients, g_from_drive,
+                        validate_dissipativity)
 from .spectral import (GridSpec, SpectralOperator, as_modal_field,
                        kahan_add, synthesize)
 
 __all__ = [
     "FrozenFastConfig",
     "InvariantAverageEstimate",
-    "fast_substep",
+    "FastStepper",
     "step_frozen_fast",
     "estimate_invariant_average",
     "MomentCheckRow",
@@ -84,28 +85,57 @@ class InvariantAverageEstimate:
     n_replicas: int
 
 
-def fast_substep(v: np.ndarray, v_phys: np.ndarray, drive_phys: np.ndarray,
-                 reaction: ReactionSpec, grid: GridSpec, plan: OUStepPlan,
-                 xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One exact-OU step of the fast field v, with nodal values v_phys,
-    driven by the nodal slow field drive_phys: the reaction g(drive, v) is
-    frozen over the step and the standard normals xi are its noise.
-    Returns the new modal field and its nodal values.
+class FastStepper:
+    """The exact-OU step of the fast field, prepared once for (reaction,
+    grid, plan).
 
-    v may be one field or an (R, N) block.  The transforms are those of
-    analyze/synthesize without their checks, so a non-finite field passes
-    through; callers check at their step boundary.
+    The slow field is frozen over a step, so its part of g is hoisted:
+    drive(rho_phys) = a_c*rho is computed once per frozen slow field, and
+    noise(xi) = noise_std*xi once per block of standard normals.  step then
+    evaluates g = drive - b_c*sigma (+ c_s*sin sigma) by
+    reactions.g_from_drive and makes the OU update.  These are the
+    operations, in order, of analyze(eval_g(...)), then
+    decay*v + drift_weight*forcing + noise_std*xi, then synthesize, so the
+    results are bit-identical to that checked form; nothing is checked, so
+    a non-finite field passes through and callers check at their step
+    boundary.
     """
-    mat = grid.sine_matrix
-    g = eval_g(reaction, 0.0, grid.nodes, drive_phys, v_phys)
-    if v.ndim == 1:
-        forcing = grid.quad_weight * (mat.T @ g)
-        v = plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
-        return v, mat @ v
-    # Stacked matrix-vector products: each row is bit-equal to the 1-D form.
-    forcing = grid.quad_weight * np.matmul(mat.T, g[..., None])[..., 0]
-    v = plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
-    return v, np.matmul(mat, v[..., None])[..., 0]
+
+    __slots__ = ("a_c", "b_c", "c_s", "mat", "mat_t", "quad_weight",
+                 "decay", "drift_weight", "noise_std")
+
+    def __init__(self, reaction: ReactionSpec, grid: GridSpec,
+                 plan: OUStepPlan):
+        self.a_c, self.b_c, self.c_s = fast_coefficients(reaction)
+        self.mat = grid.sine_matrix
+        self.mat_t = self.mat.T
+        self.quad_weight = grid.quad_weight
+        self.decay = plan.decay
+        self.drift_weight = plan.drift_weight
+        self.noise_std = plan.noise_std
+
+    def drive(self, rho_phys: np.ndarray) -> np.ndarray:
+        """The slow part a_c*rho of g at the frozen nodal slow field."""
+        return self.a_c * rho_phys
+
+    def noise(self, xi: np.ndarray) -> np.ndarray:
+        """Noise increments of the steps whose standard normals are xi,
+        shape (..., N)."""
+        return self.noise_std * xi
+
+    def step(self, v: np.ndarray, v_phys: np.ndarray, drive: np.ndarray,
+             noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance v, one field or an (R, N) block with nodal values v_phys,
+        by one step; returns the new modal field and its nodal values."""
+        g = g_from_drive(drive, v_phys, self.b_c, self.c_s)
+        if v.ndim == 1:
+            forcing = self.quad_weight * self.mat_t.dot(g)
+            v = self.decay * v + self.drift_weight * forcing + noise
+            return v, self.mat.dot(v)
+        # Stacked matrix-vector products: each row is bit-equal to the 1-D form.
+        forcing = self.quad_weight * np.matmul(self.mat_t, g[..., None])[..., 0]
+        v = self.decay * v + self.drift_weight * forcing + noise
+        return v, np.matmul(self.mat, v[..., None])[..., 0]
 
 
 def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
@@ -117,8 +147,9 @@ def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
     if x_phys is None:
         x_phys = synthesize(cfg.x, cfg.grid)
     v = as_modal_field(v, cfg.grid.n_modes)
-    return fast_substep(v, synthesize(v, cfg.grid), x_phys, cfg.reaction_fast,
-                        cfg.grid, plan, stream.normals(cfg.grid.n_modes))[0]
+    stepper = FastStepper(cfg.reaction_fast, cfg.grid, plan)
+    return stepper.step(v, synthesize(v, cfg.grid), stepper.drive(x_phys),
+                        stepper.noise(stream.normals(cfg.grid.n_modes)))[0]
 
 
 def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
@@ -144,6 +175,8 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
     n_modes = cfg.grid.n_modes
     n_quad = cfg.grid.n_quad
     n_rep = len(streams)
+    stepper = FastStepper(cfg.reaction_fast, cfg.grid, plan)
+    drive = stepper.drive(x_phys)
 
     v = np.zeros((n_rep, n_modes))
     v_phys = np.zeros((n_rep, n_quad))
@@ -153,11 +186,11 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
     n_total = n_burn + n_avg
     for start in range(0, n_total, DRAW_CHUNK_STEPS):
         steps = min(DRAW_CHUNK_STEPS, n_total - start)
-        xi = np.stack([s.normals(steps * n_modes).reshape(steps, n_modes)
-                       for s in streams], axis=1)
+        noise = stepper.noise(np.stack(
+            [s.normals(steps * n_modes).reshape(steps, n_modes)
+             for s in streams], axis=1))
         for j in range(steps):
-            v, v_phys = fast_substep(v, v_phys, x_phys, cfg.reaction_fast,
-                                     cfg.grid, plan, xi[j])
+            v, v_phys = stepper.step(v, v_phys, drive, noise[j])
             nodes[j] = v_phys
         # A non-finite field stays non-finite, so one check per chunk finds
         # it before any of its values reach the observable.
@@ -284,23 +317,23 @@ def invariant_moment_check(cfg: FrozenFastConfig, p: int,
 def _coupled_pair_run(cfg: FrozenFastConfig, v1, v2, x1, x2, t_max,
                       master_seed: int):
     """Advance two chains under common noise; return times and distances."""
-    plan = make_plan(cfg.op2, cfg.h, 1.0)
+    n_modes = cfg.grid.n_modes
+    stepper = FastStepper(cfg.reaction_fast, cfg.grid,
+                          make_plan(cfg.op2, cfg.h, 1.0))
     stream = derive_stream(master_seed, 0, "frozen_fast_noise")
-    x1_phys = synthesize(as_modal_field(x1, cfg.grid.n_modes), cfg.grid)
-    x2_phys = synthesize(as_modal_field(x2, cfg.grid.n_modes), cfg.grid)
+    drive1 = stepper.drive(synthesize(as_modal_field(x1, n_modes), cfg.grid))
+    drive2 = stepper.drive(synthesize(as_modal_field(x2, n_modes), cfg.grid))
     n_steps = max(2, int(round(t_max / cfg.h)))
-    v1 = as_modal_field(v1, cfg.grid.n_modes).copy()
-    v2 = as_modal_field(v2, cfg.grid.n_modes).copy()
+    v1 = as_modal_field(v1, n_modes).copy()
+    v2 = as_modal_field(v2, n_modes).copy()
     v1_phys = synthesize(v1, cfg.grid)
     v2_phys = synthesize(v2, cfg.grid)
     times = np.empty(n_steps)
     dists = np.empty(n_steps)
     for i in range(n_steps):
-        xi = stream.normals(cfg.grid.n_modes)
-        v1, v1_phys = fast_substep(v1, v1_phys, x1_phys, cfg.reaction_fast,
-                                   cfg.grid, plan, xi)
-        v2, v2_phys = fast_substep(v2, v2_phys, x2_phys, cfg.reaction_fast,
-                                   cfg.grid, plan, xi)
+        noise = stepper.noise(stream.normals(n_modes))
+        v1, v1_phys = stepper.step(v1, v1_phys, drive1, noise)
+        v2, v2_phys = stepper.step(v2, v2_phys, drive2, noise)
         times[i] = (i + 1) * cfg.h
         dists[i] = np.linalg.norm(v1 - v2)
     if not np.isfinite(dists).all():

@@ -31,14 +31,14 @@ from .config import ExperimentConfig, config_hash
 from .coupled import (KhasminskiiPlan, SlowFastTrajectory,
                       block_freezing_errors, build_auxiliary, compute_rho0,
                       freezing_deviations, khasminskii_delta,
-                      simulate_slowfast, snap_block, v_integral)
+                      path_functionals, simulate_slowfast, snap_block)
 from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import FrozenFastConfig, estimate_invariant_average
 from .model import ModelSpec
 from .noise import derive_stream
 from .reactions import eval_V
-from .spectral import (analyze, kahan_add, kahan_mean_vectors, lp_norm,
-                       mean_se, synthesize)
+from .spectral import (analyze, kahan_add, kahan_mean_vectors, mean_se,
+                       synthesize)
 
 __all__ = [
     "ResultRow",
@@ -118,30 +118,8 @@ def run_parallel(fn, tasks, worker_count: int):
 #
 # A per-path statistic is a module-level function stat(traj, model) -> dict
 # of reduced values; a functools.partial binds its parameters, so tasks
-# stay picklable.
-
-
-def _moment_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
-    """Sup moments of both fields and the running proxy of the V bound."""
-    grid = model.grid
-    lyap = model.lyapunov
-    h = float(traj.times[1] - traj.times[0])
-    sup_u = 0.0
-    sup_v = 0.0
-    vbar_proxy = 0.0
-    comp = 0.0
-    q_bar = lyap.q_bar
-    # (n_nodes, M) nodal blocks; each row is bit-equal to a 1-D synthesize.
-    u_phys = synthesize(traj.u, grid)
-    v_phys = synthesize(traj.v, grid)
-    for i in range(traj.times.size):
-        u_term = lp_norm(u_phys[i], grid, 4.0 * lyap.m1) ** (4.0 * lyap.m1)
-        sup_u = max(sup_u, u_term)
-        sup_v = max(sup_v, lp_norm(v_phys[i], grid, q_bar) ** q_bar)
-        if i < traj.times.size - 1:
-            vbar_proxy, comp = kahan_add(vbar_proxy, comp,
-                                         h * lyap.c_V * (1.0 + u_term))
-    return {"sup_u": sup_u, "sup_v": sup_v, "vbar_proxy": vbar_proxy}
+# stay picklable.  coupled.path_functionals is the one that gives the V
+# integral and the moment sups from one set of nodal norms.
 
 
 _HOLDER_LAG_DEPTHS = (1, 2, 3, 4, 5)
@@ -203,11 +181,6 @@ def _discrepancy_stat(traj: SlowFastTrajectory, model: ModelSpec,
                                           h * float(np.dot(delta_f, xi)))
             sups[j] = max(sups[j], abs(sums[j]))
     return {"sups": sups}
-
-
-def _v_integral_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
-    """Left-endpoint integral of the audit functional V along the path."""
-    return {"v_integral": v_integral(traj, model)}
 
 
 def _dump_stat(traj: SlowFastTrajectory, model: ModelSpec,
@@ -402,7 +375,7 @@ def _moment_study(cfg: ExperimentConfig) -> tuple:
             out.append(ResultRow("audit_moment", None, f"maxmin[{stat_id}]",
                                  _maxmin(means), 0.0, len(means), 0))
         return out
-    return {key: [_moment_stat, _v_integral_stat] for key in keys}, rows, ()
+    return {key: [path_functionals] for key in keys}, rows, ()
 
 
 def run_moment_audit(cfg: ExperimentConfig) -> ResultTable:
@@ -479,7 +452,7 @@ def _theta_study(cfg: ExperimentConfig, thetas) -> tuple:
         out.append(ResultRow("audit_theta", None, "maxmin[v_integral]",
                              _maxmin(v_means), 0.0, len(v_means), 0))
         return out
-    return {key: [_v_integral_stat] for key in keys}, rows, keys
+    return {key: [path_functionals] for key in keys}, rows, keys
 
 
 def run_theta_stability(cfg: ExperimentConfig,
@@ -570,7 +543,7 @@ def simulate_ensemble(cfg: ExperimentConfig, epsilon: float | None = None):
     model = cfg.model
     key = (model.epsilon if epsilon is None else epsilon, model.theta)
     results = _coupled_pass(
-        cfg, {key: [_v_integral_stat,
+        cfg, {key: [path_functionals,
                     partial(_dump_stat, dump_modes=cfg.dump_modes)]})
     return [r["paths"][key] for r in results]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +33,12 @@ __all__ = [
     "make_fast_reaction",
     "eval_b",
     "eval_g",
+    "fast_coefficients",
+    "g_from_drive",
     "truncate_b",
     "nemytskii_drift",
     "LyapunovSpec",
+    "lyapunov_norms",
     "eval_V",
     "TruncationGapReport",
     "truncation_gap_bound",
@@ -87,11 +91,14 @@ class ReactionSpec:
         else:
             raise InvalidParameterError(f"unknown reaction role {self.role!r}")
 
+    @cached_property
+    def _param_map(self) -> dict:
+        # Reversed, so the first of repeated names wins, as in a scan.
+        return dict(reversed(self.params))
+
     def param(self, name: str, default: float = 0.0) -> float:
-        for key, value in self.params:
-            if key == name:
-                return value
-        return default
+        """The value of a named parameter, or default when it is absent."""
+        return self._param_map.get(name, default)
 
     @property
     def depends_on_fast(self) -> bool:
@@ -106,10 +113,7 @@ class ReactionSpec:
 
     def param_terms(self):
         """Polynomial terms as (coef, sigma_power, lambda_power) triples."""
-        for key, value in self.params:
-            if key == "terms":
-                return value
-        return ()
+        return self.param("terms", ())
 
 
 def make_slow_reaction(kind: str, **params) -> ReactionSpec:
@@ -186,17 +190,31 @@ def eval_b(spec: ReactionSpec, t: float, xi, sigma, lam):
     return out
 
 
+def fast_coefficients(spec: ReactionSpec) -> tuple:
+    """(a_c, b_c, c_s) of a fast reaction; c_s is None for the linear kind,
+    whose g has no sine term."""
+    if spec.role != "fast":
+        raise InvalidParameterError("g requires a fast reaction")
+    c_s = None if spec.kind == "linear_benchmark" else spec.param("c_s")
+    return spec.param("a_c"), spec.param("b_c"), c_s
+
+
+def g_from_drive(drive, sigma, b_c: float, c_s: float | None):
+    """The fast reaction from its slow part drive = a_c*rho:
+    g = drive - b_c*sigma, plus c_s*sin(sigma) unless c_s is None.
+
+    The one formula of g: eval_g and the prepared fast substep both call
+    it, the substep with drive computed once per frozen slow field."""
+    if c_s is None:
+        return drive - b_c * sigma
+    return drive - b_c * sigma + c_s * np.sin(sigma)
+
+
 def eval_g(spec: ReactionSpec, t: float, xi, rho, sigma):
     """Pointwise fast reaction; rho is the slow value, sigma the fast value."""
-    if spec.role != "fast":
-        raise InvalidParameterError("eval_g requires a fast reaction")
-    rho = np.asarray(rho, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    a_c = spec.param("a_c")
-    b_c = spec.param("b_c")
-    if spec.kind == "linear_benchmark":
-        return a_c * rho - b_c * sigma
-    return a_c * rho - b_c * sigma + spec.param("c_s") * np.sin(sigma)
+    a_c, b_c, c_s = fast_coefficients(spec)
+    return g_from_drive(a_c * np.asarray(rho, dtype=float),
+                        np.asarray(sigma, dtype=float), b_c, c_s)
 
 
 def truncate_b(spec: ReactionSpec, theta: float, t: float, xi, sigma, lam):
@@ -263,22 +281,38 @@ class LyapunovSpec:
                    kappa1=slow.kappa1, kappa2=slow.kappa2)
 
 
-def _norm_power(values: np.ndarray, grid: GridSpec, norm_order: float,
-                power: float):
-    # Degenerate exponents contribute nothing to V: one zero per field.
-    if power <= 0 or norm_order <= 0:
-        return 0.0 if np.ndim(values) <= 1 else np.zeros(np.shape(values)[:-1])
-    return lp_norm(values, grid, norm_order) ** power
+def _v_norm_exponents(lyap: LyapunovSpec) -> tuple:
+    """(L^p order, power) of the three norm terms of V, in summation order:
+    |u| at 4m1, |v| at 4m2, |v| at 2 kappa1 m1."""
+    return ((4.0 * lyap.m1, 2.0 * lyap.m1), (4.0 * lyap.m2, 2.0 * lyap.m2),
+            (2.0 * lyap.kappa1 * lyap.m1, lyap.kappa1 * lyap.m1))
+
+
+def lyapunov_norms(u_phys: np.ndarray, v_phys: np.ndarray,
+                   lyap: LyapunovSpec, grid: GridSpec) -> tuple:
+    """The three L^p norms V reads, in the order of _v_norm_exponents:
+    floats for one pair of nodal fields, arrays over the leading axes of a
+    batch, None for a term with a degenerate exponent."""
+    fields = (u_phys, v_phys, v_phys)
+    return tuple(None if power <= 0 or order <= 0
+                 else lp_norm(values, grid, order)
+                 for values, (order, power) in zip(fields,
+                                                   _v_norm_exponents(lyap)))
 
 
 def eval_V(u_phys: np.ndarray, v_phys: np.ndarray, lyap: LyapunovSpec,
-           grid: GridSpec):
+           grid: GridSpec, norms: tuple | None = None):
     """V(u, v) from nodal fields: a float for one pair, an array over the
-    leading axes of a batch (the norms reduce over the last axis)."""
-    u_term = _norm_power(u_phys, grid, 4.0 * lyap.m1, 2.0 * lyap.m1)
-    v_term = _norm_power(v_phys, grid, 4.0 * lyap.m2, 2.0 * lyap.m2)
-    v_term2 = _norm_power(v_phys, grid, 2.0 * lyap.kappa1 * lyap.m1,
-                          lyap.kappa1 * lyap.m1)
+    leading axes of a batch (the norms reduce over the last axis).  A caller
+    that reads the norms too passes its lyapunov_norms as norms."""
+    if norms is None:
+        norms = lyapunov_norms(u_phys, v_phys, lyap, grid)
+    # A degenerate term contributes nothing: one zero per field.
+    batch = np.broadcast_shapes(np.shape(u_phys)[:-1], np.shape(v_phys)[:-1])
+    zero = np.zeros(batch) if batch else 0.0
+    u_term, v_term, v_term2 = (
+        zero if norm is None else norm ** power
+        for norm, (_, power) in zip(norms, _v_norm_exponents(lyap)))
     return lyap.c_V * (1.0 + u_term + v_term + v_term2)
 
 
@@ -301,8 +335,7 @@ def truncation_gap_bound(spec: ReactionSpec, theta: float, lyap: LyapunovSpec,
     count = 0
     for sigma, lam in sample_points:
         b = float(eval_b(spec, 0.0, 0.0, sigma, lam))
-        b_theta = b / (1.0 + theta * abs(b))
-        gap = abs(b - b_theta)
+        gap = abs(b - float(truncate_b(spec, theta, 0.0, 0.0, sigma, lam)))
         envelope = lyap.c_V * (1.0 + abs(sigma) ** (2.0 * lyap.m1)
                                + abs(lam) ** (2.0 * lyap.m2))
         max_gap = max(max_gap, gap)

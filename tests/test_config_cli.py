@@ -273,12 +273,12 @@ class TestCli:
                                  theta_sequence=[0.1, 0.01, 0.001])
         path = write_config(tmp_path, raw)
         calls = []
-        v_integral = harness.v_integral
+        path_functionals = harness.path_functionals
 
         def counting(traj, model):
             calls.append((traj.trajectory_id, model.epsilon, model.theta))
-            return v_integral(traj, model)
-        monkeypatch.setattr(harness, "v_integral", counting)
+            return path_functionals(traj, model)
+        monkeypatch.setattr(harness, "path_functionals", counting)
         assert main(["audit", "--config", path, "--out", str(tmp_path / "a"),
                      "--workers", "1"]) == 0
         assert len(calls) == len(set(calls)) == 2 * 5
@@ -343,9 +343,9 @@ class TestCli:
                                           command):
         import slowfast.fast_dynamics as fast_dynamics
 
-        def nan_g(spec, t, xi, rho, sigma):
+        def nan_g(drive, sigma, b_c, c_s):
             return np.full(np.shape(sigma), np.nan)
-        monkeypatch.setattr(fast_dynamics, "eval_g", nan_g)
+        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_g)
         path = write_config(tmp_path, BASE)
         out = tmp_path / command
         assert main([command, "--config", path, "--out", str(out)]) == 3

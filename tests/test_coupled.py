@@ -12,7 +12,7 @@ from slowfast import (InvalidParameterError, KhasminskiiPlan,
                       eval_V, khasminskii_delta, make_fast_reaction, make_plan,
                       make_slow_reaction, nemytskii_drift, simulate_slowfast,
                       synthesize)
-from slowfast.coupled import v_integral
+from slowfast.coupled import path_functionals
 from slowfast.spectral import kahan_add
 
 from conftest import cubic_model, linear_model, unit_field
@@ -132,8 +132,10 @@ class TestCoupledStep:
         import slowfast.fast_dynamics as fast_dynamics
 
         def nan_drift(*args, **kwargs):
+            # eval_b(spec, t, xi, sigma, lam): lam holds the fast nodes.
             return np.full(args[4].shape, np.nan)
-        monkeypatch.setattr(coupled, "nemytskii_drift", nan_drift)
+        # theta = 0 here, so the coupled step evaluates b by eval_b.
+        monkeypatch.setattr(coupled, "eval_b", nan_drift)
         model = linear_model(horizon=0.05, h_macro=0.01)
         with pytest.raises(StateExplosionError) as info:
             simulate_slowfast(model, 0, 0)
@@ -144,9 +146,9 @@ class TestCoupledStep:
         # the macro step's time too, not left to the next transform.
         monkeypatch.undo()
 
-        def nan_g(spec, t, xi, rho, sigma):
+        def nan_g(drive, sigma, b_c, c_s):
             return np.full(np.shape(sigma), np.nan)
-        monkeypatch.setattr(fast_dynamics, "eval_g", nan_g)
+        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_g)
         with pytest.raises(StateExplosionError) as info:
             simulate_slowfast(model, 0, 0)
         assert info.value.t == pytest.approx(0.01)
@@ -156,7 +158,7 @@ class TestCoupledStep:
         model = cubic_model(eps=0.1, n_modes=16, n_quad=64, theta=0.01)
         traj = simulate_slowfast(model, 3, 0)
         assert np.all(np.isfinite(traj.u))
-        assert v_integral(traj, model) < 1e6
+        assert path_functionals(traj, model)["v_integral"] < 1e6
 
     def test_reproducibility_bit_exact(self):
         model = cubic_model(eps=0.1)
@@ -274,7 +276,7 @@ class TestKernelBitIdentity:
         assert np.array_equal(traj.v, v)
         assert np.array_equal(traj.slow_drift, drifts)
         assert np.array_equal(traj.fast_noise, noise)
-        assert v_integral(traj, model) == v_int
+        assert path_functionals(traj, model)["v_integral"] == v_int
 
     @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
     def test_replay_matches_reference(self, kind):
@@ -299,7 +301,8 @@ class TestKernelBitIdentity:
             for field in ("u", "v", "slow_drift", "fast_noise"):
                 assert np.array_equal(getattr(other, field),
                                       getattr(default, field)), (chunk, field)
-            assert v_integral(other, model) == v_integral(default, model)
+            assert (path_functionals(other, model)
+                    == path_functionals(default, model))
 
     def test_non_finite_replay_raises(self, monkeypatch):
         # The replay has no guard of its own inside the substeps; a field
@@ -308,9 +311,9 @@ class TestKernelBitIdentity:
         model = KERNEL_MODELS["linear"](0.1)
         traj = simulate_slowfast(model, 5, 0, record_noise=True)
 
-        def nan_g(spec, t, xi, rho, sigma):
+        def nan_g(drive, sigma, b_c, c_s):
             return np.full(np.shape(sigma), np.nan)
-        monkeypatch.setattr(fast_dynamics, "eval_g", nan_g)
+        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_g)
         with pytest.raises(StateExplosionError, match="replay") as info:
             build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=14),
                             model)

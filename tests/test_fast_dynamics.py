@@ -269,13 +269,13 @@ class TestInvariantAverage:
         # A NaN from g must never be pooled: the kernel raises, naming the
         # replica whose field went non-finite.
         import slowfast.fast_dynamics as fast_dynamics
-        real_g = fast_dynamics.eval_g
+        real_g = fast_dynamics.g_from_drive
 
-        def nan_in_replica_1(spec, t, xi, rho, sigma):
-            g = np.array(real_g(spec, t, xi, rho, sigma))
+        def nan_in_replica_1(drive, sigma, b_c, c_s):
+            g = np.array(real_g(drive, sigma, b_c, c_s))
             g[1] = np.nan
             return g
-        monkeypatch.setattr(fast_dynamics, "eval_g", nan_in_replica_1)
+        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_in_replica_1)
         with pytest.raises(StateExplosionError, match="frozen-fast replica 1"):
             estimate_invariant_average(frozen_cfg(t_avg=0.2, n_replicas=3),
                                        lambda v_phys: v_phys[:, 0])
@@ -332,16 +332,16 @@ class TestChunkedObservable:
         import slowfast.fast_dynamics as fast_dynamics
         cfg = frozen_cfg(t_burn=1.0, t_avg=2.0, n_replicas=3)
         n_burn, _ = _steps(cfg)
-        real_g = fast_dynamics.eval_g
+        real_g = fast_dynamics.g_from_drive
         calls = []
 
-        def nan_in_replica_1(spec, t, xi, rho, sigma):
-            g = np.array(real_g(spec, t, xi, rho, sigma))
+        def nan_in_replica_1(drive, sigma, b_c, c_s):
+            g = np.array(real_g(drive, sigma, b_c, c_s))
             calls.append(None)
             if len(calls) > n_burn + 100:
                 g[1] = np.nan
             return g
-        monkeypatch.setattr(fast_dynamics, "eval_g", nan_in_replica_1)
+        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_in_replica_1)
         observed = []
 
         def recording(v_phys):
@@ -452,9 +452,9 @@ class TestContraction:
         # NaN distances would silently drop out of the decay fit.
         import slowfast.fast_dynamics as fast_dynamics
 
-        def nan_g(spec, t, xi, rho, sigma):
+        def nan_g(drive, sigma, b_c, c_s):
             return np.full(np.shape(sigma), np.nan)
-        monkeypatch.setattr(fast_dynamics, "eval_g", nan_g)
+        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_g)
         with pytest.raises(StateExplosionError, match="frozen-fast pair"):
             contraction_diagnostic(frozen_cfg(), unit_field(N), np.zeros(N),
                                    t_max=0.1)

@@ -1,13 +1,16 @@
-"""Property tests for the invariants the batched replica kernel rests on."""
+"""Property tests for the invariants the batched replica kernel and the
+prepared fast substep rest on."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from slowfast import (GridSpec, analyze, make_slow_reaction, nemytskii_drift,
-                      synthesize)
+from slowfast import (GridSpec, SpectralOperator, analyze, eval_g,
+                      make_fast_reaction, make_plan, make_slow_reaction,
+                      nemytskii_drift, synthesize)
 from slowfast.config import ObservableSpec
+from slowfast.fast_dynamics import FastStepper
 from slowfast.noise import ROLES, RngStream
 from slowfast.spectral import lp_norm
 
@@ -109,3 +112,76 @@ def test_batched_observable_spec_rows_equal_single_calls(case, spec):
         # The 1-D value is the one terminal observables always reported.
         for u in coeffs:
             assert spec(u) == float(np.dot(u, u))
+
+
+FAST_KINDS = ("linear_benchmark", "lipschitz_saturating")
+COEFFS = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, width=64)
+
+
+@st.composite
+def fast_step_cases(draw):
+    """A fast reaction of either kind, its OU plan, a state v (one field or
+    an (R, N) block), a frozen nodal slow field and standard normals."""
+    grid = draw(st.sampled_from(GRIDS))
+    kind = draw(st.sampled_from(FAST_KINDS))
+    params = {"a_c": draw(COEFFS), "b_c": draw(COEFFS)}
+    if kind == "lipschitz_saturating":
+        params["c_s"] = draw(COEFFS)
+    reaction = make_fast_reaction(kind, **params)
+    op = SpectralOperator.from_power_law(grid.n_modes, 1.0, 1.0, 0.3, 1.0, 0.5)
+    plan = make_plan(op, draw(st.sampled_from([1e-3, 0.01, 0.2])),
+                     draw(st.sampled_from([1.0, 0.02])))
+    shape = draw(st.sampled_from([(), (1,), (5,)])) + (grid.n_modes,)
+    v = draw(arrays(np.float64, shape, elements=FINITE))
+    rho_phys = draw(arrays(np.float64, grid.n_quad, elements=FINITE))
+    xi = draw(arrays(np.float64, shape, elements=st.floats(
+        min_value=-6.0, max_value=6.0, allow_nan=False, width=64)))
+    return grid, reaction, plan, v, rho_phys, xi
+
+
+@SETTINGS
+@given(fast_step_cases())
+def test_prepared_fast_step_equals_checked_reference(case):
+    # The reference: checked transforms around eval_g and the OU update.
+    grid, reaction, plan, v, rho_phys, xi = case
+    v_phys = synthesize(v, grid)
+    forcing = analyze(eval_g(reaction, 0.0, grid.nodes, rho_phys, v_phys),
+                      grid)
+    v_ref = plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
+    stepper = FastStepper(reaction, grid, plan)
+    v_new, v_new_phys = stepper.step(v, v_phys, stepper.drive(rho_phys),
+                                     stepper.noise(xi))
+    assert np.array_equal(v_new, v_ref)
+    assert np.array_equal(v_new_phys, synthesize(v_ref, grid))
+
+
+def _scanned_param(spec, name, default):
+    """ReactionSpec.param as a linear scan of params, first match wins."""
+    for key, value in spec.params:
+        if key == name:
+            return value
+    return default
+
+
+@SETTINGS
+@given(data=st.data(), default=COEFFS)
+def test_param_lookup_matches_scan(data, default):
+    role, kind = data.draw(st.sampled_from(
+        [("slow", "linear_benchmark"), ("slow", "cubic_rough"),
+         ("slow", "polynomial"), ("fast", "linear_benchmark"),
+         ("fast", "lipschitz_saturating")]))
+    if kind == "polynomial":
+        terms = data.draw(st.lists(st.tuples(
+            COEFFS, st.integers(0, 3), st.integers(0, 3)), max_size=4))
+        spec = make_slow_reaction(kind, terms=terms)
+    else:
+        names = {"cubic_rough": ("c_u", "c_v"),
+                 "lipschitz_saturating": ("a_c", "b_c", "c_s")}.get(
+            kind, ("a_c", "b_c") if role == "fast" else ())
+        params = {name: data.draw(COEFFS) for name in names
+                  if data.draw(st.booleans())}
+        make = make_fast_reaction if role == "fast" else make_slow_reaction
+        spec = make(kind, **params)
+    for name in ("a_c", "b_c", "c_s", "c_u", "c_v", "terms", "absent"):
+        assert spec.param(name) == _scanned_param(spec, name, 0.0)
+        assert spec.param(name, default) == _scanned_param(spec, name, default)

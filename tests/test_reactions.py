@@ -231,6 +231,18 @@ class TestTruncationGap:
         with pytest.raises(InvalidParameterError):
             truncation_gap_bound(spec, 1.0, lyap, [(0.0, 0.0)])
 
+    @pytest.mark.parametrize("theta", [0.5, 0.01])
+    def test_max_gap_is_the_truncate_b_gap(self, rng, theta):
+        # The report reads the truncation from truncate_b, the one formula.
+        spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
+        lyap = LyapunovSpec.from_reaction(spec)
+        points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(100)]
+        gaps = [abs(float(eval_b(spec, 0.0, 0.0, sigma, lam))
+                    - float(truncate_b(spec, theta, 0.0, 0.0, sigma, lam)))
+                for sigma, lam in points]
+        report = truncation_gap_bound(spec, theta, lyap, points)
+        assert report.max_gap == max(gaps)
+
 
 class TestDissipativity:
     def test_gap_value(self):
