@@ -18,7 +18,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -108,6 +107,9 @@ def run_parallel(fn, tasks, worker_count: int):
     """Map a module-level function over picklable tasks, preserving order."""
     if worker_count <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # Imported here, so only a parallel run pays for loading multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (4 * worker_count))
     with ProcessPoolExecutor(max_workers=worker_count) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))

@@ -6,10 +6,14 @@ nonnegative integers, so identical identities reproduce
 identical draw sequences regardless of scheduling or worker count, and
 distinct trajectory ids or roles give statistically independent streams.
 
-Standard normals are produced by the inverse-CDF transform: a 53-bit
-integer j from the Philox stream is mapped to the open-interval uniform
-(2j+1) * 2^-54 and passed through scipy's ndtri.  The choice is fixed so
-that draws are bit-reproducible and never hit the CDF endpoints.
+Standard normals are numpy's ziggurat sampler
+(``Generator.standard_normal``, Marsaglia & Tsang 2000) on the stream's
+Philox generator.  Draws are deterministic per key and
+concatenation-consistent: n draws taken in any chunking are the same n
+numbers.  They are tied to numpy's ``Generator`` algorithm, which numpy's
+stream policy (NEP 19) allows to change between releases;
+``tests/test_noise.py`` pins the first draws of one stream so such a change
+fails a test instead of silently changing outputs.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+# numpy loads numpy.random lazily; importing it here keeps its load out of
+# the first draw.
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import InvalidParameterError
 from .spectral import SpectralOperator, as_modal_field
@@ -56,23 +62,17 @@ class RngStream:
         self.role = role
         self.key = key
         self.counter = 0
-        seq = np.random.SeedSequence(
+        seq = SeedSequence(
             entropy=self.master_seed,
             spawn_key=(ROLES.index(role), self.trajectory_id) + key,
         )
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        self._gen = Generator(Philox(seq))
 
     def normals(self, n: int) -> np.ndarray:
-        """Draw n standard normals via the fixed inverse-CDF construction."""
-        raw = self._gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
-        # (2 raw + 1) * 2^-54, in place so a large chunk of draws makes no
-        # further temporaries.
-        u = raw.astype(float)
-        u *= 2.0
-        u += 1.0
-        u *= 2.0 ** -54
+        """Draw n standard normals by numpy's ziggurat on this Philox stream."""
+        draws = self._gen.standard_normal(n)
         self.counter += n
-        return ndtri(u, out=u)
+        return draws
 
     def fresh_copy(self) -> "RngStream":
         """Same identity restarted at draw 0; replays the identical sequence."""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import binom, chi2, kstest, norm
 
 from slowfast import (InvalidParameterError, SpectralOperator, derive_stream,
                       make_plan, ou_step, wiener_increment)
@@ -70,6 +70,33 @@ class TestStreams:
         draws = derive_stream(3, 0, "frozen_fast_noise").normals(100_000)
         assert abs(draws.mean()) < 0.015
         assert abs(draws.std() - 1.0) < 0.01
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_draws_pass_kolmogorov_smirnov(self, role):
+        draws = derive_stream(5, 1, role).normals(200_000)
+        assert kstest(draws, "norm").pvalue > 1e-4
+
+    @pytest.mark.parametrize("role", ROLES)
+    @pytest.mark.parametrize("z", [3.0, 4.0])
+    def test_tail_counts(self, role, z):
+        # Beyond the ziggurat's last layer (about 3.65) numpy samples the
+        # tail separately; the count must lie in its two-sided binomial
+        # band of total false-alarm rate 1e-4.
+        n = 2_000_000
+        draws = derive_stream(5, 2, role).normals(n)
+        p = 2.0 * norm.sf(z)
+        lo, hi = binom.ppf(0.5e-4, n, p), binom.isf(0.5e-4, n, p)
+        assert lo <= np.count_nonzero(np.abs(draws) > z) <= hi
+
+    def test_known_answer(self):
+        # The first draws of one stream, so a change of construction (ours,
+        # or numpy's Generator algorithm, which NEP 19 allows to change)
+        # fails here instead of silently changing every output.
+        draws = derive_stream(2024, 0, "slow_noise").normals(8)
+        assert draws.tolist() == [
+            -0.8034157318258894, 0.13458432467357945, -0.5137264093336725,
+            -0.08949196099751938, -1.5517288060764387, 0.30255072378076286,
+            -0.12179717769905378, -0.7518207783515672]
 
 
 class TestWienerIncrement:
