@@ -6,6 +6,7 @@ reaches a simulation kernel:
 
   - dissipativity gap          omega = alpha_{2,1} - L2 > 0
   - one-sided growth           kappa1 <= 2*m2
+  - growth inequalities        reactions.validate_growth, sampled on a box
   - noise regularity exponent  a(2*gamma - 1) - 2*s < -1
 
 The canonical form (all defaults materialized, keys sorted) is what gets
@@ -23,7 +24,7 @@ import numpy as np
 from .averaging import AveragedDriftParams
 from .errors import ConfigurationRejectedError
 from .model import ModelSpec, build_model
-from .reactions import make_fast_reaction, make_slow_reaction
+from .reactions import make_fast_reaction, make_slow_reaction, validate_growth
 from .spectral import GridSpec, SpectralOperator
 
 __all__ = [
@@ -136,8 +137,27 @@ def _reaction(section: dict, role: str, where: str):
     if role == "slow":
         if section["kind"] == "polynomial" and "terms" in params:
             params["terms"] = [tuple(term) for term in params["terms"]]
-        return make_slow_reaction(section["kind"], **params)
+        spec = make_slow_reaction(section["kind"], **params)
+        _require_growth(spec, where)
+        return spec
     return make_fast_reaction(section["kind"], **params)
+
+
+def _require_growth(spec, where: str) -> None:
+    """Reject a slow reaction that breaks either growth inequality of
+    Hypothesis 2.2 on validate_growth's sample box.  A sampling check, not
+    a proof: a reaction can pass it and still break the bound elsewhere."""
+    report = validate_growth(spec)
+    if not report.uniform_ok:
+        raise ConfigurationRejectedError(
+            f"Hypothesis 2.2 (uniform growth): |b(σ,λ)| ≤ c₁(a₁ + |σ|^m₁ + "
+            f"|λ|^m₂) violated in {where}: worst sampled ratio "
+            f"{report.uniform_worst_ratio:.4g} > c₁={spec.c1:g}")
+    if not report.one_sided_ok:
+        raise ConfigurationRejectedError(
+            f"Hypothesis 2.2 (one-sided growth): b(σ+ρ,λ)σ ≤ c₂(a₂ + σ² + "
+            f"|λ|^κ₁ + |ρ|^κ₂) violated in {where}: worst sampled ratio "
+            f"{report.one_sided_worst_ratio:.4g} > c₂={spec.c2:g}")
 
 
 _MODEL_KEYS_REQ = ("grid", "slow_operator", "fast_operator", "reactions",

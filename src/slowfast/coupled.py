@@ -1,9 +1,10 @@
 """Coupled slow-fast simulation and the block-frozen auxiliary processes.
 
 The slow field advances by one exponential-Euler macro step per h_macro;
-the fast field takes n_sub = ceil(h_macro / (ratio * eps)) exact-OU substeps
-per macro step, with the OU plan absorbing the 1/eps drift and 1/sqrt(eps)
-noise scalings, so no step restriction comes from the scale separation.
+the fast field takes n_sub = ceil(h_macro / (ratio * eps)) substeps of an
+exponential integrator per macro step, its OU plan on A2 - b_c absorbing the
+1/eps drift and 1/sqrt(eps) noise scalings, so no step restriction comes
+from the scale separation.
 
 The auxiliary pair (u_aux, v_aux) freezes the slow argument of the fast
 drift on blocks of length delta and replays the identical fast noise
@@ -122,8 +123,8 @@ def _plans(model: ModelSpec, h_macro: float):
     n_sub = max(1, math.ceil(h_macro / (model.substep_ratio * model.epsilon)))
     h_sub = h_macro / n_sub
     plan_slow = make_plan(model.op1, h_macro, 1.0)
-    stepper = FastStepper(model.reaction_fast, model.grid,
-                          make_plan(model.op2, h_sub, model.epsilon))
+    stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h_sub,
+                          model.epsilon)
     weights = np.full((n_sub + 1, 1), 1.0 / n_sub)
     weights[0] = weights[-1] = 0.5 / n_sub
     return n_sub, plan_slow, stepper, weights
@@ -134,12 +135,13 @@ def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
                  plans=None) -> tuple[SlowFastState, np.ndarray]:
     """Advance the pair (u, v) by one macro step.
 
-    The fast field takes n_sub exact-OU substeps with its drift g(u, v)/eps
-    frozen per substep and u held at the macro-step start.  The slow drift
-    b_theta(t, u, .) is averaged along the fast substep path (trapezoid over
-    the substep nodes): the fast field crosses its relaxation layer inside a
-    single macro step, and sampling it at the left endpoint alone would turn
-    that O(eps) layer into an O(h_macro) bias of the slow motion.
+    The fast field takes n_sub exponential-integrator substeps, its linear
+    part and noise exact and the rest of g(u, v)/eps explicit, with u held
+    at the macro-step start.  The slow drift b_theta(t, u, .) is averaged
+    along the fast substep path (trapezoid over the substep nodes): the
+    fast field crosses its relaxation layer inside a single macro step, and
+    sampling it at the left endpoint alone would turn that O(eps) layer
+    into an O(h_macro) bias of the slow motion.
 
     xi_slow, shape (N,), and xi_fast, shape (n_sub, N), are the standard
     normals of the step.  Returns the new state, with its nodal values, and
@@ -155,14 +157,12 @@ def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
     grid = model.grid
     mat = grid.sine_matrix
     u_phys = mat.dot(state.u) if state.u_phys is None else state.u_phys
+    v_phys = mat.dot(state.v) if state.v_phys is None else state.v_phys
     # u is frozen over the substeps: the slow part of g once per macro step.
-    drive = stepper.drive(u_phys)
-    noise = stepper.noise(xi_fast)
-    v = state.v
-    v_nodes = np.empty((n_sub + 1, grid.n_quad))
-    v_nodes[0] = mat.dot(v) if state.v_phys is None else state.v_phys
-    for j in range(n_sub):
-        v, v_nodes[j + 1] = stepper.step(v, v_nodes[j], drive, noise[j])
+    states, nodes = stepper.advance(state.v, v_phys, stepper.drive(u_phys),
+                                    stepper.noise(xi_fast))
+    v = states[-1]
+    v_nodes = np.concatenate((v_phys[None], nodes))
     if model.theta > 0:
         drift = truncate_b(model.reaction_slow, model.theta, state.t,
                            grid.nodes, u_phys, v_nodes)
@@ -307,32 +307,29 @@ def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
             "substep layout mismatch: trajectory is not replayable under this model")
 
     mat = model.grid.sine_matrix
-    noise = stepper.noise(traj.fast_noise)
-    u_aux = np.empty_like(traj.u)
+    noise = stepper.noise(traj.fast_noise).reshape(-1, model.n_modes)
     v_aux = np.empty_like(traj.v)
     v_aux[0] = traj.v[0]
-    for i in range(n_steps):
-        if i % steps_per_block == 0:
-            # The path's states passed its explosion guard, so are finite.
-            drive = stepper.drive(mat.dot(traj.u[i]))
-            v = traj.v[i].copy()
-            v_phys = mat.dot(v)
-        for j in range(n_sub):
-            v, v_phys = stepper.step(v, v_phys, drive, noise[i, j])
-        v_aux[i + 1] = v
+    for start in range(0, n_steps, steps_per_block):
+        stop = min(start + steps_per_block, n_steps)
+        # The path's states passed its explosion guard, so are finite.
+        states, _ = stepper.advance(
+            traj.v[start], mat.dot(traj.v[start]),
+            stepper.drive(mat.dot(traj.u[start])),
+            noise[start * n_sub:stop * n_sub])
+        v_aux[start + 1:stop + 1] = states[n_sub - 1::n_sub]
+    # Node i holds the snapshot at the start of its block.
+    block_starts = np.arange(n_steps + 1) // steps_per_block * steps_per_block
+    u_aux = traj.u[np.minimum(block_starts, n_steps)]
     finite = np.isfinite(v_aux).all(axis=1)
     if not finite.all():
+        # u_aux[first - 1] is the frozen slow state behind node first.
         first = int(np.argmin(finite))
-        block_start = ((first - 1) // steps_per_block) * steps_per_block
         raise StateExplosionError(float(traj.times[first]),
-                                  float(np.linalg.norm(traj.u[block_start])),
+                                  float(np.linalg.norm(u_aux[first - 1])),
                                   float(np.linalg.norm(v_aux[first])),
                                   model.explosion_bound,
                                   where=" in the block-frozen replay")
-    # Node i holds the snapshot at the start of its block.
-    for i in range(n_steps + 1):
-        block_start = min((i // steps_per_block) * steps_per_block, n_steps)
-        u_aux[i] = traj.u[block_start]
     return AuxiliaryResult(times=traj.times.copy(), u_aux=u_aux, v_aux=v_aux,
                            delta_snapped=delta_snapped,
                            steps_per_block=steps_per_block)

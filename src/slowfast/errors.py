@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class InvalidParameterError(ValueError):
     """An operation received arguments outside its contract."""
@@ -14,7 +16,11 @@ class ConfigurationRejectedError(ValueError):
 
 
 class StateExplosionError(RuntimeError):
-    """A trajectory breached the explosion guard ``|u| + |v| <= bound``."""
+    """A trajectory breached the explosion guard ``|u| + |v| <= bound``.
+
+    ``cause`` is ``"non-finite"`` when a norm is NaN or infinite, else
+    ``"bound"``.
+    """
 
     def __init__(self, t: float, norm_u: float, norm_v: float, bound: float,
                  where: str = ""):
@@ -22,7 +28,11 @@ class StateExplosionError(RuntimeError):
         self.norm_u = norm_u
         self.norm_v = norm_v
         self.bound = bound
+        finite = math.isfinite(norm_u) and math.isfinite(norm_v)
+        self.cause = "bound" if finite else "non-finite"
+        verdict = (f"exceeds guard {bound:.3e}" if finite
+                   else "is non-finite")
         super().__init__(
             f"state explosion{where} at t={t:g}: |u|={norm_u:.3e}, "
-            f"|v|={norm_v:.3e} exceeds guard {bound:.3e}"
+            f"|v|={norm_v:.3e} {verdict}"
         )

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
 from .noise import OUStepPlan, RngStream, derive_stream, make_plan
-from .reactions import (ReactionSpec, fast_coefficients, g_from_drive,
+from .reactions import (ReactionSpec, fast_coefficients,
                         validate_dissipativity)
 from .spectral import (GridSpec, SpectralOperator, as_modal_field,
-                       kahan_add, synthesize)
+                       kahan_add, matvec, synthesize)
 
 __all__ = [
     "FrozenFastConfig",
@@ -86,76 +86,88 @@ class InvariantAverageEstimate:
 
 
 class FastStepper:
-    """The exact-OU step of the fast field, prepared once for (reaction,
-    grid, plan).
+    """The exponential integrator of the fast field, prepared once for
+    (reaction, grid, operator, step h, time scale eps_eff).
 
-    The slow field is frozen over a step, so its part of g is hoisted:
-    drive(rho_phys) = a_c*rho is computed once per frozen slow field, and
-    noise(xi) = noise_std*xi once per block of standard normals.  step then
-    evaluates g = drive - b_c*sigma (+ c_s*sin sigma) by
-    reactions.g_from_drive and makes the OU update.  These are the
-    operations, in order, of analyze(eval_g(...)), then
-    decay*v + drift_weight*forcing + noise_std*xi, then synthesize, so the
-    results are bit-identical to that checked form; nothing is checked, so
-    a non-finite field passes through and callers check at their step
-    boundary.
+    The linear part -(alpha_k + b_c) v_k and the noise are exact per mode:
+    the OU plan is made on alpha_k + b_c.  The rest of g is explicit:
+    drive(rho_phys) = drift_weight * analyze(a_c*rho), held over a frozen
+    slow field, and (c_s*drift_weight) * analyze(sin sigma) per step, so a
+    linear reaction (c_s None or 0) takes no transform per step.  A row of
+    a block is bit-identical to that field advanced alone.  Nothing is
+    checked: callers check at their step boundary.
     """
 
-    __slots__ = ("a_c", "b_c", "c_s", "mat", "mat_t", "quad_weight",
-                 "decay", "drift_weight", "noise_std")
+    __slots__ = ("a_c", "sin_weight", "mat", "quad_weight", "decay",
+                 "drift_weight", "noise_std")
 
     def __init__(self, reaction: ReactionSpec, grid: GridSpec,
-                 plan: OUStepPlan):
-        self.a_c, self.b_c, self.c_s = fast_coefficients(reaction)
+                 op: SpectralOperator, h: float, eps_eff: float):
+        self.a_c, b_c, c_s = fast_coefficients(reaction)
+        plan = make_plan(replace(op, alphas=op.alphas + b_c), h, eps_eff)
+        self.sin_weight = c_s * plan.drift_weight if c_s else None
         self.mat = grid.sine_matrix
-        self.mat_t = self.mat.T
         self.quad_weight = grid.quad_weight
         self.decay = plan.decay
         self.drift_weight = plan.drift_weight
         self.noise_std = plan.noise_std
 
     def drive(self, rho_phys: np.ndarray) -> np.ndarray:
-        """The slow part a_c*rho of g at the frozen nodal slow field."""
-        return self.a_c * rho_phys
+        """The modal forcing of a frozen nodal slow field, or of a block."""
+        return self.drift_weight * (
+            self.quad_weight * matvec(self.mat.T, self.a_c * rho_phys))
 
     def noise(self, xi: np.ndarray) -> np.ndarray:
-        """Noise increments of the steps whose standard normals are xi,
-        shape (..., N)."""
+        """Noise increments noise_std*xi of a block of standard normals."""
         return self.noise_std * xi
 
-    def step(self, v: np.ndarray, v_phys: np.ndarray, drive: np.ndarray,
-             noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance v, one field or an (R, N) block with nodal values v_phys,
-        by one step; returns the new modal field and its nodal values."""
-        g = g_from_drive(drive, v_phys, self.b_c, self.c_s)
-        if v.ndim == 1:
-            forcing = self.quad_weight * self.mat_t.dot(g)
-            v = self.decay * v + self.drift_weight * forcing + noise
-            return v, self.mat.dot(v)
-        # Stacked matrix-vector products: each row is bit-equal to the 1-D form.
-        forcing = self.quad_weight * np.matmul(self.mat_t, g[..., None])[..., 0]
-        v = self.decay * v + self.drift_weight * forcing + noise
-        return v, np.matmul(self.mat, v[..., None])[..., 0]
+    def advance(self, v: np.ndarray, v_phys: np.ndarray, drive: np.ndarray,
+                noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance v, one field or a block (..., N) with nodal values
+        v_phys, one step per row of noise (n, ..., N); returns the modal and
+        nodal states after each step, shapes (n, ..., N) and (n, ..., M)."""
+        states = drive + noise
+        if self.sin_weight is None:
+            for state in states:
+                state += self.decay * v
+                v = state
+            return states, matvec(self.mat, states)
+        nodes = np.empty(states.shape[:-1] + self.mat.shape[:1])
+        for state, node in zip(states, nodes):
+            state += self.decay * v
+            state += self.sin_weight * (
+                self.quad_weight * matvec(self.mat.T, np.sin(v_phys)))
+            v = state
+            node[...] = v_phys = matvec(self.mat, v)
+        return states, nodes
+
+
+def _stepper(cfg: FrozenFastConfig, plan: OUStepPlan | None) -> FastStepper:
+    """cfg's stepper at plan's h and eps_eff (cfg.h and 1 when None)."""
+    h, eps_eff = (cfg.h, 1.0) if plan is None else (plan.h, plan.eps_eff)
+    return FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, h, eps_eff)
 
 
 def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
                      plan: OUStepPlan | None = None,
                      x_phys: np.ndarray | None = None) -> np.ndarray:
-    """One exponential-Euler step: linear part and noise exact, g frozen."""
-    if plan is None:
-        plan = make_plan(cfg.op2, cfg.h, 1.0)
+    """One exponential-integrator step: linear part and noise exact, the
+    rest of g frozen."""
     if x_phys is None:
         x_phys = synthesize(cfg.x, cfg.grid)
     v = as_modal_field(v, cfg.grid.n_modes)
-    stepper = FastStepper(cfg.reaction_fast, cfg.grid, plan)
-    return stepper.step(v, synthesize(v, cfg.grid), stepper.drive(x_phys),
-                        stepper.noise(stream.normals(cfg.grid.n_modes)))[0]
+    stepper = _stepper(cfg, plan)
+    noise = stepper.noise(stream.normals(cfg.grid.n_modes)[None])
+    states, _ = stepper.advance(v, synthesize(v, cfg.grid),
+                                stepper.drive(x_phys), noise)
+    return states[0]
 
 
 def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
-                  plan: OUStepPlan, x_phys: np.ndarray) -> np.ndarray:
+                  plan: OUStepPlan | None, x_phys: np.ndarray) -> np.ndarray:
     """Burn in, then return the per-batch time averages of the observable,
-    one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).
+    one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).  The
+    chain steps at plan's h and eps_eff (cfg.h and 1 when plan is None).
 
     The R replicas advance together as an (R, N) block.  Replica r draws
     only from streams[r], in chunks of DRAW_CHUNK_STEPS steps; the streams
@@ -175,12 +187,11 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
     n_modes = cfg.grid.n_modes
     n_quad = cfg.grid.n_quad
     n_rep = len(streams)
-    stepper = FastStepper(cfg.reaction_fast, cfg.grid, plan)
+    stepper = _stepper(cfg, plan)
     drive = stepper.drive(x_phys)
 
     v = np.zeros((n_rep, n_modes))
     v_phys = np.zeros((n_rep, n_quad))
-    nodes = np.empty((DRAW_CHUNK_STEPS, n_rep, n_quad))
     batches = []
     acc = comp = None
     n_total = n_burn + n_avg
@@ -189,12 +200,11 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
         noise = stepper.noise(np.stack(
             [s.normals(steps * n_modes).reshape(steps, n_modes)
              for s in streams], axis=1))
-        for j in range(steps):
-            v, v_phys = stepper.step(v, v_phys, drive, noise[j])
-            nodes[j] = v_phys
+        states, nodes = stepper.advance(v, v_phys, drive, noise)
+        v, v_phys = states[-1], nodes[-1]
         # A non-finite field stays non-finite, so one check per chunk finds
         # it before any of its values reach the observable.
-        finite = np.isfinite(nodes[:steps]).all(axis=(0, 2))
+        finite = np.isfinite(nodes).all(axis=(0, 2))
         if not finite.all():
             bad = int(np.argmin(finite))
             raise StateExplosionError(
@@ -206,7 +216,7 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
             continue
         rows = (steps - first) * n_rep
         values = np.asarray(
-            observable(nodes[first:steps].reshape(rows, n_quad)), dtype=float)
+            observable(nodes[first:].reshape(rows, n_quad)), dtype=float)
         if (values.ndim not in (1, 2) or values.shape[0] != rows
                 or (acc is not None and values.shape[1:] != acc.shape[1:])):
             raise InvalidParameterError(
@@ -259,11 +269,10 @@ def estimate_invariant_average(cfg: FrozenFastConfig, observable,
     The standard error comes from the correlated per-batch means
     (batch_std_error) and shrinks like 1/sqrt(n_replicas * t_avg).
     """
-    plan = make_plan(cfg.op2, cfg.h, 1.0)
     x_phys = synthesize(cfg.x, cfg.grid)
     streams = [derive_stream(master_seed, replica, role, key)
                for replica in range(cfg.n_replicas)]
-    batches = _run_replicas(cfg, observable, streams, plan, x_phys)
+    batches = _run_replicas(cfg, observable, streams, None, x_phys)
     # Replica-major rows: the pooled mean sums the batches in this order.
     stacked = batches.reshape((-1,) + batches.shape[2:])
     mean, std_error = stacked.mean(axis=0), batch_std_error(batches)
@@ -318,24 +327,17 @@ def _coupled_pair_run(cfg: FrozenFastConfig, v1, v2, x1, x2, t_max,
                       master_seed: int):
     """Advance two chains under common noise; return times and distances."""
     n_modes = cfg.grid.n_modes
-    stepper = FastStepper(cfg.reaction_fast, cfg.grid,
-                          make_plan(cfg.op2, cfg.h, 1.0))
+    stepper = _stepper(cfg, None)
     stream = derive_stream(master_seed, 0, "frozen_fast_noise")
-    drive1 = stepper.drive(synthesize(as_modal_field(x1, n_modes), cfg.grid))
-    drive2 = stepper.drive(synthesize(as_modal_field(x2, n_modes), cfg.grid))
+    x, v = np.stack([x1, x2]), np.stack([v1, v2])
     n_steps = max(2, int(round(t_max / cfg.h)))
-    v1 = as_modal_field(v1, n_modes).copy()
-    v2 = as_modal_field(v2, n_modes).copy()
-    v1_phys = synthesize(v1, cfg.grid)
-    v2_phys = synthesize(v2, cfg.grid)
-    times = np.empty(n_steps)
-    dists = np.empty(n_steps)
-    for i in range(n_steps):
-        noise = stepper.noise(stream.normals(n_modes))
-        v1, v1_phys = stepper.step(v1, v1_phys, drive1, noise)
-        v2, v2_phys = stepper.step(v2, v2_phys, drive2, noise)
-        times[i] = (i + 1) * cfg.h
-        dists[i] = np.linalg.norm(v1 - v2)
+    # The pair is one (2, N) block whose rows take the same increments.
+    noise = stepper.noise(
+        stream.normals(n_steps * n_modes).reshape(n_steps, 1, n_modes))
+    states, _ = stepper.advance(v, synthesize(v, cfg.grid),
+                                stepper.drive(synthesize(x, cfg.grid)), noise)
+    dists = np.linalg.norm(states[:, 0] - states[:, 1], axis=-1)
+    times = np.arange(1, n_steps + 1) * cfg.h
     if not np.isfinite(dists).all():
         first = int(np.argmin(np.isfinite(dists)))
         raise StateExplosionError(times[first], float(np.linalg.norm(x1)),

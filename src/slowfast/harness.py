@@ -203,10 +203,11 @@ def _coupled_paths(master_seed: int, paths: tuple, ladder: tuple,
     """Simulate each ((eps, theta), model, statistics) entry of paths once
     for one trajectory id, recording fast noise only for the block-frozen
     replay.  Returns {"paths": {key: record}, "ladder": distances}: a record
-    holds "censored" and "t_explosion" when the path or any of its
-    statistics exploded, else the terminal slow state and the statistics'
-    values; the distances are the sup-in-time gaps between consecutive
-    paths of the theta ladder (None if one was censored).
+    holds "censored", "t_explosion" and the explosion's "cause" when the
+    path or any of its statistics exploded, else the terminal slow state
+    and the statistics' values; the distances are the sup-in-time gaps
+    between consecutive paths of the theta ladder (None if one was
+    censored).
     """
     records = {}
     ladder_u = {}
@@ -222,7 +223,8 @@ def _coupled_paths(master_seed: int, paths: tuple, ladder: tuple,
         except StateExplosionError as exc:
             # Censored whether the path or one of its statistics (the
             # averaged drift, the block-frozen replay) exploded.
-            records[key] = {"censored": True, "t_explosion": exc.t}
+            records[key] = {"censored": True, "t_explosion": exc.t,
+                            "cause": exc.cause}
             continue
         records[key] = record
         if key in ladder:

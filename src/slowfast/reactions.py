@@ -34,7 +34,6 @@ __all__ = [
     "eval_b",
     "eval_g",
     "fast_coefficients",
-    "g_from_drive",
     "truncate_b",
     "nemytskii_drift",
     "LyapunovSpec",
@@ -199,22 +198,15 @@ def fast_coefficients(spec: ReactionSpec) -> tuple:
     return spec.param("a_c"), spec.param("b_c"), c_s
 
 
-def g_from_drive(drive, sigma, b_c: float, c_s: float | None):
-    """The fast reaction from its slow part drive = a_c*rho:
-    g = drive - b_c*sigma, plus c_s*sin(sigma) unless c_s is None.
-
-    The one formula of g: eval_g and the prepared fast substep both call
-    it, the substep with drive computed once per frozen slow field."""
-    if c_s is None:
-        return drive - b_c * sigma
-    return drive - b_c * sigma + c_s * np.sin(sigma)
-
-
 def eval_g(spec: ReactionSpec, t: float, xi, rho, sigma):
-    """Pointwise fast reaction; rho is the slow value, sigma the fast value."""
+    """Pointwise fast reaction; rho is the slow value, sigma the fast value:
+    g = a_c*rho - b_c*sigma, plus c_s*sin(sigma) unless c_s is None."""
     a_c, b_c, c_s = fast_coefficients(spec)
-    return g_from_drive(a_c * np.asarray(rho, dtype=float),
-                        np.asarray(sigma, dtype=float), b_c, c_s)
+    rho = np.asarray(rho, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if c_s is None:
+        return a_c * rho - b_c * sigma
+    return a_c * rho - b_c * sigma + c_s * np.sin(sigma)
 
 
 def truncate_b(spec: ReactionSpec, theta: float, t: float, xi, sigma, lam):

@@ -25,6 +25,7 @@ __all__ = [
     "semigroup_apply",
     "synthesize",
     "analyze",
+    "matvec",
     "fractional_norm",
     "check_noise_regularity",
     "lp_norm",
@@ -204,11 +205,7 @@ def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
             f"got shape {f.shape}")
     if not np.isfinite(f).all():
         raise InvalidParameterError("modal field contains non-finite coefficients")
-    mat = grid.sine_matrix
-    if f.ndim == 1:
-        return mat @ f
-    # Stacked matrix-vector products: each row is bit-equal to the 1-D call.
-    return np.matmul(mat, f[..., None])[..., 0]
+    return matvec(grid.sine_matrix, f)
 
 
 def analyze(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -219,10 +216,16 @@ def analyze(values: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise InvalidParameterError(
             f"expected {grid.n_quad} nodal values on the last axis, "
             f"got shape {v.shape}")
-    mat_t = grid.sine_matrix.T
-    if v.ndim == 1:
-        return grid.quad_weight * (mat_t @ v)
-    return grid.quad_weight * np.matmul(mat_t, v[..., None])[..., 0]
+    return grid.quad_weight * matvec(grid.sine_matrix.T, v)
+
+
+def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat times x, or times each row of a stack of them.  Stacked
+    matrix-vector products, so a row's bits do not depend on the stack (a
+    matrix product over the rows would make them depend on its size)."""
+    if x.ndim == 1:
+        return mat.dot(x)
+    return np.matmul(mat, x[..., None])[..., 0]
 
 
 def fractional_norm(coeffs: np.ndarray, op: SpectralOperator, gamma: float) -> float:

@@ -152,6 +152,28 @@ class TestCli:
         assert code == 2
         assert "Hypothesis 2.3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slow,message", [
+        ({"terms": [[1.0, 3, 0]]},
+         "Hypothesis 2.2 (one-sided growth): b(σ+ρ,λ)σ ≤ c₂(a₂ + σ² + "
+         "|λ|^κ₁ + |ρ|^κ₂) violated in model.reactions.slow: worst sampled "
+         "ratio 146.4 > c₂=1"),
+        ({"c1": 0.01, "c2": 0.01},
+         "Hypothesis 2.2 (uniform growth): |b(σ,λ)| ≤ c₁(a₁ + |σ|^m₁ + "
+         "|λ|^m₂) violated in model.reactions.slow: worst sampled ratio "
+         "1 > c₁=0.01"),
+    ], ids=["plus_sigma_cubed", "understated_constants"])
+    def test_growth_gate_names_inequality(self, tmp_path, capsys, slow,
+                                          message):
+        # b = +sigma^3 used to load, and then every path exploded (exit 3).
+        with open(os.path.join("configs", "decoupled_control.json")) as fh:
+            raw = json.load(fh)
+        raw["model"]["reactions"]["slow"].update(slow)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_outputs(self, tmp_path):
         path = write_config(tmp_path, BASE)
         out = tmp_path / "sim"
@@ -302,14 +324,12 @@ class TestCli:
             (outs[1] / "converge.meta.json").read_bytes()
 
     def test_explosion_exit_code(self, tmp_path):
+        # |u| starts above the guard, so every path trips it on its first
+        # step.  (An anti-dissipative b such as 5 sigma^3 is now rejected
+        # at load by the growth gate.)
         raw = copy.deepcopy(BASE)
-        raw["model"]["reactions"]["slow"] = {
-            "kind": "polynomial", "terms": [[5.0, 3, 0]],
-            "m1": 3, "m2": 1, "kappa1": 2, "kappa2": 2,
-            "c1": 10.0, "c2": 10.0, "a1": 1.0, "a2": 1.0,
-        }
         raw["model"]["u0"] = [3.0]
-        raw["model"]["explosion_bound"] = 5.0
+        raw["model"]["explosion_bound"] = 2.0
         path = write_config(tmp_path, raw)
         # Every path explodes: the studies write n = 0 rows, not a traceback.
         for command in ("simulate", "converge", "audit"):
@@ -343,9 +363,9 @@ class TestCli:
                                           command):
         import slowfast.fast_dynamics as fast_dynamics
 
-        def nan_g(drive, sigma, b_c, c_s):
-            return np.full(np.shape(sigma), np.nan)
-        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_g)
+        def nan_noise(self, xi):
+            return np.full(np.shape(xi), np.nan)
+        monkeypatch.setattr(fast_dynamics.FastStepper, "noise", nan_noise)
         path = write_config(tmp_path, BASE)
         out = tmp_path / command
         assert main([command, "--config", path, "--out", str(out)]) == 3

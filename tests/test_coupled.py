@@ -8,11 +8,12 @@ from scipy.stats import linregress
 
 from slowfast import (InvalidParameterError, KhasminskiiPlan,
                       StateExplosionError, analyze, auxiliary_error_stats,
-                      build_auxiliary, compute_rho0, derive_stream, eval_g,
-                      eval_V, khasminskii_delta, make_fast_reaction, make_plan,
+                      build_auxiliary, compute_rho0, derive_stream, eval_V,
+                      khasminskii_delta, make_fast_reaction, make_plan,
                       make_slow_reaction, nemytskii_drift, simulate_slowfast,
                       synthesize)
 from slowfast.coupled import path_functionals
+from slowfast.reactions import fast_coefficients
 from slowfast.spectral import kahan_add
 
 from conftest import cubic_model, linear_model, unit_field
@@ -95,14 +96,16 @@ class TestCoupledStep:
         assert err <= 5e-5
 
     def test_first_order_in_macro_step(self):
+        # The fast linear part is exact, so the error constant is small and
+        # the pair of steps must sit in the asymptotic range.
         model_fn = lambda h: linear_model(eps=1.0, lam_slow=0.0, lam_fast=0.0,
-                                          horizon=0.1, h_macro=h)
+                                          horizon=0.5, h_macro=h)
         a1 = 0.01 * math.pi ** 2
         a2 = math.pi ** 2
         M2 = np.array([[-a1, 1.0], [1.0, -(a2 + 2.0)]])
-        exact = (expm(M2 * 0.1) @ np.array([1.0, 1.0]))[0]
+        exact = (expm(M2 * 0.5) @ np.array([1.0, 1.0]))[0]
         errs = [abs(simulate_slowfast(model_fn(h), 0, 0).u[-1][0] - exact)
-                for h in (2e-3, 1e-3)]
+                for h in (6.25e-4, 3.125e-4)]
         assert 1.6 <= errs[0] / errs[1] <= 2.4
 
     def test_zero_horizon_returns_initial_state(self):
@@ -142,13 +145,13 @@ class TestCoupledStep:
         assert info.value.t == pytest.approx(0.01)
         assert math.isnan(info.value.norm_u)
 
-        # A NaN from the fast reaction g inside the substeps is censored at
-        # the macro step's time too, not left to the next transform.
+        # A NaN in the fast field inside the substeps is censored at the
+        # macro step's time too, not left to the next transform.
         monkeypatch.undo()
 
-        def nan_g(drive, sigma, b_c, c_s):
-            return np.full(np.shape(sigma), np.nan)
-        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_g)
+        def nan_noise(self, xi):
+            return np.full(np.shape(xi), np.nan)
+        monkeypatch.setattr(fast_dynamics.FastStepper, "noise", nan_noise)
         with pytest.raises(StateExplosionError) as info:
             simulate_slowfast(model, 0, 0)
         assert info.value.t == pytest.approx(0.01)
@@ -187,11 +190,24 @@ class TestCoupledStep:
         assert not np.array_equal(u1, u2)
 
 
+def _fast_plan(model, h_sub):
+    """The fast OU plan on alpha + b_c: -b_c*sigma is integrated exactly."""
+    _, b_c, _ = fast_coefficients(model.reaction_fast)
+    op = dataclasses.replace(model.op2, alphas=model.op2.alphas + b_c)
+    return make_plan(op, h_sub, model.epsilon)
+
+
 def _reference_substep(v, u_phys, model, plan, xi):
+    """One exponential-integrator substep in checked transforms: a_c*rho
+    and c_s*sin(sigma) explicit, the rest in the plan."""
     grid = model.grid
-    forcing = analyze(eval_g(model.reaction_fast, 0.0, grid.nodes, u_phys,
-                             synthesize(v, grid)), grid)
-    return plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
+    a_c, _, c_s = fast_coefficients(model.reaction_fast)
+    drive = plan.drift_weight * analyze(a_c * u_phys, grid)
+    v_new = plan.decay * v + (drive + plan.noise_std * xi)
+    if c_s:
+        v_new = v_new + (c_s * plan.drift_weight) * analyze(
+            np.sin(synthesize(v, grid)), grid)
+    return v_new
 
 
 def _reference_path(model, seed, trajectory_id):
@@ -204,7 +220,7 @@ def _reference_path(model, seed, trajectory_id):
     n_steps = int(round(model.horizon / h))
     n_sub = max(1, math.ceil(h / (model.substep_ratio * model.epsilon)))
     plan_slow = make_plan(model.op1, h, 1.0)
-    plan_fast = make_plan(model.op2, h / n_sub, model.epsilon)
+    plan_fast = _fast_plan(model, h / n_sub)
     slow = derive_stream(seed, trajectory_id, "slow_noise")
     fast = derive_stream(seed, trajectory_id, "fast_noise")
     theta = model.theta if model.theta > 0 else None
@@ -240,7 +256,7 @@ def _reference_path(model, seed, trajectory_id):
 def _reference_replay(traj, model, steps_per_block):
     grid = model.grid
     h = model.h_macro
-    plan_fast = make_plan(model.op2, h / traj.n_sub, model.epsilon)
+    plan_fast = _fast_plan(model, h / traj.n_sub)
     v_aux = [traj.v[0]]
     for i in range(traj.times.size - 1):
         block_start = (i // steps_per_block) * steps_per_block
@@ -311,9 +327,9 @@ class TestKernelBitIdentity:
         model = KERNEL_MODELS["linear"](0.1)
         traj = simulate_slowfast(model, 5, 0, record_noise=True)
 
-        def nan_g(drive, sigma, b_c, c_s):
-            return np.full(np.shape(sigma), np.nan)
-        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_g)
+        def nan_noise(self, xi):
+            return np.full(np.shape(xi), np.nan)
+        monkeypatch.setattr(fast_dynamics.FastStepper, "noise", nan_noise)
         with pytest.raises(StateExplosionError, match="replay") as info:
             build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=14),
                             model)
@@ -437,3 +453,14 @@ class TestAuxiliary:
     def test_mismatched_inputs_rejected(self):
         with pytest.raises(InvalidParameterError):
             auxiliary_error_stats([], [])
+
+
+class TestExplosionCause:
+    def test_bound_and_non_finite_are_told_apart(self):
+        over = StateExplosionError(0.1, 2e6, 1.0, 1e6)
+        assert over.cause == "bound" and "exceeds guard" in str(over)
+        for norm in (math.nan, math.inf):
+            bad = StateExplosionError(0.1, 1.0, norm, 1e6)
+            assert bad.cause == "non-finite"
+            assert "is non-finite" in str(bad)
+            assert "exceeds guard" not in str(bad)

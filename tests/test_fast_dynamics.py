@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import linregress
+from scipy.stats import chi2, linregress
 
 from slowfast import (FrozenFastConfig, GridSpec, InvalidParameterError,
                       SpectralOperator, StateExplosionError,
@@ -14,7 +14,7 @@ from slowfast import (FrozenFastConfig, GridSpec, InvalidParameterError,
                       estimate_invariant_average, frozen_lipschitz_in_x,
                       invariant_moment_check, make_fast_reaction, make_plan,
                       make_slow_reaction, nemytskii_drift, step_frozen_fast)
-from slowfast.fast_dynamics import N_BATCHES, batch_std_error
+from slowfast.fast_dynamics import N_BATCHES, FastStepper, batch_std_error
 from slowfast.noise import derive_stream
 
 from conftest import unit_field
@@ -71,6 +71,43 @@ class TestStepFrozenFast:
         v1 = step_frozen_fast(v0, cfg, stream, plan)
         # drift O(h), noise O(sqrt(h))
         assert np.linalg.norm(v1 - v0) < 1e-2
+
+
+class TestExactFastLinearPart:
+    """A linear fast chain (a_c = 1, b_c = 2) at h/eps = 0.2 has the exact
+    stationary law per mode: -b_c*sigma is integrated in the OU plan, so
+    the step size does not bias it."""
+
+    def test_stationary_variance_is_exact_per_mode(self):
+        cfg = frozen_cfg()
+        eps = 0.02
+        stepper = FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, 0.2 * eps,
+                              eps)
+        exact = cfg.op2.lambdas ** 2 / (2.0 * (cfg.op2.alphas + 2.0))
+        variance = stepper.noise_std ** 2 / (1.0 - stepper.decay ** 2)
+        np.testing.assert_allclose(variance, exact, rtol=1e-12)
+        # Treating -b_c*sigma explicitly instead biases mode 1 upward.
+        plan = make_plan(cfg.op2, 0.2 * eps, eps)
+        explicit = plan.noise_std ** 2 / (
+            1.0 - (plan.decay - 2.0 * plan.drift_weight) ** 2)
+        assert explicit[0] > 1.1 * exact[0]
+
+    def test_sampled_mode_1_variance_in_chi_square_band(self):
+        cfg = frozen_cfg(x_mode=0.0, h=0.2, t_avg=400.0, n_replicas=4)
+        n_samples = cfg.n_replicas * _steps(cfg)[1]
+
+        def mode1_sq(v_phys):
+            from slowfast.spectral import analyze
+            return analyze(v_phys, cfg.grid)[:, 0] ** 2
+
+        est = estimate_invariant_average(cfg, mode1_sq, master_seed=29)
+        exact = cfg.op2.lambdas[0] ** 2 / (2.0 * (cfg.op2.alphas[0] + 2.0))
+        # v_1^2 of an AR(1) chain with lag-1 correlation rho is correlated
+        # as rho^(2k): the effective chi-square degrees of freedom.
+        rho2 = math.exp(-2.0 * (cfg.op2.alphas[0] + 2.0) * cfg.h)
+        dof = n_samples * (1.0 - rho2) / (1.0 + rho2)
+        low, high = chi2.ppf([1e-6, 1.0 - 1e-6], dof) / dof
+        assert low * exact <= est.mean <= high * exact
 
 
 class TestInvariantAverage:
@@ -266,16 +303,17 @@ class TestInvariantAverage:
         assert np.array_equal(run(), default)
 
     def test_non_finite_replica_raises(self, monkeypatch):
-        # A NaN from g must never be pooled: the kernel raises, naming the
-        # replica whose field went non-finite.
+        # A NaN in a replica's field must never be pooled: the kernel
+        # raises, naming the replica whose field went non-finite.
         import slowfast.fast_dynamics as fast_dynamics
-        real_g = fast_dynamics.g_from_drive
+        real_noise = fast_dynamics.FastStepper.noise
 
-        def nan_in_replica_1(drive, sigma, b_c, c_s):
-            g = np.array(real_g(drive, sigma, b_c, c_s))
-            g[1] = np.nan
-            return g
-        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_in_replica_1)
+        def nan_in_replica_1(self, xi):
+            noise = real_noise(self, xi)
+            noise[:, 1] = np.nan
+            return noise
+        monkeypatch.setattr(fast_dynamics.FastStepper, "noise",
+                            nan_in_replica_1)
         with pytest.raises(StateExplosionError, match="frozen-fast replica 1"):
             estimate_invariant_average(frozen_cfg(t_avg=0.2, n_replicas=3),
                                        lambda v_phys: v_phys[:, 0])
@@ -327,21 +365,21 @@ class TestChunkedObservable:
         assert sum(rows) == 3 * n_avg
 
     def test_non_finite_rows_never_observed(self, monkeypatch):
-        # g turns replica 1 non-finite a few steps into an averaged chunk:
-        # the chunk's rows are withheld and the replica is named.
+        # The noise turns replica 1 non-finite a few steps into an averaged
+        # chunk: the chunk's rows are withheld and the replica is named.
         import slowfast.fast_dynamics as fast_dynamics
         cfg = frozen_cfg(t_burn=1.0, t_avg=2.0, n_replicas=3)
         n_burn, _ = _steps(cfg)
-        real_g = fast_dynamics.g_from_drive
-        calls = []
+        real_noise = fast_dynamics.FastStepper.noise
+        drawn = [0]  # steps drawn so far, over all chunks
 
-        def nan_in_replica_1(drive, sigma, b_c, c_s):
-            g = np.array(real_g(drive, sigma, b_c, c_s))
-            calls.append(None)
-            if len(calls) > n_burn + 100:
-                g[1] = np.nan
-            return g
-        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_in_replica_1)
+        def nan_in_replica_1(self, xi):
+            noise = real_noise(self, xi)
+            noise[max(0, n_burn + 100 - drawn[0]):, 1] = np.nan
+            drawn[0] += noise.shape[0]
+            return noise
+        monkeypatch.setattr(fast_dynamics.FastStepper, "noise",
+                            nan_in_replica_1)
         observed = []
 
         def recording(v_phys):
@@ -452,9 +490,9 @@ class TestContraction:
         # NaN distances would silently drop out of the decay fit.
         import slowfast.fast_dynamics as fast_dynamics
 
-        def nan_g(drive, sigma, b_c, c_s):
-            return np.full(np.shape(sigma), np.nan)
-        monkeypatch.setattr(fast_dynamics, "g_from_drive", nan_g)
+        def nan_noise(self, xi):
+            return np.full(np.shape(xi), np.nan)
+        monkeypatch.setattr(fast_dynamics.FastStepper, "noise", nan_noise)
         with pytest.raises(StateExplosionError, match="frozen-fast pair"):
             contraction_diagnostic(frozen_cfg(), unit_field(N), np.zeros(N),
                                    t_max=0.1)

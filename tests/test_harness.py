@@ -1,17 +1,20 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from slowfast.config import parse_config_dict
-from slowfast.harness import (ResultRow, ResultTable, _holder_pairs,
-                              kahan_mean_vectors, run_convergence_study,
+from slowfast.harness import (ResultRow, ResultTable, _coupled_paths,
+                              _holder_pairs, kahan_mean_vectors,
+                              run_convergence_study,
                               run_holder_stats, run_khasminskii_study,
                               run_moment_audit, run_parallel,
                               run_theta_stability)
 from slowfast.spectral import mean_se
 
+from conftest import linear_model
 from test_config_cli import BASE
 
 
@@ -199,3 +202,29 @@ class TestKhasminskiiStudy:
                 for e in cfg.epsilon_grid]
         gap_se = math.hypot(fast[0].std_error, fast[1].std_error)
         assert fast[1].value < fast[0].value - gap_se
+
+
+class TestCensoringCause:
+    """A censored record says whether the path crossed the explosion bound
+    or turned non-finite."""
+
+    def _records(self, model):
+        key = (model.epsilon, model.theta)
+        return _coupled_paths(3, ((key, model, ()),), (), 0)["paths"][key]
+
+    def test_bound_crossing(self):
+        model = dataclasses.replace(linear_model(horizon=0.5),
+                                    explosion_bound=0.5)
+        record = self._records(model)
+        assert record["censored"] and record["cause"] == "bound"
+        assert record["t_explosion"] > 0
+
+    def test_non_finite_field(self, monkeypatch):
+        import slowfast.fast_dynamics as fast_dynamics
+
+        def nan_noise(self, xi):
+            return np.full(np.shape(xi), np.nan)
+        monkeypatch.setattr(fast_dynamics.FastStepper, "noise", nan_noise)
+        record = self._records(linear_model(horizon=0.05))
+        assert record["censored"] and record["cause"] == "non-finite"
+        assert record["t_explosion"] == pytest.approx(0.01)

@@ -1,17 +1,20 @@
 """Property tests for the invariants the batched replica kernel and the
 prepared fast substep rest on."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from slowfast import (GridSpec, SpectralOperator, analyze, eval_g,
+from slowfast import (GridSpec, SpectralOperator, analyze,
                       make_fast_reaction, make_plan, make_slow_reaction,
                       nemytskii_drift, synthesize)
 from slowfast.config import ObservableSpec
 from slowfast.fast_dynamics import FastStepper
 from slowfast.noise import ROLES, RngStream
+from slowfast.reactions import fast_coefficients
 from slowfast.spectral import lp_norm
 
 GRIDS = [GridSpec(n_modes=4, n_quad=16), GridSpec(n_modes=16, n_quad=64)]
@@ -120,8 +123,9 @@ COEFFS = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, width=64)
 
 @st.composite
 def fast_step_cases(draw):
-    """A fast reaction of either kind, its OU plan, a state v (one field or
-    an (R, N) block), a frozen nodal slow field and standard normals."""
+    """A fast reaction of either kind, its operator, step and time scale, a
+    state v (one field or an (R, N) block), a frozen nodal slow field and
+    the standard normals of one or a few steps."""
     grid = draw(st.sampled_from(GRIDS))
     kind = draw(st.sampled_from(FAST_KINDS))
     params = {"a_c": draw(COEFFS), "b_c": draw(COEFFS)}
@@ -129,30 +133,40 @@ def fast_step_cases(draw):
         params["c_s"] = draw(COEFFS)
     reaction = make_fast_reaction(kind, **params)
     op = SpectralOperator.from_power_law(grid.n_modes, 1.0, 1.0, 0.3, 1.0, 0.5)
-    plan = make_plan(op, draw(st.sampled_from([1e-3, 0.01, 0.2])),
-                     draw(st.sampled_from([1.0, 0.02])))
+    h = draw(st.sampled_from([1e-3, 0.01, 0.2]))
+    eps = draw(st.sampled_from([1.0, 0.02]))
     shape = draw(st.sampled_from([(), (1,), (5,)])) + (grid.n_modes,)
     v = draw(arrays(np.float64, shape, elements=FINITE))
     rho_phys = draw(arrays(np.float64, grid.n_quad, elements=FINITE))
-    xi = draw(arrays(np.float64, shape, elements=st.floats(
+    n_steps = draw(st.sampled_from([1, 3]))
+    xi = draw(arrays(np.float64, (n_steps,) + shape, elements=st.floats(
         min_value=-6.0, max_value=6.0, allow_nan=False, width=64)))
-    return grid, reaction, plan, v, rho_phys, xi
+    return grid, reaction, op, h, eps, v, rho_phys, xi
 
 
 @SETTINGS
 @given(fast_step_cases())
 def test_prepared_fast_step_equals_checked_reference(case):
-    # The reference: checked transforms around eval_g and the OU update.
-    grid, reaction, plan, v, rho_phys, xi = case
-    v_phys = synthesize(v, grid)
-    forcing = analyze(eval_g(reaction, 0.0, grid.nodes, rho_phys, v_phys),
-                      grid)
-    v_ref = plan.decay * v + plan.drift_weight * forcing + plan.noise_std * xi
-    stepper = FastStepper(reaction, grid, plan)
-    v_new, v_new_phys = stepper.step(v, v_phys, stepper.drive(rho_phys),
-                                     stepper.noise(xi))
-    assert np.array_equal(v_new, v_ref)
-    assert np.array_equal(v_new_phys, synthesize(v_ref, grid))
+    # The reference: checked transforms around the exponential update, its
+    # plan on alpha + b_c, a_c*rho and c_s*sin(sigma) explicit.
+    grid, reaction, op, h, eps, v, rho_phys, xi = case
+    a_c, b_c, c_s = fast_coefficients(reaction)
+    plan = make_plan(dataclasses.replace(op, alphas=op.alphas + b_c), h, eps)
+    drive = plan.drift_weight * analyze(a_c * rho_phys, grid)
+    v_ref, states_ref = v, []
+    for xi_j in xi:
+        v_next = plan.decay * v_ref + (drive + plan.noise_std * xi_j)
+        if c_s:
+            v_next = v_next + (c_s * plan.drift_weight) * analyze(
+                np.sin(synthesize(v_ref, grid)), grid)
+        v_ref = v_next
+        states_ref.append(v_ref)
+    stepper = FastStepper(reaction, grid, op, h, eps)
+    states, nodes = stepper.advance(v, synthesize(v, grid),
+                                    stepper.drive(rho_phys),
+                                    stepper.noise(xi))
+    assert np.array_equal(states, np.stack(states_ref))
+    assert np.array_equal(nodes, synthesize(np.stack(states_ref), grid))
 
 
 def _scanned_param(spec, name, default):
