@@ -23,7 +23,8 @@ from .fast_dynamics import FastStepper
 from .model import ModelSpec
 from .noise import derive_stream, make_plan
 from .reactions import eval_b, eval_V, lyapunov_norms, truncate_b
-from .spectral import kahan_add, kahan_mean_vectors, mean_se, synthesize
+from .spectral import (kahan_add, kahan_mean_vectors, mean_se, scalar_power,
+                       synthesize)
 
 __all__ = [
     "SlowFastState",
@@ -37,10 +38,8 @@ __all__ = [
     "path_functionals",
     "AuxiliaryResult",
     "build_auxiliary",
-    "AuxiliaryErrorStats",
     "freezing_deviations",
     "block_freezing_errors",
-    "auxiliary_error_stats",
 ]
 
 
@@ -239,13 +238,16 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
 
 def path_functionals(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
     """The Lyapunov-type functionals of one path at its macro nodes, with
-    each L^p norm taken once per node:
+    each L^p norm taken over all nodes at once:
 
     - v_integral: left-endpoint integral of V(u, v) dt, V at each node but
       the last, Kahan-summed in node order;
     - sup_u: max over the nodes of |u|_{L^{4 m1}}^{4 m1};
     - sup_v: max over the nodes of |v|_{L^{q_bar}}^{q_bar};
     - vbar_proxy: left-endpoint integral of c_V (1 + |u|_{L^{4 m1}}^{4 m1}).
+
+    Every root and power is the scalar one of its node (scalar_power), so
+    each node's values are bit-equal to those of the node alone.
     """
     grid = model.grid
     lyap = model.lyapunov
@@ -261,18 +263,19 @@ def path_functionals(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
     # (n_nodes, M) nodal blocks; each row is bit-equal to a 1-D synthesize.
     u_phys = synthesize(traj.u, grid)
     v_phys = synthesize(traj.v, grid)
-    sup_u = sup_v = 0.0
+    norms = lyapunov_norms(u_phys, v_phys, lyap, grid)
+    u_terms = scalar_power(norms[0], p_u).tolist()
+    # The maxima a running max from 0.0 would take, in node order.
+    sup_u = max([0.0, *u_terms])
+    sup_v = max([0.0, *scalar_power(norms[q_index], q_bar).tolist()])
+    values = eval_V(u_phys[:-1], v_phys[:-1], lyap, grid,
+                    tuple(None if norm is None else norm[:-1]
+                          for norm in norms))
     v_int = v_comp = proxy = proxy_comp = 0.0
-    for i in range(n_steps + 1):
-        norms = lyapunov_norms(u_phys[i], v_phys[i], lyap, grid)
-        u_term = norms[0] ** p_u
-        sup_u = max(sup_u, u_term)
-        sup_v = max(sup_v, norms[q_index] ** q_bar)
-        if i < n_steps:
-            v_int, v_comp = kahan_add(v_int, v_comp, h * eval_V(
-                u_phys[i], v_phys[i], lyap, grid, norms))
-            proxy, proxy_comp = kahan_add(proxy, proxy_comp,
-                                          h * lyap.c_V * (1.0 + u_term))
+    for value, u_term in zip(values.tolist(), u_terms):
+        v_int, v_comp = kahan_add(v_int, v_comp, h * value)
+        proxy, proxy_comp = kahan_add(proxy, proxy_comp,
+                                      h * lyap.c_V * (1.0 + u_term))
     return {"v_integral": v_int, "sup_u": sup_u, "sup_v": sup_v,
             "vbar_proxy": proxy}
 
@@ -292,8 +295,13 @@ def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
     last block boundary, driven by the identical fast noise increments.
 
     The block length is snapped to a whole number of macro steps; each block
-    restarts from the true fast state at its left endpoint.  A replay that
-    turns non-finite raises StateExplosionError at the first such node.
+    restarts from the true fast state at its left endpoint.  A block's first
+    macro step freezes u where the path's own step does and takes the same
+    noise, so it is the path's own step, bit for bit: v_aux starts as a copy
+    of the path, and only the later steps of a block are replayed, from the
+    path's state after its first (a block of one macro step replays
+    nothing).  A replay that turns non-finite raises StateExplosionError at
+    the first such node.
     """
     if traj.fast_noise is None:
         raise InvalidParameterError(
@@ -308,40 +316,32 @@ def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
 
     mat = model.grid.sine_matrix
     noise = stepper.noise(traj.fast_noise).reshape(-1, model.n_modes)
-    v_aux = np.empty_like(traj.v)
-    v_aux[0] = traj.v[0]
+    v_aux = traj.v.copy()
     for start in range(0, n_steps, steps_per_block):
         stop = min(start + steps_per_block, n_steps)
-        # The path's states passed its explosion guard, so are finite.
+        if stop == start + 1:
+            continue
         states, _ = stepper.advance(
-            traj.v[start], mat.dot(traj.v[start]),
+            traj.v[start + 1], mat.dot(traj.v[start + 1]),
             stepper.drive(mat.dot(traj.u[start])),
-            noise[start * n_sub:stop * n_sub])
-        v_aux[start + 1:stop + 1] = states[n_sub - 1::n_sub]
+            noise[(start + 1) * n_sub:stop * n_sub])
+        replayed = v_aux[start + 2:stop + 1]
+        replayed[...] = states[n_sub - 1::n_sub]
+        # Only replayed nodes are checked: the path's passed its guard.
+        finite = np.isfinite(replayed).all(axis=1)
+        if not finite.all():
+            first = start + 2 + int(np.argmin(finite))
+            raise StateExplosionError(float(traj.times[first]),
+                                      float(np.linalg.norm(traj.u[start])),
+                                      float(np.linalg.norm(v_aux[first])),
+                                      model.explosion_bound,
+                                      where=" in the block-frozen replay")
     # Node i holds the snapshot at the start of its block.
     block_starts = np.arange(n_steps + 1) // steps_per_block * steps_per_block
     u_aux = traj.u[np.minimum(block_starts, n_steps)]
-    finite = np.isfinite(v_aux).all(axis=1)
-    if not finite.all():
-        # u_aux[first - 1] is the frozen slow state behind node first.
-        first = int(np.argmin(finite))
-        raise StateExplosionError(float(traj.times[first]),
-                                  float(np.linalg.norm(u_aux[first - 1])),
-                                  float(np.linalg.norm(v_aux[first])),
-                                  model.explosion_bound,
-                                  where=" in the block-frozen replay")
     return AuxiliaryResult(times=traj.times.copy(), u_aux=u_aux, v_aux=v_aux,
                            delta_snapped=delta_snapped,
                            steps_per_block=steps_per_block)
-
-
-@dataclass(frozen=True)
-class AuxiliaryErrorStats:
-    sup_slow_increment_msq: float
-    sup_slow_increment_se: float
-    fast_deviation_msq: float     # ensemble mean of the L2(0,T) squared deviation
-    fast_deviation_se: float
-    n: int
 
 
 def freezing_deviations(traj: SlowFastTrajectory,
@@ -370,17 +370,3 @@ def block_freezing_errors(slow_sq: list, fast_dev: list
         sup_mean = slow_se = math.nan
     fast_mean, fast_se = mean_se(fast_dev)
     return sup_mean, slow_se, fast_mean, fast_se
-
-
-def auxiliary_error_stats(trajs: list[SlowFastTrajectory],
-                          auxes: list[AuxiliaryResult]) -> AuxiliaryErrorStats:
-    """Ensemble statistics of the block-freezing errors."""
-    if len(trajs) != len(auxes) or not trajs:
-        raise InvalidParameterError("need matched, nonempty trajectory lists")
-    deviations = [freezing_deviations(t, a) for t, a in zip(trajs, auxes)]
-    sup_mean, sup_se, fast_mean, fast_se = block_freezing_errors(
-        [slow for slow, _ in deviations], [fast for _, fast in deviations])
-    return AuxiliaryErrorStats(
-        sup_slow_increment_msq=sup_mean, sup_slow_increment_se=sup_se,
-        fast_deviation_msq=fast_mean, fast_deviation_se=fast_se,
-        n=len(trajs))

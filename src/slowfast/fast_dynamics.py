@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
-from .noise import OUStepPlan, RngStream, derive_stream, make_plan
+from .noise import RngStream, derive_stream, make_plan
 from .reactions import (ReactionSpec, fast_coefficients,
                         validate_dissipativity)
 from .spectral import (GridSpec, SpectralOperator, as_modal_field,
@@ -142,21 +142,19 @@ class FastStepper:
         return states, nodes
 
 
-def _stepper(cfg: FrozenFastConfig, plan: OUStepPlan | None) -> FastStepper:
-    """cfg's stepper at plan's h and eps_eff (cfg.h and 1 when None)."""
-    h, eps_eff = (cfg.h, 1.0) if plan is None else (plan.h, plan.eps_eff)
-    return FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, h, eps_eff)
+def _stepper(cfg: FrozenFastConfig) -> FastStepper:
+    """cfg's stepper: step cfg.h on the unit time scale."""
+    return FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, cfg.h, 1.0)
 
 
 def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
-                     plan: OUStepPlan | None = None,
                      x_phys: np.ndarray | None = None) -> np.ndarray:
     """One exponential-integrator step: linear part and noise exact, the
     rest of g frozen."""
     if x_phys is None:
         x_phys = synthesize(cfg.x, cfg.grid)
     v = as_modal_field(v, cfg.grid.n_modes)
-    stepper = _stepper(cfg, plan)
+    stepper = _stepper(cfg)
     noise = stepper.noise(stream.normals(cfg.grid.n_modes)[None])
     states, _ = stepper.advance(v, synthesize(v, cfg.grid),
                                 stepper.drive(x_phys), noise)
@@ -164,10 +162,9 @@ def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
 
 
 def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
-                  plan: OUStepPlan | None, x_phys: np.ndarray) -> np.ndarray:
+                  x_phys: np.ndarray) -> np.ndarray:
     """Burn in, then return the per-batch time averages of the observable,
-    one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).  The
-    chain steps at plan's h and eps_eff (cfg.h and 1 when plan is None).
+    one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).
 
     The R replicas advance together as an (R, N) block.  Replica r draws
     only from streams[r], in chunks of DRAW_CHUNK_STEPS steps; the streams
@@ -187,7 +184,7 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
     n_modes = cfg.grid.n_modes
     n_quad = cfg.grid.n_quad
     n_rep = len(streams)
-    stepper = _stepper(cfg, plan)
+    stepper = _stepper(cfg)
     drive = stepper.drive(x_phys)
 
     v = np.zeros((n_rep, n_modes))
@@ -272,7 +269,7 @@ def estimate_invariant_average(cfg: FrozenFastConfig, observable,
     x_phys = synthesize(cfg.x, cfg.grid)
     streams = [derive_stream(master_seed, replica, role, key)
                for replica in range(cfg.n_replicas)]
-    batches = _run_replicas(cfg, observable, streams, None, x_phys)
+    batches = _run_replicas(cfg, observable, streams, x_phys)
     # Replica-major rows: the pooled mean sums the batches in this order.
     stacked = batches.reshape((-1,) + batches.shape[2:])
     mean, std_error = stacked.mean(axis=0), batch_std_error(batches)
@@ -327,7 +324,7 @@ def _coupled_pair_run(cfg: FrozenFastConfig, v1, v2, x1, x2, t_max,
                       master_seed: int):
     """Advance two chains under common noise; return times and distances."""
     n_modes = cfg.grid.n_modes
-    stepper = _stepper(cfg, None)
+    stepper = _stepper(cfg)
     stream = derive_stream(master_seed, 0, "frozen_fast_noise")
     x, v = np.stack([x1, x2]), np.stack([v1, v2])
     n_steps = max(2, int(round(t_max / cfg.h)))

@@ -143,9 +143,9 @@ def _holder_pairs(T: float, h: float):
 def _holder_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
     """Squared slow increments over the dyadic macro-grid pairs."""
     h = float(traj.times[1] - traj.times[0])
-    pairs = _holder_pairs(model.horizon, h)
-    return {"msq": np.array([float(np.sum((traj.u[b] - traj.u[a]) ** 2))
-                             for a, b in pairs])}
+    pairs = np.array(_holder_pairs(model.horizon, h), dtype=int)
+    a, b = pairs.reshape(-1, 2).T
+    return {"msq": np.sum((traj.u[b] - traj.u[a]) ** 2, axis=1)}
 
 
 def _khasminskii_stat(traj: SlowFastTrajectory, model: ModelSpec,

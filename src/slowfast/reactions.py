@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationRejectedError, InvalidParameterError
-from .spectral import GridSpec, lp_norm
+from .spectral import GridSpec, lp_norm, scalar_power
 
 __all__ = [
     "ReactionSpec",
@@ -295,15 +295,16 @@ def lyapunov_norms(u_phys: np.ndarray, v_phys: np.ndarray,
 def eval_V(u_phys: np.ndarray, v_phys: np.ndarray, lyap: LyapunovSpec,
            grid: GridSpec, norms: tuple | None = None):
     """V(u, v) from nodal fields: a float for one pair, an array over the
-    leading axes of a batch (the norms reduce over the last axis).  A caller
-    that reads the norms too passes its lyapunov_norms as norms."""
+    leading axes of a batch (the norms reduce over the last axis) whose
+    rows are bit-equal to the pairs alone.  A caller that reads the norms
+    too passes its lyapunov_norms as norms."""
     if norms is None:
         norms = lyapunov_norms(u_phys, v_phys, lyap, grid)
     # A degenerate term contributes nothing: one zero per field.
     batch = np.broadcast_shapes(np.shape(u_phys)[:-1], np.shape(v_phys)[:-1])
     zero = np.zeros(batch) if batch else 0.0
     u_term, v_term, v_term2 = (
-        zero if norm is None else norm ** power
+        zero if norm is None else scalar_power(norm, power)
         for norm, (_, power) in zip(norms, _v_norm_exponents(lyap)))
     return lyap.c_V * (1.0 + u_term + v_term + v_term2)
 

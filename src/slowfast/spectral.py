@@ -29,6 +29,7 @@ __all__ = [
     "fractional_norm",
     "check_noise_regularity",
     "lp_norm",
+    "scalar_power",
     "as_modal_field",
     "kahan_add",
     "kahan_mean_vectors",
@@ -238,9 +239,20 @@ def fractional_norm(coeffs: np.ndarray, op: SpectralOperator, gamma: float) -> f
     return float(np.sqrt(np.sum(op.alphas ** (2.0 * gamma) * f * f)))
 
 
+def scalar_power(x, e):
+    """x ** e for one value, or element by element for an array, each as
+    the scalar power of that value: numpy's vector power can round
+    differently, which would make a row of a batch differ from that row
+    alone."""
+    if np.ndim(x) == 0:
+        return x ** e
+    return np.array([value ** e for value in x.ravel()]).reshape(x.shape)
+
+
 def lp_norm(values: np.ndarray, grid: GridSpec, p: float):
     """L^p norm by collocation quadrature with weight length/(M+1): a float
-    for one nodal field, an array over the leading axes of a batch."""
+    for one nodal field, an array over the leading axes of a batch whose
+    rows are bit-equal to the fields alone."""
     if p <= 0:
         raise InvalidParameterError("p must be positive")
     v = np.asarray(values, dtype=float)
@@ -249,7 +261,8 @@ def lp_norm(values: np.ndarray, grid: GridSpec, p: float):
             f"expected {grid.n_quad} nodal values on the last axis, "
             f"got shape {v.shape}")
     # np.add.reduce is np.sum's arithmetic without its dispatch overhead.
-    norm = (grid.quad_weight * np.add.reduce(np.abs(v) ** p, axis=-1)) ** (1.0 / p)
+    norm = scalar_power(
+        grid.quad_weight * np.add.reduce(np.abs(v) ** p, axis=-1), 1.0 / p)
     return float(norm) if v.ndim == 1 else norm
 
 

@@ -7,13 +7,14 @@ from scipy.linalg import expm
 from scipy.stats import linregress
 
 from slowfast import (InvalidParameterError, KhasminskiiPlan,
-                      StateExplosionError, analyze, auxiliary_error_stats,
-                      build_auxiliary, compute_rho0, derive_stream, eval_V,
-                      khasminskii_delta, make_fast_reaction, make_plan,
-                      make_slow_reaction, nemytskii_drift, simulate_slowfast,
-                      synthesize)
-from slowfast.coupled import path_functionals
-from slowfast.reactions import fast_coefficients
+                      StateExplosionError, analyze, build_auxiliary,
+                      compute_rho0, derive_stream, eval_V, khasminskii_delta,
+                      make_fast_reaction, make_plan, make_slow_reaction,
+                      nemytskii_drift, simulate_slowfast, synthesize)
+from slowfast.config import parse_config
+from slowfast.coupled import (block_freezing_errors, freezing_deviations,
+                              path_functionals)
+from slowfast.reactions import fast_coefficients, lyapunov_norms
 from slowfast.spectral import kahan_add
 
 from conftest import cubic_model, linear_model, unit_field
@@ -270,6 +271,32 @@ def _reference_replay(traj, model, steps_per_block):
     return np.stack(v_aux)
 
 
+def _reference_functionals(traj, model):
+    """path_functionals one node at a time: 1-D norms, V and powers per
+    node, the sums and maxima running in node order."""
+    grid = model.grid
+    lyap = model.lyapunov
+    q_index = 1 if lyap.q_bar == 4.0 * lyap.m2 else 2
+    n_steps = traj.times.size - 1
+    h = float(traj.times[1] - traj.times[0])
+    sup_u = sup_v = 0.0
+    v_int = v_comp = proxy = proxy_comp = 0.0
+    for i in range(n_steps + 1):
+        u_phys = synthesize(traj.u[i], grid)
+        v_phys = synthesize(traj.v[i], grid)
+        norms = lyapunov_norms(u_phys, v_phys, lyap, grid)
+        u_term = norms[0] ** (4.0 * lyap.m1)
+        sup_u = max(sup_u, u_term)
+        sup_v = max(sup_v, norms[q_index] ** lyap.q_bar)
+        if i < n_steps:
+            v_int, v_comp = kahan_add(v_int, v_comp, h * eval_V(
+                u_phys, v_phys, lyap, grid, norms))
+            proxy, proxy_comp = kahan_add(proxy, proxy_comp,
+                                          h * lyap.c_V * (1.0 + u_term))
+    return {"v_integral": v_int, "sup_u": sup_u, "sup_v": sup_v,
+            "vbar_proxy": proxy}
+
+
 KERNEL_MODELS = {
     "linear": lambda eps: linear_model(eps=eps, lam_slow=0.02, lam_fast=0.2,
                                        horizon=0.7),
@@ -303,6 +330,49 @@ class TestKernelBitIdentity:
         assert aux.steps_per_block == 5
         assert np.array_equal(aux.v_aux, _reference_replay(traj, model, 5))
 
+    # 70 macro steps leave a last block of 1, 2 and 10 steps at 3, 4, 15.
+    @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
+    @pytest.mark.parametrize("steps_per_block", [1, 3, 4, 15])
+    def test_replay_reuses_path_steps(self, kind, steps_per_block,
+                                      monkeypatch):
+        import slowfast.fast_dynamics as fast_dynamics
+        model = KERNEL_MODELS[kind](0.02)
+        traj = simulate_slowfast(model, 43, 1, record_noise=True)
+        advance = fast_dynamics.FastStepper.advance
+        calls = []
+
+        def counting(self, *args):
+            calls.append(len(args[-1]))
+            return advance(self, *args)
+        monkeypatch.setattr(fast_dynamics.FastStepper, "advance", counting)
+        aux = build_auxiliary(traj, KhasminskiiPlan(
+            delta=steps_per_block * model.h_macro, blocks=1), model)
+        assert aux.steps_per_block == steps_per_block
+        assert np.array_equal(aux.v_aux,
+                              _reference_replay(traj, model, steps_per_block))
+        # A block's first macro step is the path's own, never replayed.
+        n_blocks = math.ceil(70 / steps_per_block)
+        assert sum(calls) == (70 - n_blocks) * traj.n_sub
+        if steps_per_block == 1:
+            assert calls == []
+
+    @pytest.mark.parametrize("kind", ["cubic", "decoupled", "linear"])
+    def test_functionals_match_per_node_reference(self, kind):
+        if kind == "decoupled":
+            # kappa1 = 0: V's third norm has a degenerate exponent.
+            model = parse_config("configs/decoupled_control.json").model
+        else:
+            model = KERNEL_MODELS[kind](0.02)
+        traj = simulate_slowfast(model, 53, 4)
+        assert (path_functionals(traj, model)
+                == _reference_functionals(traj, model))
+        # Node by node: a two-node path reads node i's V and powers alone.
+        for i in range(traj.times.size - 1):
+            pair = dataclasses.replace(traj, times=traj.times[:2],
+                                       u=traj.u[i:i + 2], v=traj.v[i:i + 2])
+            assert (path_functionals(pair, model)
+                    == _reference_functionals(pair, model)), i
+
     def test_noise_chunking_does_not_change_paths(self, monkeypatch):
         import slowfast.coupled as coupled
         model = KERNEL_MODELS["cubic"](0.02)
@@ -322,7 +392,8 @@ class TestKernelBitIdentity:
 
     def test_non_finite_replay_raises(self, monkeypatch):
         # The replay has no guard of its own inside the substeps; a field
-        # that turns non-finite is reported at its first node.
+        # that turns non-finite is reported at its first replayed node,
+        # t = 2h: node h is the path's own.
         import slowfast.fast_dynamics as fast_dynamics
         model = KERNEL_MODELS["linear"](0.1)
         traj = simulate_slowfast(model, 5, 0, record_noise=True)
@@ -333,7 +404,7 @@ class TestKernelBitIdentity:
         with pytest.raises(StateExplosionError, match="replay") as info:
             build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=14),
                             model)
-        assert info.value.t == pytest.approx(0.01)
+        assert info.value.t == pytest.approx(0.02)
 
 
 class TestFastMoments:
@@ -392,6 +463,14 @@ class TestFastMoments:
         assert 1.0 / rate == pytest.approx(tau_exact, rel=0.10)
 
 
+def _freezing_errors(trajs, plan, model):
+    """block_freezing_errors over the paths' block-frozen replays."""
+    deviations = [freezing_deviations(t, build_auxiliary(t, plan, model))
+                  for t in trajs]
+    return block_freezing_errors([slow for slow, _ in deviations],
+                                 [fast for _, fast in deviations])
+
+
 class TestAuxiliary:
     def test_single_block_x_independent_is_exact(self):
         # g independent of x: freezing the slow argument changes nothing
@@ -432,27 +511,30 @@ class TestAuxiliary:
         stats = []
         for delta in (0.025, 0.1):
             plan = KhasminskiiPlan(delta=delta, blocks=int(0.5 / delta))
-            auxes = [build_auxiliary(t, plan, model) for t in trajs]
-            stats.append(auxiliary_error_stats(trajs, auxes))
-        small, big = stats
-        gap_se = math.hypot(small.sup_slow_increment_se,
-                            big.sup_slow_increment_se)
-        assert big.sup_slow_increment_msq > small.sup_slow_increment_msq + 3 * gap_se
-        fast_se = math.hypot(small.fast_deviation_se, big.fast_deviation_se)
-        assert big.fast_deviation_msq > small.fast_deviation_msq + 3 * fast_se
+            stats.append(_freezing_errors(trajs, plan, model))
+        (small_sup, small_sup_se, small_fast, small_fast_se), (
+            big_sup, big_sup_se, big_fast, big_fast_se) = stats
+        gap_se = math.hypot(small_sup_se, big_sup_se)
+        assert big_sup > small_sup + 3 * gap_se
+        fast_se = math.hypot(small_fast_se, big_fast_se)
+        assert big_fast > small_fast + 3 * fast_se
 
     def test_fast_deviation_zero_when_x_independent(self):
         model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
         trajs = [simulate_slowfast(model, 37, i, record_noise=True)
                  for i in range(4)]
         plan = KhasminskiiPlan(delta=0.05, blocks=4)
-        auxes = [build_auxiliary(t, plan, model) for t in trajs]
-        stats = auxiliary_error_stats(trajs, auxes)
-        assert stats.fast_deviation_msq == 0.0
+        _, _, fast_mean, _ = _freezing_errors(trajs, plan, model)
+        assert fast_mean == 0.0
 
     def test_mismatched_inputs_rejected(self):
+        model = linear_model(eps=0.1, horizon=0.2)
+        traj = simulate_slowfast(model, 0, 0, record_noise=True)
+        aux = build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=4),
+                              model)
+        shorter = simulate_slowfast(linear_model(eps=0.1, horizon=0.1), 0, 0)
         with pytest.raises(InvalidParameterError):
-            auxiliary_error_stats([], [])
+            freezing_deviations(shorter, aux)
 
 
 class TestExplosionCause:

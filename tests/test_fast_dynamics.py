@@ -43,32 +43,29 @@ def frozen_cfg(a_c=1.0, b_c=2.0, lam=0.2, x_mode=1.0, h=0.01,
 class TestStepFrozenFast:
     def test_pure_semigroup_decay(self):
         cfg = frozen_cfg(a_c=0.0, b_c=0.0, lam=0.0, x_mode=0.0)
-        plan = make_plan(cfg.op2, cfg.h, 1.0)
         stream = derive_stream(0, 0, "frozen_fast_noise")
         v = unit_field(N)
-        v = step_frozen_fast(v, cfg, stream, plan)
+        v = step_frozen_fast(v, cfg, stream)
         assert v[0] == pytest.approx(math.exp(-cfg.op2.alphas[0] * cfg.h), rel=1e-12)
         assert np.all(v[1:] == 0)
 
     def test_linear_fixed_point(self):
         # noise off: iterates converge to a_c x_k / (alpha_k + b_c)
         cfg = frozen_cfg(lam=0.0)
-        plan = make_plan(cfg.op2, cfg.h, 1.0)
         stream = derive_stream(0, 0, "frozen_fast_noise")
         v = np.zeros(N)
         n_steps = int(50.0 / (cfg.h * (cfg.op2.alphas[0] + 2.0)))
         x_phys = None
         for _ in range(n_steps):
-            v = step_frozen_fast(v, cfg, stream, plan)
+            v = step_frozen_fast(v, cfg, stream)
         expected = cfg.x / (cfg.op2.alphas + 2.0)
         assert np.max(np.abs(v - expected)) <= 1e-8
 
     def test_small_step_changes_field_slightly(self):
         cfg = frozen_cfg(h=1e-6, lam=0.2)
-        plan = make_plan(cfg.op2, cfg.h, 1.0)
         stream = derive_stream(3, 0, "frozen_fast_noise")
         v0 = unit_field(N)
-        v1 = step_frozen_fast(v0, cfg, stream, plan)
+        v1 = step_frozen_fast(v0, cfg, stream)
         # drift O(h), noise O(sqrt(h))
         assert np.linalg.norm(v1 - v0) < 1e-2
 
@@ -218,12 +215,11 @@ class TestInvariantAverage:
                          n_replicas=1)
         from slowfast.fast_dynamics import _run_replicas
         from slowfast.spectral import synthesize
-        plan = make_plan(cfg.op2, cfg.h, 1.0)
         x_phys = synthesize(cfg.x, cfg.grid)
         quad = cfg.grid.quad_weight
         stream = derive_stream(41, 0, "frozen_fast_noise")
         batches = _run_replicas(cfg, lambda v: quad * np.sum(v * v, axis=-1),
-                                [stream], plan, x_phys)[0]
+                                [stream], x_phys)[0]
         values = np.array([float(b) for b in batches])
         fit = linregress(np.arange(values.size), values)
         assert fit.pvalue > 0.01
@@ -231,14 +227,14 @@ class TestInvariantAverage:
     def _kernel_inputs(self, c_s=0.2):
         from slowfast.spectral import synthesize
         cfg = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1, c_s=c_s)
-        return cfg, make_plan(cfg.op2, cfg.h, 1.0), synthesize(cfg.x, cfg.grid)
+        return cfg, synthesize(cfg.x, cfg.grid)
 
     def test_matches_per_replica_loop(self):
         # The batched kernel against the one-vector-at-a-time loop it
         # replaced: identical arithmetic, so identical bits.
         from slowfast.fast_dynamics import _run_replicas
         from slowfast.spectral import analyze, kahan_add, synthesize
-        cfg, plan, x_phys = self._kernel_inputs()
+        cfg, x_phys = self._kernel_inputs()
         n_burn = int(round(cfg.t_burn / cfg.h))
         n_avg = N_BATCHES * max(1, math.ceil(cfg.t_avg / (N_BATCHES * cfg.h)))
         batch_len = n_avg // N_BATCHES
@@ -246,11 +242,11 @@ class TestInvariantAverage:
             stream = derive_stream(8, replica, "frozen_fast_noise")
             v = np.zeros(N)
             for _ in range(n_burn):
-                v = step_frozen_fast(v, cfg, stream, plan, x_phys)
+                v = step_frozen_fast(v, cfg, stream, x_phys)
             reference = []
             acc = comp = 0.0
             for i in range(n_avg):
-                v = step_frozen_fast(v, cfg, stream, plan, x_phys)
+                v = step_frozen_fast(v, cfg, stream, x_phys)
                 acc, comp = kahan_add(acc, comp,
                                       analyze(synthesize(v, cfg.grid), cfg.grid))
                 if (i + 1) % batch_len == 0:
@@ -258,13 +254,13 @@ class TestInvariantAverage:
                     acc = comp = 0.0
             streams = [derive_stream(8, r, "frozen_fast_noise") for r in range(3)]
             batched = _run_replicas(cfg, lambda v_phys: analyze(v_phys, cfg.grid),
-                                    streams, plan, x_phys)
+                                    streams, x_phys)
             assert np.array_equal(batched[replica], np.stack(reference))
 
     def test_replicas_are_independent_rows(self):
         # R replicas in one block give the batch means of R one-replica runs.
         from slowfast.fast_dynamics import _run_replicas
-        cfg, plan, x_phys = self._kernel_inputs()
+        cfg, x_phys = self._kernel_inputs()
         quad = cfg.grid.quad_weight
 
         def norm_sq(v_phys):
@@ -273,8 +269,8 @@ class TestInvariantAverage:
         def streams(ids):
             return [derive_stream(12, r, "frozen_fast_noise") for r in ids]
 
-        block = _run_replicas(cfg, norm_sq, streams(range(5)), plan, x_phys)
-        singles = [_run_replicas(cfg, norm_sq, streams([r]), plan, x_phys)[0]
+        block = _run_replicas(cfg, norm_sq, streams(range(5)), x_phys)
+        singles = [_run_replicas(cfg, norm_sq, streams([r]), x_phys)[0]
                    for r in range(5)]
         assert block.shape == (5, N_BATCHES)
         assert np.array_equal(block, np.stack(singles))
@@ -290,13 +286,12 @@ class TestInvariantAverage:
         # Noise drawn a few steps at a time equals noise drawn in large chunks.
         import slowfast.fast_dynamics as fast_dynamics
         from slowfast.spectral import analyze
-        cfg, plan, x_phys = self._kernel_inputs()
+        cfg, x_phys = self._kernel_inputs()
 
         def run():
             streams = [derive_stream(3, r, "frozen_fast_noise") for r in range(2)]
             return fast_dynamics._run_replicas(
-                cfg, lambda v_phys: analyze(v_phys, cfg.grid), streams, plan,
-                x_phys)
+                cfg, lambda v_phys: analyze(v_phys, cfg.grid), streams, x_phys)
 
         default = run()
         monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_STEPS", 7)
@@ -421,14 +416,13 @@ class TestChunkedObservable:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # short burn-ins warn
             cfg = frozen_cfg(t_burn=n_burn * 0.01, t_avg=0.4, c_s=0.2)
-        plan = make_plan(cfg.op2, cfg.h, 1.0)
         x_phys = synthesize(cfg.x, cfg.grid)
         observable = _cubic_drift(cfg)
 
         def run():
             streams = [derive_stream(9, r, "frozen_fast_noise")
                        for r in range(n_rep)]
-            return fast_dynamics._run_replicas(cfg, observable, streams, plan,
+            return fast_dynamics._run_replicas(cfg, observable, streams,
                                                x_phys)
         default = run()
         with mock.patch.object(fast_dynamics, "DRAW_CHUNK_STEPS", chunk):
