@@ -8,9 +8,8 @@ __version__ = "0.1.0"
 
 from .averaging import (AveragedDriftParams, analytic_Fbar_linear, estimate_Fbar,
                         estimate_Vbar, simulate_averaged)
-from .coupled import (KhasminskiiPlan, SlowFastState, build_auxiliary,
-                      compute_rho0, khasminskii_delta, simulate_slowfast,
-                      step_coupled)
+from .coupled import (build_auxiliary, compute_rho0, khasminskii_delta,
+                      simulate_slowfast, step_coupled)
 from .errors import (ConfigurationRejectedError, InvalidParameterError,
                      StateExplosionError)
 from .fast_dynamics import (FrozenFastConfig, InvariantAverageEstimate,

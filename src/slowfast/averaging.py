@@ -151,7 +151,13 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
                   trajectory_id: int = 0):
     """Averaged-drift callable: analytic oracle for the linear benchmark,
     slow-only evaluation when b ignores the fast variable, nested estimator
-    (estimate_Fbar, keyed by trajectory_id, on the h_macro grid) otherwise."""
+    (estimate_Fbar, keyed by trajectory_id, on the h_macro grid) otherwise.
+
+    fn(t, u) returns the drift and its std-error field at one slow state
+    (t a float, u of shape (N,)) or at a stack of them (t of shape (n,), u
+    of shape (n, N)).  A row of a stack is bit-equal to that state alone:
+    the exact modes evaluate the stack at once, the estimator one state at
+    a time, since its nested streams are keyed by the step of t."""
     if mode == "auto":
         if model.is_linear_benchmark:
             mode = "oracle"
@@ -160,15 +166,14 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
         else:
             mode = "estimator"
     if mode == "oracle":
-        zero = np.zeros(model.n_modes)
         a_c, rates = _linear_fbar_factors(model)
 
         def fn(t, u):
             # analytic_Fbar_linear's arithmetic, with its factors hoisted.
-            return a_c * u / rates, zero
+            drift = a_c * u / rates
+            return drift, np.zeros_like(drift)
         return fn
     if mode == "slow_only":
-        zero = np.zeros(model.n_modes)
         zeros_phys = np.zeros(model.grid.n_quad)
         theta = model.theta if model.theta > 0 else None
 
@@ -177,15 +182,20 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
             drift = analyze(nemytskii_drift(model.reaction_slow, theta, t,
                                             u_phys, zeros_phys, model.grid),
                             model.grid)
-            return drift, zero
+            return drift, np.zeros_like(drift)
         return fn
     if mode == "estimator":
         if params is None:
             raise InvalidParameterError("estimator drift mode requires params")
 
         def fn(t, u):
-            return estimate_Fbar(t, u, params, model, master_seed,
-                                 trajectory_id)
+            if np.ndim(u) == 1:
+                return estimate_Fbar(t, u, params, model, master_seed,
+                                     trajectory_id)
+            means, ses = zip(*(estimate_Fbar(t_i, u_i, params, model,
+                                             master_seed, trajectory_id)
+                               for t_i, u_i in zip(np.asarray(t).tolist(), u)))
+            return np.stack(means), np.stack(ses)
         return fn
     raise InvalidParameterError(f"unknown drift mode {mode!r}")
 

@@ -27,9 +27,7 @@ from .spectral import (kahan_add, kahan_mean_vectors, mean_se, scalar_power,
                        synthesize)
 
 __all__ = [
-    "SlowFastState",
     "SlowFastTrajectory",
-    "KhasminskiiPlan",
     "khasminskii_delta",
     "snap_block",
     "compute_rho0",
@@ -41,16 +39,6 @@ __all__ = [
     "freezing_deviations",
     "block_freezing_errors",
 ]
-
-
-@dataclass(frozen=True)
-class SlowFastState:
-    u: np.ndarray
-    v: np.ndarray
-    t: float
-    # Nodal values of u and v, when already known; step_coupled fills them.
-    u_phys: np.ndarray | None = None
-    v_phys: np.ndarray | None = None
 
 
 @dataclass
@@ -65,21 +53,6 @@ class SlowFastTrajectory:
     trajectory_id: int
     fast_noise: np.ndarray | None = None   # (n_steps, n_sub, N) recorded draws
     slow_drift: np.ndarray | None = None   # (n_steps, N) per-step averaged drift
-
-
-@dataclass(frozen=True)
-class KhasminskiiPlan:
-    """Blocking of [0, T] into slices of length delta."""
-
-    delta: float
-    blocks: int
-    c_const: float = 2.0
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise InvalidParameterError("delta must be positive")
-        if self.blocks < 1:
-            raise InvalidParameterError("blocks must be >= 1")
 
 
 def khasminskii_delta(epsilon: float, lambda_exp: float, c_const: float) -> float:
@@ -116,9 +89,12 @@ NOISE_CHUNK_STEPS = 16  # macro steps of noise drawn per stream at once
 
 
 def _plans(model: ModelSpec, h_macro: float):
-    """Substeps per macro step, the slow OU plan, the fast stepper, and the
-    trapezoid weights of the substep nodes j = 0..n_sub as an
-    (n_sub + 1, 1) column."""
+    """Substeps per macro step, the slow OU plan, the fast stepper, the
+    trapezoid weights of the substep nodes j = 0..n_sub as an (n_sub + 1, 1)
+    column, and an (n_sub + 1, M) buffer for the nodal fast field at those
+    nodes."""
+    if h_macro <= 0:
+        raise InvalidParameterError("h_macro must be positive")
     n_sub = max(1, math.ceil(h_macro / (model.substep_ratio * model.epsilon)))
     h_sub = h_macro / n_sub
     plan_slow = make_plan(model.op1, h_macro, 1.0)
@@ -126,13 +102,16 @@ def _plans(model: ModelSpec, h_macro: float):
                           model.epsilon)
     weights = np.full((n_sub + 1, 1), 1.0 / n_sub)
     weights[0] = weights[-1] = 0.5 / n_sub
-    return n_sub, plan_slow, stepper, weights
+    v_nodes = np.empty((n_sub + 1, model.grid.n_quad))
+    return n_sub, plan_slow, stepper, weights, v_nodes
 
 
-def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
-                 xi_slow: np.ndarray, xi_fast: np.ndarray,
-                 plans=None) -> tuple[SlowFastState, np.ndarray]:
-    """Advance the pair (u, v) by one macro step.
+def step_coupled(u: np.ndarray, v: np.ndarray, u_phys: np.ndarray,
+                 v_phys: np.ndarray, t: float, model: ModelSpec,
+                 h_macro: float, noise_slow: np.ndarray,
+                 noise_fast: np.ndarray, plans: tuple) -> tuple:
+    """Advance the pair (u, v), with nodal values (u_phys, v_phys), by one
+    macro step from time t.
 
     The fast field takes n_sub exponential-integrator substeps, its linear
     part and noise exact and the rest of g(u, v)/eps explicit, with u held
@@ -142,47 +121,41 @@ def step_coupled(state: SlowFastState, model: ModelSpec, h_macro: float,
     sampling it at the left endpoint alone would turn that O(eps) layer
     into an O(h_macro) bias of the slow motion.
 
-    xi_slow, shape (N,), and xi_fast, shape (n_sub, N), are the standard
-    normals of the step.  Returns the new state, with its nodal values, and
-    the averaged modal slow drift used for the step (the integrand of the
-    drift functionals).  Inside the step nothing is checked: the explosion
-    guard on the new state also catches a non-finite field.
+    plans is _plans(model, h_macro).  noise_slow, shape (N,), and
+    noise_fast, shape (n_sub, N), are the step's noise increments, already
+    scaled by the slow plan's and the fast stepper's noise_std.  Returns the
+    new (u, v, u_phys, v_phys) and the averaged modal slow drift used for
+    the step (the integrand of the drift functionals); the new v_phys is a
+    row of the plans' node buffer, overwritten by the next step.  Inside
+    the step nothing is checked: the explosion guard on the new state also
+    catches a non-finite field.
     """
-    if h_macro <= 0:
-        raise InvalidParameterError("h_macro must be positive")
-    if plans is None:
-        plans = _plans(model, h_macro)
-    n_sub, plan_slow, stepper, weights = plans
+    n_sub, plan_slow, stepper, weights, v_nodes = plans
     grid = model.grid
     mat = grid.sine_matrix
-    u_phys = mat.dot(state.u) if state.u_phys is None else state.u_phys
-    v_phys = mat.dot(state.v) if state.v_phys is None else state.v_phys
+    v_nodes[0] = v_phys
     # u is frozen over the substeps: the slow part of g once per macro step.
-    states, nodes = stepper.advance(state.v, v_phys, stepper.drive(u_phys),
-                                    stepper.noise(xi_fast))
+    states, _ = stepper.advance(v, v_nodes[0], stepper.drive(u_phys),
+                                noise_fast, nodes=v_nodes[1:])
     v = states[-1]
-    v_nodes = np.concatenate((v_phys[None], nodes))
     if model.theta > 0:
-        drift = truncate_b(model.reaction_slow, model.theta, state.t,
-                           grid.nodes, u_phys, v_nodes)
+        drift = truncate_b(model.reaction_slow, model.theta, t, grid.nodes,
+                           u_phys, v_nodes)
     else:
-        drift = eval_b(model.reaction_slow, state.t, grid.nodes, u_phys,
-                       v_nodes)
+        drift = eval_b(model.reaction_slow, t, grid.nodes, u_phys, v_nodes)
     # Summed over the substep nodes in order, as a running sum would.
     f1_phys = np.add.reduce(weights * drift, axis=0)
     f1 = grid.quad_weight * mat.T.dot(f1_phys)
-    u_next = (plan_slow.decay * state.u + plan_slow.drift_weight * f1
-              + plan_slow.noise_std * xi_slow)
+    u = plan_slow.decay * u + plan_slow.drift_weight * f1 + noise_slow
 
     # np.linalg.norm's own formula for a 1-D float array.
-    norm_u = math.sqrt(u_next.dot(u_next))
+    norm_u = math.sqrt(u.dot(u))
     norm_v = math.sqrt(v.dot(v))
     # Written so that a NaN norm also trips the guard.
     if not (norm_u + norm_v <= model.explosion_bound):
-        raise StateExplosionError(state.t + h_macro, norm_u, norm_v,
+        raise StateExplosionError(t + h_macro, norm_u, norm_v,
                                   model.explosion_bound)
-    return SlowFastState(u=u_next, v=v, t=state.t + h_macro,
-                         u_phys=mat.dot(u_next), v_phys=v_nodes[-1]), f1
+    return u, v, mat.dot(u), v_nodes[-1], f1
 
 
 def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
@@ -192,14 +165,15 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
     """Run one trajectory over [0, horizon], recording the path at macro
     nodes.
 
-    Each stream's normals are drawn NOISE_CHUNK_STEPS macro steps at a time;
-    the streams are concatenation-consistent, so these are the draws of one
-    substep at a time."""
+    Each stream's normals are drawn, and scaled into noise increments,
+    NOISE_CHUNK_STEPS macro steps at a time; the streams are
+    concatenation-consistent, so these are the draws of one substep at a
+    time.  record_noise keeps the fast standard normals."""
     h = h_macro if h_macro is not None else model.h_macro
+    plans = _plans(model, h)
     # A horizon shorter than one macro step yields the initial state only.
     n_steps = int(round(model.horizon / h))
-    plans = _plans(model, h)
-    n_sub = plans[0]
+    n_sub, plan_slow, stepper = plans[:3]
     slow_stream = derive_stream(master_seed, trajectory_id, "slow_noise")
     fast_stream = derive_stream(master_seed, trajectory_id, "fast_noise")
 
@@ -213,23 +187,27 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
     noise = np.empty((n_steps, n_sub, n)) if record_noise else None
     drifts = np.empty((n_steps, n)) if record_drift else None
 
-    state = SlowFastState(u=model.u0.copy(), v=model.v0.copy(), t=0.0,
-                          u_phys=synthesize(model.u0, grid),
-                          v_phys=synthesize(model.v0, grid))
+    u, v = model.u0, model.v0
+    u_phys, v_phys = synthesize(u, grid), synthesize(v, grid)
+    t = 0.0
     for start in range(0, n_steps, NOISE_CHUNK_STEPS):
         steps = min(NOISE_CHUNK_STEPS, n_steps - start)
         xi_fast = fast_stream.normals(steps * n_sub * n).reshape(steps, n_sub, n)
-        xi_slow = slow_stream.normals(steps * n).reshape(steps, n)
+        noise_fast = stepper.noise(xi_fast)
+        noise_slow = plan_slow.noise_std * slow_stream.normals(
+            steps * n).reshape(steps, n)
         if noise is not None:
             noise[start:start + steps] = xi_fast
         for k in range(steps):
             i = start + k
-            state, f1 = step_coupled(state, model, h, xi_slow[k], xi_fast[k],
-                                     plans=plans)
+            u, v, u_phys, v_phys, f1 = step_coupled(
+                u, v, u_phys, v_phys, t, model, h, noise_slow[k],
+                noise_fast[k], plans)
+            t += h
             if drifts is not None:
                 drifts[i] = f1
-            u_path[i + 1] = state.u
-            v_path[i + 1] = state.v
+            u_path[i + 1] = u
+            v_path[i + 1] = v
     return SlowFastTrajectory(
         times=times, u=u_path, v=v_path, n_sub=n_sub, master_seed=master_seed,
         trajectory_id=trajectory_id, fast_noise=noise, slow_drift=drifts,
@@ -289,7 +267,7 @@ class AuxiliaryResult:
     steps_per_block: int
 
 
-def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
+def build_auxiliary(traj: SlowFastTrajectory, delta: float,
                     model: ModelSpec) -> AuxiliaryResult:
     """Re-simulate the fast path with the slow drift argument frozen at the
     last block boundary, driven by the identical fast noise increments.
@@ -303,13 +281,15 @@ def build_auxiliary(traj: SlowFastTrajectory, plan: KhasminskiiPlan,
     nothing).  A replay that turns non-finite raises StateExplosionError at
     the first such node.
     """
+    if not delta > 0:
+        raise InvalidParameterError("delta must be positive")
     if traj.fast_noise is None:
         raise InvalidParameterError(
             "trajectory was recorded without fast noise; rerun with record_noise=True")
     n_steps = traj.times.size - 1
     h = float(traj.times[1] - traj.times[0])
-    steps_per_block, delta_snapped = snap_block(plan.delta, h)
-    n_sub, _, stepper, _ = _plans(model, h)
+    steps_per_block, delta_snapped = snap_block(delta, h)
+    n_sub, _, stepper = _plans(model, h)[:3]
     if n_sub != traj.n_sub:
         raise InvalidParameterError(
             "substep layout mismatch: trajectory is not replayable under this model")

@@ -122,17 +122,23 @@ class FastStepper:
         return self.noise_std * xi
 
     def advance(self, v: np.ndarray, v_phys: np.ndarray, drive: np.ndarray,
-                noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                noise: np.ndarray, nodes: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
         """Advance v, one field or a block (..., N) with nodal values
         v_phys, one step per row of noise (n, ..., N); returns the modal and
-        nodal states after each step, shapes (n, ..., N) and (n, ..., M)."""
+        nodal states after each step, shapes (n, ..., N) and (n, ..., M).
+        The nodal states are written into nodes when it is given, and that
+        array is returned."""
         states = drive + noise
+        if nodes is None:
+            nodes = np.empty(states.shape[:-1] + self.mat.shape[:1])
         if self.sin_weight is None:
             for state in states:
                 state += self.decay * v
                 v = state
-            return states, matvec(self.mat, states)
-        nodes = np.empty(states.shape[:-1] + self.mat.shape[:1])
+            # matvec's stacked product, written in place.
+            np.matmul(self.mat, states[..., None], out=nodes[..., None])
+            return states, nodes
         for state, node in zip(states, nodes):
             state += self.decay * v
             state += self.sin_weight * (

@@ -27,10 +27,10 @@ from . import __version__
 from .averaging import (analytic_Fbar_linear, averaged_mean_rates,
                         estimate_Fbar, make_drift_fn, simulate_averaged)
 from .config import ExperimentConfig, config_hash
-from .coupled import (KhasminskiiPlan, SlowFastTrajectory,
-                      block_freezing_errors, build_auxiliary, compute_rho0,
-                      freezing_deviations, khasminskii_delta,
-                      path_functionals, simulate_slowfast, snap_block)
+from .coupled import (SlowFastTrajectory, block_freezing_errors,
+                      build_auxiliary, compute_rho0, freezing_deviations,
+                      khasminskii_delta, path_functionals, simulate_slowfast,
+                      snap_block)
 from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import FrozenFastConfig, estimate_invariant_average
 from .model import ModelSpec
@@ -151,10 +151,8 @@ def _holder_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
 def _khasminskii_stat(traj: SlowFastTrajectory, model: ModelSpec,
                       delta: float) -> dict:
     """Slow and fast deviations of the block-frozen replay of the path."""
-    plan = KhasminskiiPlan(delta=delta, blocks=max(
-        1, math.ceil(model.horizon / delta)))
     slow_sq, fast_dev = freezing_deviations(
-        traj, build_auxiliary(traj, plan, model))
+        traj, build_auxiliary(traj, delta, model))
     return {"slow_sq": slow_sq, "fast_dev": fast_dev}
 
 
@@ -164,24 +162,26 @@ def _discrepancy_stat(traj: SlowFastTrajectory, model: ModelSpec,
 
     Uses the recorded per-step slow-drift integrand (averaged along the fast
     substep path) so the quadrature resolves the fast relaxation layer; the
-    averaged drift is evaluated at the macro nodes where u moves O(h), with
-    the path's trajectory id keying its nested streams."""
+    averaged drift is evaluated at the macro nodes where u moves O(h), all
+    nodes at once, with the path's trajectory id keying its nested streams.
+    Each node's dot product is a stacked one, bit-equal to np.dot of that
+    node alone; the sums and sups run in node order over floats."""
     fbar = make_drift_fn(model, averaging, master_seed,
                          trajectory_id=traj.trajectory_id)
     h = float(traj.times[1] - traj.times[0])
     n = model.n_modes
-    sums = [0.0] * len(test_functions)
-    comps = [0.0] * len(test_functions)
-    sups = [0.0] * len(test_functions)
-    xi_cache = [tf.values(0.0, n) for tf in test_functions]
-    for i in range(traj.times.size - 1):
-        t = float(traj.times[i])
-        delta_f = traj.slow_drift[i] - fbar(t, traj.u[i])[0]
-        for j, tf in enumerate(test_functions):
-            xi = tf.values(t, n) if tf.time_power else xi_cache[j]
-            sums[j], comps[j] = kahan_add(sums[j], comps[j],
-                                          h * float(np.dot(delta_f, xi)))
-            sups[j] = max(sups[j], abs(sums[j]))
+    times = traj.times[:-1]
+    delta_f = traj.slow_drift - fbar(times, traj.u[:-1])[0]
+    sups = []
+    for tf in test_functions:
+        xi = (np.stack([tf.values(t, n) for t in times.tolist()])
+              if tf.time_power else tf.values(0.0, n)[None])
+        dots = np.matmul(delta_f[:, None, :], xi[:, :, None])[:, 0, 0]
+        total = comp = sup = 0.0
+        for dot in dots.tolist():
+            total, comp = kahan_add(total, comp, h * dot)
+            sup = max(sup, abs(total))
+        sups.append(sup)
     return {"sups": sups}
 
 

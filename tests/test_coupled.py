@@ -6,8 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import linregress
 
-from slowfast import (InvalidParameterError, KhasminskiiPlan,
-                      StateExplosionError, analyze, build_auxiliary,
+from slowfast import (InvalidParameterError, StateExplosionError, analyze, build_auxiliary,
                       compute_rho0, derive_stream, eval_V, khasminskii_delta,
                       make_fast_reaction, make_plan, make_slow_reaction,
                       nemytskii_drift, simulate_slowfast, synthesize)
@@ -325,8 +324,7 @@ class TestKernelBitIdentity:
     def test_replay_matches_reference(self, kind):
         model = KERNEL_MODELS[kind](0.02)
         traj = simulate_slowfast(model, 43, 1, record_noise=True)
-        aux = build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=14),
-                              model)
+        aux = build_auxiliary(traj, 0.05, model)
         assert aux.steps_per_block == 5
         assert np.array_equal(aux.v_aux, _reference_replay(traj, model, 5))
 
@@ -345,8 +343,7 @@ class TestKernelBitIdentity:
             calls.append(len(args[-1]))
             return advance(self, *args)
         monkeypatch.setattr(fast_dynamics.FastStepper, "advance", counting)
-        aux = build_auxiliary(traj, KhasminskiiPlan(
-            delta=steps_per_block * model.h_macro, blocks=1), model)
+        aux = build_auxiliary(traj, steps_per_block * model.h_macro, model)
         assert aux.steps_per_block == steps_per_block
         assert np.array_equal(aux.v_aux,
                               _reference_replay(traj, model, steps_per_block))
@@ -402,8 +399,7 @@ class TestKernelBitIdentity:
             return np.full(np.shape(xi), np.nan)
         monkeypatch.setattr(fast_dynamics.FastStepper, "noise", nan_noise)
         with pytest.raises(StateExplosionError, match="replay") as info:
-            build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=14),
-                            model)
+            build_auxiliary(traj, 0.05, model)
         assert info.value.t == pytest.approx(0.02)
 
 
@@ -463,9 +459,9 @@ class TestFastMoments:
         assert 1.0 / rate == pytest.approx(tau_exact, rel=0.10)
 
 
-def _freezing_errors(trajs, plan, model):
+def _freezing_errors(trajs, delta, model):
     """block_freezing_errors over the paths' block-frozen replays."""
-    deviations = [freezing_deviations(t, build_auxiliary(t, plan, model))
+    deviations = [freezing_deviations(t, build_auxiliary(t, delta, model))
                   for t in trajs]
     return block_freezing_errors([slow for slow, _ in deviations],
                                  [fast for _, fast in deviations])
@@ -476,24 +472,21 @@ class TestAuxiliary:
         # g independent of x: freezing the slow argument changes nothing
         model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
         traj = simulate_slowfast(model, 17, 0, record_noise=True)
-        plan = KhasminskiiPlan(delta=1.0, blocks=1)
-        aux = build_auxiliary(traj, plan, model)
+        aux = build_auxiliary(traj, 1.0, model)
         assert np.array_equal(aux.v_aux, traj.v)
         assert np.all(aux.u_aux == traj.u[0])
 
     def test_replay_fidelity_block_equals_step(self):
         model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
         traj = simulate_slowfast(model, 19, 0, record_noise=True)
-        plan = KhasminskiiPlan(delta=model.h_macro, blocks=20)
-        aux = build_auxiliary(traj, plan, model)
+        aux = build_auxiliary(traj, model.h_macro, model)
         assert np.array_equal(aux.v_aux, traj.v)
 
     def test_deterministic_rebuild(self):
         model = linear_model(eps=0.1, horizon=0.2)
         traj = simulate_slowfast(model, 23, 0, record_noise=True)
-        plan = KhasminskiiPlan(delta=0.05, blocks=4)
-        a = build_auxiliary(traj, plan, model)
-        b = build_auxiliary(traj, plan, model)
+        a = build_auxiliary(traj, 0.05, model)
+        b = build_auxiliary(traj, 0.05, model)
         assert np.array_equal(a.v_aux, b.v_aux)
         assert a.delta_snapped == b.delta_snapped
 
@@ -501,7 +494,14 @@ class TestAuxiliary:
         model = linear_model(eps=0.1, horizon=0.1)
         traj = simulate_slowfast(model, 0, 0)
         with pytest.raises(InvalidParameterError):
-            build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=2), model)
+            build_auxiliary(traj, 0.05, model)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.05, math.nan])
+    def test_non_positive_delta_rejected(self, delta):
+        model = linear_model(eps=0.1, horizon=0.1)
+        traj = simulate_slowfast(model, 0, 0, record_noise=True)
+        with pytest.raises(InvalidParameterError, match="delta must be positive"):
+            build_auxiliary(traj, delta, model)
 
     def test_error_grows_with_block_length(self):
         # quadrupling delta increases both freezing errors (3 sigma)
@@ -510,8 +510,7 @@ class TestAuxiliary:
                  for i in range(48)]
         stats = []
         for delta in (0.025, 0.1):
-            plan = KhasminskiiPlan(delta=delta, blocks=int(0.5 / delta))
-            stats.append(_freezing_errors(trajs, plan, model))
+            stats.append(_freezing_errors(trajs, delta, model))
         (small_sup, small_sup_se, small_fast, small_fast_se), (
             big_sup, big_sup_se, big_fast, big_fast_se) = stats
         gap_se = math.hypot(small_sup_se, big_sup_se)
@@ -523,15 +522,13 @@ class TestAuxiliary:
         model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
         trajs = [simulate_slowfast(model, 37, i, record_noise=True)
                  for i in range(4)]
-        plan = KhasminskiiPlan(delta=0.05, blocks=4)
-        _, _, fast_mean, _ = _freezing_errors(trajs, plan, model)
+        _, _, fast_mean, _ = _freezing_errors(trajs, 0.05, model)
         assert fast_mean == 0.0
 
     def test_mismatched_inputs_rejected(self):
         model = linear_model(eps=0.1, horizon=0.2)
         traj = simulate_slowfast(model, 0, 0, record_noise=True)
-        aux = build_auxiliary(traj, KhasminskiiPlan(delta=0.05, blocks=4),
-                              model)
+        aux = build_auxiliary(traj, 0.05, model)
         shorter = simulate_slowfast(linear_model(eps=0.1, horizon=0.1), 0, 0)
         with pytest.raises(InvalidParameterError):
             freezing_deviations(shorter, aux)

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from slowfast.config import parse_config_dict
+from slowfast.averaging import AveragedDriftParams, make_drift_fn
+from slowfast.config import TestFunctionSpec as XiSpec
+from slowfast.config import parse_config, parse_config_dict
+from slowfast.coupled import simulate_slowfast
 from slowfast.harness import (ResultRow, ResultTable, _coupled_paths,
-                              _holder_pairs, kahan_mean_vectors,
+                              _discrepancy_stat, _holder_pairs,
+                              kahan_mean_vectors,
                               run_convergence_study,
                               run_holder_stats, run_khasminskii_study,
                               run_moment_audit, run_parallel,
                               run_theta_stability)
-from slowfast.spectral import mean_se
+from slowfast.spectral import kahan_add, mean_se
 
 from conftest import linear_model
 from test_config_cli import BASE
@@ -102,6 +106,61 @@ class TestConvergenceStudy:
         table = run_convergence_study(cfg)
         row = table.value("converge", 0.1, "weak_error[norm_sq]")
         assert row.std_error > 0.0
+
+
+def _per_node_discrepancy(traj, model, test_functions, averaging,
+                          master_seed):
+    """The drift-discrepancy functional one macro node at a time: F-bar,
+    np.dot and the Kahan sum per node, as the path statistic once was."""
+    fbar = make_drift_fn(model, averaging, master_seed,
+                         trajectory_id=traj.trajectory_id)
+    h = float(traj.times[1] - traj.times[0])
+    n = model.n_modes
+    sums = [0.0] * len(test_functions)
+    comps = [0.0] * len(test_functions)
+    sups = [0.0] * len(test_functions)
+    for i in range(traj.times.size - 1):
+        t = float(traj.times[i])
+        delta_f = traj.slow_drift[i] - fbar(t, traj.u[i])[0]
+        for j, tf in enumerate(test_functions):
+            sums[j], comps[j] = kahan_add(
+                sums[j], comps[j], h * float(np.dot(delta_f, tf.values(t, n))))
+            sups[j] = max(sups[j], abs(sums[j]))
+    return {"sups": sups}
+
+
+class TestDiscrepancyStat:
+    # Over whole paths: F-bar on all nodes at once (exact modes) or one
+    # estimate per node (estimator), stacked dot products, sums in node
+    # order; every sup bit-equal to the per-node loop.
+    TEST_FUNCTIONS = (XiSpec(modes=(1.0,)),
+                      XiSpec(modes=(0.5, -1.0, 0.25), time_power=1))
+
+    def _check(self, model, averaging, n_paths):
+        for trajectory_id in range(n_paths):
+            traj = simulate_slowfast(model, 61, trajectory_id,
+                                     record_drift=True)
+            expected = _per_node_discrepancy(traj, model, self.TEST_FUNCTIONS,
+                                             averaging, 61)
+            assert expected["sups"][0] > 0.0
+            assert _discrepancy_stat(traj, model, self.TEST_FUNCTIONS,
+                                     averaging, 61) == expected
+
+    @pytest.mark.parametrize("eps", [0.1, 0.004])
+    def test_linear_oracle(self, eps):
+        cfg = parse_config("configs/linear_benchmark.json")
+        self._check(cfg.model.with_epsilon(eps), cfg.averaging, 3)
+
+    def test_slow_only(self):
+        cfg = parse_config("configs/decoupled_control.json")
+        self._check(cfg.model.with_epsilon(0.02), cfg.averaging, 3)
+
+    def test_estimator(self):
+        cfg = parse_config("configs/cubic_rough.json")
+        model = dataclasses.replace(cfg.model, horizon=0.03)
+        averaging = AveragedDriftParams(h_fast=0.01, t_burn=1.5, t_avg=0.2,
+                                        n_replicas=2)
+        self._check(model, averaging, 1)
 
 
 class TestMomentAudit:

@@ -1,17 +1,20 @@
-"""Property tests for the invariants the batched replica kernel and the
-prepared fast substep rest on."""
+"""Property tests for the invariants the batched replica kernel, the
+prepared fast substep and the coupled macro step rest on."""
 
 import dataclasses
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from slowfast import (GridSpec, SpectralOperator, analyze,
-                      make_fast_reaction, make_plan, make_slow_reaction,
-                      nemytskii_drift, synthesize)
+from slowfast import (GridSpec, SpectralOperator, analyze, build_model,
+                      eval_b, make_fast_reaction, make_plan,
+                      make_slow_reaction, nemytskii_drift, synthesize,
+                      truncate_b)
 from slowfast.config import ObservableSpec
+from slowfast.coupled import _plans, step_coupled
 from slowfast.fast_dynamics import FastStepper
 from slowfast.noise import ROLES, RngStream
 from slowfast.reactions import fast_coefficients
@@ -171,6 +174,117 @@ def test_prepared_fast_step_equals_checked_reference(case):
                                     stepper.noise(xi))
     assert np.array_equal(states, np.stack(states_ref))
     assert np.array_equal(nodes, synthesize(np.stack(states_ref), grid))
+
+
+@SETTINGS
+@given(fast_step_cases())
+def test_advance_writes_nodes_in_place(case):
+    # Both branches (with and without the sine term), one field or a
+    # block: the nodal states go into the given rows of a buffer, which the
+    # call returns, with the bits of the allocating call.
+    grid, reaction, op, h, eps, v, rho_phys, xi = case
+    stepper = FastStepper(reaction, grid, op, h, eps)
+    args = (v, synthesize(v, grid), stepper.drive(rho_phys), stepper.noise(xi))
+    states, nodes = stepper.advance(*args)
+    buf = np.full((len(xi) + 1,) + nodes.shape[1:], np.nan)
+    rows = buf[1:]
+    states_in_place, nodes_in_place = stepper.advance(*args, nodes=rows)
+    assert nodes_in_place is rows
+    assert np.array_equal(buf[1:], nodes)
+    assert np.isnan(buf[0]).all()
+    assert np.array_equal(states_in_place, states)
+
+
+@st.composite
+def macro_step_cases(draw):
+    """A model with a fast reaction of either kind, theta in {0, 0.01} and
+    eps giving n_sub = 1, 3 or 13 at h_macro = 0.01; a state (u, v), and
+    the standard normals of one macro step."""
+    grid = draw(st.sampled_from(GRIDS))
+    n = grid.n_modes
+    kind = draw(st.sampled_from(FAST_KINDS))
+    params = {"a_c": draw(COEFFS), "b_c": draw(COEFFS)}
+    if kind == "lipschitz_saturating":
+        params["c_s"] = draw(COEFFS)
+    slow = draw(st.sampled_from([
+        make_slow_reaction("linear_benchmark"),
+        make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)]))
+    eps, n_sub = draw(st.sampled_from([(0.1, 1), (0.02, 3), (0.004, 13)]))
+    model = build_model(
+        SpectralOperator.from_power_law(n, 0.01, 1.0, 0.05, 1.0, 0.5),
+        SpectralOperator.from_power_law(n, 1.0, 1.0, 0.3, 1.0, 0.5),
+        slow, make_fast_reaction(kind, **params), grid, eps, 1.0,
+        np.zeros(n), np.zeros(n), theta=draw(st.sampled_from([0.0, 0.01])),
+        explosion_bound=math.inf)
+    small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=64)
+    normal = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False,
+                       width=64)
+    u = draw(arrays(np.float64, n, elements=small))
+    v = draw(arrays(np.float64, n, elements=small))
+    xi_slow = draw(arrays(np.float64, n, elements=normal))
+    xi_fast = draw(arrays(np.float64, (n_sub, n), elements=normal))
+    return model, n_sub, u, v, xi_slow, xi_fast
+
+
+def _reference_macro_step(model, n_sub, u, v, t, xi_slow, xi_fast):
+    """One macro step in checked transforms: the fast substeps of
+    test_prepared_fast_step_equals_checked_reference, the slow drift on the
+    concatenated substep nodes and noise_std * xi for each increment."""
+    grid = model.grid
+    h = model.h_macro
+    a_c, b_c, c_s = fast_coefficients(model.reaction_fast)
+    plan = make_plan(dataclasses.replace(model.op2,
+                                         alphas=model.op2.alphas + b_c),
+                     h / n_sub, model.epsilon)
+    u_phys = synthesize(u, grid)
+    drive = plan.drift_weight * analyze(a_c * u_phys, grid)
+    states = [v]
+    for xi in xi_fast:
+        v_next = plan.decay * states[-1] + (drive + plan.noise_std * xi)
+        if c_s:
+            v_next = v_next + (c_s * plan.drift_weight) * analyze(
+                np.sin(synthesize(states[-1], grid)), grid)
+        states.append(v_next)
+    v_nodes = np.concatenate((synthesize(v, grid)[None],
+                              synthesize(np.stack(states[1:]), grid)))
+    if model.theta > 0:
+        drift = truncate_b(model.reaction_slow, model.theta, t, grid.nodes,
+                           u_phys, v_nodes)
+    else:
+        drift = eval_b(model.reaction_slow, t, grid.nodes, u_phys, v_nodes)
+    weights = np.full((n_sub + 1, 1), 1.0 / n_sub)
+    weights[0] = weights[-1] = 0.5 / n_sub
+    f1 = analyze(np.add.reduce(weights * drift, axis=0), grid)
+    plan_slow = make_plan(model.op1, h, 1.0)
+    u_next = (plan_slow.decay * u + plan_slow.drift_weight * f1
+              + plan_slow.noise_std * xi_slow)
+    return u_next, states[-1], f1
+
+
+@SETTINGS
+@given(macro_step_cases())
+def test_macro_step_equals_checked_reference(case):
+    # step_coupled takes increments scaled once per draw chunk and writes
+    # the substep nodes into the plans' buffer; the reference scales per
+    # step and concatenates.
+    model, n_sub, u, v, xi_slow, xi_fast = case
+    grid = model.grid
+    plans = _plans(model, model.h_macro)
+    assert plans[0] == n_sub
+    # Increments of a two-step chunk, of which this step is the second.
+    chunk_slow = plans[1].noise_std * np.stack([xi_slow, xi_slow])
+    chunk_fast = plans[2].noise(np.stack([xi_fast, xi_fast]))
+    t = 0.03
+    u_next, v_next, u_phys, v_phys, f1 = step_coupled(
+        u, v, synthesize(u, grid), synthesize(v, grid), t, model,
+        model.h_macro, chunk_slow[1], chunk_fast[1], plans)
+    u_ref, v_ref, f1_ref = _reference_macro_step(model, n_sub, u, v, t,
+                                                 xi_slow, xi_fast)
+    assert np.array_equal(u_next, u_ref)
+    assert np.array_equal(v_next, v_ref)
+    assert np.array_equal(f1, f1_ref)
+    assert np.array_equal(u_phys, synthesize(u_ref, grid))
+    assert np.array_equal(v_phys, synthesize(v_ref, grid))
 
 
 def _scanned_param(spec, name, default):
