@@ -7,24 +7,19 @@ counter-based randomness."""
 __version__ = "0.1.0"
 
 from .averaging import (AveragedDriftParams, analytic_Fbar_linear, estimate_Fbar,
-                        estimate_Vbar, simulate_averaged)
+                        simulate_averaged)
 from .coupled import (build_auxiliary, compute_rho0, khasminskii_delta,
                       simulate_slowfast, step_coupled)
 from .errors import (ConfigurationRejectedError, InvalidParameterError,
                      StateExplosionError)
 from .fast_dynamics import (FrozenFastConfig, InvariantAverageEstimate,
-                            contraction_diagnostic, estimate_invariant_average,
-                            frozen_lipschitz_in_x, invariant_moment_check,
-                            step_frozen_fast)
+                            estimate_invariant_average)
 from .model import ModelSpec, build_model
-from .noise import (OUStepPlan, RngStream, derive_stream, make_plan, ou_step,
-                    wiener_increment)
-from .reactions import (LyapunovSpec, ReactionSpec, eval_V, eval_b, eval_g,
+from .noise import OUStepPlan, RngStream, derive_stream, make_plan, ou_step
+from .reactions import (LyapunovSpec, ReactionSpec, eval_V, eval_b,
                         make_fast_reaction, make_slow_reaction, nemytskii_drift,
-                        truncate_b, truncation_gap_bound, validate_dissipativity,
-                        validate_growth)
+                        truncate_b, validate_dissipativity, validate_growth)
 from .spectral import (GridSpec, SpectralOperator, analyze, check_noise_regularity,
-                       dirichlet_eigenpairs, fractional_norm, semigroup_apply,
-                       synthesize)
+                       dirichlet_eigenpairs, synthesize)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,7 +18,7 @@ from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import FrozenFastConfig, estimate_invariant_average
 from .model import ModelSpec
 from .noise import RngStream, make_plan, ou_step
-from .reactions import eval_V, nemytskii_drift
+from .reactions import nemytskii_drift
 from .spectral import analyze, as_modal_field, synthesize
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "step_averaged",
     "simulate_averaged",
     "AveragedTrajectory",
-    "estimate_Vbar",
 ]
 
 
@@ -147,8 +146,7 @@ def step_averaged(state: AveragedState, model: ModelSpec, drift_fn, h: float,
 
 
 def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
-                  master_seed: int = 0, mode: str = "auto",
-                  trajectory_id: int = 0):
+                  master_seed: int = 0, trajectory_id: int = 0):
     """Averaged-drift callable: analytic oracle for the linear benchmark,
     slow-only evaluation when b ignores the fast variable, nested estimator
     (estimate_Fbar, keyed by trajectory_id, on the h_macro grid) otherwise.
@@ -158,14 +156,7 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
     of shape (n, N)).  A row of a stack is bit-equal to that state alone:
     the exact modes evaluate the stack at once, the estimator one state at
     a time, since its nested streams are keyed by the step of t."""
-    if mode == "auto":
-        if model.is_linear_benchmark:
-            mode = "oracle"
-        elif not model.reaction_slow.depends_on_fast:
-            mode = "slow_only"
-        else:
-            mode = "estimator"
-    if mode == "oracle":
+    if model.is_linear_benchmark:
         a_c, rates = _linear_fbar_factors(model)
 
         def fn(t, u):
@@ -173,7 +164,7 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
             drift = a_c * u / rates
             return drift, np.zeros_like(drift)
         return fn
-    if mode == "slow_only":
+    if not model.reaction_slow.depends_on_fast:
         zeros_phys = np.zeros(model.grid.n_quad)
         theta = model.theta if model.theta > 0 else None
 
@@ -184,26 +175,24 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
                             model.grid)
             return drift, np.zeros_like(drift)
         return fn
-    if mode == "estimator":
-        if params is None:
-            raise InvalidParameterError("estimator drift mode requires params")
+    if params is None:
+        raise InvalidParameterError("the nested drift estimator requires params")
 
-        def fn(t, u):
-            if np.ndim(u) == 1:
-                return estimate_Fbar(t, u, params, model, master_seed,
-                                     trajectory_id)
-            means, ses = zip(*(estimate_Fbar(t_i, u_i, params, model,
-                                             master_seed, trajectory_id)
-                               for t_i, u_i in zip(np.asarray(t).tolist(), u)))
-            return np.stack(means), np.stack(ses)
-        return fn
-    raise InvalidParameterError(f"unknown drift mode {mode!r}")
+    def fn(t, u):
+        if np.ndim(u) == 1:
+            return estimate_Fbar(t, u, params, model, master_seed,
+                                 trajectory_id)
+        means, ses = zip(*(estimate_Fbar(t_i, u_i, params, model,
+                                         master_seed, trajectory_id)
+                           for t_i, u_i in zip(np.asarray(t).tolist(), u)))
+        return np.stack(means), np.stack(ses)
+    return fn
 
 
 def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
                       u0, T: float, h: float, stream: RngStream,
-                      drift_mode: str = "auto", master_seed: int = 0,
-                      trajectory_id: int = 0) -> AveragedTrajectory:
+                      master_seed: int = 0, trajectory_id: int = 0
+                      ) -> AveragedTrajectory:
     """Sample the averaged slow equation on the macro grid."""
     if T < 0:
         raise InvalidParameterError("T must be nonnegative")
@@ -212,8 +201,7 @@ def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
     times = np.arange(n_steps + 1) * h
     path = np.empty((n_steps + 1, model.n_modes))
     path[0] = u0
-    drift_fn = make_drift_fn(model, params, master_seed, drift_mode,
-                             trajectory_id)
+    drift_fn = make_drift_fn(model, params, master_seed, trajectory_id)
     plan = make_plan(model.op1, h, 1.0) if n_steps else None
     state = AveragedState(u=u0, t=0.0)
     budget = 0.0
@@ -222,22 +210,3 @@ def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
         budget += h * se
         path[i + 1] = state.u
     return AveragedTrajectory(times=times, path=path, drift_se_budget=budget)
-
-
-def estimate_Vbar(x, model: ModelSpec, params: AveragedDriftParams,
-                  master_seed: int = 0) -> tuple[float, float]:
-    """Stationary expectation of V(x, v) under the frozen fast dynamics."""
-    x = as_modal_field(x, model.n_modes)
-    x_phys = synthesize(x, model.grid)
-    cfg = FrozenFastConfig(
-        x=x, op2=model.op2, reaction_fast=model.reaction_fast, grid=model.grid,
-        h=params.h_fast, t_burn=params.t_burn, t_avg=params.t_avg,
-        n_replicas=params.n_replicas,
-    )
-
-    def v_observable(v_phys):
-        # (n, M) nodal rows -> (n,) values of V, row by row.
-        return eval_V(x_phys, v_phys, model.lyapunov, model.grid)
-
-    est = estimate_invariant_average(cfg, v_observable, master_seed)
-    return float(est.mean), float(est.std_error)

@@ -34,7 +34,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "parse_config_dict",
-    "serialize_config",
     "config_hash",
 ]
 
@@ -342,10 +341,6 @@ def _canonical_dict(raw: dict, cfg: ExperimentConfig) -> dict:
             "x_norm_bound": cfg.averaging.x_norm_bound,
         },
     }
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.canonical, indent=2, sort_keys=True)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

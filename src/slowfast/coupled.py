@@ -160,16 +160,16 @@ def step_coupled(u: np.ndarray, v: np.ndarray, u_phys: np.ndarray,
 
 def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
                       record_noise: bool = False,
-                      record_drift: bool = False,
-                      h_macro: float | None = None) -> SlowFastTrajectory:
+                      record_drift: bool = False) -> SlowFastTrajectory:
     """Run one trajectory over [0, horizon], recording the path at macro
     nodes.
 
     Each stream's normals are drawn, and scaled into noise increments,
     NOISE_CHUNK_STEPS macro steps at a time; the streams are
     concatenation-consistent, so these are the draws of one substep at a
-    time.  record_noise keeps the fast standard normals."""
-    h = h_macro if h_macro is not None else model.h_macro
+    time.  record_noise keeps the fast standard normals.  An explosion is
+    reported at the macro node it reached, an element of times."""
+    h = model.h_macro
     plans = _plans(model, h)
     # A horizon shorter than one macro step yields the initial state only.
     n_steps = int(round(model.horizon / h))
@@ -189,7 +189,6 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
 
     u, v = model.u0, model.v0
     u_phys, v_phys = synthesize(u, grid), synthesize(v, grid)
-    t = 0.0
     for start in range(0, n_steps, NOISE_CHUNK_STEPS):
         steps = min(NOISE_CHUNK_STEPS, n_steps - start)
         xi_fast = fast_stream.normals(steps * n_sub * n).reshape(steps, n_sub, n)
@@ -200,10 +199,14 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
             noise[start:start + steps] = xi_fast
         for k in range(steps):
             i = start + k
-            u, v, u_phys, v_phys, f1 = step_coupled(
-                u, v, u_phys, v_phys, t, model, h, noise_slow[k],
-                noise_fast[k], plans)
-            t += h
+            try:
+                u, v, u_phys, v_phys, f1 = step_coupled(
+                    u, v, u_phys, v_phys, times[i], model, h, noise_slow[k],
+                    noise_fast[k], plans)
+            except StateExplosionError as exc:
+                # times[i] + h is not always the node times[i + 1].
+                raise StateExplosionError(float(times[i + 1]), exc.norm_u,
+                                          exc.norm_v, exc.bound) from None
             if drifts is not None:
                 drifts[i] = f1
             u_path[i + 1] = u

@@ -1,4 +1,4 @@
-"""Frozen-fast simulation, ergodic time averaging and mixing diagnostics.
+"""Frozen-fast simulation and ergodic time averaging.
 
 With the slow state frozen at x, the fast field solves
 dv = [A2 v + g(x, v)] dt + Q2 dW.  Under the dissipativity gap
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
-from .noise import RngStream, derive_stream, make_plan
+from .noise import derive_stream, make_plan
 from .reactions import (ReactionSpec, fast_coefficients,
                         validate_dissipativity)
 from .spectral import (GridSpec, SpectralOperator, as_modal_field,
@@ -26,12 +26,7 @@ __all__ = [
     "FrozenFastConfig",
     "InvariantAverageEstimate",
     "FastStepper",
-    "step_frozen_fast",
     "estimate_invariant_average",
-    "MomentCheckRow",
-    "invariant_moment_check",
-    "contraction_diagnostic",
-    "frozen_lipschitz_in_x",
 ]
 
 N_BATCHES = 20  # batch-means blocks per replica
@@ -67,10 +62,6 @@ class FrozenFastConfig:
                 f"5/omega={5.0 / omega:g}; stationary averages may be biased",
                 stacklevel=2,
             )
-
-    @property
-    def omega(self) -> float:
-        return float(self.op2.alphas[0]) - self.reaction_fast.L2
 
 
 @dataclass(frozen=True)
@@ -151,20 +142,6 @@ class FastStepper:
 def _stepper(cfg: FrozenFastConfig) -> FastStepper:
     """cfg's stepper: step cfg.h on the unit time scale."""
     return FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, cfg.h, 1.0)
-
-
-def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
-                     x_phys: np.ndarray | None = None) -> np.ndarray:
-    """One exponential-integrator step: linear part and noise exact, the
-    rest of g frozen."""
-    if x_phys is None:
-        x_phys = synthesize(cfg.x, cfg.grid)
-    v = as_modal_field(v, cfg.grid.n_modes)
-    stepper = _stepper(cfg)
-    noise = stepper.noise(stream.normals(cfg.grid.n_modes)[None])
-    states, _ = stepper.advance(v, synthesize(v, cfg.grid),
-                                stepper.drive(x_phys), noise)
-    return states[0]
 
 
 def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
@@ -257,7 +234,6 @@ def batch_std_error(batches: np.ndarray) -> np.ndarray:
 
 def estimate_invariant_average(cfg: FrozenFastConfig, observable,
                                master_seed: int = 0,
-                               role: str = "frozen_fast_noise",
                                key: tuple = ()) -> InvariantAverageEstimate:
     """Time average of observable(v_phys) over [t_burn, t_burn + t_avg].
 
@@ -268,12 +244,12 @@ def estimate_invariant_average(cfg: FrozenFastConfig, observable,
     chunk on all of the chunk's averaged steps of all cfg.n_replicas
     replicas, so it must not depend on a row's position or on n.  The mean
     is a float or a (K,) array accordingly.  Replicas use independent
-    streams derived from (master_seed, replica, role) and the trailing key.
-    The standard error comes from the correlated per-batch means
-    (batch_std_error) and shrinks like 1/sqrt(n_replicas * t_avg).
+    frozen_fast_noise streams derived from (master_seed, replica) and the
+    trailing key.  The standard error comes from the correlated per-batch
+    means (batch_std_error) and shrinks like 1/sqrt(n_replicas * t_avg).
     """
     x_phys = synthesize(cfg.x, cfg.grid)
-    streams = [derive_stream(master_seed, replica, role, key)
+    streams = [derive_stream(master_seed, replica, "frozen_fast_noise", key)
                for replica in range(cfg.n_replicas)]
     batches = _run_replicas(cfg, observable, streams, x_phys)
     # Replica-major rows: the pooled mean sums the batches in this order.
@@ -286,98 +262,3 @@ def estimate_invariant_average(cfg: FrozenFastConfig, observable,
         t_burn=cfg.t_burn, t_avg=cfg.t_avg, n_replicas=cfg.n_replicas,
     )
 
-
-@dataclass(frozen=True)
-class MomentCheckRow:
-    x_norm: float
-    moment: float
-    ratio: float
-    std_error: float
-
-
-def invariant_moment_check(cfg: FrozenFastConfig, p: int,
-                           x_grid=None, c_p: float = 1.0,
-                           master_seed: int = 0) -> list[MomentCheckRow]:
-    """Ratio of the stationary moment E|v|^p to c_p(1 + |x|^p) over an x grid.
-
-    Bounded ratios uniformly in x witness the stationary moment bound.
-    """
-    if p not in (2, 4):
-        raise InvalidParameterError("p must be 2 or 4")
-    if x_grid is None:
-        x_grid = [cfg.x]
-    rows = []
-    for x in x_grid:
-        cfg_x = FrozenFastConfig(x=x, op2=cfg.op2, reaction_fast=cfg.reaction_fast,
-                                 grid=cfg.grid, h=cfg.h, t_burn=cfg.t_burn,
-                                 t_avg=cfg.t_avg, n_replicas=cfg.n_replicas)
-        quad = cfg.grid.quad_weight
-
-        def norm_p(v_phys):
-            # |v|^p with the L2 norm; quadrature weight matches Parseval.
-            return (quad * np.sum(v_phys * v_phys, axis=-1)) ** (p / 2)
-
-        est = estimate_invariant_average(cfg_x, norm_p, master_seed)
-        x_norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
-        denom = c_p * (1.0 + x_norm ** p)
-        rows.append(MomentCheckRow(x_norm=x_norm, moment=est.mean,
-                                   ratio=est.mean / denom,
-                                   std_error=est.std_error / denom))
-    return rows
-
-
-def _coupled_pair_run(cfg: FrozenFastConfig, v1, v2, x1, x2, t_max,
-                      master_seed: int):
-    """Advance two chains under common noise; return times and distances."""
-    n_modes = cfg.grid.n_modes
-    stepper = _stepper(cfg)
-    stream = derive_stream(master_seed, 0, "frozen_fast_noise")
-    x, v = np.stack([x1, x2]), np.stack([v1, v2])
-    n_steps = max(2, int(round(t_max / cfg.h)))
-    # The pair is one (2, N) block whose rows take the same increments.
-    noise = stepper.noise(
-        stream.normals(n_steps * n_modes).reshape(n_steps, 1, n_modes))
-    states, _ = stepper.advance(v, synthesize(v, cfg.grid),
-                                stepper.drive(synthesize(x, cfg.grid)), noise)
-    dists = np.linalg.norm(states[:, 0] - states[:, 1], axis=-1)
-    times = np.arange(1, n_steps + 1) * cfg.h
-    if not np.isfinite(dists).all():
-        first = int(np.argmin(np.isfinite(dists)))
-        raise StateExplosionError(times[first], float(np.linalg.norm(x1)),
-                                  float(dists[first]), math.inf,
-                                  where=" in a coupled frozen-fast pair")
-    return times, dists
-
-
-def contraction_diagnostic(cfg: FrozenFastConfig, y1, y2,
-                           master_seed: int = 0,
-                           t_max: float | None = None) -> float:
-    """Fitted exponential decay rate of |v^{x,y1}(t) - v^{x,y2}(t)| under
-    common noise; for omega > 0 the slope should be <= -omega (up to fit
-    tolerance)."""
-    y1 = as_modal_field(y1, cfg.grid.n_modes)
-    y2 = as_modal_field(y2, cfg.grid.n_modes)
-    if np.array_equal(y1, y2):
-        raise InvalidParameterError("identical initial data: decay fit undefined")
-    if t_max is None:
-        t_max = 5.0 / cfg.omega
-    times, dists = _coupled_pair_run(cfg, y1, y2, cfg.x, cfg.x, t_max, master_seed)
-    mask = dists > 0
-    slope = np.polyfit(times[mask], np.log(dists[mask]), 1)[0]
-    return float(slope)
-
-
-def frozen_lipschitz_in_x(cfg: FrozenFastConfig, x1, x2,
-                          master_seed: int = 0,
-                          t_max: float | None = None) -> float:
-    """sup_t |v^{x1,y}(t) - v^{x2,y}(t)| / |x1 - x2| under common noise."""
-    x1 = as_modal_field(x1, cfg.grid.n_modes)
-    x2 = as_modal_field(x2, cfg.grid.n_modes)
-    dx = float(np.linalg.norm(x1 - x2))
-    if dx == 0:
-        raise InvalidParameterError("identical frozen states: ratio undefined")
-    if t_max is None:
-        t_max = 10.0 / cfg.omega
-    y0 = np.zeros(cfg.grid.n_modes)
-    _, dists = _coupled_pair_run(cfg, y0, y0.copy(), x1, x2, t_max, master_seed)
-    return float(np.max(dists)) / dx

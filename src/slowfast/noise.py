@@ -1,4 +1,5 @@
-"""Q-Wiener increments and exact per-mode Ornstein-Uhlenbeck updates.
+"""Counter-based Gaussian streams and exact per-mode Ornstein-Uhlenbeck
+updates.
 
 Every random stream is a Philox counter-based generator keyed by
 (master_seed, trajectory_id, role) plus an optional trailing key of
@@ -32,11 +33,9 @@ __all__ = [
     "ROLES",
     "RngStream",
     "derive_stream",
-    "wiener_increment",
     "OUStepPlan",
     "make_plan",
     "ou_step",
-    "stationary_std",
 ]
 
 ROLES = ("slow_noise", "fast_noise", "frozen_fast_noise", "auxiliary")
@@ -86,13 +85,6 @@ def derive_stream(master_seed: int, trajectory_id: int, role: str,
     return RngStream(master_seed, trajectory_id, role, key)
 
 
-def wiener_increment(op: SpectralOperator, h: float, stream: RngStream) -> np.ndarray:
-    """Increment of the Q-Wiener process over a step: mode k ~ N(0, lambda_k^2 h)."""
-    if h <= 0:
-        raise InvalidParameterError(f"step h must be positive, got {h}")
-    return op.lambdas * np.sqrt(h) * stream.normals(op.n_modes)
-
-
 @dataclass(frozen=True)
 class OUStepPlan:
     """Precomputed exact one-step update for dz = (A z + f)/eps dt + Q/sqrt(eps) dW.
@@ -131,7 +123,3 @@ def ou_step(z: np.ndarray, plan: OUStepPlan, forcing: np.ndarray,
     f = as_modal_field(forcing, n)
     return plan.decay * z + plan.drift_weight * f + plan.noise_std * stream.normals(n)
 
-
-def stationary_std(op: SpectralOperator) -> np.ndarray:
-    """Per-mode stationary standard deviation lambda_k / sqrt(2 alpha_k)."""
-    return op.lambdas / np.sqrt(2.0 * op.alphas)

@@ -32,15 +32,12 @@ __all__ = [
     "make_slow_reaction",
     "make_fast_reaction",
     "eval_b",
-    "eval_g",
     "fast_coefficients",
     "truncate_b",
     "nemytskii_drift",
     "LyapunovSpec",
     "lyapunov_norms",
     "eval_V",
-    "TruncationGapReport",
-    "truncation_gap_bound",
     "validate_dissipativity",
     "SampleBox",
     "GrowthReport",
@@ -198,17 +195,6 @@ def fast_coefficients(spec: ReactionSpec) -> tuple:
     return spec.param("a_c"), spec.param("b_c"), c_s
 
 
-def eval_g(spec: ReactionSpec, t: float, xi, rho, sigma):
-    """Pointwise fast reaction; rho is the slow value, sigma the fast value:
-    g = a_c*rho - b_c*sigma, plus c_s*sin(sigma) unless c_s is None."""
-    a_c, b_c, c_s = fast_coefficients(spec)
-    rho = np.asarray(rho, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if c_s is None:
-        return a_c * rho - b_c * sigma
-    return a_c * rho - b_c * sigma + c_s * np.sin(sigma)
-
-
 def truncate_b(spec: ReactionSpec, theta: float, t: float, xi, sigma, lam):
     """Bounded truncation b/(1 + theta*|b|); |result| <= min(|b|, 1/theta)."""
     if theta <= 0:
@@ -307,34 +293,6 @@ def eval_V(u_phys: np.ndarray, v_phys: np.ndarray, lyap: LyapunovSpec,
         zero if norm is None else scalar_power(norm, power)
         for norm, (_, power) in zip(norms, _v_norm_exponents(lyap)))
     return lyap.c_V * (1.0 + u_term + v_term + v_term2)
-
-
-@dataclass(frozen=True)
-class TruncationGapReport:
-    max_gap: float
-    max_ratio: float
-    n_points: int
-
-
-def truncation_gap_bound(spec: ReactionSpec, theta: float, lyap: LyapunovSpec,
-                         sample_points) -> TruncationGapReport:
-    """Empirical max of |b - b_theta| and of its ratio to theta times the
-    pointwise envelope c_V(1 + |sigma|^{2m1} + |lam|^{2m2}) over sample points.
-    """
-    if not 0 < theta < 1:
-        raise InvalidParameterError(f"theta must be in (0,1), got {theta}")
-    max_gap = 0.0
-    max_ratio = 0.0
-    count = 0
-    for sigma, lam in sample_points:
-        b = float(eval_b(spec, 0.0, 0.0, sigma, lam))
-        gap = abs(b - float(truncate_b(spec, theta, 0.0, 0.0, sigma, lam)))
-        envelope = lyap.c_V * (1.0 + abs(sigma) ** (2.0 * lyap.m1)
-                               + abs(lam) ** (2.0 * lyap.m2))
-        max_gap = max(max_gap, gap)
-        max_ratio = max(max_ratio, gap / (theta * envelope))
-        count += 1
-    return TruncationGapReport(max_gap=max_gap, max_ratio=max_ratio, n_points=count)
 
 
 def validate_dissipativity(alpha21: float, L2: float) -> float:

@@ -22,11 +22,9 @@ __all__ = [
     "GridSpec",
     "SpectralOperator",
     "dirichlet_eigenpairs",
-    "semigroup_apply",
     "synthesize",
     "analyze",
     "matvec",
-    "fractional_norm",
     "check_noise_regularity",
     "lp_norm",
     "scalar_power",
@@ -188,14 +186,6 @@ class SpectralOperator:
                    alpha_exponent=2.0, lambda_exponent=decay_exponent)
 
 
-def semigroup_apply(op: SpectralOperator, t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Apply exp(t*A) mode by mode: coefficient k is scaled by exp(-alpha_k*t)."""
-    if t < 0:
-        raise InvalidParameterError(f"semigroup time must be nonnegative, got {t}")
-    f = as_modal_field(coeffs, op.n_modes)
-    return np.exp(-op.alphas * t) * f
-
-
 def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Evaluate a modal field, or a batch of them along leading axes, at the
     interior collocation nodes."""
@@ -227,16 +217,6 @@ def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         return mat.dot(x)
     return np.matmul(mat, x[..., None])[..., 0]
-
-
-def fractional_norm(coeffs: np.ndarray, op: SpectralOperator, gamma: float) -> float:
-    """Norm of (-A)^gamma f: sqrt(sum_k alpha_k^(2*gamma) * f_k^2)."""
-    if gamma < 0:
-        raise InvalidParameterError("gamma must be nonnegative")
-    f = as_modal_field(coeffs, op.n_modes)
-    if gamma == 0.0:
-        return float(np.linalg.norm(f))
-    return float(np.sqrt(np.sum(op.alphas ** (2.0 * gamma) * f * f)))
 
 
 def scalar_power(x, e):

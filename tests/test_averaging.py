@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from slowfast import (AveragedDriftParams, InvalidParameterError,
-                      analytic_Fbar_linear, estimate_Fbar, estimate_Vbar,
-                      simulate_averaged)
+from slowfast import (AveragedDriftParams, FrozenFastConfig,
+                      InvalidParameterError, analytic_Fbar_linear,
+                      estimate_Fbar, estimate_invariant_average, eval_V,
+                      simulate_averaged, synthesize)
 from slowfast.averaging import (AveragedState, averaged_mean_rates,
                                 make_drift_fn, step_averaged)
+from slowfast.config import parse_config
 from slowfast.noise import derive_stream, make_plan
 
 from conftest import cubic_model, linear_model, unit_field
@@ -19,6 +22,20 @@ def fast_params(model, t_avg_units=50.0, n_replicas=4, h=0.01, **kw):
     return AveragedDriftParams(h_fast=h, t_burn=10.0 / omega,
                                t_avg=t_avg_units / omega,
                                n_replicas=n_replicas, **kw)
+
+
+def estimate_Vbar(x, model, params, master_seed=0):
+    """Stationary expectation of V(x, v) under the frozen fast law, with
+    its standard error."""
+    x_phys = synthesize(x, model.grid)
+    cfg = FrozenFastConfig(
+        x=x, op2=model.op2, reaction_fast=model.reaction_fast, grid=model.grid,
+        h=params.h_fast, t_burn=params.t_burn, t_avg=params.t_avg,
+        n_replicas=params.n_replicas)
+    est = estimate_invariant_average(
+        cfg, lambda v_phys: eval_V(x_phys, v_phys, model.lyapunov, model.grid),
+        master_seed)
+    return est.mean, est.std_error
 
 
 class TestAnalyticOracle:
@@ -140,8 +157,7 @@ class TestAveragedEquation:
     def test_pure_decay_without_drift_or_noise(self):
         model = linear_model(a_c=0.0, lam_slow=0.0)
         stream = derive_stream(0, 0, "auxiliary")
-        out = simulate_averaged(model, None, unit_field(8), 1.0, 0.01, stream,
-                                drift_mode="oracle")
+        out = simulate_averaged(model, None, unit_field(8), 1.0, 0.01, stream)
         assert out.path[-1][0] == pytest.approx(
             math.exp(-model.op1.alphas[0]), rel=1e-10)
 
@@ -165,8 +181,7 @@ class TestAveragedEquation:
         errs = []
         for h in (0.02, 0.01):
             stream = derive_stream(0, 0, "auxiliary")
-            out = simulate_averaged(model, None, unit_field(8), 1.0, h, stream,
-                                    drift_mode="oracle")
+            out = simulate_averaged(model, None, unit_field(8), 1.0, h, stream)
             exact = math.exp(averaged_mean_rates(model)[0])
             errs.append(abs(out.path[-1][0] - exact))
         ratio = errs[0] / errs[1]
@@ -175,16 +190,14 @@ class TestAveragedEquation:
     def test_zero_horizon_returns_initial_state(self):
         model = linear_model()
         out = simulate_averaged(model, None, unit_field(8), 0.0, 0.01,
-                                derive_stream(0, 0, "auxiliary"),
-                                drift_mode="oracle")
+                                derive_stream(0, 0, "auxiliary"))
         assert out.times.size == 1
         assert np.array_equal(out.path[0], unit_field(8))
 
     def test_noise_off_terminal_value(self):
         model = linear_model(lam_slow=0.0)
         stream = derive_stream(0, 0, "auxiliary")
-        out = simulate_averaged(model, None, unit_field(8), 1.0, 1e-4, stream,
-                                drift_mode="oracle")
+        out = simulate_averaged(model, None, unit_field(8), 1.0, 1e-4, stream)
         exact = math.exp(averaged_mean_rates(model)[0])
         assert abs(out.path[-1][0] - exact) <= 1e-6
 
@@ -195,7 +208,7 @@ class TestAveragedEquation:
         for i in range(200):
             stream = derive_stream(9, i, "auxiliary")
             out = simulate_averaged(model, None, unit_field(8), 1.0, 0.01,
-                                    stream, drift_mode="oracle")
+                                    stream)
             terminals.append(out.path[-1][0])
         terminals = np.array(terminals)
         se = terminals.std(ddof=1) / math.sqrt(terminals.size)
@@ -287,9 +300,46 @@ class TestThetaConsistency:
         model = cubic_model(n_modes=4, n_quad=16, theta=0.0)
         x = unit_field(4, value=0.5)
         params = fast_params(model, t_avg_units=5.0, n_replicas=2, h=0.005)
-        raw, _ = make_drift_fn(model, params, 404, mode="estimator")(0.0, x)
-        trunc, _ = make_drift_fn(model.with_theta(0.5), params, 404,
-                                 mode="estimator")(0.0, x)
+        raw, _ = make_drift_fn(model, params, 404)(0.0, x)
+        trunc, _ = make_drift_fn(model.with_theta(0.5), params, 404)(0.0, x)
         assert not np.array_equal(raw, trunc)
         assert np.array_equal(trunc, estimate_Fbar(
             0.0, x, params, model.with_theta(0.5), master_seed=404)[0])
+
+
+def shipped(name):
+    return parse_config(os.path.join(os.path.dirname(__file__), "..",
+                                     "configs", f"{name}.json"))
+
+
+class TestAutoDriftResolution:
+    """make_drift_fn picks the exact drift where one exists: the oracle for
+    the linear benchmark, the slow reaction alone when b ignores the fast
+    variable, and the nested estimator otherwise.  The exact modes need no
+    nested-estimation params."""
+
+    def test_linear_benchmark_resolves_to_oracle(self):
+        model = shipped("linear_benchmark").model
+        drift, se = make_drift_fn(model, None)(0.0, model.u0)
+        a_c = model.reaction_fast.param("a_c")
+        b_c = model.reaction_fast.param("b_c")
+        assert np.array_equal(drift, a_c * model.u0 / (model.op2.alphas + b_c))
+        assert not se.any()
+
+    def test_decoupled_control_resolves_to_slow_only(self):
+        model = shipped("decoupled_control").model
+        assert not model.reaction_slow.depends_on_fast
+        drift, se = make_drift_fn(model, None)(0.0, model.u0)
+        assert np.isfinite(drift).all() and drift.any()
+        assert not se.any()
+
+    def test_cubic_rough_resolves_to_estimator(self):
+        cfg = shipped("cubic_rough")
+        model = cfg.model
+        t = 3 * model.h_macro
+        drift, se = make_drift_fn(model, cfg.averaging, cfg.master_seed,
+                                  trajectory_id=5)(t, model.u0)
+        mean, mean_se = estimate_Fbar(t, model.u0, cfg.averaging, model,
+                                      cfg.master_seed, trajectory_id=5)
+        assert np.array_equal(drift, mean) and np.array_equal(se, mean_se)
+        assert se.all()

@@ -8,8 +8,7 @@ import pytest
 
 from slowfast import ConfigurationRejectedError
 from slowfast.cli import main
-from slowfast.config import (config_hash, parse_config, parse_config_dict,
-                             serialize_config)
+from slowfast.config import config_hash, parse_config, parse_config_dict
 
 BASE = {
     "model": {
@@ -48,7 +47,7 @@ def write_config(tmp_path, raw, name="cfg.json"):
 class TestParsing:
     def test_round_trip_is_identical(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE))
-        serialized = serialize_config(cfg)
+        serialized = json.dumps(cfg.canonical, indent=2, sort_keys=True)
         path2 = tmp_path / "again.json"
         path2.write_text(serialized)
         cfg2 = parse_config(str(path2))
@@ -340,6 +339,27 @@ class TestCli:
         snapped = [r for r in rows if ",delta_snapped," in r]
         assert len(snapped) == 2
         assert all(r.endswith(",0,8") for r in snapped)
+
+    def test_t_explosion_is_a_macro_node(self, tmp_path):
+        # A running sum t += h drifts off the node grid i*h (0.06 came out
+        # as 0.060000000000000005); censored rows must report grid times.
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                               "linear_benchmark.json")) as fh:
+            raw = json.load(fh)
+        raw["model"]["explosion_bound"] = 1.1
+        raw["model"]["v0"] = [0.0]
+        raw["experiment"]["ensemble_size"] = 6
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        censored = [row for row in rows if row["censored"] == "1"]
+        assert censored
+        h = raw["model"]["h_macro"]
+        grid = set((np.arange(round(raw["model"]["horizon"] / h) + 1)
+                    * h).tolist())
+        assert all(float(row["t_explosion"]) in grid for row in censored)
 
     def test_fbar_explosion_is_censored(self, tmp_path):
         # The averaged drift's own guard (x_norm_bound) trips at |u0| = 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -10,10 +11,8 @@ from scipy.stats import chi2, linregress
 
 from slowfast import (FrozenFastConfig, GridSpec, InvalidParameterError,
                       SpectralOperator, StateExplosionError,
-                      contraction_diagnostic,
-                      estimate_invariant_average, frozen_lipschitz_in_x,
-                      invariant_moment_check, make_fast_reaction, make_plan,
-                      make_slow_reaction, nemytskii_drift, step_frozen_fast)
+                      estimate_invariant_average, make_fast_reaction, make_plan,
+                      make_slow_reaction, nemytskii_drift, synthesize)
 from slowfast.fast_dynamics import N_BATCHES, FastStepper, batch_std_error
 from slowfast.noise import derive_stream
 
@@ -40,6 +39,70 @@ def frozen_cfg(a_c=1.0, b_c=2.0, lam=0.2, x_mode=1.0, h=0.01,
                             t_burn=t_burn, t_avg=t_avg, n_replicas=n_replicas)
 
 
+def omega(cfg):
+    """The dissipativity gap alpha_{2,1} - L2 of cfg's fast reaction."""
+    return float(cfg.op2.alphas[0]) - cfg.reaction_fast.L2
+
+
+def stepper(cfg):
+    return FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, cfg.h, 1.0)
+
+
+def step_frozen_fast(v, cfg, stream, x_phys=None):
+    """One frozen-fast step of a single field: the one-vector-at-a-time
+    oracle of the batched replicas, on FastStepper's arithmetic."""
+    if x_phys is None:
+        x_phys = synthesize(cfg.x, cfg.grid)
+    fast = stepper(cfg)
+    noise = fast.noise(stream.normals(cfg.grid.n_modes)[None])
+    states, _ = fast.advance(v, synthesize(v, cfg.grid), fast.drive(x_phys),
+                             noise)
+    return states[0]
+
+
+def pair_distances(cfg, v1, v2, x1, x2, t_max, master_seed):
+    """Two frozen-fast chains, at slow states x1 and x2, under common noise:
+    one (2, N) block whose rows take the same increments.  Returns the
+    step times and the distance |v1(t) - v2(t)| after each step."""
+    fast = stepper(cfg)
+    stream = derive_stream(master_seed, 0, "frozen_fast_noise")
+    n_steps = max(2, int(round(t_max / cfg.h)))
+    noise = fast.noise(stream.normals(n_steps * N).reshape(n_steps, 1, N))
+    v = np.stack([v1, v2])
+    states, _ = fast.advance(
+        v, synthesize(v, cfg.grid),
+        fast.drive(synthesize(np.stack([x1, x2]), cfg.grid)), noise)
+    return (np.arange(1, n_steps + 1) * cfg.h,
+            np.linalg.norm(states[:, 0] - states[:, 1], axis=-1))
+
+
+def contraction_rate(cfg, y1, y2, master_seed, t_max=None):
+    """Fitted exponential decay rate of the common-noise distance of two
+    chains started at y1 and y2; omega > 0 bounds it by -omega."""
+    if t_max is None:
+        t_max = 5.0 / omega(cfg)
+    times, dists = pair_distances(cfg, y1, y2, cfg.x, cfg.x, t_max,
+                                  master_seed)
+    mask = dists > 0
+    return float(np.polyfit(times[mask], np.log(dists[mask]), 1)[0])
+
+
+def lipschitz_ratio(cfg, x1, x2, master_seed, t_max):
+    """sup_t |v^{x1}(t) - v^{x2}(t)| / |x1 - x2| for two chains started at
+    zero under common noise."""
+    y0 = np.zeros(N)
+    _, dists = pair_distances(cfg, y0, y0, x1, x2, t_max, master_seed)
+    return float(np.max(dists)) / float(np.linalg.norm(x1 - x2))
+
+
+def stationary_moment(cfg, x, master_seed):
+    """Stationary E|v|^2 of the frozen fast law at slow state x."""
+    quad = cfg.grid.quad_weight
+    return estimate_invariant_average(
+        dataclasses.replace(cfg, x=x),
+        lambda v_phys: quad * np.sum(v_phys * v_phys, axis=-1), master_seed)
+
+
 class TestStepFrozenFast:
     def test_pure_semigroup_decay(self):
         cfg = frozen_cfg(a_c=0.0, b_c=0.0, lam=0.0, x_mode=0.0)
@@ -55,7 +118,6 @@ class TestStepFrozenFast:
         stream = derive_stream(0, 0, "frozen_fast_noise")
         v = np.zeros(N)
         n_steps = int(50.0 / (cfg.h * (cfg.op2.alphas[0] + 2.0)))
-        x_phys = None
         for _ in range(n_steps):
             v = step_frozen_fast(v, cfg, stream)
         expected = cfg.x / (cfg.op2.alphas + 2.0)
@@ -225,7 +287,6 @@ class TestInvariantAverage:
         assert fit.pvalue > 0.01
 
     def _kernel_inputs(self, c_s=0.2):
-        from slowfast.spectral import synthesize
         cfg = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1, c_s=c_s)
         return cfg, synthesize(cfg.x, cfg.grid)
 
@@ -233,7 +294,7 @@ class TestInvariantAverage:
         # The batched kernel against the one-vector-at-a-time loop it
         # replaced: identical arithmetic, so identical bits.
         from slowfast.fast_dynamics import _run_replicas
-        from slowfast.spectral import analyze, kahan_add, synthesize
+        from slowfast.spectral import analyze, kahan_add
         cfg, x_phys = self._kernel_inputs()
         n_burn = int(round(cfg.t_burn / cfg.h))
         n_avg = N_BATCHES * max(1, math.ceil(cfg.t_avg / (N_BATCHES * cfg.h)))
@@ -430,96 +491,75 @@ class TestChunkedObservable:
 
 
 class TestMomentCheck:
+    """The stationary moment E|v|^2 against c_p (1 + |x|^2), c_p = 1."""
+
     def test_pure_ou_ratio(self):
         cfg = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3, t_avg=40.0,
                          n_replicas=4)
-        rows = invariant_moment_check(cfg, 2, master_seed=9)
+        est = stationary_moment(cfg, cfg.x, master_seed=9)
         exact = float(np.sum(cfg.op2.lambdas ** 2 / (2 * cfg.op2.alphas)))
-        assert rows[0].ratio == pytest.approx(exact, abs=4 * rows[0].std_error)
+        assert est.mean == pytest.approx(exact, abs=4 * est.std_error)
 
     def test_bounded_across_x_scales(self):
         cfg = frozen_cfg(lam=0.2, t_avg=20.0, n_replicas=2)
-        grid = [unit_field(N, value=s) for s in (0.5, 1.0, 2.0, 4.0)]
-        rows = invariant_moment_check(cfg, 2, x_grid=grid, master_seed=13)
-        ratios = [r.ratio for r in rows]
+        ratios = []
+        for scale in (0.5, 1.0, 2.0, 4.0):
+            x = unit_field(N, value=scale)
+            est = stationary_moment(cfg, x, master_seed=13)
+            ratios.append(est.mean / (1.0 + float(np.linalg.norm(x)) ** 2))
         assert max(ratios) <= 1.0  # response gain a_c/(alpha+b_c) << 1 here
 
     def test_deterministic_decay_gives_zero(self):
         cfg = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.0, t_avg=5.0,
                          n_replicas=1, t_burn=5.0)
-        rows = invariant_moment_check(cfg, 2, master_seed=1)
-        assert rows[0].moment <= 1e-12
-
-    def test_p_validation(self):
-        with pytest.raises(InvalidParameterError):
-            invariant_moment_check(frozen_cfg(), 3)
+        assert stationary_moment(cfg, cfg.x, master_seed=1).mean <= 1e-12
 
 
 class TestContraction:
     def test_noise_free_semigroup_rate(self):
         cfg = frozen_cfg(a_c=0.0, b_c=0.0, lam=0.0, x_mode=0.0, h=0.001)
-        rate = contraction_diagnostic(cfg, unit_field(N), np.zeros(N),
-                                      master_seed=3, t_max=0.5)
+        rate = contraction_rate(cfg, unit_field(N), np.zeros(N),
+                                master_seed=3, t_max=0.5)
         assert rate == pytest.approx(-cfg.op2.alphas[0], rel=0.01)
 
     def test_linear_benchmark_rate(self):
         cfg = frozen_cfg(lam=0.2, h=0.001)
         y1 = unit_field(N, value=0.5)
-        rate = contraction_diagnostic(cfg, y1, np.zeros(N), master_seed=5,
-                                      t_max=0.5)
+        rate = contraction_rate(cfg, y1, np.zeros(N), master_seed=5,
+                                t_max=0.5)
         assert rate == pytest.approx(-(cfg.op2.alphas[0] + 2.0), rel=0.05)
 
     def test_saturating_reaction_beats_omega(self):
         cfg = frozen_cfg(lam=0.2, c_s=0.2, h=0.001)
-        rate = contraction_diagnostic(cfg, unit_field(N, value=0.3), np.zeros(N),
-                                      master_seed=7)
-        assert rate <= -0.95 * cfg.omega
-
-    def test_identical_data_rejected(self):
-        cfg = frozen_cfg()
-        with pytest.raises(InvalidParameterError):
-            contraction_diagnostic(cfg, unit_field(N), unit_field(N))
-
-    def test_non_finite_chain_raises(self, monkeypatch):
-        # NaN distances would silently drop out of the decay fit.
-        import slowfast.fast_dynamics as fast_dynamics
-
-        def nan_noise(self, xi):
-            return np.full(np.shape(xi), np.nan)
-        monkeypatch.setattr(fast_dynamics.FastStepper, "noise", nan_noise)
-        with pytest.raises(StateExplosionError, match="frozen-fast pair"):
-            contraction_diagnostic(frozen_cfg(), unit_field(N), np.zeros(N),
-                                   t_max=0.1)
+        rate = contraction_rate(cfg, unit_field(N, value=0.3), np.zeros(N),
+                                master_seed=7)
+        assert rate <= -0.95 * omega(cfg)
 
 
 class TestLipschitzInX:
     def test_x_independent_reaction_gives_zero(self):
         cfg = frozen_cfg(a_c=0.0, lam=0.2)
-        ratio = frozen_lipschitz_in_x(cfg, unit_field(N), 2 * unit_field(N),
-                                      master_seed=3, t_max=1.0)
+        ratio = lipschitz_ratio(cfg, unit_field(N), 2 * unit_field(N),
+                                master_seed=3, t_max=1.0)
         assert ratio <= 1e-14
 
     def test_linear_response_gain(self):
         cfg = frozen_cfg(lam=0.0, h=0.002)
-        ratio = frozen_lipschitz_in_x(cfg, unit_field(N, value=1.0),
-                                      unit_field(N, value=2.0),
-                                      master_seed=3, t_max=3.0)
+        ratio = lipschitz_ratio(cfg, unit_field(N, value=1.0),
+                                unit_field(N, value=2.0),
+                                master_seed=3, t_max=3.0)
         gain = 1.0 / (cfg.op2.alphas[0] + 2.0)
         assert ratio == pytest.approx(gain, rel=0.1)
 
     def test_local_uniformity(self):
         cfg = frozen_cfg(lam=0.1, h=0.002)
-        r1 = frozen_lipschitz_in_x(cfg, unit_field(N, value=1.0),
-                                   unit_field(N, value=1.4),
-                                   master_seed=3, t_max=2.0)
-        r2 = frozen_lipschitz_in_x(cfg, unit_field(N, value=1.0),
-                                   unit_field(N, value=1.2),
-                                   master_seed=3, t_max=2.0)
+        r1 = lipschitz_ratio(cfg, unit_field(N, value=1.0),
+                             unit_field(N, value=1.4),
+                             master_seed=3, t_max=2.0)
+        r2 = lipschitz_ratio(cfg, unit_field(N, value=1.0),
+                             unit_field(N, value=1.2),
+                             master_seed=3, t_max=2.0)
         assert abs(r1 - r2) / r1 < 0.1
-
-    def test_identical_states_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            frozen_lipschitz_in_x(frozen_cfg(), unit_field(N), unit_field(N))
 
 
 class TestConfigValidation:
@@ -541,10 +581,9 @@ class TestCommonNoiseMonotonicity:
     def test_smoothed_log_distance_nonincreasing(self):
         # common-noise coupling with omega > 0: the distance between two
         # chains decays pathwise; check it after a 10h smoothing window
-        from slowfast.fast_dynamics import _coupled_pair_run
         cfg = frozen_cfg(lam=0.3, c_s=0.2, h=0.002)
-        _, dists = _coupled_pair_run(cfg, unit_field(N), np.zeros(N),
-                                     cfg.x, cfg.x, 5.0 / cfg.omega, 7)
+        _, dists = pair_distances(cfg, unit_field(N), np.zeros(N),
+                                  cfg.x, cfg.x, 5.0 / omega(cfg), 7)
         window = 10
         smoothed = np.convolve(np.log(dists), np.ones(window) / window,
                                mode="valid")

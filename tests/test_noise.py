@@ -5,8 +5,8 @@ import pytest
 from scipy.stats import binom, chi2, kstest, norm
 
 from slowfast import (InvalidParameterError, SpectralOperator, derive_stream,
-                      make_plan, ou_step, wiener_increment)
-from slowfast.noise import ROLES, stationary_std
+                      make_plan, ou_step)
+from slowfast.noise import ROLES
 
 
 def scalar_op(alpha=1.0, lam=1.0):
@@ -99,20 +99,29 @@ class TestStreams:
             -0.12179717769905378, -0.7518207783515672]
 
 
+def noise_increment(op, h, stream):
+    """The noise of one exact OU step from zero with no forcing: mode k is
+    N(0, lambda_k^2 (1 - exp(-2 alpha_k h)) / (2 alpha_k)), the Q-Wiener
+    increment's lambda_k^2 h to first order in h."""
+    zero = np.zeros(op.n_modes)
+    return ou_step(zero, make_plan(op, h, 1.0), zero, stream)
+
+
 class TestWienerIncrement:
     def test_zero_amplitude_mode_is_zero(self):
         op = SpectralOperator(alphas=np.array([1.0, 2.0]),
                               lambdas=np.array([1.0, 0.0]), gamma_reg=0.5)
         stream = derive_stream(0, 0, "slow_noise")
         for _ in range(10):
-            inc = wiener_increment(op, 0.5, stream)
+            inc = noise_increment(op, 0.5, stream)
             assert inc[1] == 0.0
 
     def test_small_step_scaling(self):
         op = scalar_op()
         stream = derive_stream(1, 0, "slow_noise")
         h = 1e-12
-        draws = np.array([wiener_increment(op, h, stream)[0] for _ in range(10_000)])
+        draws = np.array([noise_increment(op, h, stream)[0]
+                          for _ in range(10_000)])
         assert draws.std() / math.sqrt(h) == pytest.approx(1.0, rel=0.05)
 
     def test_variance_in_chi_square_band(self):
@@ -129,7 +138,7 @@ class TestWienerIncrement:
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(InvalidParameterError):
-            wiener_increment(scalar_op(), 0.0, derive_stream(0, 0, "slow_noise"))
+            noise_increment(scalar_op(), -0.5, derive_stream(0, 0, "slow_noise"))
 
 
 class TestPlans:
@@ -195,7 +204,7 @@ class TestOUStep:
         plan = make_plan(op, h, 1.0)
         stream = derive_stream(8, 0, "fast_noise")
         zero = np.array([0.0])
-        z = stationary_std(op) * stream.normals(1)
+        z = op.lambdas / np.sqrt(2.0 * op.alphas) * stream.normals(1)
         n = 100_000
         samples = np.empty(n)
         for i in range(n):
@@ -220,7 +229,7 @@ class TestEpsIndependence:
             h = 5.0 * eps / 2.0
             plan = make_plan(op, h, eps)
             stream = derive_stream(21, k, "fast_noise")
-            z = stationary_std(op) * stream.normals(1)
+            z = op.lambdas / np.sqrt(2.0 * op.alphas) * stream.normals(1)
             samples = np.empty(n)
             for i in range(n):
                 z = ou_step(z, plan, zero, stream)

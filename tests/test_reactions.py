@@ -5,11 +5,10 @@ import pytest
 
 from slowfast import (ConfigurationRejectedError, GridSpec,
                       InvalidParameterError, LyapunovSpec, eval_V, eval_b,
-                      eval_g, make_fast_reaction, make_slow_reaction,
+                      make_fast_reaction, make_slow_reaction,
                       nemytskii_drift, synthesize, truncate_b,
-                      truncation_gap_bound, validate_dissipativity,
-                      validate_growth)
-from slowfast.reactions import SampleBox
+                      validate_dissipativity, validate_growth)
+from slowfast.reactions import SampleBox, fast_coefficients
 
 
 def cubic_plain():
@@ -39,20 +38,23 @@ class TestEvalB:
 
     def test_fast_reaction_on_slow_spec_rejected(self):
         with pytest.raises(InvalidParameterError):
-            eval_g(make_slow_reaction("linear_benchmark"), 0.0, 0.0, 1.0, 1.0)
+            fast_coefficients(make_slow_reaction("linear_benchmark"))
 
 
 class TestEvalG:
+    """g = a_c rho - b_c sigma + c_s sin(sigma) is read by the fast stepper
+    through its coefficients (a_c, b_c, c_s); c_s is None without a sine
+    term."""
+
     def test_linear_benchmark(self):
         spec = make_fast_reaction("linear_benchmark", a_c=2.0, b_c=3.0)
-        assert float(eval_g(spec, 0.0, 0.0, 1.0, 0.5)) == pytest.approx(0.5)
+        assert fast_coefficients(spec) == (2.0, 3.0, None)
         assert spec.L2 == 3.0
 
     def test_saturating_lipschitz_constant(self):
         spec = make_fast_reaction("lipschitz_saturating", a_c=1.0, b_c=2.0, c_s=0.3)
         assert spec.L2 == pytest.approx(2.3)
-        val = float(eval_g(spec, 0.0, 0.0, 1.0, 0.5))
-        assert val == pytest.approx(1.0 - 1.0 + 0.3 * math.sin(0.5))
+        assert fast_coefficients(spec) == (1.0, 2.0, 0.3)
 
 
 class TestTruncation:
@@ -198,50 +200,54 @@ class TestLyapunov:
         assert eval_V(np.ones(16), np.ones(16), lyap, grid) == 3.0
 
 
+def truncation_gaps(spec, theta, points):
+    """|b - b_theta| at each (sigma, lam) sample point, one scalar call each."""
+    return [abs(float(eval_b(spec, 0.0, 0.0, sigma, lam))
+                - float(truncate_b(spec, theta, 0.0, 0.0, sigma, lam)))
+            for sigma, lam in points]
+
+
 class TestTruncationGap:
     def test_gap_bounded_by_theta_b_squared(self, rng):
         spec = make_slow_reaction("linear_benchmark")
-        lyap = LyapunovSpec.from_reaction(spec)
         points = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(200)]
         theta = 0.2
-        report = truncation_gap_bound(spec, theta, lyap, points)
         b_max = max(abs(lam) for _, lam in points)
-        assert report.max_gap <= theta * b_max ** 2 + 1e-12
-        assert report.n_points == 200
+        assert max(truncation_gaps(spec, theta, points)) <= theta * b_max ** 2 + 1e-12
 
     def test_linear_benchmark_unit_box(self, rng):
+        # The gap against theta times the envelope c_V(1 + |sigma|^{2 m1}
+        # + |lam|^{2 m2}) of V.
         spec = make_slow_reaction("linear_benchmark")
         lyap = LyapunovSpec.from_reaction(spec)
         points = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(500)]
-        report = truncation_gap_bound(spec, 0.1, lyap, points)
-        assert report.max_gap <= 0.1
-        assert report.max_ratio <= 1.0
+        gaps = truncation_gaps(spec, 0.1, points)
+        envelopes = [lyap.c_V * (1.0 + abs(sigma) ** (2.0 * lyap.m1)
+                                 + abs(lam) ** (2.0 * lyap.m2))
+                     for sigma, lam in points]
+        assert max(gaps) <= 0.1
+        assert max(g / (0.1 * e) for g, e in zip(gaps, envelopes)) <= 1.0
 
     def test_theta_shrinks_gap(self, rng):
         spec = cubic_plain()
-        lyap = LyapunovSpec.from_reaction(spec)
         points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(100)]
-        gaps = [truncation_gap_bound(spec, theta, lyap, points).max_gap
+        gaps = [max(truncation_gaps(spec, theta, points))
                 for theta in (0.5, 0.05, 0.005)]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_invalid_theta(self):
-        spec = make_slow_reaction("linear_benchmark")
-        lyap = LyapunovSpec.from_reaction(spec)
         with pytest.raises(InvalidParameterError):
-            truncation_gap_bound(spec, 1.0, lyap, [(0.0, 0.0)])
+            truncate_b(make_slow_reaction("linear_benchmark"), 1.5, 0, 0, 0, 1.0)
 
     @pytest.mark.parametrize("theta", [0.5, 0.01])
     def test_max_gap_is_the_truncate_b_gap(self, rng, theta):
-        # The report reads the truncation from truncate_b, the one formula.
+        # The in-place array form of truncate_b gives the scalar calls' gaps.
         spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
-        lyap = LyapunovSpec.from_reaction(spec)
         points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(100)]
-        gaps = [abs(float(eval_b(spec, 0.0, 0.0, sigma, lam))
-                    - float(truncate_b(spec, theta, 0.0, 0.0, sigma, lam)))
-                for sigma, lam in points]
-        report = truncation_gap_bound(spec, theta, lyap, points)
-        assert report.max_gap == max(gaps)
+        sigma, lam = np.array(points).T
+        gaps = np.abs(eval_b(spec, 0.0, 0.0, sigma, lam)
+                      - truncate_b(spec, theta, 0.0, 0.0, sigma, lam))
+        assert gaps.tolist() == truncation_gaps(spec, theta, points)
 
 
 class TestDissipativity:

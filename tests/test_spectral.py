@@ -5,8 +5,7 @@ import pytest
 
 from slowfast import (ConfigurationRejectedError, GridSpec, InvalidParameterError,
                       SpectralOperator, analyze, check_noise_regularity,
-                      dirichlet_eigenpairs, fractional_norm, semigroup_apply,
-                      synthesize)
+                      dirichlet_eigenpairs, make_plan, synthesize)
 from slowfast.spectral import lp_norm
 
 from conftest import unit_field
@@ -37,35 +36,36 @@ class TestEigenpairs:
             dirichlet_eigenpairs(4, nu, length)
 
 
-class TestSemigroup:
-    def test_time_zero_is_identity(self, rng):
-        op = make_op()
-        f = rng.normal(size=8)
-        assert np.array_equal(semigroup_apply(op, 0.0, f), f)
+def semigroup(op, t, f):
+    """exp(tA) f as the exact updates apply it: the OU plan's decay factor
+    exp(-alpha_k t) per mode."""
+    return make_plan(op, t, 1.0).decay * f
 
+
+class TestSemigroup:
     def test_single_mode_scalar_decay(self):
         op = make_op(n_modes=1)
-        out = semigroup_apply(op, 0.1, np.array([1.0]))
+        out = semigroup(op, 0.1, np.array([1.0]))
         assert out[0] == pytest.approx(math.exp(-math.pi ** 2 * 0.1), rel=1e-14)
 
     def test_norm_nonincreasing(self, rng):
         op = make_op()
         f = rng.normal(size=8)
-        norms = [np.linalg.norm(semigroup_apply(op, t, f))
-                 for t in (0.0, 0.05, 0.1, 0.5, 2.0)]
+        norms = [np.linalg.norm(f)] + [np.linalg.norm(semigroup(op, t, f))
+                                       for t in (0.05, 0.1, 0.5, 2.0)]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
 
     def test_semigroup_property(self, rng):
         op = make_op()
         f = rng.normal(size=8)
-        for t, s in [(0.1, 0.2), (0.0, 1.0), (0.37, 0.81)]:
-            once = semigroup_apply(op, t + s, f)
-            twice = semigroup_apply(op, t, semigroup_apply(op, s, f))
+        for t, s in [(0.1, 0.2), (1e-3, 1.0), (0.37, 0.81)]:
+            once = semigroup(op, t + s, f)
+            twice = semigroup(op, t, semigroup(op, s, f))
             assert np.max(np.abs(once - twice)) <= 1e-12
 
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidParameterError):
-            semigroup_apply(make_op(), -0.1, np.zeros(8))
+            semigroup(make_op(), -0.1, np.zeros(8))
 
 
 class TestTransforms:
@@ -113,26 +113,6 @@ class TestTransforms:
     def test_antialiasing_margin_enforced(self):
         with pytest.raises(InvalidParameterError):
             GridSpec(n_modes=8, n_quad=15)
-
-
-class TestFractionalNorm:
-    def test_gamma_zero_is_euclidean(self):
-        op = make_op(n_modes=2)
-        assert fractional_norm(np.array([3.0, 4.0]), op, 0.0) == pytest.approx(5.0)
-
-    def test_single_mode_power(self):
-        op = make_op(n_modes=1)
-        assert fractional_norm(np.array([1.0]), op, 0.5) == pytest.approx(math.pi)
-
-    def test_monotone_in_gamma_when_alpha_above_one(self, rng):
-        op = make_op()  # alpha_1 = pi^2 > 1
-        f = rng.normal(size=8)
-        norms = [fractional_norm(f, op, g) for g in (0.0, 0.25, 0.5, 1.0)]
-        assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            fractional_norm(np.zeros(8), make_op(), -0.5)
 
 
 class TestNoiseRegularity:
