@@ -13,10 +13,10 @@ from .coupled import (build_auxiliary, compute_rho0, khasminskii_delta,
 from .errors import (ConfigurationRejectedError, InvalidParameterError,
                      StateExplosionError)
 from .fast_dynamics import (FrozenFastConfig, InvariantAverageEstimate,
-                            estimate_invariant_average)
+                            estimate_invariant_average, step_frozen_fast)
 from .model import ModelSpec, build_model
 from .noise import OUStepPlan, RngStream, derive_stream, make_plan, ou_step
-from .reactions import (LyapunovSpec, ReactionSpec, eval_V, eval_b,
+from .reactions import (LyapunovSpec, ReactionSpec, eval_V, eval_b, eval_g,
                         make_fast_reaction, make_slow_reaction, nemytskii_drift,
                         truncate_b, validate_dissipativity, validate_growth)
 from .spectral import (GridSpec, SpectralOperator, analyze, check_noise_regularity,

@@ -126,8 +126,8 @@ def step_coupled(u: np.ndarray, v: np.ndarray, u_phys: np.ndarray,
     scaled by the slow plan's and the fast stepper's noise_std.  Returns the
     new (u, v, u_phys, v_phys) and the averaged modal slow drift used for
     the step (the integrand of the drift functionals); the new v_phys is a
-    row of the plans' node buffer, overwritten by the next step.  Inside
-    the step nothing is checked: the explosion guard on the new state also
+    row of the plans' node buffer, overwritten by the next step.  Nothing
+    is checked here: the caller's explosion guard on the new state also
     catches a non-finite field.
     """
     n_sub, plan_slow, stepper, weights, v_nodes = plans
@@ -147,14 +147,6 @@ def step_coupled(u: np.ndarray, v: np.ndarray, u_phys: np.ndarray,
     f1_phys = np.add.reduce(weights * drift, axis=0)
     f1 = grid.quad_weight * mat.T.dot(f1_phys)
     u = plan_slow.decay * u + plan_slow.drift_weight * f1 + noise_slow
-
-    # np.linalg.norm's own formula for a 1-D float array.
-    norm_u = math.sqrt(u.dot(u))
-    norm_v = math.sqrt(v.dot(v))
-    # Written so that a NaN norm also trips the guard.
-    if not (norm_u + norm_v <= model.explosion_bound):
-        raise StateExplosionError(t + h_macro, norm_u, norm_v,
-                                  model.explosion_bound)
     return u, v, mat.dot(u), v_nodes[-1], f1
 
 
@@ -199,14 +191,16 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
             noise[start:start + steps] = xi_fast
         for k in range(steps):
             i = start + k
-            try:
-                u, v, u_phys, v_phys, f1 = step_coupled(
-                    u, v, u_phys, v_phys, times[i], model, h, noise_slow[k],
-                    noise_fast[k], plans)
-            except StateExplosionError as exc:
-                # times[i] + h is not always the node times[i + 1].
-                raise StateExplosionError(float(times[i + 1]), exc.norm_u,
-                                          exc.norm_v, exc.bound) from None
+            u, v, u_phys, v_phys, f1 = step_coupled(
+                u, v, u_phys, v_phys, times[i], model, h, noise_slow[k],
+                noise_fast[k], plans)
+            # np.linalg.norm's own formula for a 1-D float array.
+            norm_u = math.sqrt(u.dot(u))
+            norm_v = math.sqrt(v.dot(v))
+            # Written so that a NaN norm also trips the guard.
+            if not (norm_u + norm_v <= model.explosion_bound):
+                raise StateExplosionError(float(times[i + 1]), norm_u, norm_v,
+                                          model.explosion_bound)
             if drifts is not None:
                 drifts[i] = f1
             u_path[i + 1] = u

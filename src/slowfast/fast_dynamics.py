@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
-from .noise import derive_stream, make_plan
+from .noise import RngStream, derive_stream, make_plan
 from .reactions import (ReactionSpec, fast_coefficients,
                         validate_dissipativity)
 from .spectral import (GridSpec, SpectralOperator, as_modal_field,
@@ -26,6 +26,7 @@ __all__ = [
     "FrozenFastConfig",
     "InvariantAverageEstimate",
     "FastStepper",
+    "step_frozen_fast",
     "estimate_invariant_average",
 ]
 
@@ -142,6 +143,20 @@ class FastStepper:
 def _stepper(cfg: FrozenFastConfig) -> FastStepper:
     """cfg's stepper: step cfg.h on the unit time scale."""
     return FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, cfg.h, 1.0)
+
+
+def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
+                     x_phys: np.ndarray | None = None) -> np.ndarray:
+    """One exponential-integrator step: linear part and noise exact, the
+    rest of g frozen."""
+    if x_phys is None:
+        x_phys = synthesize(cfg.x, cfg.grid)
+    v = as_modal_field(v, cfg.grid.n_modes)
+    stepper = _stepper(cfg)
+    noise = stepper.noise(stream.normals(cfg.grid.n_modes)[None])
+    states, _ = stepper.advance(v, synthesize(v, cfg.grid),
+                                stepper.drive(x_phys), noise)
+    return states[0]
 
 
 def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,

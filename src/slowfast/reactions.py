@@ -32,6 +32,7 @@ __all__ = [
     "make_slow_reaction",
     "make_fast_reaction",
     "eval_b",
+    "eval_g",
     "fast_coefficients",
     "truncate_b",
     "nemytskii_drift",
@@ -193,6 +194,17 @@ def fast_coefficients(spec: ReactionSpec) -> tuple:
         raise InvalidParameterError("g requires a fast reaction")
     c_s = None if spec.kind == "linear_benchmark" else spec.param("c_s")
     return spec.param("a_c"), spec.param("b_c"), c_s
+
+
+def eval_g(spec: ReactionSpec, t: float, xi, rho, sigma):
+    """Pointwise fast reaction; rho is the slow value, sigma the fast value:
+    g = a_c*rho - b_c*sigma, plus c_s*sin(sigma) unless c_s is None."""
+    a_c, b_c, c_s = fast_coefficients(spec)
+    rho = np.asarray(rho, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if c_s is None:
+        return a_c * rho - b_c * sigma
+    return a_c * rho - b_c * sigma + c_s * np.sin(sigma)
 
 
 def truncate_b(spec: ReactionSpec, theta: float, t: float, xi, sigma, lam):

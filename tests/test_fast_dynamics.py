@@ -12,7 +12,8 @@ from scipy.stats import chi2, linregress
 from slowfast import (FrozenFastConfig, GridSpec, InvalidParameterError,
                       SpectralOperator, StateExplosionError,
                       estimate_invariant_average, make_fast_reaction, make_plan,
-                      make_slow_reaction, nemytskii_drift, synthesize)
+                      make_slow_reaction, nemytskii_drift, step_frozen_fast,
+                      synthesize)
 from slowfast.fast_dynamics import N_BATCHES, FastStepper, batch_std_error
 from slowfast.noise import derive_stream
 
@@ -44,27 +45,11 @@ def omega(cfg):
     return float(cfg.op2.alphas[0]) - cfg.reaction_fast.L2
 
 
-def stepper(cfg):
-    return FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, cfg.h, 1.0)
-
-
-def step_frozen_fast(v, cfg, stream, x_phys=None):
-    """One frozen-fast step of a single field: the one-vector-at-a-time
-    oracle of the batched replicas, on FastStepper's arithmetic."""
-    if x_phys is None:
-        x_phys = synthesize(cfg.x, cfg.grid)
-    fast = stepper(cfg)
-    noise = fast.noise(stream.normals(cfg.grid.n_modes)[None])
-    states, _ = fast.advance(v, synthesize(v, cfg.grid), fast.drive(x_phys),
-                             noise)
-    return states[0]
-
-
 def pair_distances(cfg, v1, v2, x1, x2, t_max, master_seed):
     """Two frozen-fast chains, at slow states x1 and x2, under common noise:
     one (2, N) block whose rows take the same increments.  Returns the
     step times and the distance |v1(t) - v2(t)| after each step."""
-    fast = stepper(cfg)
+    fast = FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, cfg.h, 1.0)
     stream = derive_stream(master_seed, 0, "frozen_fast_noise")
     n_steps = max(2, int(round(t_max / cfg.h)))
     noise = fast.noise(stream.normals(n_steps * N).reshape(n_steps, 1, N))

@@ -5,10 +5,10 @@ import pytest
 
 from slowfast import (ConfigurationRejectedError, GridSpec,
                       InvalidParameterError, LyapunovSpec, eval_V, eval_b,
-                      make_fast_reaction, make_slow_reaction,
+                      eval_g, make_fast_reaction, make_slow_reaction,
                       nemytskii_drift, synthesize, truncate_b,
                       validate_dissipativity, validate_growth)
-from slowfast.reactions import SampleBox, fast_coefficients
+from slowfast.reactions import SampleBox
 
 
 def cubic_plain():
@@ -38,23 +38,20 @@ class TestEvalB:
 
     def test_fast_reaction_on_slow_spec_rejected(self):
         with pytest.raises(InvalidParameterError):
-            fast_coefficients(make_slow_reaction("linear_benchmark"))
+            eval_g(make_slow_reaction("linear_benchmark"), 0.0, 0.0, 1.0, 1.0)
 
 
 class TestEvalG:
-    """g = a_c rho - b_c sigma + c_s sin(sigma) is read by the fast stepper
-    through its coefficients (a_c, b_c, c_s); c_s is None without a sine
-    term."""
-
     def test_linear_benchmark(self):
         spec = make_fast_reaction("linear_benchmark", a_c=2.0, b_c=3.0)
-        assert fast_coefficients(spec) == (2.0, 3.0, None)
+        assert float(eval_g(spec, 0.0, 0.0, 1.0, 0.5)) == pytest.approx(0.5)
         assert spec.L2 == 3.0
 
     def test_saturating_lipschitz_constant(self):
         spec = make_fast_reaction("lipschitz_saturating", a_c=1.0, b_c=2.0, c_s=0.3)
         assert spec.L2 == pytest.approx(2.3)
-        assert fast_coefficients(spec) == (1.0, 2.0, 0.3)
+        val = float(eval_g(spec, 0.0, 0.0, 1.0, 0.5))
+        assert val == pytest.approx(1.0 - 1.0 + 0.3 * math.sin(0.5))
 
 
 class TestTruncation:
