@@ -10,6 +10,7 @@ a_c x_k / (alpha_{2,k} + b_c), which gives a closed-form oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,9 @@ from .spectral import analyze, as_modal_field, synthesize
 
 __all__ = [
     "AveragedDriftParams",
-    "AveragedState",
     "estimate_Fbar",
     "analytic_Fbar_linear",
     "averaged_mean_rates",
-    "step_averaged",
     "simulate_averaged",
     "AveragedTrajectory",
 ]
@@ -41,17 +40,10 @@ class AveragedDriftParams:
     t_burn: float
     t_avg: float
     n_replicas: int = 4
-    x_norm_bound: float = 1e3
 
     def __post_init__(self):
         if self.h_fast <= 0 or self.t_avg <= 0:
             raise InvalidParameterError("h_fast and t_avg must be positive")
-
-
-@dataclass(frozen=True)
-class AveragedState:
-    u: np.ndarray
-    t: float
 
 
 def estimate_Fbar(t: float, x, params: AveragedDriftParams, model: ModelSpec,
@@ -69,9 +61,6 @@ def estimate_Fbar(t: float, x, params: AveragedDriftParams, model: ModelSpec,
     if abs(t / model.h_macro - step) > 1e-6:
         raise InvalidParameterError(f"t={t!r} is off the h_macro grid")
     x = as_modal_field(x, model.n_modes)
-    x_norm = float(np.linalg.norm(x))
-    if x_norm > params.x_norm_bound:
-        raise StateExplosionError(t, x_norm, 0.0, params.x_norm_bound)
     x_phys = synthesize(x, model.grid)
     theta = model.theta if model.theta > 0 else None
 
@@ -128,23 +117,6 @@ class AveragedTrajectory:
     drift_se_budget: float        # integral of the drift std-error norm
 
 
-def step_averaged(state: AveragedState, model: ModelSpec, drift_fn, h: float,
-                  stream: RngStream, plan=None) -> tuple[AveragedState, float]:
-    """One exponential-Euler macro step of the averaged equation.
-
-    drift_fn(t, u) -> (drift, std_error); returns the new state and the
-    std-error norm contributed by this step's drift estimate.
-    """
-    if h <= 0:
-        raise InvalidParameterError("h must be positive")
-    if plan is None:
-        plan = make_plan(model.op1, h, 1.0)
-    drift, drift_se = drift_fn(state.t, state.u)
-    u_next = ou_step(state.u, plan, drift, stream)
-    return (AveragedState(u=u_next, t=state.t + h),
-            float(np.linalg.norm(drift_se)))
-
-
 def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
                   master_seed: int = 0, trajectory_id: int = 0):
     """Averaged-drift callable: analytic oracle for the linear benchmark,
@@ -193,20 +165,33 @@ def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
                       u0, T: float, h: float, stream: RngStream,
                       master_seed: int = 0, trajectory_id: int = 0
                       ) -> AveragedTrajectory:
-    """Sample the averaged slow equation on the macro grid."""
+    """Sample the averaged slow equation on the macro grid by exponential
+    Euler, the drift (make_drift_fn's) frozen over each step.
+
+    drift_se_budget integrates the std-error norm of the step drifts.  A
+    new state whose norm is non-finite or above model.explosion_bound
+    raises StateExplosionError at its node, as on the coupled path."""
     if T < 0:
         raise InvalidParameterError("T must be nonnegative")
-    u0 = as_modal_field(u0, model.n_modes)
+    if h <= 0:
+        raise InvalidParameterError("h must be positive")
+    u = as_modal_field(u0, model.n_modes)
     n_steps = int(round(T / h)) if T > 0 else 0
     times = np.arange(n_steps + 1) * h
     path = np.empty((n_steps + 1, model.n_modes))
-    path[0] = u0
+    path[0] = u
     drift_fn = make_drift_fn(model, params, master_seed, trajectory_id)
     plan = make_plan(model.op1, h, 1.0) if n_steps else None
-    state = AveragedState(u=u0, t=0.0)
     budget = 0.0
     for i in range(n_steps):
-        state, se = step_averaged(state, model, drift_fn, h, stream, plan)
-        budget += h * se
-        path[i + 1] = state.u
+        drift, drift_se = drift_fn(float(times[i]), u)
+        u = ou_step(u, plan, drift, stream)
+        budget += h * float(np.linalg.norm(drift_se))
+        norm_u = math.sqrt(u.dot(u))
+        # Written so that a NaN norm also trips the guard.
+        if not (norm_u <= model.explosion_bound):
+            raise StateExplosionError(float(times[i + 1]), norm_u, 0.0,
+                                      model.explosion_bound,
+                                      where=" in the averaged equation")
+        path[i + 1] = u
     return AveragedTrajectory(times=times, path=path, drift_se_budget=budget)

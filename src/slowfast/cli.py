@@ -5,7 +5,7 @@ Common flags: --config PATH, --seed N, --out DIR, --workers K (the flag wins
 over the MULTISCALE_WORKERS environment variable, which wins over the config).
 Exit codes: 0 success, 2 config/hypothesis rejection, 3 explosion censoring
 above 20% or an explosion outside any censored path (a non-finite
-frozen-fast replica).
+frozen-fast replica, or an averaged reference path of converge).
 """
 
 from __future__ import annotations
@@ -186,8 +186,9 @@ def main(argv=None) -> int:
         print(f"configuration rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG_REJECTED
     except StateExplosionError as exc:
-        # An explosion no path censoring covers, e.g. a non-finite
-        # frozen-fast replica of `average` or `invariant`.
+        # An explosion no path censoring covers: a non-finite frozen-fast
+        # replica of `average` or `invariant`, or an averaged reference
+        # path of `converge`.
         print(f"explosion: {exc}", file=sys.stderr)
         return EXIT_EXPLOSION
 

@@ -98,7 +98,6 @@ class ExperimentConfig:
     dump_modes: int
     theta_sequence: tuple
     c_const: float
-    reference_epsilon_divisor: float
     invariant: InvariantRunParams
     averaging: AveragedDriftParams
     canonical: dict
@@ -204,8 +203,7 @@ def _build_model(section: dict) -> ModelSpec:
 
 _EXP_KEYS_OPT = ("epsilon_grid", "ensemble_size", "test_functions",
                  "observables", "output_dir", "master_seed", "worker_count",
-                 "dump_modes", "theta_sequence", "c_const",
-                 "reference_epsilon_divisor")
+                 "dump_modes", "theta_sequence", "c_const")
 
 
 def parse_config_dict(raw: dict) -> ExperimentConfig:
@@ -249,14 +247,12 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
 
     avg = dict(raw.get("averaging", {}))
     _require_keys(avg, "averaging",
-                  (), ("h_fast", "t_burn", "t_avg", "n_replicas",
-                       "x_norm_bound"))
+                  (), ("h_fast", "t_burn", "t_avg", "n_replicas"))
     averaging = AveragedDriftParams(
         h_fast=float(avg.get("h_fast", 0.01)),
         t_burn=float(avg.get("t_burn", 10.0 / omega)),
         t_avg=float(avg.get("t_avg", 50.0 / omega)),
         n_replicas=int(avg.get("n_replicas", 8)),
-        x_norm_bound=float(avg.get("x_norm_bound", 1e3)),
     )
 
     cfg = ExperimentConfig(
@@ -272,7 +268,6 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         theta_sequence=tuple(float(t) for t in exp.get("theta_sequence",
                                                        (0.1, 0.01, 0.001))),
         c_const=float(exp.get("c_const", 2.0)),
-        reference_epsilon_divisor=float(exp.get("reference_epsilon_divisor", 5.0)),
         invariant=invariant,
         averaging=averaging,
         canonical={},
@@ -325,7 +320,6 @@ def _canonical_dict(raw: dict, cfg: ExperimentConfig) -> dict:
             "dump_modes": cfg.dump_modes,
             "theta_sequence": list(cfg.theta_sequence),
             "c_const": cfg.c_const,
-            "reference_epsilon_divisor": cfg.reference_epsilon_divisor,
         },
         "invariant": {
             "h": cfg.invariant.h,
@@ -338,7 +332,6 @@ def _canonical_dict(raw: dict, cfg: ExperimentConfig) -> dict:
             "t_burn": cfg.averaging.t_burn,
             "t_avg": cfg.averaging.t_avg,
             "n_replicas": cfg.averaging.n_replicas,
-            "x_norm_bound": cfg.averaging.x_norm_bound,
         },
     }
 

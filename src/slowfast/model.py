@@ -34,7 +34,6 @@ class ModelSpec:
     h_macro: float = 0.01
     substep_ratio: float = 0.2    # fast substep cap h_sub <= ratio * epsilon
     gamma1_star: float = field(init=False)
-    gamma2_star: float = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
@@ -57,7 +56,6 @@ class ModelSpec:
         # Mixing gate: raises with the named hypothesis when omega <= 0.
         validate_dissipativity(float(self.op2.alphas[0]), self.reaction_fast.L2)
         object.__setattr__(self, "gamma1_star", self.op1.gamma_star)
-        object.__setattr__(self, "gamma2_star", self.op2.gamma_star)
 
     @property
     def omega(self) -> float:

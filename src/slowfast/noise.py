@@ -73,11 +73,6 @@ class RngStream:
         self.counter += n
         return draws
 
-    def fresh_copy(self) -> "RngStream":
-        """Same identity restarted at draw 0; replays the identical sequence."""
-        return RngStream(self.master_seed, self.trajectory_id, self.role,
-                         self.key)
-
 
 def derive_stream(master_seed: int, trajectory_id: int, role: str,
                   key: tuple = ()) -> RngStream:
@@ -99,8 +94,6 @@ class OUStepPlan:
     decay: np.ndarray
     drift_weight: np.ndarray
     noise_std: np.ndarray
-    h: float
-    eps_eff: float
 
 
 def make_plan(op: SpectralOperator, h: float, eps_eff: float) -> OUStepPlan:
@@ -112,7 +105,7 @@ def make_plan(op: SpectralOperator, h: float, eps_eff: float) -> OUStepPlan:
     drift_weight = (1.0 - decay) / op.alphas
     noise_std = op.lambdas * np.sqrt((1.0 - decay * decay) / (2.0 * op.alphas))
     return OUStepPlan(decay=decay, drift_weight=drift_weight,
-                      noise_std=noise_std, h=h, eps_eff=eps_eff)
+                      noise_std=noise_std)
 
 
 def ou_step(z: np.ndarray, plan: OUStepPlan, forcing: np.ndarray,

@@ -65,7 +65,6 @@ class ReactionSpec:
     a1: float = 0.0
     a2: float = 1.0
     L2: float | None = None       # Lipschitz constant in the fast variable (fast role)
-    lip_x: float | None = None    # Lipschitz constant in the slow variable (fast role)
 
     def __post_init__(self):
         if self.role == "slow":
@@ -152,7 +151,7 @@ def make_fast_reaction(kind: str, **params) -> ReactionSpec:
         b_c = float(params.get("b_c", 1.0))
         return ReactionSpec(kind=kind, role="fast",
                             params=(("a_c", a_c), ("b_c", b_c)),
-                            L2=abs(b_c), lip_x=abs(a_c))
+                            L2=abs(b_c))
     if kind == "lipschitz_saturating":
         _reject_unknown(params, ("a_c", "b_c", "c_s"))
         a_c = float(params.get("a_c", 1.0))
@@ -160,7 +159,7 @@ def make_fast_reaction(kind: str, **params) -> ReactionSpec:
         c_s = float(params.get("c_s", 0.0))
         return ReactionSpec(kind=kind, role="fast",
                             params=(("a_c", a_c), ("b_c", b_c), ("c_s", c_s)),
-                            L2=abs(b_c) + abs(c_s), lip_x=abs(a_c))
+                            L2=abs(b_c) + abs(c_s))
     raise InvalidParameterError(f"unknown fast reaction kind {kind!r}")
 
 

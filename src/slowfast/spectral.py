@@ -11,7 +11,7 @@ round-trips are lossless up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -130,9 +130,6 @@ class SpectralOperator:
     alphas: np.ndarray
     lambdas: np.ndarray
     gamma_reg: float
-    # Power-law exponents behind alphas/lambdas; used by the regularity gate.
-    alpha_exponent: float = field(default=2.0)
-    lambda_exponent: float = field(default=1.0)
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=float)
@@ -182,8 +179,7 @@ class SpectralOperator:
                 f"(series exponent a(2γ-1)-2s = {exponent:g} is not < -1 for "
                 f"γ={gamma_reg:g}, s={decay_exponent:g})"
             )
-        return cls(alphas=alphas, lambdas=lambdas, gamma_reg=gamma_reg,
-                   alpha_exponent=2.0, lambda_exponent=decay_exponent)
+        return cls(alphas=alphas, lambdas=lambdas, gamma_reg=gamma_reg)
 
 
 def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:

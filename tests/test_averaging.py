@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from slowfast import (AveragedDriftParams, FrozenFastConfig,
-                      InvalidParameterError, analytic_Fbar_linear,
+                      InvalidParameterError, StateExplosionError,
+                      analytic_Fbar_linear,
                       estimate_Fbar, estimate_invariant_average, eval_V,
                       simulate_averaged, synthesize)
-from slowfast.averaging import (AveragedState, averaged_mean_rates,
-                                make_drift_fn, step_averaged)
+from slowfast.averaging import averaged_mean_rates, make_drift_fn
 from slowfast.config import parse_config
-from slowfast.noise import derive_stream, make_plan
+from slowfast.noise import derive_stream
 
 from conftest import cubic_model, linear_model, unit_field
 
@@ -144,14 +144,6 @@ class TestEstimateFbar:
         with pytest.raises(InvalidParameterError, match="h_macro grid"):
             estimate_Fbar(0.5 * model.h_macro, unit_field(4), params, model)
 
-    def test_norm_bound_guard(self):
-        from slowfast import StateExplosionError
-        model = linear_model(n_modes=4, n_quad=16)
-        params = fast_params(model, t_avg_units=5.0, n_replicas=2,
-                             x_norm_bound=0.5)
-        with pytest.raises(StateExplosionError):
-            estimate_Fbar(0.0, unit_field(4), params, model)
-
 
 class TestAveragedEquation:
     def test_pure_decay_without_drift_or_noise(self):
@@ -164,16 +156,43 @@ class TestAveragedEquation:
     def test_single_step_matches_scalar_exponential(self):
         model = linear_model(lam_slow=0.0)
         h = 1e-3
-        plan = make_plan(model.op1, h, 1.0)
-        stream = derive_stream(0, 0, "auxiliary")
-
-        def drift(t, u):
-            return analytic_Fbar_linear(model, t, u), np.zeros(8)
-
-        state, _ = step_averaged(AveragedState(u=unit_field(8), t=0.0), model,
-                                 drift, h, stream, plan)
+        out = simulate_averaged(model, None, unit_field(8), h, h,
+                                derive_stream(0, 0, "auxiliary"))
         mu = averaged_mean_rates(model)[0]
-        assert abs(state.u[0] - math.exp(mu * h)) <= 1e-8
+        assert out.times.size == 2
+        assert abs(out.path[-1][0] - math.exp(mu * h)) <= 1e-8
+
+    def test_explosion_guard_raises_at_a_node(self):
+        # model.explosion_bound guards the averaged equation as it guards
+        # the coupled path: the first node past it raises, with its time.
+        model = linear_model(lam_slow=0.0, a_c=10.0)
+        stream = derive_stream(0, 0, "auxiliary")
+        free = simulate_averaged(model, None, unit_field(8), 1.0, 0.01, stream)
+        norms = np.linalg.norm(free.path, axis=1)
+        first = int(np.argmax(norms > 1.5))
+        assert first > 1  # mu_1 > 0, so the norm grows past the bound
+        with pytest.raises(StateExplosionError) as info:
+            simulate_averaged(dataclasses.replace(model, explosion_bound=1.5),
+                              None, unit_field(8), 1.0, 0.01,
+                              derive_stream(0, 0, "auxiliary"))
+        exc = info.value
+        assert exc.t == free.times[first] and exc.cause == "bound"
+        assert exc.norm_u == pytest.approx(norms[first], rel=1e-15)
+        assert "state explosion in the averaged equation at t=" in str(exc)
+
+    def test_non_finite_norm_trips_the_guard(self, monkeypatch):
+        # A finite state whose squared norm overflows: the guard raises
+        # with the cause "non-finite", whatever the bound.
+        import slowfast.averaging as averaging
+
+        def huge_drift(*args):
+            return lambda t, u: (np.full_like(u, 1e308), np.zeros_like(u))
+        monkeypatch.setattr(averaging, "make_drift_fn", huge_drift)
+        with np.errstate(over="ignore"), \
+                pytest.raises(StateExplosionError) as info:
+            simulate_averaged(linear_model(), None, unit_field(8), 1.0, 0.01,
+                              derive_stream(0, 0, "auxiliary"))
+        assert info.value.t == 0.01 and info.value.cause == "non-finite"
 
     def test_first_order_in_time(self):
         # terminal drift-handling error halves with the step

@@ -132,9 +132,10 @@ class TestParsing:
 
 
 class TestCli:
-    @pytest.mark.parametrize("key", ["theta", "cache_quantum"])
+    @pytest.mark.parametrize("key", ["theta", "cache_quantum", "x_norm_bound"])
     def test_removed_averaging_keys_rejected(self, tmp_path, capsys, key):
-        # theta comes from model.theta alone, and nothing is cached
+        # theta comes from model.theta alone, nothing is cached, and
+        # model.explosion_bound is the one explosion guard
         raw = copy.deepcopy(BASE)
         raw["averaging"][key] = 0.01
         path = write_config(tmp_path, raw)
@@ -142,6 +143,18 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "averaging" in err
+
+    @pytest.mark.parametrize("key", ["reference_epsilon_divisor"])
+    def test_removed_experiment_keys_rejected(self, tmp_path, capsys, key):
+        # converge's reference is the averaged equation, not the coupled
+        # system at a smaller epsilon
+        raw = copy.deepcopy(BASE)
+        raw["experiment"][key] = 5.0
+        path = write_config(tmp_path, raw)
+        code = main(["converge", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "experiment" in err
 
     def test_rejection_exit_code(self, tmp_path, capsys):
         raw = copy.deepcopy(BASE)
@@ -361,22 +374,24 @@ class TestCli:
                     * h).tolist())
         assert all(float(row["t_explosion"]) in grid for row in censored)
 
-    def test_fbar_explosion_is_censored(self, tmp_path):
-        # The averaged drift's own guard (x_norm_bound) trips at |u0| = 1:
-        # each path is censored by its statistic, not ended in a traceback.
+    def test_averaged_reference_explosion_exit_code(self, tmp_path, capsys):
+        # model.explosion_bound is the one guard.  Below |u0| = 1 it
+        # censors every coupled path, then ends the first averaged
+        # reference path: an explosion outside any censored path, so exit
+        # 3 with one stderr line and no CSV, not a traceback.
         with open(os.path.join("configs", "cubic_rough.json")) as fh:
             raw = json.load(fh)
         raw["model"]["horizon"] = 0.05
+        raw["model"]["explosion_bound"] = 0.5
         raw["experiment"]["ensemble_size"] = 2
-        raw["averaging"]["x_norm_bound"] = 0.5
         path = write_config(tmp_path, raw)
         out = tmp_path / "c"
         assert main(["converge", "--config", path, "--out", str(out),
                      "--workers", "1"]) == 3
-        with open(out / "converge.csv", newline="") as fh:
-            rows = [r for r in csv.DictReader(fh) if r["epsilon"]]
-        assert len(rows) == 3 * 5  # 3 eps x (2 observables x 2 + 1 D row)
-        assert all((r["n"], r["censored_count"]) == ("0", "2") for r in rows)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "state explosion in the averaged equation at t=0.01" in err[0]
+        assert not (out / "converge.csv").exists()
 
     @pytest.mark.parametrize("command", ["average", "invariant"])
     def test_non_finite_replica_exit_code(self, tmp_path, monkeypatch, capsys,

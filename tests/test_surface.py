@@ -1,6 +1,7 @@
 """The public surface is what the runs use: every name a module lists in
-__all__ is referenced by package code outside its own definition.  The
-re-exports of slowfast/__init__.py do not count as uses."""
+__all__, and every public method or property of a package class, is
+referenced by package code outside its own definition.  The re-exports of
+slowfast/__init__.py do not count as uses."""
 
 import ast
 import pathlib
@@ -77,3 +78,35 @@ def test_every_exported_name_is_used():
 def test_allow_list_is_current():
     # An allowed name that a run starts to use leaves the list.
     assert ALLOWED_UNUSED <= _unused_exports()
+
+
+def _unused_methods() -> set:
+    """Class.method for each public method or property of a top-level
+    class that no package code names as an attribute outside its own
+    body."""
+    modules = _modules()
+    attrs: dict = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.setdefault(node.attr, set()).add(id(node))
+    unused = set()
+    for tree in modules.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (not isinstance(method, ast.FunctionDef)
+                        or method.name.startswith("_")):
+                    continue
+                own = {id(sub) for sub in ast.walk(method)}
+                if not attrs.get(method.name, set()) - own:
+                    unused.add(f"{cls.name}.{method.name}")
+    return unused
+
+
+def test_every_public_method_is_used():
+    unused = _unused_methods()
+    assert not unused, (
+        f"public methods or properties used by no package code: "
+        f"{sorted(unused)}; use them in a run or delete them")
