@@ -39,6 +39,14 @@ class TestStreams:
         s.normals(5)
         assert s.counter == 15
 
+    def test_identity_restarts_at_draw_zero(self):
+        s = derive_stream(11, 2, "fast_noise")
+        first = s.normals(64)
+        again = derive_stream(11, 2, "fast_noise")
+        assert np.array_equal(again.normals(64), first)
+        # The two streams share no state: each continues the one sequence.
+        assert np.array_equal(again.normals(32), s.normals(32))
+
     def test_identity_replays_keyed_stream(self):
         first = derive_stream(11, 2, "frozen_fast_noise", key=(3, 17)).normals(64)
         again = derive_stream(11, 2, "frozen_fast_noise", key=(3, 17))
