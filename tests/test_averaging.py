@@ -1,17 +1,19 @@
 import dataclasses
 import math
 import os
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from slowfast import (AveragedDriftParams, FrozenFastConfig,
-                      InvalidParameterError, StateExplosionError,
-                      analytic_Fbar_linear,
+                      InvalidParameterError, SpectralOperator,
+                      StateExplosionError, analytic_Fbar_linear,
                       estimate_Fbar, estimate_invariant_average, eval_V,
-                      simulate_averaged, synthesize)
+                      make_fast_reaction, simulate_averaged, synthesize)
 from slowfast.averaging import averaged_mean_rates, make_drift_fn
 from slowfast.config import parse_config
+from slowfast.harness import pooled_invariant_rows
 from slowfast.noise import derive_stream
 
 from conftest import cubic_model, linear_model, unit_field
@@ -362,3 +364,83 @@ class TestAutoDriftResolution:
                                       cfg.master_seed, trajectory_id=5)
         assert np.array_equal(drift, mean) and np.array_equal(se, mean_se)
         assert se.all()
+
+
+def step_z(coarse, fine) -> np.ndarray:
+    """|coarse mean - fine mean| over the combined standard error of two
+    independent (mean, std_error) estimates, per component."""
+    (m1, se1), (m2, se2) = coarse, fine
+    return np.abs(np.subtract(m1, m2)) / np.hypot(se1, se2)
+
+
+def bonferroni_bound(k: int, level: float = 0.05) -> float:
+    """Two-sided normal bound at the given level over k comparisons."""
+    return NormalDist().inv_cdf(1.0 - level / (2 * k))
+
+
+class TestFrozenStepBias:
+    """The frozen-fast step of cubic_rough.json against a ten times finer
+    one.  The exponential substep is exact in -(alpha_k + b_c) sigma and
+    the noise (test_properties.py), so only the explicit c_s sin(sigma)
+    term biases the frozen fast law, by O(c_s h).  The shipped step h
+    passes when the estimates at h and h/10, on independent seeds, agree
+    within their combined standard errors at the Bonferroni 5% level over
+    the compared quantities; the same comparison must reject a strong sine
+    term at a coarse step."""
+
+    REPLICAS = 64
+    LARGE_STATE = (2.0, -1.0, 0.5, 0.3)
+
+    @staticmethod
+    def fbar_z(model, x, params):
+        h = params.h_fast
+        coarse = estimate_Fbar(0.0, x, params, model, master_seed=1)
+        fine = estimate_Fbar(0.0, x, dataclasses.replace(params, h_fast=h / 10),
+                             model, master_seed=2)
+        return step_z(coarse, fine)
+
+    def large_state(self, model):
+        x = np.zeros(model.n_modes)
+        x[:len(self.LARGE_STATE)] = self.LARGE_STATE
+        return x
+
+    @pytest.mark.parametrize("state", ["u0", "large"])
+    def test_shipped_averaging_step(self, state):
+        cfg = shipped("cubic_rough")
+        model = cfg.model
+        x = model.u0 if state == "u0" else self.large_state(model)
+        params = dataclasses.replace(cfg.averaging, n_replicas=self.REPLICAS)
+        z = self.fbar_z(model, x, params)
+        assert z.max() <= bonferroni_bound(model.n_modes), z
+
+    def test_shipped_invariant_step(self):
+        cfg = shipped("cubic_rough")
+
+        def rows(h, seed):
+            inv = dataclasses.replace(cfg.invariant, h=h,
+                                      n_replicas=self.REPLICAS)
+            run = dataclasses.replace(cfg, invariant=inv, master_seed=seed)
+            _, means, ses = zip(*pooled_invariant_rows(run))
+            return means, ses
+
+        h = cfg.invariant.h
+        z = step_z(rows(h, 1), rows(h / 10, 2))
+        assert z.max() <= bonferroni_bound(len(cfg.observables)), z
+
+    def test_strong_sine_term_at_a_coarse_step_is_rejected(self):
+        # c_s = 6 keeps L2 = 8 inside the gap alpha_1 = pi^2 (omega = 1.87)
+        # and lambda0 = 1 spreads the fast field over the sine's curvature,
+        # so the sine term's bias at h = 0.2 must show.  Sizing: max |z| =
+        # 6.7 here (7.0 on seeds 5 and 6); 4.1 at 128 replicas.
+        cfg = shipped("cubic_rough")
+        n = cfg.model.n_modes
+        model = dataclasses.replace(
+            cfg.model,
+            reaction_fast=make_fast_reaction("lipschitz_saturating", a_c=1.0,
+                                             b_c=2.0, c_s=6.0),
+            op2=SpectralOperator.from_power_law(n, 1.0, 1.0, 1.0, 1.0, 0.5))
+        params = AveragedDriftParams(h_fast=0.2, t_burn=3.0, t_avg=50.0,
+                                     n_replicas=256)
+        assert params.t_burn >= 5.0 / model.omega
+        z = self.fbar_z(model, self.large_state(model), params)
+        assert z.max() > bonferroni_bound(n), z
