@@ -183,15 +183,18 @@ def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
     drift_fn = make_drift_fn(model, params, master_seed, trajectory_id)
     plan = make_plan(model.op1, h, 1.0) if n_steps else None
     budget = 0.0
-    for i in range(n_steps):
-        drift, drift_se = drift_fn(float(times[i]), u)
-        u = ou_step(u, plan, drift, stream)
-        budget += h * float(np.linalg.norm(drift_se))
-        norm_u = math.sqrt(u.dot(u))
-        # Written so that a NaN norm also trips the guard.
-        if not (norm_u <= model.explosion_bound):
-            raise StateExplosionError(float(times[i + 1]), norm_u, 0.0,
-                                      model.explosion_bound,
-                                      where=" in the averaged equation")
-        path[i + 1] = u
+    # As on the coupled path: an overflowing squared norm trips the guard
+    # without a warning of its own.
+    with np.errstate(over="ignore"):
+        for i in range(n_steps):
+            drift, drift_se = drift_fn(float(times[i]), u)
+            u = ou_step(u, plan, drift, stream)
+            budget += h * float(np.linalg.norm(drift_se))
+            norm_u = math.sqrt(u.dot(u))
+            # Written so that a NaN norm also trips the guard.
+            if not (norm_u <= model.explosion_bound):
+                raise StateExplosionError(float(times[i + 1]), norm_u, 0.0,
+                                          model.explosion_bound,
+                                          where=" in the averaged equation")
+            path[i + 1] = u
     return AveragedTrajectory(times=times, path=path, drift_se_budget=budget)

@@ -181,30 +181,34 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
 
     u, v = model.u0, model.v0
     u_phys, v_phys = synthesize(u, grid), synthesize(v, grid)
-    for start in range(0, n_steps, NOISE_CHUNK_STEPS):
-        steps = min(NOISE_CHUNK_STEPS, n_steps - start)
-        xi_fast = fast_stream.normals(steps * n_sub * n).reshape(steps, n_sub, n)
-        noise_fast = stepper.noise(xi_fast)
-        noise_slow = plan_slow.noise_std * slow_stream.normals(
-            steps * n).reshape(steps, n)
-        if noise is not None:
-            noise[start:start + steps] = xi_fast
-        for k in range(steps):
-            i = start + k
-            u, v, u_phys, v_phys, f1 = step_coupled(
-                u, v, u_phys, v_phys, times[i], model, h, noise_slow[k],
-                noise_fast[k], plans)
-            # np.linalg.norm's own formula for a 1-D float array.
-            norm_u = math.sqrt(u.dot(u))
-            norm_v = math.sqrt(v.dot(v))
-            # Written so that a NaN norm also trips the guard.
-            if not (norm_u + norm_v <= model.explosion_bound):
-                raise StateExplosionError(float(times[i + 1]), norm_u, norm_v,
-                                          model.explosion_bound)
-            if drifts is not None:
-                drifts[i] = f1
-            u_path[i + 1] = u
-            v_path[i + 1] = v
+    # A finite state whose squared norm overflows trips the guard as
+    # non-finite; the guard's report is the only message.
+    with np.errstate(over="ignore"):
+        for start in range(0, n_steps, NOISE_CHUNK_STEPS):
+            steps = min(NOISE_CHUNK_STEPS, n_steps - start)
+            xi_fast = fast_stream.normals(steps * n_sub * n).reshape(
+                steps, n_sub, n)
+            noise_fast = stepper.noise(xi_fast)
+            noise_slow = plan_slow.noise_std * slow_stream.normals(
+                steps * n).reshape(steps, n)
+            if noise is not None:
+                noise[start:start + steps] = xi_fast
+            for k in range(steps):
+                i = start + k
+                u, v, u_phys, v_phys, f1 = step_coupled(
+                    u, v, u_phys, v_phys, times[i], model, h, noise_slow[k],
+                    noise_fast[k], plans)
+                # np.linalg.norm's own formula for a 1-D float array.
+                norm_u = math.sqrt(u.dot(u))
+                norm_v = math.sqrt(v.dot(v))
+                # Written so that a NaN norm also trips the guard.
+                if not (norm_u + norm_v <= model.explosion_bound):
+                    raise StateExplosionError(float(times[i + 1]), norm_u,
+                                              norm_v, model.explosion_bound)
+                if drifts is not None:
+                    drifts[i] = f1
+                u_path[i + 1] = u
+                v_path[i + 1] = v
     return SlowFastTrajectory(
         times=times, u=u_path, v=v_path, n_sub=n_sub, master_seed=master_seed,
         trajectory_id=trajectory_id, fast_noise=noise, slow_drift=drifts,

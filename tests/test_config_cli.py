@@ -2,6 +2,8 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -392,6 +394,30 @@ class TestCli:
         assert len(err) == 1
         assert "state explosion in the averaged equation at t=0.01" in err[0]
         assert not (out / "converge.csv").exists()
+
+    def test_overflowing_norm_gives_one_stderr_line(self, tmp_path):
+        # u0 = 1e160 is finite, but its squared norm overflows in the
+        # explosion guards of the coupled paths and of the averaged
+        # reference path: exit 3 with the one-line report, and no numpy
+        # overflow warning beside it.  A fresh interpreter, because pytest
+        # captures warnings in process.
+        raw = copy.deepcopy(BASE)
+        raw["model"]["u0"] = [1e160]
+        raw["experiment"].update(ensemble_size=2, observables=[
+            {"kind": "mode", "k": 1}, {"kind": "norm_sq"}])
+        path = write_config(tmp_path, raw)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "slowfast.cli", "converge", "--config",
+             path, "--out", str(tmp_path / "c"), "--workers", "1"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 3
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1, proc.stderr
+        assert "state explosion in the averaged equation at t=0.01" in err[0]
+        assert "is non-finite" in err[0]
 
     @pytest.mark.parametrize("command", ["average", "invariant"])
     def test_non_finite_replica_exit_code(self, tmp_path, monkeypatch, capsys,
