@@ -195,6 +195,45 @@ def test_advance_writes_nodes_in_place(case):
     assert np.array_equal(states_in_place, states)
 
 
+
+def unscaled(low: float, high: float):
+    """Floats in [low, high] that are 0 or at least 1e-6 in magnitude, so
+    that no product of two of them underflows."""
+    return st.floats(min_value=low, max_value=high).filter(
+        lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@SETTINGS
+@given(grid=st.sampled_from(GRIDS), kind=st.sampled_from(FAST_KINDS),
+       a_c=unscaled(-3.0, 3.0), b_c=st.floats(min_value=0.0, max_value=5.0),
+       nu=st.floats(min_value=0.01, max_value=5.0),
+       lam0=unscaled(0.0, 2.0), h=st.floats(min_value=1e-4, max_value=2.0),
+       data=st.data())
+def test_linear_substep_keeps_the_exact_stationary_law(grid, kind, a_c, b_c,
+                                                       nu, lam0, h, data):
+    # With c_s = 0 the substep is the exact OU update on alpha_k + b_c, so
+    # the per-mode stationary mean drive/(1 - decay) and variance
+    # noise_std^2/(1 - decay^2) are those of the frozen fast law at any h:
+    # only the explicit sine term can make that law depend on the step.
+    params = {"a_c": a_c, "b_c": b_c}
+    if kind == "lipschitz_saturating":
+        params["c_s"] = 0.0
+    op = SpectralOperator.from_power_law(grid.n_modes, nu, 1.0, lam0, 1.0,
+                                         0.5)
+    rho_phys = data.draw(arrays(np.float64, grid.n_quad,
+                                elements=unscaled(-1e3, 1e3)))
+    stepper = FastStepper(make_fast_reaction(kind, **params), grid, op, h,
+                          1.0)
+    rates = op.alphas + b_c
+    decay = stepper.decay
+    mean = stepper.drive(rho_phys) / (1.0 - decay)
+    variance = stepper.noise_std ** 2 / (1.0 - decay * decay)
+    assert stepper.sin_weight is None
+    np.testing.assert_allclose(mean, analyze(a_c * rho_phys, grid) / rates,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(variance, op.lambdas ** 2 / (2.0 * rates),
+                               rtol=1e-12, atol=0.0)
+
 @st.composite
 def macro_step_cases(draw):
     """A model with a fast reaction of either kind, theta in {0, 0.01} and
