@@ -71,10 +71,6 @@ class InvariantAverageEstimate:
 
     mean: float | np.ndarray
     std_error: float | np.ndarray
-    n_effective: int
-    t_burn: float
-    t_avg: float
-    n_replicas: int
 
 
 class FastStepper:
@@ -272,8 +268,5 @@ def estimate_invariant_average(cfg: FrozenFastConfig, observable,
     mean, std_error = stacked.mean(axis=0), batch_std_error(batches)
     if mean.ndim == 0:
         mean, std_error = float(mean), float(std_error)
-    return InvariantAverageEstimate(
-        mean=mean, std_error=std_error, n_effective=stacked.shape[0],
-        t_burn=cfg.t_burn, t_avg=cfg.t_avg, n_replicas=cfg.n_replicas,
-    )
+    return InvariantAverageEstimate(mean=mean, std_error=std_error)
 

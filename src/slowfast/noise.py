@@ -45,8 +45,7 @@ class RngStream:
     """Counter-based Gaussian stream owned by one (trajectory, role) pair;
     its spawn key is (role index, trajectory_id) + key."""
 
-    __slots__ = ("master_seed", "trajectory_id", "role", "key", "counter",
-                 "_gen")
+    __slots__ = ("counter", "_gen")
 
     def __init__(self, master_seed: int, trajectory_id: int, role: str,
                  key: tuple = ()):
@@ -56,14 +55,10 @@ class RngStream:
         if master_seed < 0 or trajectory_id < 0 or any(k < 0 for k in key):
             raise InvalidParameterError(
                 "master_seed, trajectory_id and key entries must be >= 0")
-        self.master_seed = int(master_seed)
-        self.trajectory_id = int(trajectory_id)
-        self.role = role
-        self.key = key
         self.counter = 0
         seq = SeedSequence(
-            entropy=self.master_seed,
-            spawn_key=(ROLES.index(role), self.trajectory_id) + key,
+            entropy=int(master_seed),
+            spawn_key=(ROLES.index(role), int(trajectory_id)) + key,
         )
         self._gen = Generator(Philox(seq))
 

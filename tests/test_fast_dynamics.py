@@ -156,12 +156,19 @@ class TestExactFastLinearPart:
 
 class TestInvariantAverage:
     def test_constant_observable(self):
+        from slowfast.fast_dynamics import _run_replicas
         cfg = frozen_cfg(t_avg=1.0, n_replicas=2)
-        est = estimate_invariant_average(
-            cfg, lambda v_phys: np.ones(v_phys.shape[0]), master_seed=5)
+
+        def ones(v_phys):
+            return np.ones(v_phys.shape[0])
+        est = estimate_invariant_average(cfg, ones, master_seed=5)
         assert est.mean == pytest.approx(1.0)
         assert est.std_error == 0.0
-        assert est.n_effective == 2 * N_BATCHES
+        # The estimate pools one batch mean per (replica, batch).
+        streams = [derive_stream(5, r, "frozen_fast_noise") for r in range(2)]
+        batches = _run_replicas(cfg, ones, streams,
+                                synthesize(cfg.x, cfg.grid))
+        assert batches.shape == (2, N_BATCHES)
 
     def test_norm_square_matches_ou_closed_form(self):
         # x=0, a_c=0, b_c=0: stationary E|v|^2 = sum lambda_k^2/(2 alpha_k)
