@@ -393,11 +393,9 @@ class TestFrozenStepBias:
 
     @staticmethod
     def fbar_z(model, x, params):
-        h = params.h_fast
-        coarse = estimate_Fbar(0.0, x, params, model, master_seed=1)
-        fine = estimate_Fbar(0.0, x, dataclasses.replace(params, h_fast=h / 10),
-                             model, master_seed=2)
-        return step_z(coarse, fine)
+        fine = dataclasses.replace(params, h_fast=params.h_fast / 10)
+        return step_z(estimate_Fbar(0.0, x, params, model, master_seed=1),
+                      estimate_Fbar(0.0, x, fine, model, master_seed=2))
 
     def large_state(self, model):
         x = np.zeros(model.n_modes)
