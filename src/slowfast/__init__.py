@@ -6,14 +6,13 @@ counter-based randomness."""
 
 __version__ = "0.1.0"
 
-from .averaging import (AveragedDriftParams, analytic_Fbar_linear, estimate_Fbar,
-                        simulate_averaged)
+from .averaging import analytic_Fbar_linear, estimate_Fbar, simulate_averaged
 from .coupled import (build_auxiliary, compute_rho0, khasminskii_delta,
                       simulate_slowfast, step_coupled)
 from .errors import (ConfigurationRejectedError, InvalidParameterError,
                      StateExplosionError)
-from .fast_dynamics import (FrozenFastConfig, InvariantAverageEstimate,
-                            estimate_invariant_average, step_frozen_fast)
+from .fast_dynamics import (FrozenFastParams, estimate_invariant_average,
+                            step_frozen_fast)
 from .model import ModelSpec, build_model
 from .noise import OUStepPlan, RngStream, derive_stream, make_plan, ou_step
 from .reactions import (LyapunovSpec, ReactionSpec, eval_V, eval_b, eval_g,

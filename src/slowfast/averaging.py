@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
-from .fast_dynamics import FrozenFastConfig, estimate_invariant_average
+from .fast_dynamics import FrozenFastParams, estimate_invariant_average
 from .model import ModelSpec
 from .noise import RngStream, make_plan, ou_step
 from .reactions import nemytskii_drift
 from .spectral import analyze, as_modal_field, synthesize
 
 __all__ = [
-    "AveragedDriftParams",
     "estimate_Fbar",
     "analytic_Fbar_linear",
     "averaged_mean_rates",
@@ -32,21 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AveragedDriftParams:
-    """Nested-estimation controls for the averaged drift."""
-
-    h_fast: float
-    t_burn: float
-    t_avg: float
-    n_replicas: int = 4
-
-    def __post_init__(self):
-        if self.h_fast <= 0 or self.t_avg <= 0:
-            raise InvalidParameterError("h_fast and t_avg must be positive")
-
-
-def estimate_Fbar(t: float, x, params: AveragedDriftParams, model: ModelSpec,
+def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
                   master_seed: int = 0, trajectory_id: int = 0
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Nested Monte Carlo estimate of the averaged drift at (t, x): the
@@ -71,15 +56,10 @@ def estimate_Fbar(t: float, x, params: AveragedDriftParams, model: ModelSpec,
                             model.grid),
             model.grid)
 
-    cfg = FrozenFastConfig(
-        x=x, op2=model.op2, reaction_fast=model.reaction_fast,
-        grid=model.grid, h=params.h_fast, t_burn=params.t_burn,
-        t_avg=params.t_avg, n_replicas=params.n_replicas,
-    )
-    est = estimate_invariant_average(cfg, drift_observable, master_seed,
-                                     key=(trajectory_id, step))
-    return (np.asarray(est.mean, dtype=float),
-            np.asarray(est.std_error, dtype=float))
+    mean, std_error = estimate_invariant_average(
+        model, x, params, drift_observable, master_seed,
+        key=(trajectory_id, step))
+    return np.asarray(mean, dtype=float), np.asarray(std_error, dtype=float)
 
 
 def analytic_Fbar_linear(model: ModelSpec, t: float, x) -> np.ndarray:
@@ -114,10 +94,9 @@ def averaged_mean_rates(model: ModelSpec) -> np.ndarray:
 class AveragedTrajectory:
     times: np.ndarray
     path: np.ndarray              # (n_nodes, N) slow coefficients
-    drift_se_budget: float        # integral of the drift std-error norm
 
 
-def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
+def make_drift_fn(model: ModelSpec, params: FrozenFastParams | None,
                   master_seed: int = 0, trajectory_id: int = 0):
     """Averaged-drift callable: analytic oracle for the linear benchmark,
     slow-only evaluation when b ignores the fast variable, nested estimator
@@ -161,15 +140,14 @@ def make_drift_fn(model: ModelSpec, params: AveragedDriftParams | None,
     return fn
 
 
-def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
+def simulate_averaged(model: ModelSpec, params: FrozenFastParams | None,
                       u0, T: float, h: float, stream: RngStream,
                       master_seed: int = 0, trajectory_id: int = 0
                       ) -> AveragedTrajectory:
     """Sample the averaged slow equation on the macro grid by exponential
     Euler, the drift (make_drift_fn's) frozen over each step.
 
-    drift_se_budget integrates the std-error norm of the step drifts.  A
-    new state whose norm is non-finite or above model.explosion_bound
+    A new state whose norm is non-finite or above model.explosion_bound
     raises StateExplosionError at its node, as on the coupled path."""
     if T < 0:
         raise InvalidParameterError("T must be nonnegative")
@@ -182,14 +160,12 @@ def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
     path[0] = u
     drift_fn = make_drift_fn(model, params, master_seed, trajectory_id)
     plan = make_plan(model.op1, h, 1.0) if n_steps else None
-    budget = 0.0
     # As on the coupled path: an overflowing squared norm trips the guard
     # without a warning of its own.
     with np.errstate(over="ignore"):
         for i in range(n_steps):
-            drift, drift_se = drift_fn(float(times[i]), u)
+            drift, _ = drift_fn(float(times[i]), u)
             u = ou_step(u, plan, drift, stream)
-            budget += h * float(np.linalg.norm(drift_se))
             norm_u = math.sqrt(u.dot(u))
             # Written so that a NaN norm also trips the guard.
             if not (norm_u <= model.explosion_bound):
@@ -197,4 +173,4 @@ def simulate_averaged(model: ModelSpec, params: AveragedDriftParams | None,
                                           model.explosion_bound,
                                           where=" in the averaged equation")
             path[i + 1] = u
-    return AveragedTrajectory(times=times, path=path, drift_se_budget=budget)
+    return AveragedTrajectory(times=times, path=path)

@@ -62,7 +62,10 @@ def _load(args) -> ExperimentConfig:
     cfg = parse_config(args.config)
     updates = {}
     if args.seed is not None:
-        updates["master_seed"] = int(args.seed)
+        if args.seed < 0:
+            raise ConfigurationRejectedError(
+                f"--seed must be nonnegative, got {args.seed}")
+        updates["master_seed"] = args.seed
     if args.out is not None:
         updates["output_dir"] = args.out
     if args.workers is not None:

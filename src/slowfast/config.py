@@ -6,8 +6,13 @@ reaches a simulation kernel:
 
   - dissipativity gap          omega = alpha_{2,1} - L2 > 0
   - one-sided growth           kappa1 <= 2*m2
-  - growth inequalities        reactions.validate_growth, sampled on a box
+  - growth inequalities        reactions.validate_growth, sampled on a lattice
   - noise regularity exponent  a(2*gamma - 1) - 2*s < -1
+
+A value out of its range (a step, a count, a mode index, a truncation
+level) is rejected at load too, under its JSON key.  The invariant and
+averaging sections are one FrozenFastParams each; their step keys are h
+and h_fast.
 
 The canonical form (all defaults materialized, keys sorted) is what gets
 hashed into result sidecars and what serialization round-trips through.
@@ -17,12 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .averaging import AveragedDriftParams
-from .errors import ConfigurationRejectedError
+from .errors import ConfigurationRejectedError, InvalidParameterError
+from .fast_dynamics import FrozenFastParams
 from .model import ModelSpec, build_model
 from .reactions import make_fast_reaction, make_slow_reaction, validate_growth
 from .spectral import GridSpec, SpectralOperator
@@ -30,7 +36,6 @@ from .spectral import GridSpec, SpectralOperator
 __all__ = [
     "TestFunctionSpec",
     "ObservableSpec",
-    "InvariantRunParams",
     "ExperimentConfig",
     "parse_config",
     "parse_config_dict",
@@ -77,14 +82,6 @@ class ObservableSpec:
         return f"mode_{self.k}" if self.kind == "mode" else "norm_sq"
 
 
-@dataclass(frozen=True)
-class InvariantRunParams:
-    h: float
-    t_burn: float
-    t_avg: float
-    n_replicas: int
-
-
 @dataclass(eq=False)
 class ExperimentConfig:
     model: ModelSpec
@@ -98,8 +95,8 @@ class ExperimentConfig:
     dump_modes: int
     theta_sequence: tuple
     c_const: float
-    invariant: InvariantRunParams
-    averaging: AveragedDriftParams
+    invariant: FrozenFastParams
+    averaging: FrozenFastParams
     canonical: dict
 
 
@@ -206,9 +203,44 @@ _EXP_KEYS_OPT = ("epsilon_grid", "ensemble_size", "test_functions",
                  "dump_modes", "theta_sequence", "c_const")
 
 
+# The JSON key of the frozen-fast step in each FrozenFastParams section.
+_STEP_KEYS = {"invariant": "h", "averaging": "h_fast"}
+
+
+def _frozen_fast(raw: dict, section: str, omega: float) -> FrozenFastParams:
+    """The frozen-fast parameters of one section.  A value out of range is
+    rejected under its JSON key."""
+    step_key = _STEP_KEYS[section]
+    values = dict(raw.get(section, {}))
+    _require_keys(values, section, (),
+                  (step_key, "t_burn", "t_avg", "n_replicas"))
+    try:
+        return FrozenFastParams(
+            h=float(values.get(step_key, 0.01)),
+            t_burn=float(values.get("t_burn", 10.0 / omega)),
+            t_avg=float(values.get("t_avg", 50.0 / omega)),
+            n_replicas=int(values.get("n_replicas", 8)),
+        )
+    except InvalidParameterError as exc:
+        key = step_key if exc.name == "h" else exc.name
+        raise ConfigurationRejectedError(f"{section}.{key}: {exc}") from None
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    """Reject the experiment value under key unless ok."""
+    if not ok:
+        raise ConfigurationRejectedError(
+            f"experiment.{key} must be {rule}, got {value!r}")
+
+
 def parse_config_dict(raw: dict) -> ExperimentConfig:
     _require_keys(raw, "config", ("model",), ("experiment", "invariant", "averaging"))
-    model = _build_model(raw["model"])
+    try:
+        model = _build_model(raw["model"])
+    except InvalidParameterError as exc:
+        where = f"model.{exc.name}" if exc.name else "model"
+        raise ConfigurationRejectedError(f"{where}: {exc}") from None
+    n_modes = model.n_modes
 
     exp = dict(raw.get("experiment", {}))
     _require_keys(exp, "experiment", (), _EXP_KEYS_OPT)
@@ -221,10 +253,16 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     tf_raw = exp.get("test_functions", [{"modes": [1.0], "time_power": 0}])
     test_functions = []
     for i, tf in enumerate(tf_raw):
-        _require_keys(tf, f"experiment.test_functions[{i}]", ("modes",), ("time_power",))
-        test_functions.append(TestFunctionSpec(
-            modes=tuple(float(c) for c in tf["modes"]),
-            time_power=int(tf.get("time_power", 0))))
+        where = f"test_functions[{i}]"
+        _require_keys(tf, f"experiment.{where}", ("modes",), ("time_power",))
+        modes = tuple(float(c) for c in tf["modes"])
+        _require(len(modes) <= n_modes, f"{where}.modes",
+                 f"at most n_modes = {n_modes} coefficients", list(modes))
+        time_power = int(tf.get("time_power", 0))
+        _require(time_power >= 0, f"{where}.time_power", "nonnegative",
+                 time_power)
+        test_functions.append(TestFunctionSpec(modes=modes,
+                                               time_power=time_power))
 
     obs_raw = exp.get("observables", [{"kind": "mode", "k": 1}])
     observables = []
@@ -233,43 +271,44 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         if ob["kind"] not in ("mode", "norm_sq"):
             raise ConfigurationRejectedError(
                 f"unknown observable kind {ob['kind']!r}")
-        observables.append(ObservableSpec(kind=ob["kind"], k=int(ob.get("k", 1))))
+        k = int(ob.get("k", 1))
+        if ob["kind"] == "mode":
+            _require(1 <= k <= n_modes, f"observables[{i}].k",
+                     f"a mode in 1..{n_modes}", k)
+        observables.append(ObservableSpec(kind=ob["kind"], k=k))
+
+    ensemble_size = int(exp.get("ensemble_size", 100))
+    _require(ensemble_size >= 1, "ensemble_size", "at least 1", ensemble_size)
+    dump_modes = int(exp.get("dump_modes", 4))
+    _require(dump_modes >= 0, "dump_modes", "nonnegative", dump_modes)
+    theta_sequence = tuple(float(t) for t in exp.get("theta_sequence",
+                                                     (0.1, 0.01, 0.001)))
+    _require(len(theta_sequence) >= 2, "theta_sequence",
+             "at least two levels", list(theta_sequence))
+    _require(all(0 <= theta <= 1 for theta in theta_sequence),
+             "theta_sequence", "a list of levels in [0, 1]",
+             list(theta_sequence))
+    c_const = float(exp.get("c_const", 2.0))
+    _require(0 < c_const < math.inf, "c_const", "finite and positive",
+             c_const)
+    master_seed = int(exp.get("master_seed", 0))
+    _require(master_seed >= 0, "master_seed", "nonnegative", master_seed)
 
     omega = model.omega
-    inv = dict(raw.get("invariant", {}))
-    _require_keys(inv, "invariant", (), ("h", "t_burn", "t_avg", "n_replicas"))
-    invariant = InvariantRunParams(
-        h=float(inv.get("h", 0.01)),
-        t_burn=float(inv.get("t_burn", 10.0 / omega)),
-        t_avg=float(inv.get("t_avg", 50.0 / omega)),
-        n_replicas=int(inv.get("n_replicas", 8)),
-    )
-
-    avg = dict(raw.get("averaging", {}))
-    _require_keys(avg, "averaging",
-                  (), ("h_fast", "t_burn", "t_avg", "n_replicas"))
-    averaging = AveragedDriftParams(
-        h_fast=float(avg.get("h_fast", 0.01)),
-        t_burn=float(avg.get("t_burn", 10.0 / omega)),
-        t_avg=float(avg.get("t_avg", 50.0 / omega)),
-        n_replicas=int(avg.get("n_replicas", 8)),
-    )
-
     cfg = ExperimentConfig(
         model=model,
         epsilon_grid=epsilon_grid,
-        ensemble_size=int(exp.get("ensemble_size", 100)),
+        ensemble_size=ensemble_size,
         test_functions=tuple(test_functions),
         observables=tuple(observables),
         output_dir=str(exp.get("output_dir", "out")),
-        master_seed=int(exp.get("master_seed", 0)),
+        master_seed=master_seed,
         worker_count=int(exp.get("worker_count", 1)),
-        dump_modes=int(exp.get("dump_modes", 4)),
-        theta_sequence=tuple(float(t) for t in exp.get("theta_sequence",
-                                                       (0.1, 0.01, 0.001))),
-        c_const=float(exp.get("c_const", 2.0)),
-        invariant=invariant,
-        averaging=averaging,
+        dump_modes=dump_modes,
+        theta_sequence=theta_sequence,
+        c_const=c_const,
+        invariant=_frozen_fast(raw, "invariant", omega),
+        averaging=_frozen_fast(raw, "averaging", omega),
         canonical={},
     )
     cfg.canonical = _canonical_dict(raw, cfg)
@@ -321,19 +360,16 @@ def _canonical_dict(raw: dict, cfg: ExperimentConfig) -> dict:
             "theta_sequence": list(cfg.theta_sequence),
             "c_const": cfg.c_const,
         },
-        "invariant": {
-            "h": cfg.invariant.h,
-            "t_burn": cfg.invariant.t_burn,
-            "t_avg": cfg.invariant.t_avg,
-            "n_replicas": cfg.invariant.n_replicas,
-        },
-        "averaging": {
-            "h_fast": cfg.averaging.h_fast,
-            "t_burn": cfg.averaging.t_burn,
-            "t_avg": cfg.averaging.t_avg,
-            "n_replicas": cfg.averaging.n_replicas,
-        },
+        **{section: _frozen_fast_dict(getattr(cfg, section), step_key)
+           for section, step_key in _STEP_KEYS.items()},
     }
+
+
+def _frozen_fast_dict(params: FrozenFastParams, step_key: str) -> dict:
+    """A frozen-fast section's canonical form, its step under step_key."""
+    values = asdict(params)
+    values[step_key] = values.pop("h")
+    return values
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

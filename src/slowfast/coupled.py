@@ -49,7 +49,6 @@ class SlowFastTrajectory:
     u: np.ndarray                 # (n_nodes, N)
     v: np.ndarray                 # (n_nodes, N)
     n_sub: int
-    master_seed: int
     trajectory_id: int
     fast_noise: np.ndarray | None = None   # (n_steps, n_sub, N) recorded draws
     slow_drift: np.ndarray | None = None   # (n_steps, N) per-step averaged drift
@@ -210,7 +209,7 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
                 u_path[i + 1] = u
                 v_path[i + 1] = v
     return SlowFastTrajectory(
-        times=times, u=u_path, v=v_path, n_sub=n_sub, master_seed=master_seed,
+        times=times, u=u_path, v=v_path, n_sub=n_sub,
         trajectory_id=trajectory_id, fast_noise=noise, slow_drift=drifts,
     )
 
@@ -264,8 +263,6 @@ class AuxiliaryResult:
     times: np.ndarray
     u_aux: np.ndarray             # piecewise-constant slow path at macro nodes
     v_aux: np.ndarray
-    delta_snapped: float
-    steps_per_block: int
 
 
 def build_auxiliary(traj: SlowFastTrajectory, delta: float,
@@ -289,7 +286,7 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
             "trajectory was recorded without fast noise; rerun with record_noise=True")
     n_steps = traj.times.size - 1
     h = float(traj.times[1] - traj.times[0])
-    steps_per_block, delta_snapped = snap_block(delta, h)
+    steps_per_block, _ = snap_block(delta, h)
     n_sub, _, stepper = _plans(model, h)[:3]
     if n_sub != traj.n_sub:
         raise InvalidParameterError(
@@ -320,9 +317,7 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
     # Node i holds the snapshot at the start of its block.
     block_starts = np.arange(n_steps + 1) // steps_per_block * steps_per_block
     u_aux = traj.u[np.minimum(block_starts, n_steps)]
-    return AuxiliaryResult(times=traj.times.copy(), u_aux=u_aux, v_aux=v_aux,
-                           delta_snapped=delta_snapped,
-                           steps_per_block=steps_per_block)
+    return AuxiliaryResult(times=traj.times.copy(), u_aux=u_aux, v_aux=v_aux)
 
 
 def freezing_deviations(traj: SlowFastTrajectory,

@@ -4,7 +4,12 @@ import math
 
 
 class InvalidParameterError(ValueError):
-    """An operation received arguments outside its contract."""
+    """An operation received arguments outside its contract; ``name`` is
+    the argument at fault when one alone is."""
+
+    def __init__(self, message: str, name: str | None = None):
+        super().__init__(message)
+        self.name = name
 
 
 class ConfigurationRejectedError(ValueError):

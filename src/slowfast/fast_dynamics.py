@@ -16,15 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
+from .model import ModelSpec
 from .noise import RngStream, derive_stream, make_plan
-from .reactions import (ReactionSpec, fast_coefficients,
-                        validate_dissipativity)
+from .reactions import ReactionSpec, fast_coefficients
 from .spectral import (GridSpec, SpectralOperator, as_modal_field,
                        kahan_add, matvec, synthesize)
 
 __all__ = [
-    "FrozenFastConfig",
-    "InvariantAverageEstimate",
+    "FrozenFastParams",
     "FastStepper",
     "step_frozen_fast",
     "estimate_invariant_average",
@@ -35,42 +34,27 @@ DRAW_CHUNK_STEPS = 64  # steps drawn, and observed, per replica chunk
 
 
 @dataclass(frozen=True)
-class FrozenFastConfig:
-    """Frozen slow state plus micro-integration and averaging horizons."""
+class FrozenFastParams:
+    """The micro-solver budget of one frozen-fast estimate: the step h, the
+    burn-in t_burn, the averaging window t_avg and the replica count."""
 
-    x: np.ndarray
-    op2: SpectralOperator
-    reaction_fast: ReactionSpec
-    grid: GridSpec
     h: float
     t_burn: float
     t_avg: float
-    n_replicas: int = 1
+    n_replicas: int
 
     def __post_init__(self):
-        if self.h <= 0 or self.t_avg <= 0:
-            raise InvalidParameterError("h and t_avg must be positive")
-        if self.t_burn < 0:
-            raise InvalidParameterError("t_burn must be nonnegative")
-        if self.n_replicas < 1:
-            raise InvalidParameterError("n_replicas must be >= 1")
-        object.__setattr__(self, "x", as_modal_field(self.x, self.grid.n_modes))
-        omega = validate_dissipativity(float(self.op2.alphas[0]),
-                                       self.reaction_fast.L2)
-        if self.t_burn < 5.0 / omega:
-            warnings.warn(
-                f"t_burn={self.t_burn:g} is below the recommended floor "
-                f"5/omega={5.0 / omega:g}; stationary averages may be biased",
-                stacklevel=2,
-            )
-
-
-@dataclass(frozen=True)
-class InvariantAverageEstimate:
-    """Ergodic time average of an observable with batch-means standard error."""
-
-    mean: float | np.ndarray
-    std_error: float | np.ndarray
+        # Each test is written so that NaN fails it.
+        for name, ok, rule in (
+                ("h", 0 < self.h < math.inf, "finite and positive"),
+                ("t_burn", 0 <= self.t_burn < math.inf,
+                 "finite and nonnegative"),
+                ("t_avg", 0 < self.t_avg < math.inf, "finite and positive"),
+                ("n_replicas", self.n_replicas >= 1, "at least 1")):
+            if not ok:
+                raise InvalidParameterError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}",
+                    name=name)
 
 
 class FastStepper:
@@ -136,26 +120,24 @@ class FastStepper:
         return states, nodes
 
 
-def _stepper(cfg: FrozenFastConfig) -> FastStepper:
-    """cfg's stepper: step cfg.h on the unit time scale."""
-    return FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, cfg.h, 1.0)
-
-
-def step_frozen_fast(v: np.ndarray, cfg: FrozenFastConfig, stream: RngStream,
+def step_frozen_fast(v: np.ndarray, model: ModelSpec, x: np.ndarray,
+                     params: FrozenFastParams, stream: RngStream,
                      x_phys: np.ndarray | None = None) -> np.ndarray:
-    """One exponential-integrator step: linear part and noise exact, the
-    rest of g frozen."""
+    """One exponential-integrator step of the fast field frozen at slow
+    state x: linear part and noise exact, the rest of g frozen."""
+    grid = model.grid
     if x_phys is None:
-        x_phys = synthesize(cfg.x, cfg.grid)
-    v = as_modal_field(v, cfg.grid.n_modes)
-    stepper = _stepper(cfg)
-    noise = stepper.noise(stream.normals(cfg.grid.n_modes)[None])
-    states, _ = stepper.advance(v, synthesize(v, cfg.grid),
+        x_phys = synthesize(x, grid)
+    v = as_modal_field(v, grid.n_modes)
+    stepper = FastStepper(model.reaction_fast, grid, model.op2, params.h, 1.0)
+    noise = stepper.noise(stream.normals(grid.n_modes)[None])
+    states, _ = stepper.advance(v, synthesize(v, grid),
                                 stepper.drive(x_phys), noise)
     return states[0]
 
 
-def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
+def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
+                  observable, streams: list,
                   x_phys: np.ndarray) -> np.ndarray:
     """Burn in, then return the per-batch time averages of the observable,
     one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).
@@ -172,13 +154,14 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
     field turns non-finite raises StateExplosionError at the end of its
     draw chunk, before the observable sees any row of that chunk.
     """
-    n_burn = int(round(cfg.t_burn / cfg.h))
-    n_avg = N_BATCHES * max(1, int(math.ceil(cfg.t_avg / (N_BATCHES * cfg.h))))
+    h = params.h
+    n_burn = int(round(params.t_burn / h))
+    n_avg = N_BATCHES * max(1, int(math.ceil(params.t_avg / (N_BATCHES * h))))
     batch_len = n_avg // N_BATCHES
-    n_modes = cfg.grid.n_modes
-    n_quad = cfg.grid.n_quad
+    n_modes = model.grid.n_modes
+    n_quad = model.grid.n_quad
     n_rep = len(streams)
-    stepper = _stepper(cfg)
+    stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
     drive = stepper.drive(x_phys)
 
     v = np.zeros((n_rep, n_modes))
@@ -199,7 +182,7 @@ def _run_replicas(cfg: FrozenFastConfig, observable, streams: list,
         if not finite.all():
             bad = int(np.argmin(finite))
             raise StateExplosionError(
-                (start + steps) * cfg.h, float(np.linalg.norm(cfg.x)),
+                (start + steps) * h, float(np.linalg.norm(x)),
                 float(np.linalg.norm(v[bad])), math.inf,
                 where=f" in frozen-fast replica {bad}")
         first = max(0, n_burn - start)
@@ -243,30 +226,39 @@ def batch_std_error(batches: np.ndarray) -> np.ndarray:
     return plain * np.sqrt((1.0 + rho) / (1.0 - rho))
 
 
-def estimate_invariant_average(cfg: FrozenFastConfig, observable,
-                               master_seed: int = 0,
-                               key: tuple = ()) -> InvariantAverageEstimate:
-    """Time average of observable(v_phys) over [t_burn, t_burn + t_avg].
+def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
+                               observable, master_seed: int = 0,
+                               key: tuple = ()) -> tuple:
+    """Time average of observable(v_phys) over [t_burn, t_burn + t_avg] of
+    model's fast field frozen at slow state x, and its standard error.
 
     The observable maps rows to rows: it is called on an (n, M) array of
     nodal fields, where a row is one (step, replica) pair, and must return
     one value per row, shape (n,), or one vector per row, shape (n, K); any
     other shape raises InvalidParameterError.  It is called once per draw
-    chunk on all of the chunk's averaged steps of all cfg.n_replicas
+    chunk on all of the chunk's averaged steps of all params.n_replicas
     replicas, so it must not depend on a row's position or on n.  The mean
-    is a float or a (K,) array accordingly.  Replicas use independent
-    frozen_fast_noise streams derived from (master_seed, replica) and the
-    trailing key.  The standard error comes from the correlated per-batch
-    means (batch_std_error) and shrinks like 1/sqrt(n_replicas * t_avg).
+    and standard error are floats or (K,) arrays accordingly.  Replicas use
+    independent frozen_fast_noise streams derived from (master_seed,
+    replica) and the trailing key.  The standard error comes from the
+    correlated per-batch means (batch_std_error) and shrinks like
+    1/sqrt(n_replicas * t_avg).  A burn-in shorter than 5/omega warns.
     """
-    x_phys = synthesize(cfg.x, cfg.grid)
+    omega = model.omega
+    if params.t_burn < 5.0 / omega:
+        warnings.warn(
+            f"t_burn={params.t_burn:g} is below the recommended floor "
+            f"5/omega={5.0 / omega:g}; stationary averages may be biased",
+            stacklevel=2,
+        )
+    x = as_modal_field(x, model.n_modes)
+    x_phys = synthesize(x, model.grid)
     streams = [derive_stream(master_seed, replica, "frozen_fast_noise", key)
-               for replica in range(cfg.n_replicas)]
-    batches = _run_replicas(cfg, observable, streams, x_phys)
+               for replica in range(params.n_replicas)]
+    batches = _run_replicas(model, x, params, observable, streams, x_phys)
     # Replica-major rows: the pooled mean sums the batches in this order.
     stacked = batches.reshape((-1,) + batches.shape[2:])
     mean, std_error = stacked.mean(axis=0), batch_std_error(batches)
     if mean.ndim == 0:
-        mean, std_error = float(mean), float(std_error)
-    return InvariantAverageEstimate(mean=mean, std_error=std_error)
-
+        return float(mean), float(std_error)
+    return mean, std_error

@@ -32,7 +32,7 @@ from .coupled import (SlowFastTrajectory, block_freezing_errors,
                       khasminskii_delta, path_functionals, simulate_slowfast,
                       snap_block)
 from .errors import InvalidParameterError, StateExplosionError
-from .fast_dynamics import FrozenFastConfig, estimate_invariant_average
+from .fast_dynamics import estimate_invariant_average
 from .model import ModelSpec
 from .noise import derive_stream
 from .reactions import eval_V
@@ -501,20 +501,15 @@ def pooled_invariant_rows(cfg: ExperimentConfig) -> list[tuple]:
     """Stationary averages of the configured observables of the fast field
     frozen at u0; returns (observable_id, mean, std_error) triples."""
     model = cfg.model
-    inv = cfg.invariant
-    run = FrozenFastConfig(
-        x=model.u0, op2=model.op2, reaction_fast=model.reaction_fast,
-        grid=model.grid, h=inv.h, t_burn=inv.t_burn, t_avg=inv.t_avg,
-        n_replicas=inv.n_replicas,
-    )
     specs = cfg.observables
 
     def observable(v_phys):
         v_modal = analyze(v_phys, model.grid)
         return np.stack([spec(v_modal) for spec in specs], axis=-1)
 
-    est = estimate_invariant_average(run, observable, cfg.master_seed)
-    return [(ob.label, float(est.mean[i]), float(est.std_error[i]))
+    mean, std_error = estimate_invariant_average(
+        model, model.u0, cfg.invariant, observable, cfg.master_seed)
+    return [(ob.label, float(mean[i]), float(std_error[i]))
             for i, ob in enumerate(specs)]
 
 

@@ -36,16 +36,17 @@ class ModelSpec:
     gamma1_star: float = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.epsilon <= 1:
-            raise InvalidParameterError(f"epsilon must be in (0,1], got {self.epsilon}")
-        if self.horizon <= 0:
-            raise InvalidParameterError("horizon must be positive")
-        if not 0 <= self.theta <= 1:
-            raise InvalidParameterError("theta must be in [0,1]")
-        if self.h_macro <= 0 or self.substep_ratio <= 0:
-            raise InvalidParameterError("h_macro and substep_ratio must be positive")
-        if self.explosion_bound <= 0:
-            raise InvalidParameterError("explosion_bound must be positive")
+        for name, ok, rule in (
+                ("epsilon", 0 < self.epsilon <= 1, "in (0,1]"),
+                ("horizon", self.horizon > 0, "positive"),
+                ("theta", 0 <= self.theta <= 1, "in [0,1]"),
+                ("h_macro", self.h_macro > 0, "positive"),
+                ("substep_ratio", self.substep_ratio > 0, "positive"),
+                ("explosion_bound", self.explosion_bound > 0, "positive")):
+            if not ok:
+                value = getattr(self, name)
+                raise InvalidParameterError(
+                    f"{name} must be {rule}, got {value!r}", name=name)
         n = self.grid.n_modes
         if self.op1.n_modes != n or self.op2.n_modes != n:
             raise InvalidParameterError("operators and grid disagree on n_modes")

@@ -40,7 +40,6 @@ __all__ = [
     "lyapunov_norms",
     "eval_V",
     "validate_dissipativity",
-    "SampleBox",
     "GrowthReport",
     "validate_growth",
 ]
@@ -254,13 +253,11 @@ class LyapunovSpec:
     m2: float
     kappa1: float
     kappa2: float
-    p_bar: float = field(init=False)
     q_bar: float = field(init=False)
 
     def __post_init__(self):
         if self.c_V <= 0:
             raise InvalidParameterError("c_V must be positive")
-        object.__setattr__(self, "p_bar", 2.0 * self.kappa2 * self.m1)
         object.__setattr__(self, "q_bar",
                            max(2.0 * self.kappa1 * self.m1, 4.0 * self.m2))
 
@@ -317,14 +314,12 @@ def validate_dissipativity(alpha21: float, L2: float) -> float:
     return omega
 
 
-@dataclass(frozen=True)
-class SampleBox:
-    """Finite lattice over which the growth inequalities are spot-checked."""
-
-    t_values: tuple = (0.0,)
-    sigma_values: tuple = tuple(np.linspace(-10, 10, 41))
-    rho_values: tuple = (-2.0, -0.5, 0.0, 0.5, 2.0)
-    lambda_values: tuple = tuple(np.linspace(-10, 10, 41))
+# The lattice on which validate_growth spot-checks the growth
+# inequalities, at t = 0, and its slack on the declared constants.
+GROWTH_SIGMAS = np.linspace(-10, 10, 41)
+GROWTH_LAMBDAS = np.linspace(-10, 10, 41)
+GROWTH_RHOS = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+GROWTH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -335,42 +330,36 @@ class GrowthReport:
     one_sided_worst_ratio: float
 
 
-def validate_growth(spec: ReactionSpec, box: SampleBox | None = None,
-                    tol: float = 1e-9) -> GrowthReport:
-    """Numeric sampling check (not a proof) of the two growth inequalities:
+def validate_growth(spec: ReactionSpec) -> GrowthReport:
+    """Numeric sampling check (not a proof) of the two growth inequalities
+    on the GROWTH_* lattice at t = 0, with slack GROWTH_TOL:
 
     uniform:   |b(t,xi,sigma,lam)| <= c1 (a1 + |sigma|^m1 + |lam|^m2)
     one-sided: b(t,xi,sigma+rho,lam)*sigma <= c2 (a2 + sigma^2 + |lam|^k1 + |rho|^k2)
     """
     if spec.role != "slow":
         raise InvalidParameterError("validate_growth applies to slow reactions")
-    box = box or SampleBox()
-    sigma = np.asarray(box.sigma_values, dtype=float)
-    lam = np.asarray(box.lambda_values, dtype=float)
-    rho = np.asarray(box.rho_values, dtype=float)
-
+    s_grid, l_grid = np.meshgrid(GROWTH_SIGMAS, GROWTH_LAMBDAS, indexing="ij")
     uniform_worst = 0.0
     one_sided_worst = 0.0
-    for t in box.t_values:
-        s_grid, l_grid = np.meshgrid(sigma, lam, indexing="ij")
-        b = eval_b(spec, t, 0.0, s_grid, l_grid)
-        envelope = spec.a1 + np.abs(s_grid) ** spec.m1 + np.abs(l_grid) ** spec.m2
-        mask = envelope > 0
+    b = eval_b(spec, 0.0, 0.0, s_grid, l_grid)
+    envelope = spec.a1 + np.abs(s_grid) ** spec.m1 + np.abs(l_grid) ** spec.m2
+    mask = envelope > 0
+    if np.any(mask):
+        uniform_worst = max(uniform_worst,
+                            float(np.max(np.abs(b[mask]) / envelope[mask])))
+    for r in GROWTH_RHOS:
+        b_shift = eval_b(spec, 0.0, 0.0, s_grid + r, l_grid)
+        lhs = b_shift * s_grid
+        rhs = (spec.a2 + s_grid ** 2 + np.abs(l_grid) ** spec.kappa1
+               + abs(r) ** spec.kappa2)
+        mask = rhs > 0
         if np.any(mask):
-            uniform_worst = max(uniform_worst,
-                                float(np.max(np.abs(b[mask]) / envelope[mask])))
-        for r in rho:
-            b_shift = eval_b(spec, t, 0.0, s_grid + r, l_grid)
-            lhs = b_shift * s_grid
-            rhs = (spec.a2 + s_grid ** 2 + np.abs(l_grid) ** spec.kappa1
-                   + abs(r) ** spec.kappa2)
-            mask = rhs > 0
-            if np.any(mask):
-                one_sided_worst = max(one_sided_worst,
-                                      float(np.max(lhs[mask] / rhs[mask])))
+            one_sided_worst = max(one_sided_worst,
+                                  float(np.max(lhs[mask] / rhs[mask])))
     return GrowthReport(
-        uniform_ok=uniform_worst <= spec.c1 + tol,
+        uniform_ok=uniform_worst <= spec.c1 + GROWTH_TOL,
         uniform_worst_ratio=uniform_worst,
-        one_sided_ok=one_sided_worst <= spec.c2 + tol,
+        one_sided_ok=one_sided_worst <= spec.c2 + GROWTH_TOL,
         one_sided_worst_ratio=one_sided_worst,
     )

@@ -109,8 +109,8 @@ def test_criterion_2_averaged_drift_oracle():
         sf.make_fast_reaction("linear_benchmark", a_c=1.0, b_c=2.0),
         grid, 0.1, 1.0, u0, np.zeros(n_modes))
     omega = model.omega
-    params = sf.AveragedDriftParams(h_fast=0.005, t_burn=10.0 / omega,
-                                    t_avg=200.0 / omega, n_replicas=16)
+    params = sf.FrozenFastParams(h=0.005, t_burn=10.0 / omega,
+                                 t_avg=200.0 / omega, n_replicas=16)
     mean, se = sf.estimate_Fbar(0.0, u0, params, model, master_seed=2024)
     exact = sf.analytic_Fbar_linear(model, 0.0, u0)
 

@@ -6,8 +6,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from slowfast import (AveragedDriftParams, FrozenFastConfig,
-                      InvalidParameterError, SpectralOperator,
+from slowfast import (FrozenFastParams, InvalidParameterError,
+                      SpectralOperator,
                       StateExplosionError, analytic_Fbar_linear,
                       estimate_Fbar, estimate_invariant_average, eval_V,
                       make_fast_reaction, simulate_averaged, synthesize)
@@ -21,23 +21,19 @@ from conftest import cubic_model, linear_model, unit_field
 
 def fast_params(model, t_avg_units=50.0, n_replicas=4, h=0.01, **kw):
     omega = model.omega
-    return AveragedDriftParams(h_fast=h, t_burn=10.0 / omega,
-                               t_avg=t_avg_units / omega,
-                               n_replicas=n_replicas, **kw)
+    return FrozenFastParams(h=h, t_burn=10.0 / omega,
+                            t_avg=t_avg_units / omega,
+                            n_replicas=n_replicas, **kw)
 
 
 def estimate_Vbar(x, model, params, master_seed=0):
     """Stationary expectation of V(x, v) under the frozen fast law, with
     its standard error."""
     x_phys = synthesize(x, model.grid)
-    cfg = FrozenFastConfig(
-        x=x, op2=model.op2, reaction_fast=model.reaction_fast, grid=model.grid,
-        h=params.h_fast, t_burn=params.t_burn, t_avg=params.t_avg,
-        n_replicas=params.n_replicas)
-    est = estimate_invariant_average(
-        cfg, lambda v_phys: eval_V(x_phys, v_phys, model.lyapunov, model.grid),
+    return estimate_invariant_average(
+        model, x, params,
+        lambda v_phys: eval_V(x_phys, v_phys, model.lyapunov, model.grid),
         master_seed)
-    return est.mean, est.std_error
 
 
 class TestAnalyticOracle:
@@ -255,8 +251,8 @@ class TestVbar:
         model = dataclasses.replace(
             model, reaction_fast=make_fast_reaction("linear_benchmark",
                                                     a_c=0.0, b_c=0.0))
-        params = AveragedDriftParams(h_fast=0.01, t_burn=2.0, t_avg=2.0,
-                                     n_replicas=1)
+        params = FrozenFastParams(h=0.01, t_burn=2.0, t_avg=2.0,
+                                  n_replicas=1)
         mean, _ = estimate_Vbar(np.zeros(4), model, params)
         assert mean == pytest.approx(model.lyapunov.c_V)
 
@@ -393,7 +389,7 @@ class TestFrozenStepBias:
 
     @staticmethod
     def fbar_z(model, x, params):
-        fine = dataclasses.replace(params, h_fast=params.h_fast / 10)
+        fine = dataclasses.replace(params, h=params.h / 10)
         return step_z(estimate_Fbar(0.0, x, params, model, master_seed=1),
                       estimate_Fbar(0.0, x, fine, model, master_seed=2))
 
@@ -437,8 +433,8 @@ class TestFrozenStepBias:
             reaction_fast=make_fast_reaction("lipschitz_saturating", a_c=1.0,
                                              b_c=2.0, c_s=6.0),
             op2=SpectralOperator.from_power_law(n, 1.0, 1.0, 1.0, 1.0, 0.5))
-        params = AveragedDriftParams(h_fast=0.2, t_burn=3.0, t_avg=50.0,
-                                     n_replicas=256)
+        params = FrozenFastParams(h=0.2, t_burn=3.0, t_avg=50.0,
+                                  n_replicas=256)
         assert params.t_burn >= 5.0 / model.omega
         z = self.fbar_z(model, self.large_state(model), params)
         assert z.max() > bonferroni_bound(n), z

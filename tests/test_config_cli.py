@@ -158,6 +158,72 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "experiment" in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        (section, key, value)
+        for section, step in (("invariant", "h"), ("averaging", "h_fast"))
+        for key, value in ((step, 0.0), (step, -0.01), ("t_burn", -1.0),
+                           ("t_avg", 0.0), ("n_replicas", 0))])
+    def test_frozen_fast_range_rejected_at_load(self, tmp_path, capsys,
+                                                section, key, value):
+        # Both sections are one parameter set, checked when the config
+        # loads, whichever subcommand reads them.
+        raw = copy.deepcopy(BASE)
+        raw[section][key] = value
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        command = "invariant" if section == "invariant" else "average"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{section}.{key}:" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,where,value,named", [
+        ("simulate", ("model", "h_macro"), -0.01, "model.h_macro"),
+        ("invariant", ("experiment", "observables"), [{"kind": "mode", "k": 0}],
+         "observables[0].k"),
+        ("invariant", ("experiment", "observables"),
+         [{"kind": "mode", "k": 1}, {"kind": "mode", "k": 5}],
+         "observables[1].k"),
+        ("converge", ("experiment", "test_functions"),
+         [{"modes": [1.0, 0.0, 0.0, 0.0, 1.0]}], "test_functions[0].modes"),
+        ("audit", ("experiment", "theta_sequence"), [0.1, 1.5],
+         "theta_sequence"),
+        ("audit", ("experiment", "theta_sequence"), [0.1, -0.01],
+         "theta_sequence"),
+        ("audit", ("experiment", "theta_sequence"), [0.1], "theta_sequence"),
+        ("audit", ("experiment", "c_const"), 0.0, "c_const"),
+        ("simulate", ("experiment", "dump_modes"), -1, "dump_modes"),
+        ("converge", ("experiment", "ensemble_size"), 0, "ensemble_size"),
+        ("simulate", ("experiment", "master_seed"), -1, "master_seed"),
+        ("converge", ("experiment", "test_functions"),
+         [{"modes": [1.0], "time_power": -1}], "test_functions[0].time_power"),
+    ], ids=["h_macro", "mode_0", "mode_past_n_modes", "test_function_modes",
+            "theta_above_1", "theta_below_0", "one_theta_level", "c_const_0",
+            "dump_modes_negative", "ensemble_size_0", "master_seed_negative",
+            "time_power_negative"])
+    def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys,
+                                                 command, where, value, named):
+        # Each of these used to end in a traceback, or in a silently wrong
+        # or empty result.
+        raw = copy.deepcopy(BASE)
+        section, key = where
+        raw[section][key] = value
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0], err
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--seed", "-1", "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--seed" in err[0], err
+        assert not out.exists()
+
     def test_rejection_exit_code(self, tmp_path, capsys):
         raw = copy.deepcopy(BASE)
         raw["model"]["reactions"]["fast"]["b_c"] = 12.0

@@ -12,7 +12,7 @@ from slowfast import (InvalidParameterError, StateExplosionError, analyze, build
                       nemytskii_drift, simulate_slowfast, synthesize)
 from slowfast.config import parse_config
 from slowfast.coupled import (block_freezing_errors, freezing_deviations,
-                              path_functionals)
+                              path_functionals, snap_block)
 from slowfast.reactions import fast_coefficients, lyapunov_norms
 from slowfast.spectral import kahan_add
 
@@ -325,7 +325,7 @@ class TestKernelBitIdentity:
         model = KERNEL_MODELS[kind](0.02)
         traj = simulate_slowfast(model, 43, 1, record_noise=True)
         aux = build_auxiliary(traj, 0.05, model)
-        assert aux.steps_per_block == 5
+        assert snap_block(0.05, model.h_macro)[0] == 5
         assert np.array_equal(aux.v_aux, _reference_replay(traj, model, 5))
 
     # 70 macro steps leave a last block of 1, 2 and 10 steps at 3, 4, 15.
@@ -343,8 +343,9 @@ class TestKernelBitIdentity:
             calls.append(len(args[-1]))
             return advance(self, *args)
         monkeypatch.setattr(fast_dynamics.FastStepper, "advance", counting)
-        aux = build_auxiliary(traj, steps_per_block * model.h_macro, model)
-        assert aux.steps_per_block == steps_per_block
+        delta = steps_per_block * model.h_macro
+        aux = build_auxiliary(traj, delta, model)
+        assert snap_block(delta, model.h_macro)[0] == steps_per_block
         assert np.array_equal(aux.v_aux,
                               _reference_replay(traj, model, steps_per_block))
         # A block's first macro step is the path's own, never replayed.
@@ -488,7 +489,7 @@ class TestAuxiliary:
         a = build_auxiliary(traj, 0.05, model)
         b = build_auxiliary(traj, 0.05, model)
         assert np.array_equal(a.v_aux, b.v_aux)
-        assert a.delta_snapped == b.delta_snapped
+        assert np.array_equal(a.u_aux, b.u_aux)
 
     def test_missing_noise_rejected(self):
         model = linear_model(eps=0.1, horizon=0.1)

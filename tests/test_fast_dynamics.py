@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, linregress
 
-from slowfast import (FrozenFastConfig, GridSpec, InvalidParameterError,
-                      SpectralOperator, StateExplosionError,
+from slowfast import (FrozenFastParams, GridSpec, InvalidParameterError,
+                      SpectralOperator, StateExplosionError, build_model,
                       estimate_invariant_average, make_fast_reaction, make_plan,
                       make_slow_reaction, nemytskii_drift, step_frozen_fast,
                       synthesize)
@@ -25,6 +24,9 @@ M = 16
 
 def frozen_cfg(a_c=1.0, b_c=2.0, lam=0.2, x_mode=1.0, h=0.01,
                t_burn=None, t_avg=10.0, n_replicas=4, c_s=0.0, nu=1.0):
+    """A model with the given fast operator and reaction, a frozen slow
+    state x = x_mode e_1, and the frozen-fast parameters; t_burn defaults
+    to 10/omega."""
     grid = GridSpec(n_modes=N, n_quad=M)
     op2 = SpectralOperator.from_power_law(N, nu, 1.0, lam, 1.0, 0.5)
     if c_s:
@@ -32,87 +34,88 @@ def frozen_cfg(a_c=1.0, b_c=2.0, lam=0.2, x_mode=1.0, h=0.01,
                                       c_s=c_s)
     else:
         reaction = make_fast_reaction("linear_benchmark", a_c=a_c, b_c=b_c)
-    omega = op2.alphas[0] - reaction.L2
+    model = build_model(op2, op2, make_slow_reaction("linear_benchmark"),
+                        reaction, grid, 0.1, 1.0, np.zeros(N), np.zeros(N))
     if t_burn is None:
-        t_burn = 10.0 / omega
-    return FrozenFastConfig(x=unit_field(N, value=x_mode), op2=op2,
-                            reaction_fast=reaction, grid=grid, h=h,
-                            t_burn=t_burn, t_avg=t_avg, n_replicas=n_replicas)
+        t_burn = 10.0 / model.omega
+    return (model, unit_field(N, value=x_mode),
+            FrozenFastParams(h=h, t_burn=t_burn, t_avg=t_avg,
+                             n_replicas=n_replicas))
 
 
-def omega(cfg):
-    """The dissipativity gap alpha_{2,1} - L2 of cfg's fast reaction."""
-    return float(cfg.op2.alphas[0]) - cfg.reaction_fast.L2
-
-
-def pair_distances(cfg, v1, v2, x1, x2, t_max, master_seed):
+def pair_distances(model, params, v1, v2, x1, x2, t_max, master_seed):
     """Two frozen-fast chains, at slow states x1 and x2, under common noise:
     one (2, N) block whose rows take the same increments.  Returns the
     step times and the distance |v1(t) - v2(t)| after each step."""
-    fast = FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, cfg.h, 1.0)
+    h = params.h
+    fast = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
     stream = derive_stream(master_seed, 0, "frozen_fast_noise")
-    n_steps = max(2, int(round(t_max / cfg.h)))
+    n_steps = max(2, int(round(t_max / h)))
     noise = fast.noise(stream.normals(n_steps * N).reshape(n_steps, 1, N))
     v = np.stack([v1, v2])
     states, _ = fast.advance(
-        v, synthesize(v, cfg.grid),
-        fast.drive(synthesize(np.stack([x1, x2]), cfg.grid)), noise)
-    return (np.arange(1, n_steps + 1) * cfg.h,
+        v, synthesize(v, model.grid),
+        fast.drive(synthesize(np.stack([x1, x2]), model.grid)), noise)
+    return (np.arange(1, n_steps + 1) * h,
             np.linalg.norm(states[:, 0] - states[:, 1], axis=-1))
 
 
-def contraction_rate(cfg, y1, y2, master_seed, t_max=None):
+def contraction_rate(model, x, params, y1, y2, master_seed, t_max=None):
     """Fitted exponential decay rate of the common-noise distance of two
-    chains started at y1 and y2; omega > 0 bounds it by -omega."""
+    chains frozen at x, started at y1 and y2; omega > 0 bounds it by
+    -omega."""
     if t_max is None:
-        t_max = 5.0 / omega(cfg)
-    times, dists = pair_distances(cfg, y1, y2, cfg.x, cfg.x, t_max,
+        t_max = 5.0 / model.omega
+    times, dists = pair_distances(model, params, y1, y2, x, x, t_max,
                                   master_seed)
     mask = dists > 0
     return float(np.polyfit(times[mask], np.log(dists[mask]), 1)[0])
 
 
-def lipschitz_ratio(cfg, x1, x2, master_seed, t_max):
+def lipschitz_ratio(model, params, x1, x2, master_seed, t_max):
     """sup_t |v^{x1}(t) - v^{x2}(t)| / |x1 - x2| for two chains started at
     zero under common noise."""
     y0 = np.zeros(N)
-    _, dists = pair_distances(cfg, y0, y0, x1, x2, t_max, master_seed)
+    _, dists = pair_distances(model, params, y0, y0, x1, x2, t_max,
+                              master_seed)
     return float(np.max(dists)) / float(np.linalg.norm(x1 - x2))
 
 
-def stationary_moment(cfg, x, master_seed):
-    """Stationary E|v|^2 of the frozen fast law at slow state x."""
-    quad = cfg.grid.quad_weight
+def stationary_moment(model, x, params, master_seed):
+    """Stationary E|v|^2 of the frozen fast law at slow state x: its mean
+    and standard error."""
+    quad = model.grid.quad_weight
     return estimate_invariant_average(
-        dataclasses.replace(cfg, x=x),
+        model, x, params,
         lambda v_phys: quad * np.sum(v_phys * v_phys, axis=-1), master_seed)
 
 
 class TestStepFrozenFast:
     def test_pure_semigroup_decay(self):
-        cfg = frozen_cfg(a_c=0.0, b_c=0.0, lam=0.0, x_mode=0.0)
+        model, x, params = frozen_cfg(a_c=0.0, b_c=0.0, lam=0.0, x_mode=0.0)
         stream = derive_stream(0, 0, "frozen_fast_noise")
         v = unit_field(N)
-        v = step_frozen_fast(v, cfg, stream)
-        assert v[0] == pytest.approx(math.exp(-cfg.op2.alphas[0] * cfg.h), rel=1e-12)
+        v = step_frozen_fast(v, model, x, params, stream)
+        assert v[0] == pytest.approx(
+            math.exp(-model.op2.alphas[0] * params.h), rel=1e-12)
         assert np.all(v[1:] == 0)
 
     def test_linear_fixed_point(self):
         # noise off: iterates converge to a_c x_k / (alpha_k + b_c)
-        cfg = frozen_cfg(lam=0.0)
+        model, x, params = frozen_cfg(lam=0.0)
         stream = derive_stream(0, 0, "frozen_fast_noise")
         v = np.zeros(N)
-        n_steps = int(50.0 / (cfg.h * (cfg.op2.alphas[0] + 2.0)))
+        n_steps = int(50.0 / (params.h * (model.op2.alphas[0] + 2.0)))
         for _ in range(n_steps):
-            v = step_frozen_fast(v, cfg, stream)
-        expected = cfg.x / (cfg.op2.alphas + 2.0)
+            v = step_frozen_fast(v, model, x, params, stream)
+        expected = x / (model.op2.alphas + 2.0)
         assert np.max(np.abs(v - expected)) <= 1e-8
 
     def test_small_step_changes_field_slightly(self):
-        cfg = frozen_cfg(h=1e-6, lam=0.2)
+        model, x, params = frozen_cfg(h=1e-6, lam=0.2)
         stream = derive_stream(3, 0, "frozen_fast_noise")
         v0 = unit_field(N)
-        v1 = step_frozen_fast(v0, cfg, stream)
+        v1 = step_frozen_fast(v0, model, x, params, stream)
         # drift O(h), noise O(sqrt(h))
         assert np.linalg.norm(v1 - v0) < 1e-2
 
@@ -123,90 +126,97 @@ class TestExactFastLinearPart:
     the step size does not bias it."""
 
     def test_stationary_variance_is_exact_per_mode(self):
-        cfg = frozen_cfg()
+        model, _, _ = frozen_cfg()
+        op2 = model.op2
         eps = 0.02
-        stepper = FastStepper(cfg.reaction_fast, cfg.grid, cfg.op2, 0.2 * eps,
+        stepper = FastStepper(model.reaction_fast, model.grid, op2, 0.2 * eps,
                               eps)
-        exact = cfg.op2.lambdas ** 2 / (2.0 * (cfg.op2.alphas + 2.0))
+        exact = op2.lambdas ** 2 / (2.0 * (op2.alphas + 2.0))
         variance = stepper.noise_std ** 2 / (1.0 - stepper.decay ** 2)
         np.testing.assert_allclose(variance, exact, rtol=1e-12)
         # Treating -b_c*sigma explicitly instead biases mode 1 upward.
-        plan = make_plan(cfg.op2, 0.2 * eps, eps)
+        plan = make_plan(op2, 0.2 * eps, eps)
         explicit = plan.noise_std ** 2 / (
             1.0 - (plan.decay - 2.0 * plan.drift_weight) ** 2)
         assert explicit[0] > 1.1 * exact[0]
 
     def test_sampled_mode_1_variance_in_chi_square_band(self):
-        cfg = frozen_cfg(x_mode=0.0, h=0.2, t_avg=400.0, n_replicas=4)
-        n_samples = cfg.n_replicas * _steps(cfg)[1]
+        model, x, params = frozen_cfg(x_mode=0.0, h=0.2, t_avg=400.0,
+                                      n_replicas=4)
+        n_samples = params.n_replicas * _steps(params)[1]
 
         def mode1_sq(v_phys):
             from slowfast.spectral import analyze
-            return analyze(v_phys, cfg.grid)[:, 0] ** 2
+            return analyze(v_phys, model.grid)[:, 0] ** 2
 
-        est = estimate_invariant_average(cfg, mode1_sq, master_seed=29)
-        exact = cfg.op2.lambdas[0] ** 2 / (2.0 * (cfg.op2.alphas[0] + 2.0))
+        mean, _ = estimate_invariant_average(model, x, params, mode1_sq,
+                                             master_seed=29)
+        op2 = model.op2
+        exact = op2.lambdas[0] ** 2 / (2.0 * (op2.alphas[0] + 2.0))
         # v_1^2 of an AR(1) chain with lag-1 correlation rho is correlated
         # as rho^(2k): the effective chi-square degrees of freedom.
-        rho2 = math.exp(-2.0 * (cfg.op2.alphas[0] + 2.0) * cfg.h)
+        rho2 = math.exp(-2.0 * (op2.alphas[0] + 2.0) * params.h)
         dof = n_samples * (1.0 - rho2) / (1.0 + rho2)
         low, high = chi2.ppf([1e-6, 1.0 - 1e-6], dof) / dof
-        assert low * exact <= est.mean <= high * exact
+        assert low * exact <= mean <= high * exact
 
 
 class TestInvariantAverage:
     def test_constant_observable(self):
         from slowfast.fast_dynamics import _run_replicas
-        cfg = frozen_cfg(t_avg=1.0, n_replicas=2)
+        model, x, params = frozen_cfg(t_avg=1.0, n_replicas=2)
 
         def ones(v_phys):
             return np.ones(v_phys.shape[0])
-        est = estimate_invariant_average(cfg, ones, master_seed=5)
-        assert est.mean == pytest.approx(1.0)
-        assert est.std_error == 0.0
+        mean, std_error = estimate_invariant_average(model, x, params, ones,
+                                                     master_seed=5)
+        assert mean == pytest.approx(1.0)
+        assert std_error == 0.0
         # The estimate pools one batch mean per (replica, batch).
         streams = [derive_stream(5, r, "frozen_fast_noise") for r in range(2)]
-        batches = _run_replicas(cfg, ones, streams,
-                                synthesize(cfg.x, cfg.grid))
+        batches = _run_replicas(model, x, params, ones, streams,
+                                synthesize(x, model.grid))
         assert batches.shape == (2, N_BATCHES)
 
     def test_norm_square_matches_ou_closed_form(self):
         # x=0, a_c=0, b_c=0: stationary E|v|^2 = sum lambda_k^2/(2 alpha_k)
-        cfg = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3, t_avg=40.0,
-                         n_replicas=4)
-        quad = cfg.grid.quad_weight
+        model, x, params = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3,
+                                      t_avg=40.0, n_replicas=4)
+        quad = model.grid.quad_weight
 
         def norm_sq(v_phys):
             return quad * np.sum(v_phys * v_phys, axis=-1)
 
-        est = estimate_invariant_average(cfg, norm_sq, master_seed=17)
-        exact = float(np.sum(cfg.op2.lambdas ** 2 / (2 * cfg.op2.alphas)))
-        assert abs(est.mean - exact) <= 3 * est.std_error
+        mean, std_error = estimate_invariant_average(model, x, params,
+                                                     norm_sq, master_seed=17)
+        exact = float(np.sum(model.op2.lambdas ** 2 / (2 * model.op2.alphas)))
+        assert abs(mean - exact) <= 3 * std_error
 
     def test_field_observable_matches_linear_mean(self):
         from slowfast.spectral import analyze
-        cfg = frozen_cfg(lam=0.2, t_avg=40.0, n_replicas=4)
-        grid = cfg.grid
+        model, x, params = frozen_cfg(lam=0.2, t_avg=40.0, n_replicas=4)
+        grid = model.grid
 
         def modal(v_phys):
             return analyze(v_phys, grid)
 
-        est = estimate_invariant_average(cfg, modal, master_seed=23)
-        expected = cfg.x / (cfg.op2.alphas + 2.0)
-        assert np.all(np.abs(est.mean - expected) <= 3 * est.std_error + 1e-12)
+        mean, std_error = estimate_invariant_average(model, x, params, modal,
+                                                     master_seed=23)
+        expected = x / (model.op2.alphas + 2.0)
+        assert np.all(np.abs(mean - expected) <= 3 * std_error + 1e-12)
 
     def test_std_error_shrinks_with_budget(self):
-        quad_w = frozen_cfg().grid.quad_weight
+        quad_w = frozen_cfg()[0].grid.quad_weight
 
         def norm_sq(v_phys):
             return quad_w * np.sum(v_phys * v_phys, axis=-1)
 
-        small = estimate_invariant_average(
-            frozen_cfg(t_avg=5.0, n_replicas=2), norm_sq, master_seed=3)
-        large = estimate_invariant_average(
-            frozen_cfg(t_avg=20.0, n_replicas=8), norm_sq, master_seed=3)
+        _, small = estimate_invariant_average(
+            *frozen_cfg(t_avg=5.0, n_replicas=2), norm_sq, master_seed=3)
+        _, large = estimate_invariant_average(
+            *frozen_cfg(t_avg=20.0, n_replicas=8), norm_sq, master_seed=3)
         # 16x the budget: expect roughly 4x smaller error bars
-        assert large.std_error < small.std_error
+        assert large < small
 
     @staticmethod
     def _ar1_batches(rho, n_rep, n_batches, seed):
@@ -253,68 +263,74 @@ class TestInvariantAverage:
         # stationary-window averages
         cfg_time = frozen_cfg(lam=0.2, t_avg=60.0, n_replicas=1)
         cfg_ens = frozen_cfg(lam=0.2, t_avg=2.0, n_replicas=30)
+        grid = cfg_time[0].grid
 
         def mode1(v_phys):
             from slowfast.spectral import analyze
-            return analyze(v_phys, cfg_time.grid)[:, 0]
+            return analyze(v_phys, grid)[:, 0]
 
-        time_avg = estimate_invariant_average(cfg_time, mode1, master_seed=31)
-        ens_avg = estimate_invariant_average(cfg_ens, mode1, master_seed=77)
-        combined = math.hypot(time_avg.std_error, ens_avg.std_error)
-        assert abs(time_avg.mean - ens_avg.mean) <= 3 * combined
+        time_mean, time_se = estimate_invariant_average(*cfg_time, mode1,
+                                                        master_seed=31)
+        ens_mean, ens_se = estimate_invariant_average(*cfg_ens, mode1,
+                                                      master_seed=77)
+        combined = math.hypot(time_se, ens_se)
+        assert abs(time_mean - ens_mean) <= 3 * combined
 
     def test_no_drift_from_stationarity(self):
         # batch means of |v|^2 show no time trend at the 1% level
-        cfg = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3, t_avg=40.0,
-                         n_replicas=1)
+        model, x, params = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3,
+                                      t_avg=40.0, n_replicas=1)
         from slowfast.fast_dynamics import _run_replicas
         from slowfast.spectral import synthesize
-        x_phys = synthesize(cfg.x, cfg.grid)
-        quad = cfg.grid.quad_weight
+        x_phys = synthesize(x, model.grid)
+        quad = model.grid.quad_weight
         stream = derive_stream(41, 0, "frozen_fast_noise")
-        batches = _run_replicas(cfg, lambda v: quad * np.sum(v * v, axis=-1),
+        batches = _run_replicas(model, x, params,
+                                lambda v: quad * np.sum(v * v, axis=-1),
                                 [stream], x_phys)[0]
         values = np.array([float(b) for b in batches])
         fit = linregress(np.arange(values.size), values)
         assert fit.pvalue > 0.01
 
     def _kernel_inputs(self, c_s=0.2):
-        cfg = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1, c_s=c_s)
-        return cfg, synthesize(cfg.x, cfg.grid)
+        model, x, params = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1,
+                                      c_s=c_s)
+        return model, x, params, synthesize(x, model.grid)
 
     def test_matches_per_replica_loop(self):
         # The batched kernel against the one-vector-at-a-time loop it
         # replaced: identical arithmetic, so identical bits.
         from slowfast.fast_dynamics import _run_replicas
         from slowfast.spectral import analyze, kahan_add
-        cfg, x_phys = self._kernel_inputs()
-        n_burn = int(round(cfg.t_burn / cfg.h))
-        n_avg = N_BATCHES * max(1, math.ceil(cfg.t_avg / (N_BATCHES * cfg.h)))
+        model, x, params, x_phys = self._kernel_inputs()
+        grid = model.grid
+        n_burn, n_avg = _steps(params)
         batch_len = n_avg // N_BATCHES
         for replica in range(3):
             stream = derive_stream(8, replica, "frozen_fast_noise")
             v = np.zeros(N)
             for _ in range(n_burn):
-                v = step_frozen_fast(v, cfg, stream, x_phys)
+                v = step_frozen_fast(v, model, x, params, stream, x_phys)
             reference = []
             acc = comp = 0.0
             for i in range(n_avg):
-                v = step_frozen_fast(v, cfg, stream, x_phys)
+                v = step_frozen_fast(v, model, x, params, stream, x_phys)
                 acc, comp = kahan_add(acc, comp,
-                                      analyze(synthesize(v, cfg.grid), cfg.grid))
+                                      analyze(synthesize(v, grid), grid))
                 if (i + 1) % batch_len == 0:
                     reference.append(acc / batch_len)
                     acc = comp = 0.0
             streams = [derive_stream(8, r, "frozen_fast_noise") for r in range(3)]
-            batched = _run_replicas(cfg, lambda v_phys: analyze(v_phys, cfg.grid),
+            batched = _run_replicas(model, x, params,
+                                    lambda v_phys: analyze(v_phys, grid),
                                     streams, x_phys)
             assert np.array_equal(batched[replica], np.stack(reference))
 
     def test_replicas_are_independent_rows(self):
         # R replicas in one block give the batch means of R one-replica runs.
         from slowfast.fast_dynamics import _run_replicas
-        cfg, x_phys = self._kernel_inputs()
-        quad = cfg.grid.quad_weight
+        model, x, params, x_phys = self._kernel_inputs()
+        quad = model.grid.quad_weight
 
         def norm_sq(v_phys):
             return quad * np.sum(v_phys * v_phys, axis=-1)
@@ -322,29 +338,29 @@ class TestInvariantAverage:
         def streams(ids):
             return [derive_stream(12, r, "frozen_fast_noise") for r in ids]
 
-        block = _run_replicas(cfg, norm_sq, streams(range(5)), x_phys)
-        singles = [_run_replicas(cfg, norm_sq, streams([r]), x_phys)[0]
+        block = _run_replicas(model, x, params, norm_sq, streams(range(5)),
+                              x_phys)
+        singles = [_run_replicas(model, x, params, norm_sq, streams([r]),
+                                 x_phys)[0]
                    for r in range(5)]
         assert block.shape == (5, N_BATCHES)
         assert np.array_equal(block, np.stack(singles))
-        est = estimate_invariant_average(
-            FrozenFastConfig(x=cfg.x, op2=cfg.op2,
-                             reaction_fast=cfg.reaction_fast, grid=cfg.grid,
-                             h=cfg.h, t_burn=cfg.t_burn, t_avg=cfg.t_avg,
-                             n_replicas=5),
-            norm_sq, master_seed=12)
-        assert est.mean == np.concatenate(singles).mean()
+        mean, _ = estimate_invariant_average(
+            model, x, dataclasses.replace(params, n_replicas=5), norm_sq,
+            master_seed=12)
+        assert mean == np.concatenate(singles).mean()
 
     def test_draw_chunking_does_not_change_batches(self, monkeypatch):
         # Noise drawn a few steps at a time equals noise drawn in large chunks.
         import slowfast.fast_dynamics as fast_dynamics
         from slowfast.spectral import analyze
-        cfg, x_phys = self._kernel_inputs()
+        model, x, params, x_phys = self._kernel_inputs()
 
         def run():
             streams = [derive_stream(3, r, "frozen_fast_noise") for r in range(2)]
             return fast_dynamics._run_replicas(
-                cfg, lambda v_phys: analyze(v_phys, cfg.grid), streams, x_phys)
+                model, x, params, lambda v_phys: analyze(v_phys, model.grid),
+                streams, x_phys)
 
         default = run()
         monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_STEPS", 7)
@@ -363,7 +379,7 @@ class TestInvariantAverage:
         monkeypatch.setattr(fast_dynamics.FastStepper, "noise",
                             nan_in_replica_1)
         with pytest.raises(StateExplosionError, match="frozen-fast replica 1"):
-            estimate_invariant_average(frozen_cfg(t_avg=0.2, n_replicas=3),
+            estimate_invariant_average(*frozen_cfg(t_avg=0.2, n_replicas=3),
                                        lambda v_phys: v_phys[:, 0])
 
     def test_per_vector_observable_rejected(self):
@@ -372,23 +388,23 @@ class TestInvariantAverage:
         cfg = frozen_cfg(t_avg=1.0, n_replicas=3)
         with pytest.raises(InvalidParameterError, match="observable"):
             estimate_invariant_average(
-                cfg, lambda v_phys: float(np.sum(v_phys * v_phys)))
+                *cfg, lambda v_phys: float(np.sum(v_phys * v_phys)))
 
 
-def _steps(cfg):
+def _steps(params):
     """Burn-in and averaging step counts of _run_replicas."""
-    n_burn = int(round(cfg.t_burn / cfg.h))
-    n_avg = N_BATCHES * max(1, math.ceil(cfg.t_avg / (N_BATCHES * cfg.h)))
+    n_burn = int(round(params.t_burn / params.h))
+    n_avg = N_BATCHES * max(1, math.ceil(params.t_avg
+                                         / (N_BATCHES * params.h)))
     return n_burn, n_avg
 
 
-def _cubic_drift(cfg):
+def _cubic_drift(grid, x_phys):
     """The nested F-bar observable on cubic_rough with theta-truncation."""
-    from slowfast.spectral import analyze, synthesize
+    from slowfast.spectral import analyze
     spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
-    x_phys = synthesize(cfg.x, cfg.grid)
     return lambda v_phys: analyze(
-        nemytskii_drift(spec, 0.01, 0.0, x_phys, v_phys, cfg.grid), cfg.grid)
+        nemytskii_drift(spec, 0.01, 0.0, x_phys, v_phys, grid), grid)
 
 
 class TestChunkedObservable:
@@ -398,7 +414,8 @@ class TestChunkedObservable:
     def test_one_call_per_chunk_with_averaged_steps(self):
         import slowfast.fast_dynamics as fast_dynamics
         cfg = frozen_cfg(t_burn=1.0, t_avg=2.0, n_replicas=3)
-        n_burn, n_avg = _steps(cfg)
+        params = cfg[2]
+        n_burn, n_avg = _steps(params)
         chunk = fast_dynamics.DRAW_CHUNK_STEPS
         assert n_burn % chunk and (n_burn + n_avg) % chunk
         rows = []
@@ -406,7 +423,7 @@ class TestChunkedObservable:
         def counting(v_phys):
             rows.append(v_phys.shape[0])
             return v_phys[:, 0]
-        estimate_invariant_average(cfg, counting)
+        estimate_invariant_average(*cfg, counting)
         n_chunks = math.ceil((n_burn + n_avg) / chunk)
         assert len(rows) == n_chunks - n_burn // chunk
         assert rows[0] == 3 * (chunk - n_burn % chunk)
@@ -417,7 +434,8 @@ class TestChunkedObservable:
         # chunk: the chunk's rows are withheld and the replica is named.
         import slowfast.fast_dynamics as fast_dynamics
         cfg = frozen_cfg(t_burn=1.0, t_avg=2.0, n_replicas=3)
-        n_burn, _ = _steps(cfg)
+        params = cfg[2]
+        n_burn, _ = _steps(params)
         real_noise = fast_dynamics.FastStepper.noise
         drawn = [0]  # steps drawn so far, over all chunks
 
@@ -434,7 +452,7 @@ class TestChunkedObservable:
             observed.append(np.isfinite(v_phys).all())
             return v_phys[:, 0]
         with pytest.raises(StateExplosionError, match="frozen-fast replica 1"):
-            estimate_invariant_average(cfg, recording)
+            estimate_invariant_average(*cfg, recording)
         assert observed and all(observed)
 
     @pytest.mark.parametrize("observable", [
@@ -445,7 +463,7 @@ class TestChunkedObservable:
     def test_wrong_row_count_rejected(self, observable):
         cfg = frozen_cfg(t_avg=1.0, n_replicas=3)
         with pytest.raises(InvalidParameterError, match="observable"):
-            estimate_invariant_average(cfg, observable)
+            estimate_invariant_average(*cfg, observable)
 
     def test_changing_vector_length_rejected(self):
         calls = []
@@ -455,7 +473,7 @@ class TestChunkedObservable:
             return np.ones((v_phys.shape[0], len(calls)))
         cfg = frozen_cfg(t_avg=1.0, n_replicas=2)
         with pytest.raises(InvalidParameterError, match="observable"):
-            estimate_invariant_average(cfg, growing)
+            estimate_invariant_average(*cfg, growing)
 
     @settings(max_examples=40, deadline=None)
     @given(chunk=st.integers(min_value=1, max_value=300),
@@ -466,17 +484,16 @@ class TestChunkedObservable:
     def test_batches_independent_of_chunk_size(self, chunk, n_burn, n_rep):
         import slowfast.fast_dynamics as fast_dynamics
         from slowfast.spectral import synthesize
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # short burn-ins warn
-            cfg = frozen_cfg(t_burn=n_burn * 0.01, t_avg=0.4, c_s=0.2)
-        x_phys = synthesize(cfg.x, cfg.grid)
-        observable = _cubic_drift(cfg)
+        model, x, params = frozen_cfg(t_burn=n_burn * 0.01, t_avg=0.4,
+                                      c_s=0.2)
+        x_phys = synthesize(x, model.grid)
+        observable = _cubic_drift(model.grid, x_phys)
 
         def run():
             streams = [derive_stream(9, r, "frozen_fast_noise")
                        for r in range(n_rep)]
-            return fast_dynamics._run_replicas(cfg, observable, streams,
-                                               x_phys)
+            return fast_dynamics._run_replicas(model, x, params, observable,
+                                               streams, x_phys)
         default = run()
         with mock.patch.object(fast_dynamics, "DRAW_CHUNK_STEPS", chunk):
             assert np.array_equal(run(), default)
@@ -486,69 +503,70 @@ class TestMomentCheck:
     """The stationary moment E|v|^2 against c_p (1 + |x|^2), c_p = 1."""
 
     def test_pure_ou_ratio(self):
-        cfg = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3, t_avg=40.0,
-                         n_replicas=4)
-        est = stationary_moment(cfg, cfg.x, master_seed=9)
-        exact = float(np.sum(cfg.op2.lambdas ** 2 / (2 * cfg.op2.alphas)))
-        assert est.mean == pytest.approx(exact, abs=4 * est.std_error)
+        model, x, params = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3,
+                                      t_avg=40.0, n_replicas=4)
+        mean, std_error = stationary_moment(model, x, params, master_seed=9)
+        exact = float(np.sum(model.op2.lambdas ** 2 / (2 * model.op2.alphas)))
+        assert mean == pytest.approx(exact, abs=4 * std_error)
 
     def test_bounded_across_x_scales(self):
-        cfg = frozen_cfg(lam=0.2, t_avg=20.0, n_replicas=2)
+        model, _, params = frozen_cfg(lam=0.2, t_avg=20.0, n_replicas=2)
         ratios = []
         for scale in (0.5, 1.0, 2.0, 4.0):
             x = unit_field(N, value=scale)
-            est = stationary_moment(cfg, x, master_seed=13)
-            ratios.append(est.mean / (1.0 + float(np.linalg.norm(x)) ** 2))
+            mean, _ = stationary_moment(model, x, params, master_seed=13)
+            ratios.append(mean / (1.0 + float(np.linalg.norm(x)) ** 2))
         assert max(ratios) <= 1.0  # response gain a_c/(alpha+b_c) << 1 here
 
     def test_deterministic_decay_gives_zero(self):
-        cfg = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.0, t_avg=5.0,
-                         n_replicas=1, t_burn=5.0)
-        assert stationary_moment(cfg, cfg.x, master_seed=1).mean <= 1e-12
+        model, x, params = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.0,
+                                      t_avg=5.0, n_replicas=1, t_burn=5.0)
+        assert stationary_moment(model, x, params, master_seed=1)[0] <= 1e-12
 
 
 class TestContraction:
     def test_noise_free_semigroup_rate(self):
-        cfg = frozen_cfg(a_c=0.0, b_c=0.0, lam=0.0, x_mode=0.0, h=0.001)
-        rate = contraction_rate(cfg, unit_field(N), np.zeros(N),
+        model, x, params = frozen_cfg(a_c=0.0, b_c=0.0, lam=0.0, x_mode=0.0,
+                                      h=0.001)
+        rate = contraction_rate(model, x, params, unit_field(N), np.zeros(N),
                                 master_seed=3, t_max=0.5)
-        assert rate == pytest.approx(-cfg.op2.alphas[0], rel=0.01)
+        assert rate == pytest.approx(-model.op2.alphas[0], rel=0.01)
 
     def test_linear_benchmark_rate(self):
-        cfg = frozen_cfg(lam=0.2, h=0.001)
+        model, x, params = frozen_cfg(lam=0.2, h=0.001)
         y1 = unit_field(N, value=0.5)
-        rate = contraction_rate(cfg, y1, np.zeros(N), master_seed=5,
-                                t_max=0.5)
-        assert rate == pytest.approx(-(cfg.op2.alphas[0] + 2.0), rel=0.05)
+        rate = contraction_rate(model, x, params, y1, np.zeros(N),
+                                master_seed=5, t_max=0.5)
+        assert rate == pytest.approx(-(model.op2.alphas[0] + 2.0), rel=0.05)
 
     def test_saturating_reaction_beats_omega(self):
-        cfg = frozen_cfg(lam=0.2, c_s=0.2, h=0.001)
-        rate = contraction_rate(cfg, unit_field(N, value=0.3), np.zeros(N),
-                                master_seed=7)
-        assert rate <= -0.95 * omega(cfg)
+        model, x, params = frozen_cfg(lam=0.2, c_s=0.2, h=0.001)
+        rate = contraction_rate(model, x, params, unit_field(N, value=0.3),
+                                np.zeros(N), master_seed=7)
+        assert rate <= -0.95 * model.omega
 
 
 class TestLipschitzInX:
     def test_x_independent_reaction_gives_zero(self):
-        cfg = frozen_cfg(a_c=0.0, lam=0.2)
-        ratio = lipschitz_ratio(cfg, unit_field(N), 2 * unit_field(N),
-                                master_seed=3, t_max=1.0)
+        model, _, params = frozen_cfg(a_c=0.0, lam=0.2)
+        ratio = lipschitz_ratio(model, params, unit_field(N),
+                                2 * unit_field(N), master_seed=3, t_max=1.0)
         assert ratio <= 1e-14
 
     def test_linear_response_gain(self):
-        cfg = frozen_cfg(lam=0.0, h=0.002)
-        ratio = lipschitz_ratio(cfg, unit_field(N, value=1.0),
+        model, _, params = frozen_cfg(lam=0.0, h=0.002)
+        ratio = lipschitz_ratio(model, params, unit_field(N, value=1.0),
                                 unit_field(N, value=2.0),
                                 master_seed=3, t_max=3.0)
-        gain = 1.0 / (cfg.op2.alphas[0] + 2.0)
+        gain = 1.0 / (model.op2.alphas[0] + 2.0)
         assert ratio == pytest.approx(gain, rel=0.1)
 
     def test_local_uniformity(self):
-        cfg = frozen_cfg(lam=0.1, h=0.002)
-        r1 = lipschitz_ratio(cfg, unit_field(N, value=1.0),
+        model, _, params = frozen_cfg(lam=0.1, h=0.002)
+        r1 = lipschitz_ratio(model, params, unit_field(N, value=1.0),
                              unit_field(N, value=1.4),
                              master_seed=3, t_max=2.0)
-        r2 = lipschitz_ratio(cfg, unit_field(N, value=1.0),
+        r2 = lipschitz_ratio(model, params, unit_field(N, value=1.0),
                              unit_field(N, value=1.2),
                              master_seed=3, t_max=2.0)
         assert abs(r1 - r2) / r1 < 0.1
@@ -556,26 +574,41 @@ class TestLipschitzInX:
 
 class TestConfigValidation:
     def test_burn_in_warning(self):
-        with pytest.warns(UserWarning, match="t_burn"):
-            frozen_cfg(t_burn=0.0)
+        # Warned once per estimate, not when the parameters are made.
+        cfg = frozen_cfg(t_burn=0.0, t_avg=0.2, n_replicas=1)
+        with pytest.warns(UserWarning, match="t_burn") as record:
+            estimate_invariant_average(*cfg, lambda v_phys: v_phys[:, 0])
+        assert len(record) == 1
 
     def test_dissipativity_gate(self):
+        # The gate is build_model's: a frozen-fast estimate takes a model
+        # that passed it.
         from slowfast import ConfigurationRejectedError
         with pytest.raises(ConfigurationRejectedError, match="Hypothesis 2.3"):
             frozen_cfg(b_c=20.0, t_burn=1.0)
 
     def test_invalid_steps(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="h must be"):
             frozen_cfg(h=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("h", -0.01), ("h", math.nan), ("t_burn", -1.0), ("t_avg", 0.0),
+        ("t_avg", math.inf), ("n_replicas", 0)])
+    def test_range_error_names_the_field(self, field, value):
+        values = dict(h=0.01, t_burn=1.0, t_avg=1.0, n_replicas=1)
+        values[field] = value
+        with pytest.raises(InvalidParameterError, match=field) as info:
+            FrozenFastParams(**values)
+        assert info.value.name == field
 
 
 class TestCommonNoiseMonotonicity:
     def test_smoothed_log_distance_nonincreasing(self):
         # common-noise coupling with omega > 0: the distance between two
         # chains decays pathwise; check it after a 10h smoothing window
-        cfg = frozen_cfg(lam=0.3, c_s=0.2, h=0.002)
-        _, dists = pair_distances(cfg, unit_field(N), np.zeros(N),
-                                  cfg.x, cfg.x, 5.0 / omega(cfg), 7)
+        model, x, params = frozen_cfg(lam=0.3, c_s=0.2, h=0.002)
+        _, dists = pair_distances(model, params, unit_field(N), np.zeros(N),
+                                  x, x, 5.0 / model.omega, 7)
         window = 10
         smoothed = np.convolve(np.log(dists), np.ones(window) / window,
                                mode="valid")

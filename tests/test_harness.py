@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import slowfast.harness as harness
-from slowfast.averaging import (AveragedDriftParams, averaged_mean_rates,
-                                make_drift_fn, simulate_averaged)
+from slowfast.averaging import (averaged_mean_rates, make_drift_fn,
+                                simulate_averaged)
 from slowfast.config import TestFunctionSpec as XiSpec
 from slowfast.config import parse_config, parse_config_dict
 from slowfast.coupled import simulate_slowfast
+from slowfast.fast_dynamics import FrozenFastParams
 from slowfast.harness import (ResultRow, ResultTable, _coupled_paths,
                               _discrepancy_stat, _holder_pairs,
                               kahan_mean_vectors,
@@ -121,8 +122,8 @@ class TestConvergenceStudy:
         cfg = dataclasses.replace(
             cfg, ensemble_size=3, worker_count=1,
             model=dataclasses.replace(cfg.model, horizon=0.05),
-            averaging=AveragedDriftParams(h_fast=0.01, t_burn=1.0,
-                                          t_avg=0.4, n_replicas=2))
+            averaging=FrozenFastParams(h=0.01, t_burn=1.0, t_avg=0.4,
+                                       n_replicas=2))
         model = cfg.model
         calls = []
 
@@ -203,8 +204,8 @@ class TestDiscrepancyStat:
     def test_estimator(self):
         cfg = parse_config("configs/cubic_rough.json")
         model = dataclasses.replace(cfg.model, horizon=0.03)
-        averaging = AveragedDriftParams(h_fast=0.01, t_burn=1.5, t_avg=0.2,
-                                        n_replicas=2)
+        averaging = FrozenFastParams(h=0.01, t_burn=1.5, t_avg=0.2,
+                                     n_replicas=2)
         self._check(model, averaging, 1)
 
 

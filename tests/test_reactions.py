@@ -8,7 +8,6 @@ from slowfast import (ConfigurationRejectedError, GridSpec,
                       eval_g, make_fast_reaction, make_slow_reaction,
                       nemytskii_drift, synthesize, truncate_b,
                       validate_dissipativity, validate_growth)
-from slowfast.reactions import SampleBox
 
 
 def cubic_plain():
@@ -147,7 +146,6 @@ class TestNemytskii:
 class TestLyapunov:
     def test_derived_exponents(self):
         lyap = LyapunovSpec(c_V=1.0, m1=3, m2=2, kappa1=4, kappa2=4)
-        assert lyap.p_bar == 24.0
         assert lyap.q_bar == 24.0
         assert lyap.q_bar >= 4 * lyap.m2
 
@@ -155,7 +153,6 @@ class TestLyapunov:
         lyap = LyapunovSpec.from_reaction(make_slow_reaction("linear_benchmark"),
                                           c_V=2.0)
         assert lyap.q_bar == max(2 * 2 * 1, 4 * 1)
-        assert lyap.p_bar == 0.0
 
     def test_kappa_gate_names_hypothesis(self):
         with pytest.raises(ConfigurationRejectedError, match="2·m"):
@@ -287,6 +284,6 @@ class TestGrowthValidation:
         spec = make_slow_reaction("polynomial", terms=[(1.0, 3, 0)],
                                   m1=3, m2=1, kappa1=2, kappa2=2,
                                   c1=1.0, c2=1.0, a1=0.0, a2=1.0)
-        report = validate_growth(spec, SampleBox())
+        report = validate_growth(spec)
         assert not report.one_sided_ok
         assert report.one_sided_worst_ratio > 10.0

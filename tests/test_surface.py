@@ -1,7 +1,9 @@
 """The public surface is what the runs use: every name a module lists in
 __all__, and every public method or property of a package class, is
-referenced by package code outside its own definition.  The re-exports of
-slowfast/__init__.py do not count as uses."""
+referenced by package code outside its own definition, and every public
+dataclass field or __slots__ entry is read by package code outside its
+class's initializer.  The re-exports of slowfast/__init__.py do not count
+as uses."""
 
 import ast
 import pathlib
@@ -17,6 +19,10 @@ SRC = pathlib.Path(slowfast.__file__).parent
 ALLOWED_UNUSED = {"run_moment_audit", "run_holder_stats",
                   "run_theta_stability", "run_khasminskii_study",
                   "eval_g", "step_frozen_fast"}
+
+# Fields that only tests read.  RngStream.counter is the stream's draw
+# count, kept for the concatenation-consistency tests of the noise layer.
+ALLOWED_UNREAD_FIELDS = {"RngStream.counter"}
 
 
 def _modules() -> dict:
@@ -110,3 +116,61 @@ def test_every_public_method_is_used():
     assert not unused, (
         f"public methods or properties used by no package code: "
         f"{sorted(unused)}; use them in a run or delete them")
+
+
+def _is_dataclass(cls) -> bool:
+    for decorator in cls.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(func, ast.Name) and func.id == "dataclass":
+            return True
+    return False
+
+
+def _fields(cls) -> list:
+    """The public dataclass fields and __slots__ entries of a class."""
+    names = []
+    for node in cls.body:
+        if (_is_dataclass(cls) and isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)):
+            names.append(node.target.id)
+        elif isinstance(node, ast.Assign) and _defines(node, "__slots__"):
+            names.extend(ast.literal_eval(node.value))
+    return [name for name in names if not name.startswith("_")]
+
+
+def _unread_fields() -> set:
+    """Class.field for each public field or slot of a top-level class that
+    no package code loads as an attribute, outside the class's __init__
+    and __post_init__.  The scan goes by name: a field that shares its
+    name with one that is read elsewhere passes."""
+    modules = _modules()
+    loads: dict = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                loads.setdefault(node.attr, set()).add(id(node))
+    unread = set()
+    for tree in modules.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            init = {id(sub) for method in cls.body
+                    if isinstance(method, ast.FunctionDef)
+                    and method.name in ("__init__", "__post_init__")
+                    for sub in ast.walk(method)}
+            for name in _fields(cls):
+                if not loads.get(name, set()) - init:
+                    unread.add(f"{cls.name}.{name}")
+    return unread
+
+
+def test_every_field_is_read():
+    unread = _unread_fields() - ALLOWED_UNREAD_FIELDS
+    assert not unread, (
+        f"fields or slots read by no package code: {sorted(unread)}; "
+        "read them in a run or delete them")
+
+
+def test_field_allow_list_is_current():
+    assert ALLOWED_UNREAD_FIELDS <= _unread_fields()
