@@ -9,8 +9,9 @@ reaches a simulation kernel:
   - growth inequalities        reactions.validate_growth, sampled on a lattice
   - noise regularity exponent  a(2*gamma - 1) - 2*s < -1
 
-A value out of its range (a step, a count, a mode index, a truncation
-level) is rejected at load too, under its JSON key.  The invariant and
+A value of the wrong JSON type, or out of its range (a step, a count, a
+mode index, a truncation level, a run of more than model.MAX_STEPS
+steps), is rejected at load too, under its JSON key.  The invariant and
 averaging sections are one FrozenFastParams each; their step keys are h
 and h_fast.
 
@@ -100,6 +101,18 @@ class ExperimentConfig:
     canonical: dict
 
 
+def _get(section: dict, key: str, where: str, default=None, kind=float):
+    """section[key], or default when it is absent, as a kind (float, int,
+    or tuple of floats); a value that does not convert is rejected."""
+    value = section.get(key, default)
+    try:
+        return tuple(map(float, value)) if kind is tuple else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "a list of numbers" if kind is tuple else "a number"
+        raise ConfigurationRejectedError(
+            f"{where}.{key} must be {noun}, got {value!r}") from None
+
+
 def _require_keys(section: dict, where: str, required, optional) -> None:
     unknown = set(section) - set(required) - set(optional)
     if unknown:
@@ -116,11 +129,11 @@ def _operator(section: dict, grid: GridSpec, where: str) -> SpectralOperator:
                   ("decay_exponent", "gamma_reg"))
     return SpectralOperator.from_power_law(
         n_modes=grid.n_modes,
-        nu=float(section["nu"]),
+        nu=_get(section, "nu", where),
         length=grid.length,
-        lambda0=float(section["lambda0"]),
-        decay_exponent=float(section.get("decay_exponent", 1.0)),
-        gamma_reg=float(section.get("gamma_reg", 0.5)),
+        lambda0=_get(section, "lambda0", where),
+        decay_exponent=_get(section, "decay_exponent", where, 1.0),
+        gamma_reg=_get(section, "gamma_reg", where, 0.5),
         label=where,
     )
 
@@ -128,7 +141,8 @@ def _operator(section: dict, grid: GridSpec, where: str) -> SpectralOperator:
 def _reaction(section: dict, role: str, where: str):
     if "kind" not in section:
         raise ConfigurationRejectedError(f"missing 'kind' in {where}")
-    params = {k: v for k, v in section.items() if k != "kind"}
+    params = {k: v if k == "terms" else _get(section, k, where)
+              for k, v in section.items() if k != "kind"}
     if role == "slow":
         if section["kind"] == "polynomial" and "terms" in params:
             params["terms"] = [tuple(term) for term in params["terms"]]
@@ -165,9 +179,9 @@ def _build_model(section: dict) -> ModelSpec:
     _require_keys(section, "model", _MODEL_KEYS_REQ, _MODEL_KEYS_OPT)
     grid_sec = section["grid"]
     _require_keys(grid_sec, "model.grid", ("n_modes", "n_quad"), ("length",))
-    grid = GridSpec(n_modes=int(grid_sec["n_modes"]),
-                    n_quad=int(grid_sec["n_quad"]),
-                    length=float(grid_sec.get("length", 1.0)))
+    grid = GridSpec(n_modes=_get(grid_sec, "n_modes", "model.grid", kind=int),
+                    n_quad=_get(grid_sec, "n_quad", "model.grid", kind=int),
+                    length=_get(grid_sec, "length", "model.grid", 1.0))
     op1 = _operator(section["slow_operator"], grid, "model.slow_operator")
     op2 = _operator(section["fast_operator"], grid, "model.fast_operator")
     reactions = section["reactions"]
@@ -175,27 +189,22 @@ def _build_model(section: dict) -> ModelSpec:
     slow = _reaction(reactions["slow"], "slow", "model.reactions.slow")
     fast = _reaction(reactions["fast"], "fast", "model.reactions.fast")
 
-    def pad(vec):
+    def pad(key):
         arr = np.zeros(grid.n_modes)
-        vals = np.asarray(vec, dtype=float)
+        vals = np.asarray(_get(section, key, "model", kind=tuple))
         if vals.size > grid.n_modes:
             raise ConfigurationRejectedError(
                 f"initial condition has {vals.size} modes but grid holds {grid.n_modes}")
         arr[: vals.size] = vals
         return arr
 
+    values = {key: _get(section, key, "model", default) for key, default in (
+        ("epsilon", None), ("horizon", None), ("c_V", 1.0), ("theta", 0.0),
+        ("holder_beta", 0.2), ("lambda_exp", 1.0), ("explosion_bound", 1e6),
+        ("h_macro", 0.01), ("substep_ratio", 0.2))}
     return build_model(
         op1=op1, op2=op2, reaction_slow=slow, reaction_fast=fast, grid=grid,
-        epsilon=float(section["epsilon"]), horizon=float(section["horizon"]),
-        u0=pad(section["u0"]), v0=pad(section["v0"]),
-        c_V=float(section.get("c_V", 1.0)),
-        theta=float(section.get("theta", 0.0)),
-        holder_beta=float(section.get("holder_beta", 0.2)),
-        lambda_exp=float(section.get("lambda_exp", 1.0)),
-        explosion_bound=float(section.get("explosion_bound", 1e6)),
-        h_macro=float(section.get("h_macro", 0.01)),
-        substep_ratio=float(section.get("substep_ratio", 0.2)),
-    )
+        u0=pad("u0"), v0=pad("v0"), **values)
 
 
 _EXP_KEYS_OPT = ("epsilon_grid", "ensemble_size", "test_functions",
@@ -216,10 +225,10 @@ def _frozen_fast(raw: dict, section: str, omega: float) -> FrozenFastParams:
                   (step_key, "t_burn", "t_avg", "n_replicas"))
     try:
         return FrozenFastParams(
-            h=float(values.get(step_key, 0.01)),
-            t_burn=float(values.get("t_burn", 10.0 / omega)),
-            t_avg=float(values.get("t_avg", 50.0 / omega)),
-            n_replicas=int(values.get("n_replicas", 8)),
+            h=_get(values, step_key, section, 0.01),
+            t_burn=_get(values, "t_burn", section, 10.0 / omega),
+            t_avg=_get(values, "t_avg", section, 50.0 / omega),
+            n_replicas=_get(values, "n_replicas", section, 8, int),
         )
     except InvalidParameterError as exc:
         key = step_key if exc.name == "h" else exc.name
@@ -244,7 +253,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
 
     exp = dict(raw.get("experiment", {}))
     _require_keys(exp, "experiment", (), _EXP_KEYS_OPT)
-    epsilon_grid = tuple(float(e) for e in exp.get("epsilon_grid", (model.epsilon,)))
+    epsilon_grid = _get(exp, "epsilon_grid", "experiment", (model.epsilon,),
+                        tuple)
     if any(not 0 < e < 1 for e in epsilon_grid):
         raise ConfigurationRejectedError("epsilon_grid entries must lie in (0,1)")
     if any(b >= a for a, b in zip(epsilon_grid, epsilon_grid[1:])):
@@ -255,10 +265,10 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     for i, tf in enumerate(tf_raw):
         where = f"test_functions[{i}]"
         _require_keys(tf, f"experiment.{where}", ("modes",), ("time_power",))
-        modes = tuple(float(c) for c in tf["modes"])
+        modes = _get(tf, "modes", f"experiment.{where}", kind=tuple)
         _require(len(modes) <= n_modes, f"{where}.modes",
                  f"at most n_modes = {n_modes} coefficients", list(modes))
-        time_power = int(tf.get("time_power", 0))
+        time_power = _get(tf, "time_power", f"experiment.{where}", 0, int)
         _require(time_power >= 0, f"{where}.time_power", "nonnegative",
                  time_power)
         test_functions.append(TestFunctionSpec(modes=modes,
@@ -271,27 +281,27 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         if ob["kind"] not in ("mode", "norm_sq"):
             raise ConfigurationRejectedError(
                 f"unknown observable kind {ob['kind']!r}")
-        k = int(ob.get("k", 1))
+        k = _get(ob, "k", f"experiment.observables[{i}]", 1, int)
         if ob["kind"] == "mode":
             _require(1 <= k <= n_modes, f"observables[{i}].k",
                      f"a mode in 1..{n_modes}", k)
         observables.append(ObservableSpec(kind=ob["kind"], k=k))
 
-    ensemble_size = int(exp.get("ensemble_size", 100))
+    ensemble_size = _get(exp, "ensemble_size", "experiment", 100, int)
     _require(ensemble_size >= 1, "ensemble_size", "at least 1", ensemble_size)
-    dump_modes = int(exp.get("dump_modes", 4))
+    dump_modes = _get(exp, "dump_modes", "experiment", 4, int)
     _require(dump_modes >= 0, "dump_modes", "nonnegative", dump_modes)
-    theta_sequence = tuple(float(t) for t in exp.get("theta_sequence",
-                                                     (0.1, 0.01, 0.001)))
+    theta_sequence = _get(exp, "theta_sequence", "experiment",
+                          (0.1, 0.01, 0.001), tuple)
     _require(len(theta_sequence) >= 2, "theta_sequence",
              "at least two levels", list(theta_sequence))
     _require(all(0 <= theta <= 1 for theta in theta_sequence),
              "theta_sequence", "a list of levels in [0, 1]",
              list(theta_sequence))
-    c_const = float(exp.get("c_const", 2.0))
+    c_const = _get(exp, "c_const", "experiment", 2.0)
     _require(0 < c_const < math.inf, "c_const", "finite and positive",
              c_const)
-    master_seed = int(exp.get("master_seed", 0))
+    master_seed = _get(exp, "master_seed", "experiment", 0, int)
     _require(master_seed >= 0, "master_seed", "nonnegative", master_seed)
 
     omega = model.omega
@@ -303,7 +313,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         observables=tuple(observables),
         output_dir=str(exp.get("output_dir", "out")),
         master_seed=master_seed,
-        worker_count=int(exp.get("worker_count", 1)),
+        worker_count=_get(exp, "worker_count", "experiment", 1, int),
         dump_modes=dump_modes,
         theta_sequence=theta_sequence,
         c_const=c_const,

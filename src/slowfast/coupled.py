@@ -43,15 +43,15 @@ __all__ = [
 
 @dataclass
 class SlowFastTrajectory:
-    """Path at the macro nodes plus recorded functionals and replay data."""
+    """Path at the macro nodes, with the fast normals that drove it (for
+    the block-frozen replay) and each macro step's averaged slow drift."""
 
     times: np.ndarray             # (n_nodes,)
     u: np.ndarray                 # (n_nodes, N)
     v: np.ndarray                 # (n_nodes, N)
-    n_sub: int
     trajectory_id: int
-    fast_noise: np.ndarray | None = None   # (n_steps, n_sub, N) recorded draws
-    slow_drift: np.ndarray | None = None   # (n_steps, N) per-step averaged drift
+    fast_noise: np.ndarray        # (n_steps, n_sub, N) standard normals
+    slow_drift: np.ndarray        # (n_steps, N) per-step averaged drift
 
 
 def khasminskii_delta(epsilon: float, lambda_exp: float, c_const: float) -> float:
@@ -92,8 +92,6 @@ def _plans(model: ModelSpec, h_macro: float):
     trapezoid weights of the substep nodes j = 0..n_sub as an (n_sub + 1, 1)
     column, and an (n_sub + 1, M) buffer for the nodal fast field at those
     nodes."""
-    if h_macro <= 0:
-        raise InvalidParameterError("h_macro must be positive")
     n_sub = max(1, math.ceil(h_macro / (model.substep_ratio * model.epsilon)))
     h_sub = h_macro / n_sub
     plan_slow = make_plan(model.op1, h_macro, 1.0)
@@ -149,17 +147,16 @@ def step_coupled(u: np.ndarray, v: np.ndarray, u_phys: np.ndarray,
     return u, v, mat.dot(u), v_nodes[-1], f1
 
 
-def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
-                      record_noise: bool = False,
-                      record_drift: bool = False) -> SlowFastTrajectory:
+def simulate_slowfast(model: ModelSpec, master_seed: int,
+                      trajectory_id: int) -> SlowFastTrajectory:
     """Run one trajectory over [0, horizon], recording the path at macro
-    nodes.
+    nodes, the fast standard normals and each step's averaged slow drift.
 
     Each stream's normals are drawn, and scaled into noise increments,
     NOISE_CHUNK_STEPS macro steps at a time; the streams are
     concatenation-consistent, so these are the draws of one substep at a
-    time.  record_noise keeps the fast standard normals.  An explosion is
-    reported at the macro node it reached, an element of times."""
+    time.  An explosion is reported at the macro node it reached, an
+    element of times."""
     h = model.h_macro
     plans = _plans(model, h)
     # A horizon shorter than one macro step yields the initial state only.
@@ -175,8 +172,8 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
     v_path = np.empty((n_steps + 1, n))
     u_path[0] = model.u0
     v_path[0] = model.v0
-    noise = np.empty((n_steps, n_sub, n)) if record_noise else None
-    drifts = np.empty((n_steps, n)) if record_drift else None
+    noise = np.empty((n_steps, n_sub, n))
+    drifts = np.empty((n_steps, n))
 
     u, v = model.u0, model.v0
     u_phys, v_phys = synthesize(u, grid), synthesize(v, grid)
@@ -185,13 +182,12 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
     with np.errstate(over="ignore"):
         for start in range(0, n_steps, NOISE_CHUNK_STEPS):
             steps = min(NOISE_CHUNK_STEPS, n_steps - start)
-            xi_fast = fast_stream.normals(steps * n_sub * n).reshape(
+            xi_fast = noise[start:start + steps]
+            xi_fast[...] = fast_stream.normals(steps * n_sub * n).reshape(
                 steps, n_sub, n)
             noise_fast = stepper.noise(xi_fast)
             noise_slow = plan_slow.noise_std * slow_stream.normals(
                 steps * n).reshape(steps, n)
-            if noise is not None:
-                noise[start:start + steps] = xi_fast
             for k in range(steps):
                 i = start + k
                 u, v, u_phys, v_phys, f1 = step_coupled(
@@ -204,13 +200,12 @@ def simulate_slowfast(model: ModelSpec, master_seed: int, trajectory_id: int,
                 if not (norm_u + norm_v <= model.explosion_bound):
                     raise StateExplosionError(float(times[i + 1]), norm_u,
                                               norm_v, model.explosion_bound)
-                if drifts is not None:
-                    drifts[i] = f1
+                drifts[i] = f1
                 u_path[i + 1] = u
                 v_path[i + 1] = v
     return SlowFastTrajectory(
-        times=times, u=u_path, v=v_path, n_sub=n_sub,
-        trajectory_id=trajectory_id, fast_noise=noise, slow_drift=drifts,
+        times=times, u=u_path, v=v_path, trajectory_id=trajectory_id,
+        fast_noise=noise, slow_drift=drifts,
     )
 
 
@@ -236,8 +231,7 @@ def path_functionals(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
             "the path functionals need m1 > 0 and q_bar > 0")
     # q_bar is the larger of V's two v orders, 4 m2 and 2 kappa1 m1.
     q_index = 1 if q_bar == 4.0 * lyap.m2 else 2
-    n_steps = traj.times.size - 1
-    h = float(traj.times[1] - traj.times[0]) if n_steps else 0.0
+    h = model.h_macro
     # (n_nodes, M) nodal blocks; each row is bit-equal to a 1-D synthesize.
     u_phys = synthesize(traj.u, grid)
     v_phys = synthesize(traj.v, grid)
@@ -281,14 +275,10 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
     """
     if not delta > 0:
         raise InvalidParameterError("delta must be positive")
-    if traj.fast_noise is None:
-        raise InvalidParameterError(
-            "trajectory was recorded without fast noise; rerun with record_noise=True")
     n_steps = traj.times.size - 1
-    h = float(traj.times[1] - traj.times[0])
-    steps_per_block, _ = snap_block(delta, h)
-    n_sub, _, stepper = _plans(model, h)[:3]
-    if n_sub != traj.n_sub:
+    steps_per_block, _ = snap_block(delta, model.h_macro)
+    n_sub, _, stepper = _plans(model, model.h_macro)[:3]
+    if traj.fast_noise.shape[1] != n_sub:
         raise InvalidParameterError(
             "substep layout mismatch: trajectory is not replayable under this model")
 

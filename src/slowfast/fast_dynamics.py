@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
-from .model import ModelSpec
+from .model import MAX_STEPS, ModelSpec
 from .noise import RngStream, derive_stream, make_plan
 from .reactions import ReactionSpec, fast_coefficients
 from .spectral import (GridSpec, SpectralOperator, as_modal_field,
@@ -44,12 +44,13 @@ class FrozenFastParams:
     n_replicas: int
 
     def __post_init__(self):
-        # Each test is written so that NaN fails it.
+        # Each test is written so that NaN fails it; h is tested first.
         for name, ok, rule in (
                 ("h", 0 < self.h < math.inf, "finite and positive"),
-                ("t_burn", 0 <= self.t_burn < math.inf,
-                 "finite and nonnegative"),
-                ("t_avg", 0 < self.t_avg < math.inf, "finite and positive"),
+                ("t_burn", 0 <= self.t_burn <= MAX_STEPS * self.h,
+                 f"in [0, {MAX_STEPS:.0e} h]"),
+                ("t_avg", 0 < self.t_avg <= MAX_STEPS * self.h,
+                 f"in (0, {MAX_STEPS:.0e} h]"),
                 ("n_replicas", self.n_replicas >= 1, "at least 1")):
             if not ok:
                 raise InvalidParameterError(

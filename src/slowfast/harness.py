@@ -137,8 +137,7 @@ def _holder_pairs(T: float, h: float):
 
 def _holder_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
     """Squared slow increments over the dyadic macro-grid pairs."""
-    h = float(traj.times[1] - traj.times[0])
-    pairs = np.array(_holder_pairs(model.horizon, h), dtype=int)
+    pairs = np.array(_holder_pairs(model.horizon, model.h_macro), dtype=int)
     a, b = pairs.reshape(-1, 2).T
     return {"msq": np.sum((traj.u[b] - traj.u[a]) ** 2, axis=1)}
 
@@ -163,7 +162,7 @@ def _discrepancy_stat(traj: SlowFastTrajectory, model: ModelSpec,
     node alone; the sums and sups run in node order over floats."""
     fbar = make_drift_fn(model, averaging, master_seed,
                          trajectory_id=traj.trajectory_id)
-    h = float(traj.times[1] - traj.times[0])
+    h = model.h_macro
     n = model.n_modes
     times = traj.times[:-1]
     delta_f = traj.slow_drift - fbar(times, traj.u[:-1])[0]
@@ -193,76 +192,65 @@ def _dump_stat(traj: SlowFastTrajectory, model: ModelSpec,
     }
 
 
-def _coupled_paths(master_seed: int, paths: tuple, ladder: tuple,
+def _slow_path_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
+    """The slow path at every macro node, for distances between paths."""
+    return {"u": traj.u}
+
+
+def _coupled_paths(master_seed: int, paths: tuple,
                    trajectory_id: int) -> dict:
     """Simulate each ((eps, theta), model, statistics) entry of paths once
-    for one trajectory id, recording fast noise only for the block-frozen
-    replay.  Returns {"paths": {key: record}, "ladder": distances}: a record
-    holds "censored", "t_explosion" and the explosion's "cause" when the
-    path or any of its statistics exploded, else the terminal slow state
-    and the statistics' values; the distances are the sup-in-time gaps
-    between consecutive paths of the theta ladder (None if one was
-    censored).
+    for one trajectory id.  Returns {key: record}: a record holds
+    "censored", "t_explosion" and the explosion's "cause" when the path or
+    any of its statistics exploded, else the terminal slow state and the
+    statistics' values.
     """
     records = {}
-    ladder_u = {}
     for key, model, stats in paths:
-        funcs = [getattr(stat, "func", stat) for stat in stats]
         try:
-            traj = simulate_slowfast(model, master_seed, trajectory_id,
-                                     record_noise=_khasminskii_stat in funcs,
-                                     record_drift=_discrepancy_stat in funcs)
+            traj = simulate_slowfast(model, master_seed, trajectory_id)
             record = {"censored": False, "terminal_u": traj.u[-1].copy()}
             for stat in stats:
                 record.update(stat(traj, model))
         except StateExplosionError as exc:
             # Censored whether the path or one of its statistics (the
             # averaged drift, the block-frozen replay) exploded.
-            records[key] = {"censored": True, "t_explosion": exc.t,
-                            "cause": exc.cause}
-            continue
+            record = {"censored": True, "t_explosion": exc.t,
+                      "cause": exc.cause}
         records[key] = record
-        if key in ladder:
-            ladder_u[key] = traj.u
-    dists = None
-    if ladder and all(key in ladder_u for key in ladder):
-        us = [ladder_u[key] for key in ladder]
-        dists = [float(np.max(np.sqrt(np.sum((a - b) ** 2, axis=1))))
-                 for a, b in zip(us, us[1:])]
-    return {"paths": records, "ladder": dists}
+    return records
 
 
-def _coupled_pass(cfg: ExperimentConfig, paths: dict, ladder=()) -> list:
+def _coupled_pass(cfg: ExperimentConfig, paths: dict) -> list:
     """One run over the ensemble's trajectory ids; paths maps each
     (eps, theta) key to the statistics to take on that path."""
     model0 = cfg.model
     specs = tuple((key, model0.with_epsilon(key[0]).with_theta(key[1]),
                    tuple(stats)) for key, stats in paths.items())
-    worker = partial(_coupled_paths, cfg.master_seed, specs, ladder)
+    worker = partial(_coupled_paths, cfg.master_seed, specs)
     return run_parallel(worker, range(cfg.ensemble_size), cfg.worker_count)
 
 
 def _kept(results: list, key) -> tuple[list, int]:
     """Uncensored records of one path in trajectory order, and the number
     of censored ones."""
-    records = [r["paths"][key] for r in results]
+    records = [r[key] for r in results]
     kept = [r for r in records if not r["censored"]]
     return kept, len(records) - len(kept)
 
 
 def _run_studies(cfg: ExperimentConfig, studies) -> ResultTable:
     """Run studies on one shared pass, so each distinct (eps, theta) path is
-    simulated once per id.  A study is (paths, rows, ladder): the statistics
-    to take per path key, the row builder over the pass results, and the
-    keys of its theta ladder.  Rows come in study order."""
+    simulated once per id.  A study is (paths, rows): the statistics to
+    take per path key, and the row builder over the pass results.  Rows
+    come in study order."""
     paths: dict = {}
-    for study_paths, _, _ in studies:
+    for study_paths, _ in studies:
         for key, stats in study_paths.items():
             known = paths.setdefault(key, [])
             known.extend(stat for stat in stats if stat not in known)
-    ladder = tuple(key for _, _, study_ladder in studies for key in study_ladder)
-    results = _coupled_pass(cfg, paths, ladder)
-    return ResultTable([row for _, rows, _ in studies for row in rows(results)])
+    results = _coupled_pass(cfg, paths)
+    return ResultTable([row for _, rows in studies for row in rows(results)])
 
 
 def _maxmin(means) -> float:
@@ -366,7 +354,7 @@ def _moment_study(cfg: ExperimentConfig) -> tuple:
             out.append(ResultRow("audit_moment", None, f"maxmin[{stat_id}]",
                                  _maxmin(means), 0.0, len(means), 0))
         return out
-    return {key: [path_functionals] for key in keys}, rows, ()
+    return {key: [path_functionals] for key in keys}, rows
 
 
 def run_moment_audit(cfg: ExperimentConfig) -> ResultTable:
@@ -406,7 +394,7 @@ def _holder_study(cfg: ExperimentConfig) -> tuple:
                 out.append(ResultRow("audit_holder", eps, "headroom",
                                      headroom, 0.0, len(kept), censored))
         return out
-    return {key: [_holder_stat] for key in keys}, rows, ()
+    return {key: [_holder_stat] for key in keys}, rows
 
 
 def run_holder_stats(cfg: ExperimentConfig) -> ResultTable:
@@ -424,26 +412,31 @@ def _theta_study(cfg: ExperimentConfig, thetas) -> tuple:
     keys = tuple((eps, theta) for theta in thetas)
 
     def rows(results):
-        kept = [r for r in results if r["ladder"] is not None]
-        censored = len(results) - len(kept)
+        # An id enters the rows only with every path of its ladder kept.
+        ladders = [[r[key] for key in keys] for r in results
+                   if not any(r[key]["censored"] for key in keys)]
+        censored = len(results) - len(ladders)
         out = []
         for j in range(len(thetas) - 1):
-            mean, se = mean_se([r["ladder"][j] for r in kept])
+            # sup over the macro nodes of |u_j - u_{j+1}|, per id
+            gaps = [ladder[j]["u"] - ladder[j + 1]["u"] for ladder in ladders]
+            mean, se = mean_se([float(np.max(np.sqrt(np.sum(g ** 2, axis=1))))
+                                for g in gaps])
             out.append(ResultRow(
                 "audit_theta", eps,
                 f"distance[theta={thetas[j]:g}->{thetas[j + 1]:g}]",
-                mean, se, len(kept), censored))
+                mean, se, len(ladders), censored))
         v_means = []
-        for theta, key in zip(thetas, keys):
-            mean, se = mean_se([r["paths"][key]["v_integral"] for r in kept])
+        for j, theta in enumerate(thetas):
+            mean, se = mean_se([ladder[j]["v_integral"] for ladder in ladders])
             v_means.append(mean)
             out.append(ResultRow("audit_theta", eps,
                                  f"v_integral[theta={theta:g}]", mean, se,
-                                 len(kept), censored))
+                                 len(ladders), censored))
         out.append(ResultRow("audit_theta", None, "maxmin[v_integral]",
                              _maxmin(v_means), 0.0, len(v_means), 0))
         return out
-    return {key: [path_functionals] for key in keys}, rows, keys
+    return {key: [path_functionals, _slow_path_stat] for key in keys}, rows
 
 
 def run_theta_stability(cfg: ExperimentConfig,
@@ -477,7 +470,7 @@ def _khasminskii_study(cfg: ExperimentConfig) -> tuple:
                                      len(kept), censored))
         return out
     return ({key: [partial(_khasminskii_stat, delta=delta)]
-             for key, delta in zip(keys, deltas)}, rows, ())
+             for key, delta in zip(keys, deltas)}, rows)
 
 
 def run_khasminskii_study(cfg: ExperimentConfig) -> ResultTable:
@@ -531,7 +524,7 @@ def simulate_ensemble(cfg: ExperimentConfig, epsilon: float | None = None):
     results = _coupled_pass(
         cfg, {key: [path_functionals,
                     partial(_dump_stat, dump_modes=cfg.dump_modes)]})
-    return [r["paths"][key] for r in results]
+    return [r[key] for r in results]
 
 
 # ---------------------------------------------------------------------------

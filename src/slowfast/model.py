@@ -12,6 +12,8 @@ from .spectral import GridSpec, SpectralOperator, as_modal_field
 
 __all__ = ["ModelSpec", "build_model"]
 
+MAX_STEPS = 10 ** 8  # steps of a path, or of a frozen-fast phase, at most
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -38,9 +40,10 @@ class ModelSpec:
     def __post_init__(self):
         for name, ok, rule in (
                 ("epsilon", 0 < self.epsilon <= 1, "in (0,1]"),
-                ("horizon", self.horizon > 0, "positive"),
-                ("theta", 0 <= self.theta <= 1, "in [0,1]"),
                 ("h_macro", self.h_macro > 0, "positive"),
+                ("horizon", 0 < self.horizon <= MAX_STEPS * self.h_macro,
+                 f"in (0, {MAX_STEPS:.0e} h_macro]"),
+                ("theta", 0 <= self.theta <= 1, "in [0,1]"),
                 ("substep_ratio", self.substep_ratio > 0, "positive"),
                 ("explosion_bound", self.explosion_bound > 0, "positive")):
             if not ok:

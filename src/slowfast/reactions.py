@@ -330,33 +330,33 @@ class GrowthReport:
     one_sided_worst_ratio: float
 
 
+def _worst_ratio(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """max(0, each lhs/rhs where rhs > 0); inf if one is not finite."""
+    ratios = np.append(lhs[rhs > 0] / rhs[rhs > 0], 0.0)
+    return float(np.max(ratios)) if np.isfinite(ratios).all() else math.inf
+
+
 def validate_growth(spec: ReactionSpec) -> GrowthReport:
     """Numeric sampling check (not a proof) of the two growth inequalities
     on the GROWTH_* lattice at t = 0, with slack GROWTH_TOL:
 
     uniform:   |b(t,xi,sigma,lam)| <= c1 (a1 + |sigma|^m1 + |lam|^m2)
     one-sided: b(t,xi,sigma+rho,lam)*sigma <= c2 (a2 + sigma^2 + |lam|^k1 + |rho|^k2)
+
+    A non-finite sampled ratio (0*inf at lam = 0, say) is a violation, and
+    the rejection is its only report: numpy does not warn of it.
     """
     if spec.role != "slow":
         raise InvalidParameterError("validate_growth applies to slow reactions")
     s_grid, l_grid = np.meshgrid(GROWTH_SIGMAS, GROWTH_LAMBDAS, indexing="ij")
-    uniform_worst = 0.0
-    one_sided_worst = 0.0
-    b = eval_b(spec, 0.0, 0.0, s_grid, l_grid)
-    envelope = spec.a1 + np.abs(s_grid) ** spec.m1 + np.abs(l_grid) ** spec.m2
-    mask = envelope > 0
-    if np.any(mask):
-        uniform_worst = max(uniform_worst,
-                            float(np.max(np.abs(b[mask]) / envelope[mask])))
-    for r in GROWTH_RHOS:
-        b_shift = eval_b(spec, 0.0, 0.0, s_grid + r, l_grid)
-        lhs = b_shift * s_grid
-        rhs = (spec.a2 + s_grid ** 2 + np.abs(l_grid) ** spec.kappa1
-               + abs(r) ** spec.kappa2)
-        mask = rhs > 0
-        if np.any(mask):
-            one_sided_worst = max(one_sided_worst,
-                                  float(np.max(lhs[mask] / rhs[mask])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uniform_worst = _worst_ratio(
+            np.abs(eval_b(spec, 0.0, 0.0, s_grid, l_grid)),
+            spec.a1 + np.abs(s_grid) ** spec.m1 + np.abs(l_grid) ** spec.m2)
+        one_sided_worst = max(_worst_ratio(
+            eval_b(spec, 0.0, 0.0, s_grid + r, l_grid) * s_grid,
+            spec.a2 + s_grid ** 2 + np.abs(l_grid) ** spec.kappa1
+            + abs(r) ** spec.kappa2) for r in GROWTH_RHOS)
     return GrowthReport(
         uniform_ok=uniform_worst <= spec.c1 + GROWTH_TOL,
         uniform_worst_ratio=uniform_worst,

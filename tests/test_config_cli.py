@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -197,14 +198,17 @@ class TestCli:
         ("simulate", ("experiment", "master_seed"), -1, "master_seed"),
         ("converge", ("experiment", "test_functions"),
          [{"modes": [1.0], "time_power": -1}], "test_functions[0].time_power"),
+        ("invariant", ("invariant", "t_burn"), 1e300, "invariant.t_burn"),
+        ("simulate", ("model", "horizon"), 1e300, "model.horizon"),
     ], ids=["h_macro", "mode_0", "mode_past_n_modes", "test_function_modes",
             "theta_above_1", "theta_below_0", "one_theta_level", "c_const_0",
             "dump_modes_negative", "ensemble_size_0", "master_seed_negative",
-            "time_power_negative"])
+            "time_power_negative", "t_burn_unfinishable",
+            "horizon_unfinishable"])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys,
                                                  command, where, value, named):
-        # Each of these used to end in a traceback, or in a silently wrong
-        # or empty result.
+        # Each of these used to end in a traceback, in a silently wrong or
+        # empty result, or in a run that would not finish.
         raw = copy.deepcopy(BASE)
         section, key = where
         raw[section][key] = value
@@ -213,6 +217,32 @@ class TestCli:
         assert main([command, "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,where,value", [
+        ("invariant", ("invariant", "n_replicas"), "abc"),
+        ("simulate", ("model", "epsilon"), "x"),
+        ("converge", ("experiment", "ensemble_size"), None),
+        ("average", ("averaging", "t_avg"), [1]),
+        ("simulate", ("model", "grid", "n_quad"), None),
+        ("simulate", ("model", "reactions", "slow", "c_u"), "a"),
+    ], ids=["n_replicas_string", "epsilon_string", "ensemble_size_null",
+            "t_avg_list", "n_quad_null", "c_u_string"])
+    def test_wrong_json_type_rejected_at_load(self, tmp_path, capsys,
+                                              command, where, value):
+        # Each of these used to end in the traceback of int() or float().
+        raw = copy.deepcopy(BASE)
+        raw["model"]["reactions"]["slow"] = {"kind": "cubic_rough",
+                                              "c_u": 0.5, "c_v": 0.5}
+        section = raw
+        for key in where[:-1]:
+            section = section[key]
+        section[where[-1]] = value
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and ".".join(where) + " must be" in err[0], err
         assert not out.exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
@@ -252,6 +282,32 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("terms", [
+        [[-1.0, 3, 0], [1.0, 1, -1]],
+        [[-1.0, 3, 0], [0.1, 0, -1]],
+    ], ids=["nan_at_lambda_0", "inf_at_lambda_0"])
+    def test_singular_reaction_rejected_in_one_line(self, tmp_path, capsys,
+                                                    terms):
+        # A negative lambda power is singular at lambda = 0.  A NaN sampled
+        # ratio (0 * inf) used to pass the gate, after which every path was
+        # censored (exit 3); an inf one was rejected behind numpy's
+        # warnings.  Warnings are errors here, as pytest would otherwise
+        # capture them away from stderr.
+        with open(os.path.join("configs", "decoupled_control.json")) as fh:
+            raw = json.load(fh)
+        raw["model"]["reactions"]["slow"].update(terms=terms, a1=1.0)
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", path, "--out",
+                         str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert "Hypothesis 2.2 (uniform growth)" in err[0]
+        assert "worst sampled ratio inf" in err[0]
         assert not out.exists()
 
     def test_simulate_outputs(self, tmp_path):

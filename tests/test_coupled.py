@@ -256,14 +256,15 @@ def _reference_path(model, seed, trajectory_id):
 def _reference_replay(traj, model, steps_per_block):
     grid = model.grid
     h = model.h_macro
-    plan_fast = _fast_plan(model, h / traj.n_sub)
+    n_sub = traj.fast_noise.shape[1]
+    plan_fast = _fast_plan(model, h / n_sub)
     v_aux = [traj.v[0]]
     for i in range(traj.times.size - 1):
         block_start = (i // steps_per_block) * steps_per_block
         u_frozen = synthesize(traj.u[block_start], grid)
         if i == block_start:
             v = traj.v[block_start].copy()
-        for j in range(traj.n_sub):
+        for j in range(n_sub):
             v = _reference_substep(v, u_frozen, model, plan_fast,
                                    traj.fast_noise[i, j])
         v_aux.append(v)
@@ -310,9 +311,8 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("eps,n_sub", [(0.1, 1), (0.02, 3), (0.004, 13)])
     def test_path_matches_reference(self, kind, eps, n_sub):
         model = KERNEL_MODELS[kind](eps)
-        traj = simulate_slowfast(model, 41, 2, record_noise=True,
-                                 record_drift=True)
-        assert traj.n_sub == n_sub
+        traj = simulate_slowfast(model, 41, 2)
+        assert traj.fast_noise.shape[1] == n_sub
         u, v, drifts, noise, v_int = _reference_path(model, 41, 2)
         assert np.array_equal(traj.u, u)
         assert np.array_equal(traj.v, v)
@@ -323,7 +323,7 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
     def test_replay_matches_reference(self, kind):
         model = KERNEL_MODELS[kind](0.02)
-        traj = simulate_slowfast(model, 43, 1, record_noise=True)
+        traj = simulate_slowfast(model, 43, 1)
         aux = build_auxiliary(traj, 0.05, model)
         assert snap_block(0.05, model.h_macro)[0] == 5
         assert np.array_equal(aux.v_aux, _reference_replay(traj, model, 5))
@@ -335,7 +335,7 @@ class TestKernelBitIdentity:
                                       monkeypatch):
         import slowfast.fast_dynamics as fast_dynamics
         model = KERNEL_MODELS[kind](0.02)
-        traj = simulate_slowfast(model, 43, 1, record_noise=True)
+        traj = simulate_slowfast(model, 43, 1)
         advance = fast_dynamics.FastStepper.advance
         calls = []
 
@@ -350,7 +350,7 @@ class TestKernelBitIdentity:
                               _reference_replay(traj, model, steps_per_block))
         # A block's first macro step is the path's own, never replayed.
         n_blocks = math.ceil(70 / steps_per_block)
-        assert sum(calls) == (70 - n_blocks) * traj.n_sub
+        assert sum(calls) == (70 - n_blocks) * traj.fast_noise.shape[1]
         if steps_per_block == 1:
             assert calls == []
 
@@ -376,8 +376,7 @@ class TestKernelBitIdentity:
         model = KERNEL_MODELS["cubic"](0.02)
 
         def run():
-            return simulate_slowfast(model, 47, 3, record_noise=True,
-                                     record_drift=True)
+            return simulate_slowfast(model, 47, 3)
         default = run()
         for chunk in (1, 7):
             monkeypatch.setattr(coupled, "NOISE_CHUNK_STEPS", chunk)
@@ -394,7 +393,7 @@ class TestKernelBitIdentity:
         # t = 2h: node h is the path's own.
         import slowfast.fast_dynamics as fast_dynamics
         model = KERNEL_MODELS["linear"](0.1)
-        traj = simulate_slowfast(model, 5, 0, record_noise=True)
+        traj = simulate_slowfast(model, 5, 0)
 
         def nan_noise(self, xi):
             return np.full(np.shape(xi), np.nan)
@@ -472,42 +471,44 @@ class TestAuxiliary:
     def test_single_block_x_independent_is_exact(self):
         # g independent of x: freezing the slow argument changes nothing
         model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
-        traj = simulate_slowfast(model, 17, 0, record_noise=True)
+        traj = simulate_slowfast(model, 17, 0)
         aux = build_auxiliary(traj, 1.0, model)
         assert np.array_equal(aux.v_aux, traj.v)
         assert np.all(aux.u_aux == traj.u[0])
 
     def test_replay_fidelity_block_equals_step(self):
         model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
-        traj = simulate_slowfast(model, 19, 0, record_noise=True)
+        traj = simulate_slowfast(model, 19, 0)
         aux = build_auxiliary(traj, model.h_macro, model)
         assert np.array_equal(aux.v_aux, traj.v)
 
     def test_deterministic_rebuild(self):
         model = linear_model(eps=0.1, horizon=0.2)
-        traj = simulate_slowfast(model, 23, 0, record_noise=True)
+        traj = simulate_slowfast(model, 23, 0)
         a = build_auxiliary(traj, 0.05, model)
         b = build_auxiliary(traj, 0.05, model)
         assert np.array_equal(a.v_aux, b.v_aux)
         assert np.array_equal(a.u_aux, b.u_aux)
 
-    def test_missing_noise_rejected(self):
+    def test_substep_layout_mismatch_rejected(self):
+        # One substep per macro step at eps = 0.1, three at eps = 0.02: the
+        # recorded normals cannot drive the replay of the other model.
         model = linear_model(eps=0.1, horizon=0.1)
         traj = simulate_slowfast(model, 0, 0)
-        with pytest.raises(InvalidParameterError):
-            build_auxiliary(traj, 0.05, model)
+        with pytest.raises(InvalidParameterError, match="substep layout"):
+            build_auxiliary(traj, 0.05, model.with_epsilon(0.02))
 
     @pytest.mark.parametrize("delta", [0.0, -0.05, math.nan])
     def test_non_positive_delta_rejected(self, delta):
         model = linear_model(eps=0.1, horizon=0.1)
-        traj = simulate_slowfast(model, 0, 0, record_noise=True)
+        traj = simulate_slowfast(model, 0, 0)
         with pytest.raises(InvalidParameterError, match="delta must be positive"):
             build_auxiliary(traj, delta, model)
 
     def test_error_grows_with_block_length(self):
         # quadrupling delta increases both freezing errors (3 sigma)
         model = linear_model(eps=0.05, lam_slow=0.02, lam_fast=0.1, horizon=0.5)
-        trajs = [simulate_slowfast(model, 29, i, record_noise=True)
+        trajs = [simulate_slowfast(model, 29, i)
                  for i in range(48)]
         stats = []
         for delta in (0.025, 0.1):
@@ -521,14 +522,14 @@ class TestAuxiliary:
 
     def test_fast_deviation_zero_when_x_independent(self):
         model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
-        trajs = [simulate_slowfast(model, 37, i, record_noise=True)
+        trajs = [simulate_slowfast(model, 37, i)
                  for i in range(4)]
         _, _, fast_mean, _ = _freezing_errors(trajs, 0.05, model)
         assert fast_mean == 0.0
 
     def test_mismatched_inputs_rejected(self):
         model = linear_model(eps=0.1, horizon=0.2)
-        traj = simulate_slowfast(model, 0, 0, record_noise=True)
+        traj = simulate_slowfast(model, 0, 0)
         aux = build_auxiliary(traj, 0.05, model)
         shorter = simulate_slowfast(linear_model(eps=0.1, horizon=0.1), 0, 0)
         with pytest.raises(InvalidParameterError):

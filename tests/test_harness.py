@@ -11,7 +11,7 @@ from slowfast.averaging import (averaged_mean_rates, make_drift_fn,
                                 simulate_averaged)
 from slowfast.config import TestFunctionSpec as XiSpec
 from slowfast.config import parse_config, parse_config_dict
-from slowfast.coupled import simulate_slowfast
+from slowfast.coupled import path_functionals, simulate_slowfast
 from slowfast.fast_dynamics import FrozenFastParams
 from slowfast.harness import (ResultRow, ResultTable, _coupled_paths,
                               _discrepancy_stat, _holder_pairs,
@@ -184,8 +184,7 @@ class TestDiscrepancyStat:
 
     def _check(self, model, averaging, n_paths):
         for trajectory_id in range(n_paths):
-            traj = simulate_slowfast(model, 61, trajectory_id,
-                                     record_drift=True)
+            traj = simulate_slowfast(model, 61, trajectory_id)
             expected = _per_node_discrepancy(traj, model, self.TEST_FUNCTIONS,
                                              averaging, 61)
             assert expected["sups"][0] > 0.0
@@ -287,6 +286,48 @@ class TestThetaStability:
         row = table.value("audit_theta", None, "maxmin[v_integral]")
         assert row.value <= 2.0
 
+    def test_one_censored_path_drops_its_id_from_every_row(self):
+        # At seed 3 and bound 1.399, only the theta = 0.1 path of id 0
+        # crosses the bound: its max |u| + |v| is 1.39938, against 1.39870
+        # at theta = 0.01.  Every audit_theta row drops id 0 and counts it
+        # as censored, at any worker count.
+        cfg = parse_config(os.path.join("configs", "cubic_rough.json"))
+        model = dataclasses.replace(cfg.model, horizon=0.3,
+                                    explosion_bound=1.399)
+        cfg = dataclasses.replace(cfg, model=model, ensemble_size=6,
+                                  master_seed=3)
+        thetas = cfg.theta_sequence
+        keys = [(model.epsilon, theta) for theta in thetas]
+        records = harness._coupled_pass(cfg, {key: [] for key in keys})
+        assert ([[r[key]["censored"] for key in keys] for r in records]
+                == [[True, False, False]] + [[False] * 3] * 5)
+
+        tables = [run_theta_stability(dataclasses.replace(cfg,
+                                                          worker_count=w))
+                  for w in (1, 2)]
+        assert tables[0].rows == tables[1].rows
+        rows = [r for r in tables[0].rows if r.epsilon is not None]
+        assert len(rows) == 2 * len(thetas) - 1
+        assert all((r.n, r.censored_count) == (5, 1) for r in rows)
+
+        paths = [[simulate_slowfast(model.with_theta(theta), 3, i)
+                  for theta in thetas] for i in range(1, 6)]
+        for j in range(len(thetas) - 1):
+            row = tables[0].value(
+                "audit_theta", model.epsilon,
+                f"distance[theta={thetas[j]:g}->{thetas[j + 1]:g}]")
+            mean, se = mean_se([
+                float(np.max(np.linalg.norm(p[j].u - p[j + 1].u, axis=1)))
+                for p in paths])
+            assert row.value == pytest.approx(mean, rel=1e-12)
+            assert row.std_error == pytest.approx(se, rel=1e-12)
+        for j, theta in enumerate(thetas):
+            row = tables[0].value("audit_theta", model.epsilon,
+                                  f"v_integral[theta={theta:g}]")
+            assert (row.value, row.std_error) == mean_se([
+                path_functionals(p[j], model.with_theta(theta))["v_integral"]
+                for p in paths])
+
     def test_requires_two_levels(self):
         cfg = parse_config_dict(small_config())
         with pytest.raises(Exception):
@@ -315,7 +356,7 @@ class TestCensoringCause:
 
     def _records(self, model):
         key = (model.epsilon, model.theta)
-        return _coupled_paths(3, ((key, model, ()),), (), 0)["paths"][key]
+        return _coupled_paths(3, ((key, model, ()),), 0)[key]
 
     def test_bound_crossing(self):
         model = dataclasses.replace(linear_model(horizon=0.5),
