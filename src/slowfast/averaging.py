@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import FrozenFastParams, estimate_invariant_average
 from .model import ModelSpec
-from .noise import RngStream, make_plan, ou_step
+from .noise import derive_stream, make_plan, ou_step
 from .reactions import nemytskii_drift
 from .spectral import analyze, as_modal_field, synthesize
 
@@ -47,13 +47,12 @@ def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
         raise InvalidParameterError(f"t={t!r} is off the h_macro grid")
     x = as_modal_field(x, model.n_modes)
     x_phys = synthesize(x, model.grid)
-    theta = model.theta if model.theta > 0 else None
 
     def drift_observable(v_phys):
         # (n, M) nodal rows -> (n, N) modal drifts, row by row.
         return analyze(
-            nemytskii_drift(model.reaction_slow, theta, t, x_phys, v_phys,
-                            model.grid),
+            nemytskii_drift(model.reaction_slow, model.theta, t, x_phys,
+                            v_phys, model.grid),
             model.grid)
 
     mean, std_error = estimate_invariant_average(
@@ -83,11 +82,8 @@ def averaged_mean_rates(model: ModelSpec) -> np.ndarray:
     """Per-mode mean-dynamics rates of the averaged equation for the linear
     benchmark: mu_k = -alpha_{1,k} + a_c/(alpha_{2,k} + b_c).  The noise has
     zero mean, so E<u_bar(T), e_k> = exp(mu_k T) u0_k exactly."""
-    if not model.is_linear_benchmark:
-        raise InvalidParameterError("mean rates require linear_benchmark reactions")
-    a_c = model.reaction_fast.param("a_c")
-    b_c = model.reaction_fast.param("b_c")
-    return -model.op1.alphas + a_c / (model.op2.alphas + b_c)
+    a_c, rates = _linear_fbar_factors(model)
+    return -model.op1.alphas + a_c / rates
 
 
 @dataclass
@@ -117,12 +113,11 @@ def make_drift_fn(model: ModelSpec, params: FrozenFastParams | None,
         return fn
     if not model.reaction_slow.depends_on_fast:
         zeros_phys = np.zeros(model.grid.n_quad)
-        theta = model.theta if model.theta > 0 else None
 
         def fn(t, u):
             u_phys = synthesize(u, model.grid)
-            drift = analyze(nemytskii_drift(model.reaction_slow, theta, t,
-                                            u_phys, zeros_phys, model.grid),
+            drift = analyze(nemytskii_drift(model.reaction_slow, model.theta,
+                                            t, u_phys, zeros_phys, model.grid),
                             model.grid)
             return drift, np.zeros_like(drift)
         return fn
@@ -141,25 +136,22 @@ def make_drift_fn(model: ModelSpec, params: FrozenFastParams | None,
 
 
 def simulate_averaged(model: ModelSpec, params: FrozenFastParams | None,
-                      u0, T: float, h: float, stream: RngStream,
-                      master_seed: int = 0, trajectory_id: int = 0
+                      master_seed: int, trajectory_id: int
                       ) -> AveragedTrajectory:
-    """Sample the averaged slow equation on the macro grid by exponential
-    Euler, the drift (make_drift_fn's) frozen over each step.
+    """Sample the averaged slow equation from model.u0 on the model's macro
+    grid by exponential Euler, the drift (make_drift_fn's) frozen over each
+    step and the noise drawn from the id's auxiliary stream.
 
     A new state whose norm is non-finite or above model.explosion_bound
     raises StateExplosionError at its node, as on the coupled path."""
-    if T < 0:
-        raise InvalidParameterError("T must be nonnegative")
-    if h <= 0:
-        raise InvalidParameterError("h must be positive")
-    u = as_modal_field(u0, model.n_modes)
-    n_steps = int(round(T / h)) if T > 0 else 0
-    times = np.arange(n_steps + 1) * h
+    u = model.u0
+    n_steps = model.n_steps
+    times = np.arange(n_steps + 1) * model.h_macro
     path = np.empty((n_steps + 1, model.n_modes))
     path[0] = u
+    stream = derive_stream(master_seed, trajectory_id, "auxiliary")
     drift_fn = make_drift_fn(model, params, master_seed, trajectory_id)
-    plan = make_plan(model.op1, h, 1.0) if n_steps else None
+    plan = make_plan(model.op1, model.h_macro, 1.0) if n_steps else None
     # As on the coupled path: an overflowing squared norm trips the guard
     # without a warning of its own.
     with np.errstate(over="ignore"):

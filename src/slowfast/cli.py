@@ -16,7 +16,8 @@ import os
 import sys
 
 from .config import ExperimentConfig, parse_config
-from .errors import ConfigurationRejectedError, StateExplosionError
+from .errors import (ConfigurationRejectedError, InvalidParameterError,
+                     StateExplosionError)
 from .harness import (ResultTable, emit_results, pooled_fbar_estimate,
                       pooled_invariant_rows, run_audit, run_convergence_study,
                       simulate_ensemble, write_csv, write_meta)
@@ -66,6 +67,13 @@ def _load(args) -> ExperimentConfig:
             raise ConfigurationRejectedError(
                 f"--seed must be nonnegative, got {args.seed}")
         updates["master_seed"] = args.seed
+    if getattr(args, "eps", None) is not None:
+        try:
+            updates["model"] = cfg.model.with_epsilon(args.eps)
+        except InvalidParameterError as exc:
+            raise ConfigurationRejectedError(f"--eps: {exc}") from None
+        # The sidecar hashes the epsilon that runs.
+        cfg.canonical["model"]["epsilon"] = args.eps
     if args.out is not None:
         updates["output_dir"] = args.out
     if args.workers is not None:
@@ -87,7 +95,7 @@ def _load(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    results = simulate_ensemble(cfg, epsilon=args.eps)
+    results = simulate_ensemble(cfg)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     k = cfg.dump_modes

@@ -138,14 +138,26 @@ def _operator(section: dict, grid: GridSpec, where: str) -> SpectralOperator:
     )
 
 
+def _terms(terms, where: str) -> list:
+    """Polynomial terms, each a [number, integer, integer]; a power of 3.7
+    is rejected, not truncated."""
+    try:
+        out = [(float(c), int(i), int(j)) for c, i, j in terms]
+        if [term[1:] for term in out] == [tuple(term[1:]) for term in terms]:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationRejectedError(
+        f"{where}.terms must be a list of [number, integer, integer], got "
+        f"{terms!r}")
+
+
 def _reaction(section: dict, role: str, where: str):
     if "kind" not in section:
         raise ConfigurationRejectedError(f"missing 'kind' in {where}")
-    params = {k: v if k == "terms" else _get(section, k, where)
+    params = {k: _terms(v, where) if k == "terms" else _get(section, k, where)
               for k, v in section.items() if k != "kind"}
     if role == "slow":
-        if section["kind"] == "polynomial" and "terms" in params:
-            params["terms"] = [tuple(term) for term in params["terms"]]
         spec = make_slow_reaction(section["kind"], **params)
         _require_growth(spec, where)
         return spec
@@ -198,10 +210,10 @@ def _build_model(section: dict) -> ModelSpec:
         arr[: vals.size] = vals
         return arr
 
-    values = {key: _get(section, key, "model", default) for key, default in (
-        ("epsilon", None), ("horizon", None), ("c_V", 1.0), ("theta", 0.0),
-        ("holder_beta", 0.2), ("lambda_exp", 1.0), ("explosion_bound", 1e6),
-        ("h_macro", 0.01), ("substep_ratio", 0.2))}
+    # Absent keys take ModelSpec's (and build_model's) defaults.
+    values = {key: _get(section, key, "model")
+              for key in ("epsilon", "horizon", *_MODEL_KEYS_OPT)
+              if key in section}
     return build_model(
         op1=op1, op2=op2, reaction_slow=slow, reaction_fast=fast, grid=grid,
         u0=pad("u0"), v0=pad("v0"), **values)
@@ -259,6 +271,12 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationRejectedError("epsilon_grid entries must lie in (0,1)")
     if any(b >= a for a, b in zip(epsilon_grid, epsilon_grid[1:])):
         raise ConfigurationRejectedError("epsilon_grid must be strictly decreasing")
+    for e in epsilon_grid:
+        try:
+            model.with_epsilon(e)
+        except InvalidParameterError as exc:
+            raise ConfigurationRejectedError(
+                f"experiment.epsilon_grid: {exc}") from None
 
     tf_raw = exp.get("test_functions", [{"modes": [1.0], "time_power": 0}])
     test_functions = []

@@ -1,7 +1,7 @@
 """Coupled slow-fast simulation and the block-frozen auxiliary processes.
 
 The slow field advances by one exponential-Euler macro step per h_macro;
-the fast field takes n_sub = ceil(h_macro / (ratio * eps)) substeps of an
+the fast field takes model.n_sub substeps of at most ratio * eps of an
 exponential integrator per macro step, its OU plan on A2 - b_c absorbing the
 1/eps drift and 1/sqrt(eps) noise scalings, so no step restriction comes
 from the scale separation.
@@ -87,16 +87,15 @@ def compute_rho0(s: float, t: float, beta: float, gamma1_star: float) -> float:
 NOISE_CHUNK_STEPS = 16  # macro steps of noise drawn per stream at once
 
 
-def _plans(model: ModelSpec, h_macro: float):
+def _plans(model: ModelSpec):
     """Substeps per macro step, the slow OU plan, the fast stepper, the
     trapezoid weights of the substep nodes j = 0..n_sub as an (n_sub + 1, 1)
     column, and an (n_sub + 1, M) buffer for the nodal fast field at those
     nodes."""
-    n_sub = max(1, math.ceil(h_macro / (model.substep_ratio * model.epsilon)))
-    h_sub = h_macro / n_sub
-    plan_slow = make_plan(model.op1, h_macro, 1.0)
-    stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h_sub,
-                          model.epsilon)
+    n_sub = model.n_sub
+    plan_slow = make_plan(model.op1, model.h_macro, 1.0)
+    stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
+                          model.h_macro / n_sub, model.epsilon)
     weights = np.full((n_sub + 1, 1), 1.0 / n_sub)
     weights[0] = weights[-1] = 0.5 / n_sub
     v_nodes = np.empty((n_sub + 1, model.grid.n_quad))
@@ -105,8 +104,8 @@ def _plans(model: ModelSpec, h_macro: float):
 
 def step_coupled(u: np.ndarray, v: np.ndarray, u_phys: np.ndarray,
                  v_phys: np.ndarray, t: float, model: ModelSpec,
-                 h_macro: float, noise_slow: np.ndarray,
-                 noise_fast: np.ndarray, plans: tuple) -> tuple:
+                 noise_slow: np.ndarray, noise_fast: np.ndarray,
+                 plans: tuple) -> tuple:
     """Advance the pair (u, v), with nodal values (u_phys, v_phys), by one
     macro step from time t.
 
@@ -118,7 +117,7 @@ def step_coupled(u: np.ndarray, v: np.ndarray, u_phys: np.ndarray,
     sampling it at the left endpoint alone would turn that O(eps) layer
     into an O(h_macro) bias of the slow motion.
 
-    plans is _plans(model, h_macro).  noise_slow, shape (N,), and
+    plans is _plans(model).  noise_slow, shape (N,), and
     noise_fast, shape (n_sub, N), are the step's noise increments, already
     scaled by the slow plan's and the fast stepper's noise_std.  Returns the
     new (u, v, u_phys, v_phys) and the averaged modal slow drift used for
@@ -157,17 +156,15 @@ def simulate_slowfast(model: ModelSpec, master_seed: int,
     concatenation-consistent, so these are the draws of one substep at a
     time.  An explosion is reported at the macro node it reached, an
     element of times."""
-    h = model.h_macro
-    plans = _plans(model, h)
-    # A horizon shorter than one macro step yields the initial state only.
-    n_steps = int(round(model.horizon / h))
+    plans = _plans(model)
+    n_steps = model.n_steps
     n_sub, plan_slow, stepper = plans[:3]
     slow_stream = derive_stream(master_seed, trajectory_id, "slow_noise")
     fast_stream = derive_stream(master_seed, trajectory_id, "fast_noise")
 
     n = model.n_modes
     grid = model.grid
-    times = np.arange(n_steps + 1) * h
+    times = np.arange(n_steps + 1) * model.h_macro
     u_path = np.empty((n_steps + 1, n))
     v_path = np.empty((n_steps + 1, n))
     u_path[0] = model.u0
@@ -191,7 +188,7 @@ def simulate_slowfast(model: ModelSpec, master_seed: int,
             for k in range(steps):
                 i = start + k
                 u, v, u_phys, v_phys, f1 = step_coupled(
-                    u, v, u_phys, v_phys, times[i], model, h, noise_slow[k],
+                    u, v, u_phys, v_phys, times[i], model, noise_slow[k],
                     noise_fast[k], plans)
                 # np.linalg.norm's own formula for a 1-D float array.
                 norm_u = math.sqrt(u.dot(u))
@@ -277,7 +274,7 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
         raise InvalidParameterError("delta must be positive")
     n_steps = traj.times.size - 1
     steps_per_block, _ = snap_block(delta, model.h_macro)
-    n_sub, _, stepper = _plans(model, model.h_macro)[:3]
+    n_sub, _, stepper = _plans(model)[:3]
     if traj.fast_noise.shape[1] != n_sub:
         raise InvalidParameterError(
             "substep layout mismatch: trajectory is not replayable under this model")

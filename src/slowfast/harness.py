@@ -34,7 +34,6 @@ from .coupled import (SlowFastTrajectory, block_freezing_errors,
 from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import estimate_invariant_average
 from .model import ModelSpec
-from .noise import derive_stream
 from .reactions import eval_V
 from .spectral import (analyze, kahan_add, kahan_mean_vectors, mean_se,
                        synthesize)
@@ -122,9 +121,8 @@ def run_parallel(fn, tasks, worker_count: int):
 _HOLDER_LAG_DEPTHS = (1, 2, 3, 4, 5)
 
 
-def _holder_pairs(T: float, h: float):
-    """Dyadic (s, t) pairs on the macro grid; s > 0 keeps the log term finite."""
-    n_steps = int(round(T / h))
+def _holder_pairs(n_steps: int):
+    """Dyadic (s, t) node pairs of n_steps; s > 0 keeps the log finite."""
     pairs = []
     for depth in _HOLDER_LAG_DEPTHS:
         lag = n_steps >> depth
@@ -137,7 +135,7 @@ def _holder_pairs(T: float, h: float):
 
 def _holder_stat(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
     """Squared slow increments over the dyadic macro-grid pairs."""
-    pairs = np.array(_holder_pairs(model.horizon, model.h_macro), dtype=int)
+    pairs = np.array(_holder_pairs(model.n_steps), dtype=int)
     a, b = pairs.reshape(-1, 2).T
     return {"msq": np.sum((traj.u[b] - traj.u[a]) ** 2, axis=1)}
 
@@ -261,15 +259,6 @@ def _maxmin(means) -> float:
     return max(means) / min(means) if min(means) > 0 else math.inf
 
 
-def _averaged_terminal(model: ModelSpec, averaging, master_seed: int,
-                       trajectory_id: int) -> np.ndarray:
-    stream = derive_stream(master_seed, trajectory_id, "auxiliary")
-    out = simulate_averaged(model, averaging, model.u0, model.horizon,
-                            model.h_macro, stream, master_seed=master_seed,
-                            trajectory_id=trajectory_id)
-    return out.path[-1]
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -292,8 +281,8 @@ def run_convergence_study(cfg: ExperimentConfig) -> ResultTable:
     exact = model0.is_linear_benchmark
     ref: dict[str, tuple[float, float]] = {}
     if any(not exact or ob.kind != "mode" for ob in cfg.observables):
-        ref_terminals = run_parallel(
-            partial(_averaged_terminal, model0, cfg.averaging,
+        ref_paths = run_parallel(
+            partial(simulate_averaged, model0, cfg.averaging,
                     cfg.master_seed),
             range(cfg.ensemble_size), cfg.worker_count)
     for ob in cfg.observables:
@@ -302,7 +291,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> ResultTable:
             ref[ob.label] = (float(np.exp(rate * model0.horizon)
                                    * model0.u0[ob.k - 1]), 0.0)
         else:
-            ref[ob.label] = mean_se([ob(u) for u in ref_terminals])
+            ref[ob.label] = mean_se([ob(out.path[-1]) for out in ref_paths])
 
     rows: list[ResultRow] = []
     for eps in cfg.epsilon_grid:
@@ -366,7 +355,7 @@ def run_moment_audit(cfg: ExperimentConfig) -> ResultTable:
 def _holder_study(cfg: ExperimentConfig) -> tuple:
     model0 = cfg.model
     h = model0.h_macro
-    pairs = _holder_pairs(model0.horizon, h)
+    pairs = _holder_pairs(model0.n_steps)
     rho = np.array([compute_rho0(a * h, b * h, model0.holder_beta,
                                  model0.gamma1_star) for a, b in pairs])
     keys = [(eps, model0.theta) for eps in cfg.epsilon_grid]
@@ -517,10 +506,9 @@ def pooled_fbar_estimate(cfg: ExperimentConfig):
     return mean, se, analytic
 
 
-def simulate_ensemble(cfg: ExperimentConfig, epsilon: float | None = None):
-    """Ensemble of coupled trajectories at one epsilon, with dump payloads."""
-    model = cfg.model
-    key = (model.epsilon if epsilon is None else epsilon, model.theta)
+def simulate_ensemble(cfg: ExperimentConfig):
+    """Coupled trajectories at the model's epsilon, with dump payloads."""
+    key = (cfg.model.epsilon, cfg.model.theta)
     results = _coupled_pass(
         cfg, {key: [path_functionals,
                     partial(_dump_stat, dump_modes=cfg.dump_modes)]})

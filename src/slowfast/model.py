@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,7 +18,9 @@ MAX_STEPS = 10 ** 8  # steps of a path, or of a frozen-fast phase, at most
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Everything needed to simulate one slow-fast system at a given epsilon."""
+    """Everything needed to simulate one slow-fast system at a given epsilon,
+    with the step counts of its paths: n_steps macro steps over the horizon,
+    each of n_sub fast substeps of at most substep_ratio * epsilon."""
 
     op1: SpectralOperator
     op2: SpectralOperator
@@ -36,6 +39,8 @@ class ModelSpec:
     h_macro: float = 0.01
     substep_ratio: float = 0.2    # fast substep cap h_sub <= ratio * epsilon
     gamma1_star: float = field(init=False)
+    n_steps: int = field(init=False)  # a horizon below h_macro / 2 takes none
+    n_sub: int = field(init=False)
 
     def __post_init__(self):
         for name, ok, rule in (
@@ -50,6 +55,18 @@ class ModelSpec:
                 value = getattr(self, name)
                 raise InvalidParameterError(
                     f"{name} must be {rule}, got {value!r}", name=name)
+        n_steps = round(self.horizon / self.h_macro)
+        ratio = self.substep_ratio * self.epsilon
+        substeps = self.h_macro / ratio if ratio > 0 else math.inf
+        # A path builds one macro step's substep plan even with no steps.
+        # Written so that an underflowing ratio and a NaN count also fail.
+        if not max(n_steps, 1) * substeps <= MAX_STEPS:
+            raise InvalidParameterError(
+                f"epsilon must leave at most {MAX_STEPS:.0e} fast substeps "
+                f"per path, got {self.epsilon!r} ({n_steps} macro steps of "
+                f"{substeps:.4g})", name="epsilon")
+        object.__setattr__(self, "n_steps", n_steps)
+        object.__setattr__(self, "n_sub", max(1, math.ceil(substeps)))
         n = self.grid.n_modes
         if self.op1.n_modes != n or self.op2.n_modes != n:
             raise InvalidParameterError("operators and grid disagree on n_modes")

@@ -14,7 +14,6 @@ from slowfast import (FrozenFastParams, InvalidParameterError,
 from slowfast.averaging import averaged_mean_rates, make_drift_fn
 from slowfast.config import parse_config
 from slowfast.harness import pooled_invariant_rows
-from slowfast.noise import derive_stream
 
 from conftest import cubic_model, linear_model, unit_field
 
@@ -146,16 +145,14 @@ class TestEstimateFbar:
 class TestAveragedEquation:
     def test_pure_decay_without_drift_or_noise(self):
         model = linear_model(a_c=0.0, lam_slow=0.0)
-        stream = derive_stream(0, 0, "auxiliary")
-        out = simulate_averaged(model, None, unit_field(8), 1.0, 0.01, stream)
+        out = simulate_averaged(model, None, 0, 0)
         assert out.path[-1][0] == pytest.approx(
             math.exp(-model.op1.alphas[0]), rel=1e-10)
 
     def test_single_step_matches_scalar_exponential(self):
-        model = linear_model(lam_slow=0.0)
         h = 1e-3
-        out = simulate_averaged(model, None, unit_field(8), h, h,
-                                derive_stream(0, 0, "auxiliary"))
+        model = linear_model(lam_slow=0.0, horizon=h, h_macro=h)
+        out = simulate_averaged(model, None, 0, 0)
         mu = averaged_mean_rates(model)[0]
         assert out.times.size == 2
         assert abs(out.path[-1][0] - math.exp(mu * h)) <= 1e-8
@@ -164,15 +161,13 @@ class TestAveragedEquation:
         # model.explosion_bound guards the averaged equation as it guards
         # the coupled path: the first node past it raises, with its time.
         model = linear_model(lam_slow=0.0, a_c=10.0)
-        stream = derive_stream(0, 0, "auxiliary")
-        free = simulate_averaged(model, None, unit_field(8), 1.0, 0.01, stream)
+        free = simulate_averaged(model, None, 0, 0)
         norms = np.linalg.norm(free.path, axis=1)
         first = int(np.argmax(norms > 1.5))
         assert first > 1  # mu_1 > 0, so the norm grows past the bound
         with pytest.raises(StateExplosionError) as info:
             simulate_averaged(dataclasses.replace(model, explosion_bound=1.5),
-                              None, unit_field(8), 1.0, 0.01,
-                              derive_stream(0, 0, "auxiliary"))
+                              None, 0, 0)
         exc = info.value
         assert exc.t == free.times[first] and exc.cause == "bound"
         assert exc.norm_u == pytest.approx(norms[first], rel=1e-15)
@@ -188,33 +183,31 @@ class TestAveragedEquation:
         monkeypatch.setattr(averaging, "make_drift_fn", huge_drift)
         with np.errstate(over="ignore"), \
                 pytest.raises(StateExplosionError) as info:
-            simulate_averaged(linear_model(), None, unit_field(8), 1.0, 0.01,
-                              derive_stream(0, 0, "auxiliary"))
+            simulate_averaged(linear_model(), None, 0, 0)
         assert info.value.t == 0.01 and info.value.cause == "non-finite"
 
     def test_first_order_in_time(self):
         # terminal drift-handling error halves with the step
-        model = linear_model(lam_slow=0.0)
         errs = []
         for h in (0.02, 0.01):
-            stream = derive_stream(0, 0, "auxiliary")
-            out = simulate_averaged(model, None, unit_field(8), 1.0, h, stream)
+            model = linear_model(lam_slow=0.0, h_macro=h)
+            out = simulate_averaged(model, None, 0, 0)
             exact = math.exp(averaged_mean_rates(model)[0])
             errs.append(abs(out.path[-1][0] - exact))
         ratio = errs[0] / errs[1]
         assert 1.5 <= ratio <= 2.5
 
     def test_zero_horizon_returns_initial_state(self):
-        model = linear_model()
-        out = simulate_averaged(model, None, unit_field(8), 0.0, 0.01,
-                                derive_stream(0, 0, "auxiliary"))
+        # A horizon below h_macro / 2 takes no step.
+        model = linear_model(horizon=0.004, h_macro=0.01)
+        assert model.n_steps == 0
+        out = simulate_averaged(model, None, 0, 0)
         assert out.times.size == 1
         assert np.array_equal(out.path[0], unit_field(8))
 
     def test_noise_off_terminal_value(self):
-        model = linear_model(lam_slow=0.0)
-        stream = derive_stream(0, 0, "auxiliary")
-        out = simulate_averaged(model, None, unit_field(8), 1.0, 1e-4, stream)
+        model = linear_model(lam_slow=0.0, h_macro=1e-4)
+        out = simulate_averaged(model, None, 0, 0)
         exact = math.exp(averaged_mean_rates(model)[0])
         assert abs(out.path[-1][0] - exact) <= 1e-6
 
@@ -223,9 +216,7 @@ class TestAveragedEquation:
         exact = math.exp(averaged_mean_rates(model)[0])
         terminals = []
         for i in range(200):
-            stream = derive_stream(9, i, "auxiliary")
-            out = simulate_averaged(model, None, unit_field(8), 1.0, 0.01,
-                                    stream)
+            out = simulate_averaged(model, None, 9, i)
             terminals.append(out.path[-1][0])
         terminals = np.array(terminals)
         se = terminals.std(ddof=1) / math.sqrt(terminals.size)

@@ -245,6 +245,77 @@ class TestCli:
         assert len(err) == 1 and ".".join(where) + " must be" in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where,value,named", [
+        (("experiment", "epsilon_grid"), [0.1, 1e-300],
+         "experiment.epsilon_grid"),
+        (("experiment", "epsilon_grid"), [0.1, 5e-324],
+         "experiment.epsilon_grid"),
+        (("model", "epsilon"), 1e-300, "model.epsilon"),
+        (("model", "epsilon"), 5e-324, "model.epsilon"),
+        (("model", "reactions", "slow", "terms"), [["a", 3, 0]],
+         "model.reactions.slow.terms"),
+        (("model", "reactions", "slow", "terms"), [[-1.0, 3]],
+         "model.reactions.slow.terms"),
+        (("model", "reactions", "slow", "terms"), 5,
+         "model.reactions.slow.terms"),
+        (("model", "reactions", "slow", "terms"), [[-1.0, 3.7, 0]],
+         "model.reactions.slow.terms"),
+    ], ids=["grid_too_many_substeps", "grid_ratio_underflows",
+            "epsilon_too_many_substeps", "epsilon_ratio_underflows",
+            "terms_string_coefficient", "terms_two_entries", "terms_number",
+            "terms_fractional_power"])
+    @pytest.mark.parametrize("command", ["simulate", "converge"])
+    def test_unrunnable_path_rejected_at_load(self, tmp_path, capsys,
+                                              command, where, value, named):
+        # The epsilon cases ended in numpy's size error or a
+        # ZeroDivisionError (a bad model.epsilon passed converge, whose
+        # grid is set, and crashed simulate); the terms cases in the
+        # traceback of float() or int(), and a power of 3.7 ran as 3.
+        with open(os.path.join("configs", "decoupled_control.json")) as fh:
+            raw = json.load(fh)
+        raw["experiment"]["ensemble_size"] = 2
+        section = raw
+        for key in where[:-1]:
+            section = section[key]
+        section[where[-1]] = value
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["2", "nan", "0", "-0.5", "1e-300"])
+    def test_eps_flag_out_of_range_rejected(self, tmp_path, capsys, eps):
+        # Each used to end in the traceback of InvalidParameterError, or
+        # of numpy's size error for 1e-300.
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--eps", eps, "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--eps" in err[0], err
+        assert not out.exists()
+
+    def test_eps_flag_runs_and_hashes_its_epsilon(self, tmp_path):
+        # simulate --eps writes what a config with that epsilon writes,
+        # sidecar hash included.
+        path = write_config(tmp_path, BASE)
+        flagged = tmp_path / "flag"
+        assert main(["simulate", "--config", path, "--eps", "0.05", "--out",
+                     str(flagged)]) == 0
+        raw = copy.deepcopy(BASE)
+        raw["model"]["epsilon"] = 0.05
+        direct = tmp_path / "direct"
+        assert main(["simulate", "--config",
+                     write_config(tmp_path, raw, "eps.json"), "--out",
+                     str(direct)]) == 0
+        names = sorted(os.listdir(direct))
+        assert names == sorted(os.listdir(flagged))
+        for name in names:
+            assert ((flagged / name).read_bytes()
+                    == (direct / name).read_bytes()), name
+
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)
         out = tmp_path / "o"

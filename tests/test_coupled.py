@@ -69,6 +69,32 @@ class TestRho0:
             compute_rho0(2.0, 1.0, 0.5, 0.5)
 
 
+class TestStepCounts:
+    def test_counts_are_fields_of_the_model(self):
+        # eps = 0.1, 0.02, 0.004 give n_sub = 1, 3, 13 at h_macro = 0.01;
+        # each with_epsilon model gets its own count.
+        model = linear_model(horizon=0.2, h_macro=0.01)
+        assert model.n_steps == 20
+        assert [model.with_epsilon(eps).n_sub
+                for eps in (0.1, 0.02, 0.004)] == [1, 3, 13]
+
+    @pytest.mark.parametrize("eps,kwargs", [
+        (1e-300, {}),
+        (5e-324, {}),
+        (5e-324, {"substep_ratio": 1e-300}),
+        (0.1, {"h_macro": math.inf, "substep_ratio": math.inf}),
+    ], ids=["too_many_substeps", "ratio_underflows", "both_underflow",
+            "nan_count"])
+    def test_unallocatable_path_rejected(self, eps, kwargs):
+        # 1e-300 used to end in numpy's size error, 5e-324 (the product
+        # substep_ratio * eps underflows to 0) in a ZeroDivisionError, and
+        # inf / inf substeps in the ValueError of math.ceil(nan).
+        with pytest.raises(InvalidParameterError,
+                           match="epsilon must leave at most") as info:
+            linear_model(eps=eps, **kwargs)
+        assert info.value.name == "epsilon"
+
+
 class TestCoupledStep:
     def test_pure_semigroup_decay(self):
         # no reactions, no noise: both components decay at their own clocks
@@ -110,6 +136,7 @@ class TestCoupledStep:
 
     def test_zero_horizon_returns_initial_state(self):
         model = linear_model(horizon=1e-9, h_macro=0.01)
+        assert model.n_steps == 0
         traj = simulate_slowfast(model, 0, 0)
         assert traj.times.size == 1
         assert np.array_equal(traj.u[0], model.u0)

@@ -20,7 +20,6 @@ from slowfast.harness import (ResultRow, ResultTable, _coupled_paths,
                               run_holder_stats, run_khasminskii_study,
                               run_moment_audit, run_parallel,
                               run_theta_stability)
-from slowfast.noise import derive_stream
 from slowfast.spectral import kahan_add, mean_se
 
 from conftest import linear_model
@@ -72,12 +71,12 @@ class TestResultTable:
 
 class TestHolderPairs:
     def test_pairs_have_positive_start(self):
-        pairs = _holder_pairs(1.0, 0.01)
+        pairs = _holder_pairs(100)
         assert all(a > 0 for a, _ in pairs)
         assert all(b > a for a, b in pairs)
 
     def test_dyadic_lags_present(self):
-        pairs = _holder_pairs(1.0, 0.01)
+        pairs = _holder_pairs(100)
         lags = {b - a for a, b in pairs}
         assert {50, 25, 12, 6, 3} == lags
 
@@ -134,11 +133,9 @@ class TestConvergenceStudy:
         table = run_convergence_study(cfg)
         assert len(calls) == cfg.ensemble_size * len(cfg.epsilon_grid)
 
-        terminals = [simulate_averaged(
-            model, cfg.averaging, model.u0, model.horizon, model.h_macro,
-            derive_stream(cfg.master_seed, i, "auxiliary"),
-            master_seed=cfg.master_seed, trajectory_id=i).path[-1]
-            for i in range(cfg.ensemble_size)]
+        terminals = [simulate_averaged(model, cfg.averaging, cfg.master_seed,
+                                       i).path[-1]
+                     for i in range(cfg.ensemble_size)]
         for ob in cfg.observables:
             if model.is_linear_benchmark and ob.kind == "mode":
                 rate = averaged_mean_rates(model)[ob.k - 1]
@@ -258,7 +255,7 @@ class TestHolderStats:
         model = cfg.model
         h = model.h_macro
         alpha1 = model.op1.alphas[0]
-        for a, b in _holder_pairs(model.horizon, h)[:3]:
+        for a, b in _holder_pairs(model.n_steps)[:3]:
             row = table.value("audit_holder", 0.1,
                               f"msq_increment[s={a * h:g},t={b * h:g}]")
             exact = (math.exp(-alpha1 * b * h) - math.exp(-alpha1 * a * h)) ** 2

@@ -14,7 +14,7 @@ from slowfast import (GridSpec, SpectralOperator, analyze, build_model,
                       make_slow_reaction, nemytskii_drift, synthesize,
                       truncate_b)
 from slowfast.config import ObservableSpec
-from slowfast.coupled import _plans, step_coupled
+from slowfast.coupled import _plans, simulate_slowfast, step_coupled
 from slowfast.fast_dynamics import FastStepper
 from slowfast.noise import ROLES, RngStream
 from slowfast.reactions import fast_coefficients
@@ -307,7 +307,7 @@ def test_macro_step_equals_checked_reference(case):
     # step and concatenates.
     model, n_sub, u, v, xi_slow, xi_fast = case
     grid = model.grid
-    plans = _plans(model, model.h_macro)
+    plans = _plans(model)
     assert plans[0] == n_sub
     # Increments of a two-step chunk, of which this step is the second.
     chunk_slow = plans[1].noise_std * np.stack([xi_slow, xi_slow])
@@ -315,7 +315,7 @@ def test_macro_step_equals_checked_reference(case):
     t = 0.03
     u_next, v_next, u_phys, v_phys, f1 = step_coupled(
         u, v, synthesize(u, grid), synthesize(v, grid), t, model,
-        model.h_macro, chunk_slow[1], chunk_fast[1], plans)
+        chunk_slow[1], chunk_fast[1], plans)
     u_ref, v_ref, f1_ref = _reference_macro_step(model, n_sub, u, v, t,
                                                  xi_slow, xi_fast)
     assert np.array_equal(u_next, u_ref)
@@ -323,6 +323,33 @@ def test_macro_step_equals_checked_reference(case):
     assert np.array_equal(f1, f1_ref)
     assert np.array_equal(u_phys, synthesize(u_ref, grid))
     assert np.array_equal(v_phys, synthesize(v_ref, grid))
+
+
+@SETTINGS
+@given(eps=st.floats(min_value=1e-3, max_value=1.0),
+       h_macro=st.floats(min_value=1e-3, max_value=0.05),
+       substep_ratio=st.floats(min_value=0.05, max_value=2.0),
+       steps=st.floats(min_value=0.01, max_value=6.0))
+def test_path_takes_the_models_step_counts(eps, h_macro, substep_ratio,
+                                           steps):
+    # ModelSpec counts a path's steps once: n_steps macro steps over the
+    # horizon, each of the fewest substeps no longer than ratio * eps.
+    grid = GRIDS[0]
+    n = grid.n_modes
+    model = build_model(
+        SpectralOperator.from_power_law(n, 0.01, 1.0, 0.05, 1.0, 0.5),
+        SpectralOperator.from_power_law(n, 1.0, 1.0, 0.1, 1.0, 0.5),
+        make_slow_reaction("linear_benchmark"),
+        make_fast_reaction("linear_benchmark", a_c=1.0, b_c=2.0), grid, eps,
+        steps * h_macro, np.ones(n), np.ones(n), h_macro=h_macro,
+        substep_ratio=substep_ratio)
+    traj = simulate_slowfast(model, 0, 0)
+    assert traj.fast_noise.shape[:2] == (model.n_steps, model.n_sub)
+    assert traj.times.size == model.n_steps + 1
+    assert model.n_steps == round(model.horizon / h_macro)
+    cap = substep_ratio * eps
+    assert h_macro / model.n_sub <= cap * (1 + 1e-12)
+    assert model.n_sub == 1 or h_macro / (model.n_sub - 1) > cap * (1 - 1e-12)
 
 
 def _scanned_param(spec, name, default):

@@ -2,7 +2,8 @@
 __all__, and every public method or property of a package class, is
 referenced by package code outside its own definition, and every public
 dataclass field or __slots__ entry is read by package code outside its
-class's initializer.  The re-exports of slowfast/__init__.py do not count
+class's initializer, and every parameter of a top-level function or
+method is read by its body.  The re-exports of slowfast/__init__.py do not count
 as uses."""
 
 import ast
@@ -19,6 +20,12 @@ SRC = pathlib.Path(slowfast.__file__).parent
 ALLOWED_UNUSED = {"run_moment_audit", "run_holder_stats",
                   "run_theta_stability", "run_khasminskii_study",
                   "eval_g", "step_frozen_fast"}
+
+# Parameters that a protocol signature fixes: every reaction kind is
+# evaluated as b(t, xi, sigma, lam) and g(t, xi, rho, sigma), the drift
+# oracle as F-bar(t, x), and a path statistic as stat(traj, model).
+ALLOWED_UNREAD_PARAMS = {"eval_b.t", "eval_b.xi", "eval_g.t", "eval_g.xi",
+                         "analytic_Fbar_linear.t", "_slow_path_stat.model"}
 
 # Fields that only tests read.  RngStream.counter is the stream's draw
 # count, kept for the concatenation-consistency tests of the noise layer.
@@ -174,3 +181,43 @@ def test_every_field_is_read():
 
 def test_field_allow_list_is_current():
     assert ALLOWED_UNREAD_FIELDS <= _unread_fields()
+
+
+def _unread_params() -> set:
+    """function.param for each parameter of a top-level function, and
+    Class.method.param for each of a method of a top-level class, that no
+    statement of its body loads by name (a nested function's load
+    counts)."""
+    unread = set()
+    for tree in _modules().values():
+        functions = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                functions.extend((f"{node.name}.{method.name}", method)
+                                 for method in node.body
+                                 if isinstance(method, ast.FunctionDef))
+        for name, function in functions:
+            args = function.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                          *args.kwonlyargs, args.vararg,
+                                          args.kwarg) if arg is not None]
+            loads = {sub.id for statement in function.body
+                     for sub in ast.walk(statement)
+                     if isinstance(sub, ast.Name)
+                     and isinstance(sub.ctx, ast.Load)}
+            unread.update(f"{name}.{param}" for param in params
+                          if param not in loads)
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = _unread_params() - ALLOWED_UNREAD_PARAMS
+    assert not unread, (
+        f"parameters their function never reads: {sorted(unread)}; "
+        "read them or delete them")
+
+
+def test_parameter_allow_list_is_current():
+    assert ALLOWED_UNREAD_PARAMS <= _unread_params()
