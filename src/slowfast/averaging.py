@@ -11,7 +11,6 @@ a_c x_k / (alpha_{2,k} + b_c), which gives a closed-form oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +26,11 @@ __all__ = [
     "analytic_Fbar_linear",
     "averaged_mean_rates",
     "simulate_averaged",
-    "AveragedTrajectory",
 ]
 
 
 def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
-                  master_seed: int = 0, trajectory_id: int = 0
+                  master_seed: int, trajectory_id: int = 0
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Nested Monte Carlo estimate of the averaged drift at (t, x): the
     mean field and its std-error field.
@@ -86,14 +84,8 @@ def averaged_mean_rates(model: ModelSpec) -> np.ndarray:
     return -model.op1.alphas + a_c / rates
 
 
-@dataclass
-class AveragedTrajectory:
-    times: np.ndarray
-    path: np.ndarray              # (n_nodes, N) slow coefficients
-
-
-def make_drift_fn(model: ModelSpec, params: FrozenFastParams | None,
-                  master_seed: int = 0, trajectory_id: int = 0):
+def make_drift_fn(model: ModelSpec, params: FrozenFastParams,
+                  master_seed: int, trajectory_id: int):
     """Averaged-drift callable: analytic oracle for the linear benchmark,
     slow-only evaluation when b ignores the fast variable, nested estimator
     (estimate_Fbar, keyed by trajectory_id, on the h_macro grid) otherwise.
@@ -121,8 +113,6 @@ def make_drift_fn(model: ModelSpec, params: FrozenFastParams | None,
                             model.grid)
             return drift, np.zeros_like(drift)
         return fn
-    if params is None:
-        raise InvalidParameterError("the nested drift estimator requires params")
 
     def fn(t, u):
         if np.ndim(u) == 1:
@@ -135,23 +125,23 @@ def make_drift_fn(model: ModelSpec, params: FrozenFastParams | None,
     return fn
 
 
-def simulate_averaged(model: ModelSpec, params: FrozenFastParams | None,
-                      master_seed: int, trajectory_id: int
-                      ) -> AveragedTrajectory:
-    """Sample the averaged slow equation from model.u0 on the model's macro
-    grid by exponential Euler, the drift (make_drift_fn's) frozen over each
-    step and the noise drawn from the id's auxiliary stream.
+def simulate_averaged(model: ModelSpec, params: FrozenFastParams,
+                      master_seed: int, trajectory_id: int) -> np.ndarray:
+    """Sample the averaged slow equation from model.u0 on the macro grid
+    model.times by exponential Euler, the drift (make_drift_fn's) frozen
+    over each step and the noise drawn from the id's auxiliary stream.
+    Returns the (n_steps + 1, N) path of slow coefficients.
 
     A new state whose norm is non-finite or above model.explosion_bound
     raises StateExplosionError at its node, as on the coupled path."""
     u = model.u0
     n_steps = model.n_steps
-    times = np.arange(n_steps + 1) * model.h_macro
+    times = model.times
     path = np.empty((n_steps + 1, model.n_modes))
     path[0] = u
     stream = derive_stream(master_seed, trajectory_id, "auxiliary")
     drift_fn = make_drift_fn(model, params, master_seed, trajectory_id)
-    plan = make_plan(model.op1, model.h_macro, 1.0) if n_steps else None
+    plan = make_plan(model.op1, model.h_macro, 1.0)
     # As on the coupled path: an overflowing squared norm trips the guard
     # without a warning of its own.
     with np.errstate(over="ignore"):
@@ -165,4 +155,4 @@ def simulate_averaged(model: ModelSpec, params: FrozenFastParams | None,
                                           model.explosion_bound,
                                           where=" in the averaged equation")
             path[i + 1] = u
-    return AveragedTrajectory(times=times, path=path)
+    return path

@@ -76,29 +76,39 @@ def _load(args) -> ExperimentConfig:
         cfg.canonical["model"]["epsilon"] = args.eps
     if args.out is not None:
         updates["output_dir"] = args.out
-    if args.workers is not None:
-        updates["worker_count"] = int(args.workers)
-    elif os.environ.get("MULTISCALE_WORKERS"):
-        value = os.environ["MULTISCALE_WORKERS"]
+    source, value = "--workers", args.workers
+    if value is None:
+        source = "MULTISCALE_WORKERS"
+        value = os.environ.get(source) or None
+    if value is not None:
         try:
-            updates["worker_count"] = int(value)
+            updates["worker_count"] = count = int(value)
         except ValueError:
+            count = 0
+        if count < 1:
             raise ConfigurationRejectedError(
-                f"MULTISCALE_WORKERS must be an integer, got {value!r}") from None
+                f"{source} must be an integer of at least 1, got {value!r}")
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
         # master_seed is part of the experiment definition; keep the sidecar
         # hash in sync with the effective seed.
         cfg.canonical["experiment"]["master_seed"] = cfg.master_seed
+    head = cfg.output_dir
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        source = "--out" if args.out is not None else "experiment.output_dir"
+        raise ConfigurationRejectedError(
+            f"{source} {cfg.output_dir!r}: {head!r} is not a directory")
     return cfg
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     results = simulate_ensemble(cfg)
+    times = cfg.model.times
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    k = cfg.dump_modes
     summary_rows = []
     censored = 0
     for i, res in enumerate(results):
@@ -108,8 +118,8 @@ def _cmd_simulate(args) -> int:
             continue
         header = (["t"] + [f"u_{j + 1}" for j in range(res["u_dump"].shape[1])]
                   + [f"v_{j + 1}" for j in range(res["v_dump"].shape[1])])
-        rows = [(res["times"][m], *res["u_dump"][m], *res["v_dump"][m])
-                for m in range(res["times"].size)]
+        rows = [(t, *res["u_dump"][m], *res["v_dump"][m])
+                for m, t in enumerate(times)]
         write_csv(os.path.join(out, f"trajectory_{i:05d}.csv"), header, rows)
         obs_vals = [ob(res["terminal_u"]) for ob in cfg.observables]
         summary_rows.append((i, 0, None, res["v_integral"], res["sup_norm_u"],

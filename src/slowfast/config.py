@@ -321,6 +321,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
              c_const)
     master_seed = _get(exp, "master_seed", "experiment", 0, int)
     _require(master_seed >= 0, "master_seed", "nonnegative", master_seed)
+    worker_count = _get(exp, "worker_count", "experiment", 1, int)
+    _require(worker_count >= 1, "worker_count", "at least 1", worker_count)
 
     omega = model.omega
     cfg = ExperimentConfig(
@@ -331,7 +333,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         observables=tuple(observables),
         output_dir=str(exp.get("output_dir", "out")),
         master_seed=master_seed,
-        worker_count=_get(exp, "worker_count", "experiment", 1, int),
+        worker_count=worker_count,
         dump_modes=dump_modes,
         theta_sequence=theta_sequence,
         c_const=c_const,

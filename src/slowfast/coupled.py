@@ -34,7 +34,6 @@ __all__ = [
     "step_coupled",
     "simulate_slowfast",
     "path_functionals",
-    "AuxiliaryResult",
     "build_auxiliary",
     "freezing_deviations",
     "block_freezing_errors",
@@ -43,10 +42,9 @@ __all__ = [
 
 @dataclass
 class SlowFastTrajectory:
-    """Path at the macro nodes, with the fast normals that drove it (for
-    the block-frozen replay) and each macro step's averaged slow drift."""
+    """Path at the macro nodes model.times, with the fast normals that drove
+    it (for the block-frozen replay) and each step's averaged slow drift."""
 
-    times: np.ndarray             # (n_nodes,)
     u: np.ndarray                 # (n_nodes, N)
     v: np.ndarray                 # (n_nodes, N)
     trajectory_id: int
@@ -155,7 +153,7 @@ def simulate_slowfast(model: ModelSpec, master_seed: int,
     NOISE_CHUNK_STEPS macro steps at a time; the streams are
     concatenation-consistent, so these are the draws of one substep at a
     time.  An explosion is reported at the macro node it reached, an
-    element of times."""
+    element of model.times."""
     plans = _plans(model)
     n_steps = model.n_steps
     n_sub, plan_slow, stepper = plans[:3]
@@ -164,7 +162,7 @@ def simulate_slowfast(model: ModelSpec, master_seed: int,
 
     n = model.n_modes
     grid = model.grid
-    times = np.arange(n_steps + 1) * model.h_macro
+    times = model.times
     u_path = np.empty((n_steps + 1, n))
     v_path = np.empty((n_steps + 1, n))
     u_path[0] = model.u0
@@ -201,7 +199,7 @@ def simulate_slowfast(model: ModelSpec, master_seed: int,
                 u_path[i + 1] = u
                 v_path[i + 1] = v
     return SlowFastTrajectory(
-        times=times, u=u_path, v=v_path, trajectory_id=trajectory_id,
+        u=u_path, v=v_path, trajectory_id=trajectory_id,
         fast_noise=noise, slow_drift=drifts,
     )
 
@@ -249,17 +247,11 @@ def path_functionals(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
             "vbar_proxy": proxy}
 
 
-@dataclass
-class AuxiliaryResult:
-    times: np.ndarray
-    u_aux: np.ndarray             # piecewise-constant slow path at macro nodes
-    v_aux: np.ndarray
-
-
 def build_auxiliary(traj: SlowFastTrajectory, delta: float,
-                    model: ModelSpec) -> AuxiliaryResult:
+                    model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Re-simulate the fast path with the slow drift argument frozen at the
-    last block boundary, driven by the identical fast noise increments.
+    last block boundary, driven by the identical fast noise increments;
+    returns (u_aux, v_aux), u_aux the path's u at each node's block start.
 
     The block length is snapped to a whole number of macro steps; each block
     restarts from the true fast state at its left endpoint.  A block's first
@@ -272,10 +264,10 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
     """
     if not delta > 0:
         raise InvalidParameterError("delta must be positive")
-    n_steps = traj.times.size - 1
+    n_steps = model.n_steps
     steps_per_block, _ = snap_block(delta, model.h_macro)
     n_sub, _, stepper = _plans(model)[:3]
-    if traj.fast_noise.shape[1] != n_sub:
+    if traj.fast_noise.shape[:2] != (n_steps, n_sub):
         raise InvalidParameterError(
             "substep layout mismatch: trajectory is not replayable under this model")
 
@@ -296,26 +288,24 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
         finite = np.isfinite(replayed).all(axis=1)
         if not finite.all():
             first = start + 2 + int(np.argmin(finite))
-            raise StateExplosionError(float(traj.times[first]),
+            raise StateExplosionError(float(model.times[first]),
                                       float(np.linalg.norm(traj.u[start])),
                                       float(np.linalg.norm(v_aux[first])),
                                       model.explosion_bound,
                                       where=" in the block-frozen replay")
     # Node i holds the snapshot at the start of its block.
-    block_starts = np.arange(n_steps + 1) // steps_per_block * steps_per_block
-    u_aux = traj.u[np.minimum(block_starts, n_steps)]
-    return AuxiliaryResult(times=traj.times.copy(), u_aux=u_aux, v_aux=v_aux)
+    nodes = np.arange(len(v_aux))
+    return traj.u[nodes // steps_per_block * steps_per_block], v_aux
 
 
-def freezing_deviations(traj: SlowFastTrajectory,
-                        aux: AuxiliaryResult) -> tuple[np.ndarray, float]:
+def freezing_deviations(traj: SlowFastTrajectory, aux: tuple,
+                        model: ModelSpec) -> tuple[np.ndarray, float]:
     """Squared slow deviation at each macro node, and the L2(0, T) squared
-    fast deviation, of one path from its block-frozen replay."""
-    if traj.times.shape != aux.times.shape:
-        raise InvalidParameterError("trajectory/auxiliary grids mismatch")
-    h = float(traj.times[1] - traj.times[0])
-    return (np.sum((traj.u - aux.u_aux) ** 2, axis=1),
-            h * float(np.sum((traj.v - aux.v_aux) ** 2)))
+    fast deviation, of one path from its block-frozen replay
+    aux = build_auxiliary(traj, delta, model)."""
+    u_aux, v_aux = aux
+    return (np.sum((traj.u - u_aux) ** 2, axis=1),
+            model.h_macro * float(np.sum((traj.v - v_aux) ** 2)))
 
 
 def block_freezing_errors(slow_sq: list, fast_dev: list

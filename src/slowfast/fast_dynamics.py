@@ -228,7 +228,7 @@ def batch_std_error(batches: np.ndarray) -> np.ndarray:
 
 
 def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
-                               observable, master_seed: int = 0,
+                               observable, master_seed: int,
                                key: tuple = ()) -> tuple:
     """Time average of observable(v_phys) over [t_burn, t_burn + t_avg] of
     model's fast field frozen at slow state x, and its standard error.

@@ -99,13 +99,14 @@ class ResultTable:
 
 def run_parallel(fn, tasks, worker_count: int):
     """Map a module-level function over picklable tasks, preserving order."""
-    if worker_count <= 1 or len(tasks) <= 1:
+    workers = min(worker_count, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     # Imported here, so only a parallel run pays for loading multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(tasks) // (4 * worker_count))
-    with ProcessPoolExecutor(max_workers=worker_count) as pool:
+    chunk = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
@@ -144,7 +145,7 @@ def _khasminskii_stat(traj: SlowFastTrajectory, model: ModelSpec,
                       delta: float) -> dict:
     """Slow and fast deviations of the block-frozen replay of the path."""
     slow_sq, fast_dev = freezing_deviations(
-        traj, build_auxiliary(traj, delta, model))
+        traj, build_auxiliary(traj, delta, model), model)
     return {"slow_sq": slow_sq, "fast_dev": fast_dev}
 
 
@@ -162,7 +163,7 @@ def _discrepancy_stat(traj: SlowFastTrajectory, model: ModelSpec,
                          trajectory_id=traj.trajectory_id)
     h = model.h_macro
     n = model.n_modes
-    times = traj.times[:-1]
+    times = model.times[:-1]
     delta_f = traj.slow_drift - fbar(times, traj.u[:-1])[0]
     sups = []
     for tf in test_functions:
@@ -182,7 +183,6 @@ def _dump_stat(traj: SlowFastTrajectory, model: ModelSpec,
     """Leading modes of the path and its sup norms, for `simulate`."""
     k = min(dump_modes, model.n_modes)
     return {
-        "times": traj.times,
         "u_dump": traj.u[:, :k].copy(),
         "v_dump": traj.v[:, :k].copy(),
         "sup_norm_u": float(np.max(np.sqrt(np.sum(traj.u ** 2, axis=1)))),
@@ -291,7 +291,7 @@ def run_convergence_study(cfg: ExperimentConfig) -> ResultTable:
             ref[ob.label] = (float(np.exp(rate * model0.horizon)
                                    * model0.u0[ob.k - 1]), 0.0)
         else:
-            ref[ob.label] = mean_se([ob(out.path[-1]) for out in ref_paths])
+            ref[ob.label] = mean_se([ob(path[-1]) for path in ref_paths])
 
     rows: list[ResultRow] = []
     for eps in cfg.epsilon_grid:

@@ -84,6 +84,11 @@ class ModelSpec:
         return float(self.op2.alphas[0]) - self.reaction_fast.L2
 
     @property
+    def times(self) -> np.ndarray:
+        """A path's macro nodes 0, h_macro, ..., n_steps h_macro (fresh)."""
+        return np.arange(self.n_steps + 1) * self.h_macro
+
+    @property
     def n_modes(self) -> int:
         return self.grid.n_modes
 

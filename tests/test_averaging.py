@@ -90,7 +90,8 @@ class TestEstimateFbar:
                                   m1=1, m2=1, kappa1=2, kappa2=0)
         model = dataclasses.replace(model, reaction_slow=slow)
         params = fast_params(model, t_avg_units=5.0, n_replicas=2)
-        mean, se = estimate_Fbar(0.0, unit_field(4), params, model)
+        mean, se = estimate_Fbar(0.0, unit_field(4), params, model,
+                                 master_seed=0)
         assert np.max(se) <= 1e-12
         # the drift equals the pointwise value of b(u, .) = u
         assert mean[0] == pytest.approx(1.0, rel=1e-10)
@@ -127,10 +128,12 @@ class TestEstimateFbar:
         model = linear_model(n_modes=4, n_quad=16)
         params = fast_params(model, t_avg_units=5.0, n_replicas=2)
         x = unit_field(4)
-        base, _ = estimate_Fbar(0.0, x, params, model, trajectory_id=0)
-        other_id, _ = estimate_Fbar(0.0, x, params, model, trajectory_id=1)
+        base, _ = estimate_Fbar(0.0, x, params, model, master_seed=0,
+                                trajectory_id=0)
+        other_id, _ = estimate_Fbar(0.0, x, params, model, master_seed=0,
+                                    trajectory_id=1)
         other_step, _ = estimate_Fbar(model.h_macro, x, params, model,
-                                      trajectory_id=0)
+                                      master_seed=0, trajectory_id=0)
         assert not np.array_equal(base, other_id)
         assert not np.array_equal(base, other_step)
 
@@ -139,37 +142,42 @@ class TestEstimateFbar:
         model = linear_model(n_modes=4, n_quad=16)
         params = fast_params(model, t_avg_units=5.0, n_replicas=2)
         with pytest.raises(InvalidParameterError, match="h_macro grid"):
-            estimate_Fbar(0.5 * model.h_macro, unit_field(4), params, model)
+            estimate_Fbar(0.5 * model.h_macro, unit_field(4), params, model,
+                          master_seed=0)
+
+
+# The exact drift modes read no nested-estimation parameters.
+EXACT_PARAMS = FrozenFastParams(h=0.01, t_burn=1.0, t_avg=1.0, n_replicas=1)
 
 
 class TestAveragedEquation:
     def test_pure_decay_without_drift_or_noise(self):
         model = linear_model(a_c=0.0, lam_slow=0.0)
-        out = simulate_averaged(model, None, 0, 0)
-        assert out.path[-1][0] == pytest.approx(
+        path = simulate_averaged(model, EXACT_PARAMS, 0, 0)
+        assert path[-1][0] == pytest.approx(
             math.exp(-model.op1.alphas[0]), rel=1e-10)
 
     def test_single_step_matches_scalar_exponential(self):
         h = 1e-3
         model = linear_model(lam_slow=0.0, horizon=h, h_macro=h)
-        out = simulate_averaged(model, None, 0, 0)
+        path = simulate_averaged(model, EXACT_PARAMS, 0, 0)
         mu = averaged_mean_rates(model)[0]
-        assert out.times.size == 2
-        assert abs(out.path[-1][0] - math.exp(mu * h)) <= 1e-8
+        assert len(path) == model.times.size == 2
+        assert abs(path[-1][0] - math.exp(mu * h)) <= 1e-8
 
     def test_explosion_guard_raises_at_a_node(self):
         # model.explosion_bound guards the averaged equation as it guards
         # the coupled path: the first node past it raises, with its time.
         model = linear_model(lam_slow=0.0, a_c=10.0)
-        free = simulate_averaged(model, None, 0, 0)
-        norms = np.linalg.norm(free.path, axis=1)
+        free = simulate_averaged(model, EXACT_PARAMS, 0, 0)
+        norms = np.linalg.norm(free, axis=1)
         first = int(np.argmax(norms > 1.5))
         assert first > 1  # mu_1 > 0, so the norm grows past the bound
         with pytest.raises(StateExplosionError) as info:
             simulate_averaged(dataclasses.replace(model, explosion_bound=1.5),
-                              None, 0, 0)
+                              EXACT_PARAMS, 0, 0)
         exc = info.value
-        assert exc.t == free.times[first] and exc.cause == "bound"
+        assert exc.t == model.times[first] and exc.cause == "bound"
         assert exc.norm_u == pytest.approx(norms[first], rel=1e-15)
         assert "state explosion in the averaged equation at t=" in str(exc)
 
@@ -183,7 +191,7 @@ class TestAveragedEquation:
         monkeypatch.setattr(averaging, "make_drift_fn", huge_drift)
         with np.errstate(over="ignore"), \
                 pytest.raises(StateExplosionError) as info:
-            simulate_averaged(linear_model(), None, 0, 0)
+            simulate_averaged(linear_model(), EXACT_PARAMS, 0, 0)
         assert info.value.t == 0.01 and info.value.cause == "non-finite"
 
     def test_first_order_in_time(self):
@@ -191,9 +199,9 @@ class TestAveragedEquation:
         errs = []
         for h in (0.02, 0.01):
             model = linear_model(lam_slow=0.0, h_macro=h)
-            out = simulate_averaged(model, None, 0, 0)
+            path = simulate_averaged(model, EXACT_PARAMS, 0, 0)
             exact = math.exp(averaged_mean_rates(model)[0])
-            errs.append(abs(out.path[-1][0] - exact))
+            errs.append(abs(path[-1][0] - exact))
         ratio = errs[0] / errs[1]
         assert 1.5 <= ratio <= 2.5
 
@@ -201,23 +209,23 @@ class TestAveragedEquation:
         # A horizon below h_macro / 2 takes no step.
         model = linear_model(horizon=0.004, h_macro=0.01)
         assert model.n_steps == 0
-        out = simulate_averaged(model, None, 0, 0)
-        assert out.times.size == 1
-        assert np.array_equal(out.path[0], unit_field(8))
+        path = simulate_averaged(model, EXACT_PARAMS, 0, 0)
+        assert len(path) == model.times.size == 1
+        assert np.array_equal(path[0], unit_field(8))
 
     def test_noise_off_terminal_value(self):
         model = linear_model(lam_slow=0.0, h_macro=1e-4)
-        out = simulate_averaged(model, None, 0, 0)
+        path = simulate_averaged(model, EXACT_PARAMS, 0, 0)
         exact = math.exp(averaged_mean_rates(model)[0])
-        assert abs(out.path[-1][0] - exact) <= 1e-6
+        assert abs(path[-1][0] - exact) <= 1e-6
 
     def test_ensemble_mean_matches_deterministic_path(self):
         model = linear_model(lam_slow=0.05)
         exact = math.exp(averaged_mean_rates(model)[0])
         terminals = []
         for i in range(200):
-            out = simulate_averaged(model, None, 9, i)
-            terminals.append(out.path[-1][0])
+            path = simulate_averaged(model, EXACT_PARAMS, 9, i)
+            terminals.append(path[-1][0])
         terminals = np.array(terminals)
         se = terminals.std(ddof=1) / math.sqrt(terminals.size)
         assert abs(terminals.mean() - exact) <= 3 * se + 1e-4
@@ -308,8 +316,8 @@ class TestThetaConsistency:
         model = cubic_model(n_modes=4, n_quad=16, theta=0.0)
         x = unit_field(4, value=0.5)
         params = fast_params(model, t_avg_units=5.0, n_replicas=2, h=0.005)
-        raw, _ = make_drift_fn(model, params, 404)(0.0, x)
-        trunc, _ = make_drift_fn(model.with_theta(0.5), params, 404)(0.0, x)
+        raw, _ = make_drift_fn(model, params, 404, 0)(0.0, x)
+        trunc, _ = make_drift_fn(model.with_theta(0.5), params, 404, 0)(0.0, x)
         assert not np.array_equal(raw, trunc)
         assert np.array_equal(trunc, estimate_Fbar(
             0.0, x, params, model.with_theta(0.5), master_seed=404)[0])
@@ -323,12 +331,12 @@ def shipped(name):
 class TestAutoDriftResolution:
     """make_drift_fn picks the exact drift where one exists: the oracle for
     the linear benchmark, the slow reaction alone when b ignores the fast
-    variable, and the nested estimator otherwise.  The exact modes need no
+    variable, and the nested estimator otherwise.  The exact modes read no
     nested-estimation params."""
 
     def test_linear_benchmark_resolves_to_oracle(self):
         model = shipped("linear_benchmark").model
-        drift, se = make_drift_fn(model, None)(0.0, model.u0)
+        drift, se = make_drift_fn(model, EXACT_PARAMS, 0, 0)(0.0, model.u0)
         a_c = model.reaction_fast.param("a_c")
         b_c = model.reaction_fast.param("b_c")
         assert np.array_equal(drift, a_c * model.u0 / (model.op2.alphas + b_c))
@@ -337,7 +345,7 @@ class TestAutoDriftResolution:
     def test_decoupled_control_resolves_to_slow_only(self):
         model = shipped("decoupled_control").model
         assert not model.reaction_slow.depends_on_fast
-        drift, se = make_drift_fn(model, None)(0.0, model.u0)
+        drift, se = make_drift_fn(model, EXACT_PARAMS, 0, 0)(0.0, model.u0)
         assert np.isfinite(drift).all() and drift.any()
         assert not se.any()
 

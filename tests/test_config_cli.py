@@ -200,11 +200,13 @@ class TestCli:
          [{"modes": [1.0], "time_power": -1}], "test_functions[0].time_power"),
         ("invariant", ("invariant", "t_burn"), 1e300, "invariant.t_burn"),
         ("simulate", ("model", "horizon"), 1e300, "model.horizon"),
+        ("converge", ("experiment", "worker_count"), 0,
+         "experiment.worker_count"),
     ], ids=["h_macro", "mode_0", "mode_past_n_modes", "test_function_modes",
             "theta_above_1", "theta_below_0", "one_theta_level", "c_const_0",
             "dump_modes_negative", "ensemble_size_0", "master_seed_negative",
             "time_power_negative", "t_burn_unfinishable",
-            "horizon_unfinishable"])
+            "horizon_unfinishable", "worker_count_0"])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys,
                                                  command, where, value, named):
         # Each of these used to end in a traceback, in a silently wrong or
@@ -463,6 +465,58 @@ class TestCli:
         code = main(["invariant", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "MULTISCALE_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,env", [("0", None), ("-3", None),
+                                          (None, "0")],
+                             ids=["flag_0", "flag_negative", "env_0"])
+    def test_worker_count_below_one_rejected(self, tmp_path, monkeypatch,
+                                             capsys, flag, env):
+        # Each used to run serially and exit 0.
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "o"
+        argv = ["converge", "--config", path, "--out", str(out)]
+        if flag is not None:
+            argv += ["--workers", flag]
+        monkeypatch.setenv("MULTISCALE_WORKERS", env or "")
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        source = "--workers" if flag is not None else "MULTISCALE_WORKERS"
+        assert len(err) == 1 and f"{source} must be" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "converge", "average"])
+    def test_out_that_is_a_file_rejected(self, tmp_path, monkeypatch, capsys,
+                                         command):
+        # average used to run the whole estimate and then end in the
+        # traceback of FileExistsError.
+        import slowfast.cli as cli
+        path = write_config(tmp_path, BASE)
+        out = tmp_path / "taken"
+        out.write_text("kept")
+
+        def no_run(*args):
+            raise AssertionError("a path ran before the rejection")
+        for name in ("simulate_ensemble", "run_convergence_study",
+                     "pooled_fbar_estimate"):
+            monkeypatch.setattr(cli, name, no_run)
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--out" in err[0], err
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_output_dir_that_is_a_file_rejected(self, tmp_path, capsys,
+                                                under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        raw = copy.deepcopy(BASE)
+        raw["experiment"]["output_dir"] = str(taken / "sub" if under
+                                              else taken)
+        path = write_config(tmp_path, raw)
+        assert main(["average", "--config", path]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "experiment.output_dir" in err[0], err
+        assert taken.read_text() == "kept"
 
     def test_audit_simulates_each_path_once(self, tmp_path, monkeypatch):
         # 3 eps x 3 theta with (model.epsilon, model.theta) on both grids:

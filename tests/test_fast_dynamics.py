@@ -380,7 +380,8 @@ class TestInvariantAverage:
                             nan_in_replica_1)
         with pytest.raises(StateExplosionError, match="frozen-fast replica 1"):
             estimate_invariant_average(*frozen_cfg(t_avg=0.2, n_replicas=3),
-                                       lambda v_phys: v_phys[:, 0])
+                                       lambda v_phys: v_phys[:, 0],
+                                       master_seed=0)
 
     def test_per_vector_observable_rejected(self):
         # An observable written for one nodal vector would silently pool
@@ -388,7 +389,8 @@ class TestInvariantAverage:
         cfg = frozen_cfg(t_avg=1.0, n_replicas=3)
         with pytest.raises(InvalidParameterError, match="observable"):
             estimate_invariant_average(
-                *cfg, lambda v_phys: float(np.sum(v_phys * v_phys)))
+                *cfg, lambda v_phys: float(np.sum(v_phys * v_phys)),
+                master_seed=0)
 
 
 def _steps(params):
@@ -423,7 +425,7 @@ class TestChunkedObservable:
         def counting(v_phys):
             rows.append(v_phys.shape[0])
             return v_phys[:, 0]
-        estimate_invariant_average(*cfg, counting)
+        estimate_invariant_average(*cfg, counting, master_seed=0)
         n_chunks = math.ceil((n_burn + n_avg) / chunk)
         assert len(rows) == n_chunks - n_burn // chunk
         assert rows[0] == 3 * (chunk - n_burn % chunk)
@@ -452,7 +454,7 @@ class TestChunkedObservable:
             observed.append(np.isfinite(v_phys).all())
             return v_phys[:, 0]
         with pytest.raises(StateExplosionError, match="frozen-fast replica 1"):
-            estimate_invariant_average(*cfg, recording)
+            estimate_invariant_average(*cfg, recording, master_seed=0)
         assert observed and all(observed)
 
     @pytest.mark.parametrize("observable", [
@@ -463,7 +465,7 @@ class TestChunkedObservable:
     def test_wrong_row_count_rejected(self, observable):
         cfg = frozen_cfg(t_avg=1.0, n_replicas=3)
         with pytest.raises(InvalidParameterError, match="observable"):
-            estimate_invariant_average(*cfg, observable)
+            estimate_invariant_average(*cfg, observable, master_seed=0)
 
     def test_changing_vector_length_rejected(self):
         calls = []
@@ -473,7 +475,7 @@ class TestChunkedObservable:
             return np.ones((v_phys.shape[0], len(calls)))
         cfg = frozen_cfg(t_avg=1.0, n_replicas=2)
         with pytest.raises(InvalidParameterError, match="observable"):
-            estimate_invariant_average(*cfg, growing)
+            estimate_invariant_average(*cfg, growing, master_seed=0)
 
     @settings(max_examples=40, deadline=None)
     @given(chunk=st.integers(min_value=1, max_value=300),
@@ -577,7 +579,8 @@ class TestConfigValidation:
         # Warned once per estimate, not when the parameters are made.
         cfg = frozen_cfg(t_burn=0.0, t_avg=0.2, n_replicas=1)
         with pytest.warns(UserWarning, match="t_burn") as record:
-            estimate_invariant_average(*cfg, lambda v_phys: v_phys[:, 0])
+            estimate_invariant_average(*cfg, lambda v_phys: v_phys[:, 0],
+                                       master_seed=0)
         assert len(record) == 1
 
     def test_dissipativity_gate(self):

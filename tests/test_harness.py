@@ -53,6 +53,34 @@ class TestReductions:
         assert run_parallel(_square, tasks, 4) == [t * t for t in tasks]
         assert run_parallel(_square, tasks, 1) == [t * t for t in tasks]
 
+    def test_run_parallel_starts_at_most_one_process_per_task(
+            self, monkeypatch):
+        # Under fork, ProcessPoolExecutor starts all max_workers processes
+        # at the first submit; a stand-in pool records the count and maps
+        # in process, so no test starts them.
+        import concurrent.futures
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        assert run_parallel(_square, range(3), 5000) == [0, 1, 4]
+        assert run_parallel(_square, range(20), 4) == [t * t
+                                                       for t in range(20)]
+        assert run_parallel(_square, range(1), 5000) == [0]
+        assert made == [3, 4]
+
 
 def _square(x):
     return x * x
@@ -134,7 +162,7 @@ class TestConvergenceStudy:
         assert len(calls) == cfg.ensemble_size * len(cfg.epsilon_grid)
 
         terminals = [simulate_averaged(model, cfg.averaging, cfg.master_seed,
-                                       i).path[-1]
+                                       i)[-1]
                      for i in range(cfg.ensemble_size)]
         for ob in cfg.observables:
             if model.is_linear_benchmark and ob.kind == "mode":
@@ -157,13 +185,14 @@ def _per_node_discrepancy(traj, model, test_functions, averaging,
     np.dot and the Kahan sum per node, as the path statistic once was."""
     fbar = make_drift_fn(model, averaging, master_seed,
                          trajectory_id=traj.trajectory_id)
-    h = float(traj.times[1] - traj.times[0])
+    h = model.h_macro
     n = model.n_modes
     sums = [0.0] * len(test_functions)
     comps = [0.0] * len(test_functions)
     sups = [0.0] * len(test_functions)
-    for i in range(traj.times.size - 1):
-        t = float(traj.times[i])
+    times = model.times
+    for i in range(model.n_steps):
+        t = float(times[i])
         delta_f = traj.slow_drift[i] - fbar(t, traj.u[i])[0]
         for j, tf in enumerate(test_functions):
             sums[j], comps[j] = kahan_add(

@@ -14,8 +14,10 @@ from slowfast import (GridSpec, SpectralOperator, analyze, build_model,
                       make_slow_reaction, nemytskii_drift, synthesize,
                       truncate_b)
 from slowfast.config import ObservableSpec
-from slowfast.coupled import _plans, simulate_slowfast, step_coupled
-from slowfast.fast_dynamics import FastStepper
+from slowfast.averaging import simulate_averaged
+from slowfast.coupled import (_plans, build_auxiliary, simulate_slowfast,
+                              step_coupled)
+from slowfast.fast_dynamics import FastStepper, FrozenFastParams
 from slowfast.noise import ROLES, RngStream
 from slowfast.reactions import fast_coefficients
 from slowfast.spectral import lp_norm
@@ -333,7 +335,9 @@ def test_macro_step_equals_checked_reference(case):
 def test_path_takes_the_models_step_counts(eps, h_macro, substep_ratio,
                                            steps):
     # ModelSpec counts a path's steps once: n_steps macro steps over the
-    # horizon, each of the fewest substeps no longer than ratio * eps.
+    # horizon, each of the fewest substeps no longer than ratio * eps, on
+    # its one macro grid times.  The coupled path, the averaged path and
+    # the block-frozen replay all take one row per macro node.
     grid = GRIDS[0]
     n = grid.n_modes
     model = build_model(
@@ -345,7 +349,16 @@ def test_path_takes_the_models_step_counts(eps, h_macro, substep_ratio,
         substep_ratio=substep_ratio)
     traj = simulate_slowfast(model, 0, 0)
     assert traj.fast_noise.shape[:2] == (model.n_steps, model.n_sub)
-    assert traj.times.size == model.n_steps + 1
+    rows = model.n_steps + 1
+    assert traj.u.shape[0] == traj.v.shape[0] == rows
+    params = FrozenFastParams(h=0.01, t_burn=1.0, t_avg=1.0, n_replicas=1)
+    assert simulate_averaged(model, params, 0, 0).shape[0] == rows
+    u_aux, v_aux = build_auxiliary(traj, 2 * h_macro, model)
+    assert u_aux.shape[0] == v_aux.shape[0] == rows
+    times = model.times
+    assert np.array_equal(times, np.arange(rows) * h_macro)
+    if model.n_steps:
+        assert times[1] - times[0] == h_macro  # bit for bit
     assert model.n_steps == round(model.horizon / h_macro)
     cap = substep_ratio * eps
     assert h_macro / model.n_sub <= cap * (1 + 1e-12)

@@ -4,7 +4,8 @@ referenced by package code outside its own definition, and every public
 dataclass field or __slots__ entry is read by package code outside its
 class's initializer, and every parameter of a top-level function or
 method is read by its body.  The re-exports of slowfast/__init__.py do not count
-as uses."""
+as uses.  No seed or trajectory id is silent: a master_seed or
+trajectory_id parameter has no default."""
 
 import ast
 import pathlib
@@ -26,6 +27,10 @@ ALLOWED_UNUSED = {"run_moment_audit", "run_holder_stats",
 # oracle as F-bar(t, x), and a path statistic as stat(traj, model).
 ALLOWED_UNREAD_PARAMS = {"eval_b.t", "eval_b.xi", "eval_g.t", "eval_g.xi",
                          "analytic_Fbar_linear.t", "_slow_path_stat.model"}
+
+# Seed and id parameters that keep a default.  Acceptance criterion 2
+# estimates F-bar at u0 without a trajectory id.
+ALLOWED_SEED_DEFAULTS = {"estimate_Fbar.trajectory_id"}
 
 # Fields that only tests read.  RngStream.counter is the stream's draw
 # count, kept for the concatenation-consistency tests of the noise layer.
@@ -183,14 +188,11 @@ def test_field_allow_list_is_current():
     assert ALLOWED_UNREAD_FIELDS <= _unread_fields()
 
 
-def _unread_params() -> set:
-    """function.param for each parameter of a top-level function, and
-    Class.method.param for each of a method of a top-level class, that no
-    statement of its body loads by name (a nested function's load
-    counts)."""
-    unread = set()
+def _functions() -> list:
+    """(name, node) of each top-level function, named function, and of
+    each method of a top-level class, named Class.method."""
+    functions = []
     for tree in _modules().values():
-        functions = []
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 functions.append((node.name, node))
@@ -198,18 +200,43 @@ def _unread_params() -> set:
                 functions.extend((f"{node.name}.{method.name}", method)
                                  for method in node.body
                                  if isinstance(method, ast.FunctionDef))
-        for name, function in functions:
-            args = function.args
-            params = [arg.arg for arg in (*args.posonlyargs, *args.args,
-                                          *args.kwonlyargs, args.vararg,
-                                          args.kwarg) if arg is not None]
-            loads = {sub.id for statement in function.body
-                     for sub in ast.walk(statement)
-                     if isinstance(sub, ast.Name)
-                     and isinstance(sub.ctx, ast.Load)}
-            unread.update(f"{name}.{param}" for param in params
-                          if param not in loads)
+    return functions
+
+
+def _unread_params() -> set:
+    """function.param for each parameter of a top-level function, and
+    Class.method.param for each of a method of a top-level class, that no
+    statement of its body loads by name (a nested function's load
+    counts)."""
+    unread = set()
+    for name, function in _functions():
+        args = function.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if arg is not None]
+        loads = {sub.id for statement in function.body
+                 for sub in ast.walk(statement)
+                 if isinstance(sub, ast.Name)
+                 and isinstance(sub.ctx, ast.Load)}
+        unread.update(f"{name}.{param}" for param in params
+                      if param not in loads)
     return unread
+
+
+def _defaulted_seeds() -> set:
+    """function.param for each master_seed or trajectory_id parameter, of
+    the functions _unread_params scans, that has a default."""
+    defaulted = set()
+    for name, function in _functions():
+        args = function.args
+        positional = [*args.posonlyargs, *args.args]
+        with_default = positional[len(positional) - len(args.defaults):]
+        with_default += [arg for arg, default in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                         if default is not None]
+        defaulted.update(f"{name}.{arg.arg}" for arg in with_default
+                         if arg.arg in ("master_seed", "trajectory_id"))
+    return defaulted
 
 
 def test_every_parameter_is_read():
@@ -221,3 +248,16 @@ def test_every_parameter_is_read():
 
 def test_parameter_allow_list_is_current():
     assert ALLOWED_UNREAD_PARAMS <= _unread_params()
+
+
+def test_seed_and_id_have_no_default():
+    # A caller that forgets the seed or the id would silently share the
+    # streams of seed 0 or of trajectory 0.
+    defaulted = _defaulted_seeds() - ALLOWED_SEED_DEFAULTS
+    assert not defaulted, (
+        f"seed or id parameters with a default: {sorted(defaulted)}; "
+        "make every caller pass them")
+
+
+def test_seed_default_allow_list_is_current():
+    assert ALLOWED_SEED_DEFAULTS <= _defaulted_seeds()
