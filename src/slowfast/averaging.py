@@ -5,19 +5,20 @@ slow Nemytskii drift, truncated at model.theta, against the law of the
 frozen fast field: Fbar(t, x) = E_mu^x [ analyze(b_theta(t, x(.), y(.))) ].
 It is estimated by nested frozen-fast simulation; for the linear benchmark
 (b = lam, g = a_c*rho - b_c*sigma) the stationary law is Gaussian with mean
-a_c x_k / (alpha_{2,k} + b_c), which gives a closed-form oracle.
+a_c x_k / (alpha_{2,k} + b_c), which gives a closed-form oracle.  The
+averaged equation is the coupled path's slow loop (coupled.slow_path) with
+F(u, v) replaced by this drift.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import InvalidParameterError, StateExplosionError
+from .coupled import slow_path
+from .errors import InvalidParameterError
 from .fast_dynamics import FrozenFastParams, estimate_invariant_average
 from .model import ModelSpec
-from .noise import derive_stream, make_plan, ou_step
+from .noise import derive_stream
 from .reactions import nemytskii_drift
 from .spectral import analyze, as_modal_field, synthesize
 
@@ -59,11 +60,18 @@ def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
     return np.asarray(mean, dtype=float), np.asarray(std_error, dtype=float)
 
 
-def analytic_Fbar_linear(model: ModelSpec, t: float, x) -> np.ndarray:
+def analytic_Fbar_linear(model: ModelSpec, t, x) -> np.ndarray:
     """Closed-form averaged drift a_c x_k / (alpha_{2,k} + b_c) for the
-    linear benchmark."""
+    linear benchmark, at one state x of shape (N,) or at each row of a
+    stack of shape (n, N); a row is bit-equal to that state alone."""
     a_c, rates = _linear_fbar_factors(model)
-    return a_c * as_modal_field(x, model.n_modes) / rates
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and x.shape[1] == model.n_modes:
+        # Every row's finite check at once.
+        as_modal_field(x.ravel())
+    else:
+        x = as_modal_field(x, model.n_modes)
+    return a_c * x / rates
 
 
 def _linear_fbar_factors(model: ModelSpec) -> tuple:
@@ -96,11 +104,8 @@ def make_drift_fn(model: ModelSpec, params: FrozenFastParams,
     the exact modes evaluate the stack at once, the estimator one state at
     a time, since its nested streams are keyed by the step of t."""
     if model.is_linear_benchmark:
-        a_c, rates = _linear_fbar_factors(model)
-
         def fn(t, u):
-            # analytic_Fbar_linear's arithmetic, with its factors hoisted.
-            drift = a_c * u / rates
+            drift = analytic_Fbar_linear(model, t, u)
             return drift, np.zeros_like(drift)
         return fn
     if not model.reaction_slow.depends_on_fast:
@@ -127,32 +132,14 @@ def make_drift_fn(model: ModelSpec, params: FrozenFastParams,
 
 def simulate_averaged(model: ModelSpec, params: FrozenFastParams,
                       master_seed: int, trajectory_id: int) -> np.ndarray:
-    """Sample the averaged slow equation from model.u0 on the macro grid
-    model.times by exponential Euler, the drift (make_drift_fn's) frozen
-    over each step and the noise drawn from the id's auxiliary stream.
-    Returns the (n_steps + 1, N) path of slow coefficients.
-
-    A new state whose norm is non-finite or above model.explosion_bound
-    raises StateExplosionError at its node, as on the coupled path."""
-    u = model.u0
-    n_steps = model.n_steps
-    times = model.times
-    path = np.empty((n_steps + 1, model.n_modes))
-    path[0] = u
-    stream = derive_stream(master_seed, trajectory_id, "auxiliary")
+    """Sample the averaged slow equation: slow_path forced by
+    make_drift_fn's drift, on the id's auxiliary stream.  Returns the
+    (n_steps + 1, N) path of slow coefficients; an explosion is reported
+    "in the averaged equation"."""
     drift_fn = make_drift_fn(model, params, master_seed, trajectory_id)
-    plan = make_plan(model.op1, model.h_macro, 1.0)
-    # As on the coupled path: an overflowing squared norm trips the guard
-    # without a warning of its own.
-    with np.errstate(over="ignore"):
-        for i in range(n_steps):
-            drift, _ = drift_fn(float(times[i]), u)
-            u = ou_step(u, plan, drift, stream)
-            norm_u = math.sqrt(u.dot(u))
-            # Written so that a NaN norm also trips the guard.
-            if not (norm_u <= model.explosion_bound):
-                raise StateExplosionError(float(times[i + 1]), norm_u, 0.0,
-                                          model.explosion_bound,
-                                          where=" in the averaged equation")
-            path[i + 1] = u
-    return path
+
+    def forcing(i, t, u):
+        return drift_fn(t, u)[0], 0.0
+    return slow_path(model, derive_stream(master_seed, trajectory_id,
+                                          "auxiliary"),
+                     forcing, where=" in the averaged equation")

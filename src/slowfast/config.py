@@ -261,6 +261,12 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     except InvalidParameterError as exc:
         where = f"model.{exc.name}" if exc.name else "model"
         raise ConfigurationRejectedError(f"{where}: {exc}") from None
+    # The audit's increment pairs and converge's stack of drift estimates
+    # need two macro steps; ModelSpec alone still allows fewer.
+    if model.n_steps < 2:
+        raise ConfigurationRejectedError(
+            f"model.horizon must span at least two macro steps of h_macro "
+            f"= {model.h_macro!r}, got {model.horizon!r}")
     n_modes = model.n_modes
 
     exp = dict(raw.get("experiment", {}))

@@ -1,10 +1,12 @@
 """Coupled slow-fast simulation and the block-frozen auxiliary processes.
 
-The slow field advances by one exponential-Euler macro step per h_macro;
-the fast field takes model.n_sub substeps of at most ratio * eps of an
-exponential integrator per macro step, its OU plan on A2 - b_c absorbing the
-1/eps drift and 1/sqrt(eps) noise scalings, so no step restriction comes
-from the scale separation.
+The slow field advances by one exponential-Euler macro step per h_macro in
+slow_path, the one slow loop, which the averaged equation shares with a
+drift of its own; on the coupled path, the fast field takes model.n_sub
+substeps of at most ratio * eps of an exponential integrator per macro
+step (step_coupled), its OU plan on A2 - b_c absorbing the 1/eps drift and
+1/sqrt(eps) noise scalings, so no step restriction comes from the scale
+separation.
 
 The auxiliary pair (u_aux, v_aux) freezes the slow argument of the fast
 drift on blocks of length delta and replays the identical fast noise
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import FastStepper
 from .model import ModelSpec
-from .noise import derive_stream, make_plan
+from .noise import RngStream, derive_stream, make_plan
 from .reactions import eval_b, eval_V, lyapunov_norms, truncate_b
 from .spectral import (kahan_add, kahan_mean_vectors, mean_se, scalar_power,
                        synthesize)
@@ -31,6 +33,7 @@ __all__ = [
     "khasminskii_delta",
     "snap_block",
     "compute_rho0",
+    "slow_path",
     "step_coupled",
     "simulate_slowfast",
     "path_functionals",
@@ -82,56 +85,82 @@ def compute_rho0(s: float, t: float, beta: float, gamma1_star: float) -> float:
     return math.log(t / s) ** 2 + dt ** beta + dt ** (2.0 * gamma1_star)
 
 
-NOISE_CHUNK_STEPS = 16  # macro steps of noise drawn per stream at once
-
-
 def _plans(model: ModelSpec):
-    """Substeps per macro step, the slow OU plan, the fast stepper, the
-    trapezoid weights of the substep nodes j = 0..n_sub as an (n_sub + 1, 1)
-    column, and an (n_sub + 1, M) buffer for the nodal fast field at those
-    nodes."""
+    """Substeps per macro step, the fast stepper, the trapezoid weights of
+    the substep nodes j = 0..n_sub as an (n_sub + 1, 1) column, and an
+    (n_sub + 1, M) buffer for the nodal fast field at those nodes."""
     n_sub = model.n_sub
-    plan_slow = make_plan(model.op1, model.h_macro, 1.0)
     stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
                           model.h_macro / n_sub, model.epsilon)
     weights = np.full((n_sub + 1, 1), 1.0 / n_sub)
     weights[0] = weights[-1] = 0.5 / n_sub
     v_nodes = np.empty((n_sub + 1, model.grid.n_quad))
-    return n_sub, plan_slow, stepper, weights, v_nodes
+    return n_sub, stepper, weights, v_nodes
 
 
-def step_coupled(u: np.ndarray, v: np.ndarray, u_phys: np.ndarray,
-                 v_phys: np.ndarray, t: float, model: ModelSpec,
-                 noise_slow: np.ndarray, noise_fast: np.ndarray,
+def slow_path(model: ModelSpec, stream: RngStream, forcing,
+              where: str = "") -> np.ndarray:
+    """The (n_steps + 1, N) slow path from model.u0 on model.times by
+    exponential Euler, the drift frozen over each step.
+
+    forcing(i, t, u) returns step i's modal drift and the norm of the field
+    that moves with u (0.0 if none does).  The stream's normals are drawn
+    for the whole path at once: the same numbers as one step at a time.  A
+    new state with |u| + |v| non-finite or above model.explosion_bound
+    raises StateExplosionError at its node, with where in its message.
+    """
+    n_steps = model.n_steps
+    times = model.times
+    plan = make_plan(model.op1, model.h_macro, 1.0)
+    noise = plan.noise_std * stream.normals(
+        n_steps * model.n_modes).reshape(n_steps, model.n_modes)
+    path = np.empty((n_steps + 1, model.n_modes))
+    path[0] = u = model.u0
+    # A finite state whose squared norm overflows trips the guard as
+    # non-finite; the guard's report is the only message.
+    with np.errstate(over="ignore"):
+        for i in range(n_steps):
+            f, norm_v = forcing(i, float(times[i]), u)
+            u = plan.decay * u + plan.drift_weight * f + noise[i]
+            # np.linalg.norm's own formula for a 1-D float array.
+            norm_u = math.sqrt(u.dot(u))
+            # Written so that a NaN norm also trips the guard.
+            if not (norm_u + norm_v <= model.explosion_bound):
+                raise StateExplosionError(float(times[i + 1]), norm_u,
+                                          norm_v, model.explosion_bound,
+                                          where=where)
+            path[i + 1] = u
+    return path
+
+
+def step_coupled(v: np.ndarray, u_phys: np.ndarray, v_phys: np.ndarray,
+                 t: float, model: ModelSpec, noise_fast: np.ndarray,
                  plans: tuple) -> tuple:
-    """Advance the pair (u, v), with nodal values (u_phys, v_phys), by one
-    macro step from time t.
+    """Advance the fast field v, with nodal values v_phys, over one macro
+    step from time t, the slow field held at its nodal values u_phys.
 
     The fast field takes n_sub exponential-integrator substeps, its linear
-    part and noise exact and the rest of g(u, v)/eps explicit, with u held
-    at the macro-step start.  The slow drift b_theta(t, u, .) is averaged
-    along the fast substep path (trapezoid over the substep nodes): the
-    fast field crosses its relaxation layer inside a single macro step, and
-    sampling it at the left endpoint alone would turn that O(eps) layer
-    into an O(h_macro) bias of the slow motion.
+    part and noise exact and the rest of g(u, v)/eps explicit.  The slow
+    drift b_theta(t, u, .) is averaged along the fast substep path
+    (trapezoid over the substep nodes): the fast field crosses its
+    relaxation layer inside a single macro step, and sampling it at the
+    left endpoint alone would turn that O(eps) layer into an O(h_macro)
+    bias of the slow motion.
 
-    plans is _plans(model).  noise_slow, shape (N,), and
-    noise_fast, shape (n_sub, N), are the step's noise increments, already
-    scaled by the slow plan's and the fast stepper's noise_std.  Returns the
-    new (u, v, u_phys, v_phys) and the averaged modal slow drift used for
-    the step (the integrand of the drift functionals); the new v_phys is a
-    row of the plans' node buffer, overwritten by the next step.  Nothing
-    is checked here: the caller's explosion guard on the new state also
-    catches a non-finite field.
+    plans is _plans(model).  noise_fast, shape (n_sub, N), is the step's
+    noise increments, already scaled by the fast stepper's noise_std.
+    Returns the new (v, v_phys) and the averaged modal slow drift of the
+    step, the forcing of slow_path; the new v_phys is a row of the plans'
+    node buffer, overwritten by the next step.  Nothing is checked here:
+    slow_path's explosion guard on the new state also catches a
+    non-finite field.
     """
-    n_sub, plan_slow, stepper, weights, v_nodes = plans
+    n_sub, stepper, weights, v_nodes = plans
     grid = model.grid
-    mat = grid.sine_matrix
     v_nodes[0] = v_phys
     # u is frozen over the substeps: the slow part of g once per macro step.
     states, _ = stepper.advance(v, v_nodes[0], stepper.drive(u_phys),
                                 noise_fast, nodes=v_nodes[1:])
-    v = states[-1]
     if model.theta > 0:
         drift = truncate_b(model.reaction_slow, model.theta, t, grid.nodes,
                            u_phys, v_nodes)
@@ -139,68 +168,42 @@ def step_coupled(u: np.ndarray, v: np.ndarray, u_phys: np.ndarray,
         drift = eval_b(model.reaction_slow, t, grid.nodes, u_phys, v_nodes)
     # Summed over the substep nodes in order, as a running sum would.
     f1_phys = np.add.reduce(weights * drift, axis=0)
-    f1 = grid.quad_weight * mat.T.dot(f1_phys)
-    u = plan_slow.decay * u + plan_slow.drift_weight * f1 + noise_slow
-    return u, v, mat.dot(u), v_nodes[-1], f1
+    return (states[-1], v_nodes[-1],
+            grid.quad_weight * grid.sine_matrix.T.dot(f1_phys))
 
 
 def simulate_slowfast(model: ModelSpec, master_seed: int,
                       trajectory_id: int) -> SlowFastTrajectory:
-    """Run one trajectory over [0, horizon], recording the path at macro
-    nodes, the fast standard normals and each step's averaged slow drift.
-
-    Each stream's normals are drawn, and scaled into noise increments,
-    NOISE_CHUNK_STEPS macro steps at a time; the streams are
-    concatenation-consistent, so these are the draws of one substep at a
-    time.  An explosion is reported at the macro node it reached, an
-    element of model.times."""
+    """Run one trajectory over [0, horizon]: slow_path on the id's
+    slow_noise stream, forced by step_coupled's averaged drift; records the
+    path at macro nodes, the fast standard normals (drawn for the whole
+    path at once) and each step's averaged slow drift."""
     plans = _plans(model)
+    n_sub, stepper = plans[:2]
     n_steps = model.n_steps
-    n_sub, plan_slow, stepper = plans[:3]
-    slow_stream = derive_stream(master_seed, trajectory_id, "slow_noise")
-    fast_stream = derive_stream(master_seed, trajectory_id, "fast_noise")
-
     n = model.n_modes
-    grid = model.grid
-    times = model.times
-    u_path = np.empty((n_steps + 1, n))
+    mat = model.grid.sine_matrix
+    fast_noise = derive_stream(master_seed, trajectory_id, "fast_noise"
+                               ).normals(n_steps * n_sub * n).reshape(
+                                   n_steps, n_sub, n)
+    increments = stepper.noise(fast_noise)
     v_path = np.empty((n_steps + 1, n))
-    u_path[0] = model.u0
     v_path[0] = model.v0
-    noise = np.empty((n_steps, n_sub, n))
     drifts = np.empty((n_steps, n))
+    v_phys = synthesize(model.v0, model.grid)
 
-    u, v = model.u0, model.v0
-    u_phys, v_phys = synthesize(u, grid), synthesize(v, grid)
-    # A finite state whose squared norm overflows trips the guard as
-    # non-finite; the guard's report is the only message.
-    with np.errstate(over="ignore"):
-        for start in range(0, n_steps, NOISE_CHUNK_STEPS):
-            steps = min(NOISE_CHUNK_STEPS, n_steps - start)
-            xi_fast = noise[start:start + steps]
-            xi_fast[...] = fast_stream.normals(steps * n_sub * n).reshape(
-                steps, n_sub, n)
-            noise_fast = stepper.noise(xi_fast)
-            noise_slow = plan_slow.noise_std * slow_stream.normals(
-                steps * n).reshape(steps, n)
-            for k in range(steps):
-                i = start + k
-                u, v, u_phys, v_phys, f1 = step_coupled(
-                    u, v, u_phys, v_phys, times[i], model, noise_slow[k],
-                    noise_fast[k], plans)
-                # np.linalg.norm's own formula for a 1-D float array.
-                norm_u = math.sqrt(u.dot(u))
-                norm_v = math.sqrt(v.dot(v))
-                # Written so that a NaN norm also trips the guard.
-                if not (norm_u + norm_v <= model.explosion_bound):
-                    raise StateExplosionError(float(times[i + 1]), norm_u,
-                                              norm_v, model.explosion_bound)
-                drifts[i] = f1
-                u_path[i + 1] = u
-                v_path[i + 1] = v
+    def forcing(i, t, u):
+        nonlocal v_phys
+        v, v_phys, drifts[i] = step_coupled(v_path[i], mat.dot(u), v_phys, t,
+                                            model, increments[i], plans)
+        v_path[i + 1] = v
+        return drifts[i], math.sqrt(v.dot(v))
+
+    u_path = slow_path(model, derive_stream(master_seed, trajectory_id,
+                                            "slow_noise"), forcing)
     return SlowFastTrajectory(
         u=u_path, v=v_path, trajectory_id=trajectory_id,
-        fast_noise=noise, slow_drift=drifts,
+        fast_noise=fast_noise, slow_drift=drifts,
     )
 
 
@@ -266,7 +269,7 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
         raise InvalidParameterError("delta must be positive")
     n_steps = model.n_steps
     steps_per_block, _ = snap_block(delta, model.h_macro)
-    n_sub, _, stepper = _plans(model)[:3]
+    n_sub, stepper = _plans(model)[:2]
     if traj.fast_noise.shape[:2] != (n_steps, n_sub):
         raise InvalidParameterError(
             "substep layout mismatch: trajectory is not replayable under this model")

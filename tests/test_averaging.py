@@ -57,6 +57,22 @@ class TestAnalyticOracle:
         with pytest.raises(InvalidParameterError):
             analytic_Fbar_linear(cubic_model(), 0.0, unit_field(8))
 
+    def test_stack_rows_equal_single_states(self, rng):
+        # make_drift_fn's exact drift on a path's nodes is one stacked call.
+        model = linear_model()
+        xs = rng.normal(size=(5, 8))
+        out = analytic_Fbar_linear(model, np.zeros(5), xs)
+        assert out.shape == (5, 8)
+        for x, row in zip(xs, out):
+            assert np.array_equal(row, analytic_Fbar_linear(model, 0.0, x))
+
+    @pytest.mark.parametrize("shape,value", [((2, 8), np.nan), ((2, 7), 1.0),
+                                             ((2, 2, 8), 1.0)],
+                             ids=["non_finite", "wrong_width", "three_axes"])
+    def test_stack_is_checked(self, shape, value):
+        with pytest.raises(InvalidParameterError):
+            analytic_Fbar_linear(linear_model(), 0.0, np.full(shape, value))
+
 
 class TestEstimateFbar:
     def test_matches_oracle_componentwise(self):

@@ -202,11 +202,14 @@ class TestCli:
         ("simulate", ("model", "horizon"), 1e300, "model.horizon"),
         ("converge", ("experiment", "worker_count"), 0,
          "experiment.worker_count"),
+        ("audit", ("model", "horizon"), 0.004, "model.horizon"),
+        ("audit", ("model", "horizon"), 0.01, "model.horizon"),
     ], ids=["h_macro", "mode_0", "mode_past_n_modes", "test_function_modes",
             "theta_above_1", "theta_below_0", "one_theta_level", "c_const_0",
             "dump_modes_negative", "ensemble_size_0", "master_seed_negative",
             "time_power_negative", "t_burn_unfinishable",
-            "horizon_unfinishable", "worker_count_0"])
+            "horizon_unfinishable", "worker_count_0", "horizon_no_step",
+            "horizon_one_step"])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys,
                                                  command, where, value, named):
         # Each of these used to end in a traceback, in a silently wrong or
@@ -219,6 +222,21 @@ class TestCli:
         assert main([command, "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0], err
+        assert not out.exists()
+
+    def test_short_horizon_rejected_before_the_estimator(self, tmp_path,
+                                                         capsys):
+        # With no macro step, converge's averaged reference in estimator
+        # mode used to stack an empty list of estimates.
+        raw = copy.deepcopy(BASE)
+        raw["model"]["reactions"]["slow"] = {"kind": "cubic_rough",
+                                              "c_u": 0.5, "c_v": 0.5}
+        raw["model"]["horizon"] = 0.004
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "model.horizon" in err[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,where,value", [

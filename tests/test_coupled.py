@@ -9,10 +9,11 @@ from scipy.stats import linregress
 from slowfast import (InvalidParameterError, StateExplosionError, analyze, build_auxiliary,
                       compute_rho0, derive_stream, eval_V, khasminskii_delta,
                       make_fast_reaction, make_plan, make_slow_reaction,
-                      nemytskii_drift, simulate_slowfast, synthesize)
+                      nemytskii_drift, ou_step, simulate_slowfast,
+                      synthesize)
 from slowfast.config import parse_config
 from slowfast.coupled import (block_freezing_errors, freezing_deviations,
-                              path_functionals, snap_block)
+                              path_functionals, slow_path, snap_block)
 from slowfast.reactions import fast_coefficients, lyapunov_norms
 from slowfast.spectral import kahan_add
 
@@ -332,8 +333,8 @@ KERNEL_MODELS = {
 
 
 class TestKernelBitIdentity:
-    # eps = 0.1, 0.02, 0.004 give n_sub = 1, 3, 13 at h_macro = 0.01; 70
-    # macro steps cross a noise-chunk boundary.
+    # eps = 0.1, 0.02, 0.004 give n_sub = 1, 3, 13 at h_macro = 0.01.  The
+    # reference draws one step's normals at a time, the kernel a path's.
     @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
     @pytest.mark.parametrize("eps,n_sub", [(0.1, 1), (0.02, 3), (0.004, 13)])
     def test_path_matches_reference(self, kind, eps, n_sub):
@@ -398,22 +399,6 @@ class TestKernelBitIdentity:
             assert (path_functionals(pair, model)
                     == _reference_functionals(pair, model)), i
 
-    def test_noise_chunking_does_not_change_paths(self, monkeypatch):
-        import slowfast.coupled as coupled
-        model = KERNEL_MODELS["cubic"](0.02)
-
-        def run():
-            return simulate_slowfast(model, 47, 3)
-        default = run()
-        for chunk in (1, 7):
-            monkeypatch.setattr(coupled, "NOISE_CHUNK_STEPS", chunk)
-            other = run()
-            for field in ("u", "v", "slow_drift", "fast_noise"):
-                assert np.array_equal(getattr(other, field),
-                                      getattr(default, field)), (chunk, field)
-            assert (path_functionals(other, model)
-                    == path_functionals(default, model))
-
     def test_non_finite_replay_raises(self, monkeypatch):
         # The replay has no guard of its own inside the substeps; a field
         # that turns non-finite is reported at its first replayed node,
@@ -428,6 +413,35 @@ class TestKernelBitIdentity:
         with pytest.raises(StateExplosionError, match="replay") as info:
             build_auxiliary(traj, 0.05, model)
         assert info.value.t == pytest.approx(0.02)
+
+
+class TestSlowPath:
+    # slow_path's update is ou_step's, iterated on the same stream: the
+    # whole path's normals drawn at once are the draws of one step at a
+    # time.  ou_step is the reference of the exact OU update (criterion 1).
+    @pytest.mark.parametrize("value", [0.0, 0.75])
+    def test_matches_iterated_ou_step(self, value):
+        model = linear_model(horizon=0.37)
+        forcing_value = np.full(model.n_modes, value)
+        seen = []
+
+        def forcing(i, t, u):
+            seen.append((i, t, u))
+            return forcing_value, 0.0
+        path = slow_path(model, derive_stream(5, 3, "auxiliary"), forcing)
+        plan = make_plan(model.op1, model.h_macro, 1.0)
+        stream = derive_stream(5, 3, "auxiliary")
+        reference = [model.u0]
+        for _ in range(model.n_steps):
+            reference.append(ou_step(reference[-1], plan, forcing_value,
+                                     stream))
+        assert model.n_steps == 37
+        assert np.array_equal(path, np.stack(reference))
+        times = model.times
+        for i, (step, t, u) in enumerate(seen):
+            assert (step, t) == (i, times[i])
+            assert np.array_equal(u, path[i])
+        assert len(seen) == model.n_steps
 
 
 class TestFastMoments:

@@ -18,9 +18,11 @@ SRC = pathlib.Path(slowfast.__file__).parent
 # one at a time; the CLI runs all four studies together through run_audit.
 # eval_g and step_frozen_fast are benchmark tracer targets
 # (benchmark/tracer.py TARGETS); they go when the tracer drops them.
+# ou_step is the one-step exact OU update that acceptance criterion 1
+# certifies and that slow_path's test takes as its reference.
 ALLOWED_UNUSED = {"run_moment_audit", "run_holder_stats",
                   "run_theta_stability", "run_khasminskii_study",
-                  "eval_g", "step_frozen_fast"}
+                  "eval_g", "step_frozen_fast", "ou_step"}
 
 # Parameters that a protocol signature fixes: every reaction kind is
 # evaluated as b(t, xi, sigma, lam) and g(t, xi, rho, sigma), the drift

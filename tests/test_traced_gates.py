@@ -46,17 +46,29 @@ def traced_run(bench, tmp_path, workload_name, edit):
     return workload, raw, trace.report()
 
 
-def test_converge_counts_paths_and_substeps(bench, tmp_path):
+# With a norm_sq observable, converge also runs the averaged reference
+# paths through the shared slow loop; they add no coupled path and no
+# coupled substep to the counts.
+@pytest.mark.parametrize("observables", [None, [{"kind": "norm_sq"}]],
+                         ids=["mode", "norm_sq"])
+def test_converge_counts_paths_and_substeps(bench, tmp_path, observables):
     def small(raw):
         raw["experiment"]["ensemble_size"] = 2
         raw["model"]["horizon"] = 0.1
+        if observables is not None:
+            raw["experiment"]["observables"] = observables
     workload, raw, report = traced_run(bench, tmp_path, "converge_linear",
                                        small)
     _, workloads = bench
     assert report["identities"] == workloads.expected_identities(workload, raw)
     assert report["identities"] == 6
     assert (report["counts"]["coupled.fast_substeps"]
-            == workloads.expected_fast_substeps(raw))
+            == workloads.expected_fast_substeps(raw) == 340)
+    # The closed-form drift: one stacked call per coupled path for the
+    # discrepancy statistic, and one per step of each averaged path.
+    oracle_calls = sum(s["calls"] for s in report["spans"]
+                       if s["name"] == "averaging.analytic_Fbar_linear")
+    assert oracle_calls == 6 + (2 * 10 if observables else 0)
 
 
 def test_audit_counts_paths(bench, tmp_path):
