@@ -3,8 +3,10 @@
 The averaged drift at slow state x is the stationary expectation of the
 slow Nemytskii drift, truncated at model.theta, against the law of the
 frozen fast field: Fbar(t, x) = E_mu^x [ analyze(b_theta(t, x(.), y(.))) ].
-It is estimated by nested frozen-fast simulation; for the linear benchmark
-(b = lam, g = a_c*rho - b_c*sigma) the stationary law is Gaussian with mean
+It is estimated by nested frozen-fast simulation, with the fast step's
+Gaussian companion (the step without its sine term) as a control variate
+whose averaged drift is exact; for the linear benchmark (b = lam,
+g = a_c*rho - b_c*sigma) the stationary law is Gaussian with mean
 a_c x_k / (alpha_{2,k} + b_c), which gives a closed-form oracle.  The
 averaged equation is the coupled path's slow loop (coupled.slow_path) with
 F(u, v) replaced by this drift.
@@ -16,18 +18,61 @@ import numpy as np
 
 from .coupled import slow_path
 from .errors import InvalidParameterError
-from .fast_dynamics import FrozenFastParams, estimate_invariant_average
+from .fast_dynamics import (FrozenFastParams, companion_law,
+                            estimate_invariant_average)
 from .model import ModelSpec
 from .noise import derive_stream
-from .reactions import nemytskii_drift
+from .reactions import (eval_b, fast_coefficients, gaussian_mean_b,
+                        nemytskii_drift, truncate_b)
 from .spectral import analyze, as_modal_field, synthesize
 
 __all__ = [
     "estimate_Fbar",
+    "companion_Fbar",
     "analytic_Fbar_linear",
     "averaged_mean_rates",
     "simulate_averaged",
 ]
+
+
+# Points of the quadrature rule for the standard normal law in
+# companion_Fbar: the trapezoid rule on [-8, 8] (the mass outside is below
+# 1.3e-15).  Its integrand, the truncation remainder b - b_theta, has kinks
+# in the fast variable (at b = 0, and at lam = 0 for lam |lam|), so no rule
+# converges spectrally; at 65 points this one is within 2% of the shipped
+# standard error of the rule of four times the points, mode by mode
+# (test_averaging.py), and closer than 64-point Gauss-Hermite, which needs
+# an eigensolver.
+NORMAL_RULE_POINTS = 65
+
+
+def normal_rule(n_points: int) -> tuple:
+    """Points and weights (summing to 1) of the n_points trapezoid rule for
+    the standard normal law on [-8, 8]."""
+    points = np.linspace(-8.0, 8.0, n_points)
+    weights = np.exp(-0.5 * points * points)
+    return points, weights / weights.sum()
+
+
+def companion_Fbar(t: float, x_phys: np.ndarray, h: float,
+                   model: ModelSpec) -> np.ndarray:
+    """The averaged drift of the Gaussian companion of the frozen fast step
+    h at the nodal slow field x_phys: analyze of E b_theta(t, x_j, V_j),
+    V_j the companion's stationary nodal law (companion_law).  E b is
+    closed form (gaussian_mean_b); the truncation remainder b - b_theta,
+    of size theta b^2, takes one quadrature sum (normal_rule) per node.
+    At c_s = 0 this is the averaged drift of the step itself."""
+    mean, std = companion_law(model, x_phys, h)
+    spec = model.reaction_slow
+    drift = gaussian_mean_b(spec, x_phys, mean, std)
+    if model.theta > 0:
+        points, weights = normal_rule(NORMAL_RULE_POINTS)
+        lam = mean + std * points[:, None]
+        nodes = model.grid.nodes
+        drift -= weights.dot(
+            eval_b(spec, t, nodes, x_phys, lam)
+            - truncate_b(spec, model.theta, t, nodes, x_phys, lam))
+    return analyze(drift, model.grid)
 
 
 def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
@@ -40,6 +85,12 @@ def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
     Replica r draws from the stream with spawn key (frozen_fast_noise, r,
     trajectory_id, step), step = round(t / model.h_macro): each path must
     pass its own id, and a t off the h_macro grid is rejected.
+
+    A fast reaction with a sine term (c_s not None, zero included) takes a
+    control variate: each replica drives its Gaussian companion on the same
+    draws, and the estimate is mean(f(v) - f(v_lin)) + companion_Fbar, f
+    the drift observable; the last term is exact.  The linear kind keeps
+    the plain estimate.
     """
     step = int(round(t / model.h_macro))
     if abs(t / model.h_macro - step) > 1e-6:
@@ -54,9 +105,12 @@ def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
                             v_phys, model.grid),
             model.grid)
 
+    companion = fast_coefficients(model.reaction_fast)[2] is not None
     mean, std_error = estimate_invariant_average(
         model, x, params, drift_observable, master_seed,
-        key=(trajectory_id, step))
+        key=(trajectory_id, step), companion=companion)
+    if companion:
+        mean = mean + companion_Fbar(t, x_phys, params.h, model)
     return np.asarray(mean, dtype=float), np.asarray(std_error, dtype=float)
 
 

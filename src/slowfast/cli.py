@@ -4,8 +4,9 @@ Subcommands: simulate, invariant, average, converge, audit.
 Common flags: --config PATH, --seed N, --out DIR, --workers K (the flag wins
 over the MULTISCALE_WORKERS environment variable, which wins over the config).
 Exit codes: 0 success, 2 config/hypothesis rejection, 3 explosion censoring
-above 20% or an explosion outside any censored path (a non-finite
-frozen-fast replica, or an averaged reference path of converge).
+above 20% (of the coupled paths of one row, or of converge's averaged
+reference paths) or an explosion outside any censored path (a non-finite
+frozen-fast replica of average or invariant).
 """
 
 from __future__ import annotations
@@ -208,8 +209,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_REJECTED
     except StateExplosionError as exc:
         # An explosion no path censoring covers: a non-finite frozen-fast
-        # replica of `average` or `invariant`, or an averaged reference
-        # path of `converge`.
+        # replica of `average` or `invariant`.
         print(f"explosion: {exc}", file=sys.stderr)
         return EXIT_EXPLOSION
 

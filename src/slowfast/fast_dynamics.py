@@ -4,13 +4,15 @@ With the slow state frozen at x, the fast field solves
 dv = [A2 v + g(x, v)] dt + Q2 dW.  Under the dissipativity gap
 omega = alpha_{2,1} - L2 > 0 this chain mixes exponentially and has a
 unique stationary law; its integrals are estimated here by time averages
-over replica ensembles with batch-means standard errors.
+over replica ensembles with batch-means standard errors, optionally
+against each replica's Gaussian companion, whose stationary law is known.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from copy import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +28,7 @@ __all__ = [
     "FrozenFastParams",
     "FastStepper",
     "step_frozen_fast",
+    "companion_law",
     "estimate_invariant_average",
 ]
 
@@ -94,15 +97,24 @@ class FastStepper:
         """Noise increments noise_std*xi of a block of standard normals."""
         return self.noise_std * xi
 
+    def gaussian_companion(self) -> "FastStepper":
+        """This step without its explicit sine term: the exact OU step on
+        alpha_k + b_c, whose stationary law under a frozen drive is
+        Gaussian per mode (companion_law)."""
+        companion = copy(self)
+        companion.sin_weight = None
+        return companion
+
     def advance(self, v: np.ndarray, v_phys: np.ndarray, drive: np.ndarray,
-                noise: np.ndarray, nodes: np.ndarray | None = None
+                noise: np.ndarray, nodes: np.ndarray | None = None,
+                states: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Advance v, one field or a block (..., N) with nodal values
         v_phys, one step per row of noise (n, ..., N); returns the modal and
         nodal states after each step, shapes (n, ..., N) and (n, ..., M).
-        The nodal states are written into nodes when it is given, and that
-        array is returned."""
-        states = drive + noise
+        The states and nodal states are written into states and nodes when
+        those are given, and those arrays are returned."""
+        states = np.add(drive, noise, out=states)
         if nodes is None:
             nodes = np.empty(states.shape[:-1] + self.mat.shape[:1])
         if self.sin_weight is None:
@@ -138,8 +150,8 @@ def step_frozen_fast(v: np.ndarray, model: ModelSpec, x: np.ndarray,
 
 
 def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
-                  observable, streams: list,
-                  x_phys: np.ndarray) -> np.ndarray:
+                  observable, streams: list, x_phys: np.ndarray,
+                  companion: bool = False) -> np.ndarray:
     """Burn in, then return the per-batch time averages of the observable,
     one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).
 
@@ -154,6 +166,12 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
     position; the row count is checked on every call.  A replica whose
     field turns non-finite raises StateExplosionError at the end of its
     draw chunk, before the observable sees any row of that chunk.
+
+    With companion, each replica also drives a Gaussian companion (the
+    stepper's gaussian_companion) with its own drive and noise rows, and
+    the batches average observable(v) - observable(v_lin): per chunk the
+    replicas advance and are observed, then the companions.  The state and
+    node stacks are allocated once per call and shared by the two.
     """
     h = params.h
     n_burn = int(round(params.t_burn / h))
@@ -163,41 +181,57 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
     n_quad = model.grid.n_quad
     n_rep = len(streams)
     stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
+    # The replicas' chain first, then their companions'; they share the
+    # state and node stacks, one chain at a time.
+    chains = ((stepper, stepper.gaussian_companion()) if companion
+              else (stepper,))
     drive = stepper.drive(x_phys)
+    n_total = n_burn + n_avg
+    chunk = min(DRAW_CHUNK_STEPS, n_total)
+    state_stack = np.empty((chunk, n_rep, n_modes))
+    node_stack = np.empty((chunk, n_rep, n_quad))
+    v = np.zeros((len(chains), n_rep, n_modes))
+    v_phys = np.zeros((len(chains), n_rep, n_quad))
 
-    v = np.zeros((n_rep, n_modes))
-    v_phys = np.zeros((n_rep, n_quad))
     batches = []
     acc = comp = None
-    n_total = n_burn + n_avg
-    for start in range(0, n_total, DRAW_CHUNK_STEPS):
-        steps = min(DRAW_CHUNK_STEPS, n_total - start)
+    for start in range(0, n_total, chunk):
+        steps = min(chunk, n_total - start)
         noise = stepper.noise(np.stack(
             [s.normals(steps * n_modes).reshape(steps, n_modes)
              for s in streams], axis=1))
-        states, nodes = stepper.advance(v, v_phys, drive, noise)
-        v, v_phys = states[-1], nodes[-1]
-        # A non-finite field stays non-finite, so one check per chunk finds
-        # it before any of its values reach the observable.
-        finite = np.isfinite(nodes).all(axis=(0, 2))
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise StateExplosionError(
-                (start + steps) * h, float(np.linalg.norm(x)),
-                float(np.linalg.norm(v[bad])), math.inf,
-                where=f" in frozen-fast replica {bad}")
         first = max(0, n_burn - start)
-        if first >= steps:
+        n_seen = steps - first
+        rows = n_seen * n_rep
+        observed = []
+        for j, chain in enumerate(chains):
+            states, nodes = chain.advance(v[j], v_phys[j], drive, noise,
+                                          nodes=node_stack[:steps],
+                                          states=state_stack[:steps])
+            v[j], v_phys[j] = states[-1], nodes[-1]
+            # A non-finite field stays non-finite, so one check per chunk
+            # finds it before any of its values reach the observable.
+            finite = np.isfinite(nodes).all(axis=(0, 2))
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise StateExplosionError(
+                    (start + steps) * h, float(np.linalg.norm(x)),
+                    float(np.linalg.norm(v[j, bad])), math.inf,
+                    where=f" in frozen-fast replica {bad}")
+            if n_seen <= 0:
+                continue
+            values = np.asarray(observable(nodes[first:].reshape(rows, n_quad)),
+                                dtype=float)
+            if (values.ndim not in (1, 2) or values.shape[0] != rows or (
+                    acc is not None and values.shape[1:] != acc.shape[1:])):
+                raise InvalidParameterError(
+                    f"observable must map nodal rows of shape "
+                    f"({rows}, {n_quad}) to shape ({rows},) or ({rows}, K), "
+                    f"got {values.shape}")
+            observed.append(values.reshape((n_seen, n_rep) + values.shape[1:]))
+        if not observed:
             continue
-        rows = (steps - first) * n_rep
-        values = np.asarray(
-            observable(nodes[first:].reshape(rows, n_quad)), dtype=float)
-        if (values.ndim not in (1, 2) or values.shape[0] != rows
-                or (acc is not None and values.shape[1:] != acc.shape[1:])):
-            raise InvalidParameterError(
-                f"observable must map nodal rows of shape ({rows}, {n_quad}) "
-                f"to shape ({rows},) or ({rows}, K), got {values.shape}")
-        values = values.reshape((steps - first, n_rep) + values.shape[1:])
+        values = observed[0] - observed[1] if companion else observed[0]
         if acc is None:
             acc = comp = np.zeros(values.shape[1:])
         # Kahan accumulation in time order keeps batch sums independent
@@ -227,9 +261,26 @@ def batch_std_error(batches: np.ndarray) -> np.ndarray:
     return plain * np.sqrt((1.0 + rho) / (1.0 - rho))
 
 
+def companion_law(model: ModelSpec, x_phys: np.ndarray, h: float) -> tuple:
+    """Nodal mean and standard deviation, shape (M,) each, of the
+    stationary law of the Gaussian companion of the step h frozen at the
+    nodal slow field x_phys.  Per mode the chain is AR(1): mean
+    drive/(1 - decay) and variance noise_std^2/(1 - decay^2), exact for
+    the discrete chain.  The modes are independent, so node j is Gaussian
+    with mean sum_k mean_k e_k(xi_j) and variance sum_k var_k e_k(xi_j)^2.
+    """
+    stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
+    decay = stepper.decay
+    mean = stepper.drive(x_phys) / (1.0 - decay)
+    variance = stepper.noise_std ** 2 / (1.0 - decay * decay)
+    mat = model.grid.sine_matrix
+    return mat.dot(mean), np.sqrt((mat * mat).dot(variance))
+
+
 def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
                                observable, master_seed: int,
-                               key: tuple = ()) -> tuple:
+                               key: tuple = (), companion: bool = False
+                               ) -> tuple:
     """Time average of observable(v_phys) over [t_burn, t_burn + t_avg] of
     model's fast field frozen at slow state x, and its standard error.
 
@@ -244,6 +295,11 @@ def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
     replica) and the trailing key.  The standard error comes from the
     correlated per-batch means (batch_std_error) and shrinks like
     1/sqrt(n_replicas * t_avg).  A burn-in shorter than 5/omega warns.
+
+    With companion the average is of observable(v) - observable(v_lin),
+    v_lin each replica's Gaussian companion on the same draws (see
+    _run_replicas): a control variate, to which the caller adds the exact
+    expectation of observable(v_lin) under companion_law.
     """
     omega = model.omega
     if params.t_burn < 5.0 / omega:
@@ -256,7 +312,8 @@ def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
     x_phys = synthesize(x, model.grid)
     streams = [derive_stream(master_seed, replica, "frozen_fast_noise", key)
                for replica in range(params.n_replicas)]
-    batches = _run_replicas(model, x, params, observable, streams, x_phys)
+    batches = _run_replicas(model, x, params, observable, streams, x_phys,
+                            companion)
     # Replica-major rows: the pooled mean sums the batches in this order.
     stacked = batches.reshape((-1,) + batches.shape[2:])
     mean, std_error = stacked.mean(axis=0), batch_std_error(batches)

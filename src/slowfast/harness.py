@@ -213,10 +213,26 @@ def _coupled_paths(master_seed: int, paths: tuple,
         except StateExplosionError as exc:
             # Censored whether the path or one of its statistics (the
             # averaged drift, the block-frozen replay) exploded.
-            record = {"censored": True, "t_explosion": exc.t,
-                      "cause": exc.cause}
+            record = _censored(exc)
         records[key] = record
     return records
+
+
+def _censored(exc: StateExplosionError) -> dict:
+    """The censoring record of a path that exploded."""
+    return {"censored": True, "t_explosion": exc.t, "cause": exc.cause}
+
+
+def _averaged_path(model: ModelSpec, averaging, master_seed: int,
+                   trajectory_id: int) -> dict:
+    """The averaged reference path of one trajectory id: its terminal slow
+    state, or its censoring record when the path (or a nested drift
+    estimate on it) exploded."""
+    try:
+        path = simulate_averaged(model, averaging, master_seed, trajectory_id)
+    except StateExplosionError as exc:
+        return _censored(exc)
+    return {"censored": False, "terminal_u": path[-1]}
 
 
 def _coupled_pass(cfg: ExperimentConfig, paths: dict) -> list:
@@ -268,9 +284,11 @@ def run_convergence_study(cfg: ExperimentConfig) -> ResultTable:
     functional D(eps), per epsilon on the configured grid.
 
     A mode observable of the linear benchmark is referenced by its exact
-    mean; every other observable by the mean of one averaged path per id.
-    Those paths draw from the independent auxiliary stream, so the weak
-    error's standard error combines the two as independent ones."""
+    mean; every other observable by the mean of one averaged path per id,
+    over the ids whose averaged path was not censored.  Those paths draw
+    from the independent auxiliary stream, so the weak error's standard
+    error combines the two as independent ones.  When they run, one
+    epsilon-blank row counts them: censored_fraction[averaged]."""
     model0 = cfg.model
     theta = model0.theta
     discrepancy = partial(_discrepancy_stat, test_functions=cfg.test_functions,
@@ -280,18 +298,19 @@ def run_convergence_study(cfg: ExperimentConfig) -> ResultTable:
 
     exact = model0.is_linear_benchmark
     ref: dict[str, tuple[float, float]] = {}
+    ref_paths = []
     if any(not exact or ob.kind != "mode" for ob in cfg.observables):
         ref_paths = run_parallel(
-            partial(simulate_averaged, model0, cfg.averaging,
-                    cfg.master_seed),
+            partial(_averaged_path, model0, cfg.averaging, cfg.master_seed),
             range(cfg.ensemble_size), cfg.worker_count)
+    ref_kept = [r for r in ref_paths if not r["censored"]]
     for ob in cfg.observables:
         if exact and ob.kind == "mode":
             rate = averaged_mean_rates(model0)[ob.k - 1]
             ref[ob.label] = (float(np.exp(rate * model0.horizon)
                                    * model0.u0[ob.k - 1]), 0.0)
         else:
-            ref[ob.label] = mean_se([ob(path[-1]) for path in ref_paths])
+            ref[ob.label] = mean_se([ob(r["terminal_u"]) for r in ref_kept])
 
     rows: list[ResultRow] = []
     for eps in cfg.epsilon_grid:
@@ -309,6 +328,13 @@ def run_convergence_study(cfg: ExperimentConfig) -> ResultTable:
             mean, se = mean_se([r["sups"][j] for r in kept])
             rows.append(ResultRow("converge", eps, f"D[{tf.label}]",
                                   mean, se, len(kept), censored))
+    if ref_paths:
+        # The averaged reference paths' own count, so that their censoring
+        # reaches max_censored_fraction and the exit code.
+        censored = len(ref_paths) - len(ref_kept)
+        rows.append(ResultRow("converge", None, "censored_fraction[averaged]",
+                              censored / len(ref_paths), 0.0, len(ref_kept),
+                              censored))
     return ResultTable(rows)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "make_fast_reaction",
     "eval_b",
     "eval_g",
+    "gaussian_mean_b",
     "fast_coefficients",
     "truncate_b",
     "nemytskii_drift",
@@ -182,6 +183,38 @@ def eval_b(spec: ReactionSpec, t: float, xi, sigma, lam):
     out = np.zeros(np.broadcast_shapes(sigma.shape, lam.shape))
     for coef, i, j in spec.param_terms():
         out = out + coef * sigma ** i * lam ** j
+    return out
+
+
+def gaussian_mean_b(spec: ReactionSpec, sigma, mean, std) -> np.ndarray:
+    """E b(t, xi, sigma, lam) for lam ~ N(mean, std^2), elementwise, in
+    closed form for each built-in kind (none reads t or xi):
+    E lam|lam| = (m^2 + s^2) erf(m / (s sqrt 2)) + 2 m s phi(m / s), and
+    a polynomial's lam^j has the Gaussian raw moments."""
+    if spec.role != "slow":
+        raise InvalidParameterError("gaussian_mean_b requires a slow reaction")
+    sigma, m, s = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                        for a in (sigma, mean, std)))
+    if spec.kind == "linear_benchmark":
+        return m.copy()
+    if spec.kind == "cubic_rough":
+        # s = 0 gives a = +-inf: erf = sign(m) and no density term.
+        a = np.divide(m, s * math.sqrt(2.0), out=np.copysign(np.inf, m),
+                      where=s > 0)
+        erf = np.array([math.erf(v) for v in a.ravel()]).reshape(a.shape)
+        lam_abs_lam = ((m * m + s * s) * erf
+                       + math.sqrt(2.0 / math.pi) * m * s * np.exp(-a * a))
+        return (-sigma ** 3 + spec.param("c_u") * sigma
+                + spec.param("c_v") * lam_abs_lam)
+    out = np.zeros(sigma.shape)
+    for coef, i, j in spec.param_terms():
+        if j < 0:
+            raise InvalidParameterError(
+                f"lam^{j} has no Gaussian mean (negative power)")
+        # E (m + s Z)^j = sum over even k of C(j, k) m^(j-k) s^k (k-1)!!
+        moment = sum(math.comb(j, k) * math.prod(range(k - 1, 0, -2))
+                     * m ** (j - k) * s ** k for k in range(0, j + 1, 2))
+        out = out + coef * sigma ** i * moment
     return out
 
 

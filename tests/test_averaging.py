@@ -11,9 +11,14 @@ from slowfast import (FrozenFastParams, InvalidParameterError,
                       StateExplosionError, analytic_Fbar_linear,
                       estimate_Fbar, estimate_invariant_average, eval_V,
                       make_fast_reaction, simulate_averaged, synthesize)
-from slowfast.averaging import averaged_mean_rates, make_drift_fn
+from slowfast.averaging import (averaged_mean_rates, companion_Fbar,
+                                make_drift_fn)
 from slowfast.config import parse_config
+from slowfast.fast_dynamics import N_BATCHES
 from slowfast.harness import pooled_invariant_rows
+from slowfast.noise import derive_stream
+from slowfast.reactions import fast_coefficients
+from slowfast.spectral import analyze
 
 from conftest import cubic_model, linear_model, unit_field
 
@@ -453,3 +458,104 @@ class TestFrozenStepBias:
         assert params.t_burn >= 5.0 / model.omega
         z = self.fbar_z(model, self.large_state(model), params)
         assert z.max() > bonferroni_bound(n), z
+
+
+class TestControlVariate:
+    """The averaged drift of a fast reaction with a sine term: each replica
+    drives its Gaussian companion (the step without c_s sin sigma) on the
+    same draws, and estimate_Fbar returns mean(f(v) - f(v_lin)) plus the
+    companion's exact drift, companion_Fbar."""
+
+    @staticmethod
+    def with_fast(model, kind, **extra):
+        a_c, b_c, _ = fast_coefficients(model.reaction_fast)
+        return dataclasses.replace(model, reaction_fast=make_fast_reaction(
+            kind, a_c=a_c, b_c=b_c, **extra))
+
+    @staticmethod
+    def state(model, name):
+        return (model.u0 if name == "u0"
+                else TestFrozenStepBias().large_state(model))
+
+    @pytest.mark.parametrize("state", ["u0", "large"])
+    def test_exact_companion_drift_matches_the_plain_estimator(self, state):
+        # At c_s = 0 the fast law is the companion's.  The linear kind
+        # keeps the plain nested estimator; it must agree with the exact
+        # drift within its standard errors, Bonferroni 5% over the modes.
+        cfg = shipped("cubic_rough")
+        model = cfg.model
+        x = self.state(model, state)
+        params = dataclasses.replace(cfg.averaging, t_avg=25.0,
+                                     n_replicas=TestFrozenStepBias.REPLICAS)
+        plain, se = estimate_Fbar(0.0, x, params,
+                                  self.with_fast(model, "linear_benchmark"),
+                                  master_seed=3)
+        exact = companion_Fbar(0.0, synthesize(x, model.grid), params.h,
+                               self.with_fast(model, "lipschitz_saturating",
+                                              c_s=0.0))
+        z = np.abs(plain - exact) / se
+        assert z.max() <= bonferroni_bound(model.n_modes), z
+
+    def test_zero_sine_term_returns_the_exact_drift(self):
+        # At c_s = 0 a replica and its companion are the same chain, so the
+        # difference rows are zero and the estimate is companion_Fbar bit
+        # for bit, with a standard error of 0.
+        from slowfast.fast_dynamics import _run_replicas
+        cfg = shipped("cubic_rough")
+        model = self.with_fast(cfg.model, "lipschitz_saturating", c_s=0.0)
+        x = self.state(model, "large")
+        x_phys = synthesize(x, model.grid)
+        streams = [derive_stream(0, r, "frozen_fast_noise") for r in range(2)]
+        batches = _run_replicas(model, x, cfg.averaging,
+                                lambda v_phys: analyze(v_phys, model.grid),
+                                streams, x_phys, companion=True)
+        assert batches.shape == (2, N_BATCHES, model.n_modes)
+        assert not batches.any()
+        mean, se = estimate_Fbar(0.0, x, cfg.averaging, model,
+                                 cfg.master_seed)
+        assert np.array_equal(
+            mean, companion_Fbar(0.0, x_phys, cfg.averaging.h, model))
+        assert not se.any()
+
+    def test_shipped_standard_error_is_calibrated(self):
+        # 200 seeds of the shipped budget at u0 against a reference 128
+        # times its work: the z-scores must look standard normal.  Over
+        # 3,200 z-scores at most 1% may exceed 3, and each mode's spread
+        # must lie in [0.8, 1.25].
+        cfg = shipped("cubic_rough")
+        model = cfg.model
+        params = cfg.averaging
+        ref, ref_se = estimate_Fbar(
+            0.0, model.u0, dataclasses.replace(
+                params, t_avg=4 * params.t_avg,
+                n_replicas=32 * params.n_replicas),
+            model, master_seed=10_000)
+        z = []
+        for seed in range(200):
+            mean, se = estimate_Fbar(0.0, model.u0, params, model, seed)
+            z.append((mean - ref) / np.hypot(se, ref_se))
+        z = np.array(z)
+        assert np.mean(np.abs(z) > 3.0) <= 0.01
+        spread = z.std(axis=0, ddof=1)
+        assert np.all((spread >= 0.8) & (spread <= 1.25)), spread
+
+    @pytest.mark.parametrize("state", ["u0", "large"])
+    def test_quadrature_order(self, state, monkeypatch):
+        # The truncation remainder has kinks, so the quadrature converges
+        # algebraically: the shipped rule must be within 2% of the shipped
+        # standard error, mode by mode, of the rule with four times the
+        # points (a quarter of the spacing) on the same range.
+        import slowfast.averaging as averaging
+        cfg = shipped("cubic_rough")
+        model = cfg.model
+        assert model.theta > 0
+        x = self.state(model, state)
+        x_phys = synthesize(x, model.grid)
+        h = cfg.averaging.h
+        _, se = estimate_Fbar(0.0, x, cfg.averaging, model, cfg.master_seed)
+        shipped_drift = companion_Fbar(0.0, x_phys, h, model)
+        monkeypatch.setattr(averaging, "NORMAL_RULE_POINTS",
+                            4 * averaging.NORMAL_RULE_POINTS - 3)
+        finer = companion_Fbar(0.0, x_phys, h, model)
+        gap = np.abs(shipped_drift - finer) / se
+        assert gap.max() < 0.02, gap

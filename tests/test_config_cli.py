@@ -641,11 +641,21 @@ class TestCli:
                     * h).tolist())
         assert all(float(row["t_explosion"]) in grid for row in censored)
 
+    @staticmethod
+    def averaged_row(out) -> dict:
+        """The epsilon-blank row that counts converge's averaged paths."""
+        with open(out / "converge.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh)
+                    if row["statistic_id"] == "censored_fraction[averaged]"]
+        assert len(rows) == 1 and rows[0]["epsilon"] == ""
+        return rows[0]
+
     def test_averaged_reference_explosion_exit_code(self, tmp_path, capsys):
         # model.explosion_bound is the one guard.  Below |u0| = 1 it
-        # censors every coupled path, then ends the first averaged
-        # reference path: an explosion outside any censored path, so exit
-        # 3 with one stderr line and no CSV, not a traceback.
+        # censors every coupled path and every averaged reference path.
+        # The averaged paths are censored as the coupled ones are: the CSV
+        # is written, its epsilon-blank row counts them, and the censored
+        # fraction gives exit 3, with nothing on stderr.
         with open(os.path.join("configs", "cubic_rough.json")) as fh:
             raw = json.load(fh)
         raw["model"]["horizon"] = 0.05
@@ -655,16 +665,34 @@ class TestCli:
         out = tmp_path / "c"
         assert main(["converge", "--config", path, "--out", str(out),
                      "--workers", "1"]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert "state explosion in the averaged equation at t=0.01" in err[0]
-        assert not (out / "converge.csv").exists()
+        assert capsys.readouterr().err == ""
+        row = self.averaged_row(out)
+        assert (row["value"], row["n"], row["censored_count"]) == \
+            ("1.0", "0", "2")
 
-    def test_overflowing_norm_gives_one_stderr_line(self, tmp_path):
+    def test_averaged_path_explosion_writes_the_csv(self, tmp_path, capsys):
+        # A reduced linear benchmark whose guard sits just below |u0| = 1:
+        # one exploding averaged path used to end converge with exit 3 and
+        # no CSV.  Now every path is censored and counted.
+        with open(os.path.join("configs", "linear_benchmark.json")) as fh:
+            raw = json.load(fh)
+        raw["model"].update(explosion_bound=0.999, v0=[0.0], horizon=0.1)
+        raw["experiment"].update(ensemble_size=3,
+                                 observables=[{"kind": "norm_sq"}])
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "c"
+        assert main(["converge", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 3
+        assert capsys.readouterr().err == ""
+        row = self.averaged_row(out)
+        assert int(row["n"]) + int(row["censored_count"]) == 3
+        assert int(row["censored_count"]) >= 1
+
+    def test_overflowing_norm_gives_no_warning(self, tmp_path):
         # u0 = 1e160 is finite, but its squared norm overflows in the
         # explosion guards of the coupled paths and of the averaged
-        # reference path: exit 3 with the one-line report, and no numpy
-        # overflow warning beside it.  A fresh interpreter, because pytest
+        # reference paths: every path is censored, exit 3, and no numpy
+        # overflow warning on stderr.  A fresh interpreter, because pytest
         # captures warnings in process.
         raw = copy.deepcopy(BASE)
         raw["model"]["u0"] = [1e160]
@@ -674,15 +702,15 @@ class TestCli:
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = tmp_path / "c"
         proc = subprocess.run(
             [sys.executable, "-m", "slowfast.cli", "converge", "--config",
-             path, "--out", str(tmp_path / "c"), "--workers", "1"],
+             path, "--out", str(out), "--workers", "1"],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 3
-        err = proc.stderr.strip().splitlines()
-        assert len(err) == 1, proc.stderr
-        assert "state explosion in the averaged equation at t=0.01" in err[0]
-        assert "is non-finite" in err[0]
+        assert proc.stderr == ""
+        row = self.averaged_row(out)
+        assert (row["n"], row["censored_count"]) == ("0", "2")
 
     @pytest.mark.parametrize("command", ["average", "invariant"])
     def test_non_finite_replica_exit_code(self, tmp_path, monkeypatch, capsys,

@@ -366,6 +366,49 @@ class TestInvariantAverage:
         monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_STEPS", 7)
         assert np.array_equal(run(), default)
 
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_companion_is_the_linear_chain_on_the_same_draws(
+            self, monkeypatch, chunk):
+        # With the companion, the observable sees each chunk's rows of the
+        # replicas, as without it, then those of the linear kind on the same
+        # draws; the batches average the difference of the two.
+        import slowfast.fast_dynamics as fast_dynamics
+        from slowfast.spectral import analyze
+        model, x, params, x_phys = self._kernel_inputs()
+        linear, _, _ = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1)
+        assert linear.reaction_fast.kind == "linear_benchmark"
+        if chunk:
+            monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_STEPS", chunk)
+
+        def run(run_model, companion=False):
+            seen = []
+
+            def observable(v_phys):
+                # The kernel reuses its node stack: keep a copy.
+                seen.append(v_phys.copy())
+                return analyze(v_phys, model.grid)
+            streams = [derive_stream(5, r, "frozen_fast_noise")
+                       for r in range(3)]
+            batches = fast_dynamics._run_replicas(
+                run_model, x, params, observable, streams, x_phys,
+                companion=companion)
+            return batches, seen
+        both, both_rows = run(model, companion=True)
+        alone, alone_rows = run(model)
+        lin, lin_rows = run(linear)
+        assert len(both_rows) == 2 * len(alone_rows) == 2 * len(lin_rows)
+        for own, got in zip(alone_rows + lin_rows,
+                            both_rows[0::2] + both_rows[1::2]):
+            assert np.array_equal(got, own)
+        n_burn, n_avg = _steps(params)
+        per_step = np.concatenate(
+            [analyze(a, model.grid) - analyze(b, model.grid)
+             for a, b in zip(alone_rows, lin_rows)]).reshape(n_avg, 3, N)
+        batch_len = n_avg // N_BATCHES
+        expected = per_step.reshape(N_BATCHES, batch_len, 3, N).mean(axis=1)
+        np.testing.assert_allclose(both, expected.transpose(1, 0, 2),
+                                   rtol=1e-12, atol=1e-15)
+
     def test_non_finite_replica_raises(self, monkeypatch):
         # A NaN in a replica's field must never be pooled: the kernel
         # raises, naming the replica whose field went non-finite.

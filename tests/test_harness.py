@@ -11,6 +11,7 @@ from slowfast.averaging import (averaged_mean_rates, make_drift_fn,
                                 simulate_averaged)
 from slowfast.config import TestFunctionSpec as XiSpec
 from slowfast.config import parse_config, parse_config_dict
+from slowfast.errors import StateExplosionError
 from slowfast.coupled import path_functionals, simulate_slowfast
 from slowfast.fast_dynamics import FrozenFastParams
 from slowfast.harness import (ResultRow, ResultTable, _coupled_paths,
@@ -177,6 +178,49 @@ class TestConvergenceStudy:
                 assert row.value == abs(mean.value - ref[0])
                 assert row.std_error == math.sqrt(mean.std_error ** 2
                                                   + ref[1] ** 2)
+
+
+    def test_censored_averaged_paths_leave_the_reference(self,
+                                                         monkeypatch):
+        # The averaged reference paths of odd ids explode: the reference is
+        # the mean over the even ids, and one epsilon-blank row counts the
+        # censored paths for max_censored_fraction.
+        raw = small_config()
+        raw["experiment"].update(ensemble_size=6,
+                                 observables=[{"kind": "norm_sq"}])
+        cfg = dataclasses.replace(parse_config_dict(raw), worker_count=1)
+
+        def odd_ids_explode(model, params, master_seed, trajectory_id):
+            if trajectory_id % 2:
+                raise StateExplosionError(0.01, 1e9, 0.0,
+                                          model.explosion_bound)
+            return simulate_averaged(model, params, master_seed,
+                                     trajectory_id)
+        monkeypatch.setattr(harness, "simulate_averaged", odd_ids_explode)
+        table = run_convergence_study(cfg)
+        row = table.value("converge", None, "censored_fraction[averaged]")
+        assert row.epsilon is None
+        assert (row.value, row.n, row.censored_count) == (0.5, 3, 3)
+        assert table.max_censored_fraction == 0.5
+        ob = cfg.observables[0]
+        ref = mean_se([ob(simulate_averaged(cfg.model, cfg.averaging,
+                                            cfg.master_seed, i)[-1])
+                       for i in (0, 2, 4)])
+        for eps in cfg.epsilon_grid:
+            mean = table.value("converge", eps, f"mean[{ob.label}]")
+            weak = table.value("converge", eps, f"weak_error[{ob.label}]")
+            assert mean.n == cfg.ensemble_size
+            assert weak.value == abs(mean.value - ref[0])
+            assert weak.std_error == math.sqrt(mean.std_error ** 2
+                                               + ref[1] ** 2)
+
+    def test_exact_reference_runs_no_averaged_path(self):
+        # A linear benchmark referenced only by exact mode means runs no
+        # averaged path, so converge.csv gets no averaged row.
+        cfg = parse_config_dict(small_config())
+        assert all(ob.kind == "mode" for ob in cfg.observables)
+        table = run_convergence_study(cfg)
+        assert all(r.epsilon is not None for r in table.rows)
 
 
 def _per_node_discrepancy(traj, model, test_functions, averaging,

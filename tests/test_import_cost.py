@@ -2,8 +2,9 @@
 
 Each check runs in a fresh interpreter, because this process has already
 imported scipy and the process pool for other tests.  Importing
-`slowfast.cli` must not load scipy (the CLI needs none of it) or the
-process pool (only `--workers > 1` uses it), and it must load
+`slowfast.cli` must not load scipy (the CLI needs none of it), the
+process pool (only `--workers > 1` uses it) or `numpy.polynomial` (the
+quadrature rule of the averaged drift needs none of it), and it must load
 `numpy.random`, so a subcommand's first draw does not pay for that import.
 """
 
@@ -36,6 +37,8 @@ def test_cli_import_loads_no_scipy_and_no_pool(tmp_path):
         "print(json.dumps(sorted(sys.modules)))\n", tmp_path)
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
     assert "concurrent.futures.process" not in loaded
+    assert [m for m in loaded if m == "numpy.polynomial"
+            or m.startswith("numpy.polynomial.")] == []
     assert "numpy.random" in loaded
 
 

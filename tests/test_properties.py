@@ -197,6 +197,25 @@ def test_advance_writes_nodes_in_place(case):
     assert np.array_equal(states_in_place, states)
 
 
+@SETTINGS
+@given(fast_step_cases())
+def test_advance_writes_states_in_place(case):
+    # The modal states go into a given buffer too, which the call returns,
+    # with the bits of the allocating call; the noise is left as it was.
+    grid, reaction, op, h, eps, v, rho_phys, xi = case
+    stepper = FastStepper(reaction, grid, op, h, eps)
+    noise = stepper.noise(xi)
+    args = (v, synthesize(v, grid), stepper.drive(rho_phys), noise)
+    states, nodes = stepper.advance(*args)
+    kept = noise.copy()
+    buf = np.full(states.shape, np.nan)
+    states_in_place, nodes_in_place = stepper.advance(*args, states=buf)
+    assert states_in_place is buf
+    assert np.array_equal(buf, states)
+    assert np.array_equal(nodes_in_place, nodes)
+    assert np.array_equal(noise, kept)
+
+
 def not_tiny(low: float, high: float):
     """Floats in [low, high] that are 0 or at least 1e-6 in magnitude, so
     that no product of two of them underflows."""

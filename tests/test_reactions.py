@@ -8,6 +8,7 @@ from slowfast import (ConfigurationRejectedError, GridSpec,
                       eval_g, make_fast_reaction, make_slow_reaction,
                       nemytskii_drift, synthesize, truncate_b,
                       validate_dissipativity, validate_growth)
+from slowfast.reactions import gaussian_mean_b
 
 
 def cubic_plain():
@@ -15,6 +16,50 @@ def cubic_plain():
     return make_slow_reaction("polynomial", terms=[(-1.0, 3, 0), (1.0, 0, 1)],
                               m1=3, m2=1, kappa1=2, kappa2=4, c1=2.0, c2=2.0,
                               a1=1.0, a2=1.0)
+
+
+class TestGaussianMeanB:
+    """E b(sigma, lam) for lam ~ N(m, s^2) in closed form, against a
+    midpoint sum over the standard normal density on [-12, 12]."""
+
+    SIGMA = np.array([-1.5, -0.3, 0.0, 0.4, 1.2])
+    MEAN = np.array([0.7, -0.2, 0.0, 0.05, -1.1])
+    STD = np.array([0.3, 0.5, 0.2, 1.0, 0.01])
+
+    @staticmethod
+    def numeric(spec, sigma, mean, std):
+        z = np.linspace(-12.0, 12.0, 400_001)
+        dz = z[1] - z[0]
+        density = np.exp(-0.5 * z * z) * dz / math.sqrt(2.0 * math.pi)
+        lam = mean[:, None] + std[:, None] * z
+        return (eval_b(spec, 0.0, 0.0, sigma[:, None], lam)
+                * density).sum(axis=1)
+
+    @pytest.mark.parametrize("spec", [
+        make_slow_reaction("linear_benchmark"),
+        make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5),
+        make_slow_reaction("polynomial",
+                           terms=[(-1.0, 3, 0), (0.5, 1, 2), (2.0, 0, 3)],
+                           m1=3, m2=3, kappa1=2, kappa2=4, c1=9.0, c2=9.0,
+                           a1=1.0, a2=1.0)],
+        ids=["linear_benchmark", "cubic_rough", "polynomial"])
+    def test_matches_the_gaussian_integral(self, spec):
+        exact = gaussian_mean_b(spec, self.SIGMA, self.MEAN, self.STD)
+        np.testing.assert_allclose(
+            exact, self.numeric(spec, self.SIGMA, self.MEAN, self.STD),
+            rtol=1e-9, atol=1e-12)
+
+    def test_zero_std_is_the_pointwise_value(self):
+        spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
+        zeros = np.zeros_like(self.MEAN)
+        assert np.array_equal(
+            gaussian_mean_b(spec, self.SIGMA, self.MEAN, zeros),
+            eval_b(spec, 0.0, 0.0, self.SIGMA, self.MEAN))
+
+    def test_negative_power_has_no_mean(self):
+        spec = make_slow_reaction("polynomial", terms=[(1.0, 0, -1)])
+        with pytest.raises(InvalidParameterError, match="negative power"):
+            gaussian_mean_b(spec, 0.0, 1.0, 1.0)
 
 
 class TestEvalB:
