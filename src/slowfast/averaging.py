@@ -86,17 +86,22 @@ def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
     trajectory_id, step), step = round(t / model.h_macro): each path must
     pass its own id, and a t off the h_macro grid is rejected.
 
-    A fast reaction with a sine term (c_s not None, zero included) takes a
-    control variate: each replica drives its Gaussian companion on the same
-    draws, and the estimate is mean(f(v) - f(v_lin)) + companion_Fbar, f
-    the drift observable; the last term is exact.  The linear kind keeps
-    the plain estimate.
+    A fast reaction with a sine term (c_s not None) takes a control
+    variate: each replica drives its Gaussian companion on the same draws,
+    and the estimate is mean(f(v) - f(v_lin)) + companion_Fbar, f the drift
+    observable; the last term is exact.  At c_s = 0 the replica is its own
+    companion, so companion_Fbar is returned, with standard error 0, and no
+    replica is stepped.  The linear kind keeps the plain estimate.
     """
     step = int(round(t / model.h_macro))
     if abs(t / model.h_macro - step) > 1e-6:
         raise InvalidParameterError(f"t={t!r} is off the h_macro grid")
     x = as_modal_field(x, model.n_modes)
     x_phys = synthesize(x, model.grid)
+    c_s = fast_coefficients(model.reaction_fast)[2]
+    if c_s == 0:
+        mean = companion_Fbar(t, x_phys, params.h, model)
+        return mean, np.zeros_like(mean)
 
     def drift_observable(v_phys):
         # (n, M) nodal rows -> (n, N) modal drifts, row by row.
@@ -105,7 +110,7 @@ def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
                             v_phys, model.grid),
             model.grid)
 
-    companion = fast_coefficients(model.reaction_fast)[2] is not None
+    companion = c_s is not None
     mean, std_error = estimate_invariant_average(
         model, x, params, drift_observable, master_seed,
         key=(trajectory_id, step), companion=companion)

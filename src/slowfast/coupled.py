@@ -277,14 +277,20 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
     mat = model.grid.sine_matrix
     noise = stepper.noise(traj.fast_noise).reshape(-1, model.n_modes)
     v_aux = traj.v.copy()
+    # The state and node stacks of the longest replay, allocated once.
+    n_replay = max(0, min(steps_per_block, n_steps) - 1) * n_sub
+    state_stack = np.empty((n_replay, model.n_modes))
+    node_stack = np.empty((n_replay, model.grid.n_quad))
     for start in range(0, n_steps, steps_per_block):
         stop = min(start + steps_per_block, n_steps)
         if stop == start + 1:
             continue
+        n = (stop - start - 1) * n_sub
         states, _ = stepper.advance(
             traj.v[start + 1], mat.dot(traj.v[start + 1]),
             stepper.drive(mat.dot(traj.u[start])),
-            noise[(start + 1) * n_sub:stop * n_sub])
+            noise[(start + 1) * n_sub:stop * n_sub],
+            nodes=node_stack[:n], states=state_stack[:n])
         replayed = v_aux[start + 2:stop + 1]
         replayed[...] = states[n_sub - 1::n_sub]
         # Only replayed nodes are checked: the path's passed its guard.

@@ -21,8 +21,8 @@ from .errors import InvalidParameterError, StateExplosionError
 from .model import MAX_STEPS, ModelSpec
 from .noise import RngStream, derive_stream, make_plan
 from .reactions import ReactionSpec, fast_coefficients
-from .spectral import (GridSpec, SpectralOperator, as_modal_field,
-                       kahan_add, matvec, synthesize)
+from .spectral import (GridSpec, SpectralOperator, as_modal_field, matvec,
+                       synthesize)
 
 __all__ = [
     "FrozenFastParams",
@@ -105,6 +105,15 @@ class FastStepper:
         companion.sin_weight = None
         return companion
 
+    def stationary_law(self, drive: np.ndarray) -> tuple:
+        """Modal mean and variance of the stationary law of the Gaussian
+        companion under the frozen drive.  Per mode the chain is AR(1):
+        mean drive/(1 - decay) and variance noise_std^2/(1 - decay^2), exact
+        for the discrete chain."""
+        decay = self.decay
+        return (drive / (1.0 - decay),
+                self.noise_std ** 2 / (1.0 - decay * decay))
+
     def advance(self, v: np.ndarray, v_phys: np.ndarray, drive: np.ndarray,
                 noise: np.ndarray, nodes: np.ndarray | None = None,
                 states: np.ndarray | None = None
@@ -156,22 +165,26 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
     one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).
 
     The R replicas advance together as an (R, N) block.  Replica r draws
-    only from streams[r], in chunks of DRAW_CHUNK_STEPS steps; the streams
-    are concatenation-consistent, so these are the draws of one step at a
-    time.  The nodal blocks of a chunk's steps are kept, and after the
-    chunk the observable is called once on the rows of its post-burn-in
-    steps: an (n*R, M) array whose row s*R + r is replica r at the chunk's
-    s-th averaged step.  It must return one value per row, shape (n*R,),
-    or one vector per row, shape (n*R, K), and must not depend on a row's
-    position; the row count is checked on every call.  A replica whose
-    field turns non-finite raises StateExplosionError at the end of its
-    draw chunk, before the observable sees any row of that chunk.
+    only from streams[r]: first its start, from the Gaussian companion's
+    stationary law, then its steps, in chunks of DRAW_CHUNK_STEPS; the
+    streams are concatenation-consistent, so these are the draws of one
+    step at a time.  The nodal blocks of a chunk's steps are kept, and
+    after the chunk the observable is called once on the rows of its
+    post-burn-in steps: an (n*R, M) array whose row s*R + r is replica r
+    at the chunk's s-th averaged step.  It must return one value per row,
+    shape (n*R,), or one vector per row, shape (n*R, K), and must not
+    depend on a row's position; the row count is checked on every call.
+    A replica whose field turns non-finite raises StateExplosionError at
+    the end of its draw chunk, before the observable sees any row of that
+    chunk.
 
     With companion, each replica also drives a Gaussian companion (the
-    stepper's gaussian_companion) with its own drive and noise rows, and
-    the batches average observable(v) - observable(v_lin): per chunk the
-    replicas advance and are observed, then the companions.  The state and
-    node stacks are allocated once per call and shared by the two.
+    stepper's gaussian_companion) from its start with its own drive and
+    noise rows, and the batches average observable(v) - observable(v_lin):
+    per chunk the replicas advance and are observed, then the companions.
+    The state and node stacks are allocated once per call and shared by
+    the two.  A batch is summed in time order, so the batches depend on
+    neither the replica count nor the chunk size.
     """
     h = params.h
     n_burn = int(round(params.t_burn / h))
@@ -186,15 +199,19 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
     chains = ((stepper, stepper.gaussian_companion()) if companion
               else (stepper,))
     drive = stepper.drive(x_phys)
+    mean, variance = stepper.stationary_law(drive)
+    initial = mean + np.sqrt(variance) * np.stack(
+        [s.normals(n_modes) for s in streams])
     n_total = n_burn + n_avg
     chunk = min(DRAW_CHUNK_STEPS, n_total)
     state_stack = np.empty((chunk, n_rep, n_modes))
     node_stack = np.empty((chunk, n_rep, n_quad))
-    v = np.zeros((len(chains), n_rep, n_modes))
-    v_phys = np.zeros((len(chains), n_rep, n_quad))
+    v = np.array([initial] * len(chains))
+    v_phys = np.array([matvec(stepper.mat, initial)] * len(chains))
 
     batches = []
-    acc = comp = None
+    row_shape = open_sum = None
+    n_open = 0  # steps summed in open_sum, the open batch
     for start in range(0, n_total, chunk):
         steps = min(chunk, n_total - start)
         noise = stepper.noise(np.stack(
@@ -223,24 +240,29 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
             values = np.asarray(observable(nodes[first:].reshape(rows, n_quad)),
                                 dtype=float)
             if (values.ndim not in (1, 2) or values.shape[0] != rows or (
-                    acc is not None and values.shape[1:] != acc.shape[1:])):
+                    row_shape is not None and values.shape[1:] != row_shape)):
                 raise InvalidParameterError(
                     f"observable must map nodal rows of shape "
                     f"({rows}, {n_quad}) to shape ({rows},) or ({rows}, K), "
                     f"got {values.shape}")
-            observed.append(values.reshape((n_seen, n_rep) + values.shape[1:]))
+            row_shape = values.shape[1:]
+            observed.append(values.reshape((n_seen, n_rep) + row_shape))
         if not observed:
             continue
         values = observed[0] - observed[1] if companion else observed[0]
-        if acc is None:
-            acc = comp = np.zeros(values.shape[1:])
-        # Kahan accumulation in time order keeps batch sums independent
-        # of the replica count and of the chunk size.
-        for i, value in enumerate(values, start=start + first - n_burn):
-            acc, comp = kahan_add(acc, comp, value)
-            if (i + 1) % batch_len == 0:
-                batches.append(acc / batch_len)
-                acc = comp = np.zeros_like(acc)
+        # accumulate, not reduce: reduce pairs the terms when a step has
+        # one value, and the sums would then depend on the replica count.
+        i = 0
+        while i < n_seen:
+            take = min(batch_len - n_open, n_seen - i)
+            part = values[i:i + take]
+            if n_open:
+                part = np.concatenate((open_sum[None], part))
+            open_sum = np.add.accumulate(part, axis=0)[-1]
+            i += take
+            n_open = (n_open + take) % batch_len
+            if not n_open:
+                batches.append(open_sum / batch_len)
     return np.stack(batches, axis=1)
 
 
@@ -264,15 +286,12 @@ def batch_std_error(batches: np.ndarray) -> np.ndarray:
 def companion_law(model: ModelSpec, x_phys: np.ndarray, h: float) -> tuple:
     """Nodal mean and standard deviation, shape (M,) each, of the
     stationary law of the Gaussian companion of the step h frozen at the
-    nodal slow field x_phys.  Per mode the chain is AR(1): mean
-    drive/(1 - decay) and variance noise_std^2/(1 - decay^2), exact for
-    the discrete chain.  The modes are independent, so node j is Gaussian
-    with mean sum_k mean_k e_k(xi_j) and variance sum_k var_k e_k(xi_j)^2.
+    nodal slow field x_phys (FastStepper.stationary_law per mode).  The
+    modes are independent, so node j is Gaussian with mean
+    sum_k mean_k e_k(xi_j) and variance sum_k var_k e_k(xi_j)^2.
     """
     stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
-    decay = stepper.decay
-    mean = stepper.drive(x_phys) / (1.0 - decay)
-    variance = stepper.noise_std ** 2 / (1.0 - decay * decay)
+    mean, variance = stepper.stationary_law(stepper.drive(x_phys))
     mat = model.grid.sine_matrix
     return mat.dot(mean), np.sqrt((mat * mat).dot(variance))
 
@@ -292,17 +311,21 @@ def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
     replicas, so it must not depend on a row's position or on n.  The mean
     and standard error are floats or (K,) arrays accordingly.  Replicas use
     independent frozen_fast_noise streams derived from (master_seed,
-    replica) and the trailing key.  The standard error comes from the
-    correlated per-batch means (batch_std_error) and shrinks like
-    1/sqrt(n_replicas * t_avg).  A burn-in shorter than 5/omega warns.
+    replica) and the trailing key; each starts in its Gaussian companion's
+    stationary law, the linear kind's own.  The standard error comes from
+    the correlated per-batch means (batch_std_error) and shrinks like
+    1/sqrt(n_replicas * t_avg).
 
     With companion the average is of observable(v) - observable(v_lin),
-    v_lin each replica's Gaussian companion on the same draws (see
-    _run_replicas): a control variate, to which the caller adds the exact
-    expectation of observable(v_lin) under companion_law.
+    v_lin each replica's Gaussian companion on the same draws and from the
+    same start: a control variate, to which the caller adds the exact
+    expectation of observable(v_lin) under companion_law.  A plain estimate
+    with a burn-in shorter than 5/omega warns.  A control-variate one does
+    not: its companion is stationary from the start and only the
+    difference relaxes, so its burn-in is certified by measuring the bias.
     """
     omega = model.omega
-    if params.t_burn < 5.0 / omega:
+    if not companion and params.t_burn < 5.0 / omega:
         warnings.warn(
             f"t_burn={params.t_burn:g} is below the recommended floor "
             f"5/omega={5.0 / omega:g}; stationary averages may be biased",

@@ -381,15 +381,18 @@ def validate_growth(spec: ReactionSpec) -> GrowthReport:
     """
     if spec.role != "slow":
         raise InvalidParameterError("validate_growth applies to slow reactions")
-    s_grid, l_grid = np.meshgrid(GROWTH_SIGMAS, GROWTH_LAMBDAS, indexing="ij")
+    # A sigma column against a lambda row: each power once per grid value.
+    sigma = GROWTH_SIGMAS[:, None]
+    lam = GROWTH_LAMBDAS[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
+        abs_lam = np.abs(lam)
         uniform_worst = _worst_ratio(
-            np.abs(eval_b(spec, 0.0, 0.0, s_grid, l_grid)),
-            spec.a1 + np.abs(s_grid) ** spec.m1 + np.abs(l_grid) ** spec.m2)
+            np.abs(eval_b(spec, 0.0, 0.0, sigma, lam)),
+            spec.a1 + np.abs(sigma) ** spec.m1 + abs_lam ** spec.m2)
+        one_sided_bound = spec.a2 + sigma ** 2 + abs_lam ** spec.kappa1
         one_sided_worst = max(_worst_ratio(
-            eval_b(spec, 0.0, 0.0, s_grid + r, l_grid) * s_grid,
-            spec.a2 + s_grid ** 2 + np.abs(l_grid) ** spec.kappa1
-            + abs(r) ** spec.kappa2) for r in GROWTH_RHOS)
+            eval_b(spec, 0.0, 0.0, sigma + r, lam) * sigma,
+            one_sided_bound + abs(r) ** spec.kappa2) for r in GROWTH_RHOS)
     return GrowthReport(
         uniform_ok=uniform_worst <= spec.c1 + GROWTH_TOL,
         uniform_worst_ratio=uniform_worst,

@@ -517,6 +517,22 @@ class TestControlVariate:
             mean, companion_Fbar(0.0, x_phys, cfg.averaging.h, model))
         assert not se.any()
 
+    def test_zero_sine_term_steps_no_replica(self, monkeypatch):
+        # At c_s = 0 the exact drift is the estimate: no replica is stepped.
+        import slowfast.fast_dynamics as fast_dynamics
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("a frozen-fast replica was stepped")
+        monkeypatch.setattr(fast_dynamics, "_run_replicas", no_replicas)
+        cfg = shipped("cubic_rough")
+        model = self.with_fast(cfg.model, "lipschitz_saturating", c_s=0.0)
+        x = self.state(model, "large")
+        mean, se = estimate_Fbar(0.0, x, cfg.averaging, model,
+                                 cfg.master_seed)
+        assert np.array_equal(mean, companion_Fbar(
+            0.0, synthesize(x, model.grid), cfg.averaging.h, model))
+        assert se.shape == mean.shape and not se.any()
+
     def test_shipped_standard_error_is_calibrated(self):
         # 200 seeds of the shipped budget at u0 against a reference 128
         # times its work: the z-scores must look standard normal.  Over
@@ -559,3 +575,52 @@ class TestControlVariate:
         finer = companion_Fbar(0.0, x_phys, h, model)
         gap = np.abs(shipped_drift - finer) / se
         assert gap.max() < 0.02, gap
+
+
+class TestBurnInBias:
+    """The burn-in of the control-variate estimate.  A replica and its
+    Gaussian companion start at one draw from the companion's stationary
+    law, so the companion is stationary from its first step and only the
+    difference rows f(v) - f(v_lin), zero at the start, relax, at a rate of
+    order omega.  The shipped t_burn passes when an estimate with the
+    shipped step, burn-in and window (at TestFrozenStepBias.REPLICAS
+    replicas, which sharpens the test: a replica's bias does not depend on
+    their count) agrees with a reference of six times the burn-in and five
+    times the window, within their combined standard errors at the
+    Bonferroni 5% level over the modes; the same comparison must reject
+    an estimate with no burn-in where the difference relaxes slowly."""
+
+    REFERENCE_T_BURN = 3.0
+    REFERENCE_T_AVG = 25.0
+
+    @classmethod
+    def burn_z(cls, model, x, params):
+        reference = dataclasses.replace(params, t_burn=cls.REFERENCE_T_BURN,
+                                        t_avg=cls.REFERENCE_T_AVG)
+        return step_z(estimate_Fbar(0.0, x, params, model, master_seed=1),
+                      estimate_Fbar(0.0, x, reference, model, master_seed=2))
+
+    @pytest.mark.parametrize("state", ["u0", "large"])
+    def test_shipped_burn_in(self, state):
+        cfg = shipped("cubic_rough")
+        model = cfg.model
+        params = dataclasses.replace(cfg.averaging,
+                                     n_replicas=TestFrozenStepBias.REPLICAS)
+        # Shorter than the 5/omega floor that a plain estimate warns below.
+        assert params.t_burn < 5.0 / model.omega
+        z = self.burn_z(model, TestControlVariate.state(model, state), params)
+        assert z.max() <= bonferroni_bound(model.n_modes), z
+
+    def test_no_burn_in_at_a_strong_sine_term_is_rejected(self):
+        # c_s = 6 leaves omega = 1.87, so the difference rows relax over
+        # about 0.5, and a window of t_avg = 1 (20 batches of one step)
+        # cannot average that transient away.  Sizing: max |z| = 6.6-7.9
+        # on four seed pairs; with t_burn = 0.5 instead, 1.5-2.8.
+        cfg = shipped("cubic_rough")
+        model = TestControlVariate.with_fast(
+            cfg.model, "lipschitz_saturating", c_s=6.0)
+        params = dataclasses.replace(cfg.averaging, t_burn=0.0, t_avg=1.0,
+                                     n_replicas=TestFrozenStepBias.REPLICAS)
+        z = self.burn_z(model, TestControlVariate.state(model, "large"),
+                        params)
+        assert z.max() > bonferroni_bound(model.n_modes), z

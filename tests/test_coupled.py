@@ -367,9 +367,10 @@ class TestKernelBitIdentity:
         advance = fast_dynamics.FastStepper.advance
         calls = []
 
-        def counting(self, *args):
-            calls.append(len(args[-1]))
-            return advance(self, *args)
+        def counting(self, *args, **kwargs):
+            # args[3] is the noise: one row per replayed substep.
+            calls.append(len(args[3]))
+            return advance(self, *args, **kwargs)
         monkeypatch.setattr(fast_dynamics.FastStepper, "advance", counting)
         delta = steps_per_block * model.h_macro
         _, v_aux = build_auxiliary(traj, delta, model)

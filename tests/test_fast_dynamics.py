@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, linregress
 
 from slowfast import (FrozenFastParams, GridSpec, InvalidParameterError,
-                      SpectralOperator, StateExplosionError, build_model,
+                      SpectralOperator, StateExplosionError,
+                      analytic_Fbar_linear, build_model, estimate_Fbar,
                       estimate_invariant_average, make_fast_reaction, make_plan,
                       make_slow_reaction, nemytskii_drift, step_frozen_fast,
                       synthesize)
 from slowfast.fast_dynamics import N_BATCHES, FastStepper, batch_std_error
 from slowfast.noise import derive_stream
 
-from conftest import unit_field
+from conftest import linear_model, unit_field
 
 N = 4
 M = 16
@@ -299,27 +301,31 @@ class TestInvariantAverage:
 
     def test_matches_per_replica_loop(self):
         # The batched kernel against the one-vector-at-a-time loop it
-        # replaced: identical arithmetic, so identical bits.
+        # replaced: identical arithmetic, so identical bits.  A replica's
+        # first draws are its start in the companion's stationary law, and
+        # a batch is summed in time order.
         from slowfast.fast_dynamics import _run_replicas
-        from slowfast.spectral import analyze, kahan_add
+        from slowfast.spectral import analyze
         model, x, params, x_phys = self._kernel_inputs()
         grid = model.grid
         n_burn, n_avg = _steps(params)
         batch_len = n_avg // N_BATCHES
+        stepper = FastStepper(model.reaction_fast, grid, model.op2,
+                              params.h, 1.0)
+        mean, variance = stepper.stationary_law(stepper.drive(x_phys))
         for replica in range(3):
             stream = derive_stream(8, replica, "frozen_fast_noise")
-            v = np.zeros(N)
+            v = mean + np.sqrt(variance) * stream.normals(N)
             for _ in range(n_burn):
                 v = step_frozen_fast(v, model, x, params, stream, x_phys)
             reference = []
-            acc = comp = 0.0
+            acc = 0.0
             for i in range(n_avg):
                 v = step_frozen_fast(v, model, x, params, stream, x_phys)
-                acc, comp = kahan_add(acc, comp,
-                                      analyze(synthesize(v, grid), grid))
+                acc = acc + analyze(synthesize(v, grid), grid)
                 if (i + 1) % batch_len == 0:
                     reference.append(acc / batch_len)
-                    acc = comp = 0.0
+                    acc = 0.0
             streams = [derive_stream(8, r, "frozen_fast_noise") for r in range(3)]
             batched = _run_replicas(model, x, params,
                                     lambda v_phys: analyze(v_phys, grid),
@@ -452,6 +458,69 @@ def _cubic_drift(grid, x_phys):
         nemytskii_drift(spec, 0.01, 0.0, x_phys, v_phys, grid), grid)
 
 
+class TestExactStart:
+    """Each replica starts at a draw from the stationary law of its Gaussian
+    companion, which is the linear kind's own law."""
+
+    def test_step_zero_states_follow_the_companion_law(self, monkeypatch):
+        # The states that the first advance of each chain starts from, at a
+        # frozen state with a drive in several modes: per mode and per node,
+        # mean and variance within two-sided Bonferroni 5% bounds.
+        import slowfast.fast_dynamics as fast_dynamics
+        model, _, _ = frozen_cfg(c_s=0.2)
+        x = np.array([2.0, -1.0, 0.5, 0.3])
+        x_phys = synthesize(x, model.grid)
+        params = FrozenFastParams(h=0.05, t_burn=0.0, t_avg=N_BATCHES * 0.05,
+                                  n_replicas=1)
+        advance = FastStepper.advance
+        starts = []
+
+        def recording(self, v, *args, **kwargs):
+            if len(starts) < 2:
+                starts.append(v.copy())
+            return advance(self, v, *args, **kwargs)
+        monkeypatch.setattr(fast_dynamics.FastStepper, "advance", recording)
+        n_rep = 4000
+        streams = [derive_stream(21, r, "frozen_fast_noise")
+                   for r in range(n_rep)]
+        fast_dynamics._run_replicas(model, x, params,
+                                    lambda v_phys: v_phys[:, 0], streams,
+                                    x_phys, companion=True)
+        # The companion starts where its replica does.
+        assert np.array_equal(starts[0], starts[1])
+        stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
+                              params.h, 1.0)
+        mode_mean, mode_var = stepper.stationary_law(stepper.drive(x_phys))
+        node_mean, node_std = fast_dynamics.companion_law(model, x_phys,
+                                                          params.h)
+        checks = [(starts[0], mode_mean, np.sqrt(mode_var)),
+                  (synthesize(starts[0], model.grid), node_mean, node_std)]
+        n_tests = 2 * sum(mean.size for _, mean, _ in checks)
+        level = 0.05 / n_tests
+        z_bound = NormalDist().inv_cdf(1 - level / 2)
+        lo, hi = chi2.ppf([level / 2, 1 - level / 2], n_rep - 1)
+        for sample, mean, std in checks:
+            z = (sample.mean(axis=0) - mean) / (std / math.sqrt(n_rep))
+            assert np.abs(z).max() <= z_bound, z
+            ratio = (n_rep - 1) * sample.var(axis=0, ddof=1) / std ** 2
+            assert np.all((ratio >= lo) & (ratio <= hi)), ratio
+
+    def test_linear_kind_needs_no_burn_in(self):
+        # The linear kind's chain is its own companion, so it is stationary
+        # from the first step: at t_burn = 0 the estimate meets criterion 2's
+        # bound (3 standard errors per mode) against the closed form.  The
+        # plain estimate still warns below 5/omega.
+        model = linear_model(lam_fast=0.1)
+        u0 = unit_field(model.n_modes)
+        params = FrozenFastParams(h=0.005, t_burn=0.0,
+                                  t_avg=200.0 / model.omega, n_replicas=16)
+        with pytest.warns(UserWarning, match="t_burn"):
+            mean, se = estimate_Fbar(0.0, u0, params, model, master_seed=2024)
+        exact = analytic_Fbar_linear(model, 0.0, u0)
+        assert np.all(np.abs(mean - exact) <= 3.0 * se + 1e-12), (
+            np.abs(mean - exact) / se)
+
+
 class TestChunkedObservable:
     """The kernel evaluates the observable once per draw chunk, on the
     (n*R, M) rows of the chunk's averaged steps."""
@@ -542,6 +611,26 @@ class TestChunkedObservable:
         default = run()
         with mock.patch.object(fast_dynamics, "DRAW_CHUNK_STEPS", chunk):
             assert np.array_equal(run(), default)
+
+    def test_long_scalar_batches_independent_of_replica_count(self):
+        # One value per step and replica, batches of 16 steps: a replica
+        # alone sums its batches as it does in a block, term by term in
+        # time order (a pairwise sum of a lone column would not).
+        import slowfast.fast_dynamics as fast_dynamics
+        model, x, params = frozen_cfg(t_burn=0.1, t_avg=3.2, c_s=0.2)
+        x_phys = synthesize(x, model.grid)
+        quad = model.grid.quad_weight
+
+        def run(ids):
+            return fast_dynamics._run_replicas(
+                model, x, params,
+                lambda v_phys: quad * np.sum(v_phys * v_phys, axis=-1),
+                [derive_stream(4, r, "frozen_fast_noise") for r in ids],
+                x_phys)
+        assert _steps(params)[1] // N_BATCHES == 16
+        block = run(range(3))
+        for r in range(3):
+            assert np.array_equal(run([r])[0], block[r])
 
 
 class TestMomentCheck:

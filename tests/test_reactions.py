@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowfast import (ConfigurationRejectedError, GridSpec,
                       InvalidParameterError, LyapunovSpec, eval_V, eval_b,
                       eval_g, make_fast_reaction, make_slow_reaction,
                       nemytskii_drift, synthesize, truncate_b,
                       validate_dissipativity, validate_growth)
-from slowfast.reactions import gaussian_mean_b
+from slowfast.reactions import (GROWTH_LAMBDAS, GROWTH_RHOS, GROWTH_SIGMAS,
+                                GROWTH_TOL, GrowthReport, _worst_ratio,
+                                gaussian_mean_b)
 
 
 def cubic_plain():
@@ -332,3 +336,56 @@ class TestGrowthValidation:
         report = validate_growth(spec)
         assert not report.one_sided_ok
         assert report.one_sided_worst_ratio > 10.0
+
+
+def meshgrid_growth_report(spec) -> GrowthReport:
+    """validate_growth as it was first written, on the meshgrid lattice
+    with every power taken per lattice point: the reference that the
+    broadcast lattice must reproduce exactly."""
+    s_grid, l_grid = np.meshgrid(GROWTH_SIGMAS, GROWTH_LAMBDAS, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uniform_worst = _worst_ratio(
+            np.abs(eval_b(spec, 0.0, 0.0, s_grid, l_grid)),
+            spec.a1 + np.abs(s_grid) ** spec.m1 + np.abs(l_grid) ** spec.m2)
+        one_sided_worst = max(_worst_ratio(
+            eval_b(spec, 0.0, 0.0, s_grid + r, l_grid) * s_grid,
+            spec.a2 + s_grid ** 2 + np.abs(l_grid) ** spec.kappa1
+            + abs(r) ** spec.kappa2) for r in GROWTH_RHOS)
+    return GrowthReport(
+        uniform_ok=uniform_worst <= spec.c1 + GROWTH_TOL,
+        uniform_worst_ratio=uniform_worst,
+        one_sided_ok=one_sided_worst <= spec.c2 + GROWTH_TOL,
+        one_sided_worst_ratio=one_sided_worst)
+
+
+class TestGrowthLattice:
+    """validate_growth broadcasts a sigma column against a lambda row; its
+    report must equal the meshgrid lattice's, value for value."""
+
+    @pytest.mark.parametrize("spec", [
+        make_slow_reaction("linear_benchmark"),
+        make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5),
+        make_slow_reaction("cubic_rough", c_u=-2.0, c_v=0.0),
+        make_slow_reaction("polynomial", terms=[(-1.0, 3, 0), (0.5, 1, 2)],
+                           m1=3, m2=2, kappa1=4, kappa2=4, c1=3.0, c2=4.0)],
+        ids=["linear_benchmark", "cubic_rough", "cubic_rough_slow_only",
+             "polynomial"])
+    def test_built_in_kinds(self, spec):
+        assert validate_growth(spec) == meshgrid_growth_report(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(terms=st.lists(st.tuples(
+               st.floats(-5.0, 5.0, allow_nan=False),
+               st.integers(0, 4), st.integers(-1, 4)), max_size=4),
+           exponents=st.tuples(*(st.floats(1.0, 4.0),) * 2),
+           kappas=st.tuples(*(st.floats(0.0, 4.0),) * 2),
+           constants=st.tuples(*(st.floats(0.0, 10.0),) * 4))
+    def test_polynomial_terms(self, terms, exponents, kappas, constants):
+        m1, m2 = exponents
+        kappa1, kappa2 = kappas
+        c1, c2, a1, a2 = constants
+        spec = make_slow_reaction(
+            "polynomial", terms=terms, m1=m1, m2=m2,
+            kappa1=min(kappa1, 2.0 * m2), kappa2=kappa2,
+            c1=c1, c2=c2, a1=a1, a2=a2)
+        assert validate_growth(spec) == meshgrid_growth_report(spec)
