@@ -54,15 +54,16 @@ def normal_rule(n_points: int) -> tuple:
     return points, weights / weights.sum()
 
 
-def companion_Fbar(t: float, x_phys: np.ndarray, h: float,
+def companion_Fbar(t: float, x: np.ndarray, h: float,
                    model: ModelSpec) -> np.ndarray:
     """The averaged drift of the Gaussian companion of the frozen fast step
-    h at the nodal slow field x_phys: analyze of E b_theta(t, x_j, V_j),
+    h at the modal slow field x: analyze of E b_theta(t, x_j, V_j),
     V_j the companion's stationary nodal law (companion_law).  E b is
     closed form (gaussian_mean_b); the truncation remainder b - b_theta,
     of size theta b^2, takes one quadrature sum (normal_rule) per node.
     At c_s = 0 this is the averaged drift of the step itself."""
-    mean, std = companion_law(model, x_phys, h)
+    x_phys = synthesize(x, model.grid)
+    mean, std = companion_law(model, x, h)
     spec = model.reaction_slow
     drift = gaussian_mean_b(spec, x_phys, mean, std)
     if model.theta > 0:
@@ -97,11 +98,11 @@ def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
     if abs(t / model.h_macro - step) > 1e-6:
         raise InvalidParameterError(f"t={t!r} is off the h_macro grid")
     x = as_modal_field(x, model.n_modes)
-    x_phys = synthesize(x, model.grid)
     c_s = fast_coefficients(model.reaction_fast)[2]
     if c_s == 0:
-        mean = companion_Fbar(t, x_phys, params.h, model)
+        mean = companion_Fbar(t, x, params.h, model)
         return mean, np.zeros_like(mean)
+    x_phys = synthesize(x, model.grid)
 
     def drift_observable(v_phys):
         # (n, M) nodal rows -> (n, N) modal drifts, row by row.
@@ -115,7 +116,7 @@ def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
         model, x, params, drift_observable, master_seed,
         key=(trajectory_id, step), companion=companion)
     if companion:
-        mean = mean + companion_Fbar(t, x_phys, params.h, model)
+        mean = mean + companion_Fbar(t, x, params.h, model)
     return np.asarray(mean, dtype=float), np.asarray(std_error, dtype=float)
 
 

@@ -66,32 +66,39 @@ class FastStepper:
     (reaction, grid, operator, step h, time scale eps_eff).
 
     The linear part -(alpha_k + b_c) v_k and the noise are exact per mode:
-    the OU plan is made on alpha_k + b_c.  The rest of g is explicit:
-    drive(rho_phys) = drift_weight * analyze(a_c*rho), held over a frozen
-    slow field, and (c_s*drift_weight) * analyze(sin sigma) per step, so a
-    linear reaction (c_s None or 0) takes no transform per step.  A row of
-    a block is bit-identical to that field advanced alone.  Nothing is
-    checked: callers check at their step boundary.
+    the OU plan is made on alpha_k + b_c.  The rest of g is explicit, each
+    of its constant scalings folded into one operator here:
+
+    - drive(x) = drive_weight * x, drive_weight = drift_weight * a_c, the
+      forcing of a frozen modal slow field x, held over the steps.  It is
+      drift_weight * analyze(a_c * synthesize(x)) up to rounding, since
+      analyze after synthesize is the identity on the N modes;
+    - sin_op @ sin(sigma) per step, sin_op = (c_s * drift_weight)[:, None]
+      * grid.analysis_matrix, which is (c_s * drift_weight) *
+      analyze(sin sigma) up to rounding.
+
+    So a sine substep takes six numpy calls, and a linear reaction (c_s
+    None or 0) takes no transform per step.  A row of a block is
+    bit-identical to that field advanced alone.  Nothing is checked:
+    callers check at their step boundary.
     """
 
-    __slots__ = ("a_c", "sin_weight", "mat", "quad_weight", "decay",
-                 "drift_weight", "noise_std")
+    __slots__ = ("drive_weight", "sin_op", "mat", "decay", "noise_std")
 
     def __init__(self, reaction: ReactionSpec, grid: GridSpec,
                  op: SpectralOperator, h: float, eps_eff: float):
-        self.a_c, b_c, c_s = fast_coefficients(reaction)
+        a_c, b_c, c_s = fast_coefficients(reaction)
         plan = make_plan(replace(op, alphas=op.alphas + b_c), h, eps_eff)
-        self.sin_weight = c_s * plan.drift_weight if c_s else None
         self.mat = grid.sine_matrix
-        self.quad_weight = grid.quad_weight
+        self.drive_weight = plan.drift_weight * a_c
+        self.sin_op = ((c_s * plan.drift_weight)[:, None]
+                       * grid.analysis_matrix if c_s else None)
         self.decay = plan.decay
-        self.drift_weight = plan.drift_weight
         self.noise_std = plan.noise_std
 
-    def drive(self, rho_phys: np.ndarray) -> np.ndarray:
-        """The modal forcing of a frozen nodal slow field, or of a block."""
-        return self.drift_weight * (
-            self.quad_weight * matvec(self.mat.T, self.a_c * rho_phys))
+    def drive(self, x: np.ndarray) -> np.ndarray:
+        """The modal forcing of a frozen modal slow field, or of a block."""
+        return self.drive_weight * x
 
     def noise(self, xi: np.ndarray) -> np.ndarray:
         """Noise increments noise_std*xi of a block of standard normals."""
@@ -102,7 +109,7 @@ class FastStepper:
         alpha_k + b_c, whose stationary law under a frozen drive is
         Gaussian per mode (companion_law)."""
         companion = copy(self)
-        companion.sin_weight = None
+        companion.sin_op = None
         return companion
 
     def stationary_law(self, drive: np.ndarray) -> tuple:
@@ -126,41 +133,37 @@ class FastStepper:
         states = np.add(drive, noise, out=states)
         if nodes is None:
             nodes = np.empty(states.shape[:-1] + self.mat.shape[:1])
-        if self.sin_weight is None:
+        if self.sin_op is None:
             for state in states:
                 state += self.decay * v
                 v = state
-            # matvec's stacked product, written in place.
-            np.matmul(self.mat, states[..., None], out=nodes[..., None])
+            matvec(self.mat, states, out=nodes)
             return states, nodes
         for state, node in zip(states, nodes):
             state += self.decay * v
-            state += self.sin_weight * (
-                self.quad_weight * matvec(self.mat.T, np.sin(v_phys)))
-            v = state
-            node[...] = v_phys = matvec(self.mat, v)
+            state += matvec(self.sin_op, np.sin(v_phys))
+            v, v_phys = state, matvec(self.mat, state, out=node)
         return states, nodes
 
 
 def step_frozen_fast(v: np.ndarray, model: ModelSpec, x: np.ndarray,
-                     params: FrozenFastParams, stream: RngStream,
-                     x_phys: np.ndarray | None = None) -> np.ndarray:
+                     params: FrozenFastParams, stream: RngStream
+                     ) -> np.ndarray:
     """One exponential-integrator step of the fast field frozen at slow
     state x: linear part and noise exact, the rest of g frozen."""
     grid = model.grid
-    if x_phys is None:
-        x_phys = synthesize(x, grid)
+    x = as_modal_field(x, grid.n_modes)
     v = as_modal_field(v, grid.n_modes)
     stepper = FastStepper(model.reaction_fast, grid, model.op2, params.h, 1.0)
     noise = stepper.noise(stream.normals(grid.n_modes)[None])
-    states, _ = stepper.advance(v, synthesize(v, grid),
-                                stepper.drive(x_phys), noise)
+    states, _ = stepper.advance(v, synthesize(v, grid), stepper.drive(x),
+                                noise)
     return states[0]
 
 
 def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
-                  observable, streams: list, x_phys: np.ndarray,
-                  companion: bool = False) -> np.ndarray:
+                  observable, streams: list, companion: bool = False
+                  ) -> np.ndarray:
     """Burn in, then return the per-batch time averages of the observable,
     one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).
 
@@ -198,7 +201,7 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
     # state and node stacks, one chain at a time.
     chains = ((stepper, stepper.gaussian_companion()) if companion
               else (stepper,))
-    drive = stepper.drive(x_phys)
+    drive = stepper.drive(x)
     mean, variance = stepper.stationary_law(drive)
     initial = mean + np.sqrt(variance) * np.stack(
         [s.normals(n_modes) for s in streams])
@@ -283,15 +286,15 @@ def batch_std_error(batches: np.ndarray) -> np.ndarray:
     return plain * np.sqrt((1.0 + rho) / (1.0 - rho))
 
 
-def companion_law(model: ModelSpec, x_phys: np.ndarray, h: float) -> tuple:
+def companion_law(model: ModelSpec, x: np.ndarray, h: float) -> tuple:
     """Nodal mean and standard deviation, shape (M,) each, of the
     stationary law of the Gaussian companion of the step h frozen at the
-    nodal slow field x_phys (FastStepper.stationary_law per mode).  The
+    modal slow field x (FastStepper.stationary_law per mode).  The
     modes are independent, so node j is Gaussian with mean
     sum_k mean_k e_k(xi_j) and variance sum_k var_k e_k(xi_j)^2.
     """
     stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
-    mean, variance = stepper.stationary_law(stepper.drive(x_phys))
+    mean, variance = stepper.stationary_law(stepper.drive(x))
     mat = model.grid.sine_matrix
     return mat.dot(mean), np.sqrt((mat * mat).dot(variance))
 
@@ -320,23 +323,24 @@ def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
     v_lin each replica's Gaussian companion on the same draws and from the
     same start: a control variate, to which the caller adds the exact
     expectation of observable(v_lin) under companion_law.  A plain estimate
-    with a burn-in shorter than 5/omega warns.  A control-variate one does
-    not: its companion is stationary from the start and only the
-    difference relaxes, so its burn-in is certified by measuring the bias.
+    of a step with a sine term warns when its burn-in is shorter than
+    5/omega.  No other estimate does: a step without one (the linear kind,
+    or c_s = 0) is its own companion, so its replicas start in its
+    stationary law, and in a control-variate estimate only the difference
+    relaxes, so its burn-in is certified by measuring the bias.
     """
     omega = model.omega
-    if not companion and params.t_burn < 5.0 / omega:
+    if (not companion and fast_coefficients(model.reaction_fast)[2]
+            and params.t_burn < 5.0 / omega):
         warnings.warn(
             f"t_burn={params.t_burn:g} is below the recommended floor "
             f"5/omega={5.0 / omega:g}; stationary averages may be biased",
             stacklevel=2,
         )
     x = as_modal_field(x, model.n_modes)
-    x_phys = synthesize(x, model.grid)
     streams = [derive_stream(master_seed, replica, "frozen_fast_noise", key)
                for replica in range(params.n_replicas)]
-    batches = _run_replicas(model, x, params, observable, streams, x_phys,
-                            companion)
+    batches = _run_replicas(model, x, params, observable, streams, companion)
     # Replica-major rows: the pooled mean sums the batches in this order.
     stacked = batches.reshape((-1,) + batches.shape[2:])
     mean, std_error = stacked.mean(axis=0), batch_std_error(batches)

@@ -79,10 +79,15 @@ class GridSpec:
 
     @cached_property
     def sine_matrix(self) -> np.ndarray:
-        """(M, N) basis values at the nodes.  synthesize applies it, analyze
-        its transpose times quad_weight; hot loops apply it directly, with
-        the same operations and no checks."""
+        """(M, N) basis values at the nodes.  synthesize applies it; hot
+        loops apply it directly, with the same operations and no checks."""
         return _sine_matrix(self.n_modes, self.n_quad, self.length)
+
+    @cached_property
+    def analysis_matrix(self) -> np.ndarray:
+        """(N, M) operator of analyze, quad_weight * sine_matrix^T, so that
+        analyze is one product; hot loops apply it directly."""
+        return np.ascontiguousarray(self.quad_weight * self.sine_matrix.T)
 
 
 @lru_cache(maxsize=32)
@@ -203,16 +208,19 @@ def analyze(values: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise InvalidParameterError(
             f"expected {grid.n_quad} nodal values on the last axis, "
             f"got shape {v.shape}")
-    return grid.quad_weight * matvec(grid.sine_matrix.T, v)
+    return matvec(grid.analysis_matrix, v)
 
 
-def matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat times x, or times each row of a stack of them.  Stacked
-    matrix-vector products, so a row's bits do not depend on the stack (a
-    matrix product over the rows would make them depend on its size)."""
+def matvec(mat: np.ndarray, x: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """mat times x, or times each row of a stack of them, written into out
+    when it is given.  Stacked matrix-vector products, so a row's bits do
+    not depend on the stack (a matrix product over the rows would make them
+    depend on its size)."""
     if x.ndim == 1:
-        return mat.dot(x)
-    return np.matmul(mat, x[..., None])[..., 0]
+        return np.dot(mat, x, out=out)
+    return np.matmul(mat, x[..., None],
+                     out=None if out is None else out[..., None])[..., 0]
 
 
 def scalar_power(x, e):

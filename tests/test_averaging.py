@@ -490,7 +490,7 @@ class TestControlVariate:
         plain, se = estimate_Fbar(0.0, x, params,
                                   self.with_fast(model, "linear_benchmark"),
                                   master_seed=3)
-        exact = companion_Fbar(0.0, synthesize(x, model.grid), params.h,
+        exact = companion_Fbar(0.0, x, params.h,
                                self.with_fast(model, "lipschitz_saturating",
                                               c_s=0.0))
         z = np.abs(plain - exact) / se
@@ -504,17 +504,16 @@ class TestControlVariate:
         cfg = shipped("cubic_rough")
         model = self.with_fast(cfg.model, "lipschitz_saturating", c_s=0.0)
         x = self.state(model, "large")
-        x_phys = synthesize(x, model.grid)
         streams = [derive_stream(0, r, "frozen_fast_noise") for r in range(2)]
         batches = _run_replicas(model, x, cfg.averaging,
                                 lambda v_phys: analyze(v_phys, model.grid),
-                                streams, x_phys, companion=True)
+                                streams, companion=True)
         assert batches.shape == (2, N_BATCHES, model.n_modes)
         assert not batches.any()
         mean, se = estimate_Fbar(0.0, x, cfg.averaging, model,
                                  cfg.master_seed)
         assert np.array_equal(
-            mean, companion_Fbar(0.0, x_phys, cfg.averaging.h, model))
+            mean, companion_Fbar(0.0, x, cfg.averaging.h, model))
         assert not se.any()
 
     def test_zero_sine_term_steps_no_replica(self, monkeypatch):
@@ -530,7 +529,7 @@ class TestControlVariate:
         mean, se = estimate_Fbar(0.0, x, cfg.averaging, model,
                                  cfg.master_seed)
         assert np.array_equal(mean, companion_Fbar(
-            0.0, synthesize(x, model.grid), cfg.averaging.h, model))
+            0.0, x, cfg.averaging.h, model))
         assert se.shape == mean.shape and not se.any()
 
     def test_shipped_standard_error_is_calibrated(self):
@@ -566,13 +565,12 @@ class TestControlVariate:
         model = cfg.model
         assert model.theta > 0
         x = self.state(model, state)
-        x_phys = synthesize(x, model.grid)
         h = cfg.averaging.h
         _, se = estimate_Fbar(0.0, x, cfg.averaging, model, cfg.master_seed)
-        shipped_drift = companion_Fbar(0.0, x_phys, h, model)
+        shipped_drift = companion_Fbar(0.0, x, h, model)
         monkeypatch.setattr(averaging, "NORMAL_RULE_POINTS",
                             4 * averaging.NORMAL_RULE_POINTS - 3)
-        finer = companion_Fbar(0.0, x_phys, h, model)
+        finer = companion_Fbar(0.0, x, h, model)
         gap = np.abs(shipped_drift - finer) / se
         assert gap.max() < 0.02, gap
 

@@ -502,6 +502,33 @@ class TestCli:
         assert len(err) == 1 and f"{source} must be" in err[0], err
         assert not out.exists()
 
+    def test_average_of_a_decoupled_slow_reaction_is_exact(self, tmp_path,
+                                                           monkeypatch):
+        # b = -sigma^3 ignores the fast variable, so the averaged drift at
+        # u0 is analyze(-u0^3), with standard errors of exactly 0 and no
+        # frozen-fast replica stepped.
+        import slowfast.fast_dynamics as fast_dynamics
+        from slowfast.spectral import analyze, synthesize
+
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("a frozen-fast replica was stepped")
+        monkeypatch.setattr(fast_dynamics, "_run_replicas", no_replicas)
+        config = os.path.join("configs", "decoupled_control.json")
+        out = tmp_path / "out"
+        assert main(["average", "--config", config, "--out", str(out),
+                     "--seed", "7"]) == 0
+        with open(out / "average.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        model = parse_config(config).model
+        u_phys = synthesize(model.u0, model.grid)
+        exact = analyze(-u_phys ** 3, model.grid)
+        assert len(rows) == model.n_modes
+        assert all(row["std_error"] == "0.0" for row in rows)
+        assert all(row["analytic_value_or_blank"] == "" for row in rows)
+        np.testing.assert_allclose(
+            [float(row["Fbar_estimate"]) for row in rows], exact,
+            rtol=0.0, atol=1e-13)
+
     @pytest.mark.parametrize("command", ["simulate", "converge", "average"])
     def test_out_that_is_a_file_rejected(self, tmp_path, monkeypatch, capsys,
                                          command):

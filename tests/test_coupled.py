@@ -225,23 +225,26 @@ def _fast_plan(model, h_sub):
     return make_plan(op, h_sub, model.epsilon)
 
 
-def _reference_substep(v, u_phys, model, plan, xi):
-    """One exponential-integrator substep in checked transforms: a_c*rho
-    and c_s*sin(sigma) explicit, the rest in the plan."""
+def _reference_substep(v, u, model, plan, xi):
+    """One exponential-integrator substep in fused operators: a_c*rho and
+    c_s*sin(sigma) explicit, the rest in the plan.  The forcing of the
+    modal slow field u is (drift_weight * a_c) * u, and the sine term one
+    product of the (N, M) operator c_s * drift_weight * analyze."""
     grid = model.grid
     a_c, _, c_s = fast_coefficients(model.reaction_fast)
-    drive = plan.drift_weight * analyze(a_c * u_phys, grid)
-    v_new = plan.decay * v + (drive + plan.noise_std * xi)
+    v_new = plan.decay * v + ((plan.drift_weight * a_c) * u
+                              + plan.noise_std * xi)
     if c_s:
-        v_new = v_new + (c_s * plan.drift_weight) * analyze(
-            np.sin(synthesize(v, grid)), grid)
+        sin_op = (c_s * plan.drift_weight)[:, None] * grid.analysis_matrix
+        v_new = v_new + sin_op.dot(np.sin(synthesize(v, grid)))
     return v_new
 
 
 def _reference_path(model, seed, trajectory_id):
     """The arithmetic the coupled kernel must reproduce bit for bit: checked
-    public transforms, one normals(N) call per substep and per slow step,
-    and the trapezoid slow drift as a running sum over the substeps."""
+    public transforms and fused operators, one normals(N) call per substep
+    and per slow step, and the trapezoid slow drift as one weighted sum of
+    the substeps' nodal drifts, projected by one (N, M) product."""
     grid = model.grid
     n = grid.n_modes
     h = model.h_macro
@@ -252,6 +255,8 @@ def _reference_path(model, seed, trajectory_id):
     slow = derive_stream(seed, trajectory_id, "slow_noise")
     fast = derive_stream(seed, trajectory_id, "fast_noise")
     theta = model.theta if model.theta > 0 else None
+    weights = np.full(n_sub + 1, 1.0 / n_sub)
+    weights[0] = weights[-1] = 0.5 / n_sub
     u, v, t = model.u0.copy(), model.v0.copy(), 0.0
     us, vs, drifts, noise = [u], [v], [], []
     v_int = comp = 0.0
@@ -259,17 +264,16 @@ def _reference_path(model, seed, trajectory_id):
         u_phys = synthesize(u, grid)
         v_int, comp = kahan_add(v_int, comp, h * eval_V(
             u_phys, synthesize(v, grid), model.lyapunov, grid))
-        f1_phys = (0.5 / n_sub) * nemytskii_drift(
-            model.reaction_slow, theta, t, u_phys, synthesize(v, grid), grid)
+        nodal = [nemytskii_drift(model.reaction_slow, theta, t, u_phys,
+                                 synthesize(v, grid), grid)]
         step_noise = []
-        for j in range(n_sub):
+        for _ in range(n_sub):
             xi = fast.normals(n)
             step_noise.append(xi)
-            v = _reference_substep(v, u_phys, model, plan_fast, xi)
-            weight = 0.5 / n_sub if j == n_sub - 1 else 1.0 / n_sub
-            f1_phys = f1_phys + weight * nemytskii_drift(
-                model.reaction_slow, theta, t, u_phys, synthesize(v, grid), grid)
-        f1 = analyze(f1_phys, grid)
+            v = _reference_substep(v, u, model, plan_fast, xi)
+            nodal.append(nemytskii_drift(model.reaction_slow, theta, t,
+                                         u_phys, synthesize(v, grid), grid))
+        f1 = analyze(weights.dot(np.stack(nodal)), grid)
         u = (plan_slow.decay * u + plan_slow.drift_weight * f1
              + plan_slow.noise_std * slow.normals(n))
         t = t + h
@@ -282,14 +286,13 @@ def _reference_path(model, seed, trajectory_id):
 
 
 def _reference_replay(traj, model, steps_per_block):
-    grid = model.grid
     h = model.h_macro
     n_sub = traj.fast_noise.shape[1]
     plan_fast = _fast_plan(model, h / n_sub)
     v_aux = [traj.v[0]]
     for i in range(model.n_steps):
         block_start = (i // steps_per_block) * steps_per_block
-        u_frozen = synthesize(traj.u[block_start], grid)
+        u_frozen = traj.u[block_start]
         if i == block_start:
             v = traj.v[block_start].copy()
         for j in range(n_sub):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from statistics import NormalDist
 from unittest import mock
 
@@ -57,7 +58,7 @@ def pair_distances(model, params, v1, v2, x1, x2, t_max, master_seed):
     v = np.stack([v1, v2])
     states, _ = fast.advance(
         v, synthesize(v, model.grid),
-        fast.drive(synthesize(np.stack([x1, x2]), model.grid)), noise)
+        fast.drive(np.stack([x1, x2])), noise)
     return (np.arange(1, n_steps + 1) * h,
             np.linalg.norm(states[:, 0] - states[:, 1], axis=-1))
 
@@ -176,8 +177,7 @@ class TestInvariantAverage:
         assert std_error == 0.0
         # The estimate pools one batch mean per (replica, batch).
         streams = [derive_stream(5, r, "frozen_fast_noise") for r in range(2)]
-        batches = _run_replicas(model, x, params, ones, streams,
-                                synthesize(x, model.grid))
+        batches = _run_replicas(model, x, params, ones, streams)
         assert batches.shape == (2, N_BATCHES)
 
     def test_norm_square_matches_ou_closed_form(self):
@@ -283,21 +283,17 @@ class TestInvariantAverage:
         model, x, params = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3,
                                       t_avg=40.0, n_replicas=1)
         from slowfast.fast_dynamics import _run_replicas
-        from slowfast.spectral import synthesize
-        x_phys = synthesize(x, model.grid)
         quad = model.grid.quad_weight
         stream = derive_stream(41, 0, "frozen_fast_noise")
         batches = _run_replicas(model, x, params,
                                 lambda v: quad * np.sum(v * v, axis=-1),
-                                [stream], x_phys)[0]
+                                [stream])[0]
         values = np.array([float(b) for b in batches])
         fit = linregress(np.arange(values.size), values)
         assert fit.pvalue > 0.01
 
     def _kernel_inputs(self, c_s=0.2):
-        model, x, params = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1,
-                                      c_s=c_s)
-        return model, x, params, synthesize(x, model.grid)
+        return frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1, c_s=c_s)
 
     def test_matches_per_replica_loop(self):
         # The batched kernel against the one-vector-at-a-time loop it
@@ -306,22 +302,22 @@ class TestInvariantAverage:
         # a batch is summed in time order.
         from slowfast.fast_dynamics import _run_replicas
         from slowfast.spectral import analyze
-        model, x, params, x_phys = self._kernel_inputs()
+        model, x, params = self._kernel_inputs()
         grid = model.grid
         n_burn, n_avg = _steps(params)
         batch_len = n_avg // N_BATCHES
         stepper = FastStepper(model.reaction_fast, grid, model.op2,
                               params.h, 1.0)
-        mean, variance = stepper.stationary_law(stepper.drive(x_phys))
+        mean, variance = stepper.stationary_law(stepper.drive(x))
         for replica in range(3):
             stream = derive_stream(8, replica, "frozen_fast_noise")
             v = mean + np.sqrt(variance) * stream.normals(N)
             for _ in range(n_burn):
-                v = step_frozen_fast(v, model, x, params, stream, x_phys)
+                v = step_frozen_fast(v, model, x, params, stream)
             reference = []
             acc = 0.0
             for i in range(n_avg):
-                v = step_frozen_fast(v, model, x, params, stream, x_phys)
+                v = step_frozen_fast(v, model, x, params, stream)
                 acc = acc + analyze(synthesize(v, grid), grid)
                 if (i + 1) % batch_len == 0:
                     reference.append(acc / batch_len)
@@ -329,13 +325,13 @@ class TestInvariantAverage:
             streams = [derive_stream(8, r, "frozen_fast_noise") for r in range(3)]
             batched = _run_replicas(model, x, params,
                                     lambda v_phys: analyze(v_phys, grid),
-                                    streams, x_phys)
+                                    streams)
             assert np.array_equal(batched[replica], np.stack(reference))
 
     def test_replicas_are_independent_rows(self):
         # R replicas in one block give the batch means of R one-replica runs.
         from slowfast.fast_dynamics import _run_replicas
-        model, x, params, x_phys = self._kernel_inputs()
+        model, x, params = self._kernel_inputs()
         quad = model.grid.quad_weight
 
         def norm_sq(v_phys):
@@ -344,10 +340,8 @@ class TestInvariantAverage:
         def streams(ids):
             return [derive_stream(12, r, "frozen_fast_noise") for r in ids]
 
-        block = _run_replicas(model, x, params, norm_sq, streams(range(5)),
-                              x_phys)
-        singles = [_run_replicas(model, x, params, norm_sq, streams([r]),
-                                 x_phys)[0]
+        block = _run_replicas(model, x, params, norm_sq, streams(range(5)))
+        singles = [_run_replicas(model, x, params, norm_sq, streams([r]))[0]
                    for r in range(5)]
         assert block.shape == (5, N_BATCHES)
         assert np.array_equal(block, np.stack(singles))
@@ -360,13 +354,13 @@ class TestInvariantAverage:
         # Noise drawn a few steps at a time equals noise drawn in large chunks.
         import slowfast.fast_dynamics as fast_dynamics
         from slowfast.spectral import analyze
-        model, x, params, x_phys = self._kernel_inputs()
+        model, x, params = self._kernel_inputs()
 
         def run():
             streams = [derive_stream(3, r, "frozen_fast_noise") for r in range(2)]
             return fast_dynamics._run_replicas(
                 model, x, params, lambda v_phys: analyze(v_phys, model.grid),
-                streams, x_phys)
+                streams)
 
         default = run()
         monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_STEPS", 7)
@@ -380,7 +374,7 @@ class TestInvariantAverage:
         # draws; the batches average the difference of the two.
         import slowfast.fast_dynamics as fast_dynamics
         from slowfast.spectral import analyze
-        model, x, params, x_phys = self._kernel_inputs()
+        model, x, params = self._kernel_inputs()
         linear, _, _ = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1)
         assert linear.reaction_fast.kind == "linear_benchmark"
         if chunk:
@@ -396,7 +390,7 @@ class TestInvariantAverage:
             streams = [derive_stream(5, r, "frozen_fast_noise")
                        for r in range(3)]
             batches = fast_dynamics._run_replicas(
-                run_model, x, params, observable, streams, x_phys,
+                run_model, x, params, observable, streams,
                 companion=companion)
             return batches, seen
         both, both_rows = run(model, companion=True)
@@ -469,7 +463,6 @@ class TestExactStart:
         import slowfast.fast_dynamics as fast_dynamics
         model, _, _ = frozen_cfg(c_s=0.2)
         x = np.array([2.0, -1.0, 0.5, 0.3])
-        x_phys = synthesize(x, model.grid)
         params = FrozenFastParams(h=0.05, t_burn=0.0, t_avg=N_BATCHES * 0.05,
                                   n_replicas=1)
         advance = FastStepper.advance
@@ -485,14 +478,13 @@ class TestExactStart:
                    for r in range(n_rep)]
         fast_dynamics._run_replicas(model, x, params,
                                     lambda v_phys: v_phys[:, 0], streams,
-                                    x_phys, companion=True)
+                                    companion=True)
         # The companion starts where its replica does.
         assert np.array_equal(starts[0], starts[1])
         stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
                               params.h, 1.0)
-        mode_mean, mode_var = stepper.stationary_law(stepper.drive(x_phys))
-        node_mean, node_std = fast_dynamics.companion_law(model, x_phys,
-                                                          params.h)
+        mode_mean, mode_var = stepper.stationary_law(stepper.drive(x))
+        node_mean, node_std = fast_dynamics.companion_law(model, x, params.h)
         checks = [(starts[0], mode_mean, np.sqrt(mode_var)),
                   (synthesize(starts[0], model.grid), node_mean, node_std)]
         n_tests = 2 * sum(mean.size for _, mean, _ in checks)
@@ -508,13 +500,14 @@ class TestExactStart:
     def test_linear_kind_needs_no_burn_in(self):
         # The linear kind's chain is its own companion, so it is stationary
         # from the first step: at t_burn = 0 the estimate meets criterion 2's
-        # bound (3 standard errors per mode) against the closed form.  The
-        # plain estimate still warns below 5/omega.
+        # bound (3 standard errors per mode) against the closed form, and
+        # the plain estimate does not warn below 5/omega.
         model = linear_model(lam_fast=0.1)
         u0 = unit_field(model.n_modes)
         params = FrozenFastParams(h=0.005, t_burn=0.0,
                                   t_avg=200.0 / model.omega, n_replicas=16)
-        with pytest.warns(UserWarning, match="t_burn"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             mean, se = estimate_Fbar(0.0, u0, params, model, master_seed=2024)
         exact = analytic_Fbar_linear(model, 0.0, u0)
         assert np.all(np.abs(mean - exact) <= 3.0 * se + 1e-12), (
@@ -607,7 +600,7 @@ class TestChunkedObservable:
             streams = [derive_stream(9, r, "frozen_fast_noise")
                        for r in range(n_rep)]
             return fast_dynamics._run_replicas(model, x, params, observable,
-                                               streams, x_phys)
+                                               streams)
         default = run()
         with mock.patch.object(fast_dynamics, "DRAW_CHUNK_STEPS", chunk):
             assert np.array_equal(run(), default)
@@ -618,15 +611,13 @@ class TestChunkedObservable:
         # time order (a pairwise sum of a lone column would not).
         import slowfast.fast_dynamics as fast_dynamics
         model, x, params = frozen_cfg(t_burn=0.1, t_avg=3.2, c_s=0.2)
-        x_phys = synthesize(x, model.grid)
         quad = model.grid.quad_weight
 
         def run(ids):
             return fast_dynamics._run_replicas(
                 model, x, params,
                 lambda v_phys: quad * np.sum(v_phys * v_phys, axis=-1),
-                [derive_stream(4, r, "frozen_fast_noise") for r in ids],
-                x_phys)
+                [derive_stream(4, r, "frozen_fast_noise") for r in ids])
         assert _steps(params)[1] // N_BATCHES == 16
         block = run(range(3))
         for r in range(3):
@@ -708,12 +699,28 @@ class TestLipschitzInX:
 
 class TestConfigValidation:
     def test_burn_in_warning(self):
-        # Warned once per estimate, not when the parameters are made.
-        cfg = frozen_cfg(t_burn=0.0, t_avg=0.2, n_replicas=1)
+        # A plain estimate of a step with a sine term is warned once per
+        # estimate, not when the parameters are made.
+        cfg = frozen_cfg(t_burn=0.0, t_avg=0.2, n_replicas=1, c_s=0.2)
         with pytest.warns(UserWarning, match="t_burn") as record:
             estimate_invariant_average(*cfg, lambda v_phys: v_phys[:, 0],
                                        master_seed=0)
         assert len(record) == 1
+
+    @pytest.mark.parametrize("c_s", [None, 0.0])
+    def test_no_burn_in_warning_without_a_sine_term(self, c_s):
+        # The linear kind, or c_s = 0, is its own Gaussian companion: its
+        # replicas start in its stationary law, so no burn-in is needed.
+        model, x, params = frozen_cfg(t_burn=0.0, t_avg=0.2, n_replicas=1)
+        if c_s is not None:
+            model = dataclasses.replace(
+                model, reaction_fast=make_fast_reaction(
+                    "lipschitz_saturating", a_c=1.0, b_c=2.0, c_s=c_s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate_invariant_average(model, x, params,
+                                       lambda v_phys: v_phys[:, 0],
+                                       master_seed=0)
 
     def test_dissipativity_gate(self):
         # The gate is build_model's: a frozen-fast estimate takes a model

@@ -20,7 +20,7 @@ from slowfast.coupled import (_plans, build_auxiliary, simulate_slowfast,
 from slowfast.fast_dynamics import FastStepper, FrozenFastParams
 from slowfast.noise import ROLES, RngStream
 from slowfast.reactions import fast_coefficients
-from slowfast.spectral import lp_norm
+from slowfast.spectral import lp_norm, matvec
 
 GRIDS = [GridSpec(n_modes=4, n_quad=16), GridSpec(n_modes=16, n_quad=64)]
 FINITE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
@@ -133,7 +133,7 @@ COEFFS = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, width=64)
 @st.composite
 def fast_step_cases(draw):
     """A fast reaction of either kind, its operator, step and time scale, a
-    state v (one field or an (R, N) block), a frozen nodal slow field and
+    state v (one field or an (R, N) block), a frozen modal slow field and
     the standard normals of one or a few steps."""
     grid = draw(st.sampled_from(GRIDS))
     kind = draw(st.sampled_from(FAST_KINDS))
@@ -146,33 +146,41 @@ def fast_step_cases(draw):
     eps = draw(st.sampled_from([1.0, 0.02]))
     shape = draw(st.sampled_from([(), (1,), (5,)])) + (grid.n_modes,)
     v = draw(arrays(np.float64, shape, elements=FINITE))
-    rho_phys = draw(arrays(np.float64, grid.n_quad, elements=FINITE))
+    x = draw(arrays(np.float64, grid.n_modes, elements=FINITE))
     n_steps = draw(st.sampled_from([1, 3]))
     xi = draw(arrays(np.float64, (n_steps,) + shape, elements=st.floats(
         min_value=-6.0, max_value=6.0, allow_nan=False, width=64)))
-    return grid, reaction, op, h, eps, v, rho_phys, xi
+    return grid, reaction, op, h, eps, v, x, xi
+
+
+def sine_operator(grid, c_s, drift_weight):
+    """The explicit sine term c_s * drift_weight * analyze as one (N, M)
+    operator, applied to the nodal values of sin(sigma)."""
+    return (c_s * drift_weight)[:, None] * grid.analysis_matrix
 
 
 @SETTINGS
 @given(fast_step_cases())
 def test_prepared_fast_step_equals_checked_reference(case):
-    # The reference: checked transforms around the exponential update, its
-    # plan on alpha + b_c, a_c*rho and c_s*sin(sigma) explicit.
-    grid, reaction, op, h, eps, v, rho_phys, xi = case
+    # The reference: checked transforms and fused operators around the
+    # exponential update, its plan on alpha + b_c, a_c*rho and
+    # c_s*sin(sigma) explicit; the forcing of the modal slow field x is
+    # (drift_weight * a_c) * x.
+    grid, reaction, op, h, eps, v, x, xi = case
     a_c, b_c, c_s = fast_coefficients(reaction)
     plan = make_plan(dataclasses.replace(op, alphas=op.alphas + b_c), h, eps)
-    drive = plan.drift_weight * analyze(a_c * rho_phys, grid)
+    drive = (plan.drift_weight * a_c) * x
     v_ref, states_ref = v, []
     for xi_j in xi:
         v_next = plan.decay * v_ref + (drive + plan.noise_std * xi_j)
         if c_s:
-            v_next = v_next + (c_s * plan.drift_weight) * analyze(
-                np.sin(synthesize(v_ref, grid)), grid)
+            v_next = v_next + matvec(
+                sine_operator(grid, c_s, plan.drift_weight),
+                np.sin(synthesize(v_ref, grid)))
         v_ref = v_next
         states_ref.append(v_ref)
     stepper = FastStepper(reaction, grid, op, h, eps)
-    states, nodes = stepper.advance(v, synthesize(v, grid),
-                                    stepper.drive(rho_phys),
+    states, nodes = stepper.advance(v, synthesize(v, grid), stepper.drive(x),
                                     stepper.noise(xi))
     assert np.array_equal(states, np.stack(states_ref))
     assert np.array_equal(nodes, synthesize(np.stack(states_ref), grid))
@@ -184,9 +192,9 @@ def test_advance_writes_nodes_in_place(case):
     # Both branches (with and without the sine term), one field or a
     # block: the nodal states go into the given rows of a buffer, which the
     # call returns, with the bits of the allocating call.
-    grid, reaction, op, h, eps, v, rho_phys, xi = case
+    grid, reaction, op, h, eps, v, x, xi = case
     stepper = FastStepper(reaction, grid, op, h, eps)
-    args = (v, synthesize(v, grid), stepper.drive(rho_phys), stepper.noise(xi))
+    args = (v, synthesize(v, grid), stepper.drive(x), stepper.noise(xi))
     states, nodes = stepper.advance(*args)
     buf = np.full((len(xi) + 1,) + nodes.shape[1:], np.nan)
     rows = buf[1:]
@@ -202,10 +210,10 @@ def test_advance_writes_nodes_in_place(case):
 def test_advance_writes_states_in_place(case):
     # The modal states go into a given buffer too, which the call returns,
     # with the bits of the allocating call; the noise is left as it was.
-    grid, reaction, op, h, eps, v, rho_phys, xi = case
+    grid, reaction, op, h, eps, v, x, xi = case
     stepper = FastStepper(reaction, grid, op, h, eps)
     noise = stepper.noise(xi)
-    args = (v, synthesize(v, grid), stepper.drive(rho_phys), noise)
+    args = (v, synthesize(v, grid), stepper.drive(x), noise)
     states, nodes = stepper.advance(*args)
     kept = noise.copy()
     buf = np.full(states.shape, np.nan)
@@ -214,6 +222,74 @@ def test_advance_writes_states_in_place(case):
     assert np.array_equal(buf, states)
     assert np.array_equal(nodes_in_place, nodes)
     assert np.array_equal(noise, kept)
+
+
+# The fused operators against the transforms they replace: each within
+# FUSED_ULPS ulps of the sum of the absolute terms of its products, the
+# scale of a dot product's rounding, and the smallest normal float, below
+# which products underflow to subnormals of fewer bits.
+FUSED_ULPS = 4.0
+
+
+def assert_within_ulps(got, want, scale):
+    tiny = np.finfo(float).tiny
+    gap = np.abs(got - want)
+    assert np.all(gap <= FUSED_ULPS * np.finfo(float).eps * scale + tiny), (
+        np.max(gap / np.maximum(scale, tiny)))
+
+
+@SETTINGS
+@given(fast_step_cases())
+def test_drive_is_the_analyzed_nodal_forcing(case):
+    # drive(x) = (drift_weight * a_c) * x: analyze after synthesize is
+    # the identity on the N modes.
+    grid, reaction, op, h, eps, _, x, _ = case
+    a_c, b_c, _ = fast_coefficients(reaction)
+    plan = make_plan(dataclasses.replace(op, alphas=op.alphas + b_c), h, eps)
+    stepper = FastStepper(reaction, grid, op, h, eps)
+    abs_mat = np.abs(grid.sine_matrix)
+    scale = np.abs(plan.drift_weight * a_c) * (
+        grid.quad_weight * abs_mat.T.dot(abs_mat.dot(np.abs(x))))
+    assert_within_ulps(stepper.drive(x),
+                       plan.drift_weight * analyze(a_c * synthesize(x, grid),
+                                                   grid), scale)
+
+
+@SETTINGS
+@given(fast_step_cases())
+def test_sine_operator_is_the_weighted_analysis(case):
+    # sin_op @ sin(sigma) = sin_weight * analyze(sin(sigma)), sin_weight =
+    # c_s * drift_weight, for one nodal field and for a block of them.
+    grid, reaction, op, h, eps, v, _, _ = case
+    _, b_c, c_s = fast_coefficients(reaction)
+    stepper = FastStepper(reaction, grid, op, h, eps)
+    if not c_s:
+        assert stepper.sin_op is None
+        return
+    plan = make_plan(dataclasses.replace(op, alphas=op.alphas + b_c), h, eps)
+    sines = np.sin(synthesize(v, grid))
+    sin_weight = c_s * plan.drift_weight
+    scale = np.abs(sin_weight) * (
+        grid.quad_weight * matvec(np.abs(grid.sine_matrix.T), np.abs(sines)))
+    assert_within_ulps(matvec(stepper.sin_op, sines),
+                       sin_weight * analyze(sines, grid), scale)
+
+
+@SETTINGS
+@given(batches(lambda grid: grid.n_quad))
+def test_analysis_matrix_is_the_weighted_transpose(case):
+    # analyze, and the coupled step's projection of its nodal drift, is one
+    # product of the (N, M) operator quad_weight * mat^T, made once per
+    # grid, against quad_weight times the product of the transpose.
+    grid, values = case
+    assert grid.analysis_matrix.flags.c_contiguous
+    assert grid.analysis_matrix is grid.analysis_matrix
+    scale = grid.quad_weight * np.abs(grid.sine_matrix.T).dot(
+        np.abs(values).T).T
+    for b, row_scale in zip(values, scale):
+        assert_within_ulps(analyze(b, grid),
+                           grid.quad_weight * grid.sine_matrix.T.dot(b),
+                           row_scale)
 
 
 def not_tiny(low: float, high: float):
@@ -240,17 +316,16 @@ def test_linear_substep_keeps_the_exact_stationary_law(grid, kind, a_c, b_c,
         params["c_s"] = 0.0
     op = SpectralOperator.from_power_law(grid.n_modes, nu, 1.0, lam0, 1.0,
                                          0.5)
-    rho_phys = data.draw(arrays(np.float64, grid.n_quad,
-                                elements=not_tiny(-1e3, 1e3)))
+    x = data.draw(arrays(np.float64, grid.n_modes,
+                         elements=not_tiny(-1e3, 1e3)))
     stepper = FastStepper(make_fast_reaction(kind, **params), grid, op, h,
                           1.0)
     rates = op.alphas + b_c
     decay = stepper.decay
-    mean = stepper.drive(rho_phys) / (1.0 - decay)
+    mean = stepper.drive(x) / (1.0 - decay)
     variance = stepper.noise_std ** 2 / (1.0 - decay * decay)
-    assert stepper.sin_weight is None
-    np.testing.assert_allclose(mean, analyze(a_c * rho_phys, grid) / rates,
-                               rtol=1e-12, atol=0.0)
+    assert stepper.sin_op is None
+    np.testing.assert_allclose(mean, a_c * x / rates, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(variance, op.lambdas ** 2 / (2.0 * rates),
                                rtol=1e-12, atol=0.0)
 
@@ -285,10 +360,11 @@ def macro_step_cases(draw):
 
 
 def _reference_macro_step(model, n_sub, u, v, t, xi_fast):
-    """The fast part of one macro step in checked transforms: the fast
-    substeps of test_prepared_fast_step_equals_checked_reference with
-    noise_std * xi for each increment, and the slow drift on the
-    concatenated substep nodes."""
+    """The fast part of one macro step in checked transforms and fused
+    operators: the fast substeps of
+    test_prepared_fast_step_equals_checked_reference with noise_std * xi
+    for each increment, and the slow drift on the concatenated substep
+    nodes, their trapezoid sum taken as one weighted product."""
     grid = model.grid
     h = model.h_macro
     a_c, b_c, c_s = fast_coefficients(model.reaction_fast)
@@ -296,13 +372,13 @@ def _reference_macro_step(model, n_sub, u, v, t, xi_fast):
                                          alphas=model.op2.alphas + b_c),
                      h / n_sub, model.epsilon)
     u_phys = synthesize(u, grid)
-    drive = plan.drift_weight * analyze(a_c * u_phys, grid)
+    drive = (plan.drift_weight * a_c) * u
     states = [v]
     for xi in xi_fast:
         v_next = plan.decay * states[-1] + (drive + plan.noise_std * xi)
         if c_s:
-            v_next = v_next + (c_s * plan.drift_weight) * analyze(
-                np.sin(synthesize(states[-1], grid)), grid)
+            v_next = v_next + sine_operator(grid, c_s, plan.drift_weight).dot(
+                np.sin(synthesize(states[-1], grid)))
         states.append(v_next)
     v_nodes = np.concatenate((synthesize(v, grid)[None],
                               synthesize(np.stack(states[1:]), grid)))
@@ -311,10 +387,9 @@ def _reference_macro_step(model, n_sub, u, v, t, xi_fast):
                            u_phys, v_nodes)
     else:
         drift = eval_b(model.reaction_slow, t, grid.nodes, u_phys, v_nodes)
-    weights = np.full((n_sub + 1, 1), 1.0 / n_sub)
+    weights = np.full(n_sub + 1, 1.0 / n_sub)
     weights[0] = weights[-1] = 0.5 / n_sub
-    f1 = analyze(np.add.reduce(weights * drift, axis=0), grid)
-    return states[-1], f1
+    return states[-1], analyze(weights.dot(drift), grid)
 
 
 @SETTINGS
@@ -332,8 +407,7 @@ def test_macro_step_equals_checked_reference(case):
     path_fast = plans[1].noise(np.stack([xi_fast, xi_fast]))
     t = 0.03
     v_next, v_phys, f1 = step_coupled(
-        v, synthesize(u, grid), synthesize(v, grid), t, model, path_fast[1],
-        plans)
+        v, u, synthesize(v, grid), t, model, path_fast[1], plans)
     v_ref, f1_ref = _reference_macro_step(model, n_sub, u, v, t, xi_fast)
     assert np.array_equal(v_next, v_ref)
     assert np.array_equal(f1, f1_ref)
