@@ -3,13 +3,15 @@
 The averaged drift at slow state x is the stationary expectation of the
 slow Nemytskii drift, truncated at model.theta, against the law of the
 frozen fast field: Fbar(t, x) = E_mu^x [ analyze(b_theta(t, x(.), y(.))) ].
-It is estimated by nested frozen-fast simulation, with the fast step's
-Gaussian companion (the step without its sine term) as a control variate
-whose averaged drift is exact; for the linear benchmark (b = lam,
-g = a_c*rho - b_c*sigma) the stationary law is Gaussian with mean
-a_c x_k / (alpha_{2,k} + b_c), which gives a closed-form oracle.  The
-averaged equation is the coupled path's slow loop (coupled.slow_path) with
-F(u, v) replaced by this drift.
+estimate_Fbar alone decides how it is computed, at one state or a stack:
+exactly, as the averaged drift of the fast step's Gaussian companion (the
+step without its sine term), when b ignores the fast variable or c_s = 0;
+otherwise by nested frozen-fast simulation, with that companion as a
+control variate when the step has a sine term.  For the linear benchmark
+(b = lam, g = a_c*rho - b_c*sigma) the stationary law is Gaussian with
+mean a_c x_k / (alpha_{2,k} + b_c), which gives a closed-form oracle, the
+drift of make_drift_fn.  The averaged equation is the coupled path's slow
+loop (coupled.slow_path) with F(u, v) replaced by this drift.
 """
 
 from __future__ import annotations
@@ -54,54 +56,65 @@ def normal_rule(n_points: int) -> tuple:
     return points, weights / weights.sum()
 
 
-def companion_Fbar(t: float, x: np.ndarray, h: float,
+def companion_Fbar(t, x: np.ndarray, h: float,
                    model: ModelSpec) -> np.ndarray:
     """The averaged drift of the Gaussian companion of the frozen fast step
-    h at the modal slow field x: analyze of E b_theta(t, x_j, V_j),
-    V_j the companion's stationary nodal law (companion_law).  E b is
-    closed form (gaussian_mean_b); the truncation remainder b - b_theta,
-    of size theta b^2, takes one quadrature sum (normal_rule) per node.
-    At c_s = 0 this is the averaged drift of the step itself."""
+    h at the modal slow field x, or at each row of a stack (n, N) of them:
+    analyze of E b_theta(t, x_j, V_j), V_j the companion's stationary nodal
+    law (companion_law).  E b is closed form (gaussian_mean_b); the
+    truncation remainder b - b_theta, of size theta b^2, takes one
+    quadrature sum (normal_rule) per node.  At c_s = 0, or when b ignores
+    the fast variable, this is the averaged drift of the step itself."""
     x_phys = synthesize(x, model.grid)
     mean, std = companion_law(model, x, h)
     spec = model.reaction_slow
     drift = gaussian_mean_b(spec, x_phys, mean, std)
     if model.theta > 0:
         points, weights = normal_rule(NORMAL_RULE_POINTS)
-        lam = mean + std * points[:, None]
+        # Shape (..., points, M): one quadrature block per state.
+        lam = mean[..., None, :] + std * points[:, None]
+        x_phys = x_phys[..., None, :]
         nodes = model.grid.nodes
-        drift -= weights.dot(
+        drift -= np.matmul(weights, (
             eval_b(spec, t, nodes, x_phys, lam)
-            - truncate_b(spec, model.theta, t, nodes, x_phys, lam))
+            - truncate_b(spec, model.theta, t, nodes, x_phys, lam)))
     return analyze(drift, model.grid)
 
 
-def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
+def estimate_Fbar(t, x, params: FrozenFastParams, model: ModelSpec,
                   master_seed: int, trajectory_id: int = 0
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Nested Monte Carlo estimate of the averaged drift at (t, x): the
-    mean field and its std-error field.
+    """The averaged drift at (t, x) and its std-error field, at one slow
+    state (t a float, x of shape (N,)) or at each row of a stack (t of
+    shape (n,), x of shape (n, N)), a row bit-equal to that state alone.
+    Every t must lie on the h_macro grid; b is truncated at model.theta,
+    as on the coupled path.
 
-    The slow reaction is truncated at model.theta, as on the coupled path.
-    Replica r draws from the stream with spawn key (frozen_fast_noise, r,
-    trajectory_id, step), step = round(t / model.h_macro): each path must
-    pass its own id, and a t off the h_macro grid is rejected.
-
-    A fast reaction with a sine term (c_s not None) takes a control
-    variate: each replica drives its Gaussian companion on the same draws,
-    and the estimate is mean(f(v) - f(v_lin)) + companion_Fbar, f the drift
-    observable; the last term is exact.  At c_s = 0 the replica is its own
-    companion, so companion_Fbar is returned, with standard error 0, and no
-    replica is stepped.  The linear kind keeps the plain estimate.
+    When b ignores the fast variable, or the fast reaction's sine term has
+    c_s = 0, the drift is exact: companion_Fbar, for the whole stack at
+    once, with standard error 0 and no replica stepped.  Otherwise it is
+    a nested Monte Carlo estimate, state by state: replica r draws from
+    the stream with spawn key (frozen_fast_noise, r, trajectory_id, step),
+    step = round(t / model.h_macro), so each path must pass its own id.
+    A sine term takes a control variate: each replica drives its Gaussian
+    companion on the same draws, and the estimate is mean(f(v) - f(v_lin))
+    + companion_Fbar, f the drift observable, whose last term is exact.
+    The linear kind keeps the plain estimate.
     """
-    step = int(round(t / model.h_macro))
-    if abs(t / model.h_macro - step) > 1e-6:
+    x = _modal_states(x, model.n_modes)
+    times = np.broadcast_to(t, x.shape[:-1])
+    steps = np.round(times / model.h_macro)
+    if not np.all(np.abs(times / model.h_macro - steps) <= 1e-6):
         raise InvalidParameterError(f"t={t!r} is off the h_macro grid")
-    x = as_modal_field(x, model.n_modes)
     c_s = fast_coefficients(model.reaction_fast)[2]
-    if c_s == 0:
+    if c_s == 0 or not model.reaction_slow.depends_on_fast:
         mean = companion_Fbar(t, x, params.h, model)
         return mean, np.zeros_like(mean)
+    if x.ndim == 2:
+        means, ses = zip(*(estimate_Fbar(t_i, x_i, params, model,
+                                         master_seed, trajectory_id)
+                           for t_i, x_i in zip(times.tolist(), x)))
+        return np.stack(means), np.stack(ses)
     x_phys = synthesize(x, model.grid)
 
     def drift_observable(v_phys):
@@ -114,10 +127,18 @@ def estimate_Fbar(t: float, x, params: FrozenFastParams, model: ModelSpec,
     companion = c_s is not None
     mean, std_error = estimate_invariant_average(
         model, x, params, drift_observable, master_seed,
-        key=(trajectory_id, step), companion=companion)
+        key=(trajectory_id, int(steps)), companion=companion)
     if companion:
         mean = mean + companion_Fbar(t, x, params.h, model)
-    return np.asarray(mean, dtype=float), np.asarray(std_error, dtype=float)
+    return mean, std_error
+
+
+def _modal_states(x, n_modes: int) -> np.ndarray:
+    """x checked as one modal state, shape (N,), or a stack, (n, N)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and x.shape[1] == n_modes:
+        return as_modal_field(x.ravel()).reshape(x.shape)
+    return as_modal_field(x, n_modes)
 
 
 def analytic_Fbar_linear(model: ModelSpec, t, x) -> np.ndarray:
@@ -125,13 +146,7 @@ def analytic_Fbar_linear(model: ModelSpec, t, x) -> np.ndarray:
     linear benchmark, at one state x of shape (N,) or at each row of a
     stack of shape (n, N); a row is bit-equal to that state alone."""
     a_c, rates = _linear_fbar_factors(model)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2 and x.shape[1] == model.n_modes:
-        # Every row's finite check at once.
-        as_modal_field(x.ravel())
-    else:
-        x = as_modal_field(x, model.n_modes)
-    return a_c * x / rates
+    return a_c * _modal_states(x, model.n_modes) / rates
 
 
 def _linear_fbar_factors(model: ModelSpec) -> tuple:
@@ -154,39 +169,20 @@ def averaged_mean_rates(model: ModelSpec) -> np.ndarray:
 
 def make_drift_fn(model: ModelSpec, params: FrozenFastParams,
                   master_seed: int, trajectory_id: int):
-    """Averaged-drift callable: analytic oracle for the linear benchmark,
-    slow-only evaluation when b ignores the fast variable, nested estimator
-    (estimate_Fbar, keyed by trajectory_id, on the h_macro grid) otherwise.
+    """Averaged-drift callable: the closed-form oracle for the linear
+    benchmark, estimate_Fbar (keyed by trajectory_id) otherwise.
 
     fn(t, u) returns the drift and its std-error field at one slow state
     (t a float, u of shape (N,)) or at a stack of them (t of shape (n,), u
-    of shape (n, N)).  A row of a stack is bit-equal to that state alone:
-    the exact modes evaluate the stack at once, the estimator one state at
-    a time, since its nested streams are keyed by the step of t."""
+    of shape (n, N)); a row of a stack is bit-equal to that state alone."""
     if model.is_linear_benchmark:
         def fn(t, u):
             drift = analytic_Fbar_linear(model, t, u)
             return drift, np.zeros_like(drift)
         return fn
-    if not model.reaction_slow.depends_on_fast:
-        zeros_phys = np.zeros(model.grid.n_quad)
-
-        def fn(t, u):
-            u_phys = synthesize(u, model.grid)
-            drift = analyze(nemytskii_drift(model.reaction_slow, model.theta,
-                                            t, u_phys, zeros_phys, model.grid),
-                            model.grid)
-            return drift, np.zeros_like(drift)
-        return fn
 
     def fn(t, u):
-        if np.ndim(u) == 1:
-            return estimate_Fbar(t, u, params, model, master_seed,
-                                 trajectory_id)
-        means, ses = zip(*(estimate_Fbar(t_i, u_i, params, model,
-                                         master_seed, trajectory_id)
-                           for t_i, u_i in zip(np.asarray(t).tolist(), u)))
-        return np.stack(means), np.stack(ses)
+        return estimate_Fbar(t, u, params, model, master_seed, trajectory_id)
     return fn
 
 

@@ -101,19 +101,37 @@ class ExperimentConfig:
     canonical: dict
 
 
+def _is_number(value, kind) -> bool:
+    """Whether a JSON value is a number, not a bool, and integral if kind
+    is int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return kind is not int or isinstance(value, int) or value.is_integer()
+
+
 def _get(section: dict, key: str, where: str, default=None, kind=float):
-    """section[key], or default when it is absent, as a kind (float, int,
-    or tuple of floats); a value that does not convert is rejected."""
+    """section[key], or default when it is absent, as a kind: float (a
+    JSON number), int (an integral one: 3.0 passes, 3.7 does not) or tuple
+    (a JSON list of numbers, as floats).  Anything else is rejected: a
+    bool, a numeric string, a string for a list."""
     value = section.get(key, default)
-    try:
-        return tuple(map(float, value)) if kind is tuple else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "a list of numbers" if kind is tuple else "a number"
-        raise ConfigurationRejectedError(
-            f"{where}.{key} must be {noun}, got {value!r}") from None
+    items = value if kind is tuple else [value]
+    if key not in section or (isinstance(items, list) and all(
+            _is_number(item, kind) for item in items)):
+        try:
+            return tuple(map(float, value)) if kind is tuple else kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    noun = {tuple: "a list of numbers", int: "an integer"}.get(kind,
+                                                                "a number")
+    raise ConfigurationRejectedError(
+        f"{where}.{key} must be {noun}, got {value!r}")
 
 
 def _require_keys(section: dict, where: str, required, optional) -> None:
+    if not isinstance(section, dict):
+        raise ConfigurationRejectedError(
+            f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - set(required) - set(optional)
     if unknown:
         raise ConfigurationRejectedError(
@@ -153,8 +171,7 @@ def _terms(terms, where: str) -> list:
 
 
 def _reaction(section: dict, role: str, where: str):
-    if "kind" not in section:
-        raise ConfigurationRejectedError(f"missing 'kind' in {where}")
+    _require_keys(section, where, ("kind",), section)
     params = {k: _terms(v, where) if k == "terms" else _get(section, k, where)
               for k, v in section.items() if k != "kind"}
     if role == "slow":
@@ -232,7 +249,7 @@ def _frozen_fast(raw: dict, section: str, omega: float) -> FrozenFastParams:
     """The frozen-fast parameters of one section.  A value out of range is
     rejected under its JSON key."""
     step_key = _STEP_KEYS[section]
-    values = dict(raw.get(section, {}))
+    values = raw.get(section, {})
     _require_keys(values, section, (),
                   (step_key, "t_burn", "t_avg", "n_replicas"))
     try:
@@ -269,10 +286,11 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
             f"= {model.h_macro!r}, got {model.horizon!r}")
     n_modes = model.n_modes
 
-    exp = dict(raw.get("experiment", {}))
+    exp = raw.get("experiment", {})
     _require_keys(exp, "experiment", (), _EXP_KEYS_OPT)
     epsilon_grid = _get(exp, "epsilon_grid", "experiment", (model.epsilon,),
                         tuple)
+    _require(len(epsilon_grid) >= 1, "epsilon_grid", "a non-empty list", [])
     if any(not 0 < e < 1 for e in epsilon_grid):
         raise ConfigurationRejectedError("epsilon_grid entries must lie in (0,1)")
     if any(b >= a for a, b in zip(epsilon_grid, epsilon_grid[1:])):
@@ -285,6 +303,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
                 f"experiment.epsilon_grid: {exc}") from None
 
     tf_raw = exp.get("test_functions", [{"modes": [1.0], "time_power": 0}])
+    _require(isinstance(tf_raw, list), "test_functions", "a list", tf_raw)
     test_functions = []
     for i, tf in enumerate(tf_raw):
         where = f"test_functions[{i}]"
@@ -299,6 +318,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
                                                time_power=time_power))
 
     obs_raw = exp.get("observables", [{"kind": "mode", "k": 1}])
+    _require(isinstance(obs_raw, list), "observables", "a list", obs_raw)
     observables = []
     for i, ob in enumerate(obs_raw):
         _require_keys(ob, f"experiment.observables[{i}]", ("kind",), ("k",))

@@ -287,16 +287,17 @@ def batch_std_error(batches: np.ndarray) -> np.ndarray:
 
 
 def companion_law(model: ModelSpec, x: np.ndarray, h: float) -> tuple:
-    """Nodal mean and standard deviation, shape (M,) each, of the
-    stationary law of the Gaussian companion of the step h frozen at the
-    modal slow field x (FastStepper.stationary_law per mode).  The
+    """Nodal mean and standard deviation of the stationary law of the
+    Gaussian companion of the step h frozen at the modal slow field x
+    (FastStepper.stationary_law per mode): shape (M,) each, or for a stack
+    x of shape (n, N) the means (n, M) and the same (M,) deviations.  The
     modes are independent, so node j is Gaussian with mean
     sum_k mean_k e_k(xi_j) and variance sum_k var_k e_k(xi_j)^2.
     """
     stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
     mean, variance = stepper.stationary_law(stepper.drive(x))
     mat = model.grid.sine_matrix
-    return mat.dot(mean), np.sqrt((mat * mat).dot(variance))
+    return matvec(mat, mean), np.sqrt((mat * mat).dot(variance))
 
 
 def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,

@@ -167,6 +167,27 @@ class TestEstimateFbar:
                           master_seed=0)
 
 
+@pytest.mark.parametrize("model,exact", [
+    (cubic_model(n_modes=4, n_quad=16, c_v=0.0), True),
+    (cubic_model(n_modes=4, n_quad=16, c_s=0.0), True),
+    (cubic_model(n_modes=4, n_quad=16), False),
+], ids=["fast_blind_b", "c_s_0", "estimator"])
+def test_stack_rows_equal_single_states(model, exact, rng):
+    # The exact modes take the stack in one call, the estimator state by
+    # state; either way a row is that state's own drift, bit for bit.
+    params = FrozenFastParams(h=0.05, t_burn=0.2, t_avg=0.5, n_replicas=2)
+    xs = 3.0 * rng.normal(size=(6, 4))
+    ts = model.h_macro * np.arange(6)
+    means, ses = estimate_Fbar(ts, xs, params, model, master_seed=9,
+                               trajectory_id=3)
+    assert means.shape == ses.shape == (6, 4)
+    for t, x, mean, se in zip(ts.tolist(), xs, means, ses):
+        one = estimate_Fbar(t, x, params, model, master_seed=9,
+                            trajectory_id=3)
+        assert np.array_equal(mean, one[0]) and np.array_equal(se, one[1])
+    assert not ses.any() if exact else ses.all()
+
+
 # The exact drift modes read no nested-estimation parameters.
 EXACT_PARAMS = FrozenFastParams(h=0.01, t_burn=1.0, t_avg=1.0, n_replicas=1)
 

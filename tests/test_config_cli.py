@@ -204,12 +204,22 @@ class TestCli:
          "experiment.worker_count"),
         ("audit", ("model", "horizon"), 0.004, "model.horizon"),
         ("audit", ("model", "horizon"), 0.01, "model.horizon"),
+        ("audit", ("experiment", "epsilon_grid"), [],
+         "experiment.epsilon_grid"),
+        ("converge", ("experiment", "epsilon_grid"), [],
+         "experiment.epsilon_grid"),
+        ("converge", ("experiment", "test_functions"), [1],
+         "experiment.test_functions[0]"),
+        ("invariant", ("experiment", "observables"), [1],
+         "experiment.observables[0]"),
     ], ids=["h_macro", "mode_0", "mode_past_n_modes", "test_function_modes",
             "theta_above_1", "theta_below_0", "one_theta_level", "c_const_0",
             "dump_modes_negative", "ensemble_size_0", "master_seed_negative",
             "time_power_negative", "t_burn_unfinishable",
             "horizon_unfinishable", "worker_count_0", "horizon_no_step",
-            "horizon_one_step"])
+            "horizon_one_step", "epsilon_grid_empty_audit",
+            "epsilon_grid_empty_converge", "test_function_not_object",
+            "observable_not_object"])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys,
                                                  command, where, value, named):
         # Each of these used to end in a traceback, in a silently wrong or
@@ -246,8 +256,29 @@ class TestCli:
         ("average", ("averaging", "t_avg"), [1]),
         ("simulate", ("model", "grid", "n_quad"), None),
         ("simulate", ("model", "reactions", "slow", "c_u"), "a"),
+        ("simulate", ("experiment",), 5),
+        ("invariant", ("invariant",), [1]),
+        ("simulate", ("model",), 5),
+        ("simulate", ("model", "grid"), 5),
+        ("simulate", ("model", "slow_operator"), 5),
+        ("simulate", ("model", "reactions"), 5),
+        ("simulate", ("model", "epsilon"), "0.1"),
+        ("converge", ("experiment", "ensemble_size"), "3"),
+        ("simulate", ("model", "epsilon"), True),
+        ("simulate", ("model", "grid", "n_modes"), True),
+        ("converge", ("experiment", "ensemble_size"), 2.5),
+        ("average", ("averaging", "n_replicas"), 7.9),
+        ("simulate", ("model", "grid", "n_modes"), 8.7),
+        ("simulate", ("model", "u0"), "12"),
+        ("audit", ("experiment", "theta_sequence"), "01"),
     ], ids=["n_replicas_string", "epsilon_string", "ensemble_size_null",
-            "t_avg_list", "n_quad_null", "c_u_string"])
+            "t_avg_list", "n_quad_null", "c_u_string", "experiment_number",
+            "invariant_list", "model_number", "grid_number",
+            "slow_operator_number", "reactions_number",
+            "epsilon_numeric_string", "ensemble_size_numeric_string",
+            "epsilon_bool", "n_modes_bool", "ensemble_size_fractional",
+            "n_replicas_fractional", "n_modes_fractional", "u0_string",
+            "theta_sequence_string"])
     def test_wrong_json_type_rejected_at_load(self, tmp_path, capsys,
                                               command, where, value):
         # Each of these used to end in the traceback of int() or float().
