@@ -56,17 +56,18 @@ def normal_rule(n_points: int) -> tuple:
     return points, weights / weights.sum()
 
 
-def companion_Fbar(t, x: np.ndarray, h: float,
-                   model: ModelSpec) -> np.ndarray:
+def companion_Fbar(t, x: np.ndarray, h: float, model: ModelSpec,
+                   law: tuple | None = None) -> np.ndarray:
     """The averaged drift of the Gaussian companion of the frozen fast step
     h at the modal slow field x, or at each row of a stack (n, N) of them:
     analyze of E b_theta(t, x_j, V_j), V_j the companion's stationary nodal
-    law (companion_law).  E b is closed form (gaussian_mean_b); the
-    truncation remainder b - b_theta, of size theta b^2, takes one
-    quadrature sum (normal_rule) per node.  At c_s = 0, or when b ignores
-    the fast variable, this is the averaged drift of the step itself."""
+    law (companion_law, from its modal law when given).  E b is closed form
+    (gaussian_mean_b); the truncation remainder b - b_theta, of size
+    theta b^2, takes one quadrature sum (normal_rule) per node.  At c_s = 0,
+    or when b ignores the fast variable, this is the averaged drift of the
+    step itself."""
     x_phys = synthesize(x, model.grid)
-    mean, std = companion_law(model, x, h)
+    mean, std = companion_law(model, x, h, law)
     spec = model.reaction_slow
     drift = gaussian_mean_b(spec, x_phys, mean, std)
     if model.theta > 0:
@@ -96,18 +97,17 @@ def estimate_Fbar(t, x, params: FrozenFastParams, model: ModelSpec,
     a nested Monte Carlo estimate, state by state: replica r draws from
     the stream with spawn key (frozen_fast_noise, r, trajectory_id, step),
     step = round(t / model.h_macro), so each path must pass its own id.
-    A sine term takes a control variate: each replica drives its Gaussian
-    companion on the same draws, and the estimate is mean(f(v) - f(v_lin))
-    + companion_Fbar, f the drift observable, whose last term is exact.
-    The linear kind keeps the plain estimate.
+    estimate_invariant_average takes a sine term against its Gaussian
+    companion, whose exact drift is companion_Fbar; the linear kind keeps
+    the plain estimate.
     """
     x = _modal_states(x, model.n_modes)
     times = np.broadcast_to(t, x.shape[:-1])
     steps = np.round(times / model.h_macro)
     if not np.all(np.abs(times / model.h_macro - steps) <= 1e-6):
         raise InvalidParameterError(f"t={t!r} is off the h_macro grid")
-    c_s = fast_coefficients(model.reaction_fast)[2]
-    if c_s == 0 or not model.reaction_slow.depends_on_fast:
+    if (fast_coefficients(model.reaction_fast)[2] == 0
+            or not model.reaction_slow.depends_on_fast):
         mean = companion_Fbar(t, x, params.h, model)
         return mean, np.zeros_like(mean)
     if x.ndim == 2:
@@ -124,13 +124,10 @@ def estimate_Fbar(t, x, params: FrozenFastParams, model: ModelSpec,
                             v_phys, model.grid),
             model.grid)
 
-    companion = c_s is not None
-    mean, std_error = estimate_invariant_average(
+    return estimate_invariant_average(
         model, x, params, drift_observable, master_seed,
-        key=(trajectory_id, int(steps)), companion=companion)
-    if companion:
-        mean = mean + companion_Fbar(t, x, params.h, model)
-    return mean, std_error
+        key=(trajectory_id, int(steps)),
+        gaussian_mean=lambda *law: companion_Fbar(t, x, params.h, model, law))
 
 
 def _modal_states(x, n_modes: int) -> np.ndarray:

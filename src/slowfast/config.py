@@ -78,6 +78,11 @@ class ObservableSpec:
         value = u[..., self.k - 1] if self.kind == "mode" else np.vecdot(u, u)
         return float(value) if np.ndim(value) == 0 else value
 
+    def gaussian_mean(self, mean: np.ndarray, variance: np.ndarray) -> float:
+        """The expectation when the modes are independent Gaussians."""
+        return float(mean[self.k - 1] if self.kind == "mode"
+                     else np.sum(mean * mean + variance))
+
     @property
     def label(self) -> str:
         return f"mode_{self.k}" if self.kind == "mode" else "norm_sq"
@@ -142,18 +147,16 @@ def _require_keys(section: dict, where: str, required, optional) -> None:
             f"missing required key(s) {sorted(missing)} in {where}")
 
 
-def _operator(section: dict, grid: GridSpec, where: str) -> SpectralOperator:
+def _operator(section: dict, grid: GridSpec, where: str) -> tuple:
+    """The operator and its parsed values, defaults included."""
     _require_keys(section, where, ("nu", "lambda0"),
                   ("decay_exponent", "gamma_reg"))
+    values = {key: _get(section, key, where, default) for key, default in (
+        ("nu", None), ("lambda0", None), ("decay_exponent", 1.0),
+        ("gamma_reg", 0.5))}
     return SpectralOperator.from_power_law(
-        n_modes=grid.n_modes,
-        nu=_get(section, "nu", where),
-        length=grid.length,
-        lambda0=_get(section, "lambda0", where),
-        decay_exponent=_get(section, "decay_exponent", where, 1.0),
-        gamma_reg=_get(section, "gamma_reg", where, 0.5),
-        label=where,
-    )
+        n_modes=grid.n_modes, length=grid.length, label=where,
+        **values), values
 
 
 def _terms(terms, where: str) -> list:
@@ -170,15 +173,21 @@ def _terms(terms, where: str) -> list:
         f"{terms!r}")
 
 
-def _reaction(section: dict, role: str, where: str):
+def _reaction(section: dict, role: str, where: str) -> tuple:
+    """The reaction and its parsed values, defaults included."""
     _require_keys(section, where, ("kind",), section)
     params = {k: _terms(v, where) if k == "terms" else _get(section, k, where)
               for k, v in section.items() if k != "kind"}
     if role == "slow":
         spec = make_slow_reaction(section["kind"], **params)
         _require_growth(spec, where)
-        return spec
-    return make_fast_reaction(section["kind"], **params)
+    else:
+        spec = make_fast_reaction(section["kind"], **params)
+    values = {"kind": spec.kind, **dict(spec.params)}
+    if spec.kind == "polynomial":
+        values.update((key, getattr(spec, key)) for key in (
+            "m1", "m2", "kappa1", "kappa2", "c1", "c2", "a1", "a2"))
+    return spec, values
 
 
 def _require_growth(spec, where: str) -> None:
@@ -204,19 +213,25 @@ _MODEL_KEYS_OPT = ("c_V", "theta", "holder_beta", "lambda_exp",
                    "explosion_bound", "h_macro", "substep_ratio")
 
 
-def _build_model(section: dict) -> ModelSpec:
+def _build_model(section: dict) -> tuple:
+    """The model and its canonical section: the parsed values, every
+    default included, so two spellings of one model hash alike."""
     _require_keys(section, "model", _MODEL_KEYS_REQ, _MODEL_KEYS_OPT)
     grid_sec = section["grid"]
     _require_keys(grid_sec, "model.grid", ("n_modes", "n_quad"), ("length",))
     grid = GridSpec(n_modes=_get(grid_sec, "n_modes", "model.grid", kind=int),
                     n_quad=_get(grid_sec, "n_quad", "model.grid", kind=int),
                     length=_get(grid_sec, "length", "model.grid", 1.0))
-    op1 = _operator(section["slow_operator"], grid, "model.slow_operator")
-    op2 = _operator(section["fast_operator"], grid, "model.fast_operator")
+    op1, op1_values = _operator(section["slow_operator"], grid,
+                                "model.slow_operator")
+    op2, op2_values = _operator(section["fast_operator"], grid,
+                                "model.fast_operator")
     reactions = section["reactions"]
     _require_keys(reactions, "model.reactions", ("slow", "fast"), ())
-    slow = _reaction(reactions["slow"], "slow", "model.reactions.slow")
-    fast = _reaction(reactions["fast"], "fast", "model.reactions.fast")
+    slow, slow_values = _reaction(reactions["slow"], "slow",
+                                  "model.reactions.slow")
+    fast, fast_values = _reaction(reactions["fast"], "fast",
+                                  "model.reactions.fast")
 
     def pad(key):
         arr = np.zeros(grid.n_modes)
@@ -231,9 +246,19 @@ def _build_model(section: dict) -> ModelSpec:
     values = {key: _get(section, key, "model")
               for key in ("epsilon", "horizon", *_MODEL_KEYS_OPT)
               if key in section}
-    return build_model(
+    model = build_model(
         op1=op1, op2=op2, reaction_slow=slow, reaction_fast=fast, grid=grid,
         u0=pad("u0"), v0=pad("v0"), **values)
+    return model, {
+        "grid": asdict(grid), "slow_operator": op1_values,
+        "fast_operator": op2_values,
+        "reactions": {"slow": slow_values, "fast": fast_values},
+        "u0": model.u0.tolist(), "v0": model.v0.tolist(),
+        "c_V": model.lyapunov.c_V, "epsilon": model.epsilon,
+        "horizon": model.horizon, "theta": model.theta,
+        "holder_beta": model.holder_beta, "lambda_exp": model.lambda_exp,
+        "explosion_bound": model.explosion_bound, "h_macro": model.h_macro,
+        "substep_ratio": model.substep_ratio}
 
 
 _EXP_KEYS_OPT = ("epsilon_grid", "ensemble_size", "test_functions",
@@ -274,7 +299,7 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
 def parse_config_dict(raw: dict) -> ExperimentConfig:
     _require_keys(raw, "config", ("model",), ("experiment", "invariant", "averaging"))
     try:
-        model = _build_model(raw["model"])
+        model, model_section = _build_model(raw["model"])
     except InvalidParameterError as exc:
         where = f"model.{exc.name}" if exc.name else "model"
         raise ConfigurationRejectedError(f"{where}: {exc}") from None
@@ -367,7 +392,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         averaging=_frozen_fast(raw, "averaging", omega),
         canonical={},
     )
-    cfg.canonical = _canonical_dict(raw, cfg)
+    cfg.canonical = _canonical_dict(model_section, cfg)
     return cfg
 
 
@@ -385,22 +410,14 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_dict(raw)
 
 
-def _canonical_dict(raw: dict, cfg: ExperimentConfig) -> dict:
-    """Raw config with every default materialized; stable under re-parsing."""
-    model_sec = {key: raw["model"][key] for key in raw["model"]}
-    model = cfg.model
-    model_sec.setdefault("c_V", model.lyapunov.c_V)
-    model_sec.setdefault("theta", model.theta)
-    model_sec.setdefault("holder_beta", model.holder_beta)
-    model_sec.setdefault("lambda_exp", model.lambda_exp)
-    model_sec.setdefault("explosion_bound", model.explosion_bound)
-    model_sec.setdefault("h_macro", model.h_macro)
-    model_sec.setdefault("substep_ratio", model.substep_ratio)
+def _canonical_dict(model_section: dict, cfg: ExperimentConfig) -> dict:
+    """The parsed config with every default materialized; stable under
+    re-parsing."""
     # worker_count and output_dir are execution knobs, not part of the
     # experiment definition: results must be identical for any worker count,
     # so they stay out of the canonical form and of the config hash.
     return {
-        "model": model_sec,
+        "model": model_section,
         "experiment": {
             "epsilon_grid": list(cfg.epsilon_grid),
             "ensemble_size": cfg.ensemble_size,

@@ -4,14 +4,13 @@ With the slow state frozen at x, the fast field solves
 dv = [A2 v + g(x, v)] dt + Q2 dW.  Under the dissipativity gap
 omega = alpha_{2,1} - L2 > 0 this chain mixes exponentially and has a
 unique stationary law; its integrals are estimated here by time averages
-over replica ensembles with batch-means standard errors, optionally
-against each replica's Gaussian companion, whose stationary law is known.
+over replica ensembles with batch-means standard errors, a step with a
+sine term against each replica's Gaussian companion, whose law is known.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from copy import copy
 from dataclasses import dataclass, replace
 
@@ -162,10 +161,11 @@ def step_frozen_fast(v: np.ndarray, model: ModelSpec, x: np.ndarray,
 
 
 def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
-                  observable, streams: list, companion: bool = False
-                  ) -> np.ndarray:
+                  observable, streams: list) -> tuple:
     """Burn in, then return the per-batch time averages of the observable,
-    one row per stream: shape (R, N_BATCHES) or (R, N_BATCHES, K).
+    one row per stream, shape (R, N_BATCHES) or (R, N_BATCHES, K), and the
+    Gaussian companion's stationary modal law (mean, variance) when the
+    batches average against it, else None.
 
     The R replicas advance together as an (R, N) block.  Replica r draws
     only from streams[r]: first its start, from the Gaussian companion's
@@ -181,8 +181,8 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
     the end of its draw chunk, before the observable sees any row of that
     chunk.
 
-    With companion, each replica also drives a Gaussian companion (the
-    stepper's gaussian_companion) from its start with its own drive and
+    A step with a sine term (c_s != 0) also drives each replica's Gaussian
+    companion (gaussian_companion) from its start with its own drive and
     noise rows, and the batches average observable(v) - observable(v_lin):
     per chunk the replicas advance and are observed, then the companions.
     The state and node stacks are allocated once per call and shared by
@@ -199,6 +199,7 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
     stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
     # The replicas' chain first, then their companions'; they share the
     # state and node stacks, one chain at a time.
+    companion = stepper.sin_op is not None
     chains = ((stepper, stepper.gaussian_companion()) if companion
               else (stepper,))
     drive = stepper.drive(x)
@@ -266,7 +267,7 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
             n_open = (n_open + take) % batch_len
             if not n_open:
                 batches.append(open_sum / batch_len)
-    return np.stack(batches, axis=1)
+    return np.stack(batches, axis=1), (mean, variance) if companion else None
 
 
 def batch_std_error(batches: np.ndarray) -> np.ndarray:
@@ -286,24 +287,26 @@ def batch_std_error(batches: np.ndarray) -> np.ndarray:
     return plain * np.sqrt((1.0 + rho) / (1.0 - rho))
 
 
-def companion_law(model: ModelSpec, x: np.ndarray, h: float) -> tuple:
+def companion_law(model: ModelSpec, x: np.ndarray, h: float,
+                  law: tuple | None = None) -> tuple:
     """Nodal mean and standard deviation of the stationary law of the
-    Gaussian companion of the step h frozen at the modal slow field x
-    (FastStepper.stationary_law per mode): shape (M,) each, or for a stack
-    x of shape (n, N) the means (n, M) and the same (M,) deviations.  The
-    modes are independent, so node j is Gaussian with mean
-    sum_k mean_k e_k(xi_j) and variance sum_k var_k e_k(xi_j)^2.
+    Gaussian companion of the step h frozen at the modal slow field x (its
+    modal law, unless given: FastStepper.stationary_law): shape (M,) each,
+    or for a stack x of shape (n, N) the means (n, M) and the same (M,)
+    deviations.  The modes are independent, so node j is Gaussian with
+    mean sum_k mean_k e_k(xi_j) and variance sum_k var_k e_k(xi_j)^2.
     """
-    stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
-    mean, variance = stepper.stationary_law(stepper.drive(x))
+    if law is None:
+        stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
+        law = stepper.stationary_law(stepper.drive(x))
+    mean, variance = law
     mat = model.grid.sine_matrix
     return matvec(mat, mean), np.sqrt((mat * mat).dot(variance))
 
 
 def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
                                observable, master_seed: int,
-                               key: tuple = (), companion: bool = False
-                               ) -> tuple:
+                               key: tuple = (), gaussian_mean=None) -> tuple:
     """Time average of observable(v_phys) over [t_burn, t_burn + t_avg] of
     model's fast field frozen at slow state x, and its standard error.
 
@@ -316,35 +319,26 @@ def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
     and standard error are floats or (K,) arrays accordingly.  Replicas use
     independent frozen_fast_noise streams derived from (master_seed,
     replica) and the trailing key; each starts in its Gaussian companion's
-    stationary law, the linear kind's own.  The standard error comes from
-    the correlated per-batch means (batch_std_error) and shrinks like
-    1/sqrt(n_replicas * t_avg).
+    stationary law.  The standard error comes from the correlated per-batch
+    means (batch_std_error) and shrinks like 1/sqrt(n_replicas * t_avg).
 
-    With companion the average is of observable(v) - observable(v_lin),
-    v_lin each replica's Gaussian companion on the same draws and from the
-    same start: a control variate, to which the caller adds the exact
-    expectation of observable(v_lin) under companion_law.  A plain estimate
-    of a step with a sine term warns when its burn-in is shorter than
-    5/omega.  No other estimate does: a step without one (the linear kind,
-    or c_s = 0) is its own companion, so its replicas start in its
-    stationary law, and in a control-variate estimate only the difference
-    relaxes, so its burn-in is certified by measuring the bias.
+    A step with a sine term takes a control variate: the estimate is the
+    mean of observable(v) - observable(v_lin), v_lin each replica's Gaussian
+    companion on the same draws and from the same start, plus the caller's
+    gaussian_mean(mean, variance), which such a step requires: the exact
+    expectation of the observable under the companion's stationary modal
+    law (FastStepper.stationary_law).  Any other step (the linear kind, or
+    c_s = 0) is its own companion; its estimate is the plain mean.
     """
-    omega = model.omega
-    if (not companion and fast_coefficients(model.reaction_fast)[2]
-            and params.t_burn < 5.0 / omega):
-        warnings.warn(
-            f"t_burn={params.t_burn:g} is below the recommended floor "
-            f"5/omega={5.0 / omega:g}; stationary averages may be biased",
-            stacklevel=2,
-        )
     x = as_modal_field(x, model.n_modes)
     streams = [derive_stream(master_seed, replica, "frozen_fast_noise", key)
                for replica in range(params.n_replicas)]
-    batches = _run_replicas(model, x, params, observable, streams, companion)
+    batches, law = _run_replicas(model, x, params, observable, streams)
     # Replica-major rows: the pooled mean sums the batches in this order.
     stacked = batches.reshape((-1,) + batches.shape[2:])
     mean, std_error = stacked.mean(axis=0), batch_std_error(batches)
+    if law is not None:
+        mean = mean + gaussian_mean(*law)
     if mean.ndim == 0:
         return float(mean), float(std_error)
     return mean, std_error

@@ -516,7 +516,9 @@ def pooled_invariant_rows(cfg: ExperimentConfig) -> list[tuple]:
         return np.stack([spec(v_modal) for spec in specs], axis=-1)
 
     mean, std_error = estimate_invariant_average(
-        model, model.u0, cfg.invariant, observable, cfg.master_seed)
+        model, model.u0, cfg.invariant, observable, cfg.master_seed,
+        gaussian_mean=lambda *law: np.array([ob.gaussian_mean(*law)
+                                             for ob in specs]))
     return [(ob.label, float(mean[i]), float(std_error[i]))
             for i, ob in enumerate(specs)]
 

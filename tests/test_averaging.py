@@ -14,11 +14,8 @@ from slowfast import (FrozenFastParams, InvalidParameterError,
 from slowfast.averaging import (averaged_mean_rates, companion_Fbar,
                                 make_drift_fn)
 from slowfast.config import parse_config
-from slowfast.fast_dynamics import N_BATCHES
 from slowfast.harness import pooled_invariant_rows
-from slowfast.noise import derive_stream
 from slowfast.reactions import fast_coefficients
-from slowfast.spectral import analyze
 
 from conftest import cubic_model, linear_model, unit_field
 
@@ -30,14 +27,27 @@ def fast_params(model, t_avg_units=50.0, n_replicas=4, h=0.01, **kw):
                             n_replicas=n_replicas, **kw)
 
 
-def estimate_Vbar(x, model, params, master_seed=0):
+def estimate_Vbar(x, model, params, master_seed=0, n_draws=4096):
     """Stationary expectation of V(x, v) under the frozen fast law, with
-    its standard error."""
+    its standard error.  V has no closed-form mean under the Gaussian
+    companion of a step with a sine term, so there it is the mean of V over
+    n_draws i.i.d. draws from the companion's stationary law, and that
+    sample's standard error is added to the estimate's in quadrature."""
     x_phys = synthesize(x, model.grid)
-    return estimate_invariant_average(
-        model, x, params,
-        lambda v_phys: eval_V(x_phys, v_phys, model.lyapunov, model.grid),
-        master_seed)
+
+    def V(v_phys):
+        return eval_V(x_phys, v_phys, model.lyapunov, model.grid)
+    sample_se = [0.0]
+
+    def gaussian_mean(mean, variance):
+        xi = np.random.default_rng(master_seed).standard_normal(
+            (n_draws, mean.size))
+        values = V(synthesize(mean + np.sqrt(variance) * xi, model.grid))
+        sample_se[0] = values.std(ddof=1) / math.sqrt(n_draws)
+        return values.mean()
+    mean, std_error = estimate_invariant_average(
+        model, x, params, V, master_seed, gaussian_mean=gaussian_mean)
+    return mean, math.hypot(std_error, sample_se[0])
 
 
 class TestAnalyticOracle:
@@ -415,6 +425,16 @@ def bonferroni_bound(k: int, level: float = 0.05) -> float:
     return NormalDist().inv_cdf(1.0 - level / (2 * k))
 
 
+def invariant_rows(cfg, x, params, seed) -> tuple:
+    """The means and standard errors of pooled_invariant_rows with the fast
+    field frozen at the modal slow state x, under params and seed."""
+    run = dataclasses.replace(
+        cfg, model=dataclasses.replace(cfg.model, u0=x), invariant=params,
+        master_seed=seed)
+    _, means, ses = zip(*pooled_invariant_rows(run))
+    return np.array(means), np.array(ses)
+
+
 class TestFrozenStepBias:
     """The frozen-fast step of cubic_rough.json against a ten times finer
     one.  The exponential substep is exact in -(alpha_k + b_c) sigma and
@@ -518,19 +538,11 @@ class TestControlVariate:
         assert z.max() <= bonferroni_bound(model.n_modes), z
 
     def test_zero_sine_term_returns_the_exact_drift(self):
-        # At c_s = 0 a replica and its companion are the same chain, so the
-        # difference rows are zero and the estimate is companion_Fbar bit
-        # for bit, with a standard error of 0.
-        from slowfast.fast_dynamics import _run_replicas
+        # At c_s = 0 the step is its own Gaussian companion, so the
+        # estimate is companion_Fbar bit for bit, with a standard error of 0.
         cfg = shipped("cubic_rough")
         model = self.with_fast(cfg.model, "lipschitz_saturating", c_s=0.0)
         x = self.state(model, "large")
-        streams = [derive_stream(0, r, "frozen_fast_noise") for r in range(2)]
-        batches = _run_replicas(model, x, cfg.averaging,
-                                lambda v_phys: analyze(v_phys, model.grid),
-                                streams, companion=True)
-        assert batches.shape == (2, N_BATCHES, model.n_modes)
-        assert not batches.any()
         mean, se = estimate_Fbar(0.0, x, cfg.averaging, model,
                                  cfg.master_seed)
         assert np.array_equal(
@@ -601,13 +613,14 @@ class TestBurnInBias:
     Gaussian companion start at one draw from the companion's stationary
     law, so the companion is stationary from its first step and only the
     difference rows f(v) - f(v_lin), zero at the start, relax, at a rate of
-    order omega.  The shipped t_burn passes when an estimate with the
-    shipped step, burn-in and window (at TestFrozenStepBias.REPLICAS
-    replicas, which sharpens the test: a replica's bias does not depend on
-    their count) agrees with a reference of six times the burn-in and five
-    times the window, within their combined standard errors at the
-    Bonferroni 5% level over the modes; the same comparison must reject
-    an estimate with no burn-in where the difference relaxes slowly."""
+    order omega.  The shipped t_burn of each section passes when an
+    estimate with the shipped step, burn-in and window (at
+    TestFrozenStepBias.REPLICAS replicas, which sharpens the test: a
+    replica's bias does not depend on their count) agrees with a reference
+    with t_burn 3 and t_avg 25, within their combined standard errors at
+    the Bonferroni 5% level over the modes or the observables; the same
+    comparison must reject an estimate with no burn-in where the
+    difference relaxes slowly."""
 
     REFERENCE_T_BURN = 3.0
     REFERENCE_T_AVG = 25.0
@@ -625,10 +638,26 @@ class TestBurnInBias:
         model = cfg.model
         params = dataclasses.replace(cfg.averaging,
                                      n_replicas=TestFrozenStepBias.REPLICAS)
-        # Shorter than the 5/omega floor that a plain estimate warns below.
+        # Shorter than 5/omega: only the difference rows need to relax.
         assert params.t_burn < 5.0 / model.omega
         z = self.burn_z(model, TestControlVariate.state(model, state), params)
         assert z.max() <= bonferroni_bound(model.n_modes), z
+
+    @pytest.mark.parametrize("state", ["u0", "large"])
+    def test_shipped_invariant_burn_in(self, state):
+        # The invariant observables, which the invariant subcommand reports
+        # at u0, at the shipped budget.  Sizing: max |z| 1.68 over six seed
+        # pairs (1, 2) ... (11, 12) at either state.
+        cfg = shipped("cubic_rough")
+        x = TestControlVariate.state(cfg.model, state)
+        params = dataclasses.replace(cfg.invariant,
+                                     n_replicas=TestFrozenStepBias.REPLICAS)
+        assert params.t_burn < 5.0 / cfg.model.omega
+        reference = dataclasses.replace(params, t_burn=self.REFERENCE_T_BURN,
+                                        t_avg=self.REFERENCE_T_AVG)
+        z = step_z(invariant_rows(cfg, x, params, 1),
+                   invariant_rows(cfg, x, reference, 2))
+        assert z.max() <= bonferroni_bound(len(cfg.observables)), z
 
     def test_no_burn_in_at_a_strong_sine_term_is_rejected(self):
         # c_s = 6 leaves omega = 1.87, so the difference rows relax over
@@ -643,3 +672,32 @@ class TestBurnInBias:
         z = self.burn_z(model, TestControlVariate.state(model, "large"),
                         params)
         assert z.max() > bonferroni_bound(model.n_modes), z
+
+
+class TestObservableGaussianMean:
+    """ObservableSpec.gaussian_mean, the exact expectation of a built-in
+    observable under the Gaussian companion's stationary modal law, against
+    the plain estimate of the linear kind, which is its own companion, at
+    u0 and at the large state: within the combined standard error at the
+    Bonferroni 5% level over the observables."""
+
+    @pytest.mark.parametrize("state", ["u0", "large"])
+    def test_matches_the_plain_estimate_of_the_linear_kind(self, state):
+        from slowfast.config import ObservableSpec
+        from slowfast.fast_dynamics import FastStepper
+        cfg = shipped("cubic_rough")
+        model = TestControlVariate.with_fast(cfg.model, "linear_benchmark")
+        observables = (ObservableSpec("mode", 1), ObservableSpec("mode", 2),
+                       ObservableSpec("norm_sq"))
+        cfg = dataclasses.replace(cfg, model=model, observables=observables)
+        x = TestControlVariate.state(model, state)
+        params = dataclasses.replace(cfg.invariant, t_avg=25.0,
+                                     n_replicas=TestFrozenStepBias.REPLICAS)
+        # Sizing: max |z| 2.23 over seeds 1-10 at either state.
+        plain, se = invariant_rows(cfg, x, params, 5)
+        stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
+                              params.h, 1.0)
+        law = stepper.stationary_law(stepper.drive(x))
+        exact = np.array([ob.gaussian_mean(*law) for ob in observables])
+        z = np.abs(plain - exact) / se
+        assert z.max() <= bonferroni_bound(len(observables)), z

@@ -57,6 +57,35 @@ class TestParsing:
         assert cfg.canonical == cfg2.canonical
         assert config_hash(cfg) == config_hash(cfg2)
 
+    @pytest.mark.parametrize("path,spelling,other", [
+        (("grid", "n_modes"), 4, 4.0),
+        (("horizon",), 1, 1.0),
+        (("u0",), [1.0], [1.0, 0.0]),
+        (("reactions", "slow"), {"kind": "cubic_rough", "c_u": 0, "c_v": 1},
+         {"kind": "cubic_rough"}),
+        (("reactions", "slow"),
+         {"kind": "polynomial", "terms": [[-1, 3, 0]], "m1": 3, "m2": 1.0,
+          "kappa1": 0, "kappa2": 4, "c1": 1, "a2": 1},
+         {"kind": "polynomial", "terms": [[-1.0, 3, 0]], "m1": 3.0,
+          "kappa1": 0.0, "kappa2": 4.0}),
+        (("reactions", "fast"), {"kind": "linear_benchmark", "a_c": 1,
+                                 "b_c": 1}, {"kind": "linear_benchmark"}),
+    ], ids=["n_modes", "horizon", "u0", "cubic_rough_defaults",
+            "polynomial_defaults", "linear_benchmark_defaults"])
+    def test_hash_ignores_how_a_value_is_spelled(self, path, spelling, other):
+        # Two spellings of one model, a default written out or omitted
+        # among them, give one canonical form and one hash.
+        def parsed(value):
+            raw = copy.deepcopy(BASE)
+            section = raw["model"]
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+            return parse_config_dict(raw)
+        cfg, cfg2 = parsed(spelling), parsed(other)
+        assert cfg.canonical == cfg2.canonical
+        assert config_hash(cfg) == config_hash(cfg2)
+
     def test_unknown_top_level_key_rejected(self):
         raw = copy.deepcopy(BASE)
         raw["extra"] = 1

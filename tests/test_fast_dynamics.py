@@ -16,7 +16,8 @@ from slowfast import (FrozenFastParams, GridSpec, InvalidParameterError,
                       estimate_invariant_average, make_fast_reaction, make_plan,
                       make_slow_reaction, nemytskii_drift, step_frozen_fast,
                       synthesize)
-from slowfast.fast_dynamics import N_BATCHES, FastStepper, batch_std_error
+from slowfast.fast_dynamics import (N_BATCHES, FastStepper, batch_std_error,
+                                    companion_law)
 from slowfast.noise import derive_stream
 
 from conftest import linear_model, unit_field
@@ -177,8 +178,8 @@ class TestInvariantAverage:
         assert std_error == 0.0
         # The estimate pools one batch mean per (replica, batch).
         streams = [derive_stream(5, r, "frozen_fast_noise") for r in range(2)]
-        batches = _run_replicas(model, x, params, ones, streams)
-        assert batches.shape == (2, N_BATCHES)
+        batches, law = _run_replicas(model, x, params, ones, streams)
+        assert batches.shape == (2, N_BATCHES) and law is None
 
     def test_norm_square_matches_ou_closed_form(self):
         # x=0, a_c=0, b_c=0: stationary E|v|^2 = sum lambda_k^2/(2 alpha_k)
@@ -287,7 +288,7 @@ class TestInvariantAverage:
         stream = derive_stream(41, 0, "frozen_fast_noise")
         batches = _run_replicas(model, x, params,
                                 lambda v: quad * np.sum(v * v, axis=-1),
-                                [stream])[0]
+                                [stream])[0][0]
         values = np.array([float(b) for b in batches])
         fit = linregress(np.arange(values.size), values)
         assert fit.pvalue > 0.01
@@ -298,11 +299,13 @@ class TestInvariantAverage:
     def test_matches_per_replica_loop(self):
         # The batched kernel against the one-vector-at-a-time loop it
         # replaced: identical arithmetic, so identical bits.  A replica's
-        # first draws are its start in the companion's stationary law, and
-        # a batch is summed in time order.
+        # first draws are its start in the companion's stationary law, its
+        # Gaussian companion (the linear kind) takes the same draws from the
+        # same start, and a batch sums the differences in time order.
         from slowfast.fast_dynamics import _run_replicas
         from slowfast.spectral import analyze
         model, x, params = self._kernel_inputs()
+        linear, _, _ = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1)
         grid = model.grid
         n_burn, n_avg = _steps(params)
         batch_len = n_avg // N_BATCHES
@@ -310,22 +313,26 @@ class TestInvariantAverage:
                               params.h, 1.0)
         mean, variance = stepper.stationary_law(stepper.drive(x))
         for replica in range(3):
-            stream = derive_stream(8, replica, "frozen_fast_noise")
+            stream, lin_stream = (derive_stream(8, replica, "frozen_fast_noise")
+                                  for _ in range(2))
             v = mean + np.sqrt(variance) * stream.normals(N)
-            for _ in range(n_burn):
-                v = step_frozen_fast(v, model, x, params, stream)
+            v_lin = mean + np.sqrt(variance) * lin_stream.normals(N)
             reference = []
             acc = 0.0
-            for i in range(n_avg):
+            for i in range(n_burn + n_avg):
                 v = step_frozen_fast(v, model, x, params, stream)
-                acc = acc + analyze(synthesize(v, grid), grid)
-                if (i + 1) % batch_len == 0:
+                v_lin = step_frozen_fast(v_lin, linear, x, params, lin_stream)
+                if i < n_burn:
+                    continue
+                acc = acc + (analyze(synthesize(v, grid), grid)
+                             - analyze(synthesize(v_lin, grid), grid))
+                if (i - n_burn + 1) % batch_len == 0:
                     reference.append(acc / batch_len)
                     acc = 0.0
             streams = [derive_stream(8, r, "frozen_fast_noise") for r in range(3)]
-            batched = _run_replicas(model, x, params,
-                                    lambda v_phys: analyze(v_phys, grid),
-                                    streams)
+            batched, _ = _run_replicas(model, x, params,
+                                       lambda v_phys: analyze(v_phys, grid),
+                                       streams)
             assert np.array_equal(batched[replica], np.stack(reference))
 
     def test_replicas_are_independent_rows(self):
@@ -340,15 +347,20 @@ class TestInvariantAverage:
         def streams(ids):
             return [derive_stream(12, r, "frozen_fast_noise") for r in ids]
 
-        block = _run_replicas(model, x, params, norm_sq, streams(range(5)))
-        singles = [_run_replicas(model, x, params, norm_sq, streams([r]))[0]
+        def gaussian_mean(*law):
+            node_mean, node_std = companion_law(model, x, params.h, law)
+            return quad * np.sum(node_mean ** 2 + node_std ** 2)
+
+        block, law = _run_replicas(model, x, params, norm_sq,
+                                   streams(range(5)))
+        singles = [_run_replicas(model, x, params, norm_sq, streams([r]))[0][0]
                    for r in range(5)]
         assert block.shape == (5, N_BATCHES)
         assert np.array_equal(block, np.stack(singles))
         mean, _ = estimate_invariant_average(
             model, x, dataclasses.replace(params, n_replicas=5), norm_sq,
-            master_seed=12)
-        assert mean == np.concatenate(singles).mean()
+            master_seed=12, gaussian_mean=gaussian_mean)
+        assert mean == np.concatenate(singles).mean() + gaussian_mean(*law)
 
     def test_draw_chunking_does_not_change_batches(self, monkeypatch):
         # Noise drawn a few steps at a time equals noise drawn in large chunks.
@@ -360,7 +372,7 @@ class TestInvariantAverage:
             streams = [derive_stream(3, r, "frozen_fast_noise") for r in range(2)]
             return fast_dynamics._run_replicas(
                 model, x, params, lambda v_phys: analyze(v_phys, model.grid),
-                streams)
+                streams)[0]
 
         default = run()
         monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_STEPS", 7)
@@ -369,9 +381,10 @@ class TestInvariantAverage:
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_companion_is_the_linear_chain_on_the_same_draws(
             self, monkeypatch, chunk):
-        # With the companion, the observable sees each chunk's rows of the
-        # replicas, as without it, then those of the linear kind on the same
-        # draws; the batches average the difference of the two.
+        # A step with a sine term shows the observable each chunk's rows of
+        # the replicas, which are FastStepper.advance on the replicas'
+        # draws, then those of the linear kind on the same draws; the
+        # batches average the difference of the two.
         import slowfast.fast_dynamics as fast_dynamics
         from slowfast.spectral import analyze
         model, x, params = self._kernel_inputs()
@@ -380,30 +393,43 @@ class TestInvariantAverage:
         if chunk:
             monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_STEPS", chunk)
 
-        def run(run_model, companion=False):
+        def streams():
+            return [derive_stream(5, r, "frozen_fast_noise") for r in range(3)]
+
+        def run(run_model):
             seen = []
 
             def observable(v_phys):
                 # The kernel reuses its node stack: keep a copy.
                 seen.append(v_phys.copy())
                 return analyze(v_phys, model.grid)
-            streams = [derive_stream(5, r, "frozen_fast_noise")
-                       for r in range(3)]
-            batches = fast_dynamics._run_replicas(
-                run_model, x, params, observable, streams,
-                companion=companion)
+            batches, _ = fast_dynamics._run_replicas(
+                run_model, x, params, observable, streams())
             return batches, seen
-        both, both_rows = run(model, companion=True)
-        alone, alone_rows = run(model)
-        lin, lin_rows = run(linear)
-        assert len(both_rows) == 2 * len(alone_rows) == 2 * len(lin_rows)
-        for own, got in zip(alone_rows + lin_rows,
-                            both_rows[0::2] + both_rows[1::2]):
+        both, both_rows = run(model)
+        _, lin_rows = run(linear)
+        assert len(both_rows) == 2 * len(lin_rows)
+        for own, got in zip(lin_rows, both_rows[1::2]):
             assert np.array_equal(got, own)
         n_burn, n_avg = _steps(params)
-        per_step = np.concatenate(
-            [analyze(a, model.grid) - analyze(b, model.grid)
-             for a, b in zip(alone_rows, lin_rows)]).reshape(n_avg, 3, N)
+        stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
+                              params.h, 1.0)
+        drive = stepper.drive(x)
+        mean, variance = stepper.stationary_law(drive)
+        draws = streams()
+        start = mean + np.sqrt(variance) * np.stack(
+            [s.normals(N) for s in draws])
+        noise = stepper.noise(np.stack(
+            [s.normals((n_burn + n_avg) * N).reshape(-1, N) for s in draws],
+            axis=1))
+        _, nodes = stepper.advance(start, synthesize(start, model.grid),
+                                   drive, noise)
+        alone = nodes[n_burn:]
+        assert np.array_equal(np.concatenate(both_rows[0::2]),
+                              alone.reshape(-1, M))
+        per_step = (analyze(alone, model.grid)
+                    - analyze(np.concatenate(lin_rows), model.grid
+                              ).reshape(n_avg, 3, N))
         batch_len = n_avg // N_BATCHES
         expected = per_step.reshape(N_BATCHES, batch_len, 3, N).mean(axis=1)
         np.testing.assert_allclose(both, expected.transpose(1, 0, 2),
@@ -477,8 +503,7 @@ class TestExactStart:
         streams = [derive_stream(21, r, "frozen_fast_noise")
                    for r in range(n_rep)]
         fast_dynamics._run_replicas(model, x, params,
-                                    lambda v_phys: v_phys[:, 0], streams,
-                                    companion=True)
+                                    lambda v_phys: v_phys[:, 0], streams)
         # The companion starts where its replica does.
         assert np.array_equal(starts[0], starts[1])
         stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
@@ -500,8 +525,8 @@ class TestExactStart:
     def test_linear_kind_needs_no_burn_in(self):
         # The linear kind's chain is its own companion, so it is stationary
         # from the first step: at t_burn = 0 the estimate meets criterion 2's
-        # bound (3 standard errors per mode) against the closed form, and
-        # the plain estimate does not warn below 5/omega.
+        # bound (3 standard errors per mode) against the closed form,
+        # without a warning.
         model = linear_model(lam_fast=0.1)
         u0 = unit_field(model.n_modes)
         params = FrozenFastParams(h=0.005, t_burn=0.0,
@@ -600,7 +625,7 @@ class TestChunkedObservable:
             streams = [derive_stream(9, r, "frozen_fast_noise")
                        for r in range(n_rep)]
             return fast_dynamics._run_replicas(model, x, params, observable,
-                                               streams)
+                                               streams)[0]
         default = run()
         with mock.patch.object(fast_dynamics, "DRAW_CHUNK_STEPS", chunk):
             assert np.array_equal(run(), default)
@@ -617,7 +642,7 @@ class TestChunkedObservable:
             return fast_dynamics._run_replicas(
                 model, x, params,
                 lambda v_phys: quad * np.sum(v_phys * v_phys, axis=-1),
-                [derive_stream(4, r, "frozen_fast_noise") for r in ids])
+                [derive_stream(4, r, "frozen_fast_noise") for r in ids])[0]
         assert _steps(params)[1] // N_BATCHES == 16
         block = run(range(3))
         for r in range(3):
@@ -698,30 +723,6 @@ class TestLipschitzInX:
 
 
 class TestConfigValidation:
-    def test_burn_in_warning(self):
-        # A plain estimate of a step with a sine term is warned once per
-        # estimate, not when the parameters are made.
-        cfg = frozen_cfg(t_burn=0.0, t_avg=0.2, n_replicas=1, c_s=0.2)
-        with pytest.warns(UserWarning, match="t_burn") as record:
-            estimate_invariant_average(*cfg, lambda v_phys: v_phys[:, 0],
-                                       master_seed=0)
-        assert len(record) == 1
-
-    @pytest.mark.parametrize("c_s", [None, 0.0])
-    def test_no_burn_in_warning_without_a_sine_term(self, c_s):
-        # The linear kind, or c_s = 0, is its own Gaussian companion: its
-        # replicas start in its stationary law, so no burn-in is needed.
-        model, x, params = frozen_cfg(t_burn=0.0, t_avg=0.2, n_replicas=1)
-        if c_s is not None:
-            model = dataclasses.replace(
-                model, reaction_fast=make_fast_reaction(
-                    "lipschitz_saturating", a_c=1.0, b_c=2.0, c_s=c_s))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            estimate_invariant_average(model, x, params,
-                                       lambda v_phys: v_phys[:, 0],
-                                       master_seed=0)
-
     def test_dissipativity_gate(self):
         # The gate is build_model's: a frozen-fast estimate takes a model
         # that passed it.
