@@ -65,10 +65,15 @@ def companion_Fbar(t, x: np.ndarray, h: float, model: ModelSpec,
     (gaussian_mean_b); the truncation remainder b - b_theta, of size
     theta b^2, takes one quadrature sum (normal_rule) per node.  At c_s = 0,
     or when b ignores the fast variable, this is the averaged drift of the
-    step itself."""
+    step itself.  When b ignores the fast variable, E b_theta is b_theta at
+    lam = 0, evaluated directly: no law is built and no sum taken."""
     x_phys = synthesize(x, model.grid)
-    mean, std = companion_law(model, x, h, law)
     spec = model.reaction_slow
+    if not spec.depends_on_fast:
+        return analyze(nemytskii_drift(spec, model.theta, t, x_phys,
+                                       np.zeros(model.grid.n_quad),
+                                       model.grid), model.grid)
+    mean, std = companion_law(model, x, h, law)
     drift = gaussian_mean_b(spec, x_phys, mean, std)
     if model.theta > 0:
         points, weights = normal_rule(NORMAL_RULE_POINTS)

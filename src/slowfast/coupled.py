@@ -6,7 +6,9 @@ drift of its own; on the coupled path, the fast field takes model.n_sub
 substeps of at most ratio * eps of an exponential integrator per macro
 step (step_coupled), its OU plan on A2 - b_c absorbing the 1/eps drift and
 1/sqrt(eps) noise scalings, so no step restriction comes from the scale
-separation.
+separation.  Without a sine term in g those substeps are exact OU steps
+under a drive frozen over the macro step, and compose into one affine map
+per macro step, whose noise part is convolved once for the whole path.
 
 The auxiliary pair (u_aux, v_aux) freezes the slow argument of the fast
 drift on blocks of length delta and replays the identical fast noise
@@ -25,8 +27,8 @@ from .fast_dynamics import FastStepper
 from .model import ModelSpec
 from .noise import RngStream, derive_stream, make_plan
 from .reactions import eval_b, eval_V, lyapunov_norms, truncate_b
-from .spectral import (kahan_add, kahan_mean_vectors, mean_se, scalar_power,
-                       synthesize)
+from .spectral import (kahan_add, kahan_mean_vectors, matvec, mean_se,
+                       scalar_power, synthesize)
 
 __all__ = [
     "SlowFastTrajectory",
@@ -87,15 +89,25 @@ def compute_rho0(s: float, t: float, beta: float, gamma1_star: float) -> float:
 
 def _plans(model: ModelSpec):
     """Substeps per macro step, the fast stepper, the trapezoid weights of
-    the substep nodes j = 0..n_sub, and an (n_sub + 1, M) buffer for the
-    nodal fast field at those nodes."""
+    the substep nodes j = 0..n_sub, an (n_sub + 1, M) buffer for the nodal
+    fast field at those nodes, and the substeps' affine map
+    (FastStepper.affine_map; None for a step with a sine term)."""
     n_sub = model.n_sub
     stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
                           model.h_macro / n_sub, model.epsilon)
     weights = np.full(n_sub + 1, 1.0 / n_sub)
     weights[0] = weights[-1] = 0.5 / n_sub
     v_nodes = np.empty((n_sub + 1, model.grid.n_quad))
-    return n_sub, stepper, weights, v_nodes
+    return n_sub, stepper, weights, v_nodes, stepper.affine_map(n_sub)
+
+
+def _increments(plans: tuple, xi: np.ndarray) -> np.ndarray:
+    """The noise input of step_coupled from a path's standard normals
+    (n_steps, n_sub, N): the scaled increments, convolved along the
+    substep axis when the substeps take the affine map."""
+    stepper, affine = plans[1], plans[4]
+    increments = stepper.noise(xi)
+    return increments if affine is None else stepper.convolve(increments)
 
 
 def slow_path(model: ModelSpec, stream: RngStream, forcing,
@@ -140,33 +152,43 @@ def step_coupled(v: np.ndarray, u: np.ndarray, v_phys: np.ndarray,
     step from time t, the slow field held at u.
 
     The fast field takes n_sub exponential-integrator substeps, its linear
-    part and noise exact and the rest of g(u, v)/eps explicit.  The slow
-    drift b_theta(t, u, .) is averaged along the fast substep path
-    (trapezoid over the substep nodes): the fast field crosses its
-    relaxation layer inside a single macro step, and sampling it at the
-    left endpoint alone would turn that O(eps) layer into an O(h_macro)
-    bias of the slow motion.  The fast stepper's drive reads u, the slow
-    drift its nodal values, and the drift is projected as
-    grid.analysis_matrix @ (weights @ b): apart from the substeps and the
-    reaction, a macro step makes six numpy calls; with them, a macro step
-    of the linear benchmark at n_sub = 1 takes about 15 us on one core of
-    a 2-vCPU x86-64 VM.
+    part and noise exact and the rest of g(u, v)/eps explicit.  Without a
+    sine term they are exact OU steps under a drive frozen over the macro
+    step, and take one affine map (FastStepper.affine_map) instead of the
+    recursion.  The slow drift b_theta(t, u, .) is averaged along the fast
+    substep path (trapezoid over the substep nodes): the fast field
+    crosses its relaxation layer inside a single macro step, and sampling
+    it at the left endpoint alone would turn that O(eps) layer into an
+    O(h_macro) bias of the slow motion.  The fast stepper's drive reads u,
+    the slow drift its nodal values, and the drift is projected as
+    grid.analysis_matrix @ (weights @ b).  Apart from the substeps and the
+    reaction, a macro step makes six numpy calls; the affine map adds four
+    and one stacked synthesize of the substep nodes, at any n_sub, where
+    the recursion adds two per substep.  A macro step of the linear
+    benchmark, slow update included, takes about 16 us at n_sub = 1 and
+    24 us at n_sub = 13 (32 us by the recursion; best of in-process runs
+    on one core of a shared 2-vCPU x86-64 VM).
 
     plans is _plans(model).  noise_fast, shape (n_sub, N), is the step's
-    noise increments, already scaled by the fast stepper's noise_std.
+    rows of _increments(plans, xi): noise increments already scaled by
+    the fast stepper's noise_std, and convolved for the affine map.
     Returns the new (v, v_phys) and the averaged modal slow drift of the
     step, the forcing of slow_path; the new v_phys is a row of the plans'
     node buffer, overwritten by the next step.  Nothing is checked here:
     slow_path's explosion guard on the new state also catches a
     non-finite field.
     """
-    n_sub, stepper, weights, v_nodes = plans
+    n_sub, stepper, weights, v_nodes, affine = plans
     grid = model.grid
     u_phys = stepper.mat.dot(u)
     v_nodes[0] = v_phys
     # u is frozen over the substeps: the slow part of g once per macro step.
-    states, _ = stepper.advance(v, v_nodes[0], stepper.drive(u), noise_fast,
-                                nodes=v_nodes[1:])
+    if affine is None:
+        states, _ = stepper.advance(v, v_nodes[0], stepper.drive(u),
+                                    noise_fast, nodes=v_nodes[1:])
+    else:
+        states = stepper.apply_map(affine, u, noise_fast, v)
+        matvec(stepper.mat, states, out=v_nodes[1:])
     if model.theta > 0:
         drift = truncate_b(model.reaction_slow, model.theta, t, grid.nodes,
                            u_phys, v_nodes)
@@ -183,13 +205,13 @@ def simulate_slowfast(model: ModelSpec, master_seed: int,
     path at macro nodes, the fast standard normals (drawn for the whole
     path at once) and each step's averaged slow drift."""
     plans = _plans(model)
-    n_sub, stepper = plans[:2]
+    n_sub = plans[0]
     n_steps = model.n_steps
     n = model.n_modes
     fast_noise = derive_stream(master_seed, trajectory_id, "fast_noise"
                                ).normals(n_steps * n_sub * n).reshape(
                                    n_steps, n_sub, n)
-    increments = stepper.noise(fast_noise)
+    increments = _increments(plans, fast_noise)
     v_path = np.empty((n_steps + 1, n))
     v_path[0] = model.v0
     drifts = np.empty((n_steps, n))
@@ -265,37 +287,53 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
     noise, so it is the path's own step, bit for bit: v_aux starts as a copy
     of the path, and only the later steps of a block are replayed, from the
     path's state after its first (a block of one macro step replays
-    nothing).  A replay that turns non-finite raises StateExplosionError at
-    the first such node.
+    nothing).  A step with a sine term replays a block's substeps in one
+    FastStepper.advance; without one, each replayed macro step is one
+    application of the last row of the substeps' affine map, the row the
+    path's own step ends on, so replaying an unchanged u reproduces the
+    path bit for bit at any n_sub.  A replay that turns non-finite raises
+    StateExplosionError at the first such node.
     """
     if not delta > 0:
         raise InvalidParameterError("delta must be positive")
     n_steps = model.n_steps
     steps_per_block, _ = snap_block(delta, model.h_macro)
-    n_sub, stepper = _plans(model)[:2]
+    plans = _plans(model)
+    n_sub, stepper, affine = plans[0], plans[1], plans[4]
     if traj.fast_noise.shape[:2] != (n_steps, n_sub):
         raise InvalidParameterError(
             "substep layout mismatch: trajectory is not replayable under this model")
 
-    mat = model.grid.sine_matrix
-    noise = stepper.noise(traj.fast_noise).reshape(-1, model.n_modes)
+    increments = _increments(plans, traj.fast_noise)
     v_aux = traj.v.copy()
-    # The state and node stacks of the longest replay, allocated once.
-    n_replay = max(0, min(steps_per_block, n_steps) - 1) * n_sub
-    state_stack = np.empty((n_replay, model.n_modes))
-    node_stack = np.empty((n_replay, model.grid.n_quad))
+    if affine is None:
+        noise = increments.reshape(-1, model.n_modes)
+        # The state and node stacks of the longest replay, allocated once.
+        n_replay = max(0, min(steps_per_block, n_steps) - 1) * n_sub
+        state_stack = np.empty((n_replay, model.n_modes))
+        node_stack = np.empty((n_replay, model.grid.n_quad))
+    else:
+        # A macro step's end state: the map's last row, the last column of
+        # the convolved noise.
+        last = (affine[0][-1], affine[1][-1])
+        noise = increments[:, -1]
     for start in range(0, n_steps, steps_per_block):
         stop = min(start + steps_per_block, n_steps)
         if stop == start + 1:
             continue
-        n = (stop - start - 1) * n_sub
-        states, _ = stepper.advance(
-            traj.v[start + 1], mat.dot(traj.v[start + 1]),
-            stepper.drive(traj.u[start]),
-            noise[(start + 1) * n_sub:stop * n_sub],
-            nodes=node_stack[:n], states=state_stack[:n])
         replayed = v_aux[start + 2:stop + 1]
-        replayed[...] = states[n_sub - 1::n_sub]
+        if affine is None:
+            n = (stop - start - 1) * n_sub
+            states, _ = stepper.advance(
+                traj.v[start + 1], stepper.mat.dot(traj.v[start + 1]),
+                stepper.drive(traj.u[start]),
+                noise[(start + 1) * n_sub:stop * n_sub],
+                nodes=node_stack[:n], states=state_stack[:n])
+            replayed[...] = states[n_sub - 1::n_sub]
+        else:
+            for i in range(start + 1, stop):
+                stepper.apply_map(last, traj.u[start], noise[i], v_aux[i],
+                                  out=v_aux[i + 1])
         # Only replayed nodes are checked: the path's passed its guard.
         finite = np.isfinite(replayed).all(axis=1)
         if not finite.all():

@@ -78,8 +78,12 @@ class FastStepper:
 
     So a sine substep takes six numpy calls, and a linear reaction (c_s
     None or 0) takes no transform per step.  A row of a block is
-    bit-identical to that field advanced alone.  Nothing is checked:
-    callers check at their step boundary.
+    bit-identical to that field advanced alone.  Without a sine term, n
+    steps under a frozen drive also compose into one affine map
+    (affine_map, convolve, apply_map), which the coupled path and its
+    block-frozen replay take; advance stays the update of a sine step and
+    of the frozen-fast replicas.  Nothing is checked: callers check at
+    their step boundary.
     """
 
     __slots__ = ("drive_weight", "sin_op", "mat", "decay", "noise_std")
@@ -119,6 +123,50 @@ class FastStepper:
         decay = self.decay
         return (drive / (1.0 - decay),
                 self.noise_std ** 2 / (1.0 - decay * decay))
+
+    def affine_map(self, n: int) -> tuple | None:
+        """n steps under a frozen drive as one affine map, or None for a
+        step with a sine term, which only the recursion (advance) takes.
+
+        Returns (gains, powers), shape (n, N) each: after step j the state
+        is (gains[j] * x + z[j]) + powers[j] * v (apply_map), x the frozen
+        modal slow field, v the start and z the steps' noise convolved
+        along the step axis (convolve).  powers[j] = decay^(j+1) by
+        repeated multiplication, gains[j] = drive_weight * sum_{k<=j}
+        decay^k.  At n = 1 this is advance's update, bit for bit; beyond,
+        the two agree to rounding: after step j, within 2j + 5 machine
+        epsilons of the map on absolute values (tests/test_properties.py
+        derives the bound).
+        """
+        if self.sin_op is not None:
+            return None
+        powers = np.multiply.accumulate(
+            np.broadcast_to(self.decay, (n, self.decay.size)), axis=0)
+        sums = np.add.accumulate(
+            np.concatenate((np.ones((1, self.decay.size)), powers[:-1])),
+            axis=0)
+        return self.drive_weight * sums, powers
+
+    def convolve(self, z: np.ndarray) -> np.ndarray:
+        """The noise of affine_map from a block (..., n, N) of noise
+        increments, in place: z[..., j, :] += decay * z[..., j-1, :] for
+        j = 1..n-1, every leading index (a path's macro steps) at once."""
+        for j in range(1, z.shape[-2]):
+            z[..., j, :] += self.decay * z[..., j - 1, :]
+        return z
+
+    @staticmethod
+    def apply_map(coefficients: tuple, x: np.ndarray, z: np.ndarray,
+                  v: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """(gains * x + z) + powers * v, in that order, for the coefficients
+        (gains, powers) of affine_map, or rows of them; written into out
+        when it is given."""
+        gains, powers = coefficients
+        out = np.multiply(gains, x, out=out)
+        out += z
+        out += powers * v
+        return out
 
     def advance(self, v: np.ndarray, v_phys: np.ndarray, drive: np.ndarray,
                 noise: np.ndarray, nodes: np.ndarray | None = None,

@@ -36,6 +36,12 @@ CUBIC_CONFIG = "configs/cubic_rough.json"
 DECOUPLED_CONFIG = "configs/decoupled_control.json"
 
 
+def _load(path):
+    """The raw config dict of a JSON file, the file closed again."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _report(k, name, detail):
     print(f"\nACCEPTANCE {k} ({name}): PASS — {detail}")
 
@@ -171,7 +177,7 @@ def test_criterion_4_drift_discrepancy(linear_convergence):
 
 
 def test_criterion_5_khasminskii_scheme():
-    raw = json.load(open(LINEAR_CONFIG))
+    raw = _load(LINEAR_CONFIG)
     raw["model"]["h_macro"] = 0.002
     raw["experiment"]["ensemble_size"] = 100
     cfg = parse_config_dict(raw)
@@ -201,7 +207,7 @@ def test_criterion_5_khasminskii_scheme():
 def test_criterion_6_moment_audit():
     details = []
     for path in (LINEAR_CONFIG, CUBIC_CONFIG):
-        raw = json.load(open(path))
+        raw = _load(path)
         raw["experiment"]["ensemble_size"] = 100
         cfg = parse_config_dict(raw)
         table = run_moment_audit(cfg)
@@ -221,7 +227,7 @@ def test_criterion_6_moment_audit():
 
 
 def test_criterion_7_theta_stability():
-    raw = json.load(open(CUBIC_CONFIG))
+    raw = _load(CUBIC_CONFIG)
     raw["experiment"]["ensemble_size"] = 100
     cfg = parse_config_dict(raw)
 
@@ -242,7 +248,7 @@ def test_criterion_7_theta_stability():
 
 
 def test_criterion_8_hypothesis_gating():
-    base = json.load(open(LINEAR_CONFIG))
+    base = _load(LINEAR_CONFIG)
 
     bad_omega = copy.deepcopy(base)
     bad_omega["model"]["reactions"]["fast"]["b_c"] = 12.0
@@ -267,7 +273,7 @@ def test_criterion_8_hypothesis_gating():
 
     # accepted configs never trip the gates at runtime
     for path in (LINEAR_CONFIG, CUBIC_CONFIG, DECOUPLED_CONFIG):
-        raw = json.load(open(path))
+        raw = _load(path)
         raw["experiment"]["ensemble_size"] = 8
         cfg = parse_config_dict(raw)
         results = simulate_ensemble(cfg)
@@ -284,10 +290,10 @@ def _det_config(tmp_path, name, raw):
 
 def test_criterion_9_determinism(tmp_path):
     t0 = time.monotonic()
-    linear = json.load(open(LINEAR_CONFIG))
+    linear = _load(LINEAR_CONFIG)
     linear["experiment"]["ensemble_size"] = 24
     linear["experiment"]["epsilon_grid"] = [0.1, 0.02]
-    cubic = json.load(open(CUBIC_CONFIG))
+    cubic = _load(CUBIC_CONFIG)
     cubic["experiment"]["ensemble_size"] = 16
     cubic["experiment"]["epsilon_grid"] = [0.1, 0.02]
     cubic["experiment"]["theta_sequence"] = [0.1, 0.01]

@@ -240,11 +240,38 @@ def _reference_substep(v, u, model, plan, xi):
     return v_new
 
 
+def _reference_substeps(v, u, model, plan, xis):
+    """The states after each substep of one macro step from v, the slow
+    field frozen at u.  With a sine term, _reference_substep per substep.
+    Without one, the affine map built step by step: state j is
+    (gains[j] * u + z[j]) + powers[j] * v, with powers[j] = decay^(j+1) by
+    repeated multiplication, gains[j] = (drift_weight * a_c) * (1 + decay
+    + ... + decay^j) summed in that order, and z the noise increments
+    convolved, z[j] = noise_std * xi[j] + decay * z[j-1]."""
+    a_c, _, c_s = fast_coefficients(model.reaction_fast)
+    states = []
+    if c_s:
+        for xi in xis:
+            v = _reference_substep(v, u, model, plan, xi)
+            states.append(v)
+        return states
+    power, total = plan.decay, np.ones_like(v)
+    for j, xi in enumerate(xis):
+        z = plan.noise_std * xi if j == 0 else plan.noise_std * xi + (
+            plan.decay * z)
+        states.append(((plan.drift_weight * a_c) * total * u + z)
+                      + power * v)
+        total = total + power
+        power = power * plan.decay
+    return states
+
+
 def _reference_path(model, seed, trajectory_id):
     """The arithmetic the coupled kernel must reproduce bit for bit: checked
     public transforms and fused operators, one normals(N) call per substep
-    and per slow step, and the trapezoid slow drift as one weighted sum of
-    the substeps' nodal drifts, projected by one (N, M) product."""
+    and per slow step, the substeps of _reference_substeps, and the
+    trapezoid slow drift as one weighted sum of the substeps' nodal
+    drifts, projected by one (N, M) product."""
     grid = model.grid
     n = grid.n_modes
     h = model.h_macro
@@ -266,11 +293,8 @@ def _reference_path(model, seed, trajectory_id):
             u_phys, synthesize(v, grid), model.lyapunov, grid))
         nodal = [nemytskii_drift(model.reaction_slow, theta, t, u_phys,
                                  synthesize(v, grid), grid)]
-        step_noise = []
-        for _ in range(n_sub):
-            xi = fast.normals(n)
-            step_noise.append(xi)
-            v = _reference_substep(v, u, model, plan_fast, xi)
+        step_noise = [fast.normals(n) for _ in range(n_sub)]
+        for v in _reference_substeps(v, u, model, plan_fast, step_noise):
             nodal.append(nemytskii_drift(model.reaction_slow, theta, t,
                                          u_phys, synthesize(v, grid), grid))
         f1 = analyze(weights.dot(np.stack(nodal)), grid)
@@ -295,9 +319,8 @@ def _reference_replay(traj, model, steps_per_block):
         u_frozen = traj.u[block_start]
         if i == block_start:
             v = traj.v[block_start].copy()
-        for j in range(n_sub):
-            v = _reference_substep(v, u_frozen, model, plan_fast,
-                                   traj.fast_noise[i, j])
+        v = _reference_substeps(v, u_frozen, model, plan_fast,
+                                traj.fast_noise[i])[-1]
         v_aux.append(v)
     return np.stack(v_aux)
 
@@ -367,24 +390,39 @@ class TestKernelBitIdentity:
         import slowfast.fast_dynamics as fast_dynamics
         model = KERNEL_MODELS[kind](0.02)
         traj = simulate_slowfast(model, 43, 1)
-        advance = fast_dynamics.FastStepper.advance
-        calls = []
+        stepper = fast_dynamics.FastStepper
+        advance, apply_map = stepper.advance, stepper.apply_map
+        calls = {"advance": [], "apply_map": []}
 
-        def counting(self, *args, **kwargs):
+        def counting_advance(self, *args, **kwargs):
             # args[3] is the noise: one row per replayed substep.
-            calls.append(len(args[3]))
+            calls["advance"].append(len(args[3]))
             return advance(self, *args, **kwargs)
-        monkeypatch.setattr(fast_dynamics.FastStepper, "advance", counting)
+
+        def counting_map(*args, **kwargs):
+            # One row of the affine map: one replayed macro step.
+            calls["apply_map"].append(1)
+            return apply_map(*args, **kwargs)
+        monkeypatch.setattr(stepper, "advance", counting_advance)
+        monkeypatch.setattr(stepper, "apply_map", staticmethod(counting_map))
         delta = steps_per_block * model.h_macro
         _, v_aux = build_auxiliary(traj, delta, model)
         assert snap_block(delta, model.h_macro)[0] == steps_per_block
         assert np.array_equal(v_aux,
                               _reference_replay(traj, model, steps_per_block))
         # A block's first macro step is the path's own, never replayed.
+        # The sine step replays its substeps; the linear step applies the
+        # map once per replayed macro step, whatever n_sub.
         n_blocks = math.ceil(70 / steps_per_block)
-        assert sum(calls) == (70 - n_blocks) * traj.fast_noise.shape[1]
+        replayed = 70 - n_blocks
+        if kind == "linear":
+            assert calls == {"advance": [], "apply_map": [1] * replayed}
+        else:
+            assert calls["apply_map"] == []
+            assert sum(calls["advance"]) == (replayed
+                                             * traj.fast_noise.shape[1])
         if steps_per_block == 1:
-            assert calls == []
+            assert calls == {"advance": [], "apply_map": []}
 
     @pytest.mark.parametrize("kind", ["cubic", "decoupled", "linear"])
     def test_functionals_match_per_node_reference(self, kind):
@@ -514,19 +552,25 @@ def _freezing_errors(trajs, delta, model):
 
 
 class TestAuxiliary:
+    # g independent of x (a_c = 0), at n_sub = 1, 3 and 13: the replay
+    # of an unchanged fast drift is the path, bit for bit.
+    X_INDEPENDENT_EPS = (0.1, 0.02, 0.004)
+
     def test_single_block_x_independent_is_exact(self):
         # g independent of x: freezing the slow argument changes nothing
-        model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
-        traj = simulate_slowfast(model, 17, 0)
-        u_aux, v_aux = build_auxiliary(traj, 1.0, model)
-        assert np.array_equal(v_aux, traj.v)
-        assert np.all(u_aux == traj.u[0])
+        for eps in self.X_INDEPENDENT_EPS:
+            model = linear_model(eps=eps, a_c=0.0, lam_fast=0.2, horizon=0.2)
+            traj = simulate_slowfast(model, 17, 0)
+            u_aux, v_aux = build_auxiliary(traj, 1.0, model)
+            assert np.array_equal(v_aux, traj.v), eps
+            assert np.all(u_aux == traj.u[0])
 
     def test_replay_fidelity_block_equals_step(self):
-        model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
-        traj = simulate_slowfast(model, 19, 0)
-        _, v_aux = build_auxiliary(traj, model.h_macro, model)
-        assert np.array_equal(v_aux, traj.v)
+        for eps in self.X_INDEPENDENT_EPS:
+            model = linear_model(eps=eps, a_c=0.0, lam_fast=0.2, horizon=0.2)
+            traj = simulate_slowfast(model, 19, 0)
+            _, v_aux = build_auxiliary(traj, model.h_macro, model)
+            assert np.array_equal(v_aux, traj.v), eps
 
     def test_deterministic_rebuild(self):
         model = linear_model(eps=0.1, horizon=0.2)
@@ -573,11 +617,12 @@ class TestAuxiliary:
         assert big_fast > small_fast + 3 * fast_se
 
     def test_fast_deviation_zero_when_x_independent(self):
-        model = linear_model(eps=0.1, a_c=0.0, lam_fast=0.2, horizon=0.2)
-        trajs = [simulate_slowfast(model, 37, i)
-                 for i in range(4)]
-        _, _, fast_mean, _ = _freezing_errors(trajs, 0.05, model)
-        assert fast_mean == 0.0
+        for eps in self.X_INDEPENDENT_EPS:
+            model = linear_model(eps=eps, a_c=0.0, lam_fast=0.2, horizon=0.2)
+            trajs = [simulate_slowfast(model, 37, i)
+                     for i in range(4)]
+            _, _, fast_mean, _ = _freezing_errors(trajs, 0.05, model)
+            assert fast_mean == 0.0, eps
 
 
 class TestExplosionCause:

@@ -15,8 +15,8 @@ from slowfast import (GridSpec, SpectralOperator, analyze, build_model,
                       truncate_b)
 from slowfast.config import ObservableSpec
 from slowfast.averaging import simulate_averaged
-from slowfast.coupled import (_plans, build_auxiliary, simulate_slowfast,
-                              step_coupled)
+from slowfast.coupled import (_increments, _plans, build_auxiliary,
+                              simulate_slowfast, step_coupled)
 from slowfast.fast_dynamics import FastStepper, FrozenFastParams
 from slowfast.noise import ROLES, RngStream
 from slowfast.reactions import fast_coefficients
@@ -224,6 +224,52 @@ def test_advance_writes_states_in_place(case):
     assert np.array_equal(noise, kept)
 
 
+# The affine map of a sine-free step against the recursion it replaces.
+# Both round the same exact sum S_j = dw x sum_{k<=j} a^k + sum_{k<=j}
+# a^(j-k) nu_k + a^(j+1) v (dw the drive weight, a the decay, in [0, 1),
+# nu the increments), whose terms sum in absolute value to scale_j, the
+# map on absolute values.  To first order in u = 2^-53, using
+# a^(j-k) scale_k <= scale_j:
+# - the recursion is within (2j + 4) u scale_j: u for the drive, u for
+#   each sum d + nu_k, and 2u for each product a s_{k-1} and its sum, all
+#   carried forward by a^(j-k);
+# - the map is within (2j + 4) u scale_j: (2j + 2) u in the gains (j
+#   products for the powers, j sums, two products), (2j + 1) u in the
+#   convolved noise, (j + 1) u in powers * v, and 2u in the final sums.
+# So they differ by at most (4j + 8) u scale_j.  The test allows
+# (2j + 5) machine epsilons, (4j + 10) u, and a smallest normal float per
+# rounding for products that underflow.
+@SETTINGS
+@given(case=fast_step_cases(), n=st.integers(min_value=1, max_value=20),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_affine_map_matches_the_recursion(case, n, seed):
+    grid, reaction, op, h, eps, v, x, _ = case
+    stepper = FastStepper(reaction, grid, op, h, eps)
+    if stepper.sin_op is not None:
+        assert stepper.affine_map(n) is None
+        return
+    assert np.all((0 <= stepper.decay) & (stepper.decay < 1))
+    coefficients = stepper.affine_map(n)
+    gains, powers = coefficients
+    noise = stepper.noise(np.random.default_rng(seed).standard_normal(
+        (n, grid.n_modes)))
+    z = stepper.convolve(noise.copy())
+    abs_z = stepper.convolve(np.abs(noise))
+    j = np.arange(n)[:, None]
+    finfo = np.finfo(float)
+    for row in v.reshape(-1, grid.n_modes):
+        states, _ = stepper.advance(row, synthesize(row, grid),
+                                    stepper.drive(x), noise)
+        mapped = stepper.apply_map(coefficients, x, z, row)
+        if n == 1:
+            assert np.array_equal(mapped, states)
+        scale = np.abs(gains) * np.abs(x) + abs_z + powers * np.abs(row)
+        gap = np.abs(mapped - states)
+        assert np.all(gap <= (2 * j + 5) * finfo.eps * scale
+                      + (4 * j + 10) * finfo.tiny), np.max(
+                          gap / np.maximum(scale, finfo.tiny))
+
+
 # The fused operators against the transforms they replace: each within
 # FUSED_ULPS ulps of the sum of the absolute terms of its products, the
 # scale of a dot product's rounding, and the smallest normal float, below
@@ -361,10 +407,13 @@ def macro_step_cases(draw):
 
 def _reference_macro_step(model, n_sub, u, v, t, xi_fast):
     """The fast part of one macro step in checked transforms and fused
-    operators: the fast substeps of
+    operators: with a sine term, the fast substeps of
     test_prepared_fast_step_equals_checked_reference with noise_std * xi
-    for each increment, and the slow drift on the concatenated substep
-    nodes, their trapezoid sum taken as one weighted product."""
+    for each increment; without one, the affine map (gains[j] * u + z[j])
+    + powers[j] * v, its coefficients built step by step and z the
+    increments convolved by the decay; and the slow drift on the
+    concatenated substep nodes, their trapezoid sum taken as one weighted
+    product."""
     grid = model.grid
     h = model.h_macro
     a_c, b_c, c_s = fast_coefficients(model.reaction_fast)
@@ -374,12 +423,20 @@ def _reference_macro_step(model, n_sub, u, v, t, xi_fast):
     u_phys = synthesize(u, grid)
     drive = (plan.drift_weight * a_c) * u
     states = [v]
-    for xi in xi_fast:
-        v_next = plan.decay * states[-1] + (drive + plan.noise_std * xi)
-        if c_s:
+    if c_s:
+        for xi in xi_fast:
+            v_next = plan.decay * states[-1] + (drive + plan.noise_std * xi)
             v_next = v_next + sine_operator(grid, c_s, plan.drift_weight).dot(
                 np.sin(synthesize(states[-1], grid)))
-        states.append(v_next)
+            states.append(v_next)
+    else:
+        power, total = plan.decay, np.ones_like(v)
+        for j, xi in enumerate(xi_fast):
+            z = plan.noise_std * xi if j == 0 else (plan.noise_std * xi
+                                                    + plan.decay * z)
+            states.append(((plan.drift_weight * a_c) * total * u + z)
+                          + power * v)
+            total, power = total + power, power * plan.decay
     v_nodes = np.concatenate((synthesize(v, grid)[None],
                               synthesize(np.stack(states[1:]), grid)))
     if model.theta > 0:
@@ -395,16 +452,16 @@ def _reference_macro_step(model, n_sub, u, v, t, xi_fast):
 @SETTINGS
 @given(macro_step_cases())
 def test_macro_step_equals_checked_reference(case):
-    # step_coupled takes increments scaled once per path and writes the
-    # substep nodes into the plans' buffer; the reference scales per step
-    # and concatenates.  Its slow update is slow_path's, checked against
-    # ou_step in test_coupled.py.
+    # step_coupled takes increments scaled (and, for the affine map,
+    # convolved) once per path and writes the substep nodes into the plans'
+    # buffer; the reference scales per step and concatenates.  Its slow
+    # update is slow_path's, checked against ou_step in test_coupled.py.
     model, n_sub, u, v, xi_fast = case
     grid = model.grid
     plans = _plans(model)
     assert plans[0] == n_sub
     # Increments of a two-step path, of which this step is the second.
-    path_fast = plans[1].noise(np.stack([xi_fast, xi_fast]))
+    path_fast = _increments(plans, np.stack([xi_fast, xi_fast]))
     t = 0.03
     v_next, v_phys, f1 = step_coupled(
         v, u, synthesize(v, grid), t, model, path_fast[1], plans)
