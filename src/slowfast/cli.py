@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: simulate, invariant, average, converge, audit.
-Common flags: --config PATH, --seed N, --out DIR, --workers K (the flag wins
-over the MULTISCALE_WORKERS environment variable, which wins over the config).
+One flat parser: the command (simulate, invariant, average, converge or
+audit) and the flags --config PATH, --seed N, --out DIR, --workers K (the
+flag wins over the MULTISCALE_WORKERS environment variable, which wins over
+the config) and --eps E (simulate only; with another command it is a usage
+error).
 Exit codes: 0 success, 2 config/hypothesis rejection, 3 explosion censoring
 above 20% (of the coupled paths of one row, or of converge's averaged
 reference paths) or an explosion outside any censored path (a non-finite
@@ -30,33 +32,27 @@ EXIT_EXPLOSION = 3
 CENSOR_LIMIT = 0.20
 
 
-def _common_flags(sub):
-    sub.add_argument("--config", required=True, help="JSON experiment config")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config's master_seed")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for simulate/converge/audit "
-                          "(overrides MULTISCALE_WORKERS)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slowfast",
-        description="slow-fast stochastic reaction-diffusion experiments")
-    subs = parser.add_subparsers(dest="command", required=True)
-    sim = subs.add_parser("simulate", help="coupled trajectories at one epsilon")
-    sim.add_argument("--eps", type=float, default=None,
-                     help="override the model epsilon")
-    _common_flags(sim)
-    _common_flags(subs.add_parser(
-        "invariant", help="stationary averages of the frozen fast field"))
-    _common_flags(subs.add_parser(
-        "average", help="averaged-drift estimate at the initial slow state"))
-    _common_flags(subs.add_parser(
-        "converge", help="weak error and drift-discrepancy study over the epsilon grid"))
-    _common_flags(subs.add_parser(
-        "audit", help="moment, increment-modulus and truncation-stability audits"))
+        description="slow-fast stochastic reaction-diffusion experiments: "
+                    "simulate (coupled trajectories at one epsilon), "
+                    "invariant (stationary averages of the frozen fast "
+                    "field), average (averaged-drift estimate at the "
+                    "initial slow state), converge (weak error and "
+                    "drift-discrepancy study over the epsilon grid), audit "
+                    "(moment, increment-modulus and truncation-stability "
+                    "audits)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON experiment config")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config's master_seed")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes for simulate/converge/audit "
+                             "(overrides MULTISCALE_WORKERS)")
+    parser.add_argument("--eps", type=float, default=None,
+                        help="override the model epsilon (simulate only)")
     return parser
 
 
@@ -68,7 +64,7 @@ def _load(args) -> ExperimentConfig:
             raise ConfigurationRejectedError(
                 f"--seed must be nonnegative, got {args.seed}")
         updates["master_seed"] = args.seed
-    if getattr(args, "eps", None) is not None:
+    if args.eps is not None:
         try:
             updates["model"] = cfg.model.with_epsilon(args.eps)
         except InvalidParameterError as exc:
@@ -201,7 +197,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.eps is not None and args.command != "simulate":
+        parser.error("--eps applies only to simulate")
     try:
         return _COMMANDS[args.command](args)
     except ConfigurationRejectedError as exc:

@@ -9,6 +9,10 @@ step (step_coupled), its OU plan on A2 - b_c absorbing the 1/eps drift and
 separation.  Without a sine term in g those substeps are exact OU steps
 under a drive frozen over the macro step, and compose into one affine map
 per macro step, whose noise part is convolved once for the whole path.
+What the paths of a model share (the fast stepper, the trapezoid weights,
+the affine map, the slow OU plan) is made once per model
+(ModelSpec.coupled_plans, ModelSpec.slow_plan); each path writes only
+buffers of its own.
 
 The auxiliary pair (u_aux, v_aux) freezes the slow argument of the fast
 drift on blocks of length delta and replays the identical fast noise
@@ -19,19 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import FastStepper
 from .model import ModelSpec
-from .noise import RngStream, derive_stream, make_plan
-from .reactions import eval_b, eval_V, lyapunov_norms, truncate_b
-from .spectral import (kahan_add, kahan_mean_vectors, matvec, mean_se,
-                       scalar_power, synthesize)
+from .noise import RngStream, derive_stream
+from .reactions import eval_V, lyapunov_norms, nodal_b
+from .spectral import (kahan_add, kahan_mean_vectors, mean_se, scalar_power,
+                       synthesize)
 
 __all__ = [
     "SlowFastTrajectory",
+    "CoupledPlans",
     "khasminskii_delta",
     "snap_block",
     "compute_rho0",
@@ -87,33 +93,54 @@ def compute_rho0(s: float, t: float, beta: float, gamma1_star: float) -> float:
     return math.log(t / s) ** 2 + dt ** beta + dt ** (2.0 * gamma1_star)
 
 
-def _plans(model: ModelSpec):
-    """Substeps per macro step, the fast stepper, the trapezoid weights of
-    the substep nodes j = 0..n_sub, an (n_sub + 1, M) buffer for the nodal
-    fast field at those nodes, and the substeps' affine map
-    (FastStepper.affine_map; None for a step with a sine term)."""
-    n_sub = model.n_sub
-    stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
-                          model.h_macro / n_sub, model.epsilon)
-    weights = np.full(n_sub + 1, 1.0 / n_sub)
-    weights[0] = weights[-1] = 0.5 / n_sub
-    v_nodes = np.empty((n_sub + 1, model.grid.n_quad))
-    return n_sub, stepper, weights, v_nodes, stepper.affine_map(n_sub)
+class CoupledPlans(NamedTuple):
+    """What every coupled path of a model reads besides its noise, made
+    once per model (ModelSpec.coupled_plans): the substeps per macro step,
+    the fast stepper, the trapezoid weights of the substep nodes
+    j = 0..n_sub and the substeps' affine map (FastStepper.affine_map;
+    None for a step with a sine term).  Nothing here is written after it
+    is made.  for_path adds the buffers that step_coupled writes, made per
+    path, so no state crosses paths: the (n_sub + 1, M) nodal fast field
+    at the substep nodes and the (n_sub, N) modal states after each
+    substep."""
 
+    n_sub: int
+    stepper: FastStepper
+    weights: np.ndarray
+    affine: tuple | None
+    v_nodes: np.ndarray | None = None
+    states: np.ndarray | None = None
 
-def _increments(plans: tuple, xi: np.ndarray) -> np.ndarray:
-    """The noise input of step_coupled from a path's standard normals
-    (n_steps, n_sub, N): the scaled increments, convolved along the
-    substep axis when the substeps take the affine map."""
-    stepper, affine = plans[1], plans[4]
-    increments = stepper.noise(xi)
-    return increments if affine is None else stepper.convolve(increments)
+    @classmethod
+    def build(cls, model: ModelSpec) -> "CoupledPlans":
+        n_sub = model.n_sub
+        stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
+                              model.h_macro / n_sub, model.epsilon)
+        weights = np.full(n_sub + 1, 1.0 / n_sub)
+        weights[0] = weights[-1] = 0.5 / n_sub
+        return cls(n_sub, stepper, weights, stepper.affine_map(n_sub))
+
+    def for_path(self) -> "CoupledPlans":
+        """These plans with fresh buffers for one path."""
+        n_quad, n_modes = self.stepper.mat.shape
+        return self._replace(v_nodes=np.empty((self.n_sub + 1, n_quad)),
+                             states=np.empty((self.n_sub, n_modes)))
+
+    def increments(self, xi: np.ndarray) -> np.ndarray:
+        """The noise input of step_coupled from a path's standard normals
+        (n_steps, n_sub, N): the scaled increments, convolved along the
+        substep axis when the substeps take the affine map."""
+        increments = self.stepper.noise(xi)
+        return (increments if self.affine is None
+                else self.stepper.convolve(increments))
 
 
 def slow_path(model: ModelSpec, stream: RngStream, forcing,
               where: str = "") -> np.ndarray:
     """The (n_steps + 1, N) slow path from model.u0 on model.times by
-    exponential Euler, the drift frozen over each step.
+    exponential Euler (model.slow_plan), the drift frozen over each step;
+    each new state is written into its row of the path, and forcing sees
+    it there.
 
     forcing(i, t, u) returns step i's modal drift and the norm of the field
     that moves with u (0.0 if none does).  The stream's normals are drawn
@@ -122,80 +149,82 @@ def slow_path(model: ModelSpec, stream: RngStream, forcing,
     raises StateExplosionError at its node, with where in its message.
     """
     n_steps = model.n_steps
-    times = model.times
-    plan = make_plan(model.op1, model.h_macro, 1.0)
+    times = model.times.tolist()
+    plan = model.slow_plan
+    decay, drift_weight = plan.decay, plan.drift_weight
     noise = plan.noise_std * stream.normals(
         n_steps * model.n_modes).reshape(n_steps, model.n_modes)
     path = np.empty((n_steps + 1, model.n_modes))
     path[0] = u = model.u0
+    forced = np.empty(model.n_modes)
     # A finite state whose squared norm overflows trips the guard as
     # non-finite; the guard's report is the only message.
     with np.errstate(over="ignore"):
         for i in range(n_steps):
-            f, norm_v = forcing(i, float(times[i]), u)
-            u = plan.decay * u + plan.drift_weight * f + noise[i]
+            f, norm_v = forcing(i, times[i], u)
+            # decay * u + drift_weight * f + noise[i], in that order,
+            # written into the path's next row.
+            u = np.multiply(decay, u, out=path[i + 1])
+            u += np.multiply(drift_weight, f, out=forced)
+            u += noise[i]
             # np.linalg.norm's own formula for a 1-D float array.
             norm_u = math.sqrt(u.dot(u))
             # Written so that a NaN norm also trips the guard.
             if not (norm_u + norm_v <= model.explosion_bound):
-                raise StateExplosionError(float(times[i + 1]), norm_u,
-                                          norm_v, model.explosion_bound,
-                                          where=where)
-            path[i + 1] = u
+                raise StateExplosionError(times[i + 1], norm_u, norm_v,
+                                          model.explosion_bound, where=where)
     return path
 
 
 def step_coupled(v: np.ndarray, u: np.ndarray, v_phys: np.ndarray,
-                 t: float, model: ModelSpec, noise_fast: np.ndarray,
-                 plans: tuple) -> tuple:
+                 model: ModelSpec, noise_fast: np.ndarray,
+                 plans: CoupledPlans) -> tuple:
     """Advance the fast field v, with nodal values v_phys, over one macro
-    step from time t, the slow field held at u.
+    step, the slow field held at u.
 
     The fast field takes n_sub exponential-integrator substeps, its linear
     part and noise exact and the rest of g(u, v)/eps explicit.  Without a
     sine term they are exact OU steps under a drive frozen over the macro
     step, and take one affine map (FastStepper.affine_map) instead of the
-    recursion.  The slow drift b_theta(t, u, .) is averaged along the fast
+    recursion.  The slow drift b_theta(u, .) is averaged along the fast
     substep path (trapezoid over the substep nodes): the fast field
     crosses its relaxation layer inside a single macro step, and sampling
     it at the left endpoint alone would turn that O(eps) layer into an
     O(h_macro) bias of the slow motion.  The fast stepper's drive reads u,
     the slow drift its nodal values, and the drift is projected as
-    grid.analysis_matrix @ (weights @ b).  Apart from the substeps and the
-    reaction, a macro step makes six numpy calls; the affine map adds four
-    and one stacked synthesize of the substep nodes, at any n_sub, where
-    the recursion adds two per substep.  A macro step of the linear
-    benchmark, slow update included, takes about 16 us at n_sub = 1 and
-    24 us at n_sub = 13 (32 us by the recursion; best of in-process runs
-    on one core of a shared 2-vCPU x86-64 VM).
+    grid.analysis_matrix @ (weights @ b).
 
-    plans is _plans(model).  noise_fast, shape (n_sub, N), is the step's
-    rows of _increments(plans, xi): noise increments already scaled by
-    the fast stepper's noise_std, and convolved for the affine map.
-    Returns the new (v, v_phys) and the averaged modal slow drift of the
-    step, the forcing of slow_path; the new v_phys is a row of the plans'
-    node buffer, overwritten by the next step.  Nothing is checked here:
-    slow_path's explosion guard on the new state also catches a
-    non-finite field.
+    plans is model.coupled_plans.for_path().  noise_fast, shape
+    (n_sub, N), is the step's rows of plans.increments(xi): noise
+    increments already scaled by the fast stepper's noise_std, and
+    convolved for the affine map.  Returns the new (v, v_phys) and the
+    averaged modal slow drift of the step, the forcing of slow_path; the
+    new v and v_phys are rows of the plans' buffers, overwritten by the
+    next step.  Nothing is checked here: b_theta is nodal_b, without
+    eval_b's checks, since the model validated the reaction and theta,
+    and slow_path's explosion guard on the new state also catches a
+    non-finite field.  With the affine map the step makes 9 numpy calls
+    at any n_sub, the map's 4 among them, besides its reaction (none for
+    the linear kind, whose b is the nodal fast field itself).  A macro
+    step of the linear benchmark, slow update included, takes about
+    13 us at n_sub = 1 and 21 us at n_sub = 13, against 16 us and 25 us
+    with plans made per path and checked reactions (best of in-process
+    runs on one core of a shared 2-vCPU x86-64 VM).
     """
-    n_sub, stepper, weights, v_nodes, affine = plans
-    grid = model.grid
+    n_sub, stepper, weights, affine, v_nodes, states = plans
     u_phys = stepper.mat.dot(u)
     v_nodes[0] = v_phys
     # u is frozen over the substeps: the slow part of g once per macro step.
     if affine is None:
-        states, _ = stepper.advance(v, v_nodes[0], stepper.drive(u),
-                                    noise_fast, nodes=v_nodes[1:])
+        stepper.advance(v, v_nodes[0], stepper.drive(u), noise_fast,
+                        nodes=v_nodes[1:], states=states)
     else:
-        states = stepper.apply_map(affine, u, noise_fast, v)
-        matvec(stepper.mat, states, out=v_nodes[1:])
-    if model.theta > 0:
-        drift = truncate_b(model.reaction_slow, model.theta, t, grid.nodes,
-                           u_phys, v_nodes)
-    else:
-        drift = eval_b(model.reaction_slow, t, grid.nodes, u_phys, v_nodes)
+        stepper.apply_map(affine, u, noise_fast, v, out=states)
+        # matvec's stacked product, written into the node buffer.
+        np.matmul(stepper.mat, states[..., None], out=v_nodes[1:, :, None])
+    drift = nodal_b(model.reaction_slow, model.theta, u_phys, v_nodes)
     return (states[-1], v_nodes[-1],
-            grid.analysis_matrix.dot(weights.dot(drift)))
+            model.grid.analysis_matrix.dot(weights.dot(drift)))
 
 
 def simulate_slowfast(model: ModelSpec, master_seed: int,
@@ -204,14 +233,13 @@ def simulate_slowfast(model: ModelSpec, master_seed: int,
     slow_noise stream, forced by step_coupled's averaged drift; records the
     path at macro nodes, the fast standard normals (drawn for the whole
     path at once) and each step's averaged slow drift."""
-    plans = _plans(model)
-    n_sub = plans[0]
+    plans = model.coupled_plans.for_path()
     n_steps = model.n_steps
     n = model.n_modes
     fast_noise = derive_stream(master_seed, trajectory_id, "fast_noise"
-                               ).normals(n_steps * n_sub * n).reshape(
-                                   n_steps, n_sub, n)
-    increments = _increments(plans, fast_noise)
+                               ).normals(n_steps * plans.n_sub * n).reshape(
+                                   n_steps, plans.n_sub, n)
+    increments = plans.increments(fast_noise)
     v_path = np.empty((n_steps + 1, n))
     v_path[0] = model.v0
     drifts = np.empty((n_steps, n))
@@ -219,7 +247,7 @@ def simulate_slowfast(model: ModelSpec, master_seed: int,
 
     def forcing(i, t, u):
         nonlocal v_phys
-        v, v_phys, drifts[i] = step_coupled(v_path[i], u, v_phys, t, model,
+        v, v_phys, drifts[i] = step_coupled(v_path[i], u, v_phys, model,
                                             increments[i], plans)
         v_path[i + 1] = v
         return drifts[i], math.sqrt(v.dot(v))
@@ -298,13 +326,13 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
         raise InvalidParameterError("delta must be positive")
     n_steps = model.n_steps
     steps_per_block, _ = snap_block(delta, model.h_macro)
-    plans = _plans(model)
-    n_sub, stepper, affine = plans[0], plans[1], plans[4]
+    plans = model.coupled_plans
+    n_sub, stepper, affine = plans.n_sub, plans.stepper, plans.affine
     if traj.fast_noise.shape[:2] != (n_steps, n_sub):
         raise InvalidParameterError(
             "substep layout mismatch: trajectory is not replayable under this model")
 
-    increments = _increments(plans, traj.fast_noise)
+    increments = plans.increments(traj.fast_noise)
     v_aux = traj.v.copy()
     if affine is None:
         noise = increments.reshape(-1, model.n_modes)

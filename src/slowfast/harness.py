@@ -378,6 +378,21 @@ def run_moment_audit(cfg: ExperimentConfig) -> ResultTable:
     return _run_studies(cfg, [_moment_study(cfg)])
 
 
+def _mean_and_se(vectors: list, size: int) -> tuple:
+    """The compensated mean of equal-length vectors in list order
+    (kahan_mean_vectors), and the standard error of each entry's mean
+    about it, mean_se's formula in one reduction over the stack: 0.0 for
+    one vector, NaN for none."""
+    n = len(vectors)
+    if n == 0:
+        return np.full(size, math.nan), np.full(size, math.nan)
+    mean = kahan_mean_vectors(vectors)
+    if n == 1:
+        return mean, np.zeros(size)
+    sq = np.add.reduce((np.array(vectors) - mean) ** 2, axis=0)
+    return mean, np.sqrt(sq / (n - 1) / n)
+
+
 def _holder_study(cfg: ExperimentConfig) -> tuple:
     model0 = cfg.model
     h = model0.h_macro
@@ -392,13 +407,12 @@ def _holder_study(cfg: ExperimentConfig) -> tuple:
         for key in keys:
             eps = key[0]
             kept, censored = _kept(results, key)
-            msq = (kahan_mean_vectors([r["msq"] for r in kept]) if kept
-                   else np.full(len(pairs), math.nan))
-            for (a, b), value in zip(pairs, msq):
+            msq, msq_se = _mean_and_se([r["msq"] for r in kept], len(pairs))
+            for (a, b), value, se in zip(pairs, msq, msq_se):
                 out.append(ResultRow(
                     "audit_holder", eps,
                     f"msq_increment[s={a * h:g},t={b * h:g}]",
-                    float(value), 0.0, len(kept), censored))
+                    float(value), float(se), len(kept), censored))
             ratios = msq / rho
             if calibration is None:
                 calibration = float(np.max(ratios))

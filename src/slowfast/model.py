@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParameterError
+from .noise import OUStepPlan, make_plan
 from .reactions import LyapunovSpec, ReactionSpec, validate_dissipativity
 from .spectral import GridSpec, SpectralOperator, as_modal_field
 
@@ -91,6 +93,22 @@ class ModelSpec:
     @property
     def n_modes(self) -> int:
         return self.grid.n_modes
+
+    @cached_property
+    def slow_plan(self) -> OUStepPlan:
+        """The exact OU plan of one macro step of the slow field, on A1:
+        slow_path's update, made once per model."""
+        return make_plan(self.op1, self.h_macro, 1.0)
+
+    @cached_property
+    def coupled_plans(self):
+        """What every coupled path of this model reads besides its noise
+        (coupled.CoupledPlans), made once per model; a path takes its own
+        scratch buffers with CoupledPlans.for_path.  A model made by
+        with_epsilon, with_theta or dataclasses.replace makes its own."""
+        # coupled imports this module, so it is imported here.
+        from .coupled import CoupledPlans
+        return CoupledPlans.build(self)
 
     def with_epsilon(self, epsilon: float) -> "ModelSpec":
         return replace(self, epsilon=epsilon)

@@ -36,6 +36,7 @@ __all__ = [
     "gaussian_mean_b",
     "fast_coefficients",
     "truncate_b",
+    "nodal_b",
     "nemytskii_drift",
     "LyapunovSpec",
     "lyapunov_norms",
@@ -173,8 +174,12 @@ def eval_b(spec: ReactionSpec, t: float, xi, sigma, lam):
     """Pointwise slow reaction; vectorized over sigma/lam arrays."""
     if spec.role != "slow":
         raise InvalidParameterError("eval_b requires a slow reaction")
-    sigma = np.asarray(sigma, dtype=float)
-    lam = np.asarray(lam, dtype=float)
+    return _b(spec, np.asarray(sigma, dtype=float),
+              np.asarray(lam, dtype=float))
+
+
+def _b(spec: ReactionSpec, sigma: np.ndarray, lam: np.ndarray):
+    """eval_b on float arrays, unchecked."""
     if spec.kind == "linear_benchmark":
         return sigma * 0.0 + lam
     if spec.kind == "cubic_rough":
@@ -247,13 +252,30 @@ def truncate_b(spec: ReactionSpec, theta: float, t: float, xi, sigma, lam):
     b = eval_b(spec, t, xi, sigma, lam)
     if np.ndim(b) == 0:
         return b / (1.0 + theta * np.abs(b))
-    # In place, with one scratch array: the same operations in the same
-    # order, so the same bits.
+    return _truncate(b, theta)
+
+
+def _truncate(b: np.ndarray, theta: float) -> np.ndarray:
+    """b / (1 + theta*|b|) in place, with one scratch array: the same
+    operations in the same order as the scalar form, so the same bits."""
     scale = np.abs(b)
     scale *= theta
     scale += 1.0
     b /= scale
     return b
+
+
+def nodal_b(spec: ReactionSpec, theta: float, sigma: np.ndarray,
+            lam: np.ndarray) -> np.ndarray:
+    """b, or b_theta when theta > 0, at the nodal float arrays sigma and
+    lam, for a hot loop: truncate_b's and eval_b's operations in the same
+    order, without their checks, which the caller made once (ModelSpec
+    validates the role and theta).  Untruncated b of the linear kind is
+    lam itself, not eval_b's copy sigma * 0.0 + lam, which equals it for a
+    finite sigma up to the sign of a zero."""
+    if theta == 0:
+        return lam if spec.kind == "linear_benchmark" else _b(spec, sigma, lam)
+    return _truncate(_b(spec, sigma, lam), theta)
 
 
 def nemytskii_drift(spec: ReactionSpec, theta: float | None, t: float,

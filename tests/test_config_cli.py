@@ -377,6 +377,18 @@ class TestCli:
         assert len(err) == 1 and "--eps" in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command",
+                             ["invariant", "average", "converge", "audit"])
+    def test_eps_flag_only_for_simulate(self, tmp_path, capsys, command):
+        # A usage error, before the config is read.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(tmp_path / "missing.json"),
+                  "--eps", "0.05", "--out", str(out)])
+        assert info.value.code == 2
+        assert "--eps" in capsys.readouterr().err.strip().splitlines()[-1]
+        assert not out.exists()
+
     def test_eps_flag_runs_and_hashes_its_epsilon(self, tmp_path):
         # simulate --eps writes what a config with that epsilon writes,
         # sidecar hash included.

@@ -163,10 +163,10 @@ class TestCoupledStep:
         import slowfast.fast_dynamics as fast_dynamics
 
         def nan_drift(*args, **kwargs):
-            # eval_b(spec, t, xi, sigma, lam): lam holds the fast nodes.
-            return np.full(args[4].shape, np.nan)
-        # theta = 0 here, so the coupled step evaluates b by eval_b.
-        monkeypatch.setattr(coupled, "eval_b", nan_drift)
+            # nodal_b(spec, theta, sigma, lam): lam holds the fast nodes.
+            return np.full(args[3].shape, np.nan)
+        # The coupled step evaluates b by nodal_b.
+        monkeypatch.setattr(coupled, "nodal_b", nan_drift)
         model = linear_model(horizon=0.05, h_macro=0.01)
         with pytest.raises(StateExplosionError) as info:
             simulate_slowfast(model, 0, 0)
@@ -356,6 +356,46 @@ KERNEL_MODELS = {
                                        horizon=0.7),
     "cubic": lambda eps: cubic_model(eps=eps, theta=0.01, horizon=0.7),
 }
+
+
+class TestPlansPerModel:
+    @pytest.mark.parametrize("make", [linear_model, cubic_model],
+                             ids=["affine", "sine"])
+    def test_shared_plans_leak_nothing_between_paths(self, make):
+        # A model's paths share its plans, each with buffers of its own:
+        # paths interleaved across two models, and a replay after them,
+        # give the bits of the same run on a freshly built model.
+        base = make(horizon=0.2)
+        models = {0.1: base.with_epsilon(0.1), 0.004: base.with_epsilon(0.004)}
+        trajs = []
+        for eps, trajectory_id in ((0.1, 1), (0.004, 2), (0.1, 1)):
+            traj = simulate_slowfast(models[eps], 5, trajectory_id)
+            fresh = simulate_slowfast(make(eps, horizon=0.2), 5,
+                                      trajectory_id)
+            for name in ("u", "v", "fast_noise", "slow_drift"):
+                assert np.array_equal(getattr(traj, name),
+                                      getattr(fresh, name)), (eps, name)
+            trajs.append(traj)
+        aux = build_auxiliary(trajs[0], 0.05, models[0.1])
+        fresh_model = make(0.1, horizon=0.2)
+        fresh_aux = build_auxiliary(simulate_slowfast(fresh_model, 5, 1),
+                                    0.05, fresh_model)
+        assert all(np.array_equal(a, b) for a, b in zip(aux, fresh_aux))
+
+    def test_derived_models_make_their_own_plans(self):
+        model = cubic_model()
+        plans = model.coupled_plans
+        assert model.coupled_plans is plans
+        assert model.slow_plan is model.slow_plan
+        assert plans.v_nodes is None and plans.states is None
+        for derived in (model.with_epsilon(0.02), model.with_theta(0.001)):
+            assert derived.coupled_plans is not plans
+            assert derived.slow_plan is not model.slow_plan
+            assert derived.coupled_plans.n_sub == derived.n_sub
+        path_a, path_b = plans.for_path(), plans.for_path()
+        assert path_a.stepper is path_b.stepper is plans.stepper
+        assert not np.shares_memory(path_a.v_nodes, path_b.v_nodes)
+        assert not np.shares_memory(path_a.states, path_b.states)
 
 
 class TestKernelBitIdentity:

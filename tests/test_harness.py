@@ -333,6 +333,37 @@ class TestHolderStats:
                               f"msq_increment[s={a * h:g},t={b * h:g}]")
             exact = (math.exp(-alpha1 * b * h) - math.exp(-alpha1 * a * h)) ** 2
             assert row.value == pytest.approx(exact, rel=1e-8)
+            # Every path takes the same increments.
+            assert row.std_error == 0.0
+
+    def test_increment_std_errors_are_those_of_the_path_means(self):
+        # Each msq_increment row is the mean over the paths, bit for bit
+        # the Kahan mean of the per-path increments, with the standard
+        # error of mean_se on those increments; the plug-in ratios
+        # calibration and headroom carry none.
+        cfg = parse_config_dict(small_config())
+        table = run_holder_stats(cfg)
+        for eps in cfg.epsilon_grid:
+            model = cfg.model.with_epsilon(eps)
+            h = model.h_macro
+            paths = [simulate_slowfast(model, cfg.master_seed, i).u
+                     for i in range(cfg.ensemble_size)]
+            pairs = _holder_pairs(model.n_steps)
+            increments = [np.sum((u[[b for _, b in pairs]]
+                                  - u[[a for a, _ in pairs]]) ** 2, axis=1)
+                          for u in paths]
+            means = kahan_mean_vectors(increments)
+            for j, (a, b) in enumerate(pairs):
+                row = table.value("audit_holder", eps,
+                                  f"msq_increment[s={a * h:g},t={b * h:g}]")
+                mean, se = mean_se([inc[j] for inc in increments])
+                assert row.n == cfg.ensemble_size
+                assert row.value == means[j]
+                assert row.value == pytest.approx(mean, rel=1e-12)
+                assert row.std_error == pytest.approx(se, rel=1e-9)
+                assert row.std_error > 0
+            label = "calibration" if eps == cfg.epsilon_grid[0] else "headroom"
+            assert table.value("audit_holder", eps, label).std_error == 0.0
 
 
 class TestThetaStability:

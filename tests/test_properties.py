@@ -15,8 +15,7 @@ from slowfast import (GridSpec, SpectralOperator, analyze, build_model,
                       truncate_b)
 from slowfast.config import ObservableSpec
 from slowfast.averaging import simulate_averaged
-from slowfast.coupled import (_increments, _plans, build_auxiliary,
-                              simulate_slowfast, step_coupled)
+from slowfast.coupled import build_auxiliary, simulate_slowfast, step_coupled
 from slowfast.fast_dynamics import FastStepper, FrozenFastParams
 from slowfast.noise import ROLES, RngStream
 from slowfast.reactions import fast_coefficients
@@ -458,13 +457,13 @@ def test_macro_step_equals_checked_reference(case):
     # update is slow_path's, checked against ou_step in test_coupled.py.
     model, n_sub, u, v, xi_fast = case
     grid = model.grid
-    plans = _plans(model)
+    plans = model.coupled_plans.for_path()
     assert plans[0] == n_sub
     # Increments of a two-step path, of which this step is the second.
-    path_fast = _increments(plans, np.stack([xi_fast, xi_fast]))
+    path_fast = plans.increments(np.stack([xi_fast, xi_fast]))
     t = 0.03
     v_next, v_phys, f1 = step_coupled(
-        v, u, synthesize(v, grid), t, model, path_fast[1], plans)
+        v, u, synthesize(v, grid), model, path_fast[1], plans)
     v_ref, f1_ref = _reference_macro_step(model, n_sub, u, v, t, xi_fast)
     assert np.array_equal(v_next, v_ref)
     assert np.array_equal(f1, f1_ref)
