@@ -2,7 +2,7 @@
 
 The averaged drift at slow state x is the stationary expectation of the
 slow Nemytskii drift, truncated at model.theta, against the law of the
-frozen fast field: Fbar(t, x) = E_mu^x [ analyze(b_theta(t, x(.), y(.))) ].
+frozen fast field: Fbar(t, x) = E_mu^x [ analyze(b_theta(x(.), y(.))) ].
 estimate_Fbar alone decides how it is computed, at one state or a stack:
 exactly, as the averaged drift of the fast step's Gaussian companion (the
 step without its sine term), when b ignores the fast variable or c_s = 0;
@@ -24,8 +24,8 @@ from .fast_dynamics import (FrozenFastParams, companion_law,
                             estimate_invariant_average)
 from .model import ModelSpec
 from .noise import derive_stream
-from .reactions import (eval_b, fast_coefficients, gaussian_mean_b,
-                        nemytskii_drift, truncate_b)
+from .reactions import (fast_coefficients, gaussian_mean_b, nemytskii_drift,
+                        truncate_b)
 from .spectral import analyze, as_modal_field, synthesize
 
 __all__ = [
@@ -56,34 +56,32 @@ def normal_rule(n_points: int) -> tuple:
     return points, weights / weights.sum()
 
 
-def companion_Fbar(t, x: np.ndarray, h: float, model: ModelSpec,
+def companion_Fbar(x: np.ndarray, h: float, model: ModelSpec,
                    law: tuple | None = None) -> np.ndarray:
     """The averaged drift of the Gaussian companion of the frozen fast step
     h at the modal slow field x, or at each row of a stack (n, N) of them:
-    analyze of E b_theta(t, x_j, V_j), V_j the companion's stationary nodal
+    analyze of E b_theta(x_j, V_j), V_j the companion's stationary nodal
     law (companion_law, from its modal law when given).  E b is closed form
     (gaussian_mean_b); the truncation remainder b - b_theta, of size
-    theta b^2, takes one quadrature sum (normal_rule) per node.  At c_s = 0,
-    or when b ignores the fast variable, this is the averaged drift of the
-    step itself.  When b ignores the fast variable, E b_theta is b_theta at
-    lam = 0, evaluated directly: no law is built and no sum taken."""
+    theta b^2, takes one quadrature sum (normal_rule) per node, b evaluated
+    once on the quadrature block.  At c_s = 0, or when b ignores the fast
+    variable, this is the averaged drift of the step itself.  When b
+    ignores the fast variable, E b_theta is b_theta at lam = 0, evaluated
+    directly: no law is built and no sum taken."""
     x_phys = synthesize(x, model.grid)
     spec = model.reaction_slow
     if not spec.depends_on_fast:
-        return analyze(nemytskii_drift(spec, model.theta, t, x_phys,
-                                       np.zeros(model.grid.n_quad),
-                                       model.grid), model.grid)
+        return analyze(nemytskii_drift(spec, model.theta, x_phys,
+                                       np.zeros(model.grid.n_quad)),
+                       model.grid)
     mean, std = companion_law(model, x, h, law)
     drift = gaussian_mean_b(spec, x_phys, mean, std)
     if model.theta > 0:
         points, weights = normal_rule(NORMAL_RULE_POINTS)
         # Shape (..., points, M): one quadrature block per state.
         lam = mean[..., None, :] + std * points[:, None]
-        x_phys = x_phys[..., None, :]
-        nodes = model.grid.nodes
-        drift -= np.matmul(weights, (
-            eval_b(spec, t, nodes, x_phys, lam)
-            - truncate_b(spec, model.theta, t, nodes, x_phys, lam)))
+        b = nemytskii_drift(spec, 0.0, x_phys[..., None, :], lam)
+        drift -= np.matmul(weights, b - truncate_b(model.theta, b))
     return analyze(drift, model.grid)
 
 
@@ -113,7 +111,7 @@ def estimate_Fbar(t, x, params: FrozenFastParams, model: ModelSpec,
         raise InvalidParameterError(f"t={t!r} is off the h_macro grid")
     if (fast_coefficients(model.reaction_fast)[2] == 0
             or not model.reaction_slow.depends_on_fast):
-        mean = companion_Fbar(t, x, params.h, model)
+        mean = companion_Fbar(x, params.h, model)
         return mean, np.zeros_like(mean)
     if x.ndim == 2:
         means, ses = zip(*(estimate_Fbar(t_i, x_i, params, model,
@@ -125,14 +123,13 @@ def estimate_Fbar(t, x, params: FrozenFastParams, model: ModelSpec,
     def drift_observable(v_phys):
         # (n, M) nodal rows -> (n, N) modal drifts, row by row.
         return analyze(
-            nemytskii_drift(model.reaction_slow, model.theta, t, x_phys,
-                            v_phys, model.grid),
+            nemytskii_drift(model.reaction_slow, model.theta, x_phys, v_phys),
             model.grid)
 
     return estimate_invariant_average(
         model, x, params, drift_observable, master_seed,
         key=(trajectory_id, int(steps)),
-        gaussian_mean=lambda *law: companion_Fbar(t, x, params.h, model, law))
+        gaussian_mean=lambda *law: companion_Fbar(x, params.h, model, law))
 
 
 def _modal_states(x, n_modes: int) -> np.ndarray:

@@ -107,18 +107,21 @@ class ExperimentConfig:
 
 
 def _is_number(value, kind) -> bool:
-    """Whether a JSON value is a number, not a bool, and integral if kind
-    is int."""
+    """Whether a JSON value is a finite number, not a bool, and integral if
+    kind is int.  Python's json reads NaN, Infinity and 1e999 as floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if isinstance(value, float) and not math.isfinite(value):
         return False
     return kind is not int or isinstance(value, int) or value.is_integer()
 
 
 def _get(section: dict, key: str, where: str, default=None, kind=float):
     """section[key], or default when it is absent, as a kind: float (a
-    JSON number), int (an integral one: 3.0 passes, 3.7 does not) or tuple
-    (a JSON list of numbers, as floats).  Anything else is rejected: a
-    bool, a numeric string, a string for a list."""
+    finite JSON number), int (an integral one: 3.0 passes, 3.7 does not)
+    or tuple (a JSON list of finite numbers, as floats).  Anything else is
+    rejected: a bool, a numeric string, a string for a list, NaN or an
+    infinity."""
     value = section.get(key, default)
     items = value if kind is tuple else [value]
     if key not in section or (isinstance(items, list) and all(
@@ -127,8 +130,8 @@ def _get(section: dict, key: str, where: str, default=None, kind=float):
             return tuple(map(float, value)) if kind is tuple else kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    noun = {tuple: "a list of numbers", int: "an integer"}.get(kind,
-                                                                "a number")
+    noun = {tuple: "a list of finite numbers", int: "an integer"}.get(
+        kind, "a finite number")
     raise ConfigurationRejectedError(
         f"{where}.{key} must be {noun}, got {value!r}")
 
@@ -160,12 +163,12 @@ def _operator(section: dict, grid: GridSpec, where: str) -> tuple:
 
 
 def _terms(terms, where: str) -> list:
-    """Polynomial terms, each a [number, integer, integer]; a power of 3.7
-    is rejected, not truncated."""
+    """Polynomial terms, each a [number, integer, integer] of _is_number;
+    a power of 3.7 is rejected, not truncated."""
     try:
-        out = [(float(c), int(i), int(j)) for c, i, j in terms]
-        if [term[1:] for term in out] == [tuple(term[1:]) for term in terms]:
-            return out
+        if all(_is_number(c, float) and _is_number(i, int)
+               and _is_number(j, int) for c, i, j in terms):
+            return [(float(c), int(i), int(j)) for c, i, j in terms]
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigurationRejectedError(

@@ -31,7 +31,7 @@ from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import FastStepper
 from .model import ModelSpec
 from .noise import RngStream, derive_stream
-from .reactions import eval_V, lyapunov_norms, nodal_b
+from .reactions import eval_V, lyapunov_norms, nemytskii_drift
 from .spectral import (kahan_add, kahan_mean_vectors, mean_se, scalar_power,
                        synthesize)
 
@@ -200,8 +200,8 @@ def step_coupled(v: np.ndarray, u: np.ndarray, v_phys: np.ndarray,
     convolved for the affine map.  Returns the new (v, v_phys) and the
     averaged modal slow drift of the step, the forcing of slow_path; the
     new v and v_phys are rows of the plans' buffers, overwritten by the
-    next step.  Nothing is checked here: b_theta is nodal_b, without
-    eval_b's checks, since the model validated the reaction and theta,
+    next step.  Nothing is checked here: b_theta is nemytskii_drift, which
+    checks nothing, since the model validated the reaction and theta,
     and slow_path's explosion guard on the new state also catches a
     non-finite field.  With the affine map the step makes 9 numpy calls
     at any n_sub, the map's 4 among them, besides its reaction (none for
@@ -222,7 +222,8 @@ def step_coupled(v: np.ndarray, u: np.ndarray, v_phys: np.ndarray,
         stepper.apply_map(affine, u, noise_fast, v, out=states)
         # matvec's stacked product, written into the node buffer.
         np.matmul(stepper.mat, states[..., None], out=v_nodes[1:, :, None])
-    drift = nodal_b(model.reaction_slow, model.theta, u_phys, v_nodes)
+    drift = nemytskii_drift(model.reaction_slow, model.theta, u_phys,
+                            v_nodes)
     return (states[-1], v_nodes[-1],
             model.grid.analysis_matrix.dot(weights.dot(drift)))
 

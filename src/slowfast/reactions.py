@@ -1,8 +1,10 @@
 """Pointwise reaction functions, their field lifts, truncation and gating.
 
-The slow reaction b(t, xi, sigma, lam) may be rough (polynomial growth in
-both arguments); the fast reaction g(t, xi, rho, sigma) is Lipschitz in its
-own variable sigma with constant L2.  Built-in kinds:
+The slow reaction b(sigma, lam) may be rough (polynomial growth in both
+arguments); the fast reaction g(rho, sigma) is Lipschitz in its own
+variable sigma with constant L2.  The paper's b and g may also depend on
+time and space; no built-in kind does, so they take the field values only.
+Built-in kinds:
 
   slow:
     "linear_benchmark"  b = lam                          (fully solvable)
@@ -36,7 +38,6 @@ __all__ = [
     "gaussian_mean_b",
     "fast_coefficients",
     "truncate_b",
-    "nodal_b",
     "nemytskii_drift",
     "LyapunovSpec",
     "lyapunov_norms",
@@ -170,7 +171,7 @@ def _reject_unknown(params: dict, allowed) -> None:
         raise InvalidParameterError(f"unknown reaction parameters {sorted(unknown)}")
 
 
-def eval_b(spec: ReactionSpec, t: float, xi, sigma, lam):
+def eval_b(spec: ReactionSpec, sigma, lam):
     """Pointwise slow reaction; vectorized over sigma/lam arrays."""
     if spec.role != "slow":
         raise InvalidParameterError("eval_b requires a slow reaction")
@@ -179,7 +180,9 @@ def eval_b(spec: ReactionSpec, t: float, xi, sigma, lam):
 
 
 def _b(spec: ReactionSpec, sigma: np.ndarray, lam: np.ndarray):
-    """eval_b on float arrays, unchecked."""
+    """eval_b on float arrays, unchecked.  A polynomial term skips its
+    zero powers, which are exactly 1.0 for every float, NaN and inf
+    included; the np.zeros start keeps the broadcast shape."""
     if spec.kind == "linear_benchmark":
         return sigma * 0.0 + lam
     if spec.kind == "cubic_rough":
@@ -187,13 +190,14 @@ def _b(spec: ReactionSpec, sigma: np.ndarray, lam: np.ndarray):
                 + spec.param("c_v") * lam * np.abs(lam))
     out = np.zeros(np.broadcast_shapes(sigma.shape, lam.shape))
     for coef, i, j in spec.param_terms():
-        out = out + coef * sigma ** i * lam ** j
+        term = coef * sigma ** i if i else coef
+        out = out + (term * lam ** j if j else term)
     return out
 
 
 def gaussian_mean_b(spec: ReactionSpec, sigma, mean, std) -> np.ndarray:
-    """E b(t, xi, sigma, lam) for lam ~ N(mean, std^2), elementwise, in
-    closed form for each built-in kind (none reads t or xi):
+    """E b(sigma, lam) for lam ~ N(mean, std^2), elementwise, in closed
+    form for each built-in kind:
     E lam|lam| = (m^2 + s^2) erf(m / (s sqrt 2)) + 2 m s phi(m / s), and
     a polynomial's lam^j has the Gaussian raw moments."""
     if spec.role != "slow":
@@ -232,7 +236,7 @@ def fast_coefficients(spec: ReactionSpec) -> tuple:
     return spec.param("a_c"), spec.param("b_c"), c_s
 
 
-def eval_g(spec: ReactionSpec, t: float, xi, rho, sigma):
+def eval_g(spec: ReactionSpec, rho, sigma):
     """Pointwise fast reaction; rho is the slow value, sigma the fast value:
     g = a_c*rho - b_c*sigma, plus c_s*sin(sigma) unless c_s is None."""
     a_c, b_c, c_s = fast_coefficients(spec)
@@ -243,16 +247,14 @@ def eval_g(spec: ReactionSpec, t: float, xi, rho, sigma):
     return a_c * rho - b_c * sigma + c_s * np.sin(sigma)
 
 
-def truncate_b(spec: ReactionSpec, theta: float, t: float, xi, sigma, lam):
-    """Bounded truncation b/(1 + theta*|b|); |result| <= min(|b|, 1/theta)."""
+def truncate_b(theta: float, b):
+    """The truncation b/(1 + theta*|b|) of values b of the slow reaction,
+    in a new array; |result| <= min(|b|, 1/theta)."""
     if theta <= 0:
         raise InvalidParameterError(f"theta must be positive, got {theta}")
     if theta > 1:
         raise InvalidParameterError(f"theta must be <= 1, got {theta}")
-    b = eval_b(spec, t, xi, sigma, lam)
-    if np.ndim(b) == 0:
-        return b / (1.0 + theta * np.abs(b))
-    return _truncate(b, theta)
+    return _truncate(np.array(b, dtype=float), theta)
 
 
 def _truncate(b: np.ndarray, theta: float) -> np.ndarray:
@@ -265,36 +267,21 @@ def _truncate(b: np.ndarray, theta: float) -> np.ndarray:
     return b
 
 
-def nodal_b(spec: ReactionSpec, theta: float, sigma: np.ndarray,
-            lam: np.ndarray) -> np.ndarray:
-    """b, or b_theta when theta > 0, at the nodal float arrays sigma and
-    lam, for a hot loop: truncate_b's and eval_b's operations in the same
-    order, without their checks, which the caller made once (ModelSpec
-    validates the role and theta).  Untruncated b of the linear kind is
-    lam itself, not eval_b's copy sigma * 0.0 + lam, which equals it for a
-    finite sigma up to the sign of a zero."""
+def nemytskii_drift(spec: ReactionSpec, theta: float, u_phys: np.ndarray,
+                    v_phys: np.ndarray) -> np.ndarray:
+    """Lift b, or b_theta when theta > 0, to nodal values:
+    drift(xi_j) = b(u_j, v_j), at the nodal float arrays u_phys and v_phys.
+
+    Leading axes of either field broadcast, so a batch of fast fields may
+    share one slow field.  Nothing is checked, for the hot loops that call
+    it: ModelSpec validates the role and theta once.  Untruncated b of the
+    linear kind is v_phys itself, which a caller must not write into; it
+    equals eval_b's copy u_phys * 0.0 + v_phys for a finite u_phys up to
+    the sign of a zero."""
     if theta == 0:
-        return lam if spec.kind == "linear_benchmark" else _b(spec, sigma, lam)
-    return _truncate(_b(spec, sigma, lam), theta)
-
-
-def nemytskii_drift(spec: ReactionSpec, theta: float | None, t: float,
-                    u_phys: np.ndarray, v_phys: np.ndarray,
-                    grid: GridSpec) -> np.ndarray:
-    """Lift b (or b_theta) to nodal values: drift(xi_j) = b(t, xi_j, u_j, v_j).
-
-    Fields hold n_quad nodal values on the last axis; leading axes of either
-    field broadcast, so a batch of fast fields may share one slow field."""
-    u_phys = np.asarray(u_phys, dtype=float)
-    v_phys = np.asarray(v_phys, dtype=float)
-    if u_phys.shape[-1:] != (grid.n_quad,) or v_phys.shape[-1:] != (grid.n_quad,):
-        raise InvalidParameterError(
-            f"fields must have {grid.n_quad} nodal values on the last axis, "
-            f"got {u_phys.shape} and {v_phys.shape}"
-        )
-    if theta is None or theta == 0.0:
-        return np.asarray(eval_b(spec, t, grid.nodes, u_phys, v_phys), dtype=float)
-    return np.asarray(truncate_b(spec, theta, t, grid.nodes, u_phys, v_phys), dtype=float)
+        return (v_phys if spec.kind == "linear_benchmark"
+                else _b(spec, u_phys, v_phys))
+    return _truncate(_b(spec, u_phys, v_phys), theta)
 
 
 @dataclass(frozen=True)
@@ -370,7 +357,7 @@ def validate_dissipativity(alpha21: float, L2: float) -> float:
 
 
 # The lattice on which validate_growth spot-checks the growth
-# inequalities, at t = 0, and its slack on the declared constants.
+# inequalities, and its slack on the declared constants.
 GROWTH_SIGMAS = np.linspace(-10, 10, 41)
 GROWTH_LAMBDAS = np.linspace(-10, 10, 41)
 GROWTH_RHOS = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
@@ -393,10 +380,10 @@ def _worst_ratio(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 def validate_growth(spec: ReactionSpec) -> GrowthReport:
     """Numeric sampling check (not a proof) of the two growth inequalities
-    on the GROWTH_* lattice at t = 0, with slack GROWTH_TOL:
+    on the GROWTH_* lattice, with slack GROWTH_TOL:
 
-    uniform:   |b(t,xi,sigma,lam)| <= c1 (a1 + |sigma|^m1 + |lam|^m2)
-    one-sided: b(t,xi,sigma+rho,lam)*sigma <= c2 (a2 + sigma^2 + |lam|^k1 + |rho|^k2)
+    uniform:   |b(sigma,lam)| <= c1 (a1 + |sigma|^m1 + |lam|^m2)
+    one-sided: b(sigma+rho,lam)*sigma <= c2 (a2 + sigma^2 + |lam|^k1 + |rho|^k2)
 
     A non-finite sampled ratio (0*inf at lam = 0, say) is a violation, and
     the rejection is its only report: numpy does not warn of it.
@@ -409,11 +396,11 @@ def validate_growth(spec: ReactionSpec) -> GrowthReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         abs_lam = np.abs(lam)
         uniform_worst = _worst_ratio(
-            np.abs(eval_b(spec, 0.0, 0.0, sigma, lam)),
+            np.abs(eval_b(spec, sigma, lam)),
             spec.a1 + np.abs(sigma) ** spec.m1 + abs_lam ** spec.m2)
         one_sided_bound = spec.a2 + sigma ** 2 + abs_lam ** spec.kappa1
         one_sided_worst = max(_worst_ratio(
-            eval_b(spec, 0.0, 0.0, sigma + r, lam) * sigma,
+            eval_b(spec, sigma + r, lam) * sigma,
             one_sided_bound + abs(r) ** spec.kappa2) for r in GROWTH_RHOS)
     return GrowthReport(
         uniform_ok=uniform_worst <= spec.c1 + GROWTH_TOL,

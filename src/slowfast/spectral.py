@@ -70,10 +70,6 @@ class GridSpec:
             )
 
     @cached_property
-    def nodes(self) -> np.ndarray:
-        return _grid_nodes(self.n_quad, self.length)
-
-    @cached_property
     def quad_weight(self) -> float:
         return self.length / (self.n_quad + 1)
 
@@ -91,15 +87,9 @@ class GridSpec:
 
 
 @lru_cache(maxsize=32)
-def _grid_nodes(n_quad: int, length: float) -> np.ndarray:
-    j = np.arange(1, n_quad + 1, dtype=float)
-    return j * length / (n_quad + 1)
-
-
-@lru_cache(maxsize=32)
 def _sine_matrix(n_modes: int, n_quad: int, length: float) -> np.ndarray:
     """(M, N) matrix of basis values sqrt(2/l)*sin(k*pi*x_j/l)."""
-    nodes = _grid_nodes(n_quad, length)
+    nodes = np.arange(1, n_quad + 1, dtype=float) * length / (n_quad + 1)
     k = np.arange(1, n_modes + 1, dtype=float)
     return np.sqrt(2.0 / length) * np.sin(np.outer(nodes, k) * np.pi / length)
 

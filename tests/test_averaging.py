@@ -531,7 +531,7 @@ class TestControlVariate:
         plain, se = estimate_Fbar(0.0, x, params,
                                   self.with_fast(model, "linear_benchmark"),
                                   master_seed=3)
-        exact = companion_Fbar(0.0, x, params.h,
+        exact = companion_Fbar(x, params.h,
                                self.with_fast(model, "lipschitz_saturating",
                                               c_s=0.0))
         z = np.abs(plain - exact) / se
@@ -546,7 +546,7 @@ class TestControlVariate:
         mean, se = estimate_Fbar(0.0, x, cfg.averaging, model,
                                  cfg.master_seed)
         assert np.array_equal(
-            mean, companion_Fbar(0.0, x, cfg.averaging.h, model))
+            mean, companion_Fbar(x, cfg.averaging.h, model))
         assert not se.any()
 
     def test_zero_sine_term_steps_no_replica(self, monkeypatch):
@@ -561,8 +561,8 @@ class TestControlVariate:
         x = self.state(model, "large")
         mean, se = estimate_Fbar(0.0, x, cfg.averaging, model,
                                  cfg.master_seed)
-        assert np.array_equal(mean, companion_Fbar(
-            0.0, x, cfg.averaging.h, model))
+        assert np.array_equal(mean, companion_Fbar(x, cfg.averaging.h,
+                                                   model))
         assert se.shape == mean.shape and not se.any()
 
     def test_shipped_standard_error_is_calibrated(self):
@@ -600,10 +600,10 @@ class TestControlVariate:
         x = self.state(model, state)
         h = cfg.averaging.h
         _, se = estimate_Fbar(0.0, x, cfg.averaging, model, cfg.master_seed)
-        shipped_drift = companion_Fbar(0.0, x, h, model)
+        shipped_drift = companion_Fbar(x, h, model)
         monkeypatch.setattr(averaging, "NORMAL_RULE_POINTS",
                             4 * averaging.NORMAL_RULE_POINTS - 3)
-        finer = companion_Fbar(0.0, x, h, model)
+        finer = companion_Fbar(x, h, model)
         gap = np.abs(shipped_drift - finer) / se
         assert gap.max() < 0.02, gap
 

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -325,6 +326,39 @@ class TestCli:
         assert len(err) == 1 and ".".join(where) + " must be" in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where,as_list", [
+        (("model", "fast_operator", "nu"), False),
+        (("model", "slow_operator", "nu"), False),
+        (("model", "grid", "length"), False),
+        (("model", "explosion_bound"), False),
+        (("averaging", "t_avg"), False),
+        (("model", "reactions", "fast", "c_s"), False),
+        (("model", "u0"), True),
+        (("experiment", "epsilon_grid"), True),
+    ], ids=["fast_nu", "slow_nu", "length", "explosion_bound", "t_avg",
+            "c_s", "u0", "epsilon_grid"])
+    def test_non_finite_number_rejected_at_load(self, tmp_path, capsys,
+                                                where, as_list, number):
+        # Python's json reads NaN and Infinity.  An infinite fast nu used
+        # to run with numpy's RuntimeWarning, an infinite slow nu to write
+        # a mean of 0.0, and a NaN nu or length to censor every path.
+        raw = copy.deepcopy(BASE)
+        raw["model"]["reactions"]["fast"] = {
+            "kind": "lipschitz_saturating", "a_c": 1.0, "b_c": 2.0,
+            "c_s": 0.2}
+        section = raw
+        for key in where[:-1]:
+            section = section[key]
+        section[where[-1]] = [0.1, number] if as_list else number
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and ".".join(where) + " must be" in err[0], err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where,value,named", [
         (("experiment", "epsilon_grid"), [0.1, 1e-300],
          "experiment.epsilon_grid"),
@@ -340,17 +374,25 @@ class TestCli:
          "model.reactions.slow.terms"),
         (("model", "reactions", "slow", "terms"), [[-1.0, 3.7, 0]],
          "model.reactions.slow.terms"),
+        (("model", "reactions", "slow", "terms"), [[math.nan, 3, 0]],
+         "model.reactions.slow.terms"),
+        (("model", "reactions", "slow", "terms"),
+         [[-1.0, 3, 0], [math.inf, 0, 0]], "model.reactions.slow.terms"),
+        (("model", "reactions", "slow", "terms"), [[10 ** 400, 3, 0]],
+         "model.reactions.slow.terms"),
     ], ids=["grid_too_many_substeps", "grid_ratio_underflows",
             "epsilon_too_many_substeps", "epsilon_ratio_underflows",
             "terms_string_coefficient", "terms_two_entries", "terms_number",
-            "terms_fractional_power"])
+            "terms_fractional_power", "terms_nan_coefficient",
+            "terms_infinite_coefficient", "terms_overflowing_coefficient"])
     @pytest.mark.parametrize("command", ["simulate", "converge"])
     def test_unrunnable_path_rejected_at_load(self, tmp_path, capsys,
                                               command, where, value, named):
         # The epsilon cases ended in numpy's size error or a
         # ZeroDivisionError (a bad model.epsilon passed converge, whose
         # grid is set, and crashed simulate); the terms cases in the
-        # traceback of float() or int(), and a power of 3.7 ran as 3.
+        # traceback of float() or int(), a power of 3.7 ran as 3, and a
+        # NaN or infinite coefficient was rejected as a growth violation.
         with open(os.path.join("configs", "decoupled_control.json")) as fh:
             raw = json.load(fh)
         raw["experiment"]["ensemble_size"] = 2

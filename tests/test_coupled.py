@@ -7,10 +7,9 @@ from scipy.linalg import expm
 from scipy.stats import linregress
 
 from slowfast import (InvalidParameterError, StateExplosionError, analyze, build_auxiliary,
-                      compute_rho0, derive_stream, eval_V, khasminskii_delta,
-                      make_fast_reaction, make_plan, make_slow_reaction,
-                      nemytskii_drift, ou_step, simulate_slowfast,
-                      synthesize)
+                      compute_rho0, derive_stream, eval_V, eval_b,
+                      khasminskii_delta, make_plan, make_slow_reaction,
+                      ou_step, simulate_slowfast, synthesize, truncate_b)
 from slowfast.config import parse_config
 from slowfast.coupled import (block_freezing_errors, freezing_deviations,
                               path_functionals, slow_path, snap_block)
@@ -163,10 +162,11 @@ class TestCoupledStep:
         import slowfast.fast_dynamics as fast_dynamics
 
         def nan_drift(*args, **kwargs):
-            # nodal_b(spec, theta, sigma, lam): lam holds the fast nodes.
+            # nemytskii_drift(spec, theta, u_phys, v_phys): v_phys holds the
+            # fast nodes.
             return np.full(args[3].shape, np.nan)
-        # The coupled step evaluates b by nodal_b.
-        monkeypatch.setattr(coupled, "nodal_b", nan_drift)
+        # The coupled step evaluates b by nemytskii_drift.
+        monkeypatch.setattr(coupled, "nemytskii_drift", nan_drift)
         model = linear_model(horizon=0.05, h_macro=0.01)
         with pytest.raises(StateExplosionError) as info:
             simulate_slowfast(model, 0, 0)
@@ -266,6 +266,13 @@ def _reference_substeps(v, u, model, plan, xis):
     return states
 
 
+def _checked_drift(model, u_phys, v):
+    """b_theta at the nodes of the modal fast field v, by the checked
+    eval_b and truncate_b."""
+    b = eval_b(model.reaction_slow, u_phys, synthesize(v, model.grid))
+    return truncate_b(model.theta, b) if model.theta > 0 else b
+
+
 def _reference_path(model, seed, trajectory_id):
     """The arithmetic the coupled kernel must reproduce bit for bit: checked
     public transforms and fused operators, one normals(N) call per substep
@@ -281,26 +288,22 @@ def _reference_path(model, seed, trajectory_id):
     plan_fast = _fast_plan(model, h / n_sub)
     slow = derive_stream(seed, trajectory_id, "slow_noise")
     fast = derive_stream(seed, trajectory_id, "fast_noise")
-    theta = model.theta if model.theta > 0 else None
     weights = np.full(n_sub + 1, 1.0 / n_sub)
     weights[0] = weights[-1] = 0.5 / n_sub
-    u, v, t = model.u0.copy(), model.v0.copy(), 0.0
+    u, v = model.u0.copy(), model.v0.copy()
     us, vs, drifts, noise = [u], [v], [], []
     v_int = comp = 0.0
     for _ in range(n_steps):
         u_phys = synthesize(u, grid)
         v_int, comp = kahan_add(v_int, comp, h * eval_V(
             u_phys, synthesize(v, grid), model.lyapunov, grid))
-        nodal = [nemytskii_drift(model.reaction_slow, theta, t, u_phys,
-                                 synthesize(v, grid), grid)]
+        nodal = [_checked_drift(model, u_phys, v)]
         step_noise = [fast.normals(n) for _ in range(n_sub)]
         for v in _reference_substeps(v, u, model, plan_fast, step_noise):
-            nodal.append(nemytskii_drift(model.reaction_slow, theta, t,
-                                         u_phys, synthesize(v, grid), grid))
+            nodal.append(_checked_drift(model, u_phys, v))
         f1 = analyze(weights.dot(np.stack(nodal)), grid)
         u = (plan_slow.decay * u + plan_slow.drift_weight * f1
              + plan_slow.noise_std * slow.normals(n))
-        t = t + h
         us.append(u)
         vs.append(v)
         drifts.append(f1)

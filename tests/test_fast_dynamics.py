@@ -475,7 +475,7 @@ def _cubic_drift(grid, x_phys):
     from slowfast.spectral import analyze
     spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
     return lambda v_phys: analyze(
-        nemytskii_drift(spec, 0.01, 0.0, x_phys, v_phys, grid), grid)
+        nemytskii_drift(spec, 0.01, x_phys, v_phys), grid)
 
 
 class TestExactStart:

@@ -82,16 +82,15 @@ def test_batched_analyze_rows_equal_single_calls(case):
 
 @SETTINGS
 @given(case=batches(lambda grid: grid.n_quad),
-       theta=st.sampled_from([None, 0.01, 0.5]))
+       theta=st.sampled_from([0.0, 0.01, 0.5]))
 def test_batched_nemytskii_drift_rows_equal_single_calls(case, theta):
     grid, v_batch = case
     spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
     u_phys = v_batch[0][::-1].copy()
-    out = nemytskii_drift(spec, theta, 0.0, u_phys, v_batch, grid)
+    out = nemytskii_drift(spec, theta, u_phys, v_batch)
     assert out.shape == v_batch.shape
     for row, v in zip(out, v_batch):
-        assert np.array_equal(row, nemytskii_drift(spec, theta, 0.0, u_phys, v,
-                                                   grid))
+        assert np.array_equal(row, nemytskii_drift(spec, theta, u_phys, v))
 
 
 @SETTINGS
@@ -404,7 +403,7 @@ def macro_step_cases(draw):
     return model, n_sub, u, v, xi_fast
 
 
-def _reference_macro_step(model, n_sub, u, v, t, xi_fast):
+def _reference_macro_step(model, n_sub, u, v, xi_fast):
     """The fast part of one macro step in checked transforms and fused
     operators: with a sine term, the fast substeps of
     test_prepared_fast_step_equals_checked_reference with noise_std * xi
@@ -439,10 +438,10 @@ def _reference_macro_step(model, n_sub, u, v, t, xi_fast):
     v_nodes = np.concatenate((synthesize(v, grid)[None],
                               synthesize(np.stack(states[1:]), grid)))
     if model.theta > 0:
-        drift = truncate_b(model.reaction_slow, model.theta, t, grid.nodes,
-                           u_phys, v_nodes)
+        drift = truncate_b(model.theta,
+                           eval_b(model.reaction_slow, u_phys, v_nodes))
     else:
-        drift = eval_b(model.reaction_slow, t, grid.nodes, u_phys, v_nodes)
+        drift = eval_b(model.reaction_slow, u_phys, v_nodes)
     weights = np.full(n_sub + 1, 1.0 / n_sub)
     weights[0] = weights[-1] = 0.5 / n_sub
     return states[-1], analyze(weights.dot(drift), grid)
@@ -461,10 +460,9 @@ def test_macro_step_equals_checked_reference(case):
     assert plans[0] == n_sub
     # Increments of a two-step path, of which this step is the second.
     path_fast = plans.increments(np.stack([xi_fast, xi_fast]))
-    t = 0.03
     v_next, v_phys, f1 = step_coupled(
         v, u, synthesize(v, grid), model, path_fast[1], plans)
-    v_ref, f1_ref = _reference_macro_step(model, n_sub, u, v, t, xi_fast)
+    v_ref, f1_ref = _reference_macro_step(model, n_sub, u, v, xi_fast)
     assert np.array_equal(v_next, v_ref)
     assert np.array_equal(f1, f1_ref)
     assert np.array_equal(v_phys, synthesize(v_ref, grid))

@@ -36,7 +36,7 @@ class TestGaussianMeanB:
         dz = z[1] - z[0]
         density = np.exp(-0.5 * z * z) * dz / math.sqrt(2.0 * math.pi)
         lam = mean[:, None] + std[:, None] * z
-        return (eval_b(spec, 0.0, 0.0, sigma[:, None], lam)
+        return (eval_b(spec, sigma[:, None], lam)
                 * density).sum(axis=1)
 
     @pytest.mark.parametrize("spec", [
@@ -58,7 +58,7 @@ class TestGaussianMeanB:
         zeros = np.zeros_like(self.MEAN)
         assert np.array_equal(
             gaussian_mean_b(spec, self.SIGMA, self.MEAN, zeros),
-            eval_b(spec, 0.0, 0.0, self.SIGMA, self.MEAN))
+            eval_b(spec, self.SIGMA, self.MEAN))
 
     def test_negative_power_has_no_mean(self):
         spec = make_slow_reaction("polynomial", terms=[(1.0, 0, -1)])
@@ -68,79 +68,99 @@ class TestGaussianMeanB:
 
 class TestEvalB:
     def test_cubic_polynomial_value(self):
-        assert float(eval_b(cubic_plain(), 0.0, 0.0, 2.0, 1.0)) == pytest.approx(-7.0)
+        assert float(eval_b(cubic_plain(), 2.0, 1.0)) == pytest.approx(-7.0)
 
     def test_linear_benchmark_is_identity_in_lam(self):
         spec = make_slow_reaction("linear_benchmark")
-        assert float(eval_b(spec, 0.0, 0.0, 5.0, 0.3)) == pytest.approx(0.3)
+        assert float(eval_b(spec, 5.0, 0.3)) == pytest.approx(0.3)
 
     def test_zero_preservation(self):
         spec = make_slow_reaction("cubic_rough", c_u=1.0, c_v=1.0)
-        assert float(eval_b(spec, 0.0, 0.0, 0.0, 0.0)) == 0.0
+        assert float(eval_b(spec, 0.0, 0.0)) == 0.0
 
     def test_cubic_rough_formula(self):
         spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=2.0)
         sigma, lam = 1.5, -2.0
         expected = -sigma ** 3 + 0.5 * sigma + 2.0 * lam * abs(lam)
-        assert float(eval_b(spec, 0.0, 0.0, sigma, lam)) == pytest.approx(expected)
+        assert float(eval_b(spec, sigma, lam)) == pytest.approx(expected)
+
+    def test_polynomial_is_the_written_out_sum_bit_for_bit(self, rng):
+        # Zero powers are skipped: sigma ** 0 and lam ** 0 are exactly 1.0
+        # for every float, NaN and inf included.
+        terms = [(-1.0, 3, 0), (0.5, 1, 2), (2.0, 0, 3), (0.25, 0, 0),
+                 (-0.7, 2, 1), (0.3, 0, 1), (1.5, 1, 0)]
+        spec = make_slow_reaction("polynomial", terms=terms)
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0]
+        sigma = np.concatenate((special, rng.normal(scale=3.0, size=10)))
+        lam = np.concatenate((special[::-1], rng.normal(scale=3.0, size=10)))
+        cases = ((sigma, lam), (sigma[:, None], lam[None, :]),
+                 (sigma[:, None], lam[:3]), (1.7, -2.2))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for s_in, l_in in cases:
+                s_arr, l_arr = np.asarray(s_in), np.asarray(l_in)
+                expected = np.zeros(np.broadcast_shapes(s_arr.shape,
+                                                        l_arr.shape))
+                for coef, i, j in terms:
+                    expected = expected + coef * s_arr ** i * l_arr ** j
+                out = eval_b(spec, s_in, l_in)
+                assert out.shape == expected.shape
+                assert np.array_equal(out.view(np.int64),
+                                      expected.view(np.int64))
 
     def test_fast_reaction_on_slow_spec_rejected(self):
         with pytest.raises(InvalidParameterError):
-            eval_g(make_slow_reaction("linear_benchmark"), 0.0, 0.0, 1.0, 1.0)
+            eval_g(make_slow_reaction("linear_benchmark"), 1.0, 1.0)
 
 
 class TestEvalG:
     def test_linear_benchmark(self):
         spec = make_fast_reaction("linear_benchmark", a_c=2.0, b_c=3.0)
-        assert float(eval_g(spec, 0.0, 0.0, 1.0, 0.5)) == pytest.approx(0.5)
+        assert float(eval_g(spec, 1.0, 0.5)) == pytest.approx(0.5)
         assert spec.L2 == 3.0
 
     def test_saturating_lipschitz_constant(self):
         spec = make_fast_reaction("lipschitz_saturating", a_c=1.0, b_c=2.0, c_s=0.3)
         assert spec.L2 == pytest.approx(2.3)
-        val = float(eval_g(spec, 0.0, 0.0, 1.0, 0.5))
+        val = float(eval_g(spec, 1.0, 0.5))
         assert val == pytest.approx(1.0 - 1.0 + 0.3 * math.sin(0.5))
 
 
 class TestTruncation:
     def test_simple_values(self):
-        spec = make_slow_reaction("linear_benchmark")
-        # b = lam
-        assert float(truncate_b(spec, 0.5, 0.0, 0.0, 0.0, 2.0)) == pytest.approx(1.0)
-        assert float(truncate_b(spec, 0.1, 0.0, 0.0, 0.0, -3.0)) == pytest.approx(-3.0 / 1.3)
+        assert float(truncate_b(0.5, 2.0)) == pytest.approx(1.0)
+        assert float(truncate_b(0.1, -3.0)) == pytest.approx(-3.0 / 1.3)
 
     def test_identity_limit(self):
-        spec = make_slow_reaction("linear_benchmark")
-        vals = [float(truncate_b(spec, theta, 0.0, 0.0, 0.0, 7.0))
+        vals = [float(truncate_b(theta, 7.0))
                 for theta in (1e-2, 1e-4, 1e-6)]
         assert abs(vals[-1] - 7.0) < 1e-4
         assert vals[0] < vals[1] < vals[2] < 7.0
 
     def test_nonpositive_theta_rejected(self):
         with pytest.raises(InvalidParameterError):
-            truncate_b(make_slow_reaction("linear_benchmark"), 0.0, 0, 0, 0, 1.0)
+            truncate_b(0.0, 1.0)
 
     def test_in_place_form_matches_formula(self, rng):
-        # Truncation runs in place on the array from eval_b; it must give
-        # the bits of b / (1 + theta |b|) for arrays, 0-d arrays and floats.
+        # Truncation runs in place on a copy of b, which it leaves as it
+        # was; it must give the bits of b / (1 + theta |b|) for arrays, 0-d
+        # arrays and floats.
         spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
         sigma = rng.normal(scale=3.0, size=(7, 16))
         lam = rng.normal(scale=3.0, size=(7, 16))
         for s_in, l_in in ((sigma, lam), (np.asarray(1.7), np.asarray(-2.2)),
                            (1.7, -2.2)):
-            b = eval_b(spec, 0.0, 0.0, s_in, l_in)
-            out = truncate_b(spec, 0.01, 0.0, 0.0, s_in, l_in)
+            b = eval_b(spec, s_in, l_in)
+            out = truncate_b(0.01, b)
             assert np.shape(out) == np.shape(b)
             assert np.array_equal(out, b / (1.0 + 0.01 * np.abs(b)))
 
     def test_pointwise_identities_random(self, rng):
         # |b_t| <= 1/theta, |b_t| <= |b|, sign preserved,
         # |b - b_t| (1 + theta |b|) = theta b^2
-        spec = make_slow_reaction("linear_benchmark")
         for _ in range(10_000):
             b = rng.uniform(-50, 50)
             theta = rng.uniform(1e-4, 1.0)
-            bt = float(truncate_b(spec, theta, 0.0, 0.0, 0.0, b))
+            bt = float(truncate_b(theta, b))
             assert abs(bt) <= 1.0 / theta + 1e-12
             assert abs(bt) <= abs(b) + 1e-12
             assert math.copysign(1, bt) == math.copysign(1, b) or b == 0
@@ -149,46 +169,35 @@ class TestTruncation:
 
 class TestNemytskii:
     def test_zero_reaction(self):
-        grid = GridSpec(n_modes=4, n_quad=16)
         spec = make_slow_reaction("polynomial", terms=[])
-        out = nemytskii_drift(spec, None, 0.0, np.ones(16), np.ones(16), grid)
+        out = nemytskii_drift(spec, 0.0, np.ones(16), np.ones(16))
         assert np.all(out == 0)
 
     def test_linear_benchmark_returns_fast_values(self, rng):
-        grid = GridSpec(n_modes=4, n_quad=16)
         spec = make_slow_reaction("linear_benchmark")
         v = rng.normal(size=16)
-        out = nemytskii_drift(spec, None, 0.0, rng.normal(size=16), v, grid)
+        out = nemytskii_drift(spec, 0.0, rng.normal(size=16), v)
         assert np.array_equal(out, v)
 
     def test_constant_fields(self):
-        grid = GridSpec(n_modes=4, n_quad=16)
         spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=1.0)
-        out = nemytskii_drift(spec, None, 0.0, np.ones(16), np.zeros(16), grid)
+        out = nemytskii_drift(spec, 0.0, np.ones(16), np.zeros(16))
         assert np.allclose(out, -1.0 + 0.5)
 
     def test_linearity_of_linear_benchmark(self, rng):
-        grid = GridSpec(n_modes=4, n_quad=16)
         spec = make_slow_reaction("linear_benchmark")
         u = rng.normal(size=16)
         v1 = rng.normal(size=16)
         v2 = rng.normal(size=16)
-        lhs = nemytskii_drift(spec, None, 0.0, u, 2.0 * v1 - 3.0 * v2, grid)
-        rhs = (2.0 * nemytskii_drift(spec, None, 0.0, u, v1, grid)
-               - 3.0 * nemytskii_drift(spec, None, 0.0, u, v2, grid))
+        lhs = nemytskii_drift(spec, 0.0, u, 2.0 * v1 - 3.0 * v2)
+        rhs = (2.0 * nemytskii_drift(spec, 0.0, u, v1)
+               - 3.0 * nemytskii_drift(spec, 0.0, u, v2))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    def test_grid_mismatch_rejected(self):
-        grid = GridSpec(n_modes=4, n_quad=16)
-        with pytest.raises(InvalidParameterError):
-            nemytskii_drift(make_slow_reaction("linear_benchmark"), None, 0.0,
-                            np.ones(8), np.ones(16), grid)
-
     def test_truncated_drift_is_bounded(self, rng):
-        grid = GridSpec(n_modes=4, n_quad=16)
         spec = make_slow_reaction("cubic_rough", c_v=1.0)
         u = 50.0 * rng.normal(size=16)
-        out = nemytskii_drift(spec, 0.01, 0.0, u, np.zeros(16), grid)
+        out = nemytskii_drift(spec, 0.01, u, np.zeros(16))
         assert np.max(np.abs(out)) <= 100.0 + 1e-9
 
 
@@ -245,9 +254,8 @@ class TestLyapunov:
 
 def truncation_gaps(spec, theta, points):
     """|b - b_theta| at each (sigma, lam) sample point, one scalar call each."""
-    return [abs(float(eval_b(spec, 0.0, 0.0, sigma, lam))
-                - float(truncate_b(spec, theta, 0.0, 0.0, sigma, lam)))
-            for sigma, lam in points]
+    values = [eval_b(spec, sigma, lam) for sigma, lam in points]
+    return [abs(float(b) - float(truncate_b(theta, b))) for b in values]
 
 
 class TestTruncationGap:
@@ -280,7 +288,7 @@ class TestTruncationGap:
 
     def test_invalid_theta(self):
         with pytest.raises(InvalidParameterError):
-            truncate_b(make_slow_reaction("linear_benchmark"), 1.5, 0, 0, 0, 1.0)
+            truncate_b(1.5, 1.0)
 
     @pytest.mark.parametrize("theta", [0.5, 0.01])
     def test_max_gap_is_the_truncate_b_gap(self, rng, theta):
@@ -288,8 +296,8 @@ class TestTruncationGap:
         spec = make_slow_reaction("cubic_rough", c_u=0.5, c_v=0.5)
         points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(100)]
         sigma, lam = np.array(points).T
-        gaps = np.abs(eval_b(spec, 0.0, 0.0, sigma, lam)
-                      - truncate_b(spec, theta, 0.0, 0.0, sigma, lam))
+        b = eval_b(spec, sigma, lam)
+        gaps = np.abs(b - truncate_b(theta, b))
         assert gaps.tolist() == truncation_gaps(spec, theta, points)
 
 
@@ -345,10 +353,10 @@ def meshgrid_growth_report(spec) -> GrowthReport:
     s_grid, l_grid = np.meshgrid(GROWTH_SIGMAS, GROWTH_LAMBDAS, indexing="ij")
     with np.errstate(divide="ignore", invalid="ignore"):
         uniform_worst = _worst_ratio(
-            np.abs(eval_b(spec, 0.0, 0.0, s_grid, l_grid)),
+            np.abs(eval_b(spec, s_grid, l_grid)),
             spec.a1 + np.abs(s_grid) ** spec.m1 + np.abs(l_grid) ** spec.m2)
         one_sided_worst = max(_worst_ratio(
-            eval_b(spec, 0.0, 0.0, s_grid + r, l_grid) * s_grid,
+            eval_b(spec, s_grid + r, l_grid) * s_grid,
             spec.a2 + s_grid ** 2 + np.abs(l_grid) ** spec.kappa1
             + abs(r) ** spec.kappa2) for r in GROWTH_RHOS)
     return GrowthReport(

@@ -24,11 +24,9 @@ ALLOWED_UNUSED = {"run_moment_audit", "run_holder_stats",
                   "run_theta_stability", "run_khasminskii_study",
                   "eval_g", "step_frozen_fast", "ou_step"}
 
-# Parameters that a protocol signature fixes: every reaction kind is
-# evaluated as b(t, xi, sigma, lam) and g(t, xi, rho, sigma), the drift
-# oracle as F-bar(t, x), and a path statistic as stat(traj, model).
-ALLOWED_UNREAD_PARAMS = {"eval_b.t", "eval_b.xi", "eval_g.t", "eval_g.xi",
-                         "analytic_Fbar_linear.t", "_slow_path_stat.model"}
+# Parameters that a protocol signature fixes: the drift oracle is
+# evaluated as F-bar(t, x), and a path statistic as stat(traj, model).
+ALLOWED_UNREAD_PARAMS = {"analytic_Fbar_linear.t", "_slow_path_stat.model"}
 
 # Seed and id parameters that keep a default.  Acceptance criterion 2
 # estimates F-bar at u0 without a trajectory id.

@@ -46,6 +46,10 @@ def traced_run(bench, tmp_path, workload_name, edit):
     return workload, raw, trace.report()
 
 
+def calls(report, name):
+    return sum(s["calls"] for s in report["spans"] if s["name"] == name)
+
+
 # With a norm_sq observable, converge also runs the averaged reference
 # paths through the shared slow loop; they add no coupled path and no
 # coupled substep to the counts.
@@ -66,9 +70,11 @@ def test_converge_counts_paths_and_substeps(bench, tmp_path, observables):
             == workloads.expected_fast_substeps(raw) == 340)
     # The closed-form drift: one stacked call per coupled path for the
     # discrepancy statistic, and one per step of each averaged path.
-    oracle_calls = sum(s["calls"] for s in report["spans"]
-                       if s["name"] == "averaging.analytic_Fbar_linear")
-    assert oracle_calls == 6 + (2 * 10 if observables else 0)
+    assert (calls(report, "averaging.analytic_Fbar_linear")
+            == 6 + (2 * 10 if observables else 0))
+    # The coupled step lifts b to the nodes once per macro step.
+    assert (calls(report, "reactions.nemytskii_drift")
+            == calls(report, "coupled.step_coupled") == 60)
 
 
 def test_audit_counts_paths(bench, tmp_path):
@@ -79,9 +85,10 @@ def test_audit_counts_paths(bench, tmp_path):
     _, workloads = bench
     assert report["identities"] == workloads.expected_identities(workload, raw)
     assert report["identities"] == 10
-    simulate_calls = sum(s["calls"] for s in report["spans"]
-                         if s["name"] == "coupled.simulate_slowfast")
-    assert simulate_calls == report["identities"]
+    assert (calls(report, "coupled.simulate_slowfast")
+            == report["identities"])
+    assert (calls(report, "reactions.nemytskii_drift")
+            == calls(report, "coupled.step_coupled") == 50)
 
 
 def test_average_cubic_output_check(bench, tmp_path):
