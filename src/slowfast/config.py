@@ -299,6 +299,16 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
             f"experiment.{key} must be {rule}, got {value!r}")
 
 
+def _require_distinct(key: str, labels: list) -> None:
+    """Reject an experiment list two of whose entries print alike in the
+    statistic ids of its rows, which would then share a CSV key."""
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigurationRejectedError(
+                f"experiment.{key}[{i}] repeats {label!r} of an earlier "
+                f"entry, so two rows would share a statistic id")
+
+
 def parse_config_dict(raw: dict) -> ExperimentConfig:
     _require_keys(raw, "config", ("model",), ("experiment", "invariant", "averaging"))
     try:
@@ -344,6 +354,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
                  time_power)
         test_functions.append(TestFunctionSpec(modes=modes,
                                                time_power=time_power))
+    _require_distinct("test_functions", [tf.label for tf in test_functions])
 
     obs_raw = exp.get("observables", [{"kind": "mode", "k": 1}])
     _require(isinstance(obs_raw, list), "observables", "a list", obs_raw)
@@ -358,6 +369,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
             _require(1 <= k <= n_modes, f"observables[{i}].k",
                      f"a mode in 1..{n_modes}", k)
         observables.append(ObservableSpec(kind=ob["kind"], k=k))
+    _require_distinct("observables", [ob.label for ob in observables])
 
     ensemble_size = _get(exp, "ensemble_size", "experiment", 100, int)
     _require(ensemble_size >= 1, "ensemble_size", "at least 1", ensemble_size)
@@ -370,6 +382,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     _require(all(0 <= theta <= 1 for theta in theta_sequence),
              "theta_sequence", "a list of levels in [0, 1]",
              list(theta_sequence))
+    _require_distinct("theta_sequence",
+                      [f"{theta:g}" for theta in theta_sequence])
     c_const = _get(exp, "c_const", "experiment", 2.0)
     _require(0 < c_const < math.inf, "c_const", "finite and positive",
              c_const)

@@ -32,7 +32,7 @@ from .fast_dynamics import FastStepper
 from .model import ModelSpec
 from .noise import RngStream, derive_stream
 from .reactions import eval_V, lyapunov_norms, nemytskii_drift
-from .spectral import (kahan_add, kahan_mean_vectors, mean_se, scalar_power,
+from .spectral import (kahan_mean_vectors, matvec, mean_se, scalar_power,
                        synthesize)
 
 __all__ = [
@@ -296,10 +296,17 @@ def path_functionals(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
                     tuple(None if norm is None else norm[:-1]
                           for norm in norms))
     v_int = v_comp = proxy = proxy_comp = 0.0
+    proxy_weight = h * lyap.c_V
+    # Two compensated (Kahan) sums, kahan_add's steps written inline.
     for value, u_term in zip(values.tolist(), u_terms):
-        v_int, v_comp = kahan_add(v_int, v_comp, h * value)
-        proxy, proxy_comp = kahan_add(proxy, proxy_comp,
-                                      h * lyap.c_V * (1.0 + u_term))
+        y = h * value - v_comp
+        total = v_int + y
+        v_comp = (total - v_int) - y
+        v_int = total
+        y = proxy_weight * (1.0 + u_term) - proxy_comp
+        total = proxy + y
+        proxy_comp = (total - proxy) - y
+        proxy = total
     return {"v_integral": v_int, "sup_u": sup_u, "sup_v": sup_v,
             "vbar_proxy": proxy}
 
@@ -316,16 +323,23 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
     noise, so it is the path's own step, bit for bit: v_aux starts as a copy
     of the path, and only the later steps of a block are replayed, from the
     path's state after its first (a block of one macro step replays
-    nothing).  A step with a sine term replays a block's substeps in one
-    FastStepper.advance; without one, each replayed macro step is one
-    application of the last row of the substeps' affine map, the row the
-    path's own step ends on, so replaying an unchanged u reproduces the
-    path bit for bit at any n_sub.  A replay that turns non-finite raises
-    StateExplosionError at the first such node.
+    nothing).  The blocks are independent, so they replay together, one
+    row per block of an (n_blocks, N) stack: the full blocks as one group
+    and a shorter last block as a second.  A step with a sine term replays
+    a group's in-block substeps in one FastStepper.advance; without one,
+    each in-block macro step is one application, to every block at once,
+    of the last row of the substeps' affine map, the row the path's own
+    step ends on, so replaying an unchanged u reproduces the path bit for
+    bit at any n_sub.  A row is bit-equal to its block replayed alone:
+    advance's stacked products are matvec's row-exact ones and apply_map
+    is elementwise.  A replay that turns non-finite raises
+    StateExplosionError at the first such node, checked once after the
+    replay.
     """
     if not delta > 0:
         raise InvalidParameterError("delta must be positive")
     n_steps = model.n_steps
+    n_modes = model.n_modes
     steps_per_block, _ = snap_block(delta, model.h_macro)
     plans = model.coupled_plans
     n_sub, stepper, affine = plans.n_sub, plans.stepper, plans.affine
@@ -334,42 +348,49 @@ def build_auxiliary(traj: SlowFastTrajectory, delta: float,
             "substep layout mismatch: trajectory is not replayable under this model")
 
     increments = plans.increments(traj.fast_noise)
-    v_aux = traj.v.copy()
-    if affine is None:
-        noise = increments.reshape(-1, model.n_modes)
-        # The state and node stacks of the longest replay, allocated once.
-        n_replay = max(0, min(steps_per_block, n_steps) - 1) * n_sub
-        state_stack = np.empty((n_replay, model.n_modes))
-        node_stack = np.empty((n_replay, model.grid.n_quad))
-    else:
+    if affine is not None:
         # A macro step's end state: the map's last row, the last column of
         # the convolved noise.
         last = (affine[0][-1], affine[1][-1])
-        noise = increments[:, -1]
-    for start in range(0, n_steps, steps_per_block):
-        stop = min(start + steps_per_block, n_steps)
-        if stop == start + 1:
-            continue
-        replayed = v_aux[start + 2:stop + 1]
-        if affine is None:
-            n = (stop - start - 1) * n_sub
-            states, _ = stepper.advance(
-                traj.v[start + 1], stepper.mat.dot(traj.v[start + 1]),
-                stepper.drive(traj.u[start]),
-                noise[(start + 1) * n_sub:stop * n_sub],
-                nodes=node_stack[:n], states=state_stack[:n])
-            replayed[...] = states[n_sub - 1::n_sub]
-        else:
-            for i in range(start + 1, stop):
-                stepper.apply_map(last, traj.u[start], noise[i], v_aux[i],
-                                  out=v_aux[i + 1])
-        # Only replayed nodes are checked: the path's passed its guard.
-        finite = np.isfinite(replayed).all(axis=1)
+    v_aux = traj.v.copy()
+    n_full, short = divmod(n_steps, steps_per_block)
+    # (first step, blocks, steps per block): the full blocks, then the
+    # shorter last one.
+    groups = ((0, n_full, steps_per_block),
+              (n_full * steps_per_block, 1, short))
+    # A replay that overflows is reported by the check below alone.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, n_blocks, length in groups:
+            if n_blocks == 0 or length < 2:
+                continue
+            stop = first + n_blocks * length
+            # Views with one row per block: its nodes after each of its
+            # steps, its frozen u and its steps' increments.
+            blocks = v_aux[first + 1:stop + 1].reshape(n_blocks, length,
+                                                       n_modes)
+            frozen = traj.u[first:stop:length]
+            noise = increments[first:stop].reshape(n_blocks, length, n_sub,
+                                                   n_modes)
+            if affine is None:
+                start = blocks[:, 0]
+                # The in-block substeps along the first axis.
+                states, _ = stepper.advance(
+                    start, matvec(stepper.mat, start), stepper.drive(frozen),
+                    noise[:, 1:].reshape(n_blocks, -1, n_modes).swapaxes(0, 1))
+                blocks[:, 1:] = states[n_sub - 1::n_sub].swapaxes(0, 1)
+            else:
+                for j in range(1, length):
+                    stepper.apply_map(last, frozen, noise[:, j, -1],
+                                      blocks[:, j - 1], out=blocks[:, j])
+        # The path's own nodes passed its guard, so the first non-finite
+        # node is a replayed one.
+        finite = np.isfinite(v_aux).all(axis=1)
         if not finite.all():
-            first = start + 2 + int(np.argmin(finite))
-            raise StateExplosionError(float(model.times[first]),
+            bad = int(np.argmin(finite))
+            start = (bad - 1) // steps_per_block * steps_per_block
+            raise StateExplosionError(float(model.times[bad]),
                                       float(np.linalg.norm(traj.u[start])),
-                                      float(np.linalg.norm(v_aux[first])),
+                                      float(np.linalg.norm(v_aux[bad])),
                                       model.explosion_bound,
                                       where=" in the block-frozen replay")
     # Node i holds the snapshot at the start of its block.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -220,7 +221,15 @@ def scalar_power(x, e):
     alone."""
     if np.ndim(x) == 0:
         return x ** e
-    return np.array([value ** e for value in x.ravel()]).reshape(x.shape)
+    try:
+        # Python's float power is the same C pow as a numpy scalar's.
+        values = np.fromiter(map(pow, x.ravel().tolist(), repeat(e)), float,
+                             count=x.size)
+    except (ArithmeticError, TypeError):
+        # Where Python's raises (overflow, zero to a negative power, a
+        # complex result), the numpy scalars' inf, nan and warnings.
+        values = np.array([value ** e for value in x.ravel()])
+    return values.reshape(x.shape)
 
 
 def lp_norm(values: np.ndarray, grid: GridSpec, p: float):

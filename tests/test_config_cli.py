@@ -264,6 +264,37 @@ class TestCli:
         assert len(err) == 1 and named in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,key,value,named", [
+        ("audit", "theta_sequence", [0.1, 0.1], "theta_sequence[1]"),
+        ("audit", "theta_sequence", [0.01, 0.1, 0.10000001],
+         "theta_sequence[2]"),
+        ("converge", "observables",
+         [{"kind": "mode", "k": 1}, {"kind": "mode", "k": 1}],
+         "observables[1]"),
+        ("converge", "observables",
+         [{"kind": "norm_sq"}, {"kind": "mode", "k": 2},
+          {"kind": "norm_sq", "k": 2}], "observables[2]"),
+        ("converge", "test_functions", [{"modes": [1.0]}, {"modes": [1.0]}],
+         "test_functions[1]"),
+        ("converge", "test_functions",
+         [{"modes": [1.0]}, {"modes": [1.0000001]}], "test_functions[1]"),
+    ], ids=["theta_repeated", "theta_prints_alike", "observable_repeated",
+            "norm_sq_prints_alike", "test_function_repeated",
+            "test_function_prints_alike"])
+    def test_entries_sharing_a_statistic_id_rejected(self, tmp_path, capsys,
+                                                     command, key, value,
+                                                     named):
+        # Each used to write two rows under one (experiment_id, epsilon,
+        # statistic_id) key, and ResultTable.value read the first.
+        raw = copy.deepcopy(BASE)
+        raw["experiment"][key] = value
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"experiment.{named} repeats" in err[0], err
+        assert not out.exists()
+
     def test_short_horizon_rejected_before_the_estimator(self, tmp_path,
                                                          capsys):
         # With no macro step, converge's averaged reference in estimator

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import linregress
 
@@ -438,13 +440,15 @@ class TestKernelBitIdentity:
         calls = {"advance": [], "apply_map": []}
 
         def counting_advance(self, *args, **kwargs):
-            # args[3] is the noise: one row per replayed substep.
-            calls["advance"].append(len(args[3]))
+            # args[3] is the noise (n, blocks, N): n replayed substeps of
+            # each stacked block.
+            calls["advance"].append(args[3].shape[0] * args[3].shape[1])
             return advance(self, *args, **kwargs)
 
         def counting_map(*args, **kwargs):
-            # One row of the affine map: one replayed macro step.
-            calls["apply_map"].append(1)
+            # args[1] is the frozen u (blocks, N): one replayed macro step
+            # of each stacked block.
+            calls["apply_map"].append(len(args[1]))
             return apply_map(*args, **kwargs)
         monkeypatch.setattr(stepper, "advance", counting_advance)
         monkeypatch.setattr(stepper, "apply_map", staticmethod(counting_map))
@@ -455,17 +459,46 @@ class TestKernelBitIdentity:
                               _reference_replay(traj, model, steps_per_block))
         # A block's first macro step is the path's own, never replayed.
         # The sine step replays its substeps; the linear step applies the
-        # map once per replayed macro step, whatever n_sub.
+        # map once per replayed macro step, whatever n_sub.  The blocks
+        # replay stacked: the full ones in one group, a shorter last block
+        # in a second.
         n_blocks = math.ceil(70 / steps_per_block)
         replayed = 70 - n_blocks
         if kind == "linear":
-            assert calls == {"advance": [], "apply_map": [1] * replayed}
+            assert calls["advance"] == []
+            assert sum(calls["apply_map"]) == replayed
         else:
             assert calls["apply_map"] == []
             assert sum(calls["advance"]) == (replayed
                                              * traj.fast_noise.shape[1])
+            assert len(calls["advance"]) <= 2
+        short = 70 % steps_per_block
+        assert len(calls["apply_map"]) == (0 if kind == "cubic" else (
+            steps_per_block - 1 + max(0, short - 1)))
         if steps_per_block == 1:
             assert calls == {"advance": [], "apply_map": []}
+
+    # eps = 0.1, 0.02, 0.004 give n_sub = 1, 3, 13; block lengths run
+    # past the path, and most horizons leave a shorter last block.
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(KERNEL_MODELS)),
+           eps=st.sampled_from([0.1, 0.02, 0.004]),
+           n_steps=st.integers(min_value=2, max_value=24),
+           data=st.data())
+    def test_stacked_replay_matches_per_block_reference(self, kind, eps,
+                                                        n_steps, data):
+        steps_per_block = data.draw(st.integers(min_value=1,
+                                                max_value=n_steps + 3))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+        model = dataclasses.replace(KERNEL_MODELS[kind](eps),
+                                    horizon=n_steps * 0.01)
+        assert model.n_steps == n_steps
+        traj = simulate_slowfast(model, seed, 3)
+        delta = steps_per_block * model.h_macro
+        assert snap_block(delta, model.h_macro)[0] == steps_per_block
+        _, v_aux = build_auxiliary(traj, delta, model)
+        assert np.array_equal(v_aux,
+                              _reference_replay(traj, model, steps_per_block))
 
     @pytest.mark.parametrize("kind", ["cubic", "decoupled", "linear"])
     def test_functionals_match_per_node_reference(self, kind):

@@ -6,7 +6,7 @@ import pytest
 from slowfast import (ConfigurationRejectedError, GridSpec, InvalidParameterError,
                       SpectralOperator, analyze, check_noise_regularity,
                       dirichlet_eigenpairs, make_plan, synthesize)
-from slowfast.spectral import lp_norm
+from slowfast.spectral import lp_norm, scalar_power
 
 from conftest import unit_field
 
@@ -152,3 +152,29 @@ class TestLpNorm:
         v = rng.normal(size=32)
         assert lp_norm(3.0 * v, grid, 6.0) == pytest.approx(
             3.0 * lp_norm(v, grid, 6.0), rel=1e-12)
+
+
+class TestScalarPower:
+    # Nonnegative values, as the norms it raises are: zeros, subnormals,
+    # inf and NaN, 1e300, which overflows at e = 2 and 8, and enough
+    # ordinary ones that numpy's vector power rounds some differently.
+    VALUES = np.concatenate((
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0, 1e10,
+         math.inf, math.nan, 1e300],
+        10.0 * np.random.default_rng(0).random(70)))
+
+    @pytest.mark.parametrize("e", [0.25, 1.0 / 3.0, 0.5, 2.0, 8.0, 3.7])
+    @pytest.mark.parametrize("shape", [(), (80,), (4, 20)],
+                             ids=["0d", "1d", "2d"])
+    def test_is_the_written_out_scalar_power(self, shape, e):
+        inputs = ([value.reshape(()) for value in self.VALUES]
+                  if shape == () else [self.VALUES.reshape(shape)])
+        with np.errstate(over="ignore"):
+            for x in inputs:
+                expected = np.array([v ** e for v in x.ravel()]).reshape(
+                    x.shape)
+                got = np.asarray(scalar_power(x, e))
+                assert got.shape == x.shape
+                assert np.array_equal(got.view(np.int64),
+                                      expected.view(np.int64)), x
+

@@ -89,6 +89,8 @@ def test_audit_counts_paths(bench, tmp_path):
             == report["identities"])
     assert (calls(report, "reactions.nemytskii_drift")
             == calls(report, "coupled.step_coupled") == 50)
+    # One block-frozen replay per path: 2 ids x 3 eps.
+    assert calls(report, "coupled.build_auxiliary") == 6
 
 
 def test_average_cubic_output_check(bench, tmp_path):
