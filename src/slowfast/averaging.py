@@ -26,7 +26,7 @@ from .model import ModelSpec
 from .noise import derive_stream
 from .reactions import (fast_coefficients, gaussian_mean_b, nemytskii_drift,
                         truncate_b)
-from .spectral import analyze, as_modal_field, synthesize
+from .spectral import analyze, as_modal_states, synthesize
 
 __all__ = [
     "estimate_Fbar",
@@ -78,10 +78,13 @@ def companion_Fbar(x: np.ndarray, h: float, model: ModelSpec,
     drift = gaussian_mean_b(spec, x_phys, mean, std)
     if model.theta > 0:
         points, weights = normal_rule(NORMAL_RULE_POINTS)
-        # Shape (..., points, M): one quadrature block per state.
-        lam = mean[..., None, :] + std * points[:, None]
-        b = nemytskii_drift(spec, 0.0, x_phys[..., None, :], lam)
-        drift -= np.matmul(weights, b - truncate_b(model.theta, b))
+        # One (points, M) quadrature block per state, a state at a time, so
+        # the memory does not grow with a stack; drift is a new array, so
+        # its reshaped rows are views that the loop updates in place.
+        for row, m, phys in zip(*(a.reshape(-1, model.grid.n_quad)
+                                  for a in (drift, mean, x_phys))):
+            b = nemytskii_drift(spec, 0.0, phys, m + std * points[:, None])
+            row -= np.matmul(weights, b - truncate_b(model.theta, b))
     return analyze(drift, model.grid)
 
 
@@ -92,52 +95,48 @@ def estimate_Fbar(t, x, params: FrozenFastParams, model: ModelSpec,
     state (t a float, x of shape (N,)) or at each row of a stack (t of
     shape (n,), x of shape (n, N)), a row bit-equal to that state alone.
     Every t must lie on the h_macro grid; b is truncated at model.theta,
-    as on the coupled path.
+    as on the coupled path.  An empty stack gives empty rows, (0, N) each.
 
     When b ignores the fast variable, or the fast reaction's sine term has
-    c_s = 0, the drift is exact: companion_Fbar, for the whole stack at
-    once, with standard error 0 and no replica stepped.  Otherwise it is
-    a nested Monte Carlo estimate, state by state: replica r draws from
-    the stream with spawn key (frozen_fast_noise, r, trajectory_id, step),
+    c_s = 0, the drift is exact: companion_Fbar, with standard error 0 and
+    no replica stepped.  Otherwise it is a nested Monte Carlo estimate,
+    the replicas of every state of the stack in one block
+    (estimate_invariant_average): replica r of a state draws from the
+    stream with spawn key (frozen_fast_noise, r, trajectory_id, step),
     step = round(t / model.h_macro), so each path must pass its own id.
     estimate_invariant_average takes a sine term against its Gaussian
     companion, whose exact drift is companion_Fbar; the linear kind keeps
     the plain estimate.
     """
-    x = _modal_states(x, model.n_modes)
+    x = as_modal_states(x, model.n_modes)
     times = np.broadcast_to(t, x.shape[:-1])
     steps = np.round(times / model.h_macro)
-    if not np.all(np.abs(times / model.h_macro - steps) <= 1e-6):
-        raise InvalidParameterError(f"t={t!r} is off the h_macro grid")
-    if (fast_coefficients(model.reaction_fast)[2] == 0
+    # ~(<=) rather than >, so that a NaN t is off the grid too.
+    off = np.flatnonzero(~(np.abs(times / model.h_macro - steps) <= 1e-6))
+    if off.size:
+        raise InvalidParameterError(f"t={float(times.flat[off[0]])!r} of "
+                                    f"state {off[0]} is off the h_macro grid")
+    # An empty stack has nothing to estimate: it takes the exact branch.
+    if (not x.size or fast_coefficients(model.reaction_fast)[2] == 0
             or not model.reaction_slow.depends_on_fast):
         mean = companion_Fbar(x, params.h, model)
         return mean, np.zeros_like(mean)
-    if x.ndim == 2:
-        means, ses = zip(*(estimate_Fbar(t_i, x_i, params, model,
-                                         master_seed, trajectory_id)
-                           for t_i, x_i in zip(times.tolist(), x)))
-        return np.stack(means), np.stack(ses)
-    x_phys = synthesize(x, model.grid)
+    xs = x.reshape(-1, x.shape[-1])
+    # Each state's nodal field, once per replica: the shape of a step's rows.
+    x_phys = synthesize(xs, model.grid)[:, None].repeat(params.n_replicas, 1)
 
     def drift_observable(v_phys):
-        # (n, M) nodal rows -> (n, N) modal drifts, row by row.
-        return analyze(
-            nemytskii_drift(model.reaction_slow, model.theta, x_phys, v_phys),
-            model.grid)
+        # (step, state, replica) nodal rows -> modal drifts, each row
+        # against its own state's nodal field.
+        drift = nemytskii_drift(model.reaction_slow, model.theta, x_phys,
+                                v_phys.reshape((-1,) + x_phys.shape))
+        return analyze(drift, model.grid).reshape(len(v_phys), -1)
 
-    return estimate_invariant_average(
-        model, x, params, drift_observable, master_seed,
-        key=(trajectory_id, int(steps)),
-        gaussian_mean=lambda *law: companion_Fbar(x, params.h, model, law))
-
-
-def _modal_states(x, n_modes: int) -> np.ndarray:
-    """x checked as one modal state, shape (N,), or a stack, (n, N)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2 and x.shape[1] == n_modes:
-        return as_modal_field(x.ravel()).reshape(x.shape)
-    return as_modal_field(x, n_modes)
+    mean, std_error = estimate_invariant_average(
+        model, xs, params, drift_observable, master_seed,
+        key=tuple((trajectory_id, step) for step in steps.astype(int).flat),
+        gaussian_mean=lambda *law: companion_Fbar(xs, params.h, model, law))
+    return mean.reshape(x.shape), std_error.reshape(x.shape)
 
 
 def analytic_Fbar_linear(model: ModelSpec, t, x) -> np.ndarray:
@@ -145,7 +144,7 @@ def analytic_Fbar_linear(model: ModelSpec, t, x) -> np.ndarray:
     linear benchmark, at one state x of shape (N,) or at each row of a
     stack of shape (n, N); a row is bit-equal to that state alone."""
     a_c, rates = _linear_fbar_factors(model)
-    return a_c * _modal_states(x, model.n_modes) / rates
+    return a_c * as_modal_states(x, model.n_modes) / rates
 
 
 def _linear_fbar_factors(model: ModelSpec) -> tuple:

@@ -20,8 +20,8 @@ from .errors import InvalidParameterError, StateExplosionError
 from .model import MAX_STEPS, ModelSpec
 from .noise import RngStream, derive_stream, make_plan
 from .reactions import ReactionSpec, fast_coefficients
-from .spectral import (GridSpec, SpectralOperator, as_modal_field, matvec,
-                       synthesize)
+from .spectral import (GridSpec, SpectralOperator, as_modal_field,
+                       as_modal_states, matvec, synthesize)
 
 __all__ = [
     "FrozenFastParams",
@@ -33,6 +33,7 @@ __all__ = [
 
 N_BATCHES = 20  # batch-means blocks per replica
 DRAW_CHUNK_STEPS = 64  # steps drawn, and observed, per replica chunk
+DRAW_CHUNK_ROWS = 16384  # (step, state, replica) rows per chunk, at most
 
 
 @dataclass(frozen=True)
@@ -210,24 +211,31 @@ def step_frozen_fast(v: np.ndarray, model: ModelSpec, x: np.ndarray,
 
 def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
                   observable, streams: list) -> tuple:
-    """Burn in, then return the per-batch time averages of the observable,
-    one row per stream, shape (R, N_BATCHES) or (R, N_BATCHES, K), and the
-    Gaussian companion's stationary modal law (mean, variance) when the
-    batches average against it, else None.
+    """Burn in, then return the per-batch time averages of the observable
+    at each row of a stack x of S modal slow states, shape (S, N): shape
+    (S, R, N_BATCHES) or (S, R, N_BATCHES, K), one row per stream, and the
+    Gaussian companion's stationary modal law (mean, variance), mean shaped
+    as x, when the batches average against it, else None.
 
-    The R replicas advance together as an (R, N) block.  Replica r draws
-    only from streams[r]: first its start, from the Gaussian companion's
-    stationary law, then its steps, in chunks of DRAW_CHUNK_STEPS; the
-    streams are concatenation-consistent, so these are the draws of one
-    step at a time.  The nodal blocks of a chunk's steps are kept, and
-    after the chunk the observable is called once on the rows of its
-    post-burn-in steps: an (n*R, M) array whose row s*R + r is replica r
-    at the chunk's s-th averaged step.  It must return one value per row,
-    shape (n*R,), or one vector per row, shape (n*R, K), and must not
-    depend on a row's position; the row count is checked on every call.
-    A replica whose field turns non-finite raises StateExplosionError at
-    the end of its draw chunk, before the observable sees any row of that
-    chunk.
+    streams holds R streams per state, state-major, and the replicas of
+    every state advance together as one (S*R, N) block in that order, each
+    under its state's frozen drive.  Replica r of state s draws only from
+    streams[s*R + r]: first its start, from its state's Gaussian
+    companion's stationary law, then its steps, in chunks of at most
+    DRAW_CHUNK_STEPS steps and, unless a single step holds more,
+    DRAW_CHUNK_ROWS (step, state, replica) rows, which bounds the block's
+    memory for any stack; the streams are concatenation-consistent, so
+    these are the draws of one step at a time, and a state's rows are
+    those of that state run alone.  The nodal blocks of a chunk's steps
+    are kept, and after the chunk the observable is called once on the
+    rows of its post-burn-in steps, ordered (step, state, replica): an
+    (n*S*R, M) array.  It must return one value per row, shape (n*S*R,),
+    or one vector per row, shape (n*S*R, K), and must not depend on a
+    row's position unless it reshapes the rows to that order; the row
+    count is checked on every call.  A replica whose field turns
+    non-finite raises StateExplosionError at the end of its draw chunk,
+    before the observable sees any row of that chunk, naming the replica
+    and, in a stack of several states, its state.
 
     A step with a sine term (c_s != 0) also drives each replica's Gaussian
     companion (gaussian_companion) from its start with its own drive and
@@ -235,29 +243,29 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
     per chunk the replicas advance and are observed, then the companions.
     The state and node stacks are allocated once per call and shared by
     the two.  A batch is summed in time order, so the batches depend on
-    neither the replica count nor the chunk size.
+    neither the replica count, the state count nor the chunk size.
     """
     h = params.h
     n_burn = int(round(params.t_burn / h))
     n_avg = N_BATCHES * max(1, int(math.ceil(params.t_avg / (N_BATCHES * h))))
     batch_len = n_avg // N_BATCHES
-    n_modes = model.grid.n_modes
-    n_quad = model.grid.n_quad
-    n_rep = len(streams)
+    n_modes, n_quad = model.grid.n_modes, model.grid.n_quad
+    n_rep, n_rows = len(streams) // len(x), len(streams)
     stepper = FastStepper(model.reaction_fast, model.grid, model.op2, h, 1.0)
     # The replicas' chain first, then their companions'; they share the
     # state and node stacks, one chain at a time.
     companion = stepper.sin_op is not None
     chains = ((stepper, stepper.gaussian_companion()) if companion
               else (stepper,))
-    drive = stepper.drive(x)
+    # One drive row per stream: each replica under its state's drive.
+    drive = stepper.drive(x).repeat(n_rep, axis=0)
     mean, variance = stepper.stationary_law(drive)
     initial = mean + np.sqrt(variance) * np.stack(
         [s.normals(n_modes) for s in streams])
     n_total = n_burn + n_avg
-    chunk = min(DRAW_CHUNK_STEPS, n_total)
-    state_stack = np.empty((chunk, n_rep, n_modes))
-    node_stack = np.empty((chunk, n_rep, n_quad))
+    chunk = min(n_total, DRAW_CHUNK_STEPS, DRAW_CHUNK_ROWS // n_rows or 1)
+    state_stack = np.empty((chunk, n_rows, n_modes))
+    node_stack = np.empty((chunk, n_rows, n_quad))
     v = np.array([initial] * len(chains))
     v_phys = np.array([matvec(stepper.mat, initial)] * len(chains))
 
@@ -266,12 +274,11 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
     n_open = 0  # steps summed in open_sum, the open batch
     for start in range(0, n_total, chunk):
         steps = min(chunk, n_total - start)
-        noise = stepper.noise(np.stack(
-            [s.normals(steps * n_modes).reshape(steps, n_modes)
-             for s in streams], axis=1))
+        noise = stepper.noise(np.stack([s.normals(steps * n_modes).reshape(
+            steps, n_modes) for s in streams], axis=1))
         first = max(0, n_burn - start)
         n_seen = steps - first
-        rows = n_seen * n_rep
+        rows = n_seen * n_rows
         observed = []
         for j, chain in enumerate(chains):
             states, nodes = chain.advance(v[j], v_phys[j], drive, noise,
@@ -280,13 +287,14 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
             v[j], v_phys[j] = states[-1], nodes[-1]
             # A non-finite field stays non-finite, so one check per chunk
             # finds it before any of its values reach the observable.
-            finite = np.isfinite(nodes).all(axis=(0, 2))
+            finite = np.isfinite(nodes).all(axis=(0, -1))
             if not finite.all():
-                bad = int(np.argmin(finite))
+                s, r = divmod(int(np.argmin(finite)), n_rep)
                 raise StateExplosionError(
-                    (start + steps) * h, float(np.linalg.norm(x)),
-                    float(np.linalg.norm(v[j, bad])), math.inf,
-                    where=f" in frozen-fast replica {bad}")
+                    (start + steps) * h, float(np.linalg.norm(x[s])),
+                    float(np.linalg.norm(v[j][s * n_rep + r])), math.inf,
+                    where=f" in frozen-fast replica {r}"
+                    + (f" of state {s}" if len(x) > 1 else ""))
             if n_seen <= 0:
                 continue
             values = np.asarray(observable(nodes[first:].reshape(rows, n_quad)),
@@ -298,24 +306,23 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
                     f"({rows}, {n_quad}) to shape ({rows},) or ({rows}, K), "
                     f"got {values.shape}")
             row_shape = values.shape[1:]
-            observed.append(values.reshape((n_seen, n_rep) + row_shape))
+            observed.append(values.reshape((n_seen, n_rows) + row_shape))
         if not observed:
             continue
         values = observed[0] - observed[1] if companion else observed[0]
         # accumulate, not reduce: reduce pairs the terms when a step has
         # one value, and the sums would then depend on the replica count.
-        i = 0
-        while i < n_seen:
-            take = min(batch_len - n_open, n_seen - i)
-            part = values[i:i + take]
-            if n_open:
-                part = np.concatenate((open_sum[None], part))
-            open_sum = np.add.accumulate(part, axis=0)[-1]
-            i += take
-            n_open = (n_open + take) % batch_len
+        # Every part but the last closes a batch: the first part fills the
+        # open batch, the next ones are whole batches.
+        for lo in (0, *range(batch_len - n_open, n_seen, batch_len)):
+            part = values[lo:lo + batch_len - n_open]
+            open_sum = np.add.accumulate(np.concatenate(
+                (open_sum[None], part)) if n_open else part, axis=0)[-1]
+            n_open = (n_open + len(part)) % batch_len
             if not n_open:
                 batches.append(open_sum / batch_len)
-    return np.stack(batches, axis=1), (mean, variance) if companion else None
+    return (np.stack(batches, 1).reshape(len(x), n_rep, -1, *row_shape),
+            (mean[::n_rep], variance) if companion else None)
 
 
 def batch_std_error(batches: np.ndarray) -> np.ndarray:
@@ -356,37 +363,54 @@ def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
                                observable, master_seed: int,
                                key: tuple = (), gaussian_mean=None) -> tuple:
     """Time average of observable(v_phys) over [t_burn, t_burn + t_avg] of
-    model's fast field frozen at slow state x, and its standard error.
+    model's fast field frozen at slow state x, and its standard error; or,
+    for a stack x of shape (S, N) and key a tuple of S keys, one per state,
+    the averages and errors at each state, a row bit-equal to that state
+    alone.  One state runs as a stack of one; an empty stack, or a key that
+    is not one tuple per state, raises InvalidParameterError.
 
     The observable maps rows to rows: it is called on an (n, M) array of
-    nodal fields, where a row is one (step, replica) pair, and must return
-    one value per row, shape (n,), or one vector per row, shape (n, K); any
-    other shape raises InvalidParameterError.  It is called once per draw
-    chunk on all of the chunk's averaged steps of all params.n_replicas
-    replicas, so it must not depend on a row's position or on n.  The mean
-    and standard error are floats or (K,) arrays accordingly.  Replicas use
-    independent frozen_fast_noise streams derived from (master_seed,
-    replica) and the trailing key; each starts in its Gaussian companion's
-    stationary law.  The standard error comes from the correlated per-batch
-    means (batch_std_error) and shrinks like 1/sqrt(n_replicas * t_avg).
+    nodal fields, where a row is one (step, state, replica) triple, in that
+    order (_run_replicas), and must return one value per row, shape (n,),
+    or one vector per row, shape (n, K); any other shape raises
+    InvalidParameterError.  It is called once per draw chunk on all of the
+    chunk's averaged steps of all params.n_replicas replicas of every
+    state, so it must not depend on n, nor on a row's position unless it
+    reshapes the rows to that order.  The mean and standard error are
+    floats or (K,) arrays accordingly, with a leading state axis for a
+    stack.  Replicas use independent frozen_fast_noise streams derived from
+    (master_seed, replica) and their state's trailing key; each starts in
+    its Gaussian companion's stationary law.  The standard error comes from
+    the correlated per-batch means (batch_std_error) and shrinks like
+    1/sqrt(n_replicas * t_avg).
 
     A step with a sine term takes a control variate: the estimate is the
     mean of observable(v) - observable(v_lin), v_lin each replica's Gaussian
     companion on the same draws and from the same start, plus the caller's
     gaussian_mean(mean, variance), which such a step requires: the exact
     expectation of the observable under the companion's stationary modal
-    law (FastStepper.stationary_law).  Any other step (the linear kind, or
-    c_s = 0) is its own companion; its estimate is the plain mean.
+    law (FastStepper.stationary_law), mean shaped as x.  Any other step
+    (the linear kind, or c_s = 0) is its own companion; its estimate is the
+    plain mean.
     """
-    x = as_modal_field(x, model.n_modes)
-    streams = [derive_stream(master_seed, replica, "frozen_fast_noise", key)
-               for replica in range(params.n_replicas)]
-    batches, law = _run_replicas(model, x, params, observable, streams)
-    # Replica-major rows: the pooled mean sums the batches in this order.
-    stacked = batches.reshape((-1,) + batches.shape[2:])
-    mean, std_error = stacked.mean(axis=0), batch_std_error(batches)
+    x = as_modal_states(x, model.n_modes)
+    # One state is a stack of one, its key a tuple of one key.
+    xs, keys = x.reshape(-1, x.shape[-1]), (key,) if x.ndim == 1 else key
+    # The set is {1} only for a non-empty tuple of key tuples.
+    if len(keys) != len(xs) or {np.ndim(k) for k in keys} != {1}:
+        raise InvalidParameterError(f"key must hold one key tuple per slow "
+                                    f"state of a non-empty stack: got "
+                                    f"{len(keys)} for {len(xs)} state(s)")
+    streams = [derive_stream(master_seed, replica, "frozen_fast_noise", k)
+               for k in keys for replica in range(params.n_replicas)]
+    batches, law = _run_replicas(model, xs, params, observable, streams)
+    # Each state's batches pooled alone, its mean summed replica-major.
+    pooled = [(b.reshape((-1,) + b.shape[2:]).mean(axis=0),
+               batch_std_error(b)) for b in batches]
+    mean, std_error = (np.stack(a).reshape(x.shape[:-1] + a[0].shape)
+                       for a in zip(*pooled))
     if law is not None:
-        mean = mean + gaussian_mean(*law)
+        mean = mean + gaussian_mean(law[0].reshape(x.shape), law[1])
     if mean.ndim == 0:
         return float(mean), float(std_error)
     return mean, std_error

@@ -30,6 +30,7 @@ __all__ = [
     "lp_norm",
     "scalar_power",
     "as_modal_field",
+    "as_modal_states",
     "kahan_add",
     "kahan_mean_vectors",
     "mean_se",
@@ -48,6 +49,14 @@ def as_modal_field(coeffs, n_modes: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError("modal field contains non-finite coefficients")
     return arr
+
+
+def as_modal_states(x, n_modes: int) -> np.ndarray:
+    """x checked as one modal state, shape (N,), or a stack, (n, N)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and x.shape[1] == n_modes:
+        return as_modal_field(x.ravel()).reshape(x.shape)
+    return as_modal_field(x, n_modes)
 
 
 @dataclass(frozen=True)

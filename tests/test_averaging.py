@@ -176,26 +176,63 @@ class TestEstimateFbar:
             estimate_Fbar(0.5 * model.h_macro, unit_field(4), params, model,
                           master_seed=0)
 
+    def test_off_grid_row_of_a_stack_named(self):
+        # The message names the first off-grid row of a stack and its t,
+        # not the repr of every t.
+        model = linear_model(n_modes=4, n_quad=16)
+        params = fast_params(model, t_avg_units=5.0, n_replicas=2)
+        ts = model.h_macro * np.arange(100)
+        ts[[57, 80]] += 0.3 * model.h_macro
+        with pytest.raises(InvalidParameterError) as info:
+            estimate_Fbar(ts, np.ones((100, 4)), params, model,
+                          master_seed=0)
+        assert str(info.value) == (f"t={float(ts[57])!r} of state 57 is off "
+                                   "the h_macro grid")
 
-@pytest.mark.parametrize("model,exact", [
+
+# The three ways estimate_Fbar computes the drift: exactly, because b
+# ignores the fast variable or because c_s = 0, or by the nested estimator.
+DRIFT_BRANCHES = pytest.mark.parametrize("model,exact", [
     (cubic_model(n_modes=4, n_quad=16, c_v=0.0), True),
     (cubic_model(n_modes=4, n_quad=16, c_s=0.0), True),
     (cubic_model(n_modes=4, n_quad=16), False),
 ], ids=["fast_blind_b", "c_s_0", "estimator"])
+
+
+@DRIFT_BRANCHES
 def test_stack_rows_equal_single_states(model, exact, rng):
-    # The exact modes take the stack in one call, the estimator state by
-    # state; either way a row is that state's own drift, bit for bit.
+    # The exact modes and the estimator each take the whole stack in one
+    # call, the estimator with the replicas of every state in one block;
+    # either way a row is that state's own drift, bit for bit.  The last
+    # row repeats row 4, state and step, so it shares row 4's streams.
     params = FrozenFastParams(h=0.05, t_burn=0.2, t_avg=0.5, n_replicas=2)
-    xs = 3.0 * rng.normal(size=(6, 4))
-    ts = model.h_macro * np.arange(6)
+    xs = 3.0 * rng.normal(size=(7, 4))
+    ts = model.h_macro * np.arange(7)
+    xs[6], ts[6] = xs[4], ts[4]
     means, ses = estimate_Fbar(ts, xs, params, model, master_seed=9,
                                trajectory_id=3)
-    assert means.shape == ses.shape == (6, 4)
+    assert means.shape == ses.shape == (7, 4)
     for t, x, mean, se in zip(ts.tolist(), xs, means, ses):
         one = estimate_Fbar(t, x, params, model, master_seed=9,
                             trajectory_id=3)
         assert np.array_equal(mean, one[0]) and np.array_equal(se, one[1])
+    assert np.array_equal(means[6], means[4])
+    assert np.array_equal(ses[6], ses[4])
+    one_row = estimate_Fbar(ts[:1], xs[:1], params, model, master_seed=9,
+                            trajectory_id=3)
+    assert one_row[0].shape == one_row[1].shape == (1, 4)
+    assert np.array_equal(one_row[0][0], means[0])
+    assert np.array_equal(one_row[1][0], ses[0])
     assert not ses.any() if exact else ses.all()
+
+
+@DRIFT_BRANCHES
+def test_empty_stack_gives_empty_rows(model, exact):
+    # Every branch maps an empty stack to an empty drift and error.
+    params = FrozenFastParams(h=0.05, t_burn=0.2, t_avg=0.5, n_replicas=2)
+    mean, se = estimate_Fbar(np.zeros(0), np.zeros((0, 4)), params, model,
+                             master_seed=9)
+    assert mean.shape == se.shape == (0, 4)
 
 
 # The exact drift modes read no nested-estimation parameters.

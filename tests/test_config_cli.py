@@ -41,6 +41,20 @@ BASE = {
     "averaging": {"h_fast": 0.01, "t_burn": 1.0, "t_avg": 2.0, "n_replicas": 2},
 }
 
+# The nested averaged-drift estimator at a tiny budget: b reads the fast
+# variable and the fast step has a sine term.
+CUBIC_NESTED = copy.deepcopy(BASE)
+CUBIC_NESTED["model"]["reactions"] = {
+    "slow": {"kind": "cubic_rough", "c_u": 0.5, "c_v": 0.5},
+    "fast": {"kind": "lipschitz_saturating", "a_c": 1.0, "b_c": 2.0,
+             "c_s": 0.2}}
+CUBIC_NESTED["model"].update(theta=0.01, horizon=0.05)
+CUBIC_NESTED["experiment"].update(
+    ensemble_size=4, observables=[{"kind": "mode", "k": 1},
+                                  {"kind": "norm_sq"}])
+CUBIC_NESTED["averaging"] = {"h_fast": 0.05, "t_burn": 0.2, "t_avg": 0.5,
+                             "n_replicas": 2}
+
 
 def write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
@@ -761,18 +775,45 @@ class TestCli:
                      "--out", str(tmp_path / "c"), "--workers", "1"]) == 0
         assert calls == []
 
+    def test_one_nested_estimate_per_path_and_averaged_step(
+            self, tmp_path, monkeypatch):
+        # Each coupled path's discrepancy takes the averaged drift at all
+        # of its nodes as one replica block; each averaged path takes one
+        # block per step.
+        import slowfast.fast_dynamics as fast_dynamics
+        raw = copy.deepcopy(CUBIC_NESTED)
+        raw["experiment"].update(ensemble_size=2,
+                                 observables=[{"kind": "norm_sq"}])
+        path = write_config(tmp_path, raw)
+        calls = []
+        run_replicas = fast_dynamics._run_replicas
+
+        def counting(model, x, *args):
+            calls.append(x.shape)
+            return run_replicas(model, x, *args)
+        monkeypatch.setattr(fast_dynamics, "_run_replicas", counting)
+        assert main(["converge", "--config", path, "--out",
+                     str(tmp_path / "c"), "--workers", "1"]) == 0
+        model = parse_config(path).model
+        n_paths = 2 * len(raw["experiment"]["epsilon_grid"])
+        assert len(calls) == n_paths + 2 * model.n_steps
+        assert calls.count((model.n_steps, model.n_modes)) == n_paths
+
     def test_worker_counts_give_identical_bytes(self, tmp_path):
-        path = write_config(tmp_path, BASE)
-        outs = []
-        for w in (1, 3):
-            out = tmp_path / f"det{w}"
-            assert main(["converge", "--config", path, "--out", str(out),
-                         "--workers", str(w)]) == 0
-            outs.append(out)
-        assert (outs[0] / "converge.csv").read_bytes() == \
-            (outs[1] / "converge.csv").read_bytes()
-        assert (outs[0] / "converge.meta.json").read_bytes() == \
-            (outs[1] / "converge.meta.json").read_bytes()
+        # The linear benchmark's closed-form drift, and the nested
+        # estimator's replica blocks.
+        for name, raw in (("linear", BASE), ("cubic_nested", CUBIC_NESTED)):
+            path = write_config(tmp_path, raw, name=f"{name}.json")
+            outs = []
+            for w in (1, 3):
+                out = tmp_path / f"{name}{w}"
+                assert main(["converge", "--config", path, "--out", str(out),
+                             "--workers", str(w)]) == 0
+                outs.append(out)
+            assert (outs[0] / "converge.csv").read_bytes() == \
+                (outs[1] / "converge.csv").read_bytes()
+            assert (outs[0] / "converge.meta.json").read_bytes() == \
+                (outs[1] / "converge.meta.json").read_bytes()
 
     def test_explosion_exit_code(self, tmp_path):
         # |u| starts above the guard, so every path trips it on its first

@@ -167,7 +167,6 @@ class TestExactFastLinearPart:
 
 class TestInvariantAverage:
     def test_constant_observable(self):
-        from slowfast.fast_dynamics import _run_replicas
         model, x, params = frozen_cfg(t_avg=1.0, n_replicas=2)
 
         def ones(v_phys):
@@ -178,7 +177,7 @@ class TestInvariantAverage:
         assert std_error == 0.0
         # The estimate pools one batch mean per (replica, batch).
         streams = [derive_stream(5, r, "frozen_fast_noise") for r in range(2)]
-        batches, law = _run_replicas(model, x, params, ones, streams)
+        batches, law = _run_one(model, x, params, ones, streams)
         assert batches.shape == (2, N_BATCHES) and law is None
 
     def test_norm_square_matches_ou_closed_form(self):
@@ -283,12 +282,11 @@ class TestInvariantAverage:
         # batch means of |v|^2 show no time trend at the 1% level
         model, x, params = frozen_cfg(a_c=0.0, b_c=0.0, x_mode=0.0, lam=0.3,
                                       t_avg=40.0, n_replicas=1)
-        from slowfast.fast_dynamics import _run_replicas
         quad = model.grid.quad_weight
         stream = derive_stream(41, 0, "frozen_fast_noise")
-        batches = _run_replicas(model, x, params,
-                                lambda v: quad * np.sum(v * v, axis=-1),
-                                [stream])[0][0]
+        batches = _run_one(model, x, params,
+                           lambda v: quad * np.sum(v * v, axis=-1),
+                           [stream])[0][0]
         values = np.array([float(b) for b in batches])
         fit = linregress(np.arange(values.size), values)
         assert fit.pvalue > 0.01
@@ -302,7 +300,6 @@ class TestInvariantAverage:
         # first draws are its start in the companion's stationary law, its
         # Gaussian companion (the linear kind) takes the same draws from the
         # same start, and a batch sums the differences in time order.
-        from slowfast.fast_dynamics import _run_replicas
         from slowfast.spectral import analyze
         model, x, params = self._kernel_inputs()
         linear, _, _ = frozen_cfg(lam=0.2, t_avg=0.6, n_replicas=1)
@@ -330,14 +327,13 @@ class TestInvariantAverage:
                     reference.append(acc / batch_len)
                     acc = 0.0
             streams = [derive_stream(8, r, "frozen_fast_noise") for r in range(3)]
-            batched, _ = _run_replicas(model, x, params,
-                                       lambda v_phys: analyze(v_phys, grid),
-                                       streams)
+            batched, _ = _run_one(model, x, params,
+                                  lambda v_phys: analyze(v_phys, grid),
+                                  streams)
             assert np.array_equal(batched[replica], np.stack(reference))
 
     def test_replicas_are_independent_rows(self):
         # R replicas in one block give the batch means of R one-replica runs.
-        from slowfast.fast_dynamics import _run_replicas
         model, x, params = self._kernel_inputs()
         quad = model.grid.quad_weight
 
@@ -351,9 +347,8 @@ class TestInvariantAverage:
             node_mean, node_std = companion_law(model, x, params.h, law)
             return quad * np.sum(node_mean ** 2 + node_std ** 2)
 
-        block, law = _run_replicas(model, x, params, norm_sq,
-                                   streams(range(5)))
-        singles = [_run_replicas(model, x, params, norm_sq, streams([r]))[0][0]
+        block, law = _run_one(model, x, params, norm_sq, streams(range(5)))
+        singles = [_run_one(model, x, params, norm_sq, streams([r]))[0][0]
                    for r in range(5)]
         assert block.shape == (5, N_BATCHES)
         assert np.array_equal(block, np.stack(singles))
@@ -370,7 +365,7 @@ class TestInvariantAverage:
 
         def run():
             streams = [derive_stream(3, r, "frozen_fast_noise") for r in range(2)]
-            return fast_dynamics._run_replicas(
+            return _run_one(
                 model, x, params, lambda v_phys: analyze(v_phys, model.grid),
                 streams)[0]
 
@@ -403,8 +398,8 @@ class TestInvariantAverage:
                 # The kernel reuses its node stack: keep a copy.
                 seen.append(v_phys.copy())
                 return analyze(v_phys, model.grid)
-            batches, _ = fast_dynamics._run_replicas(
-                run_model, x, params, observable, streams())
+            batches, _ = _run_one(run_model, x, params, observable,
+                                  streams())
             return batches, seen
         both, both_rows = run(model)
         _, lin_rows = run(linear)
@@ -470,6 +465,15 @@ def _steps(params):
     return n_burn, n_avg
 
 
+def _run_one(model, x, params, observable, streams):
+    """_run_replicas at one slow state x, shape (N,): a stack of that one
+    state, the state axis dropped from the batches and the law's mean."""
+    import slowfast.fast_dynamics as fast_dynamics
+    batches, law = fast_dynamics._run_replicas(model, x[None], params,
+                                               observable, streams)
+    return batches[0], law and (law[0][0], law[1])
+
+
 def _cubic_drift(grid, x_phys):
     """The nested F-bar observable on cubic_rough with theta-truncation."""
     from slowfast.spectral import analyze
@@ -502,8 +506,7 @@ class TestExactStart:
         n_rep = 4000
         streams = [derive_stream(21, r, "frozen_fast_noise")
                    for r in range(n_rep)]
-        fast_dynamics._run_replicas(model, x, params,
-                                    lambda v_phys: v_phys[:, 0], streams)
+        _run_one(model, x, params, lambda v_phys: v_phys[:, 0], streams)
         # The companion starts where its replica does.
         assert np.array_equal(starts[0], starts[1])
         stepper = FastStepper(model.reaction_fast, model.grid, model.op2,
@@ -587,6 +590,93 @@ class TestChunkedObservable:
             estimate_invariant_average(*cfg, recording, master_seed=0)
         assert observed and all(observed)
 
+    def test_non_finite_replica_of_a_stack_named(self, monkeypatch):
+        # In a stack, replica 1 of state 2 turns non-finite a few steps into
+        # an averaged chunk: the error names both and comes at the end of
+        # that chunk, before the observable sees any of its rows.
+        import slowfast.fast_dynamics as fast_dynamics
+        model, x, params = frozen_cfg(t_burn=1.0, t_avg=2.0, n_replicas=3)
+        n_burn, _ = _steps(params)
+        bad_step = n_burn + 100
+        chunk = fast_dynamics.DRAW_CHUNK_STEPS
+        real_noise = fast_dynamics.FastStepper.noise
+        drawn = [0]
+
+        def nan_in_state_2_replica_1(self, xi):
+            noise = real_noise(self, xi)
+            # Rows are state-major: replica 1 of state 2 is row 2*3 + 1.
+            assert noise.shape[1] == 9
+            noise[max(0, bad_step - drawn[0]):, 7] = np.nan
+            drawn[0] += noise.shape[0]
+            return noise
+        monkeypatch.setattr(fast_dynamics.FastStepper, "noise",
+                            nan_in_state_2_replica_1)
+        observed = []
+
+        def recording(v_phys):
+            observed.append(np.isfinite(v_phys).all())
+            return v_phys[:, 0]
+        with pytest.raises(StateExplosionError,
+                           match="frozen-fast replica 1 of state 2 ") as info:
+            estimate_invariant_average(model, np.stack([x, 2 * x, -x]),
+                                       params, recording, master_seed=0,
+                                       key=((0,), (1,), (2,)))
+        assert observed and all(observed)
+        assert info.value.t == (bad_step // chunk + 1) * chunk * params.h
+        assert info.value.cause == "non-finite"
+
+    @pytest.mark.parametrize("budget,steps", [(20, 3), (4, 1)])
+    def test_row_budget_bounds_a_stack_block(self, monkeypatch, budget,
+                                             steps):
+        # A stack of 3 states and 2 replicas is 6 rows a step: a chunk
+        # holds as many steps as fit in DRAW_CHUNK_ROWS, and at least one.
+        # Every array of the block is that many steps long, and the
+        # batches are those of the default chunks.
+        import slowfast.fast_dynamics as fast_dynamics
+        from slowfast.spectral import analyze
+        model, x, params = frozen_cfg(t_burn=0.1, t_avg=0.4, n_replicas=2,
+                                      c_s=0.2)
+        xs = np.stack([x, 2 * x, -x])
+        real_noise = fast_dynamics.FastStepper.noise
+        drawn, rows = [], []
+
+        def recording_noise(self, xi):
+            drawn.append(xi.shape)
+            return real_noise(self, xi)
+
+        def observable(v_phys):
+            rows.append(len(v_phys))
+            return analyze(v_phys, model.grid)
+
+        def run():
+            streams = [derive_stream(9, r, "frozen_fast_noise", (s,))
+                       for s in range(3) for r in range(2)]
+            return fast_dynamics._run_replicas(model, xs, params, observable,
+                                               streams)[0]
+        default = run()
+        # By default all 50 steps are one chunk, observed once per chain.
+        assert rows == [6 * _steps(params)[1]] * 2
+        rows.clear()
+        monkeypatch.setattr(fast_dynamics, "DRAW_CHUNK_ROWS", budget)
+        monkeypatch.setattr(fast_dynamics.FastStepper, "noise",
+                            recording_noise)
+        assert np.array_equal(run(), default)
+        assert max(shape[0] for shape in drawn) == steps
+        assert all(shape[1:] == (6, N) for shape in drawn)
+        assert max(rows) == 6 * steps
+        assert sum(rows) == 2 * 6 * _steps(params)[1]
+
+    @pytest.mark.parametrize("n_states,key", [
+        (3, ()), (3, ((0,), (1,))), (2, (0, 5)), (0, ())],
+        ids=["default_key", "one_key_short", "flat_key", "empty_stack"])
+    def test_stack_needs_one_key_tuple_per_state(self, n_states, key):
+        model, x, params = frozen_cfg(t_avg=1.0, n_replicas=2)
+        with pytest.raises(InvalidParameterError,
+                           match="one key tuple per slow state"):
+            estimate_invariant_average(
+                model, np.tile(x, (n_states, 1)), params,
+                lambda v_phys: v_phys[:, 0], master_seed=0, key=key)
+
     @pytest.mark.parametrize("observable", [
         lambda v_phys: np.ones(v_phys.shape[0] + 1),
         lambda v_phys: v_phys[::2, 0],
@@ -624,8 +714,7 @@ class TestChunkedObservable:
         def run():
             streams = [derive_stream(9, r, "frozen_fast_noise")
                        for r in range(n_rep)]
-            return fast_dynamics._run_replicas(model, x, params, observable,
-                                               streams)[0]
+            return _run_one(model, x, params, observable, streams)[0]
         default = run()
         with mock.patch.object(fast_dynamics, "DRAW_CHUNK_STEPS", chunk):
             assert np.array_equal(run(), default)
@@ -634,12 +723,11 @@ class TestChunkedObservable:
         # One value per step and replica, batches of 16 steps: a replica
         # alone sums its batches as it does in a block, term by term in
         # time order (a pairwise sum of a lone column would not).
-        import slowfast.fast_dynamics as fast_dynamics
         model, x, params = frozen_cfg(t_burn=0.1, t_avg=3.2, c_s=0.2)
         quad = model.grid.quad_weight
 
         def run(ids):
-            return fast_dynamics._run_replicas(
+            return _run_one(
                 model, x, params,
                 lambda v_phys: quad * np.sum(v_phys * v_phys, axis=-1),
                 [derive_stream(4, r, "frozen_fast_noise") for r in ids])[0]
