@@ -21,9 +21,9 @@ import sys
 from .config import ExperimentConfig, parse_config
 from .errors import (ConfigurationRejectedError, InvalidParameterError,
                      StateExplosionError)
-from .harness import (ResultTable, emit_results, pooled_fbar_estimate,
+from .harness import (ResultTable, emit, emit_results, pooled_fbar_estimate,
                       pooled_invariant_rows, run_audit, run_convergence_study,
-                      simulate_ensemble, write_csv, write_meta)
+                      simulate_ensemble, write_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG_REJECTED = 2
@@ -69,8 +69,6 @@ def _load(args) -> ExperimentConfig:
             updates["model"] = cfg.model.with_epsilon(args.eps)
         except InvalidParameterError as exc:
             raise ConfigurationRejectedError(f"--eps: {exc}") from None
-        # The sidecar hashes the epsilon that runs.
-        cfg.canonical["model"]["epsilon"] = args.eps
     if args.out is not None:
         updates["output_dir"] = args.out
     source, value = "--workers", args.workers
@@ -85,11 +83,7 @@ def _load(args) -> ExperimentConfig:
         if count < 1:
             raise ConfigurationRejectedError(
                 f"{source} must be an integer of at least 1, got {value!r}")
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-        # master_seed is part of the experiment definition; keep the sidecar
-        # hash in sync with the effective seed.
-        cfg.canonical["experiment"]["master_seed"] = cfg.master_seed
+    cfg = dataclasses.replace(cfg, **updates)
     head = cfg.output_dir
     while head and not os.path.exists(head):
         head = os.path.dirname(head)
@@ -127,8 +121,7 @@ def _cmd_simulate(args) -> int:
     width = len(header)
     summary_rows = [tuple(row) + (None,) * (width - len(row))
                     for row in summary_rows]
-    write_csv(os.path.join(out, "summary.csv"), header, summary_rows)
-    write_meta(out, "summary", cfg)
+    emit(cfg, "summary", header, summary_rows)
     frac = censored / max(1, len(results))
     print(f"simulate: {len(results)} trajectories, censored {censored} "
           f"({100 * frac:.1f}%)")
@@ -138,39 +131,34 @@ def _cmd_simulate(args) -> int:
 def _cmd_invariant(args) -> int:
     cfg = _load(args)
     rows = pooled_invariant_rows(cfg)
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     inv = cfg.invariant
-    write_csv(os.path.join(out, "invariant.csv"),
-              ["observable_id", "mean", "std_error", "t_burn", "t_avg",
-               "n_replicas", "seed"],
-              [(label, mean, se, inv.t_burn, inv.t_avg, inv.n_replicas,
-                cfg.master_seed) for label, mean, se in rows])
-    write_meta(out, "invariant", cfg)
-    print(f"invariant: {len(rows)} observables -> {out}/invariant.csv")
+    emit(cfg, "invariant",
+         ["observable_id", "mean", "std_error", "t_burn", "t_avg",
+          "n_replicas", "seed"],
+         [(label, mean, se, inv.t_burn, inv.t_avg, inv.n_replicas,
+           cfg.master_seed) for label, mean, se in rows])
+    print(f"invariant: {len(rows)} observables -> "
+          f"{cfg.output_dir}/invariant.csv")
     return EXIT_OK
 
 
 def _cmd_average(args) -> int:
     cfg = _load(args)
     mean, se, analytic = pooled_fbar_estimate(cfg)
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     rows = []
     for k in range(mean.size):
         rows.append((k + 1, float(mean[k]), float(se[k]),
                      float(analytic[k]) if analytic is not None else None))
-    write_csv(os.path.join(out, "average.csv"),
-              ["mode_k", "Fbar_estimate", "std_error", "analytic_value_or_blank"],
-              rows)
-    write_meta(out, "average", cfg)
-    print(f"average: {mean.size} modes -> {out}/average.csv")
+    emit(cfg, "average",
+         ["mode_k", "Fbar_estimate", "std_error", "analytic_value_or_blank"],
+         rows)
+    print(f"average: {mean.size} modes -> {cfg.output_dir}/average.csv")
     return EXIT_OK
 
 
 def _emit_and_report(table: ResultTable, cfg: ExperimentConfig,
                      name: str) -> int:
-    path = emit_results(table, cfg.output_dir, name, cfg)
+    path = emit_results(table, name, cfg)
     frac = table.max_censored_fraction
     print(f"{name}: {len(table.rows)} rows -> {path} "
           f"(max censored fraction {100 * frac:.1f}%)")

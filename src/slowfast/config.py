@@ -17,6 +17,8 @@ and h_fast.
 
 The canonical form (all defaults materialized, keys sorted) is what gets
 hashed into result sidecars and what serialization round-trips through.
+It is read from the config's fields, so a config changed with
+dataclasses.replace hashes as the config it now is.
 """
 
 from __future__ import annotations
@@ -103,7 +105,44 @@ class ExperimentConfig:
     c_const: float
     invariant: FrozenFastParams
     averaging: FrozenFastParams
-    canonical: dict
+    # The parsed slow_operator and fast_operator sections, defaults
+    # included: a SpectralOperator keeps only its alpha and lambda arrays.
+    operators: dict
+
+    @property
+    def canonical(self) -> dict:
+        """The parsed config with every default materialized, read from
+        the fields and the model; stable under re-parsing.  worker_count
+        and output_dir are execution knobs, not part of the experiment
+        definition: results must be identical for any worker count, so
+        they stay out of the canonical form and of the config hash."""
+        model = self.model
+        return {
+            "model": {
+                "grid": asdict(model.grid), **self.operators,
+                "reactions": {"slow": _reaction_values(model.reaction_slow),
+                              "fast": _reaction_values(model.reaction_fast)},
+                "u0": model.u0.tolist(), "v0": model.v0.tolist(),
+                "c_V": model.lyapunov.c_V, "epsilon": model.epsilon,
+                "horizon": model.horizon, "theta": model.theta,
+                "holder_beta": model.holder_beta,
+                "lambda_exp": model.lambda_exp,
+                "explosion_bound": model.explosion_bound,
+                "h_macro": model.h_macro,
+                "substep_ratio": model.substep_ratio},
+            "experiment": {
+                "epsilon_grid": list(self.epsilon_grid),
+                "ensemble_size": self.ensemble_size,
+                "test_functions": [asdict(tf) for tf in self.test_functions],
+                "observables": [asdict(ob) for ob in self.observables],
+                "master_seed": self.master_seed,
+                "dump_modes": self.dump_modes,
+                "theta_sequence": list(self.theta_sequence),
+                "c_const": self.c_const,
+            },
+            **{section: _frozen_fast_dict(getattr(self, section), step_key)
+               for section, step_key in _STEP_KEYS.items()},
+        }
 
 
 def _is_number(value, kind) -> bool:
@@ -176,8 +215,9 @@ def _terms(terms, where: str) -> list:
         f"{terms!r}")
 
 
-def _reaction(section: dict, role: str, where: str) -> tuple:
-    """The reaction and its parsed values, defaults included."""
+def _reaction(section: dict, role: str, where: str):
+    """The reaction of one reactions section; a slow one passes the
+    growth gate."""
     _require_keys(section, where, ("kind",), section)
     params = {k: _terms(v, where) if k == "terms" else _get(section, k, where)
               for k, v in section.items() if k != "kind"}
@@ -186,11 +226,17 @@ def _reaction(section: dict, role: str, where: str) -> tuple:
         _require_growth(spec, where)
     else:
         spec = make_fast_reaction(section["kind"], **params)
+    return spec
+
+
+def _reaction_values(spec) -> dict:
+    """A reaction's canonical section: its parsed values, defaults
+    included."""
     values = {"kind": spec.kind, **dict(spec.params)}
     if spec.kind == "polynomial":
         values.update((key, getattr(spec, key)) for key in (
             "m1", "m2", "kappa1", "kappa2", "c1", "c2", "a1", "a2"))
-    return spec, values
+    return values
 
 
 def _require_growth(spec, where: str) -> None:
@@ -217,8 +263,8 @@ _MODEL_KEYS_OPT = ("c_V", "theta", "holder_beta", "lambda_exp",
 
 
 def _build_model(section: dict) -> tuple:
-    """The model and its canonical section: the parsed values, every
-    default included, so two spellings of one model hash alike."""
+    """The model and its parsed operator sections, every default included,
+    so two spellings of one model hash alike."""
     _require_keys(section, "model", _MODEL_KEYS_REQ, _MODEL_KEYS_OPT)
     grid_sec = section["grid"]
     _require_keys(grid_sec, "model.grid", ("n_modes", "n_quad"), ("length",))
@@ -231,10 +277,8 @@ def _build_model(section: dict) -> tuple:
                                 "model.fast_operator")
     reactions = section["reactions"]
     _require_keys(reactions, "model.reactions", ("slow", "fast"), ())
-    slow, slow_values = _reaction(reactions["slow"], "slow",
-                                  "model.reactions.slow")
-    fast, fast_values = _reaction(reactions["fast"], "fast",
-                                  "model.reactions.fast")
+    slow = _reaction(reactions["slow"], "slow", "model.reactions.slow")
+    fast = _reaction(reactions["fast"], "fast", "model.reactions.fast")
 
     def pad(key):
         arr = np.zeros(grid.n_modes)
@@ -252,16 +296,7 @@ def _build_model(section: dict) -> tuple:
     model = build_model(
         op1=op1, op2=op2, reaction_slow=slow, reaction_fast=fast, grid=grid,
         u0=pad("u0"), v0=pad("v0"), **values)
-    return model, {
-        "grid": asdict(grid), "slow_operator": op1_values,
-        "fast_operator": op2_values,
-        "reactions": {"slow": slow_values, "fast": fast_values},
-        "u0": model.u0.tolist(), "v0": model.v0.tolist(),
-        "c_V": model.lyapunov.c_V, "epsilon": model.epsilon,
-        "horizon": model.horizon, "theta": model.theta,
-        "holder_beta": model.holder_beta, "lambda_exp": model.lambda_exp,
-        "explosion_bound": model.explosion_bound, "h_macro": model.h_macro,
-        "substep_ratio": model.substep_ratio}
+    return model, {"slow_operator": op1_values, "fast_operator": op2_values}
 
 
 _EXP_KEYS_OPT = ("epsilon_grid", "ensemble_size", "test_functions",
@@ -312,7 +347,7 @@ def _require_distinct(key: str, labels: list) -> None:
 def parse_config_dict(raw: dict) -> ExperimentConfig:
     _require_keys(raw, "config", ("model",), ("experiment", "invariant", "averaging"))
     try:
-        model, model_section = _build_model(raw["model"])
+        model, operators = _build_model(raw["model"])
     except InvalidParameterError as exc:
         where = f"model.{exc.name}" if exc.name else "model"
         raise ConfigurationRejectedError(f"{where}: {exc}") from None
@@ -393,7 +428,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     _require(worker_count >= 1, "worker_count", "at least 1", worker_count)
 
     omega = model.omega
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         model=model,
         epsilon_grid=epsilon_grid,
         ensemble_size=ensemble_size,
@@ -407,10 +442,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         c_const=c_const,
         invariant=_frozen_fast(raw, "invariant", omega),
         averaging=_frozen_fast(raw, "averaging", omega),
-        canonical={},
+        operators=operators,
     )
-    cfg.canonical = _canonical_dict(model_section, cfg)
-    return cfg
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -425,34 +458,6 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigurationRejectedError("config root must be a JSON object")
     return parse_config_dict(raw)
-
-
-def _canonical_dict(model_section: dict, cfg: ExperimentConfig) -> dict:
-    """The parsed config with every default materialized; stable under
-    re-parsing."""
-    # worker_count and output_dir are execution knobs, not part of the
-    # experiment definition: results must be identical for any worker count,
-    # so they stay out of the canonical form and of the config hash.
-    return {
-        "model": model_section,
-        "experiment": {
-            "epsilon_grid": list(cfg.epsilon_grid),
-            "ensemble_size": cfg.ensemble_size,
-            "test_functions": [
-                {"modes": list(tf.modes), "time_power": tf.time_power}
-                for tf in cfg.test_functions
-            ],
-            "observables": [
-                {"kind": ob.kind, "k": ob.k} for ob in cfg.observables
-            ],
-            "master_seed": cfg.master_seed,
-            "dump_modes": cfg.dump_modes,
-            "theta_sequence": list(cfg.theta_sequence),
-            "c_const": cfg.c_const,
-        },
-        **{section: _frozen_fast_dict(getattr(cfg, section), step_key)
-           for section, step_key in _STEP_KEYS.items()},
-    }
 
 
 def _frozen_fast_dict(params: FrozenFastParams, step_key: str) -> dict:

@@ -32,8 +32,8 @@ from .fast_dynamics import FastStepper
 from .model import ModelSpec
 from .noise import RngStream, derive_stream
 from .reactions import eval_V, lyapunov_norms, nemytskii_drift
-from .spectral import (kahan_mean_vectors, matvec, mean_se, scalar_power,
-                       synthesize)
+from .spectral import (kahan_mean_vectors, kahan_totals, matvec, mean_se,
+                       scalar_power, synthesize)
 
 __all__ = [
     "SlowFastTrajectory",
@@ -295,18 +295,10 @@ def path_functionals(traj: SlowFastTrajectory, model: ModelSpec) -> dict:
     values = eval_V(u_phys[:-1], v_phys[:-1], lyap, grid,
                     tuple(None if norm is None else norm[:-1]
                           for norm in norms))
-    v_int = v_comp = proxy = proxy_comp = 0.0
     proxy_weight = h * lyap.c_V
-    # Two compensated (Kahan) sums, kahan_add's steps written inline.
-    for value, u_term in zip(values.tolist(), u_terms):
-        y = h * value - v_comp
-        total = v_int + y
-        v_comp = (total - v_int) - y
-        v_int = total
-        y = proxy_weight * (1.0 + u_term) - proxy_comp
-        total = proxy + y
-        proxy_comp = (total - proxy) - y
-        proxy = total
+    v_int = kahan_totals(h * value for value in values.tolist())[-1]
+    proxy = kahan_totals(proxy_weight * (1.0 + u_term)
+                         for u_term in u_terms[:-1])[-1]
     return {"v_integral": v_int, "sup_u": sup_u, "sup_v": sup_v,
             "vbar_proxy": proxy}
 

@@ -326,16 +326,18 @@ def _run_replicas(model: ModelSpec, x: np.ndarray, params: FrozenFastParams,
 
 
 def batch_std_error(batches: np.ndarray) -> np.ndarray:
-    """Standard error of the mean of (R, B) or (R, B, K) batch means: R
-    replicas of B consecutive, AR(1)-correlated batches.  The lag-1
-    correlation rho, bias-corrected by (1 + 4 rho) / B and clipped to
-    [0, 0.9], inflates the variance of the plain spread by (1+rho)/(1-rho).
+    """Standard error of the mean of (S, R, B) or (S, R, B, K) batch means,
+    per state: R replicas of B consecutive, AR(1)-correlated batches at
+    each of S states, shape (S,) or (S, K), a state's row bit-equal to that
+    state alone.  The lag-1 correlation rho, bias-corrected by
+    (1 + 4 rho) / B and clipped to [0, 0.9], inflates the variance of the
+    plain spread by (1+rho)/(1-rho).
     """
-    n_rep, n_batches = batches.shape[:2]
-    plain = batches.std(axis=(0, 1), ddof=1) / math.sqrt(n_rep * n_batches)
-    dev = batches - batches.mean(axis=1, keepdims=True)
-    lagged = np.asarray((dev[:, 1:] * dev[:, :-1]).sum(axis=(0, 1)))
-    spread = np.asarray((dev * dev).sum(axis=(0, 1)))
+    n_rep, n_batches = batches.shape[1:3]
+    plain = batches.std(axis=(1, 2), ddof=1) / math.sqrt(n_rep * n_batches)
+    dev = batches - batches.mean(axis=2, keepdims=True)
+    lagged = (dev[:, :, 1:] * dev[:, :, :-1]).sum(axis=(1, 2))
+    spread = (dev * dev).sum(axis=(1, 2))
     rho = np.divide(lagged, spread, out=np.zeros_like(spread),
                     where=spread > 0)
     rho = np.clip(rho + (1.0 + 4.0 * rho) / n_batches, 0.0, 0.9)
@@ -389,9 +391,10 @@ def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
     companion on the same draws and from the same start, plus the caller's
     gaussian_mean(mean, variance), which such a step requires: the exact
     expectation of the observable under the companion's stationary modal
-    law (FastStepper.stationary_law), mean shaped as x.  Any other step
-    (the linear kind, or c_s = 0) is its own companion; its estimate is the
-    plain mean.
+    law (FastStepper.stationary_law), mean shaped as x; without it such a
+    step raises InvalidParameterError before any replica runs.  Any other
+    step (the linear kind, or c_s = 0) is its own companion; its estimate
+    is the plain mean.
     """
     x = as_modal_states(x, model.n_modes)
     # One state is a stack of one, its key a tuple of one key.
@@ -401,14 +404,18 @@ def estimate_invariant_average(model: ModelSpec, x, params: FrozenFastParams,
         raise InvalidParameterError(f"key must hold one key tuple per slow "
                                     f"state of a non-empty stack: got "
                                     f"{len(keys)} for {len(xs)} state(s)")
+    if gaussian_mean is None and fast_coefficients(model.reaction_fast)[2]:
+        raise InvalidParameterError(
+            "a fast step with a sine term needs gaussian_mean")
     streams = [derive_stream(master_seed, replica, "frozen_fast_noise", k)
                for k in keys for replica in range(params.n_replicas)]
     batches, law = _run_replicas(model, xs, params, observable, streams)
-    # Each state's batches pooled alone, its mean summed replica-major.
-    pooled = [(b.reshape((-1,) + b.shape[2:]).mean(axis=0),
-               batch_std_error(b)) for b in batches]
-    mean, std_error = (np.stack(a).reshape(x.shape[:-1] + a[0].shape)
-                       for a in zip(*pooled))
+    # Every state's batches pooled in one reduction, a state's mean summed
+    # replica-major.
+    shape = x.shape[:-1] + batches.shape[3:]
+    mean = batches.reshape(len(xs), -1, *batches.shape[3:]).mean(axis=1)
+    std_error = batch_std_error(batches)
+    mean, std_error = mean.reshape(shape), std_error.reshape(shape)
     if law is not None:
         mean = mean + gaussian_mean(law[0].reshape(x.shape), law[1])
     if mean.ndim == 0:

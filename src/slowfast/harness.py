@@ -35,7 +35,8 @@ from .errors import InvalidParameterError, StateExplosionError
 from .fast_dynamics import estimate_invariant_average
 from .model import ModelSpec
 from .reactions import eval_V
-from .spectral import analyze, kahan_mean_vectors, mean_se, synthesize
+from .spectral import (analyze, kahan_mean_vectors, kahan_totals, mean_se,
+                       synthesize)
 
 __all__ = [
     "ResultRow",
@@ -50,9 +51,9 @@ __all__ = [
     "pooled_invariant_rows",
     "pooled_fbar_estimate",
     "simulate_ensemble",
+    "emit",
     "emit_results",
     "write_csv",
-    "write_meta",
 ]
 
 
@@ -169,15 +170,8 @@ def _discrepancy_stat(traj: SlowFastTrajectory, model: ModelSpec,
         xi = (np.stack([tf.values(t, n) for t in times.tolist()])
               if tf.time_power else tf.values(0.0, n)[None])
         dots = np.matmul(delta_f[:, None, :], xi[:, :, None])[:, 0, 0]
-        total = comp = sup = 0.0
-        # A compensated (Kahan) sum, kahan_add's steps written inline.
-        for dot in dots.tolist():
-            y = h * dot - comp
-            new_total = total + y
-            comp = (new_total - total) - y
-            total = new_total
-            sup = max(sup, abs(total))
-        sups.append(sup)
+        sups.append(max(map(abs, kahan_totals(h * dot
+                                              for dot in dots.tolist()))))
     return {"sups": sups}
 
 
@@ -582,27 +576,28 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
-def emit_results(table: ResultTable, out_dir, name: str,
-                 cfg: ExperimentConfig) -> str:
-    """Write a result table and its metadata sidecar; returns the CSV path."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    write_csv(csv_path,
-              ["experiment_id", "epsilon", "statistic_id", "value",
-               "std_error", "n", "censored_count"],
-              [(r.experiment_id, r.epsilon, r.statistic_id, r.value,
-                r.std_error, r.n, r.censored_count) for r in table.rows])
-    write_meta(out_dir, name, cfg,
-               max_censored_fraction=table.max_censored_fraction)
-    return csv_path
-
-
-def write_meta(out_dir, name: str, cfg: ExperimentConfig, **extra) -> None:
-    """Write the ``{name}.meta.json`` sidecar: seed, version, config hash and
-    any extra keys."""
+def emit(cfg: ExperimentConfig, name: str, header, rows, **extra) -> str:
+    """Write the result {name}.csv (write_csv) and its {name}.meta.json
+    sidecar, the seed, version, config hash and any extra keys, to
+    cfg.output_dir; returns the CSV path."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    csv_path = os.path.join(cfg.output_dir, f"{name}.csv")
+    write_csv(csv_path, header, rows)
     meta = {"seed": cfg.master_seed, "version": __version__,
             "config_sha256": config_hash(cfg), **extra}
-    with open(os.path.join(out_dir, f"{name}.meta.json"), "w",
+    with open(os.path.join(cfg.output_dir, f"{name}.meta.json"), "w",
               encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return csv_path
+
+
+def emit_results(table: ResultTable, name: str, cfg: ExperimentConfig) -> str:
+    """Emit a result table with its max_censored_fraction in the sidecar;
+    returns the CSV path."""
+    return emit(cfg, name,
+                ["experiment_id", "epsilon", "statistic_id", "value",
+                 "std_error", "n", "censored_count"],
+                [(r.experiment_id, r.epsilon, r.statistic_id, r.value,
+                  r.std_error, r.n, r.censored_count) for r in table.rows],
+                max_censored_fraction=table.max_censored_fraction)

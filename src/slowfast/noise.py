@@ -45,7 +45,7 @@ class RngStream:
     """Counter-based Gaussian stream owned by one (trajectory, role) pair;
     its spawn key is (role index, trajectory_id) + key."""
 
-    __slots__ = ("counter", "_gen")
+    __slots__ = ("_gen",)
 
     def __init__(self, master_seed: int, trajectory_id: int, role: str,
                  key: tuple = ()):
@@ -55,7 +55,6 @@ class RngStream:
         if master_seed < 0 or trajectory_id < 0 or any(k < 0 for k in key):
             raise InvalidParameterError(
                 "master_seed, trajectory_id and key entries must be >= 0")
-        self.counter = 0
         seq = SeedSequence(
             entropy=int(master_seed),
             spawn_key=(ROLES.index(role), int(trajectory_id)) + key,
@@ -64,9 +63,7 @@ class RngStream:
 
     def normals(self, n: int) -> np.ndarray:
         """Draw n standard normals by numpy's ziggurat on this Philox stream."""
-        draws = self._gen.standard_normal(n)
-        self.counter += n
-        return draws
+        return self._gen.standard_normal(n)
 
 
 def derive_stream(master_seed: int, trajectory_id: int, role: str,

@@ -373,8 +373,10 @@ class GrowthReport:
 
 
 def _worst_ratio(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """max(0, each lhs/rhs where rhs > 0); inf if one is not finite."""
-    ratios = np.append(lhs[rhs > 0] / rhs[rhs > 0], 0.0)
+    """max(0, each lhs/rhs where rhs > 0); inf if one is not finite, as
+    when a subnormal rhs overflows the quotient."""
+    with np.errstate(over="ignore"):
+        ratios = np.append(lhs[rhs > 0] / rhs[rhs > 0], 0.0)
     return float(np.max(ratios)) if np.isfinite(ratios).all() else math.inf
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "as_modal_field",
     "as_modal_states",
     "kahan_add",
+    "kahan_totals",
     "kahan_mean_vectors",
     "mean_se",
 ]
@@ -264,6 +265,17 @@ def kahan_add(total, comp, value):
     y = value - comp
     t = total + y
     return t, (t - total) - y
+
+
+def kahan_totals(terms) -> list:
+    """The running compensated sums of terms in order (kahan_add), from
+    0.0: one more entry than there are terms."""
+    total = comp = 0.0
+    totals = [total]
+    for term in terms:
+        total, comp = kahan_add(total, comp, term)
+        totals.append(total)
+    return totals
 
 
 def kahan_mean_vectors(arrays) -> np.ndarray:

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from slowfast import ConfigurationRejectedError
+from slowfast import ConfigurationRejectedError, FrozenFastParams
 from slowfast.cli import main
 from slowfast.config import config_hash, parse_config, parse_config_dict
 
@@ -171,6 +172,29 @@ class TestParsing:
         cfg = parse_config_dict(raw)
         assert "worker_count" not in cfg.canonical["experiment"]
         assert "output_dir" not in cfg.canonical["experiment"]
+
+    @pytest.mark.parametrize("changes,path,value", [
+        (lambda cfg: {"master_seed": 5}, ("experiment", "master_seed"), 5),
+        (lambda cfg: {"model": cfg.model.with_epsilon(0.05)},
+         ("model", "epsilon"), 0.05),
+        (lambda cfg: {"averaging": FrozenFastParams(
+            h=0.02, t_burn=0.5, t_avg=3.0, n_replicas=4)}, ("averaging",),
+         {"h_fast": 0.02, "t_burn": 0.5, "t_avg": 3.0, "n_replicas": 4}),
+    ], ids=["master_seed", "epsilon", "averaging"])
+    def test_replaced_config_hashes_as_parsed(self, changes, path, value):
+        # The canonical form is read from the fields, so a config changed
+        # with dataclasses.replace hashes as the config parsed with the
+        # changed value, not as the one it was made from.
+        cfg = parse_config_dict(copy.deepcopy(BASE))
+        changed = dataclasses.replace(cfg, **changes(cfg))
+        raw = copy.deepcopy(BASE)
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        parsed = parse_config_dict(raw)
+        assert changed.canonical == parsed.canonical
+        assert config_hash(changed) == config_hash(parsed) != config_hash(cfg)
 
     def test_shipped_configs_parse(self):
         for name in ("linear_benchmark", "cubic_rough", "decoupled_control"):

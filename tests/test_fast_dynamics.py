@@ -243,22 +243,38 @@ class TestInvariantAverage:
         # the linear benchmark at t_avg = 30/omega); the AR(1) correction
         # recovers it
         rho, n_rep = 0.3, 200
-        batches = self._ar1_batches(rho, n_rep, N_BATCHES, seed=5)
+        # one state: a leading state axis of length 1
+        batches = self._ar1_batches(rho, n_rep, N_BATCHES, seed=5)[None]
         exact = self._ar1_exact_se(rho, n_rep, N_BATCHES)
         plain = batches.std(ddof=1) / math.sqrt(batches.size)
         assert plain < 0.85 * exact
-        assert batch_std_error(batches) == pytest.approx(exact, rel=0.1)
+        assert batch_std_error(batches) == pytest.approx([exact], rel=0.1)
 
     def test_batch_std_error_of_independent_batches(self):
-        batches = self._ar1_batches(0.0, 200, N_BATCHES, seed=6)
+        batches = self._ar1_batches(0.0, 200, N_BATCHES, seed=6)[None]
         exact = self._ar1_exact_se(0.0, 200, N_BATCHES)
-        assert batch_std_error(batches) == pytest.approx(exact, rel=0.1)
+        assert batch_std_error(batches) == pytest.approx([exact], rel=0.1)
         # one standard error per observable component; constant -> 0
         stacked = np.stack([batches, np.ones_like(batches)], axis=-1)
         se = batch_std_error(stacked)
-        assert se.shape == (2,)
-        assert se[0] == pytest.approx(batch_std_error(batches), rel=1e-12)
-        assert se[1] == 0.0
+        assert se.shape == (1, 2)
+        assert se[0, 0] == pytest.approx(batch_std_error(batches)[0],
+                                         rel=1e-12)
+        assert se[0, 1] == 0.0
+
+    @pytest.mark.parametrize("row_shape", [(), (1,), (3,), (16,)])
+    def test_batch_std_error_stack_rows_equal_single_states(self, row_shape):
+        # A stack of S states pooled in one reduction gives each state's
+        # standard error bit for bit as that state alone.
+        rng = np.random.default_rng(len(row_shape) and row_shape[0])
+        for n_states, n_rep in ((1, 1), (7, 3), (120, 16)):
+            stack = rng.normal(size=(n_states, n_rep, N_BATCHES) + row_shape)
+            stack[-1] = 2.0  # a constant state: rho 0, error 0
+            se = batch_std_error(stack)
+            assert se.shape == (n_states,) + row_shape
+            for s in range(n_states):
+                assert np.array_equal(se[s], batch_std_error(stack[s:s + 1])[0])
+            assert not se[-1].any()
 
     def test_ergodicity_time_vs_ensemble(self):
         # time average of <v, e1> against an ensemble of independent
@@ -356,6 +372,24 @@ class TestInvariantAverage:
             model, x, dataclasses.replace(params, n_replicas=5), norm_sq,
             master_seed=12, gaussian_mean=gaussian_mean)
         assert mean == np.concatenate(singles).mean() + gaussian_mean(*law)
+
+    def test_sine_step_without_gaussian_mean_rejected_first(self,
+                                                            monkeypatch):
+        # A sine step's control variate needs gaussian_mean: its absence is
+        # named before any stream is derived or any replica runs.
+        import slowfast.fast_dynamics as fast_dynamics
+
+        def never(*args):
+            raise AssertionError("called before gaussian_mean was checked")
+
+        monkeypatch.setattr(fast_dynamics, "_run_replicas", never)
+        monkeypatch.setattr(fast_dynamics, "derive_stream", never)
+        model, x, params = frozen_cfg(c_s=0.5)
+        for states, key in ((x, ()), (np.stack([x, 2.0 * x]), ((0,), (1,)))):
+            with pytest.raises(InvalidParameterError, match="gaussian_mean"):
+                estimate_invariant_average(model, states, params,
+                                           lambda v_phys: v_phys[:, 0],
+                                           master_seed=1, key=key)
 
     def test_draw_chunking_does_not_change_batches(self, monkeypatch):
         # Noise drawn a few steps at a time equals noise drawn in large chunks.

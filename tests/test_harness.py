@@ -1,16 +1,18 @@
 import copy
 import dataclasses
+import json
 import math
 import os
 
 import numpy as np
 import pytest
 
+import slowfast
 import slowfast.harness as harness
 from slowfast.averaging import (averaged_mean_rates, make_drift_fn,
                                 simulate_averaged)
 from slowfast.config import TestFunctionSpec as XiSpec
-from slowfast.config import parse_config, parse_config_dict
+from slowfast.config import config_hash, parse_config, parse_config_dict
 from slowfast.errors import StateExplosionError
 from slowfast.coupled import path_functionals, simulate_slowfast
 from slowfast.fast_dynamics import FrozenFastParams
@@ -21,7 +23,7 @@ from slowfast.harness import (ResultRow, ResultTable, _coupled_paths,
                               run_holder_stats, run_khasminskii_study,
                               run_moment_audit, run_parallel,
                               run_theta_stability)
-from slowfast.spectral import kahan_add, mean_se
+from slowfast.spectral import kahan_add, kahan_totals, mean_se
 
 from conftest import linear_model
 from test_config_cli import BASE
@@ -48,6 +50,18 @@ class TestReductions:
         arrays = [rng.normal(size=5) for _ in range(50)]
         out = kahan_mean_vectors(arrays)
         assert np.allclose(out, np.mean(arrays, axis=0), atol=1e-14)
+
+    def test_kahan_totals_are_running_kahan_sums(self, rng):
+        terms = [1.0, *([1e-16] * 10), *rng.normal(size=20).tolist()]
+        total = comp = 0.0
+        expected = [total]
+        for term in terms:
+            total, comp = kahan_add(total, comp, term)
+            expected.append(total)
+        assert kahan_totals(iter(terms)) == expected
+        # compensated: ten terms below 1.0's rounding reach the sum
+        assert kahan_totals(terms[:11])[-1] == 1.000000000000001
+        assert kahan_totals([]) == [0.0]
 
     def test_run_parallel_preserves_order(self):
         tasks = list(range(20))
@@ -96,6 +110,28 @@ class TestResultTable:
         assert table.max_censored_fraction == pytest.approx(0.1)
         with pytest.raises(KeyError):
             table.value("e", 0.5, "s")
+
+
+class TestEmit:
+    def test_writes_the_csv_and_its_sidecar(self, tmp_path):
+        # emit makes the output directory, writes {name}.csv through
+        # write_csv and the sidecar beside it, extra keys included.
+        raw = copy.deepcopy(BASE)
+        raw["experiment"]["output_dir"] = str(tmp_path / "new" / "dir")
+        cfg = parse_config_dict(raw)
+        path = harness.emit(cfg, "result", ["a", "b"], [(1, 0.5), (None, "x")],
+                            max_censored_fraction=0.25)
+        assert path == os.path.join(cfg.output_dir, "result.csv")
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert fh.read() == "a,b\r\n1,0.5\r\n,x\r\n"
+        meta_path = os.path.join(cfg.output_dir, "result.meta.json")
+        with open(meta_path, encoding="utf-8") as fh:
+            assert json.load(fh) == {
+                "seed": 11, "version": slowfast.__version__,
+                "config_sha256": config_hash(cfg),
+                "max_censored_fraction": 0.25}
+        assert sorted(os.listdir(cfg.output_dir)) == ["result.csv",
+                                                      "result.meta.json"]
 
 
 class TestHolderPairs:

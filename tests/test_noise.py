@@ -33,12 +33,6 @@ class TestStreams:
         b = derive_stream(7, 5, "fast_noise").normals(n)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
-    def test_counter_advances(self):
-        s = derive_stream(1, 1, "auxiliary")
-        s.normals(10)
-        s.normals(5)
-        assert s.counter == 15
-
     def test_identity_restarts_at_draw_zero(self):
         s = derive_stream(11, 2, "fast_noise")
         first = s.normals(64)

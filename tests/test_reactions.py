@@ -397,3 +397,15 @@ class TestGrowthLattice:
             kappa1=min(kappa1, 2.0 * m2), kappa2=kappa2,
             c1=c1, c2=c2, a1=a1, a2=a2)
         assert validate_growth(spec) == meshgrid_growth_report(spec)
+
+    def test_subnormal_bound_is_an_unwarned_violation(self):
+        # At sigma = lam = 0 the uniform bound is a1 alone; a subnormal a1
+        # overflows |b| / a1 to inf, which is a violation and raises no
+        # numpy warning.
+        spec = make_slow_reaction(
+            "polynomial", terms=[(1.0, 0, 0)], m1=1.0, m2=1.0, kappa1=0.0,
+            kappa2=0.0, c1=0.0, c2=0.0, a1=2.225073858507203e-309, a2=0.0)
+        report = validate_growth(spec)
+        assert report == meshgrid_growth_report(spec)
+        assert report.uniform_worst_ratio == math.inf
+        assert not report.uniform_ok

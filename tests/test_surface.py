@@ -32,9 +32,8 @@ ALLOWED_UNREAD_PARAMS = {"analytic_Fbar_linear.t", "_slow_path_stat.model"}
 # estimates F-bar at u0 without a trajectory id.
 ALLOWED_SEED_DEFAULTS = {"estimate_Fbar.trajectory_id"}
 
-# Fields that only tests read.  RngStream.counter is the stream's draw
-# count, kept for the concatenation-consistency tests of the noise layer.
-ALLOWED_UNREAD_FIELDS = {"RngStream.counter"}
+# Fields that only tests read.
+ALLOWED_UNREAD_FIELDS: set = set()
 
 
 def _modules() -> dict:
